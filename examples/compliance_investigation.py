@@ -62,7 +62,7 @@ def mala_attacks(engine: TrustworthySearchEngine) -> None:
     print("  Rewriting posting lists? The WORM device refuses overwrites.")
     print("  Her only move: stuff 'imclone' postings with fake document IDs")
     term_id = engine.term_id("imclone")
-    posting_list = engine._lists[engine._list_id_for(term_id)]
+    posting_list, _ = engine.posting_list_for("imclone")
     fakes = posting_stuffing_attack(posting_list, term_id, count=8)
     print(f"  stuffed {len(fakes)} fabricated postings (IDs {fakes[0]}..{fakes[-1]})")
 

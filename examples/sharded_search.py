@@ -62,7 +62,7 @@ def main() -> None:
         # fabricated IDs on the coordinator's own WORM incident log.
         shard = engine.shards[1]
         tid = shard.term_id("imclone")
-        posting_list = shard._lists[shard._list_id_for(tid)]
+        posting_list, _ = shard.posting_list_for("imclone")
         stuffed = posting_stuffing_attack(
             posting_list, tid, count=len(shard.documents) + 3
         )

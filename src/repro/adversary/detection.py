@@ -25,22 +25,14 @@ def full_engine_audit(engine) -> List[AuditReport]:
     The returned list always includes at least the commit-log report;
     check ``all(r.ok for r in reports)`` for a clean bill of health.
     """
-    reports: List[AuditReport] = []
-    # Discover every posting list ever committed (a reopened engine only
-    # attaches lists lazily as queries touch them).
-    for name in engine.store.device.list_files():
-        if name.startswith("engine/pl/"):
-            engine._existing_list(int(name.rsplit("/", 1)[1]))
-    for list_id in sorted(engine._lists):
-        posting_list = engine._lists[list_id]
-        jump = engine._jumps.get(list_id)
-        reports.append(audit_posting_list(posting_list, jump))
-    # Tail-mode engines keep postings in sealed WORM segments instead of
-    # (or alongside) the legacy merged lists; their lists carry the same
-    # order/jump invariants and get the same per-list audit.
-    for segment in getattr(engine, "iter_segments", lambda: ())():
-        for posting_list, jump in segment.attached_lists():
-            reports.append(audit_posting_list(posting_list, jump))
+    # Every posting list ever committed — the directly-appended merged
+    # lists and the sealed segments' alike carry the same order/jump
+    # invariants (a reopened engine attaches them lazily; the iterator
+    # attaches the rest).
+    reports: List[AuditReport] = [
+        audit_posting_list(posting_list, jump)
+        for posting_list, jump in engine.iter_posting_lists()
+    ]
     commit_report = AuditReport(subject="commit-time log")
     try:
         engine.time_index.verify()

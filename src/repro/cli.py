@@ -804,6 +804,19 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _add_executor_option(
+    parser: argparse.ArgumentParser,
+    *,
+    help: str = "sharded query fan-out: 'thread' shares the interpreter, "
+    "'process' spawns one worker process per shard (default: thread)",
+) -> None:
+    """``--executor {thread,process}``, shared by search/serve/loadtest."""
+    parser.add_argument(
+        "--executor", choices=["thread", "process"], default="thread",
+        help=help,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -894,11 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query fan-out threads on a sharded archive (default: one "
         "per shard)",
     )
-    search.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="sharded query fan-out: 'thread' shares the interpreter, "
-        "'process' spawns one worker process per shard (default: thread)",
-    )
+    _add_executor_option(search)
     search.add_argument(
         "--trace", action="store_true",
         help="print the per-stage query trace (spans with micro-costs)",
@@ -1025,11 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query fan-out threads on a sharded archive (default: one "
         "per shard)",
     )
-    serve.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="sharded query fan-out: 'thread' shares the interpreter, "
-        "'process' spawns one worker process per shard (default: thread)",
-    )
+    _add_executor_option(serve)
     serve.add_argument(
         "--rate", type=float, default=200.0,
         help="per-tenant sustained requests/second; 0 disables rate "
@@ -1122,8 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="per-query fan-out threads (default: one per shard)",
     )
-    loadtest.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
+    _add_executor_option(
+        loadtest,
         help="query fan-out of the ephemeral archive: 'process' builds it "
         "file-backed in a temp directory and spawns one worker process "
         "per shard (default: thread)",

@@ -1,13 +1,20 @@
-"""Immutable WORM segments sealed from the in-memory tail.
+"""Families of merged posting lists, and the segments sealed from the tail.
+
+The paper has one index shape — terms hashed (or, for popular terms,
+pinned) into a family of merged append-only posting lists, each with an
+optional jump index — and :class:`MergedListFamily` is its one
+implementation: term→list assignment, lazy attach, grouped appends, the
+disjunctive scan, and the zigzag join.  The engine reads an ordered set
+of families plus, in tail mode, the in-memory tail; nothing else.
 
 A *segment* is one frozen batch of documents: the tail's postings,
 regrouped under a Section-3 merging strategy and appended to the
-segment's own family of merged WORM posting lists
-(``engine/seg/<seg_no>/pl/<list_id>``).  Segments are never modified
-after sealing — the WORM device would refuse anyway — which is what
-makes the read path snapshot-friendly: a reader holding a list of
-sealed segments plus a tail snapshot sees one consistent index no
-matter what the sealer and merger do next.
+segment's own family (``engine/seg/<seg_no>/pl/<list_id>``).  Segments
+are never modified after sealing — the WORM device would refuse anyway —
+which is what makes the read path snapshot-friendly: a reader holding a
+list of sealed segments plus a tail snapshot sees one consistent index
+no matter what the sealer and merger do next.  Without tail mode there
+is a single directly-appended family, ``engine/pl/<list_id>``.
 
 The **manifest** (``engine/segments``) is the atomic commit point.
 Sealing writes the segment's posting lists first and appends one
@@ -28,8 +35,8 @@ the old segment list they snapshotted.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import PopularUnmergedMerge, UniformHashMerge
@@ -40,6 +47,9 @@ from repro.search.join import MergedListCursor, conjunctive_join
 
 #: WORM file holding the manifest log.
 MANIFEST_FILE = "engine/segments"
+
+#: Name prefix of the directly-appended merged lists.
+LIST_PREFIX = "engine/pl/"
 
 #: Name prefix of every segment-resident WORM file.
 SEGMENT_PREFIX = "engine/seg/"
@@ -330,25 +340,35 @@ def _assignment_for(info: SegmentInfo):
     return UniformHashMerge(info.num_lists)
 
 
-class _LazyAssignment:
-    """Term→list mapping grown on demand (mirrors the engine's).
+@dataclass
+class ReadCosts:
+    """Micro-costs of one query's scan or join, in the paper's units.
 
-    Strategies are stable under universe growth, so re-deriving a larger
-    assignment as higher term ids appear never moves an assigned term.
+    One accumulator per query: every family the query reads adds its
+    share, and the engine records the totals once (metrics, trace span,
+    :func:`~repro.search.profiling.profile_query`).
     """
 
-    def __init__(self, strategy):
-        self._strategy = strategy
-        self._assignment = None
+    #: Distinct physical lists read.
+    lists: int = 0
+    #: Posting entries in the blocks read (the workload cost Q's unit).
+    entries: int = 0
+    #: Posting-list blocks read (the Figure 8(c) unit).
+    blocks: int = 0
+    #: Cursor ``FindGeq`` seeks performed by joins.
+    seeks: int = 0
+    jump_follows: int = 0
+    block_cache_hits: int = 0
+    #: Whether any joined list had a jump index to seek through.
+    used_jump_index: bool = False
+    per_list_blocks: Dict[int, int] = field(default_factory=dict)
 
-    def list_for(self, term_id: int) -> int:
-        if (
-            self._assignment is None
-            or self._assignment.num_terms <= term_id
-        ):
-            universe = max(1024, 2 * (term_id + 1))
-            self._assignment = self._strategy.assign(universe)
-        return self._assignment.list_for(term_id)
+    def charge(self, list_id: int, blocks: int) -> None:
+        """Account ``blocks`` read from physical list ``list_id``."""
+        self.blocks += blocks
+        self.per_list_blocks[list_id] = (
+            self.per_list_blocks.get(list_id, 0) + blocks
+        )
 
 
 def write_segment_lists(
@@ -364,82 +384,120 @@ def write_segment_lists(
     """Write segment ``seg_no``'s merged posting lists; returns the
     posting count.  Pure data write — the caller commits the manifest
     record afterwards (the atomic step)."""
-    assign = _LazyAssignment(
-        _assignment_for(
-            SegmentInfo(
-                seg_no=seg_no,
-                first_doc=0,
-                last_doc=0,
-                doc_count=1,
-                num_lists=num_lists,
-                strategy=strategy,
-                popular_terms=tuple(popular_terms),
-            )
-        )
+    family = MergedListFamily(
+        store,
+        SegmentInfo(
+            seg_no=seg_no,
+            first_doc=0,
+            last_doc=0,
+            doc_count=1,
+            num_lists=num_lists,
+            strategy=strategy,
+            popular_terms=tuple(popular_terms),
+        ),
+        branching=branching,
     )
     postings_by_list: Dict[int, List[Tuple[int, int]]] = {}
-    total = 0
     for term_id in sorted(postings_by_term):
-        entries = postings_by_term[term_id]
-        postings_by_list.setdefault(assign.list_for(term_id), []).extend(
-            entries
+        postings_by_list.setdefault(family.list_for(term_id), []).extend(
+            postings_by_term[term_id]
         )
-        total += len(entries)
-    for list_id in sorted(postings_by_list):
-        # Ascending (doc, term) order — the same order the legacy
-        # synchronous path appends in, so monotonicity invariants and
-        # jump-pointer placement are identical.
-        entries = sorted(
-            postings_by_list[list_id],
-            key=lambda e: (e[0], e[1] & MAX_TERM_ID_WITH_TF),
+    # Ascending (doc, term) order — the same order the synchronous path
+    # appends in, so monotonicity invariants and jump-pointer placement
+    # are identical.
+    family.append_many(
+        (
+            list_id,
+            sorted(
+                postings_by_list[list_id],
+                key=lambda e: (e[0], e[1] & MAX_TERM_ID_WITH_TF),
+            ),
         )
-        name = segment_list_name(seg_no, list_id)
-        if branching is not None:
-            BlockJumpIndex.create(store, name, branching=branching).insert_many(
-                entries
-            )
-        else:
-            PostingList(store, name).append_many(entries)
-    return total
+        for list_id in sorted(postings_by_list)
+    )
+    return sum(len(entries) for entries in postings_by_term.values())
 
 
-class SealedSegment:
-    """Read-side handle of one sealed segment.
+class MergedListFamily:
+    """A family of merged posting lists under one WORM file-name prefix.
 
-    Lazily attaches the segment's posting lists (and jump indexes) and
-    resolves term→list through the assignment pinned in the manifest
-    record.  Handles plug into the engine's read cache exactly like the
-    legacy merged lists: decoded-block and jump-memo tiers key on the
-    segment-scoped file names.
+    The paper's one index shape (Sections 3–4): terms map to physical
+    lists through a merging strategy, lists append in doc order, and
+    each may carry a jump index.  Pinned to a manifest record (``info``)
+    it is a sealed segment — ``engine/seg/<seg_no>/pl/`` under the
+    assignment the record names, never appended to after the seal.
+    Without one it is the directly-appended family ``engine/pl/`` under
+    the caller's ``strategy``.  Lists (and jump indexes) attach lazily
+    and plug into the engine's read cache by file name: decoded-block
+    and jump-memo tiers key on it.
+
+    ``length_hints`` (term id → posting count) orders joins by filtered
+    list length where the owner tracks it; without it the raw merged
+    list length is the hint.
     """
 
     def __init__(
         self,
         store,
-        info: SegmentInfo,
+        info: Optional[SegmentInfo] = None,
         *,
         branching: Optional[int],
+        strategy=None,
         read_cache=None,
         decode_metrics=None,
+        length_hints: Optional[Mapping[int, int]] = None,
     ):
         self.store = store
         self.info = info
         self.branching = branching
         self.read_cache = read_cache
         self.decode_metrics = decode_metrics
-        self._assign = _LazyAssignment(_assignment_for(info))
+        self.length_hints = length_hints
+        if info is not None:
+            self.prefix = f"{SEGMENT_PREFIX}{info.seg_no:06d}/pl/"
+            strategy = _assignment_for(info)
+        else:
+            self.prefix = LIST_PREFIX
+        self.strategy = strategy
+        self._assignment = None
         self._lists: Dict[int, PostingList] = {}
         self._jumps: Dict[int, BlockJumpIndex] = {}
 
     # ------------------------------------------------------------------
+    # term → list, list → WORM file
+    # ------------------------------------------------------------------
     def list_for(self, term_id: int) -> int:
-        return self._assign.list_for(term_id)
+        """The physical list ``term_id`` maps to.
 
-    def _attach(self, list_id: int) -> Optional[PostingList]:
+        Strategies are stable under universe growth (see
+        :class:`~repro.core.merge.MergeStrategy`), so a larger
+        assignment is re-derived as higher term ids appear; terms
+        already indexed keep their physical lists.
+        """
+        if (
+            self._assignment is None
+            or self._assignment.num_terms <= term_id
+        ):
+            universe = self.strategy.universe_size()
+            if universe is None:
+                universe = max(1024, 2 * (term_id + 1))
+            elif term_id >= universe:
+                raise WorkloadError(
+                    f"term id {term_id} exceeds the fixed universe "
+                    f"({universe} terms) the merge strategy was built for"
+                )
+            self._assignment = self.strategy.assign(universe)
+        return self._assignment.list_for(term_id)
+
+    def _attach(
+        self, list_id: int, *, create: bool = False
+    ) -> Optional[PostingList]:
+        """The physical list, attached on first use; ``None`` while it
+        has never been written (unless ``create``)."""
         posting_list = self._lists.get(list_id)
         if posting_list is None:
-            name = segment_list_name(self.info.seg_no, list_id)
-            if not self.store.device.exists(name):
+            name = f"{self.prefix}{list_id:08d}"
+            if not create and not self.store.device.exists(name):
                 return None
             if self.branching is not None:
                 jump = BlockJumpIndex.create(
@@ -452,56 +510,117 @@ class SealedSegment:
             else:
                 posting_list = PostingList(self.store, name)
             if self.read_cache is not None:
+                # Attached after construction, so restart recovery
+                # (inside PostingList.__init__) always read the device.
                 posting_list.read_cache = self.read_cache.blocks
             if self.decode_metrics is not None:
                 posting_list.decode_metrics = self.decode_metrics
             self._lists[list_id] = posting_list
         return posting_list
 
+    def posting_list_for(
+        self, term_id: int
+    ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
+        """The committed ``(list, jump index)`` holding ``term_id``'s
+        postings, or ``None`` while that list has never been written."""
+        list_id = self.list_for(term_id)
+        posting_list = self._attach(list_id)
+        if posting_list is None:
+            return None
+        return posting_list, self._jumps.get(list_id)
+
+    # ------------------------------------------------------------------
+    # write path
+    # ------------------------------------------------------------------
+    def append_many(
+        self, groups: Iterable[Tuple[int, Iterable[Tuple[int, int]]]]
+    ) -> None:
+        """Append ``(list_id, [(doc_id, term_code), ...])`` groups in the
+        caller's order, creating lists on first use.  Entries of one
+        list must arrive in ascending doc order (the list enforces it).
+        """
+        for list_id, entries in groups:
+            posting_list = self._attach(list_id, create=True)
+            jump = self._jumps.get(list_id)
+            if jump is not None:
+                jump.insert_many(entries)
+            else:
+                posting_list.append_many(entries)
+
     # ------------------------------------------------------------------
     # query paths
     # ------------------------------------------------------------------
     def conjunctive_doc_ids(
-        self, term_ids: Sequence[int]
+        self, term_ids: Sequence[int], costs: Optional[ReadCosts] = None
     ) -> Tuple[List[int], int, int]:
-        """Documents in this segment containing *all* terms.
+        """Documents in this family containing *all* terms (Section 4).
 
-        Returns ``(doc_ids, seeks, blocks_read)``; an absent or empty
-        list short-circuits to no matches.
+        Returns ``(doc_ids, seeks, blocks_read)`` and adds the zigzag
+        join's full micro-costs to ``costs``; an absent or empty list
+        short-circuits to no matches.
         """
+        hints = self.length_hints
         cursors: List[MergedListCursor] = []
+        sources: List[Tuple[int, PostingList]] = []
         for term_id in term_ids:
             list_id = self.list_for(term_id)
             posting_list = self._attach(list_id)
             if posting_list is None or not len(posting_list):
                 return [], 0, 0
+            sources.append((list_id, posting_list))
             cursors.append(
                 MergedListCursor(
                     posting_list,
                     term_code=term_id,
                     jump_index=self._jumps.get(list_id),
+                    length_hint=(
+                        hints.get(term_id, 0) if hints is not None else None
+                    ),
                 )
             )
+        if costs is None:
+            costs = ReadCosts()
+        jumps = {c.jump_index for c in cursors if c.jump_index is not None}
+        follows_before = sum(j.pointers_followed for j in jumps)
         doc_ids, blocks = conjunctive_join(cursors)
-        return doc_ids, sum(c.seeks for c in cursors), blocks
+        seeks = sum(c.seeks for c in cursors)
+        costs.lists += len({list_id for list_id, _ in sources})
+        costs.seeks += seeks
+        costs.jump_follows += (
+            sum(j.pointers_followed for j in jumps) - follows_before
+        )
+        costs.used_jump_index |= bool(jumps)
+        for (list_id, posting_list), cursor in zip(sources, cursors):
+            read = cursor.blocks_read()
+            costs.charge(list_id, read)
+            costs.entries += read * posting_list.entries_per_block
+            costs.block_cache_hits += cursor.cache_hits()
+        return doc_ids, seeks, blocks
 
     def collect_candidates(
         self,
-        wanted: Sequence[int],
+        wanted: Iterable[int],
         candidates: Dict[int, Dict[int, int]],
-        *,
-        cached: bool = False,
+        costs: Optional[ReadCosts] = None,
     ) -> int:
         """Max-merge the wanted terms' postings into ``candidates``
-        (disjunctive path); returns entries scanned."""
+        (disjunctive path); returns entries scanned and adds the scan's
+        micro-costs to ``costs``."""
+        if costs is None:
+            costs = ReadCosts()
         wanted_set = set(wanted)
+        cached = self.read_cache is not None
+        hits_before = self.read_cache.blocks.stats.hits if cached else 0
         entries = 0
         for list_id in sorted({self.list_for(t) for t in wanted_set}):
             posting_list = self._attach(list_id)
             if posting_list is None:
                 continue
+            costs.lists += 1
+            costs.charge(list_id, posting_list.num_blocks)
             # Columnar scan: per block, two flat integer columns instead
-            # of a Posting object per entry; the unpack is inlined.
+            # of a Posting object per entry (decode and unpack are
+            # batch/inline work, no allocations).
             for docs, codes in posting_list.scan_columns(
                 counted=False, cached=cached
             ):
@@ -515,18 +634,22 @@ class SealedSegment:
                             tf = 1
                         if tf > tf_map.get(term_id, 0):
                             tf_map[term_id] = tf
+        costs.entries += entries
+        if cached:
+            costs.block_cache_hits += (
+                self.read_cache.blocks.stats.hits - hits_before
+            )
         return entries
 
     # ------------------------------------------------------------------
     # maintenance / audit
     # ------------------------------------------------------------------
     def list_file_names(self) -> List[str]:
-        """Every committed list file of this segment (sorted)."""
-        prefix = f"{SEGMENT_PREFIX}{self.info.seg_no:06d}/"
+        """Every committed list file of this family (sorted)."""
         return sorted(
             name
             for name in self.store.device.list_files()
-            if name.startswith(prefix)
+            if name.startswith(self.prefix)
         )
 
     def attached_lists(
@@ -534,10 +657,8 @@ class SealedSegment:
     ) -> Iterator[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """Attach and yield every committed ``(list, jump)`` pair."""
         for name in self.list_file_names():
-            list_id = int(name.rsplit("/", 1)[1])
-            posting_list = self._attach(list_id)
-            if posting_list is not None:
-                yield posting_list, self._jumps.get(list_id)
+            list_id = int(name[len(self.prefix) :])
+            yield self._attach(list_id), self._jumps.get(list_id)
 
     def postings_by_term(self) -> Dict[int, List[Tuple[int, int]]]:
         """All postings regrouped per term, doc order (merge input).
@@ -557,14 +678,17 @@ class SealedSegment:
     def posting_count(self) -> int:
         return sum(len(pl) for pl, _ in self.attached_lists())
 
-    def block_count(self) -> int:
-        return sum(pl.num_blocks for pl, _ in self.attached_lists())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self.info is None:
+            return f"MergedListFamily('{self.prefix}')"
         return (
             f"SealedSegment(no={self.info.seg_no}, "
             f"docs=[{self.info.first_doc},{self.info.last_doc}])"
         )
+
+
+#: A sealed segment is a family pinned to its manifest record.
+SealedSegment = MergedListFamily
 
 
 def choose_popular_terms(

@@ -29,15 +29,17 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.merge import MergeStrategy, TermAssignment, UniformHashMerge
+from repro.core.merge import MergeStrategy, UniformHashMerge
 from repro.core.posting import MAX_TERM_ID_WITH_TF, pack_term_tf
 from repro.core.posting_list import PostingList
 from repro.core.segments import (
     STRATEGY_POPULAR,
     STRATEGY_UNIFORM,
+    MergedListFamily,
+    ReadCosts,
     SealedSegment,
     SegmentInfo,
     SegmentManifest,
@@ -53,7 +55,7 @@ from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.documents import DocumentStore
-from repro.search.join import MergedListCursor, conjunctive_join
+from repro.search.join import conjunctive_join  # noqa: F401 - bound by bench/layers.py
 from repro.search.lexicon import PrefixHashLexicon
 from repro.search.query import QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer
@@ -256,8 +258,6 @@ class TrustworthySearchEngine:
             if self.config.ranking == "bm25"
             else CosineScorer(self.stats)
         )
-        self._merge = merge_strategy or UniformHashMerge(self.config.num_lists)
-        self._assignment: Optional[TermAssignment] = None
         self.time_index = CommitTimeIndex(self.store, "engine/commit-times")
         # Lexicon: term string <-> engine-local term ID (order of first
         # appearance).  Rebuildable from the WORM lexicon log.  The
@@ -265,32 +265,34 @@ class TrustworthySearchEngine:
         # expansion) without slowing exact resolution.
         self._lexicon = PrefixHashLexicon()
         self._lexicon_file = self.store.ensure_file("engine/lexicon")
-        # Physical lists are created lazily as terms first hash into them.
-        self._lists: Dict[int, PostingList] = {}
-        self._jumps: Dict[int, BlockJumpIndex] = {}
         #: Per-term posting counts (join-ordering hints; derived data).
         self._term_postings: Dict[int, int] = {}
+        # The directly-appended merged lists (``engine/pl/``); physical
+        # lists are created lazily as terms first hash into them.
+        self._family = self._open_family(
+            strategy=merge_strategy or UniformHashMerge(self.config.num_lists)
+        )
         self._clock = 0
         self._incidents = None
         self._retention = None
         # Write–read decoupling (tail mode): the mutable tail, the
-        # sealed-segment manifest, and the attached live segments.  All
-        # lazily populated; ``None``/empty on the legacy path.
-        self._tail = (
-            MutableTailIndex()
-            if self.config.tail_max_docs is not None
-            else None
-        )
+        # sealed-segment manifest, and the attached live segments;
+        # ``None``/empty without it.
+        self._tail: Optional[MutableTailIndex] = None
         self._manifest: Optional[SegmentManifest] = None
-        self._segments: List[SealedSegment] = []
+        self._segments: Tuple[SealedSegment, ...] = ()
         #: Term popularity of the previously sealed epoch (feeds the
         #: "epoch" seal strategy; session-scoped, empty after restart).
         self._epoch_counts: Dict[int, int] = {}
-        if self._tail is not None:
-            # Eagerly create/replay the manifest so the first seal after
-            # a reopen is the only writer: restart itself stays a pure
-            # read (important for crash-recovery determinism).
-            self._load_manifest()
+        if self.config.tail_max_docs is not None:
+            # The manifest is created/replayed eagerly so the first seal
+            # after a reopen is the only writer: restart itself stays a
+            # pure read (important for crash-recovery determinism).
+            self._tail = MutableTailIndex()
+            self._manifest = SegmentManifest(self.store)
+            self._segments = tuple(
+                self._open_family(info) for info in self._manifest.live()
+            )
         if self._lexicon_file.num_blocks or len(self.time_index):
             self._restore_state()
 
@@ -317,19 +319,14 @@ class TrustworthySearchEngine:
             commit_times[doc_id] = commit_time
         self.documents.restore(len(commit_times), commit_times)
         self._clock = self.time_index.last_commit_time + 1
-        sealed_through = -1
-        if self._tail is not None:
-            # The tail itself is derived data: every document above the
-            # sealed horizon re-enters it from the journaled document +
-            # commit-time logs.  A disposed never-sealed document simply
-            # does not re-enter — its absence is explained by the
-            # disposition log.
-            self._load_manifest()
-            sealed_through = (
-                self._manifest.sealed_through
-                if self._manifest is not None
-                else -1
-            )
+        # The tail itself is derived data: every document above the
+        # sealed horizon re-enters it from the journaled document +
+        # commit-time logs.  A disposed never-sealed document simply
+        # does not re-enter — its absence is explained by the
+        # disposition log.
+        sealed_through = (
+            self._manifest.sealed_through if self._manifest is not None else -1
+        )
         for doc_id in range(len(commit_times)):
             if not self.documents.exists(doc_id):
                 continue
@@ -453,31 +450,15 @@ class TrustworthySearchEngine:
             "Live sealed WORM segments",
             labels=base,
         ).labels(**bound)
-        self._stage_bound: Dict[str, object] = {}
-        self._mode_bound: Dict[str, object] = {}
-        self._list_blocks_bound: Dict[int, object] = {}
+        self._series_bound: Dict[Tuple[str, object], object] = {}
 
-    def _stage_series(self, stage: str):
-        series = self._stage_bound.get(stage)
+    def _series(self, family, label: str, value):
+        """``family``'s series for this engine's base labels plus
+        ``label=value`` (bound on first use, then memoized)."""
+        series = self._series_bound.get((label, value))
         if series is None:
-            series = self._m_stage.labels(**self._metrics_labels, stage=stage)
-            self._stage_bound[stage] = series
-        return series
-
-    def _mode_series(self, mode: str):
-        series = self._mode_bound.get(mode)
-        if series is None:
-            series = self._m_queries.labels(**self._metrics_labels, mode=mode)
-            self._mode_bound[mode] = series
-        return series
-
-    def _list_blocks_series(self, list_id: int):
-        series = self._list_blocks_bound.get(list_id)
-        if series is None:
-            series = self._m_list_blocks.labels(
-                **self._metrics_labels, list_id=list_id
-            )
-            self._list_blocks_bound[list_id] = series
+            series = family.labels(**self._metrics_labels, **{label: value})
+            self._series_bound[(label, value)] = series
         return series
 
     @contextmanager
@@ -494,7 +475,9 @@ class TrustworthySearchEngine:
             yield span
         finally:
             if timed:
-                self._stage_series(name).observe(perf_counter() - start)
+                self._series(self._m_stage, "stage", name).observe(
+                    perf_counter() - start
+                )
             if span is not None:
                 trace.finish(span)
 
@@ -546,69 +529,43 @@ class TrustworthySearchEngine:
         return self._lexicon.terms_with_prefix(lexicon_key(prefix), limit=limit)
 
     # ------------------------------------------------------------------
-    # physical lists
+    # the index: merged-list families (+ the tail, when decoupled)
     # ------------------------------------------------------------------
+    def _open_family(
+        self, info: Optional[SegmentInfo] = None, *, strategy=None
+    ) -> MergedListFamily:
+        """A list family wired to this engine's read cache and decode
+        metrics: the sealed segment ``info`` records, or (without one)
+        the directly-appended ``engine/pl/`` lists under ``strategy``."""
+        return MergedListFamily(
+            self.store,
+            info,
+            branching=self.config.branching,
+            strategy=strategy,
+            read_cache=self.read_cache,
+            decode_metrics=self._decode_series if self._metrics_on else None,
+            length_hints=self._term_postings if info is None else None,
+        )
+
+    @property
+    def _merge(self) -> MergeStrategy:
+        """Merging strategy of the directly-appended lists."""
+        return self._family.strategy
+
+    @_merge.setter
+    def _merge(self, strategy: MergeStrategy) -> None:
+        # Only meaningful before the first posting lands: committed
+        # postings cannot move (the epoched engine picks a strategy
+        # right after constructing each epoch's engine).
+        self._family = self._open_family(strategy=strategy)
+
     def _list_id_for(self, term_id: int) -> int:
-        # Strategies are stable under universe growth (see MergeStrategy),
-        # so the engine re-derives a larger assignment as the lexicon
-        # grows; terms already indexed keep their physical lists.
-        if self._assignment is None or self._assignment.num_terms <= term_id:
-            fixed = self._merge.universe_size()
-            if fixed is not None:
-                if term_id >= fixed:
-                    raise WorkloadError(
-                        f"term id {term_id} exceeds the fixed universe "
-                        f"({fixed} terms) the merge strategy was built for"
-                    )
-                universe = fixed
-            else:
-                universe = max(1024, 2 * (term_id + 1))
-            self._assignment = self._merge.assign(universe)
-        return self._assignment.list_for(term_id)
+        return self._family.list_for(term_id)
 
-    def _physical_list(self, list_id: int) -> Tuple[PostingList, Optional[BlockJumpIndex]]:
-        posting_list = self._lists.get(list_id)
-        if posting_list is None:
-            name = f"engine/pl/{list_id:08d}"
-            if self.config.branching is not None:
-                jump = BlockJumpIndex.create(
-                    self.store, name, branching=self.config.branching
-                )
-                posting_list = jump.posting_list
-                self._jumps[list_id] = jump
-                if self.read_cache is not None:
-                    jump.memo = self.read_cache.memo_for(name)
-            else:
-                posting_list = PostingList(self.store, name)
-            if self.read_cache is not None:
-                # Attached after construction, so restart recovery
-                # (inside PostingList.__init__) always read the device.
-                posting_list.read_cache = self.read_cache.blocks
-            if self._metrics_on:
-                posting_list.decode_metrics = self._decode_series
-            self._lists[list_id] = posting_list
-        return posting_list, self._jumps.get(list_id)
-
-    def _existing_list(self, list_id: int) -> Optional[PostingList]:
-        """The physical list if it has ever been written (else ``None``).
-
-        Query paths use this so that a reopened engine lazily re-attaches
-        lists committed in previous sessions.
-        """
-        posting_list = self._lists.get(list_id)
-        if posting_list is None and self.store.device.exists(
-            f"engine/pl/{list_id:08d}"
-        ):
-            posting_list, _ = self._physical_list(list_id)
-        return posting_list
-
-    # ------------------------------------------------------------------
-    # write–read decoupling: tail, sealer, online merger
-    # ------------------------------------------------------------------
     @property
     def tail_enabled(self) -> bool:
         """Whether this engine runs the decoupled tail/segment path."""
-        return self._tail is not None
+        return self.config.tail_max_docs is not None
 
     def _require_tail(self) -> MutableTailIndex:
         if self._tail is None:
@@ -619,35 +576,47 @@ class TrustworthySearchEngine:
             )
         return self._tail
 
-    def _load_manifest(self) -> None:
-        if self._manifest is None:
-            self._manifest = SegmentManifest(self.store)
-            self._segments = [
-                self._attach_segment(info) for info in self._manifest.live()
-            ]
+    def index_view(
+        self,
+    ) -> Tuple[Tuple[MergedListFamily, ...], Optional[TailSnapshot]]:
+        """A snapshot-consistent ``(families, tail)`` read view.
 
-    def _attach_segment(self, info: SegmentInfo) -> SealedSegment:
-        return SealedSegment(
-            self.store,
-            info,
-            branching=self.config.branching,
-            read_cache=self.read_cache,
-            decode_metrics=self._decode_series if self._metrics_on else None,
-        )
-
-    def index_view(self) -> Tuple[Tuple[SealedSegment, ...], TailSnapshot]:
-        """A snapshot-consistent ``(sealed segments, tail)`` read view.
-
-        Constant-time: a tuple copy of the live-segment list plus a
+        Everything a reader sees: an ordered set of list families —
+        the live sealed segments, ascending doc order, or the single
+        directly-appended family — plus the tail snapshot in tail mode
+        (``None`` otherwise).  Constant-time: a tuple reference plus a
         :class:`~repro.core.tail.TailSnapshot`.  The view keeps serving
         the pre-event state across later seals and merges (segments are
         immutable and the tail copies-on-seal); isolation from
         concurrent *adds* relies on the single-writer lock discipline —
         see :mod:`repro.core.tail`.
         """
-        tail = self._require_tail()
-        self._load_manifest()
-        return tuple(self._segments), tail.snapshot()
+        if self._tail is None:
+            return (self._family,), None
+        return self._segments, self._tail.snapshot()
+
+    def posting_list_for(
+        self, term: str
+    ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
+        """The committed ``(list, jump index)`` holding ``term``'s
+        postings — in the oldest family of the view that has one — or
+        ``None`` while no list does (audit / investigation handle)."""
+        term_id = self.term_id(term)
+        if term_id is not None:
+            for family in self.index_view()[0]:
+                found = family.posting_list_for(term_id)
+                if found is not None:
+                    return found
+        return None
+
+    def iter_posting_lists(
+        self,
+    ) -> Iterator[Tuple[PostingList, Optional[BlockJumpIndex]]]:
+        """Every committed ``(list, jump index)`` pair on the device —
+        directly-appended family and sealed segments alike — attaching
+        lists this session has not touched yet."""
+        for family in (self._family, *self._segments):
+            yield from family.attached_lists()
 
     def _choose_assignment(
         self, counts: Dict[int, int]
@@ -671,33 +640,29 @@ class TrustworthySearchEngine:
             return STRATEGY_UNIFORM, ()
         return STRATEGY_POPULAR, popular
 
-    def _maybe_seal(self) -> None:
-        if (
-            self._tail is not None
-            and self._tail.doc_count >= self.config.tail_max_docs
-        ):
-            self.seal_tail()
+    def _write_segment(
+        self,
+        postings: Dict[int, List[Tuple[int, int]]],
+        *,
+        first_doc: int,
+        last_doc: int,
+        doc_count: int,
+        inputs: Tuple[int, ...] = (),
+    ) -> SealedSegment:
+        """Lay ``postings`` out as a new segment and commit it.
 
-    def seal_tail(self) -> Optional[int]:
-        """Freeze the tail into an immutable WORM segment.
-
-        Writes the segment's merged posting lists first and commits the
+        Writes the segment's merged posting lists first and appends the
         manifest record last — the atomic step; a crash before it leaves
         only orphan files that recovery ignores and never overwrites.
-        Returns the new segment number (``None`` on an empty tail).
-        Auto-merges afterwards when ``merge_at_segments`` is reached.
         """
-        tail = self._require_tail()
-        if tail.doc_count == 0:
-            return None
-        self._load_manifest()
-        counts = tail.term_counts()
-        strategy, popular = self._choose_assignment(counts)
+        strategy, popular = self._choose_assignment(
+            {t: len(entries) for t, entries in postings.items()}
+        )
         seg_no = next_seg_no(self.store.device, self._manifest)
         write_segment_lists(
             self.store,
             seg_no,
-            tail.postings_by_term(),
+            postings,
             num_lists=self.config.num_lists,
             strategy=strategy,
             popular_terms=popular,
@@ -705,16 +670,34 @@ class TrustworthySearchEngine:
         )
         info = SegmentInfo(
             seg_no=seg_no,
-            first_doc=tail.first_doc,
-            last_doc=tail.last_doc,
-            doc_count=tail.doc_count,
+            first_doc=first_doc,
+            last_doc=last_doc,
+            doc_count=doc_count,
             num_lists=self.config.num_lists,
             strategy=strategy,
             popular_terms=popular,
+            inputs=inputs,
         )
         self._manifest.append(info)
-        self._segments.append(self._attach_segment(info))
-        self._epoch_counts = counts
+        return self._open_family(info)
+
+    def seal_tail(self) -> Optional[int]:
+        """Freeze the tail into an immutable WORM segment.
+
+        Returns the new segment number (``None`` on an empty tail).
+        Auto-merges afterwards when ``merge_at_segments`` is reached.
+        """
+        tail = self._require_tail()
+        if tail.doc_count == 0:
+            return None
+        segment = self._write_segment(
+            tail.postings_by_term(),
+            first_doc=tail.first_doc,
+            last_doc=tail.last_doc,
+            doc_count=tail.doc_count,
+        )
+        self._segments += (segment,)
+        self._epoch_counts = tail.term_counts()
         tail.clear()
         if self._metrics_on:
             self._c_seals.inc()
@@ -725,7 +708,7 @@ class TrustworthySearchEngine:
             and len(self._segments) >= self.config.merge_at_segments
         ):
             self.merge_segments()
-        return seg_no
+        return segment.info.seg_no
 
     def merge_segments(self) -> Optional[int]:
         """Merge every live segment into one, online (Section 3.3).
@@ -740,65 +723,41 @@ class TrustworthySearchEngine:
         number (``None`` with fewer than two live segments).
         """
         self._require_tail()
-        self._load_manifest()
-        if len(self._segments) < 2:
+        retired = self._segments
+        if len(retired) < 2:
             return None
         merged: Dict[int, List[Tuple[int, int]]] = {}
-        for segment in self._segments:
+        for segment in retired:
             for term_id, entries in segment.postings_by_term().items():
                 merged.setdefault(term_id, []).extend(entries)
-        counts = {t: len(entries) for t, entries in merged.items()}
-        strategy, popular = self._choose_assignment(counts)
-        seg_no = next_seg_no(self.store.device, self._manifest)
-        write_segment_lists(
-            self.store,
-            seg_no,
+        segment = self._write_segment(
             merged,
-            num_lists=self.config.num_lists,
-            strategy=strategy,
-            popular_terms=popular,
-            branching=self.config.branching,
+            first_doc=retired[0].info.first_doc,
+            last_doc=retired[-1].info.last_doc,
+            doc_count=sum(s.info.doc_count for s in retired),
+            inputs=tuple(s.info.seg_no for s in retired),
         )
-        inputs = [segment.info for segment in self._segments]
-        info = SegmentInfo(
-            seg_no=seg_no,
-            first_doc=inputs[0].first_doc,
-            last_doc=inputs[-1].last_doc,
-            doc_count=sum(i.doc_count for i in inputs),
-            num_lists=self.config.num_lists,
-            strategy=strategy,
-            popular_terms=popular,
-            inputs=tuple(i.seg_no for i in inputs),
-        )
-        retired_files = [
-            name
-            for segment in self._segments
-            for name in segment.list_file_names()
-        ]
-        self._manifest.append(info)
-        self._segments = [self._attach_segment(info)]
+        self._segments = (segment,)
         if self.read_cache is not None:
             # Segment-retirement hook: the retired lists can never be
             # read again, so their decoded blocks and jump memos are
             # dead weight.
-            self.read_cache.forget_lists(retired_files)
+            self.read_cache.forget_lists(
+                name for s in retired for name in s.list_file_names()
+            )
         if self._metrics_on:
             self._c_merges.inc()
-            self._g_segments.set(len(self._segments))
-        return seg_no
+            self._g_segments.set(1)
+        return segment.info.seg_no
 
     def iter_segments(self) -> List[SealedSegment]:
         """The live sealed segments, ascending doc order (for audits)."""
-        if self._tail is None:
-            return []
-        self._load_manifest()
         return list(self._segments)
 
     def segments_info(self) -> Dict[str, object]:
         """Operational view of the tail/segment lifecycle (CLI)."""
         if self._tail is None:
             return {"tail_enabled": False}
-        self._load_manifest()
         return {
             "tail_enabled": True,
             "tail_docs": self._tail.doc_count,
@@ -838,15 +797,24 @@ class TrustworthySearchEngine:
         )
         return self._ingest(text, dict(term_counts), commit_time)
 
-    def _ingest(
+    def _commit_document(
         self,
         text: str,
-        term_counts: Dict[str, int],
-        commit_time: Optional[int],
+        term_counts: Mapping[str, int],
+        commit_time: int,
+        batch: Optional[Dict[int, List[Tuple[int, int]]]] = None,
     ) -> int:
-        start = perf_counter() if self._metrics_on else 0.0
-        if commit_time is None:
-            commit_time = self._clock
+        """Commit one document and register its postings; returns its ID.
+
+        The per-document body of every ingest call.  The index update
+        happens here, before returning: real-time index update, no
+        buffering window.  Tail mode registers the postings in memory
+        (the document, commit-time, and lexicon logs already journal
+        everything the tail is rebuilt from).  Otherwise they go to the
+        merged WORM lists: appended now, in term order, or — inside
+        :meth:`index_batch` — grouped per list into ``batch`` for one
+        pass per list before that call returns.
+        """
         if commit_time < self._clock:
             raise WorkloadError(
                 f"commit_time {commit_time} precedes the engine clock "
@@ -864,46 +832,55 @@ class TrustworthySearchEngine:
         id_counts: Dict[int, int] = {}
         for term, count in term_counts.items():
             id_counts[self.term_id(term, create=True)] = count
-        # Index updates happen now, before returning: real-time index
-        # update, no buffering window.  Tail mode registers the postings
-        # in memory (the document, commit-time, and lexicon logs above
-        # already journaled everything the tail is rebuilt from);
-        # otherwise they append to the merged WORM lists synchronously.
+        # Postings carry the paper's "keyword frequency" metadata,
+        # packed into the code field's spare byte.
+        codes = {t: pack_term_tf(t, id_counts[t]) for t in sorted(id_counts)}
         if self._tail is not None:
-            self._tail.add(
-                doc_id,
-                {
-                    term_id: pack_term_tf(term_id, id_counts[term_id])
-                    for term_id in sorted(id_counts)
-                },
-            )
-            for term_id in id_counts:
-                self._term_postings[term_id] = (
-                    self._term_postings.get(term_id, 0) + 1
-                )
+            self._tail.add(doc_id, codes)
         else:
-            for term_id in sorted(id_counts):
-                # Postings carry the paper's "keyword frequency"
-                # metadata, packed into the code field's spare byte.
-                code = pack_term_tf(term_id, id_counts[term_id])
-                list_id = self._list_id_for(term_id)
-                posting_list, jump = self._physical_list(list_id)
-                if jump is not None:
-                    jump.insert(doc_id, term_code=code)
-                else:
-                    posting_list.append(doc_id, term_code=code)
-                self._term_postings[term_id] = (
-                    self._term_postings.get(term_id, 0) + 1
+            list_for = self._family.list_for
+            if batch is None:
+                self._family.append_many(
+                    (list_for(t), ((doc_id, code),))
+                    for t, code in codes.items()
                 )
+            else:
+                for t, code in codes.items():
+                    batch.setdefault(list_for(t), []).append((doc_id, code))
         self.time_index.record_commit(doc_id, commit_time)
         self.stats.add_document(doc_id, id_counts)
+        for term_id in id_counts:
+            self._term_postings[term_id] = (
+                self._term_postings.get(term_id, 0) + 1
+            )
         if self._metrics_on:
             self._c_docs.inc()
             self._c_postings.inc(len(id_counts))
-            if self._tail is not None:
+        return doc_id
+
+    def _after_ingest(self) -> None:
+        """Publish the tail's size and seal it once full."""
+        if self._tail is not None:
+            if self._metrics_on:
                 self._g_tail_docs.set(self._tail.doc_count)
+            if self._tail.doc_count >= self.config.tail_max_docs:
+                self.seal_tail()
+
+    def _ingest(
+        self,
+        text: str,
+        term_counts: Dict[str, int],
+        commit_time: Optional[int],
+    ) -> int:
+        start = perf_counter() if self._metrics_on else 0.0
+        doc_id = self._commit_document(
+            text,
+            term_counts,
+            self._clock if commit_time is None else commit_time,
+        )
+        if self._metrics_on:
             self._m_ingest.observe(perf_counter() - start)
-        self._maybe_seal()
+        self._after_ingest()
         return doc_id
 
     def index_batch(
@@ -940,72 +917,21 @@ class TrustworthySearchEngine:
                     f"got {len(texts)} texts but {len(commit_times)} "
                     f"commit times"
                 )
-        doc_ids: List[int] = []
         postings_by_list: Dict[int, List[Tuple[int, int]]] = {}
-        total_postings = 0
-        for text, commit_time in zip(texts, commit_times):
-            if commit_time < self._clock:
-                raise WorkloadError(
-                    f"commit_time {commit_time} precedes the engine clock "
-                    f"{self._clock}; commits are monotonic"
-                )
-            self._clock = commit_time + 1
-            retention_until = (
-                commit_time + self.config.retention_period
-                if self.config.retention_period is not None
-                else None
+        doc_ids = [
+            self._commit_document(
+                text,
+                self.analyzer.term_counts(text),
+                commit_time,
+                postings_by_list,
             )
-            term_counts = self.analyzer.term_counts(text)
-            doc_id = self.documents.commit(
-                text, commit_time=commit_time, retention_until=retention_until
-            )
-            id_counts: Dict[int, int] = {}
-            for term, count in term_counts.items():
-                id_counts[self.term_id(term, create=True)] = count
-            if self._tail is not None:
-                self._tail.add(
-                    doc_id,
-                    {
-                        term_id: pack_term_tf(term_id, id_counts[term_id])
-                        for term_id in sorted(id_counts)
-                    },
-                )
-                total_postings += len(id_counts)
-                for term_id in id_counts:
-                    self._term_postings[term_id] = (
-                        self._term_postings.get(term_id, 0) + 1
-                    )
-            else:
-                for term_id in sorted(id_counts):
-                    code = pack_term_tf(term_id, id_counts[term_id])
-                    list_id = self._list_id_for(term_id)
-                    postings_by_list.setdefault(list_id, []).append(
-                        (doc_id, code)
-                    )
-                    self._term_postings[term_id] = (
-                        self._term_postings.get(term_id, 0) + 1
-                    )
-            self.time_index.record_commit(doc_id, commit_time)
-            self.stats.add_document(doc_id, id_counts)
-            doc_ids.append(doc_id)
+            for text, commit_time in zip(texts, commit_times)
+        ]
         # One pass per merged list; per-list entries are in ascending
         # doc-id order by construction, so monotonicity invariants (and
         # jump-pointer placement) are identical to per-document ingest.
-        for list_id in sorted(postings_by_list):
-            posting_list, jump = self._physical_list(list_id)
-            if jump is not None:
-                jump.insert_many(postings_by_list[list_id])
-            else:
-                posting_list.append_many(postings_by_list[list_id])
-        if self._metrics_on:
-            self._c_docs.inc(len(doc_ids))
-            self._c_postings.inc(
-                total_postings
-                + sum(len(entries) for entries in postings_by_list.values())
-            )
-            if self._tail is not None:
-                self._g_tail_docs.set(self._tail.doc_count)
-        self._maybe_seal()
+        self._family.append_many(sorted(postings_by_list.items()))
+        self._after_ingest()
         return doc_ids
 
     # ------------------------------------------------------------------
@@ -1049,7 +975,9 @@ class TrustworthySearchEngine:
             if span is not None:
                 span.note(scorer="bulk", scored=len(candidates))
         if self._metrics_on:
-            self._mode_series(query.mode.name.lower()).inc()
+            self._series(
+                self._m_queries, "mode", query.mode.name.lower()
+            ).inc()
         should_verify = self.config.verify_results if verify is None else verify
         if should_verify:
             with self._stage("verify", trace, results=len(results)) as span:
@@ -1070,7 +998,9 @@ class TrustworthySearchEngine:
                 )
         return results
 
-    def match(self, query, *, trace=None) -> Dict[int, Dict[int, int]]:
+    def match(
+        self, query, *, trace=None, costs: Optional[ReadCosts] = None
+    ) -> Dict[int, Dict[int, int]]:
         """Matching documents with their per-term-ID frequency maps.
 
         Runs the query's retrieval phase only: posting-list scanning or
@@ -1081,21 +1011,33 @@ class TrustworthySearchEngine:
         collection statistics.
 
         Returns a mapping of ``doc_id -> {term_id: tf}`` where term IDs
-        are engine-local (translate via :meth:`term_text`).
+        are engine-local (translate via :meth:`term_text`).  Pass a
+        :class:`~repro.core.segments.ReadCosts` as ``costs`` to receive
+        the retrieval's micro-costs (what
+        :func:`~repro.search.profiling.profile_query` reports).
+
+        One read path serves every index layout: term IDs resolve once,
+        then each list family of :meth:`index_view` is scanned or
+        joined, then the tail.  Each posting exists exactly once across
+        families + tail and family doc ranges are disjoint and
+        ascending, so max-merging scans and concatenating per-family
+        joins equal one scan or join over a single merged-list family.
 
         With the read cache enabled, the whole retrieval phase is served
-        from the query-result tier when the per-term list-length
-        fingerprint proves nothing it depends on has changed (see
+        from the query-result tier when the list-length fingerprint
+        proves nothing it depends on has changed (see
         :class:`~repro.search.readcache.QueryResultCache`).  Ranking and
         result verification always re-run on top of cached candidates.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
+        term_ids = self._resolve(query.terms, trace)
+        view = self.index_view()
         cache = self.read_cache
         cache_key = fingerprint = None
         if cache is not None:
             cache_key = self._query_cache_key(query)
-            fingerprint = self._query_fingerprint(query)
+            fingerprint = self._query_fingerprint(term_ids, view)
             with self._stage("cache", trace) as span:
                 cached = cache.results.get(cache_key, fingerprint)
                 if span is not None:
@@ -1105,20 +1047,17 @@ class TrustworthySearchEngine:
             if cached is not None:
                 # Defensive copy: callers may mutate the mapping.
                 return {d: dict(tf) for d, tf in cached.items()}
+        if costs is None:
+            costs = ReadCosts()
         if query.mode is QueryMode.ALL:
-            if self._tail is not None:
-                doc_ids = self._conjunctive_tail(query.terms, trace=trace)
-            else:
-                doc_ids, _ = self.conjunctive_doc_ids(
-                    query.terms, trace=trace
-                )
+            # Presence map (tf=1) for scoring conjunctive results.
+            presence = dict.fromkeys(term_ids, 1)
             candidates = {
-                d: self._result_term_freqs(d, query.terms) for d in doc_ids
+                d: dict(presence)
+                for d in self._join(term_ids, view, trace, costs)
             }
-        elif self._tail is not None:
-            candidates = self._disjunctive_tail(query.terms, trace=trace)
         else:
-            candidates = self._disjunctive_candidates(query.terms, trace=trace)
+            candidates = self._scan(term_ids, view, trace, costs)
         retention = self._retention_if_any()
         has_filters = query.time_range is not None or (
             retention is not None and len(retention)
@@ -1150,266 +1089,133 @@ class TrustworthySearchEngine:
             )
         return candidates
 
+    def _resolve(self, terms: Sequence[str], trace) -> List[Optional[int]]:
+        """Term IDs of the distinct query terms, in query order
+        (``None`` for a term that was never indexed)."""
+        distinct = dict.fromkeys(terms)
+        with self._stage("resolve", trace, terms=len(distinct)) as span:
+            term_ids = [self.term_id(term) for term in distinct]
+            if span is not None:
+                span.note(present=len(term_ids) - term_ids.count(None))
+        return term_ids
+
     def _query_cache_key(self, query) -> Tuple:
         """Normalized result-cache key: mode, deduped sorted terms, range."""
         terms = tuple(sorted(dict.fromkeys(query.terms)))
         return (query.mode.value, terms, query.time_range)
 
-    def _query_fingerprint(self, query) -> Tuple:
+    def _query_fingerprint(
+        self, term_ids: Sequence[Optional[int]], view
+    ) -> Tuple:
         """Everything the candidate set depends on, as list lengths.
 
-        For each distinct term: its physical list and that list's
-        current length (``(-1, -1)`` while the term has no postings, so
-        its later appearance invalidates).  Appends are the only way any
-        posting list or the commit-time log changes, and a document that
-        could alter this query's candidates necessarily appends to one
-        of these lists; the disposition-log length covers disposals.
-
-        Tail mode fingerprints per-term *posting counts* instead (the
-        union over segments + tail — a new matching document increments
-        its terms' counts wherever it lands) plus the tail generation,
-        which conservatively invalidates cached results across seals —
-        the segment-seal invalidation hook of the result tier.
+        For each indexed query term: the current length of its physical
+        list in every family of the view (``-1`` while that list was
+        never written) and its posting count in the tail.  Appends are
+        the only way any posting list or the commit-time log changes,
+        and a document that could alter this query's candidates
+        necessarily appends to one of these lists or to the tail; a
+        never-indexed term becomes indexed when it first appears; the
+        disposition-log length covers disposals.  The tail generation
+        conservatively invalidates cached results across seals, whose
+        new segment may lay the same lengths out under another
+        assignment.
         """
-        parts: List[int] = []
-        if self._tail is not None:
-            for term in sorted(dict.fromkeys(query.terms)):
-                term_id = self.term_id(term)
-                if term_id is None:
-                    parts.extend((-1, -1))
-                else:
-                    parts.extend(
-                        (term_id, self._term_postings.get(term_id, 0))
-                    )
-            retention = self._retention_if_any()
-            parts.append(len(retention) if retention is not None else 0)
-            parts.append(self._tail.generation)
-            return tuple(parts)
-        for term in sorted(dict.fromkeys(query.terms)):
-            term_id = self.term_id(term)
-            posting_list = (
-                self._existing_list(self._list_id_for(term_id))
-                if term_id is not None
-                else None
-            )
-            if posting_list is None:
-                parts.extend((-1, -1))
-            else:
-                parts.extend((self._list_id_for(term_id), len(posting_list)))
+        families, tail = view
+        known = sorted(t for t in term_ids if t is not None)
+        parts: List[int] = [len(known)]
+        for family in families:
+            for term_id in known:
+                found = family.posting_list_for(term_id)
+                parts.append(len(found[0]) if found is not None else -1)
         retention = self._retention_if_any()
         parts.append(len(retention) if retention is not None else 0)
+        if tail is not None:
+            parts.append(tail.generation)
+            parts.extend(len(tail.postings_for(t)) for t in known)
         return tuple(parts)
 
     def read_cache_stats(self) -> Optional[Dict[str, object]]:
         """Per-tier read-cache counters (``None`` when caching is off)."""
         return self.read_cache.as_dict() if self.read_cache is not None else None
 
-    def _disjunctive_candidates(
-        self, terms: Sequence[str], *, trace=None
+    def _scan(
+        self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
     ) -> Dict[int, Dict[int, int]]:
-        """Scan the merged lists of the query terms; collect tf per doc."""
-        with self._stage("resolve", trace, terms=len(terms)) as span:
-            term_ids = [self.term_id(t) for t in terms]
-            present = [t for t in term_ids if t is not None]
-            wanted = set(present)
-            list_ids = sorted({self._list_id_for(t) for t in present})
-            if span is not None:
-                span.note(present=len(present), lists=len(list_ids))
+        """Disjunctive retrieval: scan the merged lists of the query
+        terms in every family, then the tail; collect tf per doc."""
+        families, tail = view
+        present = [t for t in term_ids if t is not None]
         candidates: Dict[int, Dict[int, int]] = {}
-        use_cache = self.read_cache is not None
-        block_stats = self.read_cache.blocks.stats if use_cache else None
-        hits_before = block_stats.hits if block_stats is not None else 0
-        with self._stage("scan", trace, lists=len(list_ids)) as span:
-            entries = 0
-            for list_id in list_ids:
-                posting_list = self._existing_list(list_id)
-                if posting_list is None:
-                    continue
-                # Columnar scan: per block, two flat integer columns
-                # instead of a Posting object per entry (decode and
-                # unpack are batch/inline work, no allocations).
-                for docs, codes in posting_list.scan_columns(
-                    counted=False, cached=use_cache
-                ):
-                    entries += len(docs)
-                    for doc_id, code in zip(docs, codes):
-                        term_id = code & MAX_TERM_ID_WITH_TF
-                        if term_id in wanted:
-                            tf_map = candidates.setdefault(doc_id, {})
-                            tf = code >> 24
-                            if tf < 1:
-                                tf = 1
-                            if tf > tf_map.get(term_id, 0):
-                                tf_map[term_id] = tf
+        with self._stage("scan", trace, families=len(families)) as span:
+            for family in families:
+                family.collect_candidates(present, candidates, costs)
+            if tail is not None:
+                costs.entries += tail.collect_candidates(present, candidates)
             if self._metrics_on:
-                self._c_scan_entries.inc(entries)
-            if span is not None:
-                span.note(entries_scanned=entries, candidates=len(candidates))
-                if block_stats is not None:
-                    span.note(block_cache_hits=block_stats.hits - hits_before)
-        return candidates
-
-    def _disjunctive_tail(
-        self, terms: Sequence[str], *, trace=None
-    ) -> Dict[int, Dict[int, int]]:
-        """Tail-mode disjunctive retrieval over a snapshot view.
-
-        Scans each live segment's wanted lists, then the tail's
-        postings; max-merging per ``(doc, term)`` makes the result
-        byte-identical to one legacy scan over a single merged list
-        family (each posting exists exactly once across segments+tail).
-        """
-        segments, tail = self.index_view()
-        with self._stage("resolve", trace, terms=len(terms)) as span:
-            term_ids = [self.term_id(t) for t in terms]
-            present = [t for t in term_ids if t is not None]
-            if span is not None:
-                span.note(present=len(present), segments=len(segments))
-        candidates: Dict[int, Dict[int, int]] = {}
-        use_cache = self.read_cache is not None
-        with self._stage("scan", trace, segments=len(segments)) as span:
-            entries = 0
-            for segment in segments:
-                entries += segment.collect_candidates(
-                    present, candidates, cached=use_cache
-                )
-            entries += tail.collect_candidates(present, candidates)
-            if self._metrics_on:
-                self._c_scan_entries.inc(entries)
-            if span is not None:
-                span.note(entries_scanned=entries, candidates=len(candidates))
-        return candidates
-
-    def _conjunctive_tail(
-        self, terms: Sequence[str], *, trace=None
-    ) -> List[int]:
-        """Tail-mode conjunctive retrieval over a snapshot view.
-
-        Joins each segment independently and concatenates — segment doc
-        ranges are disjoint and ascending, so the concatenation is the
-        same ascending doc-id list one global zigzag join would produce
-        — then appends the tail's matches.
-        """
-        segments, tail = self.index_view()
-        with self._stage(
-            "resolve", trace, terms=len(dict.fromkeys(terms))
-        ) as span:
-            term_ids: List[int] = []
-            missing = False
-            for term in dict.fromkeys(terms):
-                term_id = self.term_id(term)
-                if term_id is None:
-                    missing = True
-                    break
-                term_ids.append(term_id)
-            if span is not None:
-                span.note(segments=len(segments), missing_term=missing)
-        if missing or not term_ids:
-            return []
-        doc_ids: List[int] = []
-        with self._stage("join", trace, cursors=len(term_ids)) as span:
-            seeks = blocks = 0
-            for segment in segments:
-                matched, s, b = segment.conjunctive_doc_ids(term_ids)
-                doc_ids.extend(matched)
-                seeks += s
-                blocks += b
-            doc_ids.extend(tail.docs_with_all(term_ids))
-            if self._metrics_on:
-                self._c_seeks.inc(seeks)
-                self._c_join_blocks.inc(blocks)
+                self._c_scan_entries.inc(costs.entries)
             if span is not None:
                 span.note(
-                    matches=len(doc_ids), seeks=seeks, blocks_read=blocks
+                    lists=costs.lists,
+                    entries_scanned=costs.entries,
+                    candidates=len(candidates),
                 )
-        return doc_ids
+                if self.read_cache is not None:
+                    span.note(block_cache_hits=costs.block_cache_hits)
+        return candidates
 
-    def _conjunctive_cursors(
-        self, terms: Sequence[str]
-    ) -> Optional[Tuple[List[MergedListCursor], List[int]]]:
-        """Term-filtered cursors (and their list IDs) for the distinct
-        query terms, or ``None`` when any term short-circuits the join —
-        a document cannot contain a term that has no postings.
+    def _join(
+        self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
+    ) -> List[int]:
+        """Conjunctive retrieval: zigzag-join each family, then the tail.
+
+        A never-indexed term short-circuits to no matches — a document
+        cannot contain a term that has no postings.  The join's
+        micro-costs — seeks, blocks read (total and per physical list),
+        jump-pointer follows — feed the metrics registry and, when a
+        trace is attached, the ``join`` span's attributes.
         """
-        term_ids = []
-        for term in dict.fromkeys(terms):
-            term_id = self.term_id(term)
-            if term_id is None:
-                return None
-            term_ids.append(term_id)
-        cursors: List[MergedListCursor] = []
-        list_ids: List[int] = []
-        for term_id in term_ids:
-            list_id = self._list_id_for(term_id)
-            posting_list = self._existing_list(list_id)
-            if posting_list is None or not len(posting_list):
-                return None
-            cursors.append(
-                MergedListCursor(
-                    posting_list,
-                    term_code=term_id,
-                    jump_index=self._jumps.get(list_id),
-                    length_hint=self._term_postings.get(term_id, 0),
+        if not term_ids or None in term_ids:
+            return []
+        families, tail = view
+        doc_ids: List[int] = []
+        with self._stage("join", trace, cursors=len(term_ids)) as span:
+            for family in families:
+                doc_ids.extend(family.conjunctive_doc_ids(term_ids, costs)[0])
+            if tail is not None:
+                doc_ids.extend(tail.docs_with_all(term_ids))
+            if self._metrics_on:
+                self._c_seeks.inc(costs.seeks)
+                self._c_join_blocks.inc(costs.blocks)
+                self._c_follows.inc(costs.jump_follows)
+                for list_id, blocks in costs.per_list_blocks.items():
+                    self._series(
+                        self._m_list_blocks, "list_id", list_id
+                    ).inc(blocks)
+            if span is not None:
+                span.note(
+                    matches=len(doc_ids),
+                    seeks=costs.seeks,
+                    blocks_read=costs.blocks,
+                    jump_follows=costs.jump_follows,
                 )
-            )
-            list_ids.append(list_id)
-        return cursors, list_ids
+                if self.read_cache is not None:
+                    span.note(block_cache_hits=costs.block_cache_hits)
+        return doc_ids
 
     def conjunctive_doc_ids(
         self, terms: Sequence[str], *, trace=None
     ) -> Tuple[List[int], int]:
         """Documents containing *all* terms, plus blocks read (Section 4).
 
-        Absent terms short-circuit to an empty result.  The zigzag join's
-        micro-costs — seeks, blocks read (total and per physical list),
-        jump-pointer follows — feed the metrics registry and, when a
-        trace is attached, the ``join`` span's attributes.
+        The conjunctive half of :meth:`match`, uncached and unfiltered;
+        absent terms short-circuit to an empty result.
         """
-        with self._stage("resolve", trace, terms=len(dict.fromkeys(terms))) as span:
-            built = self._conjunctive_cursors(terms)
-            if span is not None and built is not None:
-                span.note(lists=len(set(built[1])))
-        if built is None:
-            return [], 0
-        cursors, list_ids = built
-        with self._stage("join", trace, cursors=len(cursors)) as span:
-            jumps: List[BlockJumpIndex] = []
-            seen_jumps = set()
-            for list_id in list_ids:
-                jump = self._jumps.get(list_id)
-                if jump is not None and id(jump) not in seen_jumps:
-                    seen_jumps.add(id(jump))
-                    jumps.append(jump)
-            follows_before = sum(j.pointers_followed for j in jumps)
-            doc_ids, blocks = conjunctive_join(cursors)
-            seeks = sum(c.seeks for c in cursors)
-            follows = sum(j.pointers_followed for j in jumps) - follows_before
-            if self._metrics_on:
-                self._c_seeks.inc(seeks)
-                self._c_join_blocks.inc(blocks)
-                self._c_follows.inc(follows)
-                for list_id, cursor in zip(list_ids, cursors):
-                    self._list_blocks_series(list_id).inc(cursor.blocks_read())
-            if span is not None:
-                span.note(
-                    matches=len(doc_ids),
-                    seeks=seeks,
-                    blocks_read=blocks,
-                    jump_follows=follows,
-                )
-                if self.read_cache is not None:
-                    span.note(
-                        block_cache_hits=sum(c.cache_hits() for c in cursors)
-                    )
-        return doc_ids, blocks
-
-    def _result_term_freqs(
-        self, doc_id: int, terms: Sequence[str]
-    ) -> Dict[int, int]:
-        """Presence map (tf=1) for scoring conjunctive results."""
-        return {
-            self.term_id(t): 1 for t in terms if self.term_id(t) is not None
-        }
+        costs = ReadCosts()
+        doc_ids = self._join(
+            self._resolve(terms, trace), self.index_view(), trace, costs
+        )
+        return doc_ids, costs.blocks
 
     # ------------------------------------------------------------------
     # operational statistics
@@ -1420,26 +1226,16 @@ class TrustworthySearchEngine:
         Attaches every committed posting list first so counts cover the
         whole device, not just lists this session has touched.
         """
-        for name in self.store.device.list_files():
-            if name.startswith("engine/pl/"):
-                self._existing_list(int(name.rsplit("/", 1)[1]))
-        postings = sum(len(pl) for pl in self._lists.values())
-        blocks = sum(pl.num_blocks for pl in self._lists.values())
-        pointers = sum(j.pointers_set for j in self._jumps.values())
-        lists = len(self._lists)
-        tail_docs = tail_postings = segments_live = manifest_records = 0
-        if self._tail is not None:
-            self._load_manifest()
-            tail_docs = self._tail.doc_count
-            tail_postings = self._tail.posting_count
-            segments_live = len(self._segments)
-            manifest_records = self._manifest.record_count
-            for segment in self._segments:
-                seg_lists = list(segment.attached_lists())
-                lists += len(seg_lists)
-                postings += sum(len(pl) for pl, _ in seg_lists)
-                blocks += sum(pl.num_blocks for pl, _ in seg_lists)
-            postings += tail_postings
+        lists = postings = blocks = pointers = 0
+        for posting_list, jump in self.iter_posting_lists():
+            lists += 1
+            postings += len(posting_list)
+            blocks += posting_list.num_blocks
+            if jump is not None:
+                pointers += jump.pointers_set
+        lifecycle = self.segments_info()
+        tail_postings = lifecycle.get("tail_postings", 0)
+        postings += tail_postings
         retention = self._retention_if_any()
         if self._incidents is not None or self.store.device.exists(
             "engine/incidents"
@@ -1460,10 +1256,10 @@ class TrustworthySearchEngine:
             "commit_log_records": len(self.time_index),
             "incidents": incidents,
             "dispositions": len(retention) if retention is not None else 0,
-            "tail_docs": tail_docs,
+            "tail_docs": lifecycle.get("tail_docs", 0),
             "tail_postings": tail_postings,
-            "segments_live": segments_live,
-            "manifest_records": manifest_records,
+            "segments_live": len(self._segments),
+            "manifest_records": lifecycle.get("manifest_records", 0),
             "device_bytes": self.store.device.total_bytes(),
         }
 
@@ -1611,6 +1407,6 @@ class TrustworthySearchEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TrustworthySearchEngine(docs={len(self.documents)}, "
-            f"terms={self.vocabulary_size}, lists={len(self._lists)}, "
+            f"terms={self.vocabulary_size}, segments={len(self._segments)}, "
             f"jump={'B=' + str(self.config.branching) if self.config.branching else 'off'})"
         )

@@ -204,7 +204,6 @@ class EpochedSearchEngine:
         strategy = self._decide_merge_strategy(previous, engine)
         if strategy is not None:
             engine._merge = strategy
-            engine._assignment = None
         self.epochs.append(
             _EpochState(
                 epoch_no=epoch_no,

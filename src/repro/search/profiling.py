@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.search.join import MergedListCursor, conjunctive_join
-from repro.search.query import Query, QueryMode, parse_query
+from repro.core.segments import ReadCosts
+from repro.search.query import QueryMode, parse_query
 
 
 @dataclass
@@ -65,105 +65,27 @@ class QueryProfile:
 def profile_query(engine, query) -> QueryProfile:
     """Run ``query`` against ``engine``, measuring its I/O footprint.
 
-    Profiling runs the same code paths as :meth:`engine.search
-    <repro.search.engine.TrustworthySearchEngine.search>` but with
-    explicit accounting; it does not affect engine state (reads only).
+    A read-out, not a second executor: the query runs through
+    :meth:`engine.match
+    <repro.search.engine.TrustworthySearchEngine.match>` — whichever
+    index layout the engine has — and the profile reports the
+    micro-costs that one read path returns.  Reads only; on an engine
+    with the read cache on, a result-cache hit honestly costs nothing.
     """
     if isinstance(query, str):
         query = parse_query(query, analyzer=engine.analyzer)
-    if query.mode is QueryMode.ALL:
-        return _profile_conjunctive(engine, query)
-    return _profile_disjunctive(engine, query)
-
-
-def _profile_disjunctive(engine, query: Query) -> QueryProfile:
-    term_ids = [
-        engine.term_id(t) for t in query.terms if engine.term_id(t) is not None
-    ]
-    wanted = set(term_ids)
-    list_ids = sorted({engine._list_id_for(t) for t in term_ids})
-    entries = 0
-    blocks = 0
-    matches = set()
-    per_list: Dict[int, int] = {}
-    from repro.core.posting import unpack_term_tf
-
-    for list_id in list_ids:
-        posting_list = engine._existing_list(list_id)
-        if posting_list is None:
-            continue
-        per_list[list_id] = posting_list.num_blocks
-        blocks += posting_list.num_blocks
-        for posting in posting_list.scan(counted=False):
-            entries += 1
-            term_id, _ = unpack_term_tf(posting.term_code)
-            if term_id in wanted:
-                matches.add(posting.doc_id)
+    conjunctive = query.mode is QueryMode.ALL
+    costs = ReadCosts()
+    matches = engine.match(query, costs=costs)
     return QueryProfile(
         terms=query.terms,
-        mode="disjunctive",
-        physical_lists=len(per_list),
-        entries_scanned=entries,
-        blocks_read=blocks,
+        mode="conjunctive" if conjunctive else "disjunctive",
+        physical_lists=costs.lists,
+        entries_scanned=costs.entries,
+        blocks_read=costs.blocks,
         matches=len(matches),
-        used_jump_index=False,
-        per_list_blocks=per_list,
-    )
-
-
-def _profile_conjunctive(engine, query: Query) -> QueryProfile:
-    cursors: List[MergedListCursor] = []
-    list_ids: List[int] = []
-    for term in dict.fromkeys(query.terms):
-        term_id = engine.term_id(term)
-        if term_id is None:
-            return QueryProfile(
-                terms=query.terms,
-                mode="conjunctive",
-                physical_lists=0,
-                entries_scanned=0,
-                blocks_read=0,
-                matches=0,
-                used_jump_index=False,
-            )
-        list_id = engine._list_id_for(term_id)
-        posting_list = engine._existing_list(list_id)
-        if posting_list is None or not len(posting_list):
-            return QueryProfile(
-                terms=query.terms,
-                mode="conjunctive",
-                physical_lists=0,
-                entries_scanned=0,
-                blocks_read=0,
-                matches=0,
-                used_jump_index=False,
-            )
-        list_ids.append(list_id)
-        cursors.append(
-            MergedListCursor(
-                posting_list,
-                term_code=term_id,
-                jump_index=engine._jumps.get(list_id),
-                length_hint=engine._term_postings.get(term_id, 0),
-            )
-        )
-    docs, blocks = conjunctive_join(cursors)
-    per_list: Dict[int, int] = {}
-    entries = 0
-    for list_id, cursor in zip(list_ids, cursors):
-        read = cursor.blocks_read()
-        per_list[list_id] = per_list.get(list_id, 0) + read
-        entries += read * cursor._cursor.posting_list.entries_per_block
-    used_jump = any(c.jump_index is not None for c in cursors)
-    return QueryProfile(
-        terms=query.terms,
-        mode="conjunctive",
-        physical_lists=len(set(list_ids)),
-        entries_scanned=entries,
-        blocks_read=blocks,
-        matches=len(docs),
-        used_jump_index=used_jump,
-        per_list_blocks=per_list,
+        used_jump_index=costs.used_jump_index,
+        per_list_blocks=costs.per_list_blocks,
     )
 
 

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.errors import WorkloadError
@@ -52,6 +52,15 @@ class AggregatedTermStats:
     df: Dict[int, int]
     num_docs: int
     avg_doc_length: float
+
+    @classmethod
+    def of(
+        cls, df: Dict[int, int], num_docs: int, total_length: int
+    ) -> "AggregatedTermStats":
+        """From cross-shard sums — exactly the statistics a single
+        unsharded engine would hold for the same corpus."""
+        avg = max(1.0, total_length / num_docs) if num_docs else 1.0
+        return cls(df=df, num_docs=num_docs, avg_doc_length=avg)
 
 
 class _ShardScopedStats:
@@ -84,6 +93,82 @@ class _ShardScopedStats:
 
 def _merge_key(result: SearchResult) -> Tuple[float, int]:
     return (-result.score, result.doc_id)
+
+
+def _fanout_metrics(metrics, num_shards: int):
+    """Register the executor metric families; returns the fan-out
+    counter and the per-shard queue-wait and run-time series."""
+    fanout = metrics.counter(
+        "repro_fanout_queries_total",
+        "Queries fanned out across shards by the executor",
+    )
+    queue_family = metrics.histogram(
+        "repro_shard_queue_seconds",
+        "Time a shard sub-query waited for a fan-out worker",
+        labels=("shard",),
+    )
+    run_family = metrics.histogram(
+        "repro_shard_run_seconds",
+        "Time a shard sub-query spent matching and scoring",
+        labels=("shard",),
+    )
+    return (
+        fanout,
+        [queue_family.labels(shard=i) for i in range(num_shards)],
+        [run_family.labels(shard=i) for i in range(num_shards)],
+    )
+
+
+def _merge_runs(
+    runs: Sequence[List[SearchResult]], top_k: int, trace
+) -> List[SearchResult]:
+    """K-way heap merge of per-shard runs sorted by ``_merge_key``."""
+    merge_start = perf_counter()
+    results = list(islice(heapq.merge(*runs, key=_merge_key), top_k))
+    if trace is not None:
+        trace.record(
+            "merge",
+            start=merge_start,
+            end=perf_counter(),
+            runs=len(runs),
+            results=len(results),
+        )
+    return results
+
+
+def _score_shard(
+    engine, query: Query, aggregate: AggregatedTermStats, ranking: str
+) -> List[Tuple[int, float]]:
+    """Match + globally score one shard; shard-local ``(id, score)`` run.
+
+    The one shard run both executors share: candidates from the shard's
+    own index, term IDs projected to query positions (the shard-neutral
+    vocabulary of ``aggregate``), bulk-scored under aggregated
+    df/num_docs/avg length with shard-local document lengths.  Sorting
+    by ``(-score, local_id)`` matches the global sort because local IDs
+    are assigned in the same arrival order as global IDs within a shard.
+    """
+    candidates = engine.match(query)
+    if not candidates:
+        return []
+    position_of: Dict[int, int] = {}
+    for position, term in enumerate(query.terms):
+        term_id = engine.term_id(term)
+        if term_id is not None:
+            position_of[term_id] = position
+    projected = {
+        local_id: {
+            position_of[term_id]: tf
+            for term_id, tf in freqs.items()
+            if term_id in position_of
+        }
+        for local_id, freqs in candidates.items()
+    }
+    stats = _ShardScopedStats(aggregate, engine.stats)
+    scorer = BM25Scorer(stats) if ranking == "bm25" else CosineScorer(stats)
+    run = scorer.score_candidates(projected)
+    run.sort(key=lambda pair: (-pair[1], pair[0]))
+    return run
 
 
 class ParallelQueryExecutor:
@@ -129,26 +214,9 @@ class ParallelQueryExecutor:
         self._closed = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics_on = bool(self.metrics.enabled)
-        self._c_fanout = self.metrics.counter(
-            "repro_fanout_queries_total",
-            "Queries fanned out across shards by the executor",
+        self._c_fanout, self._queue_series, self._run_series = _fanout_metrics(
+            self.metrics, len(self.shards)
         )
-        queue_family = self.metrics.histogram(
-            "repro_shard_queue_seconds",
-            "Time a shard sub-query waited for a fan-out worker",
-            labels=("shard",),
-        )
-        run_family = self.metrics.histogram(
-            "repro_shard_run_seconds",
-            "Time a shard sub-query spent matching and scoring",
-            labels=("shard",),
-        )
-        self._queue_series = [
-            queue_family.labels(shard=i) for i in range(len(self.shards))
-        ]
-        self._run_series = [
-            run_family.labels(shard=i) for i in range(len(self.shards))
-        ]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -235,18 +303,7 @@ class ParallelQueryExecutor:
                 if hasattr(exc, "add_note"):  # Python 3.11+
                     exc.add_note(f"raised by shard {shard_index} during query fan-out")
                 raise
-        merge_start = perf_counter()
-        merged = heapq.merge(*runs, key=_merge_key)
-        results = list(islice(merged, top_k))
-        if trace is not None:
-            trace.record(
-                "merge",
-                start=merge_start,
-                end=perf_counter(),
-                runs=len(runs),
-                results=len(results),
-            )
-        return results
+        return _merge_runs(runs, top_k, trace)
 
     def aggregate_term_stats(
         self, terms: Sequence[str]
@@ -265,20 +322,11 @@ class ParallelQueryExecutor:
                 if term_id is not None:
                     total += shard.stats.df.get(term_id, 0)
             df[position] = total
-        num_docs = sum(shard.stats.num_docs for shard in self.shards)
-        total_length = sum(shard.stats.total_length for shard in self.shards)
-        if num_docs:
-            avg_doc_length = max(1.0, total_length / num_docs)
-        else:
-            avg_doc_length = 1.0
-        return AggregatedTermStats(
-            df=df, num_docs=num_docs, avg_doc_length=avg_doc_length
+        return AggregatedTermStats.of(
+            df,
+            sum(shard.stats.num_docs for shard in self.shards),
+            sum(shard.stats.total_length for shard in self.shards),
         )
-
-    def _scorer(self, stats):
-        if self.config.ranking == "bm25":
-            return BM25Scorer(stats)
-        return CosineScorer(stats)
 
     def _timed_shard_run(
         self,
@@ -313,32 +361,13 @@ class ParallelQueryExecutor:
         aggregate: AggregatedTermStats,
     ) -> List[SearchResult]:
         """Match + globally score one shard; returns a sorted run."""
-        shard = self.shards[shard_index]
-        candidates: Mapping[int, Mapping[int, int]] = shard.match(query)
-        if not candidates:
-            return []
-        position_of: Dict[int, int] = {}
-        for position, term in enumerate(query.terms):
-            term_id = shard.term_id(term)
-            if term_id is not None:
-                position_of[term_id] = position
-        scorer = self._scorer(_ShardScopedStats(aggregate, shard.stats))
         to_global = self.router.to_global
-        run: List[SearchResult] = []
-        for local_id, freqs in candidates.items():
-            term_freqs = {
-                position_of[term_id]: tf
-                for term_id, tf in freqs.items()
-                if term_id in position_of
-            }
-            run.append(
-                SearchResult(
-                    doc_id=to_global(shard_index, local_id),
-                    score=scorer.score(local_id, term_freqs),
-                )
+        return [
+            SearchResult(doc_id=to_global(shard_index, local_id), score=score)
+            for local_id, score in _score_shard(
+                self.shards[shard_index], query, aggregate, self.config.ranking
             )
-        run.sort(key=_merge_key)
-        return run
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "idle" if self._pool is None else "pooled"
@@ -417,7 +446,7 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
                 elif op == "query":
                     _, query, aggregate = request
                     started = perf_counter()
-                    run = _score_shard_locally(engine, query, aggregate, config)
+                    run = _score_shard(engine, query, aggregate, config.ranking)
                     conn.send(("ok", (run, perf_counter() - started)))
                 else:
                     conn.send(
@@ -427,42 +456,6 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
                 conn.send(("error", type(exc).__name__, str(exc)))
     finally:
         conn.close()
-
-
-def _score_shard_locally(
-    engine, query: Query, aggregate: AggregatedTermStats, config
-) -> List[Tuple[int, float]]:
-    """Match + globally score one shard; shard-local ``(id, score)`` run.
-
-    The same arithmetic as :meth:`ParallelQueryExecutor._shard_run` —
-    aggregated df/num_docs/avg length, shard-local document lengths —
-    but scored through the bulk :meth:`score_candidates` path and kept
-    in local-ID space (the parent owns the router).  Sorting by
-    ``(-score, local_id)`` matches the global sort because local IDs are
-    assigned in the same arrival order as global IDs within a shard.
-    """
-    candidates = engine.match(query)
-    if not candidates:
-        return []
-    position_of: Dict[int, int] = {}
-    for position, term in enumerate(query.terms):
-        term_id = engine.term_id(term)
-        if term_id is not None:
-            position_of[term_id] = position
-    projected: Dict[int, Dict[int, int]] = {}
-    for local_id, freqs in candidates.items():
-        projected[local_id] = {
-            position_of[term_id]: tf
-            for term_id, tf in freqs.items()
-            if term_id in position_of
-        }
-    stats = _ShardScopedStats(aggregate, engine.stats)
-    scorer = (
-        BM25Scorer(stats) if config.ranking == "bm25" else CosineScorer(stats)
-    )
-    run = scorer.score_candidates(projected)
-    run.sort(key=lambda pair: (-pair[1], pair[0]))
-    return run
 
 
 class ProcessShardExecutor:
@@ -505,26 +498,9 @@ class ProcessShardExecutor:
         self.analyzer = analyzer or Analyzer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics_on = bool(self.metrics.enabled)
-        self._c_fanout = self.metrics.counter(
-            "repro_fanout_queries_total",
-            "Queries fanned out across shards by the executor",
+        self._c_fanout, self._queue_series, self._run_series = _fanout_metrics(
+            self.metrics, len(self.shard_paths)
         )
-        queue_family = self.metrics.histogram(
-            "repro_shard_queue_seconds",
-            "Time a shard sub-query waited for a fan-out worker",
-            labels=("shard",),
-        )
-        run_family = self.metrics.histogram(
-            "repro_shard_run_seconds",
-            "Time a shard sub-query spent matching and scoring",
-            labels=("shard",),
-        )
-        self._queue_series = [
-            queue_family.labels(shard=i) for i in range(len(self.shard_paths))
-        ]
-        self._run_series = [
-            run_family.labels(shard=i) for i in range(len(self.shard_paths))
-        ]
         self._workers: Optional[List[Tuple[object, object]]] = None
         self._closed = False
         # The pipe protocol is strictly request/reply per worker; one
@@ -649,18 +625,7 @@ class ProcessShardExecutor:
                     queue_seconds=queue_seconds,
                     results=len(run),
                 )
-        merge_start = perf_counter()
-        merged = heapq.merge(*runs, key=_merge_key)
-        results = list(islice(merged, top_k))
-        if trace is not None:
-            trace.record(
-                "merge",
-                start=merge_start,
-                end=perf_counter(),
-                runs=len(runs),
-                results=len(results),
-            )
-        return results
+        return _merge_runs(runs, top_k, trace)
 
     def aggregate_term_stats(self, terms: Sequence[str]) -> AggregatedTermStats:
         """Cross-shard statistics for one query's terms (worker-reported).
@@ -688,13 +653,7 @@ class ProcessShardExecutor:
                 df[position] += count
             num_docs += shard_docs
             total_length += shard_length
-        if num_docs:
-            avg_doc_length = max(1.0, total_length / num_docs)
-        else:
-            avg_doc_length = 1.0
-        return AggregatedTermStats(
-            df=df, num_docs=num_docs, avg_doc_length=avg_doc_length
-        )
+        return AggregatedTermStats.of(df, num_docs, total_length)
 
     def _receive(self, shard_index: int, conn):
         """One protocol reply; re-raises worker-side failures by type."""

@@ -29,7 +29,7 @@ class TestCleanEngine:
 
     def test_covers_every_list_and_the_commit_log(self, engine):
         reports = full_engine_audit(engine)
-        assert len(reports) == len(engine._lists) + 1
+        assert len(reports) == len(list(engine.iter_posting_lists())) + 1
         assert reports[-1].subject == "commit-time log"
         assert reports[-1].entries_checked == 3
 
@@ -38,7 +38,7 @@ class TestTamperedEngine:
     def test_out_of_order_raw_posting_caught(self, engine):
         from repro.core.posting import encode_posting
 
-        name = next(iter(engine._lists.values())).name
+        name = next(engine.iter_posting_lists())[0].name
         engine.store.device.open_file(name).append_record(encode_posting(0, 0))
         reports = full_engine_audit(engine)
         bad = [r for r in reports if not r.ok]
@@ -58,7 +58,7 @@ class TestTamperedEngine:
         """Stuffing is structurally clean — only result verification or a
         document cross-check exposes it, which is the Section 5 point."""
         tid = engine.term_id("imclone")
-        pl = engine._lists[engine._list_id_for(tid)]
+        pl = engine.posting_list_for("imclone")[0]
         posting_stuffing_attack(pl, tid, count=3)
         reports = full_engine_audit(engine)
         assert all(r.ok for r in reports)

@@ -93,7 +93,7 @@ class TestEngineIntegration:
         engine.index_document("meeting about imclone results")
         tid = engine.term_id("imclone")
         posting_stuffing_attack(
-            engine._lists[engine._list_id_for(tid)], tid, count=4
+            engine.posting_list_for("imclone")[0], tid, count=4
         )
         return engine
 

@@ -139,8 +139,9 @@ class TestEnginePaths:
         engine = TrustworthySearchEngine(EngineConfig(num_lists=4, block_size=256, branching=None))
         for text in DOCS:
             engine.index_document(text)
-        assert engine._lists, "expected physical posting lists"
-        for posting_list in engine._lists.values():
+        lists = [pl for pl, _ in engine.iter_posting_lists()]
+        assert lists, "expected physical posting lists"
+        for posting_list in lists:
             assert_columns_match_scan(posting_list)
 
     def test_sealed_segment_lists(self):

@@ -1,5 +1,7 @@
 """Adapter + engine-integration tests: one snapshot covers every layer."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.observability import (
@@ -130,17 +132,35 @@ class TestEngineIntegration:
         # archive gauges
         assert _value(snap, "repro_archive_documents") == 30
 
-    def test_jump_follow_counter_tracks_index(self):
+    def _check_jump_follow_counter(self, **config):
         engine = TrustworthySearchEngine(
-            EngineConfig(num_lists=4, block_size=512, branching=4)
+            EngineConfig(num_lists=4, block_size=512, branching=4, **config)
         )
         for i in range(200):
             engine.index_term_counts({f"t{i % 40}": 1, "common": 1})
         engine.search("+t3 +common")
         snap = engine_metrics(engine).snapshot()
-        follows = sum(j.pointers_followed for j in engine._jumps.values())
+        follows = sum(
+            j.pointers_followed for _, j in engine.iter_posting_lists()
+        )
         assert follows > 0
         assert _value(snap, "repro_jump_pointer_follows_total") == follows
+        return engine, snap
+
+    def test_jump_follow_counter_tracks_index(self):
+        self._check_jump_follow_counter()
+
+    def test_jump_follow_counter_tracks_sealed_segments(self):
+        """Tail mode runs the same join: multi-block sealed lists joined
+        through their jump indexes land in the same counters."""
+        engine, snap = self._check_jump_follow_counter(
+            tail_max_docs=100, merge_at_segments=None
+        )
+        assert len(engine.iter_segments()) == 2
+        per_list = snap["repro_join_list_blocks_total"]["series"]
+        assert sum(s["value"] for s in per_list) == _value(
+            snap, "repro_join_blocks_read_total"
+        ) > 0
 
     def test_sharded_engine_shares_one_registry(self):
         engine = ShardedSearchEngine(CONFIG, num_shards=3)
@@ -198,8 +218,8 @@ class TestEngineIntegration:
 
 
 class TestTraceOnQueryPath:
-    def test_conjunctive_trace_records_join_micro_costs(self):
-        engine = TrustworthySearchEngine(CONFIG)
+    def _check_join_trace(self, config):
+        engine = TrustworthySearchEngine(config)
         for i in range(50):
             engine.index_document(f"alpha beta doc{i}")
         trace = QueryTrace("+alpha +beta")
@@ -210,6 +230,17 @@ class TestTraceOnQueryPath:
         assert join.attrs["matches"] == 50
         assert join.attrs["seeks"] > 0
         assert join.attrs["blocks_read"] >= 1
+        return join
+
+    def test_conjunctive_trace_records_join_micro_costs(self):
+        self._check_join_trace(CONFIG)
+
+    def test_tail_mode_join_span_carries_the_same_micro_costs(self):
+        join = self._check_join_trace(
+            replace(CONFIG, tail_max_docs=20, read_cache=True)
+        )
+        assert join.attrs["jump_follows"] >= 0
+        assert join.attrs["block_cache_hits"] >= 0
 
     def test_verify_stage_traced(self):
         engine = TrustworthySearchEngine(CONFIG)

@@ -101,7 +101,7 @@ class TestVerification:
         from repro.adversary.attacks import posting_stuffing_attack
 
         tid = engine.term_id("imclone")
-        pl = engine._lists[engine._list_id_for(tid)]
+        pl = engine.posting_list_for("imclone")[0]
         posting_stuffing_attack(pl, tid, count=4)
         with pytest.raises(TamperDetectedError):
             engine.search("imclone", verify=True)
@@ -120,7 +120,7 @@ class TestConfigurations:
         engine.index_document("alpha beta gamma")
         engine.index_document("alpha delta")
         assert [r.doc_id for r in engine.search("+alpha +beta")] == [0]
-        assert not engine._jumps
+        assert not any(jump for _, jump in engine.iter_posting_lists())
 
     def test_cosine_ranking(self):
         engine = TrustworthySearchEngine(

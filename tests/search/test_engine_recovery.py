@@ -89,7 +89,7 @@ class TestRecovery:
 
         engine = build_engine()
         tid = engine.term_id("imclone")
-        name = engine._lists[engine._list_id_for(tid)].name
+        name = engine.posting_list_for("imclone")[0].name
         # Mala appends an out-of-order posting between sessions.
         engine.store.device.open_file(name).append_record(encode_posting(0, tid))
         reopened = reopen(engine)

@@ -6,10 +6,9 @@ from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.profiling import profile_query, recommend_configuration
 
 
-@pytest.fixture()
-def engine():
+def build_engine(**config):
     engine = TrustworthySearchEngine(
-        EngineConfig(num_lists=8, branching=4, block_size=512)
+        EngineConfig(num_lists=8, branching=4, block_size=512, **config)
     )
     for i in range(40):
         terms = ["common"]
@@ -19,6 +18,23 @@ def engine():
             terms.append("fifth")
         engine.index_document(" ".join(terms) + f" filler{i}")
     return engine
+
+
+@pytest.fixture()
+def engine():
+    return build_engine()
+
+
+class TailEngine:
+    """Re-runs a profile class on a decoupled index: two sealed
+    segments of 16 documents plus 8 documents in the live tail."""
+
+    @pytest.fixture()
+    def engine(self):
+        engine = build_engine(tail_max_docs=16, merge_at_segments=None)
+        info = engine.segments_info()
+        assert len(info["segments"]) == 2 and info["tail_docs"] == 8
+        return engine
 
 
 class TestDisjunctiveProfile:
@@ -45,6 +61,16 @@ class TestDisjunctiveProfile:
         assert "disjunctive" in text
         assert "matches" in text
 
+    def test_matches_what_the_engine_matches(self, engine):
+        for query in ("common", "even fifth", "filler3 unknownterm"):
+            profile = profile_query(engine, query)
+            assert profile.matches == len(engine.match(query)), query
+            assert profile.physical_lists >= len(profile.per_list_blocks)
+
+
+class TestDisjunctiveProfileTail(TailEngine, TestDisjunctiveProfile):
+    pass
+
 
 class TestConjunctiveProfile:
     def test_counts_and_matches(self, engine):
@@ -70,6 +96,16 @@ class TestConjunctiveProfile:
         profile_query(engine, "common")
         assert len(engine.documents) == before
         assert engine.search("common")  # engine still healthy
+
+    def test_matches_what_the_engine_matches(self, engine):
+        for query in ("+common +even", "+even +fifth", "+common +filler7"):
+            profile = profile_query(engine, query)
+            assert profile.matches == len(engine.match(query)) > 0, query
+            assert profile.entries_scanned > 0
+
+
+class TestConjunctiveProfileTail(TailEngine, TestConjunctiveProfile):
+    pass
 
 
 class TestRecommendation:

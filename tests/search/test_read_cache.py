@@ -316,7 +316,7 @@ class TestEngineIntegration:
         engine.search("imclone", verify=True)
         tid = engine.term_id("imclone")
         posting_stuffing_attack(
-            engine._existing_list(engine._list_id_for(tid)),
+            engine.posting_list_for("imclone")[0],
             tid,
             count=len(engine.documents) + 3,
         )

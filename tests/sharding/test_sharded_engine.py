@@ -160,7 +160,7 @@ class TestTrust:
             # multiple blocks, so a planted pointer is plausible.
             sharded.index_batch([f"alpha beta doc{i}" for i in range(60)])
             shard = sharded.shards[0]
-            jump = shard._jumps[0]
+            _, jump = next(shard.iter_posting_lists())
             block_jump_pointer_attack(jump, target_block=0)
             reports = full_sharded_audit(sharded)
             bad = [r for r in reports if not r.ok]
@@ -173,7 +173,7 @@ class TestTrust:
             sharded.index_batch([f"evidence doc{i}" for i in range(8)])
             shard = sharded.shards[1]
             tid = shard.term_id("evidence")
-            posting_list = shard._lists[shard._list_id_for(tid)]
+            posting_list = shard.posting_list_for("evidence")[0]
             posting_stuffing_attack(
                 posting_list, tid, count=len(shard.documents) + 3
             )
@@ -186,7 +186,7 @@ class TestTrust:
             sharded.index_batch([f"evidence doc{i}" for i in range(8)])
             shard = sharded.shards[1]
             tid = shard.term_id("evidence")
-            posting_list = shard._lists[shard._list_id_for(tid)]
+            posting_list = shard.posting_list_for("evidence")[0]
             stuffed = posting_stuffing_attack(
                 posting_list, tid, count=len(shard.documents) + 3
             )

@@ -152,7 +152,7 @@ class TestAuditAndDispose:
 
         tid = engine.term_id("imclone")
         posting_stuffing_attack(
-            engine._existing_list(engine._list_id_for(tid)), tid, count=3
+            engine.posting_list_for("imclone")[0], tid, count=3
         )
         device.close()
         capsys.readouterr()

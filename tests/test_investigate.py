@@ -57,7 +57,7 @@ class TestTamperedInvestigation:
     def test_stuffing_becomes_a_finding_not_a_failure(self, engine):
         tid = engine.term_id("imclone")
         posting_stuffing_attack(
-            engine._lists[engine._list_id_for(tid)], tid, count=4
+            engine.posting_list_for("imclone")[0], tid, count=4
         )
         case = Investigation(engine)
         hits = case.search("imclone")
@@ -83,7 +83,7 @@ class TestTamperedInvestigation:
     def test_audit_findings_folded_into_case_file(self, engine):
         from repro.core.posting import encode_posting
 
-        name = next(iter(engine._lists.values())).name
+        name = next(engine.iter_posting_lists())[0].name
         target = engine.store.device.open_file(name)
         # A legal-looking but out-of-order raw append (if the list's
         # last ID is 0, use a different victim below it instead).
@@ -91,7 +91,7 @@ class TestTamperedInvestigation:
         case = Investigation(engine)
         healthy = case.run_full_audit()
         audits = case.case_file()["audits"]
-        assert len(audits) == len(engine._lists) + 1
+        assert len(audits) == len(list(engine.iter_posting_lists())) + 1
         # Whether this particular list had last ID > 0 decides if the
         # violation fires; either way the audit ran and was recorded.
         assert isinstance(healthy, bool)
