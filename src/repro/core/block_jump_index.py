@@ -27,6 +27,14 @@ Two write paths are provided:
 Both paths produce bit-identical pointer placement (tested), because the
 memory copy is only ever a cache of committed WORM state.
 
+Cost of attaching: O(1).  The path is *writer* memory, so an index
+attached to committed blocks (a restart, a sealed segment, a merge's
+input) reads no pointer slot until its first insert, which first
+rebuilds the path from WORM — one uncounted slot-array read per path
+block (at most ``log_B(N)`` of them).  Sealed lists never see an insert
+and so never build one; lookups and ``FindGeq`` need only the committed
+pointers.
+
 Merged-list subtlety: a merged posting list legitimately stores one entry
 per (document, term) pair, so equal consecutive document IDs occur and
 may straddle a block boundary.  Inserts whose ID equals the largest ID of
@@ -109,9 +117,10 @@ class BlockJumpIndex:
         #: under WORM semantics, so navigation stays exact (see the
         #: readcache module docstring for the trust argument).
         self.memo = None
-        self._path: List[_PathNode] = []
-        if posting_list.num_blocks:
-            self.rebuild_path()
+        # Writer memory (Section 4.5): only inserts use the path, so it
+        # stays unbuilt (None) until the first one; readers of committed
+        # blocks never pay for it.
+        self._path: Optional[List[_PathNode]] = None
         #: Pointer-slot assignments performed (diagnostics).
         self.pointers_set = 0
         #: Jump pointers followed (and certified) on the read path.
@@ -199,6 +208,8 @@ class BlockJumpIndex:
         posting list) plus, when a new pointer must be set, one counted
         access to the block receiving the pointer.
         """
+        if self._path is None:
+            self.rebuild_path()
         block_no, index = self.posting_list.append(doc_id, term_code)
         last_block = self.posting_list.num_blocks - 1
         if not self._path:
@@ -284,28 +295,22 @@ class BlockJumpIndex:
     def rebuild_path(self) -> None:
         """Reconstruct the writer-memory path from committed WORM state.
 
-        Used when attaching to an existing list (e.g. after restart).
-        Walks the chain of highest-set pointers from the head block; this
-        is exactly the path future inserts extend.
+        Runs before the first insert on an index attached to an existing
+        list (e.g. after restart).  Walks the chain of highest-set
+        pointers from the head block, reading each path block's slots
+        once (uncounted); this is exactly the path future inserts extend.
         """
-        store = self.posting_list.store
-        name = self.posting_list.name
         self._path = []
-        if not self.posting_list.num_blocks:
-            return
-        block_no = 0
-        while True:
-            last_slot = None
-            last_target = None
-            for slot in range(self.num_slots - 1, -1, -1):
-                target = store.peek_slot(name, block_no, slot)
-                if target is not None:
-                    last_slot, last_target = slot, target
-                    break
-            self._path.append(_PathNode(block_no, last_slot, last_target))
-            if last_target is None:
-                return
-            block_no = last_target
+        worm_file = self.posting_list.store.open_file(self.posting_list.name)
+        block_no = 0 if self.posting_list.num_blocks else None
+        while block_no is not None:
+            slots = worm_file.block(block_no).slots()[: self.num_slots]
+            last_slot = max(
+                (s for s, t in enumerate(slots) if t is not None), default=None
+            )
+            target = None if last_slot is None else slots[last_slot]
+            self._path.append(_PathNode(block_no, last_slot, target))
+            block_no = target
 
     # ------------------------------------------------------------------
     # read path — Lookup_block / FindGeq (certified readers)

@@ -668,11 +668,11 @@ class MergedListFamily:
         """
         grouped: Dict[int, List[Tuple[int, int]]] = {}
         for posting_list, _ in self.attached_lists():
-            for posting in posting_list.scan(counted=False):
-                term_id = posting.term_code & MAX_TERM_ID_WITH_TF
-                grouped.setdefault(term_id, []).append(
-                    (posting.doc_id, posting.term_code)
-                )
+            for docs, codes in posting_list.scan_columns(counted=False):
+                for doc_id, code in zip(docs, codes):
+                    grouped.setdefault(
+                        code & MAX_TERM_ID_WITH_TF, []
+                    ).append((doc_id, code))
         return grouped
 
     def posting_count(self) -> int:

@@ -14,6 +14,7 @@ the Figure 8(a) benchmark and for sizing real posting lists in
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from repro.errors import IndexError_
 
@@ -27,8 +28,13 @@ POSTING_BYTES = 8
 DEFAULT_N = 2**32
 
 
+@lru_cache(maxsize=None)
 def levels(branching: int, n: int = DEFAULT_N) -> int:
-    """``ceil(log_B(N))`` — number of pointer levels per block."""
+    """``ceil(log_B(N))`` — number of pointer levels per block.
+
+    Memoized: every list attach sizes its blocks from it, and an archive
+    uses a handful of ``(B, N)`` pairs.
+    """
     if branching < 2:
         raise IndexError_(f"branching must be >= 2, got {branching}")
     if n < 2:

@@ -12,12 +12,18 @@ violation detectable at read time — plus a binary jump index over the
 distinct commit times whose node payloads are log offsets, giving
 ``O(log N)`` trustworthy range queries (the jump index's Proposition 3
 guarantees no committed entry can be skipped).
+
+Cost: a range query enters through the jump index and then reads the log
+sequentially — one counted block read per log block scanned, from the
+block holding the first qualifying record to the one holding the first
+record past the range (or the log's end), every record in between
+checked as it is decoded.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.jump_index import JumpIndex
 from repro.errors import DocumentIdOrderError, TamperDetectedError
@@ -57,9 +63,10 @@ class CommitTimeIndex:
         self.count = 0
         self._last_time = -1
         self._last_doc_id = -1
+        #: Log blocks read by range queries (diagnostics).
+        self.blocks_scanned = 0
         self._records_per_block = store.block_size // RECORD_SIZE
-        if self._file.num_blocks:
-            self._restore_from_worm()
+        self._restore_from_worm()
 
     def _restore_from_worm(self) -> None:
         """Rebuild the jump index and counters from the committed log.
@@ -68,24 +75,12 @@ class CommitTimeIndex:
         monotonicity checks as ingest, so a log tampered with between
         sessions fails loudly here rather than distorting later queries.
         """
-        offset = 0
-        for block_no in range(self._file.num_blocks):
-            payload = self.store.peek_block(self.name, block_no)
-            for commit_time, doc_id in _RECORD.iter_unpack(payload):
-                if commit_time < self._last_time or doc_id <= self._last_doc_id:
-                    raise TamperDetectedError(
-                        f"commit log record {offset} ({commit_time}, "
-                        f"{doc_id}) violates monotonicity after "
-                        f"({self._last_time}, {self._last_doc_id})",
-                        location=f"commit log '{self.name}', record {offset}",
-                        invariant="commit-time-monotonicity",
-                    )
-                if commit_time > self._last_time:
-                    self._jump.insert(commit_time, payload=offset)
-                self._last_time = commit_time
-                self._last_doc_id = doc_id
-                offset += 1
-        self.count = offset
+        for offset, commit_time, doc_id in self._walk():
+            if commit_time > self._last_time:
+                self._jump.insert(commit_time, payload=offset)
+            self._last_time = commit_time
+            self._last_doc_id = doc_id
+            self.count = offset + 1
 
     # ------------------------------------------------------------------
     # write path
@@ -120,21 +115,55 @@ class CommitTimeIndex:
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
-    def _read_record(self, offset: int) -> Tuple[int, int]:
-        """Decode log record ``offset`` (counted block read)."""
-        block_no, idx = divmod(offset, self._records_per_block)
-        payload = self.store.read_block(self.name, block_no)
-        return _RECORD.unpack_from(payload, idx * RECORD_SIZE)
+    def _walk(
+        self, start_offset: int = 0, *, counted: bool = False
+    ) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(offset, commit_time, doc_id)`` from record
+        ``start_offset`` to the end of the committed log, checked.
 
-    def _committed_records(self) -> int:
-        """Log extent derived from WORM state, not writer memory.
-
-        A certified reader must scan everything actually committed —
-        including records Mala appended around the honest writer, whose
-        in-memory count would not include them.
+        The one reader of the log.  The extent comes from WORM state,
+        not writer memory: a certified reader must scan everything
+        actually committed — including records Mala appended around the
+        honest writer, whose in-memory count would not include them.
+        Each block is read once (a counted read with ``counted``) and
+        must hold whole records, every block but the tail a full
+        complement of them, or record offsets would not address the log;
+        both fields of every record must be monotonic after the record
+        before it.
         """
-        worm_file = self.store.open_file(self.name)
-        return worm_file.total_bytes() // RECORD_SIZE
+        read = self.store.read_block if counted else self.store.peek_block
+        per_block = self._records_per_block
+        tail_block = self._file.num_blocks - 1
+        prev_time, prev_doc = -1, -1
+        for block_no in range(start_offset // per_block, tail_block + 1):
+            payload = read(self.name, block_no)
+            if len(payload) % RECORD_SIZE or (
+                block_no < tail_block
+                and len(payload) != per_block * RECORD_SIZE
+            ):
+                raise TamperDetectedError(
+                    f"commit log block {block_no} holds {len(payload)} "
+                    f"bytes, not whole {RECORD_SIZE}-byte records",
+                    location=f"commit log '{self.name}', block {block_no}",
+                    invariant="commit-log-record-size",
+                )
+            if counted:
+                self.blocks_scanned += 1
+            offset = max(start_offset, block_no * per_block)
+            for commit_time, doc_id in _RECORD.iter_unpack(
+                memoryview(payload)[offset % per_block * RECORD_SIZE :]
+            ):
+                if commit_time < prev_time or doc_id <= prev_doc:
+                    raise TamperDetectedError(
+                        f"commit log record {offset} ({commit_time}, "
+                        f"{doc_id}) violates monotonicity after "
+                        f"({prev_time}, {prev_doc})",
+                        location=f"commit log '{self.name}', record {offset}",
+                        invariant="commit-time-monotonicity",
+                    )
+                yield offset, commit_time, doc_id
+                prev_time, prev_doc = commit_time, doc_id
+                offset += 1
 
     def docs_in_range(self, t_start: int, t_end: int) -> List[int]:
         """Document IDs committed with ``t_start <= time <= t_end``.
@@ -155,16 +184,9 @@ class CommitTimeIndex:
         if start_time > t_end:
             return []
         docs: List[int] = []
-        prev_time, prev_doc = -1, -1
-        for offset in range(start_offset, self._committed_records()):
-            commit_time, doc_id = self._read_record(offset)
-            if commit_time < prev_time or doc_id <= prev_doc:
-                raise TamperDetectedError(
-                    f"commit log record {offset} ({commit_time}, {doc_id}) "
-                    f"violates monotonicity after ({prev_time}, {prev_doc})",
-                    location=f"commit log '{self.name}', record {offset}",
-                    invariant="commit-time-monotonicity",
-                )
+        for offset, commit_time, doc_id in self._walk(
+            start_offset, counted=True
+        ):
             if offset == start_offset and commit_time != start_time:
                 raise TamperDetectedError(
                     f"jump node for time {start_time} points at record "
@@ -175,17 +197,15 @@ class CommitTimeIndex:
             if commit_time > t_end:
                 break
             docs.append(doc_id)
-            prev_time, prev_doc = commit_time, doc_id
         return docs
 
-    def iter_records(self):
+    def iter_records(self) -> Iterator[Tuple[int, int]]:
         """Yield every committed ``(commit_time, doc_id)`` pair in order.
 
         Uncounted; used by restart recovery and offline audits.
         """
-        for block_no in range(self._file.num_blocks):
-            payload = self.store.peek_block(self.name, block_no)
-            yield from _RECORD.iter_unpack(payload)
+        for _, commit_time, doc_id in self._walk():
+            yield commit_time, doc_id
 
     def first_commit_geq(self, t: int) -> Optional[int]:
         """Earliest indexed commit time ``>= t`` (``None`` if none)."""
@@ -201,22 +221,8 @@ class CommitTimeIndex:
 
         Offline pass for auditors; uses uncounted reads.
         """
-        prev_time, prev_doc = -1, -1
-        worm_file = self.store.open_file(self.name)
-        offset = 0
-        for block_no in range(worm_file.num_blocks):
-            payload = self.store.peek_block(self.name, block_no)
-            for commit_time, doc_id in _RECORD.iter_unpack(payload):
-                if commit_time < prev_time or doc_id <= prev_doc:
-                    raise TamperDetectedError(
-                        f"commit log record {offset} ({commit_time}, "
-                        f"{doc_id}) violates monotonicity after "
-                        f"({prev_time}, {prev_doc})",
-                        location=f"commit log '{self.name}', record {offset}",
-                        invariant="commit-time-monotonicity",
-                    )
-                prev_time, prev_doc = commit_time, doc_id
-                offset += 1
+        for _ in self._walk():
+            pass
 
     def __len__(self) -> int:
         return self.count

@@ -26,6 +26,7 @@ Example
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -966,12 +967,14 @@ class TrustworthySearchEngine:
             # Bulk scoring: one pass over all candidates with per-call
             # idf/length-norm memoization — bit-identical to scoring
             # each document individually (see BM25Scorer.score_candidates).
-            results = [
-                SearchResult(doc_id=d, score=s)
-                for d, s in self._scorer.score_candidates(candidates)
-            ]
-            results.sort(key=lambda r: (-r.score, r.doc_id))
-            results = results[:top_k]
+            # nsmallest is documented equal to sorted(...)[:top_k]; it
+            # keeps a top_k-sized heap instead of sorting every candidate.
+            best = heapq.nsmallest(
+                top_k,
+                self._scorer.score_candidates(candidates),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            results = [SearchResult(doc_id=d, score=s) for d, s in best]
             if span is not None:
                 span.note(scorer="bulk", scored=len(candidates))
         if self._metrics_on:
@@ -1067,9 +1070,14 @@ class TrustworthySearchEngine:
                 "filter", trace, candidates=len(candidates)
             ) as span:
                 if query.time_range is not None:
-                    allowed = set(
-                        self.time_index.docs_in_range(*query.time_range)
-                    )
+                    times = self.time_index
+                    blocks_before = times.blocks_scanned
+                    allowed = set(times.docs_in_range(*query.time_range))
+                    if span is not None:
+                        span.note(
+                            window_docs=len(allowed),
+                            window_blocks=times.blocks_scanned - blocks_before,
+                        )
                     candidates = {
                         d: tf for d, tf in candidates.items() if d in allowed
                     }

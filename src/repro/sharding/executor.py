@@ -137,16 +137,20 @@ def _merge_runs(
 
 
 def _score_shard(
-    engine, query: Query, aggregate: AggregatedTermStats, ranking: str
+    engine, query: Query, aggregate: AggregatedTermStats, ranking: str, top_k: int
 ) -> List[Tuple[int, float]]:
-    """Match + globally score one shard; shard-local ``(id, score)`` run.
+    """Match + globally score one shard; its best ``top_k`` as a
+    shard-local ``(id, score)`` run.
 
     The one shard run both executors share: candidates from the shard's
     own index, term IDs projected to query positions (the shard-neutral
     vocabulary of ``aggregate``), bulk-scored under aggregated
-    df/num_docs/avg length with shard-local document lengths.  Sorting
+    df/num_docs/avg length with shard-local document lengths.  Ordering
     by ``(-score, local_id)`` matches the global sort because local IDs
-    are assigned in the same arrival order as global IDs within a shard.
+    are assigned in the same arrival order as global IDs within a shard,
+    so no document past a shard's ``top_k`` can reach the global
+    ``top_k``; :func:`heapq.nsmallest` is documented equal to
+    ``sorted(...)[:top_k]`` without sorting every candidate.
     """
     candidates = engine.match(query)
     if not candidates:
@@ -166,9 +170,9 @@ def _score_shard(
     }
     stats = _ShardScopedStats(aggregate, engine.stats)
     scorer = BM25Scorer(stats) if ranking == "bm25" else CosineScorer(stats)
-    run = scorer.score_candidates(projected)
-    run.sort(key=lambda pair: (-pair[1], pair[0]))
-    return run
+    return heapq.nsmallest(
+        top_k, scorer.score_candidates(projected), key=lambda pair: (-pair[1], pair[0])
+    )
 
 
 class ParallelQueryExecutor:
@@ -276,11 +280,11 @@ class ParallelQueryExecutor:
         aggregate = self.aggregate_term_stats(query.terms)
         submitted = perf_counter()
         if len(self.shards) == 1:
-            runs = [self._timed_shard_run(0, query, aggregate, submitted, trace)]
+            runs = [self._timed_shard_run(0, query, aggregate, top_k, submitted, trace)]
         else:
             futures = [
                 self.pool.submit(
-                    self._timed_shard_run, i, query, aggregate, submitted, trace
+                    self._timed_shard_run, i, query, aggregate, top_k, submitted, trace
                 )
                 for i in range(len(self.shards))
             ]
@@ -333,12 +337,13 @@ class ParallelQueryExecutor:
         shard_index: int,
         query: Query,
         aggregate: AggregatedTermStats,
+        top_k: int,
         submitted: float,
         trace,
     ) -> List[SearchResult]:
         """Run one shard sub-query, splitting pool-queue wait from execution."""
         run_start = perf_counter()
-        result = self._shard_run(shard_index, query, aggregate)
+        result = self._shard_run(shard_index, query, aggregate, top_k)
         run_end = perf_counter()
         if self._metrics_on:
             self._queue_series[shard_index].observe(run_start - submitted)
@@ -359,13 +364,14 @@ class ParallelQueryExecutor:
         shard_index: int,
         query: Query,
         aggregate: AggregatedTermStats,
+        top_k: int,
     ) -> List[SearchResult]:
         """Match + globally score one shard; returns a sorted run."""
         to_global = self.router.to_global
         return [
             SearchResult(doc_id=to_global(shard_index, local_id), score=score)
             for local_id, score in _score_shard(
-                self.shards[shard_index], query, aggregate, self.config.ranking
+                self.shards[shard_index], query, aggregate, self.config.ranking, top_k
             )
         ]
 
@@ -407,9 +413,9 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
     request, all payloads plain picklable values:
 
     * ``("stats", terms)`` -> ``("ok", (df_list, num_docs, total_length))``
-    * ``("query", query, aggregate)`` ->
+    * ``("query", query, aggregate, top_k)`` ->
       ``("ok", ([(local_id, score), ...], run_seconds))`` with the run
-      sorted by ``(-score, local_id)``
+      the shard's best ``top_k``, sorted by ``(-score, local_id)``
     * ``("close",)`` -> worker exits (no reply)
     * any failure -> ``("error", exception_type_name, message)``
     """
@@ -444,9 +450,9 @@ def _shard_worker_main(conn, shard_index: int, shard_path: str, config) -> None:
                         ("ok", (df, engine.stats.num_docs, engine.stats.total_length))
                     )
                 elif op == "query":
-                    _, query, aggregate = request
+                    _, query, aggregate, top_k = request
                     started = perf_counter()
-                    run = _score_shard(engine, query, aggregate, config.ranking)
+                    run = _score_shard(engine, query, aggregate, config.ranking, top_k)
                     conn.send(("ok", (run, perf_counter() - started)))
                 else:
                     conn.send(
@@ -600,7 +606,7 @@ class ProcessShardExecutor:
         aggregate = self._aggregate_from_workers(query.terms)
         submitted = perf_counter()
         for _process, conn in self._workers:
-            conn.send(("query", query, aggregate))
+            conn.send(("query", query, aggregate, top_k))
         runs: List[List[SearchResult]] = []
         to_global = self.router.to_global
         for index, (_process, conn) in enumerate(self._workers):

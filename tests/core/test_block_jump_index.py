@@ -1,6 +1,7 @@
 """Unit + property tests for the block jump index (Section 4.4)."""
 
 import bisect
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.errors import IndexError_, TamperDetectedError
+from repro.worm.persistent import JournaledWormDevice
 from repro.worm.storage import CachedWormStore
+
+#: ``(branching, block_size)`` pairs that give multi-block lists under
+#: ``max_doc_bits=16``: the paper's B = 2 and 32, and the suite's B = 4.
+GEOMETRIES = [(2, 256), (4, 256), (32, 1024)]
+
+
+def path_of(bji):
+    """The writer-memory path as comparable tuples."""
+    return [(n.block_no, n.last_slot, n.last_target) for n in bji._path]
 
 
 def make_index(branching=4, block_size=256, max_doc_bits=16, cache_blocks=None, **kwargs):
@@ -197,16 +208,93 @@ class TestWritePathEquivalence:
         )
 
     def test_rebuild_path_matches_incremental(self):
-        bji = make_index()
-        for v in range(0, 900, 2):
-            bji.insert(v)
-        incremental = [(n.block_no, n.last_slot, n.last_target) for n in bji._path]
-        bji.rebuild_path()
-        rebuilt = [(n.block_no, n.last_slot, n.last_target) for n in bji._path]
-        assert incremental == rebuilt
-        # And the index keeps working after a rebuild.
-        bji.insert(902)
-        assert bji.lookup(902)
+        for branching, block_size in GEOMETRIES:
+            bji = make_index(branching=branching, block_size=block_size)
+            for v in range(0, 900, 2):
+                bji.insert(v)
+            assert bji.posting_list.num_blocks > 3
+            incremental = path_of(bji)
+            bji.rebuild_path()
+            assert incremental == path_of(bji)
+            # And the index keeps working after a rebuild.
+            bji.insert(902)
+            assert bji.lookup(902)
+
+
+class _SlotCountingStore(CachedWormStore):
+    """Counts every pointer-slot read the index layer performs."""
+
+    slot_reads = 0
+
+    def peek_slot(self, name, block_no, slot_no):
+        self.slot_reads += 1
+        return super().peek_slot(name, block_no, slot_no)
+
+    def get_slot(self, name, block_no, slot_no):
+        self.slot_reads += 1
+        return super().get_slot(name, block_no, slot_no)
+
+
+class TestAttach:
+    """The path is writer memory (Section 4.5): attaching to committed
+    blocks builds none, reads never need one, and the first insert
+    rebuilds exactly the path an uninterrupted writer would hold."""
+
+    VALUES = list(range(0, 1800, 3))
+
+    def _read_everything(self, bji):
+        found = []
+        cursor = bji.posting_list.cursor()
+        for k in range(0, 1900, 37):
+            hit = bji.find_geq(cursor, k)
+            found.append(None if hit is None else hit.doc_id)
+        found.extend(bji.lookup(k) for k in range(0, 1900, 41))
+        found.append(bji.posting_list.doc_ids())
+        return found
+
+    @pytest.mark.parametrize("branching, block_size", GEOMETRIES)
+    def test_attach_and_reads_probe_no_slots_for_a_path(self, branching, block_size):
+        store = _SlotCountingStore(None, block_size=block_size)
+        geometry = dict(branching=branching, max_doc_bits=16)
+        writer = BlockJumpIndex.create(store, "pl/jump", **geometry)
+        writer.insert_many((v, 0) for v in self.VALUES)
+        assert writer.posting_list.num_blocks > 3
+
+        store.slot_reads = 0
+        expected = self._read_everything(writer)
+        navigation_reads = store.slot_reads
+
+        store.slot_reads = 0
+        attached = BlockJumpIndex.create(store, "pl/jump", **geometry)
+        assert store.slot_reads == 0
+        assert self._read_everything(attached) == expected
+        # Exactly the pointer reads of the same navigation on the writer.
+        assert store.slot_reads == navigation_reads
+        assert attached._path is None
+
+    @pytest.mark.parametrize("branching, block_size", GEOMETRIES)
+    def test_insert_after_reopen_matches_uninterrupted_writer(
+        self, tmp_path, branching, block_size
+    ):
+        geometry = dict(branching=branching, max_doc_bits=16)
+        split = len(self.VALUES) // 2
+
+        def session(path, values):
+            device = JournaledWormDevice(str(path), block_size=block_size)
+            store = CachedWormStore(None, device=device)
+            bji = BlockJumpIndex.create(store, "pl/jump", **geometry)
+            bji.insert_many((v, 0) for v in values)
+            device.close()
+            return bji
+
+        straight = session(tmp_path / "straight.worm", self.VALUES)
+        session(tmp_path / "reopened.worm", self.VALUES[:split])
+        resumed = session(tmp_path / "reopened.worm", self.VALUES[split:])
+        assert path_of(resumed) == path_of(straight)
+        assert (
+            hashlib.sha256((tmp_path / "reopened.worm").read_bytes()).digest()
+            == hashlib.sha256((tmp_path / "straight.worm").read_bytes()).digest()
+        )
 
 
 class TestTampering:

@@ -242,6 +242,18 @@ class TestTraceOnQueryPath:
         assert join.attrs["jump_follows"] >= 0
         assert join.attrs["block_cache_hits"] >= 0
 
+    def test_time_ranged_query_explains_its_window_in_paper_units(self):
+        engine = TrustworthySearchEngine(CONFIG)
+        for i in range(300):  # 85 commit records per 1 KB log block
+            engine.index_document(f"alpha doc{i}" if i % 2 else "beta")
+        trace = QueryTrace("alpha @100..199")
+        hits = engine.search("alpha @100..199", top_k=300, trace=trace)
+        filtered = next(s for s in trace.spans if s.name == "filter")
+        assert filtered.attrs["candidates"] == 150
+        assert filtered.attrs["window_docs"] == 100
+        assert filtered.attrs["window_blocks"] == 2  # records 100..200
+        assert filtered.attrs["kept"] == len(hits) == 50
+
     def test_verify_stage_traced(self):
         engine = TrustworthySearchEngine(CONFIG)
         engine.index_document("alpha beta")

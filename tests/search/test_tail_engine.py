@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.block_jump_index import BlockJumpIndex
 from repro.errors import WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.faults import (
@@ -217,6 +218,63 @@ class TestRestartRecovery:
         for text in extra:
             reopened.index_document(text)
             legacy_engine.index_document(text)
+        assert_equivalent(reopened, legacy_engine, QUERIES + ["zebra"])
+        reopened.store.device.close()
+
+    @pytest.fixture()
+    def rebuilt(self, monkeypatch):
+        """Names of the lists whose writer-memory jump path got rebuilt
+        from committed blocks (a new, empty list has nothing to read)."""
+        names = []
+        rebuild_path = BlockJumpIndex.rebuild_path
+
+        def counting(jump):
+            if jump.posting_list.num_blocks:
+                names.append(jump.posting_list.name)
+            rebuild_path(jump)
+
+        monkeypatch.setattr(BlockJumpIndex, "rebuild_path", counting)
+        return names
+
+    def test_sealed_lists_never_rebuild_an_insert_path(self, tmp_path, rebuilt):
+        """Sealed lists are immutable: attaching them after a restart,
+        joining over them and rewriting them in a merge only read."""
+        path = str(tmp_path / "arch.worm")
+        cfg = tail_config(tail_max_docs=2)
+        engine = self.open(path, cfg)
+        legacy_engine = TrustworthySearchEngine(LEGACY)
+        for text in DEFAULT_CORPUS:
+            engine.index_document(text)
+            legacy_engine.index_document(text)
+        engine.store.device.close()
+
+        reopened = self.open(path, cfg)
+        assert len(reopened.iter_segments()) >= 2
+        assert_equivalent(reopened, legacy_engine)
+        assert reopened.merge_segments() is not None
+        assert_equivalent(reopened, legacy_engine)
+        reopened.archive_stats()  # attaches every committed list
+        assert rebuilt == []
+        reopened.store.device.close()
+
+    def test_reattached_lists_rebuild_the_path_at_first_insert(
+        self, tmp_path, rebuilt
+    ):
+        path = str(tmp_path / "arch.worm")
+        engine = self.open(path, LEGACY)
+        legacy_engine = TrustworthySearchEngine(LEGACY)
+        for text in DEFAULT_CORPUS:
+            engine.index_document(text)
+            legacy_engine.index_document(text)
+        engine.store.device.close()
+
+        reopened = self.open(path, LEGACY)
+        assert_equivalent(reopened, legacy_engine)
+        reopened.archive_stats()
+        assert rebuilt == []
+        reopened.index_document("imclone zebra")
+        legacy_engine.index_document("imclone zebra")
+        assert rebuilt and len(set(rebuilt)) == len(rebuilt)
         assert_equivalent(reopened, legacy_engine, QUERIES + ["zebra"])
         reopened.store.device.close()
 

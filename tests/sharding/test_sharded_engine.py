@@ -71,6 +71,30 @@ class TestEquivalence:
         finally:
             sharded.close()
 
+    @given(
+        docs=documents,
+        query=queries,
+        num_shards=st.integers(1, 4),
+        top_k=st.integers(0, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_top_k_is_a_prefix_of_the_full_ranking(
+        self, docs, query, num_shards, top_k
+    ):
+        """Heap selection (per engine and per shard before the merge)
+        returns exactly what sorting every candidate and cutting did —
+        ties on score included, broken by document id."""
+        single, sharded = build_engines(docs, num_shards)
+        try:
+            for engine in (single, sharded):
+                ranked = engine.search(query, top_k=len(docs) + 1)
+                assert ranked == sorted(
+                    ranked, key=lambda r: (-r.score, r.doc_id)
+                )
+                assert engine.search(query, top_k=top_k) == ranked[:top_k]
+        finally:
+            sharded.close()
+
     def test_ranked_order_deterministic(self):
         docs = ["alpha beta", "alpha alpha beta", "beta gamma", "alpha"]
         single, sharded = build_engines(docs, num_shards=3)
