@@ -30,7 +30,6 @@ per-figure reproduction record.
 from repro.core import (
     BlockJumpIndex,
     CommitTimeIndex,
-    EpochIndexManager,
     JumpIndex,
     Posting,
     PostingCursor,
@@ -46,8 +45,6 @@ from repro.errors import (
 from repro.search import (
     Analyzer,
     EngineConfig,
-    EpochPolicy,
-    EpochedSearchEngine,
     Query,
     QueryMode,
     SearchResult,
@@ -72,9 +69,6 @@ __all__ = [
     "CachedWormStore",
     "CommitTimeIndex",
     "EngineConfig",
-    "EpochIndexManager",
-    "EpochPolicy",
-    "EpochedSearchEngine",
     "Investigation",
     "JournaledWormDevice",
     "JumpIndex",

@@ -17,8 +17,8 @@ Layout of the subpackage:
   optimization.
 * :mod:`repro.core.space` — the jump-index space-overhead model behind
   Figure 8(a).
-* :mod:`repro.core.epochs` — epoch-based statistics learning and
-  per-epoch index management (Section 3.3).
+* :mod:`repro.core.epochs` — learning term popularity from a workload
+  prefix (Section 3.3, Figures 3(f)/3(g)).
 * :mod:`repro.core.time_index` — the trustworthy commit-time index of
   Section 5.
 * :mod:`repro.core.verification` — auditors that surface tampering as
@@ -47,7 +47,6 @@ from repro.core.posting import Posting, decode_posting, encode_posting
 from repro.core.posting_list import PostingCursor, PostingList
 from repro.core.space import jump_pointers_per_block, space_overhead
 from repro.core.time_index import CommitTimeIndex
-from repro.core.epochs import EpochIndexManager
 from repro.core.incidents import Incident, IncidentLog
 from repro.core.retention import Disposition, RetentionManager
 from repro.core.term_coding import HuffmanCode, build_huffman_code, entropy_bits
@@ -58,7 +57,6 @@ __all__ = [
     "CapacityPlan",
     "CommitTimeIndex",
     "Disposition",
-    "EpochIndexManager",
     "GreedyCostMerge",
     "HuffmanCode",
     "Incident",

@@ -1,4 +1,4 @@
-"""Epoch-based statistics learning and per-epoch indexes (Section 3.3).
+"""Learning term popularity from a workload prefix (Section 3.3).
 
 The paper's popularity-aware merging heuristics need the frequencies
 ``ti`` / ``qi``, which are not known a priori.  Section 3.3's answer:
@@ -7,21 +7,19 @@ The paper's popularity-aware merging heuristics need the frequencies
   show that statistics learned from the first 10% of the workload drive
   merging decisions for the entire index with almost no cost change;
 * where they are less stable, divide time into **epochs**, maintain a
-  separate index per epoch, and choose each epoch's merging (and whether
-  to build a jump index) from the statistics of the previous epoch;
-* queries fan out over all epochs; time-constrained queries only touch
-  the epochs overlapping the requested interval.
+  separate index per epoch, and choose each epoch's merging from the
+  statistics of the previous epoch; queries fan out over all epochs, and
+  time-constrained queries only touch the epochs overlapping the
+  requested interval.
 
-:func:`learn_popular_terms` implements the learning step;
-:class:`EpochIndexManager` implements the epoch lifecycle generically
-over an index factory, so both the simulation harness and the full search
-engine reuse it.
+This module is the learning step (:func:`learn_popular_terms` and the
+two prefix statistics behind Figures 3(f)/3(g)).  The epochs themselves
+are the engine's sealed segments:
+``EngineConfig(tail_max_docs=..., seal_strategy="epoch")`` in
+:mod:`repro.search.engine`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,162 +73,3 @@ def prefix_query_frequencies(query_log, fraction: float) -> np.ndarray:
         for term in query.term_ids:
             counts[term] += 1
     return counts
-
-
-@dataclass
-class Epoch:
-    """One closed or active epoch: its index plus observed statistics."""
-
-    epoch_no: int
-    index: object
-    #: First document ID ingested in this epoch.
-    first_doc_id: int
-    #: Last document ID ingested (-1 while empty).
-    last_doc_id: int = -1
-    #: Documents ingested.
-    doc_count: int = 0
-    #: Observed term frequencies during this epoch (learning input).
-    observed_ti: Optional[np.ndarray] = None
-    #: Observed query frequencies during this epoch (learning input).
-    observed_qi: Optional[np.ndarray] = None
-
-    def covers_doc(self, doc_id: int) -> bool:
-        """Whether ``doc_id`` was ingested during this epoch."""
-        return self.first_doc_id <= doc_id <= self.last_doc_id
-
-
-class EpochIndexManager:
-    """Lifecycle manager for per-epoch indexes with statistics hand-off.
-
-    Parameters
-    ----------
-    index_factory:
-        ``factory(epoch_no, previous_epoch_stats) -> index``.  The factory
-        decides, from the previous epoch's :class:`WorkloadStats` (or
-        ``None`` for the first epoch), how the new epoch's index is merged
-        and whether it carries a jump index — exactly the adaptation knob
-        Section 3.3 describes.
-    vocabulary_size:
-        Size of the term universe for the per-epoch statistics arrays.
-    docs_per_epoch:
-        Automatic epoch roll threshold; ``None`` disables auto-rolling
-        (call :meth:`new_epoch` manually).
-    """
-
-    def __init__(
-        self,
-        index_factory: Callable[[int, Optional[WorkloadStats]], object],
-        *,
-        vocabulary_size: int,
-        docs_per_epoch: Optional[int] = None,
-    ):
-        if vocabulary_size <= 0:
-            raise WorkloadError(
-                f"vocabulary_size must be positive, got {vocabulary_size}"
-            )
-        if docs_per_epoch is not None and docs_per_epoch <= 0:
-            raise WorkloadError(
-                f"docs_per_epoch must be positive, got {docs_per_epoch}"
-            )
-        self._factory = index_factory
-        self.vocabulary_size = vocabulary_size
-        self.docs_per_epoch = docs_per_epoch
-        self.epochs: List[Epoch] = []
-        self._next_doc_id = 0
-        self._start_epoch()
-
-    # ------------------------------------------------------------------
-    # epoch lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def current(self) -> Epoch:
-        """The active (most recent) epoch."""
-        return self.epochs[-1]
-
-    def _previous_stats(self) -> Optional[WorkloadStats]:
-        if not self.epochs:
-            return None
-        prev = self.epochs[-1]
-        if prev.observed_ti is None or prev.doc_count == 0:
-            return None
-        qi = (
-            prev.observed_qi
-            if prev.observed_qi is not None
-            else np.zeros(self.vocabulary_size, dtype=np.int64)
-        )
-        return WorkloadStats(ti=prev.observed_ti, qi=qi)
-
-    def _start_epoch(self) -> None:
-        stats = self._previous_stats()
-        epoch_no = len(self.epochs)
-        index = self._factory(epoch_no, stats)
-        self.epochs.append(
-            Epoch(
-                epoch_no=epoch_no,
-                index=index,
-                first_doc_id=self._next_doc_id,
-                observed_ti=np.zeros(self.vocabulary_size, dtype=np.int64),
-                observed_qi=np.zeros(self.vocabulary_size, dtype=np.int64),
-            )
-        )
-
-    def new_epoch(self) -> Epoch:
-        """Close the current epoch and open the next one."""
-        self._start_epoch()
-        return self.current
-
-    # ------------------------------------------------------------------
-    # ingest / query fan-out
-    # ------------------------------------------------------------------
-    def add_document(self, term_ids: Sequence[int]) -> int:
-        """Ingest one document into the current epoch's index.
-
-        Returns the assigned (global, monotonically increasing) document
-        ID.  Rolls the epoch first when the auto-roll threshold is hit.
-        """
-        if (
-            self.docs_per_epoch is not None
-            and self.current.doc_count >= self.docs_per_epoch
-        ):
-            self.new_epoch()
-        doc_id = self._next_doc_id
-        self._next_doc_id += 1
-        epoch = self.current
-        epoch.index.add_document(doc_id, term_ids)
-        epoch.last_doc_id = doc_id
-        epoch.doc_count += 1
-        epoch.observed_ti[np.asarray(list(set(term_ids)), dtype=np.int64)] += 1
-        return doc_id
-
-    def record_query(self, term_ids: Sequence[int]) -> None:
-        """Feed one observed query into the current epoch's statistics."""
-        for term in set(term_ids):
-            self.current.observed_qi[int(term)] += 1
-
-    def query_epochs(
-        self,
-        doc_id_range: Optional[Tuple[int, int]] = None,
-    ) -> List[Epoch]:
-        """Epochs a query must consult.
-
-        With no range, all epochs (Section 3.3: "queries must be answered
-        by scanning the indexes of all epochs").  With a document-ID /
-        creation-time range, only the overlapping epochs.
-        """
-        if doc_id_range is None:
-            return list(self.epochs)
-        lo, hi = doc_id_range
-        return [
-            e
-            for e in self.epochs
-            if e.doc_count and not (e.last_doc_id < lo or e.first_doc_id > hi)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EpochIndexManager(epochs={len(self.epochs)}, "
-            f"docs={self._next_doc_id})"
-        )

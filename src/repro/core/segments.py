@@ -361,6 +361,9 @@ class ReadCosts:
     block_cache_hits: int = 0
     #: Whether any joined list had a jump index to seek through.
     used_jump_index: bool = False
+    #: Sealed segments a time-ranged query did not read: their manifest
+    #: doc range misses the query's window.
+    families_skipped: int = 0
     per_list_blocks: Dict[int, int] = field(default_factory=dict)
 
     def charge(self, list_id: int, blocks: int) -> None:

@@ -14,13 +14,14 @@ subpackage is our equivalent substrate:
   seekable posting cursors, with blocks-read accounting;
 * :mod:`repro.search.engine` — :class:`TrustworthySearchEngine`, the
   end-to-end public API: real-time trustworthy ingest, ranked search,
-  conjunctive joins, time-range filtering and result verification.
+  conjunctive joins, time-range filtering and result verification —
+  and, with ``seal_strategy="epoch"``, the Section 3.3 epochs: each
+  sealed segment is one, laid out from the epoch before it.
 """
 
 from repro.search.analyzer import Analyzer
 from repro.search.documents import Document, DocumentStore
 from repro.search.engine import EngineConfig, SearchResult, TrustworthySearchEngine
-from repro.search.epoched import EpochedSearchEngine, EpochPolicy
 from repro.search.profiling import (
     QueryProfile,
     ShardedQueryProfile,
@@ -54,8 +55,6 @@ __all__ = [
     "Document",
     "DocumentStore",
     "EngineConfig",
-    "EpochPolicy",
-    "EpochedSearchEngine",
     "JumpMemo",
     "MemoryCursor",
     "MergedListCursor",

@@ -27,6 +27,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -135,8 +136,17 @@ class EngineConfig:
     seal_strategy:
         Term→list assignment each sealed segment pins: ``"uniform"``
         (hash everything), ``"popular"`` (this tail's top terms get
-        unmerged lists), or ``"epoch"`` (the *previous* epoch's top
-        terms — the Section 3.3 epoch-driven adaptation).
+        unmerged lists), or ``"epoch"`` — the Section 3.3 adaptation,
+        with the sealed segment as the epoch: ``tail_max_docs`` is the
+        epoch length, and a segment unmerges the terms the *previous*
+        epoch queried most (the paper's ``qi``; its most posting-heavy
+        terms, ``ti``, when that epoch saw no query), so evidence
+        gathered in one epoch lays out the next.  The evidence is
+        session memory, so the first epoch, and the first seal after a
+        restart, pin ``"uniform"``; queries answered by process-executor
+        workers never reach this engine, so such an archive adapts on
+        ``ti``.  ``merge_at_segments=None`` keeps every epoch's layout;
+        a merge re-lays its inputs out from the same evidence.
     seal_popular_terms:
         How many popular terms get unmerged lists under ``"popular"`` /
         ``"epoch"``.
@@ -282,9 +292,13 @@ class TrustworthySearchEngine:
         self._tail: Optional[MutableTailIndex] = None
         self._manifest: Optional[SegmentManifest] = None
         self._segments: Tuple[SealedSegment, ...] = ()
-        #: Term popularity of the previously sealed epoch (feeds the
-        #: "epoch" seal strategy; session-scoped, empty after restart).
+        #: Evidence for the "epoch" seal strategy, per term ID: what the
+        #: previously sealed epoch left behind, and the queries seen in
+        #: the current one (readers bump it concurrently, hence the
+        #: lock).  Session-scoped, empty after restart.
         self._epoch_counts: Dict[int, int] = {}
+        self._epoch_queries: Dict[int, int] = {}
+        self._epoch_lock = threading.Lock()
         if self.config.tail_max_docs is not None:
             # The manifest is created/replayed eagerly so the first seal
             # after a reopen is the only writer: restart itself stays a
@@ -548,18 +562,6 @@ class TrustworthySearchEngine:
             length_hints=self._term_postings if info is None else None,
         )
 
-    @property
-    def _merge(self) -> MergeStrategy:
-        """Merging strategy of the directly-appended lists."""
-        return self._family.strategy
-
-    @_merge.setter
-    def _merge(self, strategy: MergeStrategy) -> None:
-        # Only meaningful before the first posting lands: committed
-        # postings cannot move (the epoched engine picks a strategy
-        # right after constructing each epoch's engine).
-        self._family = self._open_family(strategy=strategy)
-
     def _list_id_for(self, term_id: int) -> int:
         return self._family.list_for(term_id)
 
@@ -625,10 +627,10 @@ class TrustworthySearchEngine:
         """Pick the ``(strategy, popular_terms)`` a new segment pins.
 
         ``counts`` is the term-popularity evidence of the postings being
-        sealed/merged; the ``"epoch"`` policy instead uses the previous
-        epoch's counts (:func:`repro.core.epochs.learn_popular_terms`'s
-        adaptation idea applied online), falling back to uniform while
-        no prior epoch exists.
+        sealed/merged; the ``"epoch"`` policy instead uses what the
+        previous epoch left behind (:func:`repro.core.epochs.learn_popular_terms`'s
+        adaptation idea applied online — see :meth:`seal_tail`),
+        falling back to uniform while no prior epoch exists.
         """
         policy = self.config.seal_strategy
         if policy == "uniform":
@@ -686,7 +688,10 @@ class TrustworthySearchEngine:
         """Freeze the tail into an immutable WORM segment.
 
         Returns the new segment number (``None`` on an empty tail).
-        Auto-merges afterwards when ``merge_at_segments`` is reached.
+        Under the ``"epoch"`` strategy this is the epoch boundary: the
+        segment is laid out from the previous epoch's evidence, and this
+        epoch's becomes the next one's.  Auto-merges afterwards when
+        ``merge_at_segments`` is reached.
         """
         tail = self._require_tail()
         if tail.doc_count == 0:
@@ -698,7 +703,11 @@ class TrustworthySearchEngine:
             doc_count=tail.doc_count,
         )
         self._segments += (segment,)
-        self._epoch_counts = tail.term_counts()
+        # The epoch just closed becomes the next one's evidence: its
+        # query counts (qi, Fig. 3(d)/(f)), or with none its term counts.
+        with self._epoch_lock:
+            self._epoch_counts = self._epoch_queries or tail.term_counts()
+            self._epoch_queries = {}
         tail.clear()
         if self._metrics_on:
             self._c_seals.inc()
@@ -1025,6 +1034,9 @@ class TrustworthySearchEngine:
         families + tail and family doc ranges are disjoint and
         ascending, so max-merging scans and concatenating per-family
         joins equal one scan or join over a single merged-list family.
+        A time range resolves to its document-ID window first, and
+        sealed segments whose manifest range misses the window are not
+        read at all (``ReadCosts.families_skipped``).
 
         With the read cache enabled, the whole retrieval phase is served
         from the query-result tier when the list-length fingerprint
@@ -1052,7 +1064,30 @@ class TrustworthySearchEngine:
                 return {d: dict(tf) for d, tf in cached.items()}
         if costs is None:
             costs = ReadCosts()
-        if query.mode is QueryMode.ALL:
+        window = None
+        if query.time_range is not None:
+            times = self.time_index
+            blocks_before = times.blocks_scanned
+            window = times.docs_in_range(*query.time_range)
+            window_blocks = times.blocks_scanned - blocks_before
+        if window:
+            # Doc IDs rise with commit times, so the window is one doc-ID
+            # interval, and a sealed segment whose manifest range misses
+            # it holds no answer: a time-constrained query reads only
+            # the overlapping epochs (Section 3.3).
+            first, last = window[0], window[-1]
+            families, tail = view
+            live = tuple(
+                f
+                for f in families
+                if f.info is None
+                or (f.info.first_doc <= last and f.info.last_doc >= first)
+            )
+            costs.families_skipped = len(families) - len(live)
+            view = (live, tail)
+        if window == []:  # nothing committed in the range: read no list
+            candidates = {}
+        elif query.mode is QueryMode.ALL:
             # Presence map (tf=1) for scoring conjunctive results.
             presence = dict.fromkeys(term_ids, 1)
             candidates = {
@@ -1069,14 +1104,12 @@ class TrustworthySearchEngine:
             with self._stage(
                 "filter", trace, candidates=len(candidates)
             ) as span:
-                if query.time_range is not None:
-                    times = self.time_index
-                    blocks_before = times.blocks_scanned
-                    allowed = set(times.docs_in_range(*query.time_range))
+                if window is not None:
+                    allowed = set(window)
                     if span is not None:
                         span.note(
                             window_docs=len(allowed),
-                            window_blocks=times.blocks_scanned - blocks_before,
+                            window_blocks=window_blocks,
                         )
                     candidates = {
                         d: tf for d, tf in candidates.items() if d in allowed
@@ -1105,6 +1138,12 @@ class TrustworthySearchEngine:
             term_ids = [self.term_id(term) for term in distinct]
             if span is not None:
                 span.note(present=len(term_ids) - term_ids.count(None))
+        if self.config.seal_strategy == "epoch":
+            with self._epoch_lock:
+                seen = self._epoch_queries
+                for term_id in term_ids:
+                    if term_id is not None:
+                        seen[term_id] = seen.get(term_id, 0) + 1
         return term_ids
 
     def _query_cache_key(self, query) -> Tuple:
@@ -1155,7 +1194,12 @@ class TrustworthySearchEngine:
         families, tail = view
         present = [t for t in term_ids if t is not None]
         candidates: Dict[int, Dict[int, int]] = {}
-        with self._stage("scan", trace, families=len(families)) as span:
+        with self._stage(
+            "scan",
+            trace,
+            families=len(families),
+            families_skipped=costs.families_skipped,
+        ) as span:
             for family in families:
                 family.collect_candidates(present, candidates, costs)
             if tail is not None:
@@ -1187,7 +1231,13 @@ class TrustworthySearchEngine:
             return []
         families, tail = view
         doc_ids: List[int] = []
-        with self._stage("join", trace, cursors=len(term_ids)) as span:
+        with self._stage(
+            "join",
+            trace,
+            cursors=len(term_ids),
+            families=len(families),
+            families_skipped=costs.families_skipped,
+        ) as span:
             for family in families:
                 doc_ids.extend(family.conjunctive_doc_ids(term_ids, costs)[0])
             if tail is not None:

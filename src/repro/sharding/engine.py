@@ -23,6 +23,7 @@ corpus — is property-tested in ``tests/sharding``.
 
 from __future__ import annotations
 
+from functools import wraps
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.verification import AuditReport, audit_search_result
@@ -43,6 +44,25 @@ from repro.worm.storage import CachedWormStore
 
 #: Coordinator WORM file for the sharded engine's incident log.
 INCIDENT_FILE = "shard/incidents"
+
+
+def _mutates(method):
+    """Mark process-executor workers stale once ``method`` has run.
+
+    Workers hold a spawn-time replay of the shard journals; whatever a
+    mutating call committed — even one that then raised — is missing
+    from it, and a committed document must never be omitted.
+    """
+
+    @wraps(method)
+    def wrapper(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            if self.executor_kind == "process":
+                self.executor.refresh()
+
+    return wrapper
 
 
 class _GlobalDocumentView:
@@ -102,9 +122,11 @@ class ShardedSearchEngine:
         ``"thread"`` (default) fans queries out on a thread pool over
         the in-process shard engines; ``"process"`` spawns one worker
         process per shard (GIL-free matching and scoring) — requires
-        ``shard_paths``, and workers see a snapshot of each shard
-        journal taken at spawn (``executor.refresh()`` after ingest
-        picks up new commits).  Both return identical results.
+        ``shard_paths``.  Workers replay their shard journal at spawn,
+        so every mutating call here marks them stale and the next query
+        respawns them: read-your-writes holds, at the price of a
+        journal replay per write-then-read.  Both return identical
+        results.
     shard_paths:
         Filesystem paths of the per-shard WORM journals (one per
         shard), required by the process executor so workers can reopen
@@ -246,6 +268,7 @@ class ShardedSearchEngine:
             commit_times=None if commit_time is None else [commit_time],
         )[0]
 
+    @_mutates
     def index_batch(
         self,
         texts: Sequence[str],
@@ -437,6 +460,7 @@ class ShardedSearchEngine:
         """Whether the shards run in tail mode (``tail_max_docs`` set)."""
         return self.config.tail_max_docs is not None
 
+    @_mutates
     def seal_tail(self) -> List[Optional[int]]:
         """Seal every shard's tail into a segment.
 
@@ -447,6 +471,7 @@ class ShardedSearchEngine:
         """
         return [shard.seal_tail() for shard in self.shards]
 
+    @_mutates
     def merge_segments(self) -> List[Optional[int]]:
         """Merge each shard's live segments into one (``None`` if <2)."""
         return [shard.merge_segments() for shard in self.shards]
@@ -465,6 +490,7 @@ class ShardedSearchEngine:
     # ------------------------------------------------------------------
     # retention
     # ------------------------------------------------------------------
+    @_mutates
     def dispose_expired(self, *, now: Optional[int] = None) -> List[int]:
         """Dispose expired documents on every shard; returns global IDs."""
         if now is None:

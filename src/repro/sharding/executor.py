@@ -481,8 +481,10 @@ class ProcessShardExecutor:
     return byte-identical results over the same committed state.
 
     **Snapshot semantics**: workers replay their journal at spawn time
-    and see nothing committed afterwards.  Call :meth:`refresh` after
-    ingest to respawn workers against the new journal tail.  Lifecycle
+    and see nothing committed afterwards, so whoever commits must call
+    :meth:`refresh` — :class:`~repro.sharding.engine.ShardedSearchEngine`
+    does after every mutating call — and the next query respawns the
+    workers against the journals as they then stand.  Lifecycle
     mirrors the thread executor: lazy spawn on first query,
     :meth:`close` is idempotent, queries after close raise.
     """
@@ -549,7 +551,8 @@ class ProcessShardExecutor:
             self._receive(index, conn)  # ready handshake (replay done)
 
     def refresh(self) -> None:
-        """Respawn workers so the next query sees the current journals."""
+        """Mark workers stale: the next query respawns them, so it sees
+        the current journals (free while none is running)."""
         with self._lock:
             self._stop_workers()
 

@@ -1,18 +1,20 @@
-"""Unit tests for epoch-based learning and index management."""
+"""Unit tests for learning term popularity from a workload prefix, and
+for the epochs that apply it."""
 
 import numpy as np
 import pytest
 
 from repro.core.epochs import (
-    EpochIndexManager,
     learn_popular_terms,
     prefix_query_frequencies,
     prefix_term_frequencies,
 )
 from repro.errors import WorkloadError
+from repro.sharding import ShardedSearchEngine
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 from repro.workloads.queries import QueryLogConfig, QueryLogGenerator
 from repro.workloads.stats import WorkloadStats
+from tests.helpers import epoch_config, epoch_layouts
 
 
 class TestLearning:
@@ -64,81 +66,89 @@ class TestLearning:
             prefix_term_frequencies(corpus, 0.0)
 
 
-class _RecordingIndex:
-    """Index stub recording documents and the stats it was built from."""
-
-    def __init__(self, epoch_no, stats):
-        self.epoch_no = epoch_no
-        self.built_from = stats
-        self.docs = []
-
-    def add_document(self, doc_id, term_ids):
-        self.docs.append((doc_id, tuple(term_ids)))
-
-
 class TestEpochManager:
-    def _manager(self, docs_per_epoch=3):
-        return EpochIndexManager(
-            _RecordingIndex, vocabulary_size=10, docs_per_epoch=docs_per_epoch
+    """The epochs themselves are the engine's sealed segments (this
+    class used to test a standalone manager, deleted); here the
+    manager is the sharded facade: every shard rolls, learns and is
+    queried on its own, and the facade adds the answers up."""
+
+    DOCS = [f"imclone filing number{i}" for i in range(9)]
+
+    def _sharded(self, docs_per_epoch=2, ingest=True, **kwargs):
+        sharded = ShardedSearchEngine(
+            epoch_config(docs_per_epoch, **kwargs), num_shards=2
         )
+        if ingest:
+            # One document a call: a batch seals as one epoch however
+            # many documents it brings.
+            for i, text in enumerate(self.DOCS):
+                assert sharded.index_document(text, commit_time=100 + i) == i
+        return sharded
 
     def test_auto_roll(self):
-        mgr = self._manager(docs_per_epoch=3)
-        for _ in range(7):
-            mgr.add_document([1, 2])
-        assert len(mgr) == 3
-        assert [e.doc_count for e in mgr.epochs] == [3, 3, 1]
+        sharded = self._sharded(docs_per_epoch=2)
+        info = sharded.segments_info()
+        for shard in info["shards"]:
+            assert all(s["doc_count"] == 2 for s in shard["segments"])
+            assert shard["tail_docs"] < 2
+        sealed = 2 * info["segments_live"]
+        assert sealed + info["tail_docs"] == len(self.DOCS)
 
     def test_doc_ids_global_monotone(self):
-        mgr = self._manager(docs_per_epoch=2)
-        ids = [mgr.add_document([0]) for _ in range(5)]
-        assert ids == [0, 1, 2, 3, 4]
-        assert mgr.epochs[1].first_doc_id == 2
+        # _sharded asserts that global ids count up in arrival order;
+        # each shard's epochs cover its local ids in order, without gaps.
+        sharded = self._sharded(docs_per_epoch=2)
+        for shard in sharded.shards:
+            ranges = [
+                (s.info.first_doc, s.info.last_doc)
+                for s in shard.iter_segments()
+            ]
+            assert ranges == [(2 * i, 2 * i + 1) for i in range(len(ranges))]
 
     def test_stats_handed_to_next_epoch(self):
-        mgr = self._manager(docs_per_epoch=2)
-        mgr.add_document([1, 1, 2])
-        mgr.record_query([2])
-        mgr.add_document([2])
-        mgr.add_document([3])  # rolls into epoch 1
-        built_from = mgr.epochs[1].index.built_from
-        assert built_from is not None
-        assert built_from.ti[1] == 1  # distinct-term counting
-        assert built_from.ti[2] == 2
-        assert built_from.qi[2] == 1
+        sharded = self._sharded(docs_per_epoch=100, ingest=False, popular=1)
+        sharded.index_batch(["hotterm filler filler", "hotterm filler"] * 2)
+        for _ in range(3):
+            sharded.search("hotterm")  # reaches every shard's evidence
+        sharded.search("filler")
+        sharded.seal_tail()
+        sharded.index_batch(["anything at all"] * 4)
+        sharded.seal_tail()
+        for shard in sharded.shards:
+            assert epoch_layouts(shard) == [[], ["hotterm"]]
 
     def test_first_epoch_has_no_stats(self):
-        mgr = self._manager()
-        assert mgr.epochs[0].index.built_from is None
+        sharded = self._sharded(docs_per_epoch=2)
+        for shard in sharded.shards:
+            assert epoch_layouts(shard)[0] == []
 
     def test_query_epochs_all(self):
-        mgr = self._manager(docs_per_epoch=2)
-        for _ in range(5):
-            mgr.add_document([0])
-        assert len(mgr.query_epochs()) == 3
+        sharded = self._sharded(docs_per_epoch=2)
+        hits = {r.doc_id for r in sharded.search("imclone", top_k=20)}
+        assert hits == set(range(len(self.DOCS)))
 
     def test_query_epochs_range_filtered(self):
-        """Section 3.3: time-constrained queries touch only overlapping epochs."""
-        mgr = self._manager(docs_per_epoch=2)
-        for _ in range(6):
-            mgr.add_document([0])
-        selected = mgr.query_epochs(doc_id_range=(2, 3))
-        assert [e.epoch_no for e in selected] == [1]
-        selected = mgr.query_epochs(doc_id_range=(1, 4))
-        assert [e.epoch_no for e in selected] == [0, 1, 2]
+        """Section 3.3: time-constrained queries touch only overlapping
+        epochs — on every shard."""
+        sharded = self._sharded(docs_per_epoch=2)
+        hits = {r.doc_id for r in sharded.search("imclone @102..104", top_k=20)}
+        assert hits == {2, 3, 4}
+        everything = sharded.profile("imclone")
+        ranged = sharded.profile("imclone @102..104")
+        assert ranged.matches == 3
+        assert 0 < ranged.total_blocks_read < everything.total_blocks_read
+        for whole, part in zip(everything.per_shard, ranged.per_shard):
+            assert part.physical_lists < whole.physical_lists
 
     def test_manual_epoch_roll(self):
-        mgr = EpochIndexManager(_RecordingIndex, vocabulary_size=10)
-        mgr.add_document([0])
-        mgr.new_epoch()
-        mgr.add_document([1])
-        assert len(mgr) == 2
-        assert mgr.epochs[1].doc_count == 1
+        sharded = self._sharded(docs_per_epoch=100)
+        assert sharded.seal_tail() == [0, 0]
+        assert sharded.seal_tail() == [None, None]  # empty epochs stay open
+        sharded.index_document("one more, for one shard")
+        assert sorted(sharded.seal_tail(), key=str) == [1, None]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(WorkloadError):
-            EpochIndexManager(_RecordingIndex, vocabulary_size=0)
+            epoch_config(docs_per_epoch=0)  # an epoch holds a document
         with pytest.raises(WorkloadError):
-            EpochIndexManager(
-                _RecordingIndex, vocabulary_size=5, docs_per_epoch=0
-            )
+            epoch_config(popular=-1)

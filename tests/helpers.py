@@ -85,3 +85,28 @@ def build_engine_pair(
     single = build_engine(texts, config=config)
     sharded = build_sharded(texts, num_shards=num_shards, config=config)
     return single, sharded
+
+
+def epoch_config(docs_per_epoch: int = 3, popular: int = 4, **kwargs) -> EngineConfig:
+    """Section 3.3's epochs as the engine spells them: every
+    ``docs_per_epoch`` documents seal into a segment laid out from the
+    previous epoch's evidence, and no merge ever folds epochs together."""
+    return EngineConfig(
+        num_lists=16,
+        branching=4,
+        block_size=512,
+        tail_max_docs=docs_per_epoch,
+        seal_strategy="epoch",
+        seal_popular_terms=popular,
+        merge_at_segments=None,
+        **kwargs,
+    )
+
+
+def epoch_layouts(engine: TrustworthySearchEngine) -> List[List[str]]:
+    """Per sealed epoch, oldest first: the terms its segment pins to
+    lists of their own, as words."""
+    return [
+        sorted(engine.term_text(t) for t in segment.info.popular_terms)
+        for segment in engine.iter_segments()
+    ]

@@ -1,17 +1,28 @@
-"""Integration tests for the epoch-adaptive search engine."""
+"""Section 3.3's epochs, on the one engine: a sealed segment is the epoch.
 
-import pytest
+``EngineConfig(tail_max_docs=N, seal_strategy="epoch")`` cuts the
+archive into epochs of ``N`` documents.  Each seal freezes one epoch
+into an immutable segment whose term→list layout is pinned in the
+manifest and learned from the epoch *before* it.  Queries fan out over
+every epoch; a time-constrained query reads only the epochs its window
+overlaps.
 
-from repro.errors import WorkloadError
-from repro.search.engine import EngineConfig
-from repro.search.epoched import EpochedSearchEngine, EpochPolicy
+These tests used to drive a separate per-epoch engine
+(``search/epoched.py``, deleted); the module keeps its name so each
+test keeps the id it has had since, now checking the same behaviour on
+:class:`~repro.search.engine.TrustworthySearchEngine`.  What the
+evidence is made of, and the window pruning in detail, are in
+``test_epoch_seal_policy.py``.
+"""
+
+from repro.core.segments import STRATEGY_POPULAR, STRATEGY_UNIFORM
+from repro.search.engine import TrustworthySearchEngine
+from repro.search.profiling import profile_query
+from tests.helpers import epoch_config, epoch_layouts
 
 
-def make_engine(docs_per_epoch=3, **policy_kwargs):
-    return EpochedSearchEngine(
-        EngineConfig(num_lists=16, branching=4, block_size=512),
-        policy=EpochPolicy(docs_per_epoch=docs_per_epoch, **policy_kwargs),
-    )
+def make_engine(docs_per_epoch=3, **kwargs):
+    return TrustworthySearchEngine(epoch_config(docs_per_epoch, **kwargs))
 
 
 class TestEpochRolling:
@@ -19,29 +30,38 @@ class TestEpochRolling:
         engine = make_engine(docs_per_epoch=2)
         for i in range(5):
             engine.index_document(f"memo number {i} about audits")
-        assert len(engine.epochs) == 3
-        assert [e.doc_count for e in engine.epochs] == [2, 2, 1]
+        info = engine.segments_info()
+        assert [s["doc_count"] for s in info["segments"]] == [2, 2]
+        assert info["tail_docs"] == 1  # the open epoch
 
     def test_global_doc_ids_monotonic(self):
         engine = make_engine(docs_per_epoch=2)
         ids = [engine.index_document(f"doc {i}") for i in range(5)]
         assert ids == [0, 1, 2, 3, 4]
+        assert [
+            (s["first_doc"], s["last_doc"])
+            for s in engine.segments_info()["segments"]
+        ] == [(0, 1), (2, 3)]
 
     def test_manual_roll(self):
         engine = make_engine(docs_per_epoch=100)
         engine.index_document("first epoch doc")
-        assert engine.new_epoch() == 1
+        assert engine.seal_tail() == 0
         engine.index_document("second epoch doc")
-        assert engine.epochs[1].doc_count == 1
+        assert engine.seal_tail() == 1
+        assert engine.seal_tail() is None  # an empty epoch is not sealed
+        assert [
+            s["doc_count"] for s in engine.segments_info()["segments"]
+        ] == [1, 1]
 
 
 class TestCrossEpochQueries:
     def test_fanout_finds_docs_in_all_epochs(self):
         engine = make_engine(docs_per_epoch=2)
-        for i in range(6):
+        for i in range(7):
             engine.index_document(f"imclone filing number{i}")
         hits = {r.doc_id for r in engine.search("imclone", top_k=10)}
-        assert hits == set(range(6))
+        assert hits == set(range(7))  # three sealed epochs + the open one
 
     def test_conjunctive_across_epochs(self):
         engine = make_engine(docs_per_epoch=2)
@@ -57,92 +77,55 @@ class TestCrossEpochQueries:
             engine.index_document(f"imclone doc{i}", commit_time=100 + i)
         hits = {r.doc_id for r in engine.search("imclone @102..103")}
         assert hits == {2, 3}
-        # Epochs outside the window were not consulted.
-        from repro.search.query import parse_query
-
-        consulted = engine._epochs_for(parse_query("imclone @102..103"))
-        assert [e.epoch_no for e in consulted] == [1]
+        # Epochs outside the window were not read: one list of three.
+        everything = profile_query(engine, "imclone")
+        ranged = profile_query(engine, "imclone @102..103")
+        assert everything.physical_lists == 3
+        assert ranged.physical_lists == 1
+        assert ranged.blocks_read * 3 == everything.blocks_read
 
 
 class TestAdaptation:
-    def test_jump_index_dropped_when_queries_are_short(self):
-        engine = make_engine(
-            docs_per_epoch=2, conjunctive_share_for_jump=0.5, min_terms_for_jump=4
-        )
-        engine.index_document("alpha beta gamma delta")
-        engine.index_document("alpha beta epsilon")
-        for _ in range(10):
-            engine.search("alpha")  # 1-keyword workload
-        engine.new_epoch()
-        assert engine.epochs[0].uses_jump_index  # base config default
-        assert not engine.epochs[1].uses_jump_index
-
-    def test_jump_index_kept_when_conjunctive_dominates(self):
-        engine = make_engine(
-            docs_per_epoch=2, conjunctive_share_for_jump=0.5, min_terms_for_jump=3
-        )
-        engine.index_document("alpha beta gamma delta")
-        for _ in range(10):
-            engine.search("+alpha +beta +gamma")
-        engine.new_epoch()
-        assert engine.epochs[1].uses_jump_index
-
     def test_popular_terms_unmerged_next_epoch(self):
-        engine = make_engine(docs_per_epoch=2, unmerged_popular_terms=4)
-        engine.index_document("hotterm coldterm filler words")
+        engine = make_engine(docs_per_epoch=100, popular=2)
+        # "filler" is the most posting-heavy term; the queries want others.
+        engine.index_document("hotterm coldterm filler filler")
+        engine.index_document("warmterm filler words")
         for _ in range(5):
             engine.search("hotterm")
-        engine.new_epoch()
-        new_engine = engine.epochs[1].engine
-        from repro.core.merge import PopularUnmergedMerge
-
-        assert isinstance(new_engine._merge, PopularUnmergedMerge)
-        hot_id = new_engine.term_id("hotterm")
-        assert hot_id in new_engine._merge.popular_terms
-
-
-    def test_infeasible_branching_falls_back(self):
-        """A B=32 policy on 512-byte blocks degrades to a feasible B."""
-        engine = EpochedSearchEngine(
-            EngineConfig(num_lists=8, branching=8, block_size=512),
-            policy=EpochPolicy(
-                docs_per_epoch=2,
-                conjunctive_share_for_jump=0.0,
-                min_terms_for_jump=1,
-                branching=32,
-            ),
-        )
-        engine.index_document("alpha beta gamma delta")
-        engine.search("+alpha +beta +gamma")
-        engine.new_epoch()
-        new = engine.epochs[1]
-        assert new.uses_jump_index
-        assert new.engine.config.branching < 32
-        # And ingest into the adapted epoch works.
-        engine.index_document("alpha epsilon")
-        assert {r.doc_id for r in engine.search("alpha")} == {0, 1}
-
+        for _ in range(3):
+            engine.search("+warmterm +words")
+        engine.search("coldterm nosuchterm")
+        engine.seal_tail()  # epoch 0: uniform, hands its queries on
+        engine.index_document("hotterm warmterm filler")
+        engine.seal_tail()  # epoch 1: laid out from epoch 0's queries
+        assert epoch_layouts(engine) == [[], ["hotterm", "warmterm"]]
+        assert engine.iter_segments()[1].info.strategy == STRATEGY_POPULAR
+        # A pinned term has its list to itself: reading it scans only
+        # its own postings.
+        assert profile_query(engine, "hotterm @2..2").entries_scanned == 1
 
     def test_first_epoch_uses_base_defaults(self):
-        engine = make_engine()
-        from repro.core.merge import UniformHashMerge
-
-        assert isinstance(engine.epochs[0].engine._merge, UniformHashMerge)
-
-
-class TestPolicyValidation:
-    def test_bad_policy_rejected(self):
-        with pytest.raises(WorkloadError):
-            EpochPolicy(docs_per_epoch=0)
-        with pytest.raises(WorkloadError):
-            EpochPolicy(conjunctive_share_for_jump=1.5)
+        engine = make_engine(docs_per_epoch=2)
+        engine.search("alpha")  # evidence, but no previous epoch to learn from
+        engine.index_document("alpha beta gamma delta")
+        engine.index_document("alpha beta epsilon")
+        (first,) = engine.iter_segments()
+        assert first.info.strategy == STRATEGY_UNIFORM
+        assert first.info.popular_terms == ()
 
 
 class TestIsolation:
     def test_epochs_share_one_worm_device(self):
+        """One device, one lexicon, one document store and one commit
+        log for the archive; each epoch owns only its posting lists."""
         engine = make_engine(docs_per_epoch=1)
         engine.index_document("one")
         engine.index_document("two")
         files = engine.store.device.list_files()
-        assert any(f.startswith("epoch0000/") for f in files)
-        assert any(f.startswith("epoch0001/") for f in files)
+        assert any(f.startswith("engine/seg/000000/pl/") for f in files)
+        assert any(f.startswith("engine/seg/000001/pl/") for f in files)
+        assert [f for f in files if "lexicon" in f] == ["engine/lexicon"]
+        assert [f for f in files if "commit-times" in f] == [
+            "engine/commit-times"
+        ]

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.adversary.detection import full_engine_audit
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.errors import WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
@@ -32,6 +33,8 @@ QUERIES = [
     "+stewart +waksal +imclone",
     "+quarterly +finance",
     "quarterly revenue @1..4",
+    "imclone @2..3",            # one sealed segment wide (tail_max_docs=2)
+    "+stewart +waksal @3..9",   # from a segment's edge to past the end
     "nonexistentterm",
 ]
 
@@ -219,6 +222,64 @@ class TestRestartRecovery:
             reopened.index_document(text)
             legacy_engine.index_document(text)
         assert_equivalent(reopened, legacy_engine, QUERIES + ["zebra"])
+        reopened.store.device.close()
+
+    def test_epoch_archive_survives_reopen_mid_drift(self, tmp_path):
+        """Section 3.3's epochs are sealed segments, so they are as
+        durable as any: layouts come back from the manifest, no
+        committed document is omitted, and the archive keeps rolling."""
+        path = str(tmp_path / "epochs.worm")
+        cfg = tail_config(
+            tail_max_docs=2, seal_strategy="epoch", seal_popular_terms=2
+        )
+        engine = self.open(path, cfg)
+        legacy_engine = TrustworthySearchEngine(LEGACY)
+        for i, text in enumerate(DEFAULT_CORPUS + ["imclone finance recap"]):
+            engine.index_document(text)      # seals after docs 1, 3, 5
+            legacy_engine.index_document(text)
+            engine.search(("imclone", "+quarterly +revenue", "finance")[i % 3])
+        before = engine.segments_info()
+        assert [s["strategy"] for s in before["segments"]] == [
+            "uniform", "popular", "popular",
+        ]
+        answers = {q: results(engine, q) for q in QUERIES}
+        engine.store.device.close()
+
+        reopened = self.open(path, cfg)
+        after = reopened.segments_info()
+        assert after["segments"] == before["segments"]
+        assert [s.info for s in reopened.iter_segments()] == [
+            s.info for s in engine.iter_segments()
+        ]
+        assert after["tail_docs"] == before["tail_docs"] == 1
+        assert {q: results(reopened, q) for q in QUERIES} == answers
+        assert_equivalent(reopened, legacy_engine)
+        hits = {r.doc_id for r in reopened.search("imclone", top_k=20)}
+        assert hits == {0, 2, 3, 6}
+        assert all(r.ok for r in full_engine_audit(reopened))
+
+        # The evidence is session memory: the first seal after a restart
+        # pins "uniform"; the next learns from the queries above, and
+        # the one after it from the epoch that asked only for zebras.
+        for i in range(5):
+            reopened.search("zebra")
+            reopened.index_document(f"zebra sighting {i} after restart")
+            legacy_engine.index_document(f"zebra sighting {i} after restart")
+        assert [
+            s["strategy"] for s in reopened.segments_info()["segments"]
+        ] == ["uniform", "popular", "popular", "uniform", "popular", "popular"]
+        assert reopened.iter_segments()[-1].info.popular_terms == (
+            reopened.term_id("zebra"),
+        )
+        # Same documents in the same order as the legacy engine; scores
+        # to the last-but-one digit only — a non-uniform layout sums a
+        # 3-term score in another order (so does "popular", and so did
+        # both before this test existed; see ROADMAP's oracle item).
+        for query in QUERIES + ["zebra"]:
+            got, expected = results(reopened, query), results(legacy_engine, query)
+            assert [d for d, _ in got] == [d for d, _ in expected], query
+            assert [s for _, s in got] == pytest.approx([s for _, s in expected])
+        assert all(r.ok for r in full_engine_audit(reopened))
         reopened.store.device.close()
 
     @pytest.fixture()

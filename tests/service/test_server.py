@@ -95,6 +95,27 @@ class TestEndToEnd:
             assert client.search("imclone")  # slot free again
 
 
+class TestProcessExecutor:
+    def test_ingest_then_search_reads_its_own_write(self, tmp_path):
+        """``serve --executor process``: the workers replayed the shard
+        journals before the ingest, and the search after it must still
+        find the document the service acknowledged."""
+        path = str(tmp_path / "archive")
+        engine, handle = open_archive(path, create=ARCHIVE_CONFIG, shards=2)
+        engine.index_batch(DEFAULT_CORPUS)
+        handle.close()
+
+        service = ArchiveService(
+            *open_archive(path, executor="process"), config=FAST
+        )
+        with ArchiveServer(service) as srv, HTTPTransport(srv.endpoint) as client:
+            assert client.search("imclone")  # spawns the workers
+            assert client.search("quagga") == []
+            doc_ids = client.index_batch(["quagga sighting report"])
+            assert [h.doc_id for h in client.search("quagga")] == doc_ids
+            assert client.search("imclone")
+
+
 class TestSnapshotConsistency:
     def test_searches_never_observe_a_partial_ingest(self, server):
         """Ingest batches are atomic to concurrent readers.

@@ -83,18 +83,43 @@ class TestEquivalence:
 
 
 class TestSnapshotSemantics:
+    """Workers replay their journals at spawn; the engine marks them
+    stale on every mutation, so no committed document is omitted."""
+
     def test_refresh_picks_up_new_commits(self, archive):
         engine, handle = open_archive(archive, executor="process")
         try:
-            before = engine.search("zanzibar", top_k=5)
-            assert before == []
-            engine.index_batch(["zanzibar retention zanzibar"])
-            # Workers still serve the spawn-time snapshot ...
-            assert engine.search("zanzibar", top_k=5) == []
-            # ... until refreshed against the advanced journals.
-            engine.executor.refresh()
-            after = engine.search("zanzibar", top_k=5)
-            assert len(after) == 1
+            assert engine.search("zanzibar", top_k=5) == []  # spawns workers
+            (doc_id,) = engine.index_batch(["zanzibar retention zanzibar"])
+            assert [r.doc_id for r in engine.search("zanzibar", top_k=5)] == [
+                doc_id
+            ]
+            # ... and the answers are the thread executor's, to the score.
+            thread_engine, thread_handle = open_archive(archive)
+            try:
+                for query in QUERIES + ["zanzibar"]:
+                    assert engine.search(query) == thread_engine.search(query)
+            finally:
+                thread_handle.close()
+        finally:
+            handle.close()
+
+    def test_dispositions_reach_the_workers(self, tmp_path):
+        path = str(tmp_path / "retained.worm")
+        engine, handle = open_archive(
+            path,
+            create=EngineConfig(
+                num_lists=32, block_size=4096, branching=None, retention_period=5
+            ),
+            shards=2,
+            executor="process",
+        )
+        try:
+            engine.index_batch(DOCS)
+            assert engine.search("retention")  # spawns workers
+            disposed = engine.dispose_expired(now=1000)
+            assert len(disposed) == len(DOCS)
+            assert engine.search("retention") == []
         finally:
             handle.close()
 

@@ -24,7 +24,6 @@ class TestPublicSurface:
         assert repro.JumpIndex is not None
         assert repro.BlockJumpIndex is not None
         assert repro.CommitTimeIndex is not None
-        assert repro.EpochedSearchEngine is not None
         assert issubclass(repro.TamperDetectedError, repro.ReproError)
         assert issubclass(repro.WormViolationError, repro.ReproError)
 

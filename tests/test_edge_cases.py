@@ -57,35 +57,6 @@ class TestBlockJumpIndexSeams:
         assert bji.find_geq(cursor, 0) is None  # stays exhausted
 
 
-class TestEpochedStoreView:
-    def test_view_passthroughs(self):
-        from repro.search.epoched import _PrefixedStoreView
-
-        store = CachedWormStore(8, block_size=256)
-        view = _PrefixedStoreView(store, "pfx/")
-        view.create_file("a")
-        view.append_record("a", b"hello")
-        assert view.read_block("a", 0) == b"hello"
-        assert view.peek_block("a", 0) == b"hello"
-        assert view.block_size == 256
-        assert view.io is store.io
-        assert view.cache is store.cache
-        assert store.device.exists("pfx/a")
-        assert view.device.exists("a")
-        assert view.device.list_files() == ["a"]
-
-    def test_views_are_isolated(self):
-        from repro.search.epoched import _PrefixedStoreView
-
-        store = CachedWormStore(None, block_size=256)
-        a = _PrefixedStoreView(store, "a/")
-        b = _PrefixedStoreView(store, "b/")
-        a.create_file("same-name")
-        b.create_file("same-name")  # no collision
-        assert a.device.exists("same-name")
-        assert not a.device.exists("other")
-
-
 class TestCliErrorPaths:
     def test_search_raises_exit_code_on_hard_tamper(self, tmp_path, capsys):
         """A corrupted commit log fails reattach with exit code 2."""
