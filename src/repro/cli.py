@@ -468,7 +468,9 @@ def _cmd_verify_journal(args) -> int:
     """fsck for the archive: scan every journal without applying state.
 
     Works even on archives too corrupt to open — scanning checks
-    framing, CRCs, sequence numbers, and opcodes record by record.
+    framing, CRCs, sequence numbers, opcodes and record sizes record by
+    record, and reports journal bytes per opcode beside the payload
+    bytes the appends carry (framing overhead per stored byte).
     """
     from repro.worm.persistent import scan_journal
 

@@ -211,32 +211,42 @@ class BlockJumpIndex:
         if self._path is None:
             self.rebuild_path()
         block_no, index = self.posting_list.append(doc_id, term_code)
-        last_block = self.posting_list.num_blocks - 1
-        if not self._path:
-            self._path.append(_PathNode(0))
-        if last_block == 0:
-            return block_no, index
-        if self.track_tail_path:
-            self._walk_in_memory(doc_id, last_block)
-        else:
-            self._walk_counted(doc_id, last_block)
+        self._point_at(doc_id, block_no)
         return block_no, index
 
     def insert_many(
         self, entries: Iterable[Tuple[int, int]]
     ) -> Tuple[int, int]:
-        """Insert ``(doc_id, term_code)`` postings in one batched pass.
+        """Bulk-load ``(doc_id, term_code)`` postings, a block per record.
 
-        Entries must arrive in non-decreasing doc-id order (the posting
-        list enforces it).  Pointer placement and I/O accounting are
-        identical entry-for-entry to standalone :meth:`insert` calls —
-        batching amortizes per-call bookkeeping only.  Returns the
-        position of the last inserted posting.
+        Each block goes down as one record
+        (:meth:`PostingList.append_blocks`), followed by the Figure-7
+        pointer walk of :meth:`insert` for every document ID in it — a
+        walk reads only blocks *before* the tail, so the pointers set
+        are exactly those of posting-by-posting inserts.  I/O accounting
+        is per block, not per posting (see ``append_blocks``).  Returns
+        the position of the last inserted posting.
         """
+        if self._path is None:
+            self.rebuild_path()
         position = (-1, -1)
-        for doc_id, term_code in entries:
-            position = self.insert(doc_id, term_code)
+        for block_no, index, chunk in self.posting_list.append_blocks(entries):
+            for doc_id, _code in chunk:
+                self._point_at(doc_id, block_no)
+            position = (block_no, index + len(chunk) - 1)
         return position
+
+    def _point_at(self, doc_id: int, last_block: int) -> None:
+        """Insert_block's pointer step for ``doc_id``, just appended to
+        the tail block ``last_block``."""
+        if not self._path:
+            self._path.append(_PathNode(0))
+        if last_block == 0:
+            return
+        if self.track_tail_path:
+            self._walk_in_memory(doc_id, last_block)
+        else:
+            self._walk_counted(doc_id, last_block)
 
     def _walk_in_memory(self, k: int, last_block: int) -> None:
         """Insert walk using writer-memory path metadata (Section 4.5)."""

@@ -541,14 +541,23 @@ class MergedListFamily:
         """Append ``(list_id, [(doc_id, term_code), ...])`` groups in the
         caller's order, creating lists on first use.  Entries of one
         list must arrive in ascending doc order (the list enforces it).
+
+        The directly-appended family grows a posting at a time, each
+        append through Section 3's cache model (what FIG2 / FIG8B
+        count).  A segment's lists are written once and never appended
+        again, so they are bulk-loaded: one WORM record per block.
         """
+        bulk = self.info is not None
         for list_id, entries in groups:
             posting_list = self._attach(list_id, create=True)
             jump = self._jumps.get(list_id)
-            if jump is not None:
-                jump.insert_many(entries)
+            if bulk:
+                load = posting_list.append_many if jump is None else jump.insert_many
+                load(entries)
             else:
-                posting_list.append_many(entries)
+                add = posting_list.append if jump is None else jump.insert
+                for doc_id, term_code in entries:
+                    add(doc_id, term_code)
 
     # ------------------------------------------------------------------
     # query paths

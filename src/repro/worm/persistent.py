@@ -92,9 +92,6 @@ FORMAT_V2 = 2
 JOURNAL_MAGIC = b"WORMJRN2"
 
 _U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 
 #: v1 record frame: crc32, u16 record length.
 _FRAME_V1 = struct.Struct("<IH")
@@ -104,19 +101,43 @@ _FRAME_V2 = struct.Struct("<BII")
 #: Largest record tail encodable in each format's length field.
 _MAX_TAIL = {FORMAT_V1: 0xFFFF, FORMAT_V2: 0xFFFFFFFF}
 
+#: Every record's tail opens with: u64 sequence number, u8 opcode, u16
+#: file-name length (the name follows).  The writer packs the first two
+#: in ``_write_record`` and the length with the name, in ``_name_bytes``.
+_HEAD = struct.Struct("<QBH")
+_SEQ_OP = struct.Struct("<QB")
+
+#: Fixed fields following the file name, per opcode.  An append's are
+#: ``force_new_block`` and the payload length; the payload follows them.
+_FIELDS = {
+    _OP_CREATE: struct.Struct("<IId"),  # block size, slot count, retention
+    _OP_APPEND: struct.Struct("<BI"),
+    _OP_SET_SLOT: struct.Struct("<IIQ"),  # block, slot, value
+    _OP_DELETE: struct.Struct("<d"),  # now
+}
+
+
+#: A parsed record: ``(end offset, opcode, file name, fixed fields,
+#: payload)``.  Name and payload are views of the journal's bytes — no
+#: copy until the device stores them; the payload is empty unless the
+#: record is an append.
+_Record = Tuple[int, int, memoryview, tuple, memoryview]
+
 
 def _parse_record(
-    data: bytes,
+    data: memoryview,
     offset: int,
     expected_seq: int,
     fmt: int,
     path: str,
-) -> Optional[Tuple[int, int, bytes]]:
-    """Parse one journal record at ``offset``.
+) -> Optional[_Record]:
+    """Parse one journal record at ``offset`` of the journal's bytes.
 
-    Returns ``(end_offset, opcode, body)``; ``None`` for a torn record
-    (one that does not extend to a full frame); raises
-    :class:`TamperDetectedError` for CRC or sequence violations.
+    Returns ``None`` for a torn record (one that does not extend to a
+    full frame); raises :class:`TamperDetectedError` for CRC, sequence,
+    opcode or size violations.  A record whose CRC holds is exactly as
+    long as its opcode and its own length fields say, or it is refused:
+    nothing is read past a short body or silently cut to fit.
     """
     if fmt == FORMAT_V2:
         if offset + _FRAME_V2.size > len(data):
@@ -145,7 +166,9 @@ def _parse_record(
             location=f"journal '{path}'",
             invariant="journal-crc",
         )
-    seq, opcode = _U64.unpack_from(tail, 0)[0], tail[8]
+    if length < _HEAD.size:
+        raise _bad_size(path, offset, length, "too short for a file name")
+    seq, opcode, name_len = _HEAD.unpack_from(tail)
     if seq != expected_seq:
         raise TamperDetectedError(
             f"journal record at byte {offset} claims sequence {seq}, "
@@ -159,7 +182,28 @@ def _parse_record(
             location=f"journal '{path}'",
             invariant="journal-opcode",
         )
-    return end, opcode, tail[9:]
+    fields = _FIELDS[opcode]
+    name_end = _HEAD.size + name_len
+    body_end = name_end + fields.size
+    if length < body_end:
+        raise _bad_size(
+            path, offset, length, f"too short for a {OP_NAMES[opcode]}'s fields"
+        )
+    values = fields.unpack_from(tail, name_end)
+    expected = body_end + (values[1] if opcode == _OP_APPEND else 0)
+    if length != expected:
+        raise _bad_size(
+            path, offset, length, f"but its fields describe {expected}"
+        )
+    return end, opcode, tail[_HEAD.size : name_end], values, tail[body_end:]
+
+
+def _bad_size(path: str, offset: int, length: int, what: str) -> TamperDetectedError:
+    return TamperDetectedError(
+        f"journal record at byte {offset} is {length} bytes long, {what}",
+        location=f"journal '{path}'",
+        invariant="journal-record-size",
+    )
 
 
 def _sniff_format(data: bytes) -> Tuple[int, int, bool]:
@@ -185,6 +229,11 @@ class JournalScanReport:
     format_version: int
     records: int = 0
     op_counts: Dict[str, int] = field(default_factory=dict)
+    #: Journal bytes (frames included) spent on each operation.
+    op_bytes: Dict[str, int] = field(default_factory=dict)
+    #: Data bytes carried by append records — what the device stores;
+    #: ``committed_bytes / payload_bytes`` is the journal's framing cost.
+    payload_bytes: int = 0
     total_bytes: int = 0
     #: Bytes covered by fully committed records (magic + whole frames).
     committed_bytes: int = 0
@@ -214,6 +263,10 @@ class JournalScanReport:
         )
         if ops:
             line += f"  [{ops}]"
+            spent = ", ".join(
+                f"{name}={size}" for name, size in sorted(self.op_bytes.items())
+            )
+            line += f"  [bytes: {spent}; payload={self.payload_bytes}]"
         if not self.ok:
             line += f"\n  {self.invariant}: {self.error}"
         return line
@@ -229,6 +282,7 @@ def scan_journal(path: str) -> JournalScanReport:
     with open(path, "rb") as handle:
         data = handle.read()
     fmt, offset, torn_header = _sniff_format(data)
+    view = memoryview(data)
     report = JournalScanReport(
         path=path, format_version=fmt, total_bytes=len(data)
     )
@@ -241,18 +295,20 @@ def scan_journal(path: str) -> JournalScanReport:
     expected_seq = 0
     while offset < len(data):
         try:
-            parsed = _parse_record(data, offset, expected_seq, fmt, path)
+            record = _parse_record(view, offset, expected_seq, fmt, path)
         except TamperDetectedError as exc:
             report.error = str(exc)
             report.invariant = exc.invariant
             break
-        if parsed is None:
+        if record is None:
             report.torn_bytes = len(data) - offset
             break
-        offset, opcode, _body = parsed
+        end, opcode, _name, _fields, payload = record
         name = OP_NAMES[opcode]
         report.op_counts[name] = report.op_counts.get(name, 0) + 1
-        report.committed_bytes = offset
+        report.op_bytes[name] = report.op_bytes.get(name, 0) + end - offset
+        report.payload_bytes += len(payload)
+        offset = report.committed_bytes = end
         expected_seq += 1
     report.records = expected_seq
     return report
@@ -457,7 +513,9 @@ class JournaledWormDevice(WormDevice):
             super().delete_file(name, now=now)
             return
         self.validate_delete(name, now=now)
-        body = self._name_bytes(name) + _F64.pack(now if now is not None else -1.0)
+        body = self._name_bytes(name) + _FIELDS[_OP_DELETE].pack(
+            now if now is not None else -1.0
+        )
         self._write_record(_OP_DELETE, body)
         self._fault_point("delete:between-log-and-apply")
         super().delete_file(name, now=now)
@@ -476,7 +534,7 @@ class JournaledWormDevice(WormDevice):
     def _write_record(self, opcode: int, body: bytes) -> None:
         if self._closed:
             raise WormError(f"journal '{self.path}' is closed")
-        tail = _U64.pack(self._sequence) + bytes([opcode]) + body
+        tail = _SEQ_OP.pack(self._sequence, opcode) + body
         if len(tail) > _MAX_TAIL[self.format_version]:
             raise WormError(
                 f"record of {len(tail)} bytes overflows the length field of "
@@ -539,31 +597,26 @@ class JournaledWormDevice(WormDevice):
         retention_until: Optional[float],
     ) -> None:
         retention = retention_until if retention_until is not None else -1.0
-        body = (
-            self._name_bytes(name)
-            + _U32.pack(block_size)
-            + _U32.pack(slot_count)
-            + _F64.pack(retention)
+        body = self._name_bytes(name) + _FIELDS[_OP_CREATE].pack(
+            block_size, slot_count, retention
         )
         self._write_record(_OP_CREATE, body)
 
     def log_append(self, name: str, payload: bytes, force_new_block: bool) -> None:
         """Journal one data append (called by the file before applying)."""
-        body = (
-            self._name_bytes(name)
-            + bytes([1 if force_new_block else 0])
-            + _U32.pack(len(payload))
-            + payload
+        body = b"".join(
+            (
+                self._name_bytes(name),
+                _FIELDS[_OP_APPEND].pack(bool(force_new_block), len(payload)),
+                payload,
+            )
         )
         self._write_record(_OP_APPEND, body)
 
     def log_set_slot(self, name: str, block_no: int, slot_no: int, value: int) -> None:
         """Journal one write-once slot assignment."""
-        body = (
-            self._name_bytes(name)
-            + _U32.pack(block_no)
-            + _U32.pack(slot_no)
-            + _U64.pack(value)
+        body = self._name_bytes(name) + _FIELDS[_OP_SET_SLOT].pack(
+            block_no, slot_no, value
         )
         self._write_record(_OP_SET_SLOT, body)
 
@@ -573,17 +626,18 @@ class JournaledWormDevice(WormDevice):
     def _replay(self, data: bytes, start: int) -> None:
         self.replaying = True
         try:
+            view = memoryview(data)
             offset = start
             expected_seq = 0
             while offset < len(data):
-                parsed = _parse_record(
-                    data, offset, expected_seq, self.format_version, self.path
+                record = _parse_record(
+                    view, offset, expected_seq, self.format_version, self.path
                 )
-                if parsed is None:
+                if record is None:
                     # Torn tail: only acceptable as the journal's suffix.
                     break
-                offset, opcode, body = parsed
-                self._apply(opcode, body)
+                self._apply(record)
+                offset = record[0]
                 expected_seq += 1
             self._sequence = expected_seq
             if offset < len(data):
@@ -595,14 +649,11 @@ class JournaledWormDevice(WormDevice):
         finally:
             self.replaying = False
 
-    def _apply(self, opcode: int, body: bytes) -> None:
-        (name_len,) = _U16.unpack_from(body, 0)
-        name = body[2 : 2 + name_len].decode("utf-8")
-        cursor = 2 + name_len
+    def _apply(self, record: _Record) -> None:
+        _end, opcode, name, fields, payload = record
+        name = name.tobytes().decode("utf-8")
         if opcode == _OP_CREATE:
-            (block_size,) = _U32.unpack_from(body, cursor)
-            (slot_count,) = _U32.unpack_from(body, cursor + 4)
-            (retention,) = _F64.unpack_from(body, cursor + 8)
+            block_size, slot_count, retention = fields
             self.create_file(
                 name,
                 block_size=block_size,
@@ -610,24 +661,16 @@ class JournaledWormDevice(WormDevice):
                 retention_until=None if retention < 0 else retention,
             )
         elif opcode == _OP_APPEND:
-            force_new = bool(body[cursor])
-            (length,) = _U32.unpack_from(body, cursor + 1)
-            payload = body[cursor + 5 : cursor + 5 + length]
-            self.open_file(name).append_record(payload, force_new_block=force_new)
-        elif opcode == _OP_SET_SLOT:
-            (block_no,) = _U32.unpack_from(body, cursor)
-            (slot_no,) = _U32.unpack_from(body, cursor + 4)
-            (value,) = _U64.unpack_from(body, cursor + 8)
-            self.open_file(name).set_slot(block_no, slot_no, value)
-        elif opcode == _OP_DELETE:
-            (now,) = _F64.unpack_from(body, cursor)
-            self.delete_file(name, now=None if now < 0 else now)
-        else:  # pragma: no cover - _parse_record rejects unknown opcodes
-            raise TamperDetectedError(
-                f"journal contains unknown opcode {opcode}",
-                location=f"journal '{self.path}'",
-                invariant="journal-opcode",
+            # The payload is still a view of the journal's bytes; the
+            # block it lands in makes the only copy.
+            self.open_file(name).append_record(
+                payload, force_new_block=bool(fields[0])
             )
+        elif opcode == _OP_SET_SLOT:
+            self.open_file(name).set_slot(*fields)
+        else:  # _OP_DELETE; _parse_record rejects unknown opcodes
+            (now,) = fields
+            self.delete_file(name, now=None if now < 0 else now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

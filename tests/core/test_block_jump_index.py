@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.block_jump_index import BlockJumpIndex
-from repro.errors import IndexError_, TamperDetectedError
-from repro.worm.persistent import JournaledWormDevice
+from repro.core.posting_list import PostingList
+from repro.errors import DocumentIdOrderError, IndexError_, TamperDetectedError
+from repro.worm.persistent import JournaledWormDevice, scan_journal
 from repro.worm.storage import CachedWormStore
+from tests.helpers import device_state
 
 #: ``(branching, block_size)`` pairs that give multi-block lists under
 #: ``max_doc_bits=16``: the paper's B = 2 and 32, and the suite's B = 4.
@@ -279,22 +281,166 @@ class TestAttach:
         geometry = dict(branching=branching, max_doc_bits=16)
         split = len(self.VALUES) // 2
 
-        def session(path, values):
+        def session(path, values, bulk):
             device = JournaledWormDevice(str(path), block_size=block_size)
             store = CachedWormStore(None, device=device)
             bji = BlockJumpIndex.create(store, "pl/jump", **geometry)
-            bji.insert_many((v, 0) for v in values)
+            if bulk:
+                bji.insert_many((v, 0) for v in values)
+            else:
+                for v in values:
+                    bji.insert(v)
             device.close()
             return bji
 
-        straight = session(tmp_path / "straight.worm", self.VALUES)
-        session(tmp_path / "reopened.worm", self.VALUES[:split])
-        resumed = session(tmp_path / "reopened.worm", self.VALUES[split:])
+        straight = session(tmp_path / "straight.worm", self.VALUES, False)
+        session(tmp_path / "reopened.worm", self.VALUES[:split], False)
+        resumed = session(tmp_path / "reopened.worm", self.VALUES[split:], False)
         assert path_of(resumed) == path_of(straight)
         assert (
             hashlib.sha256((tmp_path / "reopened.worm").read_bytes()).digest()
             == hashlib.sha256((tmp_path / "straight.worm").read_bytes()).digest()
         )
+        # Bulk loads journal a record per block, so a restart inside a
+        # block moves a record boundary — and nothing on the device.
+        session(tmp_path / "bulk.worm", self.VALUES[:split], True)
+        bulk = session(tmp_path / "bulk.worm", self.VALUES[split:], True)
+        assert path_of(bulk) == path_of(straight)
+        assert device_state(bulk.posting_list.store.device) == device_state(
+            straight.posting_list.store.device
+        )
+
+
+class TestBulkLoad:
+    """``insert_many`` / ``append_many`` write a record per block and
+    leave exactly what a loop of ``insert`` / ``append`` leaves."""
+
+    #: branching -> block size giving 8-10 postings per block at 16 bits.
+    BLOCK_SIZES = {None: 64, 2: 128, 32: 576}
+
+    def _writer(self, branching, journal=None):
+        block_size = self.BLOCK_SIZES[branching]
+        if journal is None:
+            store = CachedWormStore(None, block_size=block_size)
+        else:
+            device = JournaledWormDevice(journal, block_size=block_size)
+            store = CachedWormStore(None, device=device)
+        if branching is None:
+            return PostingList(store, "pl/bulk")
+        return BlockJumpIndex.create(
+            store, "pl/bulk", branching=branching, max_doc_bits=16
+        )
+
+    def _observe(self, writer, probes):
+        jump = writer if isinstance(writer, BlockJumpIndex) else None
+        pl = writer.posting_list if jump else writer
+        seen = {
+            "device": device_state(pl.store.device),
+            "count": pl.count,
+            "last_doc_id": pl.last_doc_id,
+            "block_max": list(pl._block_max),
+            "tail_entries": pl._tail_entries,
+        }
+        if jump:
+            seen["pointers_set"] = jump.pointers_set
+            seen["path"] = path_of(jump) if jump._path is not None else None
+            seen["find_geq"] = []
+            for k in probes:
+                hit = jump.find_geq(pl.cursor(), k)
+                seen["find_geq"].append(hit and (hit.doc_id, hit.term_code))
+        return seen
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        branching=st.sampled_from([None, 2, 32]),
+        # Mostly small gaps, zero included: runs of one document's
+        # postings (different term codes) straddle block boundaries.
+        gaps=st.lists(
+            st.one_of(st.sampled_from([0, 0, 1, 2]), st.integers(0, 700)),
+            min_size=1,
+            max_size=90,
+        ),
+        data=st.data(),
+    )
+    def test_bulk_equals_per_posting(self, branching, gaps, data):
+        doc_ids = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+        entries = [(d, i % 5) for i, d in enumerate(doc_ids)]
+        # A per-posting prefix sets the starting tail fill; every cut
+        # after it starts another bulk load on whatever fill is there.
+        prefix = data.draw(st.integers(0, len(entries)), label="prefix")
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(prefix, len(entries)), max_size=4),
+                label="cuts",
+            )
+        )
+        bulk, loop = self._writer(branching), self._writer(branching)
+        add_bulk = bulk.append if branching is None else bulk.insert
+        add_loop = loop.append if branching is None else loop.insert
+        load = bulk.append_many if branching is None else bulk.insert_many
+        for doc_id, code in entries[:prefix]:
+            add_bulk(doc_id, code)
+        last = (-1, -1)
+        for lo, hi in zip([prefix, *cuts], [*cuts, len(entries)]):
+            got = load(entries[lo:hi])
+            last = got if hi > lo else last
+            assert (got == (-1, -1)) == (hi == lo)
+        positions = [add_loop(doc_id, code) for doc_id, code in entries]
+        if prefix < len(entries):
+            assert last == positions[-1]
+        probes = [0, doc_ids[len(doc_ids) // 2], doc_ids[-1], doc_ids[-1] + 1]
+        assert self._observe(bulk, probes) == self._observe(loop, probes)
+
+    # 100 postings, then 10 more.  At 8 per block: 13 block records, and
+    # the second load tops the tail up (4) and starts one block (6).  At
+    # 10 per block: 10 records, and the second load is one new block.
+    @pytest.mark.parametrize(
+        "branching, appends", [(None, 13 + 2), (2, 13 + 2), (32, 10 + 1)]
+    )
+    def test_one_record_per_block(self, tmp_path, branching, appends):
+        path = str(tmp_path / "j.worm")
+        writer = self._writer(branching, journal=path)
+        load = writer.append_many if branching is None else writer.insert_many
+        load((v, 0) for v in range(0, 300, 3))
+        load((v, 0) for v in range(300, 330, 3))
+        (writer if branching is None else writer.posting_list).store.close()
+        counts = {"create": 1, "append": appends}
+        if branching is not None:
+            assert writer.pointers_set > 0
+            counts["set_slot"] = writer.pointers_set
+        assert scan_journal(path).op_counts == counts
+
+    @pytest.mark.parametrize("branching", [None, 2])
+    def test_descending_id_commits_nothing_of_its_block(self, branching):
+        bulk, loop = self._writer(branching), self._writer(branching)
+        good = [(v, 0) for v in range(20)]  # 8 per block: 2 full + 4
+        load = bulk.append_many if branching is None else bulk.insert_many
+        with pytest.raises(DocumentIdOrderError):
+            load([*good, (5, 0), (30, 0)])
+        add = loop.append if branching is None else loop.insert
+        for doc_id, code in good[:16]:
+            add(doc_id, code)
+        # The two whole blocks before the offending one stay (WORM);
+        # the third block, bad posting and good neighbours, never lands.
+        assert self._observe(bulk, [0, 15]) == self._observe(loop, [0, 15])
+        load(good[16:])
+        assert (bulk.posting_list if branching else bulk).count == 20
+
+    def test_out_of_range_posting_commits_nothing_of_its_block(self):
+        pl = self._writer(None)
+        with pytest.raises(IndexError_):
+            pl.append_many([(1, 0), (2, 2**32)])
+        assert pl.count == 0 and pl.num_blocks == 0
+
+    def test_foreign_bytes_in_the_tail_raise_instead_of_misplacing(self):
+        """The device rolls to a new block silently when a record does
+        not fit; a bulk load checks where its block landed."""
+        pl = self._writer(None)
+        pl.append_many([(1, 0), (2, 0)])
+        pl.store.device.open_file(pl.name).append_record(b"\0" * 8 * 5)
+        with pytest.raises(TamperDetectedError) as excinfo:
+            pl.append_many((v, 0) for v in range(3, 9))
+        assert excinfo.value.invariant == "posting-block-position"
 
 
 class TestTampering:

@@ -24,6 +24,7 @@ from repro.core.segments import (
 )
 from repro.core.tail import MutableTailIndex
 from repro.errors import TamperDetectedError, WorkloadError
+from repro.worm.persistent import JournaledWormDevice, scan_journal
 from repro.worm.storage import CachedWormStore
 
 
@@ -230,6 +231,51 @@ class TestChoosePopularTerms:
             assert validate_seal_strategy(name) == name
         with pytest.raises(WorkloadError):
             validate_seal_strategy("zipf")
+
+
+# ----------------------------------------------------------------------
+# what a seal costs the journal, in the paper's unit (the block)
+# ----------------------------------------------------------------------
+class TestSealRecordCount:
+    @pytest.mark.parametrize("branching", [None, 4])
+    def test_a_seal_journals_a_record_per_block_not_per_posting(
+        self, tmp_path, branching
+    ):
+        path = str(tmp_path / "seal.worm")
+        device = JournaledWormDevice(path, block_size=512)
+        store = CachedWormStore(None, device=device)
+        postings = {
+            t: [(d, pack_term_tf(t, 1)) for d in range(0, 400, t)]
+            for t in range(1, 10)
+        }
+        total = write_segment_lists(
+            store,
+            0,
+            postings,
+            num_lists=4,
+            strategy=STRATEGY_UNIFORM,
+            popular_terms=(),
+            branching=branching,
+        )
+        segment = SealedSegment(
+            store, seal_info(0, 0, 399, 400, num_lists=4), branching=branching
+        )
+        lists = [pl for pl, _jump in segment.attached_lists()]
+        assert sum(len(pl) for pl in lists) == total > 1000
+        blocks = sum(-(-len(pl) // pl.entries_per_block) for pl in lists)
+        assert blocks == sum(pl.num_blocks for pl in lists) < total // 20
+        pointers = sum(
+            block.slots_set
+            for pl in lists
+            for block in device.open_file(pl.name).blocks()
+        )
+        assert bool(pointers) == (branching is not None)
+        assert device.records == len(lists) + blocks + pointers
+        device.close()
+        counts = {"create": len(lists), "append": blocks}
+        if pointers:
+            counts["set_slot"] = pointers
+        assert scan_journal(path).op_counts == counts
 
 
 # ----------------------------------------------------------------------

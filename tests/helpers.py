@@ -110,3 +110,20 @@ def epoch_layouts(engine: TrustworthySearchEngine) -> List[List[str]]:
         sorted(engine.term_text(t) for t in segment.info.popular_terms)
         for segment in engine.iter_segments()
     ]
+
+
+def device_state(device):
+    """Comparable snapshot of a device's full committed state."""
+    state = {}
+    for name in device.list_files():
+        worm_file = device.open_file(name)
+        state[name] = {
+            "block_size": worm_file.block_size,
+            "slot_count": worm_file.slot_count,
+            "retention": worm_file.retention_until,
+            "blocks": [
+                (block.fill, block.read(), block.slots())
+                for block in worm_file.blocks()
+            ],
+        }
+    return state

@@ -9,6 +9,7 @@ corpus, including across restarts, dispositions, and simulated crashes
 at every WAL stage of a seal.
 """
 
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -54,6 +55,16 @@ def assert_equivalent(tail_engine, legacy_engine, queries=QUERIES):
         assert results(tail_engine, query) == results(
             legacy_engine, query
         ), f"diverged on {query!r}"
+
+
+def wal_crash_cases(ops):
+    """``(op, stage, call)`` for both WAL stages of every counted call."""
+    return [
+        (op, stage, call)
+        for op, total in sorted(ops.items())
+        for call in range(1, total + 1)
+        for stage in ("between-log-and-apply", "after-apply")
+    ]
 
 
 def build_pair(tail_cfg, texts=DEFAULT_CORPUS):
@@ -389,12 +400,7 @@ class TestSealCrashRecovery:
 
         ops = self.count_seal_ops(tmp_path)
         assert ops["create"] >= 1 and ops["append"] >= 2
-        cases = [
-            (op, stage, call)
-            for op, total in sorted(ops.items())
-            for call in range(1, total + 1)
-            for stage in ("between-log-and-apply", "after-apply")
-        ]
+        cases = wal_crash_cases(ops)
         assert len(cases) > 10  # the sweep is real, not a single point
         for op, stage, call in cases:
             path = str(tmp_path / f"{op}-{stage}-{call}.worm")
@@ -459,3 +465,108 @@ class TestSealCrashRecovery:
         new_seg = recovered.seal_tail()
         assert new_seg is not None and new_seg >= 1
         recovered_device.close()
+
+
+_MERGE_WORDS = "audit memo ledger trade waksal imclone filing quarter".split()
+
+
+class TestMergeCrashRecovery:
+    """Power loss at any WAL stage of any merge write loses nothing.
+
+    A merge writes the merged segment's lists — a ``create`` per list,
+    an ``append`` per posting-list *block*, a ``set_slot`` per jump
+    pointer — and then commits one manifest record naming its inputs.
+    Crashing at every one of those writes, in both WAL stages, must
+    reopen to an engine that answers like the uncrashed reference: the
+    inputs still live and the half-written segment invisible (its number
+    burned, never reissued), or — once the manifest record is logged —
+    the merge fully applied.
+    """
+
+    CFG = tail_config(
+        tail_max_docs=20, num_lists=2, branching=4, block_size=512
+    )
+    CORPUS = [
+        " ".join(_MERGE_WORDS[(i * step) % 8] for step in (1, 3, 5, 7))
+        + f" record{i}"
+        for i in range(60)
+    ]
+    QUERIES = [
+        "audit ledger",
+        "+memo +trade",
+        "+imclone +waksal +filing",
+        "quarter @10..45",
+        "record41",
+        "nonexistentterm",
+    ]
+
+    def engine_on(self, device):
+        return TrustworthySearchEngine(
+            self.CFG, store=CachedWormStore(None, device=device)
+        )
+
+    @pytest.fixture()
+    def template(self, tmp_path):
+        """Three sealed segments, no merge yet; copied once per crash."""
+        path = str(tmp_path / "template.worm")
+        device = JournaledWormDevice(path, block_size=512)
+        engine = self.engine_on(device)
+        for text in self.CORPUS:
+            engine.index_document(text)
+        assert [s["seg_no"] for s in engine.segments_info()["segments"]] == [
+            0, 1, 2,
+        ]
+        device.close()
+        return path
+
+    def test_crash_sweep_over_every_merge_write(self, tmp_path, template):
+        reference = TrustworthySearchEngine(self.CFG)
+        for text in self.CORPUS:
+            reference.index_document(text)
+        assert reference.merge_segments() == 3
+
+        dry = str(tmp_path / "dry.worm")
+        shutil.copy(template, dry)
+        plan = FaultPlan()
+        device = FaultInjectingWormDevice(dry, plan=plan, block_size=512)
+        assert self.engine_on(device).merge_segments() == 3
+        device.close()
+        ops = {
+            op: plan.count(f"{op}:between-log-and-apply")
+            for op in ("create", "append", "set_slot")
+        }
+        # Two lists of a few blocks each, pointers between the blocks,
+        # one manifest record: tens of writes, not one per posting.
+        postings = sum(len(set(text.split())) for text in self.CORPUS)
+        assert ops["create"] == 2 and ops["set_slot"] >= 2
+        assert 4 <= ops["append"] <= postings // 10
+
+        for op, stage, call in wal_crash_cases(ops):
+            path = str(tmp_path / f"{op}-{stage}-{call}.worm")
+            shutil.copy(template, path)
+            plan = FaultPlan().crash(f"{op}:{stage}", on_call=call)
+            device = FaultInjectingWormDevice(path, plan=plan, block_size=512)
+            with pytest.raises(SimulatedCrashError):
+                self.engine_on(device).merge_segments()
+            device.close()
+            # The manifest record is the merge's last append.
+            committed = op == "append" and call == ops["append"]
+            self.check_recovery(path, reference, committed)
+
+    def check_recovery(self, path, reference, committed):
+        device = JournaledWormDevice(path, block_size=512)
+        recovered = self.engine_on(device)
+        live = [s["seg_no"] for s in recovered.segments_info()["segments"]]
+        assert live == ([3] if committed else [0, 1, 2])
+        assert_equivalent(recovered, reference, self.QUERIES)
+        # Segment 3's files are on WORM either way; uncommitted they are
+        # orphans, and the retried merge takes the next number.
+        assert any(
+            name.startswith("engine/seg/000003/")
+            for name in device.list_files()
+        )
+        assert recovered.merge_segments() == (None if committed else 4)
+        assert len(recovered.segments_info()["segments"]) == 1
+        assert_equivalent(recovered, reference, self.QUERIES)
+        assert all(r.ok for r in full_engine_audit(recovered))
+        device.close()

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main, open_archive
+from repro.worm.persistent import JOURNAL_MAGIC, scan_journal
 
 
 @pytest.fixture()
@@ -80,6 +81,36 @@ class TestVerifyJournal:
         assert "TAMPERED" in out
         # The coordinator journal and the healthy shard still verify.
         assert out.count("OK") == 2
+
+    def test_reports_bytes_per_opcode_and_payload(self, archive, capsys):
+        """Framing overhead per stored byte can be read off any archive:
+        a sealed segment's appends carry a block each, so their share of
+        the journal is mostly payload; per-posting appends are mostly
+        frame."""
+        run("init", "--archive", archive, "--num-lists", "4",
+            "--tail-max-docs", "64")
+        run("index", "--archive", archive,
+            *(arg for i in range(40) for arg in ("--text", f"memo {i} audit trail")))
+        before = scan_journal(archive)
+        run("segments", "--archive", archive, "--seal")
+        capsys.readouterr()
+        assert run("verify-journal", "--archive", archive) == 0
+        out = capsys.readouterr().out
+        report = scan_journal(archive)
+        assert set(report.op_bytes) == set(report.op_counts)
+        assert sum(report.op_bytes.values()) + len(JOURNAL_MAGIC) == (
+            report.committed_bytes
+        )
+        spent = ", ".join(f"{op}={n}" for op, n in sorted(report.op_bytes.items()))
+        assert f"[bytes: {spent}; payload={report.payload_bytes}]" in out
+        # The seal alone: at least 120 postings ("memo", "audit" and
+        # "trail" are in every memo) in a handful of block records.
+        seal_appends = report.op_counts["append"] - before.op_counts["append"]
+        seal_payload = report.payload_bytes - before.payload_bytes
+        seal_bytes = report.op_bytes["append"] - before.op_bytes["append"]
+        assert seal_payload >= 120 * 8
+        assert seal_appends < 20
+        assert seal_bytes < 2 * seal_payload
 
 
 class TestDurabilityKnobs:

@@ -23,6 +23,7 @@ from repro.worm.faults import (
     tear_journal,
 )
 from repro.worm.persistent import JournaledWormDevice, scan_journal
+from tests.helpers import device_state
 
 BLOCK_SIZE = 128
 LARGE_BLOCK_SIZE = 1 << 17
@@ -43,23 +44,6 @@ def workload_ops(large=False):
         lambda d: d.delete_file("tmp", now=20.0),
         lambda d: d.open_file("a").append_record(b"tail"),
     ]
-
-
-def device_state(device):
-    """Comparable snapshot of a device's full committed state."""
-    state = {}
-    for name in device.list_files():
-        worm_file = device.open_file(name)
-        state[name] = {
-            "block_size": worm_file.block_size,
-            "slot_count": worm_file.slot_count,
-            "retention": worm_file.retention_until,
-            "blocks": [
-                (block.fill, block.read(), block.slots())
-                for block in worm_file.blocks()
-            ],
-        }
-    return state
 
 
 def model_snapshots(large=False):

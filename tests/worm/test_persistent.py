@@ -369,6 +369,66 @@ class TestTamperingAndCrashes:
         assert JournaledWormDevice(journal_path).open_file("f").read(0) == b"durable"
 
 
+def write_v2_journal(path, tails):
+    """A v2 journal whose records carry ``tails`` verbatim, each under a
+    valid frame and CRC — what an insider with the format in hand writes."""
+    with open(path, "wb") as handle:
+        handle.write(JOURNAL_MAGIC)
+        for tail in tails:
+            handle.write(_V2_FRAME.pack(FORMAT_V2, zlib.crc32(tail), len(tail)) + tail)
+
+
+def v2_tail(seq, opcode, body):
+    return struct.pack("<QB", seq, opcode) + body
+
+
+class TestRecordSizes:
+    """A record whose CRC holds but whose body is not the size its
+    opcode and length fields say is refused — by replay and by the
+    scan — instead of crashing ``struct`` or replaying cut to fit."""
+
+    CREATE = v2_tail(0, 1, v1_create_body("f", 64))
+    CRAFTED = {
+        "tail-under-nine-bytes": [struct.pack("<Q", 0)[:5]],
+        "truncated-create-body": [v2_tail(0, 1, v1_create_body("f", 64)[:-3])],
+        # Inner u32 length says 64; 8 payload bytes are present.
+        "append-length-beyond-body": [
+            CREATE,
+            v2_tail(1, 2, v1_append_body("f", b"x" * 64)[:-56]),
+        ],
+        "append-length-short-of-body": [
+            CREATE,
+            v2_tail(1, 2, v1_append_body("f", b"x" * 8) + b"trailing"),
+        ],
+        "name-longer-than-record": [v2_tail(0, 4, struct.pack("<H", 500) + b"f")],
+        "set-slot-with-trailing-bytes": [
+            CREATE,
+            v2_tail(1, 3, struct.pack("<H", 1) + b"f" + struct.pack("<IIQ", 0, 0, 1) + b"!"),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_replay_and_scan_refuse_it(self, journal_path, case):
+        write_v2_journal(journal_path, self.CRAFTED[case])
+        with pytest.raises(TamperDetectedError) as excinfo:
+            JournaledWormDevice(journal_path)
+        assert excinfo.value.invariant == "journal-record-size"
+        assert excinfo.value.location == f"journal '{journal_path}'"
+        report = scan_journal(journal_path)
+        assert not report.ok
+        assert report.invariant == "journal-record-size"
+        assert report.error == str(excinfo.value)
+        assert report.records == len(self.CRAFTED[case]) - 1
+
+    def test_exact_sizes_replay(self, journal_path):
+        write_v2_journal(
+            journal_path,
+            [self.CREATE, v2_tail(1, 2, v1_append_body("f", b"x" * 8))],
+        )
+        assert JournaledWormDevice(journal_path).open_file("f").read(0) == b"x" * 8
+        assert scan_journal(journal_path).ok
+
+
 class TestScanJournal:
     def test_scan_clean_journal(self, journal_path):
         device = JournaledWormDevice(journal_path, block_size=64)
