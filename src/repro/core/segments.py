@@ -35,6 +35,7 @@ the old segment list they snapshotted.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,6 +43,7 @@ from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import PopularUnmergedMerge, UniformHashMerge
 from repro.core.posting import MAX_TERM_ID_WITH_TF
 from repro.core.posting_list import PostingList
+from repro.core.vecdecode import COLUMN_TYPECODE, TermColumn, term_columns
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.join import MergedListCursor, conjunctive_join
 
@@ -456,15 +458,24 @@ class MergedListFamily:
         self.read_cache = read_cache
         self.decode_metrics = decode_metrics
         self.length_hints = length_hints
+        #: What fixes a sealed segment's term→list assignment; segments
+        #: of equal layout are scanned as one (:meth:`collect_candidates`).
+        self.layout: Optional[Tuple[int, Tuple[int, ...]]] = None
         if info is not None:
             self.prefix = f"{SEGMENT_PREFIX}{info.seg_no:06d}/pl/"
             strategy = _assignment_for(info)
+            self.layout = (
+                info.num_lists,
+                info.popular_terms if info.strategy == STRATEGY_POPULAR else (),
+            )
         else:
             self.prefix = LIST_PREFIX
         self.strategy = strategy
         self._assignment = None
-        self._lists: Dict[int, PostingList] = {}
-        self._jumps: Dict[int, BlockJumpIndex] = {}
+        #: Attached ``(list, jump index)`` pairs by list id.
+        self._lists: Dict[
+            int, Tuple[PostingList, Optional[BlockJumpIndex]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # term → list, list → WORM file
@@ -494,20 +505,29 @@ class MergedListFamily:
 
     def _attach(
         self, list_id: int, *, create: bool = False
-    ) -> Optional[PostingList]:
-        """The physical list, attached on first use; ``None`` while it
-        has never been written (unless ``create``)."""
-        posting_list = self._lists.get(list_id)
-        if posting_list is None:
+    ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
+        """The physical ``(list, jump index)``, attached on first use;
+        ``None`` while the list has never been written (unless
+        ``create``).
+
+        Searches run in parallel and may first-touch one list at the
+        same moment.  Each then builds a pair of its own; the pair is
+        published by one assignment, so whichever lands last, everyone
+        afterwards — the writer, which appends through the jump index's
+        list, and the result-cache fingerprint, which reads that list's
+        length — sees the same list.
+        """
+        attached = self._lists.get(list_id)
+        if attached is None:
             name = f"{self.prefix}{list_id:08d}"
             if not create and not self.store.device.exists(name):
                 return None
+            jump = None
             if self.branching is not None:
                 jump = BlockJumpIndex.create(
                     self.store, name, branching=self.branching
                 )
                 posting_list = jump.posting_list
-                self._jumps[list_id] = jump
                 if self.read_cache is not None:
                     jump.memo = self.read_cache.memo_for(name)
             else:
@@ -518,19 +538,15 @@ class MergedListFamily:
                 posting_list.read_cache = self.read_cache.blocks
             if self.decode_metrics is not None:
                 posting_list.decode_metrics = self.decode_metrics
-            self._lists[list_id] = posting_list
-        return posting_list
+            attached = self._lists[list_id] = (posting_list, jump)
+        return attached
 
     def posting_list_for(
         self, term_id: int
     ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """The committed ``(list, jump index)`` holding ``term_id``'s
         postings, or ``None`` while that list has never been written."""
-        list_id = self.list_for(term_id)
-        posting_list = self._attach(list_id)
-        if posting_list is None:
-            return None
-        return posting_list, self._jumps.get(list_id)
+        return self._attach(self.list_for(term_id))
 
     # ------------------------------------------------------------------
     # write path
@@ -549,8 +565,7 @@ class MergedListFamily:
         """
         bulk = self.info is not None
         for list_id, entries in groups:
-            posting_list = self._attach(list_id, create=True)
-            jump = self._jumps.get(list_id)
+            posting_list, jump = self._attach(list_id, create=True)
             if bulk:
                 load = posting_list.append_many if jump is None else jump.insert_many
                 load(entries)
@@ -576,15 +591,16 @@ class MergedListFamily:
         sources: List[Tuple[int, PostingList]] = []
         for term_id in term_ids:
             list_id = self.list_for(term_id)
-            posting_list = self._attach(list_id)
-            if posting_list is None or not len(posting_list):
+            attached = self._attach(list_id)
+            if attached is None or not len(attached[0]):
                 return [], 0, 0
+            posting_list, jump = attached
             sources.append((list_id, posting_list))
             cursors.append(
                 MergedListCursor(
                     posting_list,
                     term_code=term_id,
-                    jump_index=self._jumps.get(list_id),
+                    jump_index=jump,
                     length_hint=(
                         hints.get(term_id, 0) if hints is not None else None
                     ),
@@ -612,46 +628,49 @@ class MergedListFamily:
     def collect_candidates(
         self,
         wanted: Iterable[int],
-        candidates: Dict[int, Dict[int, int]],
         costs: Optional[ReadCosts] = None,
-    ) -> int:
-        """Max-merge the wanted terms' postings into ``candidates``
-        (disjunctive path); returns entries scanned and adds the scan's
-        micro-costs to ``costs``."""
+        peers: Sequence["MergedListFamily"] = (),
+    ) -> List[TermColumn]:
+        """The wanted terms' postings as ``(term_id, doc_ids, tfs)``
+        columns (disjunctive path), ordered by ``(list id, term id)``;
+        adds the scan's micro-costs to ``costs``.
+
+        ``peers`` are later families of the same :attr:`layout`, read in
+        the same scan: a term lives in the same list of each, and their
+        document ranges are disjoint and ascending, so each list's
+        blocks concatenate — this family's, then every peer's — into one
+        sorted column that is masked once per term, not once per family.
+        Blocks are fetched, counted and cached one at a time, as ever.
+        """
         if costs is None:
             costs = ReadCosts()
-        wanted_set = set(wanted)
         cached = self.read_cache is not None
         hits_before = self.read_cache.blocks.stats.hits if cached else 0
-        entries = 0
-        for list_id in sorted({self.list_for(t) for t in wanted_set}):
-            posting_list = self._attach(list_id)
-            if posting_list is None:
-                continue
-            costs.lists += 1
-            costs.charge(list_id, posting_list.num_blocks)
-            # Columnar scan: per block, two flat integer columns instead
-            # of a Posting object per entry (decode and unpack are
-            # batch/inline work, no allocations).
-            for docs, codes in posting_list.scan_columns(
-                counted=False, cached=cached
-            ):
-                entries += len(docs)
-                for doc_id, code in zip(docs, codes):
-                    term_id = code & MAX_TERM_ID_WITH_TF
-                    if term_id in wanted_set:
-                        tf_map = candidates.setdefault(doc_id, {})
-                        tf = code >> 24
-                        if tf < 1:
-                            tf = 1
-                        if tf > tf_map.get(term_id, 0):
-                            tf_map[term_id] = tf
-        costs.entries += entries
+        terms_of: Dict[int, List[int]] = {}
+        for term_id in sorted(set(wanted)):
+            terms_of.setdefault(self.list_for(term_id), []).append(term_id)
+        columns: List[TermColumn] = []
+        for list_id in sorted(terms_of):
+            doc_ids, term_codes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
+            for family in (self, *peers):
+                attached = family._attach(list_id)
+                if attached is None:
+                    continue
+                posting_list, _ = attached
+                costs.lists += 1
+                costs.charge(list_id, posting_list.num_blocks)
+                for block_docs, block_codes in posting_list.scan_columns(
+                    counted=False, cached=cached
+                ):
+                    doc_ids.extend(block_docs)
+                    term_codes.extend(block_codes)
+            costs.entries += len(doc_ids)
+            columns.extend(term_columns(doc_ids, term_codes, terms_of[list_id]))
         if cached:
             costs.block_cache_hits += (
                 self.read_cache.blocks.stats.hits - hits_before
             )
-        return entries
+        return columns
 
     # ------------------------------------------------------------------
     # maintenance / audit
@@ -669,8 +688,7 @@ class MergedListFamily:
     ) -> Iterator[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """Attach and yield every committed ``(list, jump)`` pair."""
         for name in self.list_file_names():
-            list_id = int(name[len(self.prefix) :])
-            yield self._attach(list_id), self._jumps.get(list_id)
+            yield self._attach(int(name[len(self.prefix) :]))
 
     def postings_by_term(self) -> Dict[int, List[Tuple[int, int]]]:
         """All postings regrouped per term, doc order (merge input).

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.posting import unpack_term_tf
+import numpy as np
+
+from repro.core.vecdecode import TermColumn
 from repro.errors import WorkloadError
 
 
@@ -63,21 +65,20 @@ class TailSnapshot:
         """``(doc_id, packed_code)`` entries of ``term_id``, doc order."""
         return self._postings.get(term_id, ())
 
-    def collect_candidates(
-        self,
-        wanted: Iterable[int],
-        candidates: Dict[int, Dict[int, int]],
-    ) -> int:
-        """Max-merge the wanted terms' tail postings into ``candidates``
-        (the disjunctive path); returns entries scanned."""
-        entries = 0
+    def collect_candidates(self, wanted: Iterable[int]) -> List[TermColumn]:
+        """The wanted terms' tail postings as ``(term_id, doc_ids, tfs)``
+        columns (the disjunctive path), in term order.  The tail is
+        unmerged, so the postings returned are the entries scanned."""
+        columns: List[TermColumn] = []
         for term_id in sorted(set(wanted)):
-            for doc_id, code in self._postings.get(term_id, ()):
-                unpacked_id, tf = unpack_term_tf(code)
-                tf_map = candidates.setdefault(doc_id, {})
-                tf_map[unpacked_id] = max(tf_map.get(unpacked_id, 0), tf)
-                entries += 1
-        return entries
+            entries = self._postings.get(term_id)
+            if entries:
+                doc_ids, codes = zip(*entries)
+                tfs = np.array(codes, dtype=np.uint32) >> 24
+                columns.append(
+                    (term_id, np.array(doc_ids, dtype=np.uint32), np.maximum(tfs, 1))
+                )
+        return columns
 
     def docs_with_all(self, term_ids: Sequence[int]) -> List[int]:
         """Tail documents containing *all* of ``term_ids`` (doc order)."""

@@ -16,7 +16,10 @@ actually asks for one.
 ``List[Posting]`` the scalar decoder returns (length, indexing, slicing,
 iteration, equality), so every existing call site keeps working while
 batch consumers — cursor seeks, conjunction galloping, candidate
-collection, bulk scoring — read the columns directly.
+collection — read the columns directly.  :func:`term_columns` is the
+disjunctive scan's consumer: it selects each wanted term's postings out
+of a whole merged list's columns with one mask, instead of visiting the
+list a posting at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Tuple
 
-from repro.core.posting import POSTING_SIZE, _STRUCT, Posting
+import numpy as np
+
+from repro.core.posting import (
+    MAX_TERM_ID_WITH_TF,
+    POSTING_SIZE,
+    _STRUCT,
+    Posting,
+)
 from repro.errors import IndexError_
 
 #: The raw payload is little-endian; a big-endian host must byte-swap
@@ -38,6 +48,13 @@ _SWAP = sys.byteorder == "big"
 #: (practically nonexistent) platform where it is not, fall back to a
 #: portable ``struct`` scan that produces identical columns.
 _FAST = array("I").itemsize == 4
+
+#: Type code of the columns :func:`decode_columns` returns.
+COLUMN_TYPECODE = "I" if _FAST else "L"
+
+#: One term's postings as parallel columns: ``(term_id, doc_ids, tfs)``,
+#: document IDs strictly ascending, frequencies at least 1.
+TermColumn = Tuple[int, np.ndarray, np.ndarray]
 
 
 def decode_columns(payload: bytes) -> Tuple[array, array]:
@@ -73,6 +90,43 @@ def decode_columns(payload: bytes) -> Tuple[array, array]:
     return doc_ids, term_codes
 
 
+def term_columns(
+    doc_ids: array, term_codes: array, term_ids: Iterable[int]
+) -> List[TermColumn]:
+    """Each of ``term_ids``' postings, selected out of a merged list's
+    decoded columns (blocks concatenated) by one mask per term; a term
+    with no posting in the list gets no column.
+
+    The unpacking is :func:`~repro.core.posting.unpack_term_tf`'s: the
+    term ID is the code's low 24 bits, the frequency its high byte, and
+    a zero byte (a code written without packing) reads as 1.  An honest
+    list yields strictly ascending document IDs per term.  Anything else
+    — a stuffed duplicate of a ``(document, term)`` pair, a list whose
+    document IDs run backwards across the segments concatenated into it
+    — is put in order, the largest frequency of a pair winning.
+    """
+    dtype = f"u{doc_ids.itemsize}"
+    docs = np.frombuffer(doc_ids, dtype=dtype)
+    codes = np.frombuffer(term_codes, dtype=dtype)
+    terms = codes & MAX_TERM_ID_WITH_TF
+    columns = []
+    for term_id in term_ids:
+        mask = terms == term_id
+        term_docs = docs[mask]
+        if not len(term_docs):
+            continue
+        tfs = np.maximum(codes[mask] >> 24, 1)
+        if len(term_docs) > 1 and not (term_docs[1:] > term_docs[:-1]).all():
+            order = np.argsort(term_docs, kind="stable")
+            term_docs, tfs = term_docs[order], tfs[order]
+            first = np.flatnonzero(
+                np.concatenate(([True], term_docs[1:] != term_docs[:-1]))
+            )
+            term_docs, tfs = term_docs[first], np.maximum.reduceat(tfs, first)
+        columns.append((term_id, term_docs, tfs))
+    return columns
+
+
 class DecodedBlock:
     """One decoded posting block as parallel doc-ID / term-code columns.
 
@@ -100,8 +154,8 @@ class DecodedBlock:
     @classmethod
     def from_postings(cls, postings: Iterable[Posting]) -> "DecodedBlock":
         """Build columns from an in-memory posting sequence."""
-        doc_ids = array("I" if _FAST else "L")
-        term_codes = array("I" if _FAST else "L")
+        doc_ids = array(COLUMN_TYPECODE)
+        term_codes = array(COLUMN_TYPECODE)
         for posting in postings:
             doc_ids.append(posting.doc_id)
             term_codes.append(posting.term_code)

@@ -26,12 +26,14 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import MergeStrategy, UniformHashMerge
@@ -52,6 +54,7 @@ from repro.core.segments import (
 )
 from repro.core.tail import MutableTailIndex, TailSnapshot
 from repro.core.time_index import CommitTimeIndex
+from repro.core.vecdecode import TermColumn
 from repro.core.verification import AuditReport, audit_search_result
 from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
@@ -60,7 +63,7 @@ from repro.search.documents import DocumentStore
 from repro.search.join import conjunctive_join  # noqa: F401 - bound by bench/layers.py
 from repro.search.lexicon import PrefixHashLexicon
 from repro.search.query import QueryMode, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer
+from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
 from repro.search.readcache import ReadCache
 from repro.worm.cache import READ_CACHE_POLICIES
 from repro.worm.storage import CachedWormStore
@@ -208,6 +211,190 @@ class SearchResult:
 
     doc_id: int
     score: float
+
+
+class Candidates(Mapping[int, Mapping[int, int]]):
+    """The documents a query matched, as columns; immutable.
+
+    ``doc_ids`` holds every matched document once, ascending; ``len()``
+    counts those.  ``columns`` holds one ``(term_id, doc_ids, tfs)``
+    triple per query term and group of the index it was found in:
+    strictly ascending document IDs beside the term's frequency in each.
+    ``everywhere`` names the terms *every* document holds, scored on
+    presence (``tf`` 1): a conjunctive join's answer is its document
+    list and the query's terms, and builds nothing per term.  A
+    ``(document, term)`` pair is in at most one column.  Ranking
+    (:func:`repro.search.ranking.rank`) reads the columns whole, and so
+    does the result cache, which hands the same object to every hit.
+
+    **Column order is accumulation order.**  A score is a floating-point
+    sum over the document's terms, so its last bit depends on the order
+    of the additions, and every ranked answer this library has given
+    added them in the order the scan met them: per group of same-layout
+    families ``(list id, term id)``, in the tail ``term id``, for an ALL
+    query the query's own term order.  Documents of different groups do
+    not overlap, so adding column by column (``everywhere`` first) gives
+    each document its own group's order — and the answers ``tests/data``
+    records stay equal.
+
+    As a read-only ``Mapping[int, Mapping[int, int]]`` — ``doc_id ->
+    {term_id: tf}``, what ``match()`` used to build for every query —
+    it serves callers that want to look: tests, ``profile_query``.
+    """
+
+    __slots__ = ("doc_ids", "everywhere", "columns", "postings", "_mapping")
+
+    def __init__(
+        self,
+        columns: Iterable[TermColumn] = (),
+        doc_ids: Optional[np.ndarray] = None,
+        everywhere: Sequence[int] = (),
+    ):
+        self.columns: Tuple[TermColumn, ...] = tuple(columns)
+        self.everywhere: Tuple[int, ...] = tuple(everywhere)
+        if doc_ids is None:
+            doc_ids = self._union([docs for _, docs, _ in self.columns])
+        self.doc_ids = doc_ids
+        #: Postings over all terms: what ranking's cost grows with.
+        self.postings = len(self.everywhere) * len(doc_ids)
+        for _, docs, _ in self.columns:
+            self.postings += len(docs)
+        self._mapping: Optional[Dict[int, Mapping[int, int]]] = None
+
+    @staticmethod
+    def _union(doc_columns: List[np.ndarray]) -> np.ndarray:
+        if not doc_columns:
+            return np.empty(0, dtype=np.uint32)
+        if len(doc_columns) == 1:
+            return doc_columns[0]
+        merged = np.sort(np.concatenate(doc_columns))
+        first = np.empty(len(merged), dtype=bool)
+        first[0] = True
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        return merged[first]
+
+    def frozen(self) -> "Candidates":
+        """This object, its arrays made read-only: what is shared (the
+        result cache's entries) cannot be written through."""
+        self.doc_ids.flags.writeable = False
+        for _, docs, tfs in self.columns:
+            docs.flags.writeable = tfs.flags.writeable = False
+        return self
+
+    def keep(self, mask: np.ndarray) -> "Candidates":
+        """The candidates whose row of ``doc_ids`` ``mask`` selects."""
+        doc_ids = self.doc_ids
+        columns = []
+        for term_id, docs, tfs in self.columns:
+            if len(docs) == len(doc_ids):
+                kept = mask
+            else:
+                kept = mask[np.searchsorted(doc_ids, docs)]
+            if kept.any():
+                columns.append((term_id, docs[kept], tfs[kept]))
+        return Candidates(columns, doc_ids[mask], self.everywhere)
+
+    @staticmethod
+    def _key_of(term_keys: Optional[Mapping[int, int]]):
+        """Term ID -> the key scoring knows the term by: ``term_keys``'s
+        (``None``, leave the term out, for one it does not name), or
+        without ``term_keys`` the ID itself."""
+        return (lambda term_id: term_id) if term_keys is None else term_keys.get
+
+    def rows(
+        self, term_keys: Optional[Mapping[int, int]] = None
+    ) -> Dict[int, Dict[int, int]]:
+        """``doc_id -> {term: tf}`` built afresh, terms in accumulation
+        order, keyed through ``term_keys`` as :meth:`scoring_columns`."""
+        key_of = self._key_of(term_keys)
+        shared = {key_of(term_id): 1 for term_id in self.everywhere}
+        shared.pop(None, None)
+        rows = {doc_id: dict(shared) for doc_id in self.doc_ids.tolist()}
+        for term_id, docs, tfs in self.columns:
+            key = key_of(term_id)
+            if key is not None:
+                for doc_id, tf in zip(docs.tolist(), tfs.tolist()):
+                    rows[doc_id][key] = tf
+        return rows
+
+    def scoring_columns(
+        self, term_keys: Optional[Mapping[int, int]] = None
+    ) -> List[Tuple[int, object, object]]:
+        """``(term, rows, tfs)`` per term in accumulation order, for
+        :meth:`~repro.search.ranking.BM25Scorer.score_columns`: ``rows``
+        index ``doc_ids`` (``slice(None)`` for all of them, in order);
+        ``tfs`` is a column, or the number 1 for a term held everywhere.
+        ``term_keys`` maps term IDs to the keys the scorer's statistics
+        use (a shard executor's are query positions) and drops the
+        terms it does not name; without it the IDs are the keys."""
+        key_of = self._key_of(term_keys)
+        doc_ids = self.doc_ids
+        everyone = slice(None)
+        columns = [(key_of(term_id), everyone, 1) for term_id in self.everywhere]
+        for term_id, docs, tfs in self.columns:
+            rows = (
+                everyone
+                if len(docs) == len(doc_ids)
+                else np.searchsorted(doc_ids, docs)
+            )
+            columns.append((key_of(term_id), rows, tfs))
+        return [column for column in columns if column[0] is not None]
+
+    def _as_mapping(self) -> Dict[int, Mapping[int, int]]:
+        if self._mapping is None:
+            self._mapping = {
+                doc_id: MappingProxyType(freqs)
+                for doc_id, freqs in self.rows().items()
+            }
+        return self._mapping
+
+    def __getitem__(self, doc_id: int) -> Mapping[int, int]:
+        return self._as_mapping()[doc_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._as_mapping())
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Candidates({len(self)} docs, {self.postings} postings)"
+
+
+#: What a query that matched nothing gets (immutable, so shared).
+_NO_CANDIDATES = Candidates()
+
+
+def _max_merge_repeats(columns: List[TermColumn]) -> List[TermColumn]:
+    """``columns`` with every ``(document, term)`` pair in one column.
+
+    Groups of families and the tail cover disjoint documents, so the
+    columns one term gets from each do not overlap — unless a posting
+    was stuffed into one group under a document ID of another.  The
+    earlier column then keeps the pair, at the larger frequency (what
+    max-merging into one ``{term: tf}`` per document did).  Two columns
+    whose ID ranges are apart, the honest case, cost two comparisons.
+    """
+    merged: List[TermColumn] = []
+    columns_of: Dict[int, List[int]] = {}
+    for term_id, docs, tfs in columns:
+        for index in columns_of.get(term_id, ()):
+            _, earlier_docs, earlier_tfs = merged[index]
+            if docs[0] > earlier_docs[-1] or docs[-1] < earlier_docs[0]:
+                continue
+            at = np.searchsorted(earlier_docs, docs)
+            at[at == len(earlier_docs)] = 0
+            repeated = earlier_docs[at] == docs
+            if repeated.any():
+                at = at[repeated]
+                earlier_tfs[at] = np.maximum(earlier_tfs[at], tfs[repeated])
+                docs, tfs = docs[~repeated], tfs[~repeated]
+                if not len(docs):
+                    break
+        else:
+            columns_of.setdefault(term_id, []).append(len(merged))
+            merged.append((term_id, docs, tfs))
+    return merged
 
 
 class TrustworthySearchEngine:
@@ -973,19 +1160,12 @@ class TrustworthySearchEngine:
                 )
         candidates = self.match(query, trace=trace)
         with self._stage("rank", trace, candidates=len(candidates)) as span:
-            # Bulk scoring: one pass over all candidates with per-call
-            # idf/length-norm memoization — bit-identical to scoring
-            # each document individually (see BM25Scorer.score_candidates).
-            # nsmallest is documented equal to sorted(...)[:top_k]; it
-            # keeps a top_k-sized heap instead of sorting every candidate.
-            best = heapq.nsmallest(
-                top_k,
-                self._scorer.score_candidates(candidates),
-                key=lambda pair: (-pair[1], pair[0]),
-            )
-            results = [SearchResult(doc_id=d, score=s) for d, s in best]
+            results = [
+                SearchResult(doc_id=doc_id, score=score)
+                for doc_id, score in rank(self._scorer, candidates, top_k)
+            ]
             if span is not None:
-                span.note(scorer="bulk", scored=len(candidates))
+                span.note(scored=len(candidates))
         if self._metrics_on:
             self._series(
                 self._m_queries, "mode", query.mode.name.lower()
@@ -1012,8 +1192,8 @@ class TrustworthySearchEngine:
 
     def match(
         self, query, *, trace=None, costs: Optional[ReadCosts] = None
-    ) -> Dict[int, Dict[int, int]]:
-        """Matching documents with their per-term-ID frequency maps.
+    ) -> Candidates:
+        """Matching documents with their per-term frequencies.
 
         Runs the query's retrieval phase only: posting-list scanning or
         conjunctive joining, the commit-time constraint, and the
@@ -1022,8 +1202,9 @@ class TrustworthySearchEngine:
         re-ranks the union of per-shard matches under aggregated
         collection statistics.
 
-        Returns a mapping of ``doc_id -> {term_id: tf}`` where term IDs
-        are engine-local (translate via :meth:`term_text`).  Pass a
+        Returns :class:`Candidates`: the matches as columns, which also
+        read as a mapping ``doc_id -> {term_id: tf}``.  Term IDs are
+        engine-local (translate via :meth:`term_text`).  Pass a
         :class:`~repro.core.segments.ReadCosts` as ``costs`` to receive
         the retrieval's micro-costs (what
         :func:`~repro.search.profiling.profile_query` reports).
@@ -1032,8 +1213,9 @@ class TrustworthySearchEngine:
         then each list family of :meth:`index_view` is scanned or
         joined, then the tail.  Each posting exists exactly once across
         families + tail and family doc ranges are disjoint and
-        ascending, so max-merging scans and concatenating per-family
-        joins equal one scan or join over a single merged-list family.
+        ascending, so the union of the scans, and the concatenation of
+        per-family joins, equal one scan or join over a single
+        merged-list family.
         A time range resolves to its document-ID window first, and
         sealed segments whose manifest range misses the window are not
         read at all (``ReadCosts.families_skipped``).
@@ -1041,8 +1223,10 @@ class TrustworthySearchEngine:
         With the read cache enabled, the whole retrieval phase is served
         from the query-result tier when the list-length fingerprint
         proves nothing it depends on has changed (see
-        :class:`~repro.search.readcache.QueryResultCache`).  Ranking and
-        result verification always re-run on top of cached candidates.
+        :class:`~repro.search.readcache.QueryResultCache`); the cached
+        ``Candidates`` is immutable, so every hit is handed the same
+        object.  Ranking and result verification always re-run on top of
+        cached candidates.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
@@ -1060,8 +1244,7 @@ class TrustworthySearchEngine:
                         hit=cached is not None, policy=cache.policy_name
                     )
             if cached is not None:
-                # Defensive copy: callers may mutate the mapping.
-                return {d: dict(tf) for d, tf in cached.items()}
+                return cached
         if costs is None:
             costs = ReadCosts()
         window = None
@@ -1086,14 +1269,18 @@ class TrustworthySearchEngine:
             costs.families_skipped = len(families) - len(live)
             view = (live, tail)
         if window == []:  # nothing committed in the range: read no list
-            candidates = {}
+            candidates = _NO_CANDIDATES
         elif query.mode is QueryMode.ALL:
-            # Presence map (tf=1) for scoring conjunctive results.
-            presence = dict.fromkeys(term_ids, 1)
-            candidates = {
-                d: dict(presence)
-                for d in self._join(term_ids, view, trace, costs)
-            }
+            # The join's doc list and the query's terms, each present
+            # in every document: nothing is built per document or term.
+            # Ascending and once each, whatever was stuffed: a list can
+            # repeat a document, or name one a later family holds.
+            joined = sorted(set(self._join(term_ids, view, trace, costs)))
+            candidates = (
+                Candidates((), np.array(joined, dtype=np.uint32), term_ids)
+                if joined
+                else _NO_CANDIDATES
+            )
         else:
             candidates = self._scan(term_ids, view, trace, costs)
         retention = self._retention_if_any()
@@ -1104,30 +1291,29 @@ class TrustworthySearchEngine:
             with self._stage(
                 "filter", trace, candidates=len(candidates)
             ) as span:
-                if window is not None:
-                    allowed = set(window)
-                    if span is not None:
-                        span.note(
-                            window_docs=len(allowed),
-                            window_blocks=window_blocks,
-                        )
-                    candidates = {
-                        d: tf for d, tf in candidates.items() if d in allowed
-                    }
+                if window is not None and span is not None:
+                    span.note(
+                        window_docs=len(window), window_blocks=window_blocks
+                    )
+                if window:
+                    # The log's doc IDs rise strictly (checked as it is
+                    # read), so a window as long as its span is every ID
+                    # in between.
+                    doc_ids = candidates.doc_ids
+                    allowed = (doc_ids >= first) & (doc_ids <= last)
+                    if last - first + 1 != len(window):
+                        allowed &= np.isin(doc_ids, window)
+                    candidates = candidates.keep(allowed)
                 if retention is not None and len(retention):
-                    candidates = {
-                        d: tf
-                        for d, tf in candidates.items()
-                        if not retention.is_disposed(d)
-                    }
+                    disposed = [
+                        retention.is_disposed(doc_id)
+                        for doc_id in candidates.doc_ids.tolist()
+                    ]
+                    candidates = candidates.keep(~np.array(disposed, dtype=bool))
                 if span is not None:
                     span.note(kept=len(candidates))
         if cache is not None:
-            cache.results.put(
-                cache_key,
-                fingerprint,
-                {d: dict(tf) for d, tf in candidates.items()},
-            )
+            cache.results.put(cache_key, fingerprint, candidates.frozen())
         return candidates
 
     def _resolve(self, terms: Sequence[str], trace) -> List[Optional[int]]:
@@ -1188,22 +1374,33 @@ class TrustworthySearchEngine:
 
     def _scan(
         self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
-    ) -> Dict[int, Dict[int, int]]:
+    ) -> Candidates:
         """Disjunctive retrieval: scan the merged lists of the query
-        terms in every family, then the tail; collect tf per doc."""
+        terms in every family, then the tail; collect tf per doc.
+
+        Families of one layout are scanned together, by the first of
+        them (see ``MergedListFamily.collect_candidates``).
+        """
         families, tail = view
         present = [t for t in term_ids if t is not None]
-        candidates: Dict[int, Dict[int, int]] = {}
+        groups: Dict[object, List[MergedListFamily]] = {}
+        for family in families:
+            groups.setdefault(family.layout, []).append(family)
         with self._stage(
             "scan",
             trace,
             families=len(families),
             families_skipped=costs.families_skipped,
         ) as span:
-            for family in families:
-                family.collect_candidates(present, candidates, costs)
+            columns: List[TermColumn] = []
+            for first, *peers in groups.values():
+                columns += first.collect_candidates(present, costs, peers)
             if tail is not None:
-                costs.entries += tail.collect_candidates(present, candidates)
+                tail_columns = tail.collect_candidates(present)
+                costs.entries += sum(len(docs) for _, docs, _ in tail_columns)
+                columns += tail_columns
+            columns = _max_merge_repeats(columns)
+            candidates = Candidates(columns) if columns else _NO_CANDIDATES
             if self._metrics_on:
                 self._c_scan_entries.inc(costs.entries)
             if span is not None:

@@ -37,7 +37,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.engine import EngineConfig, SearchResult
 from repro.search.query import Query, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer
+from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
 from repro.sharding.router import ShardRouter
 
 
@@ -71,24 +71,14 @@ class _ShardScopedStats:
     answered by the owning shard's own statistics, keyed by local ID.
     """
 
-    __slots__ = ("df", "_num_docs", "_avg_doc_length", "_local")
+    __slots__ = ("df", "num_docs", "avg_doc_length", "doc_length", "lengths_of")
 
     def __init__(self, aggregate: AggregatedTermStats, local: CollectionStats):
         self.df = aggregate.df
-        self._num_docs = aggregate.num_docs
-        self._avg_doc_length = aggregate.avg_doc_length
-        self._local = local
-
-    @property
-    def num_docs(self) -> int:
-        return self._num_docs
-
-    @property
-    def avg_doc_length(self) -> float:
-        return self._avg_doc_length
-
-    def doc_length(self, doc_id: int) -> int:
-        return self._local.doc_length(doc_id)
+        self.num_docs = aggregate.num_docs
+        self.avg_doc_length = aggregate.avg_doc_length
+        self.doc_length = local.doc_length
+        self.lengths_of = local.lengths_of
 
 
 def _merge_key(result: SearchResult) -> Tuple[float, int]:
@@ -143,14 +133,13 @@ def _score_shard(
     shard-local ``(id, score)`` run.
 
     The one shard run both executors share: candidates from the shard's
-    own index, term IDs projected to query positions (the shard-neutral
-    vocabulary of ``aggregate``), bulk-scored under aggregated
-    df/num_docs/avg length with shard-local document lengths.  Ordering
-    by ``(-score, local_id)`` matches the global sort because local IDs
-    are assigned in the same arrival order as global IDs within a shard,
-    so no document past a shard's ``top_k`` can reach the global
-    ``top_k``; :func:`heapq.nsmallest` is documented equal to
-    ``sorted(...)[:top_k]`` without sorting every candidate.
+    own index, ranked by :func:`repro.search.ranking.rank` with term IDs
+    keyed by query position (the shard-neutral vocabulary of
+    ``aggregate``), under aggregated df/num_docs/avg length with
+    shard-local document lengths.  Ordering by ``(-score, local_id)``
+    matches the global sort because local IDs are assigned in the same
+    arrival order as global IDs within a shard, so no document past a
+    shard's ``top_k`` can reach the global ``top_k``.
     """
     candidates = engine.match(query)
     if not candidates:
@@ -160,19 +149,9 @@ def _score_shard(
         term_id = engine.term_id(term)
         if term_id is not None:
             position_of[term_id] = position
-    projected = {
-        local_id: {
-            position_of[term_id]: tf
-            for term_id, tf in freqs.items()
-            if term_id in position_of
-        }
-        for local_id, freqs in candidates.items()
-    }
     stats = _ShardScopedStats(aggregate, engine.stats)
     scorer = BM25Scorer(stats) if ranking == "bm25" else CosineScorer(stats)
-    return heapq.nsmallest(
-        top_k, scorer.score_candidates(projected), key=lambda pair: (-pair[1], pair[0])
-    )
+    return rank(scorer, candidates, top_k, position_of)
 
 
 class ParallelQueryExecutor:

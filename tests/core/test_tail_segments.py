@@ -6,6 +6,7 @@ its tamper checks, orphan segment numbering after a crashed seal, the
 popularity heuristic, and segment list round-trips.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.posting import pack_term_tf
@@ -24,6 +25,7 @@ from repro.core.segments import (
 )
 from repro.core.tail import MutableTailIndex
 from repro.errors import TamperDetectedError, WorkloadError
+from repro.search.engine import Candidates, _max_merge_repeats
 from repro.worm.persistent import JournaledWormDevice, scan_journal
 from repro.worm.storage import CachedWormStore
 
@@ -65,9 +67,11 @@ class TestMutableTailIndex:
         tail = MutableTailIndex()
         tail.add(5, {1: pack_term_tf(1, 4)})
         snap = tail.snapshot()
-        candidates = {5: {1: 2}}
-        scanned = snap.collect_candidates([1, 9], candidates)
-        assert scanned == 1
+        # Doc 5 as an earlier family scanned it, then the tail's column.
+        earlier = (1, np.array([5], dtype=np.uint32), np.array([2], dtype=np.uint32))
+        columns = snap.collect_candidates([1, 9])
+        assert sum(len(doc_ids) for _, doc_ids, _ in columns) == 1  # scanned
+        candidates = Candidates(_max_merge_repeats([earlier, *columns]))
         assert candidates[5][1] == 4  # max(2, 4)
 
     def test_doc_ids_must_increase(self):
@@ -306,8 +310,7 @@ class TestSealedSegmentReads:
         )
         doc_ids, _seeks, _blocks = segment.conjunctive_doc_ids([1, 5])
         assert doc_ids == [0]
-        candidates = {}
-        segment.collect_candidates([1, 9], candidates)
+        candidates = Candidates(segment.collect_candidates([1, 9]))
         assert {d: dict(tf) for d, tf in candidates.items()} == {
             0: {1: 2},
             2: {1: 1, 9: 1},
@@ -355,6 +358,5 @@ class TestSealedSegmentReads:
         assert segment.list_for(5) == 1
         assert segment.list_for(9) >= 2
         assert store.device.exists(segment_list_name(0, 0))
-        candidates = {}
-        segment.collect_candidates([1, 5, 9], candidates)
+        candidates = Candidates(segment.collect_candidates([1, 5, 9]))
         assert len(candidates) == 3

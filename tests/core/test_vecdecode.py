@@ -8,6 +8,8 @@ audits — assumes they agree byte for byte, on every storage path a
 block can arrive from (legacy merged lists, tail-mode sealed segments).
 """
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,16 @@ from repro.core.posting import (
     Posting,
     decode_postings,
     encode_posting,
+    pack_term_tf,
+    unpack_term_tf,
 )
 from repro.core.posting_list import PostingList
-from repro.core.vecdecode import DecodedBlock, decode_columns
+from repro.core.vecdecode import (
+    COLUMN_TYPECODE,
+    DecodedBlock,
+    decode_columns,
+    term_columns,
+)
 from repro.errors import IndexError_
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.storage import CachedWormStore
@@ -113,6 +122,75 @@ class TestPostingListPaths:
             batch = posting_list.read_block_postings(block_no, counted=False)
             assert list(batch) == list(decode_postings(raw))
             assert list(batch.doc_ids) == [p.doc_id for p in decode_postings(raw)]
+
+
+class TestTermColumns:
+    """The disjunctive scan's mask over a whole merged list's columns is
+    the per-posting loop it replaced: ``unpack_term_tf`` on every entry,
+    the wanted terms kept, a repeated ``(doc, term)`` max-merged."""
+
+    @staticmethod
+    def loop(pairs, wanted):
+        kept = {}
+        for doc_id, code in pairs:
+            term_id, tf = unpack_term_tf(code)
+            if term_id in wanted:
+                by_doc = kept.setdefault(term_id, {})
+                by_doc[doc_id] = max(by_doc.get(doc_id, 0), tf)
+        return {t: sorted(by_doc.items()) for t, by_doc in kept.items()}
+
+    @staticmethod
+    def columns(pairs, wanted, typecode=COLUMN_TYPECODE):
+        doc_ids = array(typecode, [doc for doc, _ in pairs])
+        codes = array(typecode, [code for _, code in pairs])
+        return {
+            term_id: list(zip(docs.tolist(), tfs.tolist()))
+            for term_id, docs, tfs in term_columns(doc_ids, codes, wanted)
+        }
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 40),
+                st.builds(
+                    lambda term, tf: term | (tf << 24),
+                    st.integers(0, 4),
+                    # 0: a code written without a packed frequency.
+                    st.one_of(st.sampled_from([0, 1, 255]), st.integers(0, 255)),
+                ),
+            ),
+            max_size=80,
+        ),
+        wanted=st.lists(st.integers(0, 5), unique=True, max_size=4),
+        in_order=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_the_per_posting_loop(self, pairs, wanted, in_order):
+        # In doc order, as an honest list is; or as drawn, as the
+        # concatenated blocks of segments stuffed with each other's IDs.
+        if in_order:
+            pairs.sort(key=lambda pair: pair[0])
+        assert self.columns(pairs, wanted) == self.loop(pairs, wanted)
+
+    def test_column_order_is_the_order_asked_for(self):
+        pairs = [(1, 2), (1, 7), (3, 2)]
+        columns = term_columns(array("I", [1, 1, 3]), array("I", [2, 7, 2]), [7, 2, 5])
+        assert [term_id for term_id, _, _ in columns] == [7, 2]  # 5: no posting
+        assert self.columns(pairs, [2]) == {2: [(1, 1), (3, 1)]}  # tf 0 reads as 1
+
+    def test_eight_byte_columns_of_the_portable_decoder(self):
+        """Where ``array('I')`` is not four bytes ``decode_columns``
+        falls back to eight-byte columns; the mask reads the width from
+        the array it is given."""
+        pairs = [(0, pack_term_tf(3, 2)), (MAX_DOC_ID, pack_term_tf(3, 255))]
+        wide = "Q"
+        assert array(wide).itemsize == 8
+        assert self.columns(pairs, [3], typecode=wide) == {
+            3: [(0, 2), (MAX_DOC_ID, 255)]
+        }
+
+    def test_empty_list(self):
+        assert term_columns(array("I"), array("I"), [1]) == []
 
 
 DOCS = [

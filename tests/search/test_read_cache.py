@@ -1,10 +1,12 @@
 """Unit tests for the read-path cache hierarchy and eviction policies."""
 
+import threading
+
 import pytest
 
 from repro.observability import QueryTrace, export_read_cache
 from repro.observability.metrics import MetricsRegistry
-from repro.search.engine import EngineConfig
+from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.readcache import (
     DecodedBlockCache,
     JumpMemo,
@@ -19,6 +21,7 @@ from repro.worm.cache import (
     TwoQPolicy,
     make_policy,
 )
+from repro.worm.storage import CachedWormStore
 from tests.helpers import DEFAULT_CORPUS, SMALL_CONFIG, build_engine
 
 ALL_POLICIES = sorted(READ_CACHE_POLICIES)
@@ -292,11 +295,66 @@ class TestEngineIntegration:
             r.doc_id for r in legacy.search("imclone")
         ]
 
-    def test_cached_results_are_defensive_copies(self):
+    def test_cached_candidates_are_read_only(self):
+        """The result tier hands every hit the same object, so nothing
+        about it can be changed: not the mapping, not a document's
+        frequencies, not a column."""
         engine = build_engine(config=cached_config())
         first = engine.match("imclone")
-        first.clear()
-        next(iter(engine.match("imclone").values()))  # still intact
+        doc_id, freqs = next(iter(first.items()))
+        with pytest.raises(TypeError):
+            first[doc_id] = {}
+        with pytest.raises(TypeError):
+            del first[doc_id]
+        with pytest.raises(AttributeError):
+            first.clear()
+        with pytest.raises(TypeError):
+            freqs[next(iter(freqs))] = 99
+        for _, docs, tfs in first.columns:
+            with pytest.raises(ValueError):
+                docs[0] = 99
+            with pytest.raises(ValueError):
+                tfs[0] = 99
+        with pytest.raises(ValueError):
+            first.doc_ids[0] = 99
+        again = engine.match("imclone")
+        assert again is first  # a hit: shared, not copied
+        assert {d: dict(tf) for d, tf in again.items()} == {
+            d: dict(tf) for d, tf in build_engine().match("imclone").items()
+        }
+
+    def test_racing_first_touches_attach_one_list(self):
+        """Regression: two searches that first-touch a list at once used
+        to leave the family holding one search's list and the other's
+        jump index.  The writer appends through the jump index's own
+        list, so the list the fingerprint measured stopped growing, and
+        the result cache went on answering from before the ingest —
+        omitting a committed document."""
+        store = CachedWormStore(None, block_size=SMALL_CONFIG.block_size)
+        build_engine(["alpha beta"] * 5, store=store)
+        # A new session over the same device: nothing attached yet.
+        engine = TrustworthySearchEngine(cached_config(), store=store)
+        memo_for = engine.read_cache.memo_for
+        parked, release = threading.Event(), threading.Event()
+
+        def parking_memo_for(name):
+            # The first caller stops here, mid-attach, until released.
+            if not parked.is_set():
+                parked.set()
+                assert release.wait(timeout=10)
+            return memo_for(name)
+
+        engine.read_cache.memo_for = parking_memo_for
+        first = threading.Thread(target=engine.search, args=("alpha",))
+        first.start()
+        assert parked.wait(timeout=10)
+        engine.search("alpha")  # attaches the same list, start to finish
+        release.set()
+        first.join(timeout=10)
+        assert not first.is_alive()
+
+        engine.index_document("alpha gamma")
+        assert [r.doc_id for r in engine.search("alpha")] == [0, 1, 2, 3, 4, 5]
 
     def test_cache_span_recorded(self):
         engine = build_engine(config=cached_config())

@@ -16,6 +16,7 @@ import pytest
 
 from repro.adversary.detection import full_engine_audit
 from repro.core.block_jump_index import BlockJumpIndex
+from repro.core.posting import pack_term_tf
 from repro.errors import WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.faults import (
@@ -161,6 +162,57 @@ class TestEquivalence:
             engine.dispose_expired(now=5)  # expires the earliest docs
         assert_equivalent(tail_engine, legacy_engine)
         assert tail_engine.retention.is_disposed(0)
+
+    @pytest.mark.parametrize("seal_strategy", ["uniform", "popular"])
+    def test_stuffed_repeat_of_another_familys_posting_is_max_merged(
+        self, seal_strategy
+    ):
+        """Families and the tail cover disjoint documents — until Mala
+        appends to a sealed list a posting naming a document sealed
+        later (same layout under "uniform", another under "popular")
+        and one still in the tail.  Each is then one candidate, once,
+        the term at the larger frequency, as one dict per document
+        max-merged them."""
+        engine = TrustworthySearchEngine(
+            tail_config(
+                tail_max_docs=2, seal_strategy=seal_strategy, seal_popular_terms=1
+            )
+        )
+        for text in ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"]:
+            engine.index_document(text)
+        first, second = engine.iter_segments()
+        assert (first.layout == second.layout) == (seal_strategy == "uniform")
+        honest = {d: dict(f) for d, f in engine.match("alpha gamma").items()}
+        alpha = engine.term_id("alpha")
+        assert honest[2][alpha] == honest[4][alpha] == 1
+
+        stuffed_list, _ = first.posting_list_for(alpha)
+        stuffed_list.append(2, pack_term_tf(alpha, 9))  # sealed in `second`
+        stuffed_list.append(4, pack_term_tf(alpha, 7))  # in the tail
+        honest[2][alpha], honest[4][alpha] = 9, 7
+        matched = engine.match("alpha gamma")
+        assert {d: dict(f) for d, f in matched.items()} == honest
+        assert len(matched) == len(honest) == 4
+        assert sorted(r.doc_id for r in engine.search("alpha gamma")) == [0, 1, 2, 4]
+
+    def test_stuffed_repeat_in_a_join_is_one_candidate(self):
+        """The conjunctive counterpart: a document stuffed into an older
+        segment's lists under every query term joins there *and* where
+        it really lives — and is still one hit, not two."""
+        engine = TrustworthySearchEngine(tail_config(tail_max_docs=2))
+        for text in ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha beta"]:
+            engine.index_document(text)
+        honest = results(engine, "+alpha +beta")
+        assert sorted(doc_id for doc_id, _ in honest) == [0, 2, 4]
+        first = engine.iter_segments()[0]
+        for term in ("alpha", "beta"):
+            term_id = engine.term_id(term)
+            stuffed_list, _ = first.posting_list_for(term_id)
+            for doc_id in (2, 4, 4):  # sealed later; in the tail, twice
+                stuffed_list.append(doc_id, pack_term_tf(term_id, 9))
+        assert len(engine.match("+alpha +beta")) == 3
+        assert results(engine, "+alpha +beta") == honest  # presence: tf 1
+        assert len(engine.match("+alpha")) == 4  # one cursor, repeats and all
 
     def test_incident_handling_on_tail_engine(self):
         tail_engine, _ = build_pair(tail_config())

@@ -7,6 +7,7 @@ discipline under real thread interleavings, and the graceful-drain
 contract (no accepted request is lost).
 """
 
+import json
 import threading
 import time
 from dataclasses import replace
@@ -114,6 +115,35 @@ class TestProcessExecutor:
             doc_ids = client.index_batch(["quagga sighting report"])
             assert [h.doc_id for h in client.search("quagga")] == doc_ids
             assert client.search("imclone")
+
+
+class TestHitsArePlainNumbers:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_hits_are_python_numbers_and_json_encodable(self, tmp_path, executor):
+        """Ranking works on arrays; what leaves it must not be array
+        scalars: ``/search`` JSON-encodes hits and process workers
+        pickle them.  One query ranks by columns (hundreds of
+        postings), one by the scalar scorer (a single posting)."""
+        path = str(tmp_path / "archive")
+        engine, handle = open_archive(path, create=ARCHIVE_CONFIG, shards=2)
+        engine.index_batch([f"imclone memo record{i}" for i in range(120)])
+        handle.close()
+
+        engine, handle = open_archive(path, executor=executor)
+        service = ArchiveService(engine, config=FAST)
+        try:
+            for query, expected in (("imclone memo", 5), ("record7", 1)):
+                hits = service.engine.search(query, top_k=5)
+                assert len(hits) == expected
+                for hit in hits:
+                    assert type(hit.doc_id) is int and type(hit.score) is float
+                status, body, _ = service.handle_search({"query": query, "top_k": 5})
+                assert status == 200
+                assert json.loads(json.dumps(body))["results"] == [
+                    {"doc_id": hit.doc_id, "score": hit.score} for hit in hits
+                ]
+        finally:
+            handle.close()
 
 
 class TestSnapshotConsistency:
