@@ -147,9 +147,7 @@ def test_batched_ingest_io(benchmark, workload, emit):
                     s.store.io.block_reads for s in unbatched.shards
                 ),
             }
-        batched = ShardedSearchEngine(
-            BOUNDED_CACHE, num_shards=4, batch_size=128
-        )
+        batched = ShardedSearchEngine(BOUNDED_CACHE, num_shards=4)
         with batched:
             for start in range(0, len(texts), 128):
                 batched.index_batch(texts[start:start + 128])

@@ -64,6 +64,25 @@ from repro.worm.storage import CachedWormStore
 
 _CONFIG_FILE = "archive/config"
 
+#: Keys of the config record, in the order it lists them: the
+#: ``EngineConfig`` fields that shape committed state, and the shard
+#: count.  Every record holds the first five; ``shards`` and the
+#: tail-mode fields after it postdate some archives.
+_ORIGINAL_CONFIG_KEYS = (
+    "num_lists",
+    "block_size",
+    "branching",
+    "ranking",
+    "retention_period",
+)
+_CONFIG_KEYS = _ORIGINAL_CONFIG_KEYS + (
+    "shards",
+    "tail_max_docs",
+    "seal_strategy",
+    "seal_popular_terms",
+    "merge_at_segments",
+)
+
 
 def _shard_path(path: str, shard_id: int) -> str:
     return f"{path}.shard{shard_id:02d}"
@@ -72,21 +91,11 @@ def _shard_path(path: str, shard_id: int) -> str:
 def _write_config(
     store: CachedWormStore, config: EngineConfig, shards: int
 ) -> None:
-    payload = json.dumps(
-        {
-            "num_lists": config.num_lists,
-            "block_size": config.block_size,
-            "branching": config.branching,
-            "ranking": config.ranking,
-            "retention_period": config.retention_period,
-            "shards": shards,
-            "tail_max_docs": config.tail_max_docs,
-            "seal_strategy": config.seal_strategy,
-            "seal_popular_terms": config.seal_popular_terms,
-            "merge_at_segments": config.merge_at_segments,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    record = {
+        key: shards if key == "shards" else getattr(config, key)
+        for key in _CONFIG_KEYS
+    }
+    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
     store.create_file(_CONFIG_FILE).append_record(payload)
 
 
@@ -96,20 +105,15 @@ def _read_config(store: CachedWormStore):
         store.peek_block(_CONFIG_FILE, b) for b in range(worm_file.num_blocks)
     )
     data = json.loads(payload.decode("utf-8"))
-    config = EngineConfig(
-        num_lists=data["num_lists"],
-        block_size=data["block_size"],
-        branching=data["branching"],
-        ranking=data["ranking"],
-        retention_period=data["retention_period"],
-        # Tail-mode fields postdate some archives; absent keys mean the
-        # archive was built legacy-synchronous (tail disabled).
-        tail_max_docs=data.get("tail_max_docs"),
-        seal_strategy=data.get("seal_strategy", "uniform"),
-        seal_popular_terms=data.get("seal_popular_terms", 8),
-        merge_at_segments=data.get("merge_at_segments", 8),
-    )
-    return config, data.get("shards", 1)
+    # An absent newer key reads as one shard, or as the field's default:
+    # the archive was built legacy-synchronous (tail disabled).
+    fields = {
+        key: data[key]
+        for key in _CONFIG_KEYS
+        if key in data or key in _ORIGINAL_CONFIG_KEYS
+    }
+    shards = fields.pop("shards", 1)
+    return EngineConfig(**fields), shards
 
 
 class _ArchiveHandle:
@@ -131,7 +135,6 @@ def open_archive(
     create: Optional[EngineConfig] = None,
     shards: int = 1,
     workers: Optional[int] = None,
-    batch_size: int = 64,
     fsync: bool = False,
     group_commit: int = 1,
     read_cache: bool = False,
@@ -198,11 +201,32 @@ def open_archive(
         store_factory=shard_store,
         coordinator_store=store,
         max_workers=workers,
-        batch_size=batch_size,
         executor=executor,
         shard_paths=[_shard_path(path, i) for i in range(shards)],
     )
     return engine, _ArchiveHandle(devices, engine)
+
+
+def _require(condition, message: str) -> None:
+    """An argument check: unmet, ``main`` prints ``error: <message>``
+    and exits 2."""
+    if not condition:
+        raise ReproError(message)
+
+
+def _session_options(args) -> dict:
+    """The :func:`open_archive` keywords of the session option groups
+    (durability, fan-out, read cache) the subcommand declares."""
+    names = (
+        "workers",
+        "executor",
+        "fsync",
+        "group_commit",
+        "read_cache",
+        "cache_policy",
+        "cache_mb",
+    )
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _write_metrics_json(engine, path: str, traces=()) -> None:
@@ -219,9 +243,7 @@ def _write_metrics_json(engine, path: str, traces=()) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 def _cmd_init(args) -> int:
-    if args.shards < 1:
-        print(f"--shards must be >= 1 (got {args.shards})", file=sys.stderr)
-        return 2
+    _require(args.shards >= 1, f"--shards must be >= 1 (got {args.shards})")
     config = EngineConfig(
         num_lists=args.num_lists,
         block_size=args.block_size,
@@ -255,12 +277,7 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    engine, archive = open_archive(
-        args.archive,
-        batch_size=args.batch_size,
-        fsync=args.fsync,
-        group_commit=args.group_commit,
-    )
+    engine, archive = open_archive(args.archive, **_session_options(args))
     try:
         texts: List[str] = list(args.text or [])
         for file_name in args.files:
@@ -268,16 +285,12 @@ def _cmd_index(args) -> int:
                 with open(file_name, "r", encoding="utf-8") as handle:
                     texts.append(handle.read())
             except OSError as exc:
-                print(f"cannot read '{file_name}': {exc}", file=sys.stderr)
-                return 2
-        if not texts:
-            print("nothing to index: pass --text or file paths", file=sys.stderr)
-            return 2
-        if args.commit_time is not None and len(texts) > 1:
-            print(
-                "--commit-time requires a single document", file=sys.stderr
-            )
-            return 2
+                raise ReproError(f"cannot read '{file_name}': {exc}") from exc
+        _require(texts, "nothing to index: pass --text or file paths")
+        _require(
+            args.commit_time is None or len(texts) == 1,
+            "--commit-time requires a single document",
+        )
         for start in range(0, len(texts), args.batch_size):
             batch = texts[start:start + args.batch_size]
             commit_times = (
@@ -296,20 +309,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.cache_mb <= 0:
-        print(f"--cache-mb must be positive (got {args.cache_mb})", file=sys.stderr)
-        return 2
-    if args.repeat < 1:
-        print(f"--repeat must be >= 1 (got {args.repeat})", file=sys.stderr)
-        return 2
-    engine, archive = open_archive(
-        args.archive,
-        workers=args.workers,
-        read_cache=args.read_cache,
-        cache_policy=args.cache_policy,
-        cache_mb=args.cache_mb,
-        executor=args.executor,
-    )
+    _require(args.cache_mb > 0, f"--cache-mb must be positive (got {args.cache_mb})")
+    _require(args.repeat >= 1, f"--repeat must be >= 1 (got {args.repeat})")
+    engine, archive = open_archive(args.archive, **_session_options(args))
     want_trace = args.trace or args.metrics_json
     trace = None
     try:
@@ -375,14 +377,11 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from repro.adversary.detection import full_engine_audit, full_sharded_audit
+    from repro.adversary.detection import full_engine_audit
 
     engine, archive = open_archive(args.archive)
     try:
-        if isinstance(engine, ShardedSearchEngine):
-            reports = full_sharded_audit(engine)
-        else:
-            reports = full_engine_audit(engine)
+        reports = full_engine_audit(engine)
         if args.json:
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump(
@@ -425,11 +424,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.search.profiling import (
-        profile_query,
-        profile_sharded_query,
-        recommend_configuration,
-    )
+    from repro.search.profiling import recommend_configuration
 
     engine, archive = open_archive(args.archive)
     try:
@@ -441,21 +436,12 @@ def _cmd_profile(args) -> int:
                         line.strip() for line in handle if line.strip()
                     )
             except OSError as exc:
-                print(
-                    f"cannot read '{args.query_file}': {exc}", file=sys.stderr
-                )
-                return 2
-        if not queries:
-            print("nothing to profile: pass queries or --query-file", file=sys.stderr)
-            return 2
-        sharded = isinstance(engine, ShardedSearchEngine)
-        profiles = []
-        for raw in queries:
-            if sharded:
-                profile = profile_sharded_query(engine, raw)
-            else:
-                profile = profile_query(engine, raw)
-            profiles.append(profile)
+                raise ReproError(
+                    f"cannot read '{args.query_file}': {exc}"
+                ) from exc
+        _require(queries, "nothing to profile: pass queries or --query-file")
+        profiles = [engine.profile(raw) for raw in queries]
+        for profile in profiles:
             print(profile.summary())
         print()
         print(recommend_configuration(profiles))
@@ -474,9 +460,7 @@ def _cmd_verify_journal(args) -> int:
     """
     from repro.worm.persistent import scan_journal
 
-    if not os.path.exists(args.archive):
-        print(f"no archive at '{args.archive}'", file=sys.stderr)
-        return 2
+    _require(os.path.exists(args.archive), f"no archive at '{args.archive}'")
     paths = [args.archive]
     shard_id = 0
     while os.path.exists(_shard_path(args.archive, shard_id)):
@@ -509,27 +493,15 @@ def _cmd_loadtest(args) -> int:
     from repro.loadtest.snapshot import snapshot_document, write_snapshot
     from repro.observability import export_loadtest
 
-    if args.clients < 1:
-        print(f"--clients must be >= 1 (got {args.clients})", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print(f"--duration must be positive (got {args.duration})", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.mix <= 1.0:
-        print(f"--mix must be in [0, 1] (got {args.mix})", file=sys.stderr)
-        return 2
-    if args.arrival_rate is not None and args.arrival_rate <= 0:
-        print(
-            f"--arrival-rate must be positive (got {args.arrival_rate})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1 (got {args.shards})", file=sys.stderr)
-        return 2
-    if args.docs < 1:
-        print(f"--docs must be >= 1 (got {args.docs})", file=sys.stderr)
-        return 2
+    _require(args.clients >= 1, f"--clients must be >= 1 (got {args.clients})")
+    _require(args.duration > 0, f"--duration must be positive (got {args.duration})")
+    _require(0.0 <= args.mix <= 1.0, f"--mix must be in [0, 1] (got {args.mix})")
+    _require(
+        args.arrival_rate is None or args.arrival_rate > 0,
+        f"--arrival-rate must be positive (got {args.arrival_rate})",
+    )
+    _require(args.shards >= 1, f"--shards must be >= 1 (got {args.shards})")
+    _require(args.docs >= 1, f"--docs must be >= 1 (got {args.docs})")
     config = LoadTestConfig(
         clients=args.clients,
         duration=args.duration,
@@ -550,57 +522,47 @@ def _cmd_loadtest(args) -> int:
             result = run_load_test(transport, config)
         finally:
             transport.close()
-    elif args.executor == "process":
-        # Process workers reopen the shard journals in their own
-        # interpreters, so the ephemeral archive must be file-backed:
-        # build it in a temp directory that dies with the run.
+    else:
+        import contextlib
         import tempfile
 
-        if args.shards < 2:
-            print(
-                "--executor process needs --shards >= 2",
-                file=sys.stderr,
-            )
-            return 2
         engine_config = EngineConfig(
             num_lists=256,
             block_size=4096,
             branching=None,
             tail_max_docs=args.tail_max_docs or None,
         )
-        with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as tmp:
-            engine, archive = open_archive(
-                os.path.join(tmp, "archive.worm"),
-                create=engine_config,
-                shards=args.shards,
-                workers=args.workers,
-                executor="process",
-            )
-            try:
-                result = run_load_test(engine, config)
-                export_loadtest(engine.metrics, result)
-            finally:
-                archive.close()
-    else:
-        # An ephemeral in-memory archive: the harness measures the
-        # engine, not a disk layout, and every run starts from the same
-        # state.
-        engine_config = EngineConfig(
-            num_lists=256,
-            block_size=4096,
-            branching=None,
-            tail_max_docs=args.tail_max_docs or None,
-        )
-        engine = ShardedSearchEngine(
-            engine_config,
-            num_shards=args.shards,
-            max_workers=args.workers,
-        )
-        try:
+        with contextlib.ExitStack() as cleanup:
+            if args.executor == "process":
+                # Process workers reopen the shard journals in their own
+                # interpreters, so the ephemeral archive must be
+                # file-backed: build it in a temp directory that dies
+                # with the run.
+                _require(
+                    args.shards >= 2, "--executor process needs --shards >= 2"
+                )
+                tmp = cleanup.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-loadtest-")
+                )
+                engine, archive = open_archive(
+                    os.path.join(tmp, "archive.worm"),
+                    create=engine_config,
+                    shards=args.shards,
+                    workers=args.workers,
+                    executor="process",
+                )
+            else:
+                # An ephemeral in-memory archive: the harness measures
+                # the engine, not a disk layout, and every run starts
+                # from the same state.
+                engine = archive = ShardedSearchEngine(
+                    engine_config,
+                    num_shards=args.shards,
+                    max_workers=args.workers,
+                )
+            cleanup.callback(archive.close)
             result = run_load_test(engine, config)
             export_loadtest(engine.metrics, result)
-        finally:
-            engine.close()
     print(result.summary())
     for message in result.error_messages:
         print(f"  error: {message}", file=sys.stderr)
@@ -628,18 +590,14 @@ def _cmd_capacity(args) -> int:
     from repro.core.cost_model import predict_capacity
     from repro.loadtest import read_snapshot
 
-    if args.target_qps <= 0:
-        print(
-            f"--target-qps must be positive (got {args.target_qps})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.target_p99_ms <= 0:
-        print(
-            f"--target-p99-ms must be positive (got {args.target_p99_ms})",
-            file=sys.stderr,
-        )
-        return 2
+    _require(
+        args.target_qps > 0,
+        f"--target-qps must be positive (got {args.target_qps})",
+    )
+    _require(
+        args.target_p99_ms > 0,
+        f"--target-p99-ms must be positive (got {args.target_p99_ms})",
+    )
     snapshots = [read_snapshot(path) for path in args.snapshot]
     plan = predict_capacity(snapshots, args.target_qps, args.target_p99_ms)
     print(plan.summary())
@@ -649,11 +607,7 @@ def _cmd_capacity(args) -> int:
 def _cmd_dispose(args) -> int:
     # Disposition-log appends and WORM deletes are exactly the writes
     # that must not be lost; honour the same durability knobs as index.
-    engine, archive = open_archive(
-        args.archive,
-        fsync=args.fsync,
-        group_commit=args.group_commit,
-    )
+    engine, archive = open_archive(args.archive, **_session_options(args))
     try:
         disposed = engine.dispose_expired(now=args.now)
         if disposed:
@@ -696,16 +650,12 @@ def _cmd_segments(args) -> int:
     """Show — and optionally advance — the tail/segment layout."""
     # Seals and merges append segment lists and manifest records; honour
     # the same durability knobs as index.
-    engine, archive = open_archive(
-        args.archive, fsync=args.fsync, group_commit=args.group_commit
-    )
+    engine, archive = open_archive(args.archive, **_session_options(args))
     try:
-        if not getattr(engine, "tail_enabled", False):
-            print(
-                "archive is not in tail mode (init with --tail-max-docs)",
-                file=sys.stderr,
-            )
-            return 2
+        _require(
+            engine.tail_enabled,
+            "archive is not in tail mode (init with --tail-max-docs)",
+        )
         if args.seal:
             sealed = engine.seal_tail()
             print(f"sealed tail into segment(s): {sealed}")
@@ -731,18 +681,14 @@ def _cmd_serve(args) -> int:
 
     from repro.service import AdmissionConfig, ServiceConfig, serve_archive
 
-    if not 0 <= args.port <= 65535:
-        print(f"--port must be in [0, 65535] (got {args.port})", file=sys.stderr)
-        return 2
-    if args.rate < 0:
-        print(f"--rate must be >= 0 (got {args.rate})", file=sys.stderr)
-        return 2
-    if args.seal_interval < 0:
-        print(
-            f"--seal-interval must be >= 0 (got {args.seal_interval})",
-            file=sys.stderr,
-        )
-        return 2
+    _require(
+        0 <= args.port <= 65535, f"--port must be in [0, 65535] (got {args.port})"
+    )
+    _require(args.rate >= 0, f"--rate must be >= 0 (got {args.rate})")
+    _require(
+        args.seal_interval >= 0,
+        f"--seal-interval must be >= 0 (got {args.seal_interval})",
+    )
     config = ServiceConfig(
         admission=AdmissionConfig(
             rate=None if args.rate == 0 else args.rate,
@@ -761,17 +707,10 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             config=config,
-            workers=args.workers,
-            fsync=args.fsync,
-            group_commit=args.group_commit,
-            read_cache=args.read_cache,
-            cache_policy=args.cache_policy,
-            cache_mb=args.cache_mb,
-            executor=args.executor,
+            **_session_options(args),
         )
     except OSError as exc:
-        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
+        raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
     stop = threading.Event()
 
     def _trigger_drain(_signum, _frame) -> None:
@@ -806,16 +745,57 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _add_executor_option(
+def _add_fanout_options(
     parser: argparse.ArgumentParser,
     *,
-    help: str = "sharded query fan-out: 'thread' shares the interpreter, "
-    "'process' spawns one worker process per shard (default: thread)",
+    executor_help: str = "sharded query fan-out: 'thread' shares the "
+    "interpreter, 'process' spawns one worker process per shard "
+    "(default: thread)",
 ) -> None:
-    """``--executor {thread,process}``, shared by search/serve/loadtest."""
+    """``--workers`` and ``--executor``, shared by search/serve/loadtest."""
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="query fan-out threads on a sharded archive (default: one "
+        "per shard)",
+    )
     parser.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help=help,
+        help=executor_help,
+    )
+
+
+def _add_durability_options(
+    parser: argparse.ArgumentParser, *, group_commit: int = 64
+) -> None:
+    """``--fsync`` and ``--group-commit``, for every subcommand that
+    writes: index, dispose, segments, serve."""
+    parser.add_argument(
+        "--fsync", action="store_true",
+        help="fsync the journal(s) as this session writes (durable but "
+        "slower)",
+    )
+    parser.add_argument(
+        "--group-commit", type=int, default=group_commit,
+        help="with --fsync, records per fsync batch (default: "
+        f"{group_commit}; 1 = fsync every record)",
+    )
+
+
+def _add_read_cache_options(parser: argparse.ArgumentParser) -> None:
+    """``--read-cache``, ``--cache-policy`` and ``--cache-mb``, shared by
+    search and serve."""
+    parser.add_argument(
+        "--read-cache", action="store_true",
+        help="enable the session-scoped read-path cache (decoded blocks, "
+        "query results, jump-pointer memo)",
+    )
+    parser.add_argument(
+        "--cache-policy", choices=["lru", "2q", "slru"], default="lru",
+        help="read-cache eviction policy (default: lru)",
+    )
+    parser.add_argument(
+        "--cache-mb", type=float, default=8.0,
+        help="read-cache decoded-block budget in MB (default: 8)",
     )
 
 
@@ -879,15 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=64,
         help="documents committed per batched index pass (default: 64)",
     )
-    index.add_argument(
-        "--fsync", action="store_true",
-        help="fsync the journal(s) while indexing (durable but slower)",
-    )
-    index.add_argument(
-        "--group-commit", type=int, default=64,
-        help="with --fsync, records per fsync batch (default: 64; "
-        "1 = fsync every record)",
-    )
+    _add_durability_options(index)
     index.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="write a metrics snapshot (repro-metrics/v1 JSON) after indexing",
@@ -904,29 +876,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="verify results against WORM documents; quarantine stuffing",
     )
-    search.add_argument(
-        "--workers", type=int, default=None,
-        help="query fan-out threads on a sharded archive (default: one "
-        "per shard)",
-    )
-    _add_executor_option(search)
+    _add_fanout_options(search)
     search.add_argument(
         "--trace", action="store_true",
         help="print the per-stage query trace (spans with micro-costs)",
     )
-    search.add_argument(
-        "--read-cache", action="store_true",
-        help="enable the session-scoped read-path cache (decoded blocks, "
-        "query results, jump-pointer memo)",
-    )
-    search.add_argument(
-        "--cache-policy", choices=["lru", "2q", "slru"], default="lru",
-        help="read-cache eviction policy (default: lru)",
-    )
-    search.add_argument(
-        "--cache-mb", type=float, default=8.0,
-        help="read-cache decoded-block budget in MB (default: 8)",
-    )
+    _add_read_cache_options(search)
     search.add_argument(
         "--repeat", type=int, default=1,
         help="run the query N times in one session (with --read-cache the "
@@ -982,16 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispose.add_argument("--archive", required=True)
     dispose.add_argument("--now", type=int, required=True, help="current time")
-    dispose.add_argument(
-        "--fsync", action="store_true",
-        help="fsync the journal(s) while disposing (disposition records "
-        "and WORM deletes are writes that must not be lost)",
-    )
-    dispose.add_argument(
-        "--group-commit", type=int, default=1,
-        help="with --fsync, records per fsync batch (default: 1 = fsync "
-        "every record; dispositions are few and precious)",
-    )
+    # Dispositions are few and precious: fsync each record by default.
+    _add_durability_options(dispose, group_commit=1)
     dispose.set_defaults(func=_cmd_dispose)
 
     segments = sub.add_parser(
@@ -1008,14 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--merge", action="store_true",
         help="merge all live segments into one (after --seal, if both)",
     )
-    segments.add_argument(
-        "--fsync", action="store_true",
-        help="fsync the journal(s) while sealing/merging",
-    )
-    segments.add_argument(
-        "--group-commit", type=int, default=64,
-        help="with --fsync, records per fsync batch (default: 64)",
-    )
+    _add_durability_options(segments)
     segments.set_defaults(func=_cmd_segments)
 
     serve = sub.add_parser(
@@ -1031,12 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080,
         help="bind port; 0 picks a free one (default: 8080)",
     )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="query fan-out threads on a sharded archive (default: one "
-        "per shard)",
-    )
-    _add_executor_option(serve)
+    _add_fanout_options(serve)
     serve.add_argument(
         "--rate", type=float, default=200.0,
         help="per-tenant sustained requests/second; 0 disables rate "
@@ -1062,26 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-timeout", type=float, default=5.0,
         help="socket read / keep-alive idle timeout (default: 5s)",
     )
-    serve.add_argument(
-        "--fsync", action="store_true",
-        help="fsync the journal(s) on ingest (durable but slower)",
-    )
-    serve.add_argument(
-        "--group-commit", type=int, default=64,
-        help="with --fsync, records per fsync batch (default: 64)",
-    )
-    serve.add_argument(
-        "--read-cache", action="store_true",
-        help="enable the read-path cache for the service session",
-    )
-    serve.add_argument(
-        "--cache-policy", choices=["lru", "2q", "slru"], default="lru",
-        help="read-cache eviction policy (default: lru)",
-    )
-    serve.add_argument(
-        "--cache-mb", type=float, default=8.0,
-        help="read-cache decoded-block budget in MB (default: 8)",
-    )
+    _add_durability_options(serve)
+    _add_read_cache_options(serve)
     serve.add_argument(
         "--log-requests", action="store_true",
         help="echo one access-log line per request to stderr",
@@ -1125,15 +1042,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=2,
         help="shards of the ephemeral archive (default: 2)",
     )
-    loadtest.add_argument(
-        "--workers", type=int, default=None,
-        help="per-query fan-out threads (default: one per shard)",
-    )
-    _add_executor_option(
+    _add_fanout_options(
         loadtest,
-        help="query fan-out of the ephemeral archive: 'process' builds it "
-        "file-backed in a temp directory and spawns one worker process "
-        "per shard (default: thread)",
+        executor_help="query fan-out of the ephemeral archive: 'process' "
+        "builds it file-backed in a temp directory and spawns one worker "
+        "process per shard (default: thread)",
     )
     loadtest.add_argument(
         "--docs", type=int, default=300,

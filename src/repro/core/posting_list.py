@@ -400,9 +400,8 @@ class PostingCursor:
         # the query processor's in-memory block cache.
         self._decoded: dict = {}
         self._block_no = -1
-        self._entries: DecodedBlock = DecodedBlock.from_payload(b"")
-        self._docs: Sequence[int] = self._entries.doc_ids
-        self._codes: Sequence[int] = self._entries.term_codes
+        self._docs: Sequence[int] = ()
+        self._codes: Sequence[int] = ()
         self._index = 0
         self._exhausted = posting_list.num_blocks == 0
         if not self._exhausted:
@@ -514,13 +513,8 @@ class PostingCursor:
     def _load_block(self, block_no: int) -> None:
         self._block_no = block_no
         entries = self.peek_block(block_no)
-        self._entries = entries
-        if isinstance(entries, DecodedBlock):
-            self._docs = entries.doc_ids
-            self._codes = entries.term_codes
-        else:
-            self._docs = [p.doc_id for p in entries]
-            self._codes = [p.term_code for p in entries]
+        self._docs = entries.doc_ids
+        self._codes = entries.term_codes
 
     def peek_block(self, block_no: int) -> DecodedBlock:
         """Load a block's entries *without* moving the cursor.
@@ -539,14 +533,6 @@ class PostingCursor:
             if from_cache:
                 self.cache_hits += 1
         return entries
-
-    def block_entries(self) -> DecodedBlock:
-        """Entries of the currently loaded block (already paid for)."""
-        return self._entries
-
-    def block_doc_ids(self) -> Sequence[int]:
-        """Doc-ID column of the currently loaded block (already paid for)."""
-        return self._docs
 
     def _settle(self) -> None:
         """Advance over block boundaries and filtered-out term codes."""

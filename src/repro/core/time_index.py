@@ -216,13 +216,15 @@ class CommitTimeIndex:
         """Most recent committed time (-1 while empty)."""
         return self._last_time
 
-    def verify(self) -> None:
-        """Full-log audit: monotonicity of every record.
+    def verify(self) -> int:
+        """Full-log audit: monotonicity of every record; returns the
+        number of records checked.
 
         Offline pass for auditors; uses uncounted reads.
         """
         for _ in self._walk():
             pass
+        return self.count
 
     def __len__(self) -> int:
         return self.count

@@ -151,16 +151,6 @@ class DecodedBlock:
         """Decode ``payload`` (validated like the scalar decoder)."""
         return cls(*decode_columns(payload))
 
-    @classmethod
-    def from_postings(cls, postings: Iterable[Posting]) -> "DecodedBlock":
-        """Build columns from an in-memory posting sequence."""
-        doc_ids = array(COLUMN_TYPECODE)
-        term_codes = array(COLUMN_TYPECODE)
-        for posting in postings:
-            doc_ids.append(posting.doc_id)
-            term_codes.append(posting.term_code)
-        return cls(doc_ids, term_codes)
-
     # -- List[Posting] compatibility -----------------------------------
     def __len__(self) -> int:
         return len(self.doc_ids)

@@ -13,6 +13,17 @@ Auditors come in two flavours:
 * reporting — the offline :func:`audit_posting_list` /
   :func:`audit_search_result` passes collect *all* violations into an
   :class:`AuditReport`, the artifact an investigator would file.
+
+The **result check** of Section 5 and the incident handling on top of it
+(:func:`verify_results`, :func:`require_verified`,
+:func:`search_with_incident_handling`) are written here once, for every
+engine.  They ask an archive three questions about a result's ID — does
+it name a committed document (``engine.documents.exists``), does a
+disposition record explain its absence (``engine.is_disposed``), what
+text does it hold (``engine.documents.get``) — which the document store
+and retention log answer for one engine, and the global document view
+and the router for K shards.  An unmapped or synthetic negative global
+ID exists nowhere and was disposed by no one: fabricated in both.
 """
 
 from __future__ import annotations
@@ -22,6 +33,10 @@ from typing import List, Optional, Sequence
 
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.posting_list import PostingList
+from repro.errors import TamperDetectedError
+
+#: The invariant a stuffed result violates (alarms and incident records).
+RESULT_INVARIANT = "result-document-consistency"
 
 
 @dataclass
@@ -181,3 +196,111 @@ def audit_search_result(
                 "(stuffed posting)"
             )
     return report
+
+
+def _document_checks(engine):
+    """``(exists, contains)``: the two questions
+    :func:`audit_search_result` asks, put to ``engine``'s archive."""
+    documents = engine.documents
+    term_counts = engine.analyzer.term_counts
+
+    def exists(doc_id: int) -> bool:
+        # A legitimately disposed document is not stuffing: its absence
+        # is explained by an auditable WORM record.
+        return documents.exists(doc_id) or engine.is_disposed(doc_id)
+
+    def contains(doc_id: int, term: str) -> bool:
+        if not documents.exists(doc_id):
+            # Disposed: content gone, disposition record vouches.
+            return True
+        return term in term_counts(documents.get(doc_id).text)
+
+    return exists, contains
+
+
+def verify_results(
+    engine, doc_ids: Sequence[int], terms: Sequence[str]
+) -> AuditReport:
+    """Cross-check result IDs against ``engine``'s WORM-resident documents."""
+    exists, contains = _document_checks(engine)
+    return audit_search_result(
+        doc_ids, list(terms), document_exists=exists, document_contains=contains
+    )
+
+
+def _verify_traced(engine, results: Sequence, query, trace) -> AuditReport:
+    """``engine.verify_results`` over ``results``, under a ``verify`` span
+    of ``trace`` (when there is one) that notes the verdict."""
+    span = None if trace is None else trace.begin("verify", results=len(results))
+    report = engine.verify_results([r.doc_id for r in results], query.terms)
+    if span is not None:
+        span.note(ok=report.ok)
+        trace.finish(span)
+    return report
+
+
+def require_verified(engine, results: Sequence, query, trace=None) -> None:
+    """The verify step of ``search``: raise if ``results`` were stuffed.
+
+    Surfaces the attempt; the caller (Bob) decides what to do with the
+    evidence.
+    """
+    report = _verify_traced(engine, results, query, trace)
+    if not report.ok:
+        raise TamperDetectedError(
+            f"result verification failed: {report.violations}",
+            location=f"query {query.terms!r}",
+            invariant=RESULT_INVARIANT,
+        )
+
+
+def search_with_incident_handling(engine, query, *, top_k: int = 10, trace=None):
+    """Search, verify, and *handle* any detected stuffing.
+
+    Returns ``(results, report)``: results are verified against the
+    WORM documents with known-bad (quarantined) IDs excluded — the
+    search over-fetches by the quarantine's size, so ``top_k`` is
+    refilled past them — and the report lists what verification found
+    this time.  Newly exposed fabricated IDs are quarantined in the
+    archive's own incident log: they cannot be removed from WORM, so
+    the engine appends durable knowledge that they are malicious
+    instead (the paper's Section 6 future-work question, answered the
+    WORM way).  Keyword-mismatch plants are real documents stuffed into
+    the wrong list, so they are excluded from *this* result only — they
+    remain legitimate answers to other queries.
+    """
+    if isinstance(query, str):
+        from repro.search.query import parse_query  # search imports core
+
+        query = parse_query(query, analyzer=engine.analyzer)
+    incidents = engine.incidents
+    results = [
+        r
+        for r in engine.search(
+            query, top_k=top_k + len(incidents.quarantined_doc_ids), trace=trace
+        )
+        if not incidents.is_quarantined(r.doc_id)
+    ]
+    report = _verify_traced(engine, results, query, trace)
+    if not report.ok:
+        exists, contains = _document_checks(engine)
+        fabricated = [r.doc_id for r in results if not exists(r.doc_id)]
+        planted = {
+            r.doc_id
+            for r in results
+            if exists(r.doc_id)
+            and not any(contains(r.doc_id, term) for term in query.terms)
+        }
+        incidents.record(
+            "posting-stuffing",
+            location=f"query {query.terms!r}",
+            invariant=RESULT_INVARIANT,
+            description="; ".join(report.violations),
+            quarantine_doc_ids=fabricated,
+        )
+        results = [
+            r
+            for r in results
+            if r.doc_id not in planted and not incidents.is_quarantined(r.doc_id)
+        ]
+    return results[:top_k], report

@@ -55,13 +55,15 @@ from repro.core.segments import (
 from repro.core.tail import MutableTailIndex, TailSnapshot
 from repro.core.time_index import CommitTimeIndex
 from repro.core.vecdecode import TermColumn
-from repro.core.verification import AuditReport, audit_search_result
+from repro.core import verification
+from repro.core.verification import AuditReport
 from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.documents import DocumentStore
 from repro.search.join import conjunctive_join  # noqa: F401 - bound by bench/layers.py
 from repro.search.lexicon import PrefixHashLexicon
+from repro.search.profiling import QueryProfile, profile_query
 from repro.search.query import QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
 from repro.search.readcache import ReadCache
@@ -114,10 +116,6 @@ class EngineConfig:
         ``None`` disables jump indexes (the merged-lists-only scheme).
     ranking:
         ``"bm25"`` or ``"cosine"``.
-    verify_results:
-        Cross-check every result against the stored documents before
-        returning (the Section 5 stuffing countermeasure).  Costs one
-        document read per result.
     read_cache:
         Enable the three-tier read-path cache
         (:mod:`repro.search.readcache`): decoded posting blocks, query
@@ -163,7 +161,6 @@ class EngineConfig:
     cache_blocks: Optional[int] = None
     branching: Optional[int] = 32
     ranking: str = "bm25"
-    verify_results: bool = False
     #: Term-immutability horizon in commit-time units (None = forever).
     retention_period: Optional[int] = None
     read_cache: bool = False
@@ -757,6 +754,16 @@ class TrustworthySearchEngine:
         """Whether this engine runs the decoupled tail/segment path."""
         return self.config.tail_max_docs is not None
 
+    @property
+    def num_shards(self) -> int:
+        """One: the whole archive is this engine."""
+        return 1
+
+    def sync(self) -> None:
+        """Durability barrier: fsync the store's journal (a no-op for an
+        in-memory store)."""
+        self.store.sync()
+
     def _require_tail(self) -> MutableTailIndex:
         if self._tail is None:
             raise WorkloadError(
@@ -1139,14 +1146,18 @@ class TrustworthySearchEngine:
         query,
         *,
         top_k: int = 10,
-        verify: Optional[bool] = None,
+        verify: bool = False,
         trace=None,
     ) -> List[SearchResult]:
         """Run a query and return ranked results.
 
         ``query`` may be a raw string (parsed with the engine's analyzer,
         see :func:`repro.search.query.parse_query`) or a prepared
-        :class:`~repro.search.query.Query`.  Pass a
+        :class:`~repro.search.query.Query`.  With ``verify`` every result
+        is cross-checked against the stored documents before returning
+        (the Section 5 stuffing countermeasure, one document read per
+        result) and a stuffed answer raises
+        :class:`~repro.errors.TamperDetectedError`.  Pass a
         :class:`~repro.observability.trace.QueryTrace` as ``trace`` to
         record per-stage spans (parse → resolve → join/scan → rank →
         verify) with their micro-costs.
@@ -1170,24 +1181,8 @@ class TrustworthySearchEngine:
             self._series(
                 self._m_queries, "mode", query.mode.name.lower()
             ).inc()
-        should_verify = self.config.verify_results if verify is None else verify
-        if should_verify:
-            with self._stage("verify", trace, results=len(results)) as span:
-                report = self.verify_results(
-                    [r.doc_id for r in results], query.terms
-                )
-                if span is not None:
-                    span.note(ok=report.ok)
-            if not report.ok:
-                # Surface the stuffing attempt; the caller (Bob) decides
-                # what to do with the evidence.
-                from repro.errors import TamperDetectedError
-
-                raise TamperDetectedError(
-                    f"result verification failed: {report.violations}",
-                    location=f"query {query.terms!r}",
-                    invariant="result-document-consistency",
-                )
+        if verify:
+            verification.require_verified(self, results, query, trace)
         return results
 
     def match(
@@ -1472,6 +1467,10 @@ class TrustworthySearchEngine:
         )
         return doc_ids, costs.blocks
 
+    def profile(self, query) -> QueryProfile:
+        """Cost profile of ``query`` in the paper's units (cost Q)."""
+        return profile_query(self, query)
+
     # ------------------------------------------------------------------
     # operational statistics
     # ------------------------------------------------------------------
@@ -1553,6 +1552,11 @@ class TrustworthySearchEngine:
             return self.retention
         return self._retention
 
+    def is_disposed(self, doc_id: int) -> bool:
+        """Whether a disposition record explains ``doc_id``'s absence."""
+        retention = self._retention_if_any()
+        return retention is not None and retention.is_disposed(doc_id)
+
     def dispose_expired(self, *, now: Optional[int] = None):
         """Dispose of documents past their retention horizon (Section 2.2).
 
@@ -1568,69 +1572,12 @@ class TrustworthySearchEngine:
     def search_with_incident_handling(
         self, query, *, top_k: int = 10, trace=None
     ):
-        """Search, verify, and *handle* any detected stuffing.
-
-        Returns ``(results, report)``: results are verified against the
-        WORM documents with known-bad (quarantined) IDs excluded, and the
-        report lists what verification found this time.  Newly exposed
-        fabricated IDs are quarantined via the incident log — they cannot
-        be removed from WORM, so the engine appends durable knowledge
-        that they are malicious instead (the paper's Section 6
-        future-work question, answered the WORM way).
-        """
-        if isinstance(query, str):
-            query = parse_query(query, analyzer=self.analyzer)
-        raw = self.search(
-            query,
-            top_k=top_k + len(self.incidents.quarantined_doc_ids),
-            verify=False,
-            trace=trace,
+        """Search, verify, and quarantine any exposed stuffing in
+        :attr:`incidents`; returns ``(results, report)``.  See
+        :func:`repro.core.verification.search_with_incident_handling`."""
+        return verification.search_with_incident_handling(
+            self, query, top_k=top_k, trace=trace
         )
-        candidates = [
-            r for r in raw if not self.incidents.is_quarantined(r.doc_id)
-        ]
-        with self._stage("verify", trace, results=len(candidates)) as span:
-            report = self.verify_results(
-                [r.doc_id for r in candidates], query.terms
-            )
-            if span is not None:
-                span.note(ok=report.ok)
-        if not report.ok:
-            retention = self._retention_if_any()
-
-            def fabricated(doc_id: int) -> bool:
-                if self.documents.exists(doc_id):
-                    return False
-                return retention is None or not retention.is_disposed(doc_id)
-
-            def mismatched(doc_id: int) -> bool:
-                if not self.documents.exists(doc_id):
-                    return False
-                text = self.documents.get(doc_id).text
-                counts = self.analyzer.term_counts(text)
-                return not any(t in counts for t in query.terms)
-
-            # Fabricated IDs are quarantined globally (they reference no
-            # document anywhere); keyword-mismatch plants are real
-            # documents stuffed into the wrong list, so they are excluded
-            # from *this* result only — they remain legitimate answers to
-            # other queries.
-            fabricated_ids = [r.doc_id for r in candidates if fabricated(r.doc_id)]
-            mismatch_ids = {r.doc_id for r in candidates if mismatched(r.doc_id)}
-            self.incidents.record(
-                "posting-stuffing",
-                location=f"query {query.terms!r}",
-                invariant="result-document-consistency",
-                description="; ".join(report.violations),
-                quarantine_doc_ids=fabricated_ids,
-            )
-            candidates = [
-                r
-                for r in candidates
-                if not self.incidents.is_quarantined(r.doc_id)
-                and r.doc_id not in mismatch_ids
-            ]
-        return candidates[:top_k], report
 
     # ------------------------------------------------------------------
     # verification (Section 5)
@@ -1639,25 +1586,7 @@ class TrustworthySearchEngine:
         self, doc_ids: Sequence[int], terms: Sequence[str]
     ) -> AuditReport:
         """Cross-check results against WORM-resident documents."""
-        retention = self._retention_if_any()
-
-        def exists(doc_id: int) -> bool:
-            if self.documents.exists(doc_id):
-                return True
-            # A legitimately disposed document is not stuffing: its
-            # absence is explained by an auditable WORM record.
-            return retention is not None and retention.is_disposed(doc_id)
-
-        def contains(doc_id: int, term: str) -> bool:
-            if not self.documents.exists(doc_id):
-                # Disposed: content gone, disposition record vouches.
-                return True
-            text = self.documents.get(doc_id).text
-            return term in self.analyzer.term_counts(text)
-
-        return audit_search_result(
-            doc_ids, list(terms), document_exists=exists, document_contains=contains
-        )
+        return verification.verify_results(self, doc_ids, terms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -148,11 +148,7 @@ class ArchiveService:
         first).
         """
         self.begin_drain()
-        sync = getattr(self.engine, "sync", None)
-        if sync is not None:
-            sync()
-        else:
-            self.engine.store.sync()
+        self.engine.sync()
         if self.closer is not None:
             self.closer.close()
 
@@ -326,16 +322,10 @@ class ArchiveService:
 
     def handle_audit(self) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         """``/audit``: the full tamper audit, as a reader."""
-        from repro.adversary.detection import (
-            full_engine_audit,
-            full_sharded_audit,
-        )
+        from repro.adversary.detection import full_engine_audit
 
         with self.lock.reading():
-            if hasattr(self.engine, "shards"):
-                reports = full_sharded_audit(self.engine)
-            else:
-                reports = full_engine_audit(self.engine)
+            reports = full_engine_audit(self.engine)
             incidents = len(self.engine.incidents)
         bad = [report for report in reports if not report.ok]
         body = ok_payload(
@@ -353,7 +343,7 @@ class ArchiveService:
         body = ok_payload(
             status="draining" if self.draining else "ok",
             documents=len(self.engine.documents),
-            shards=getattr(self.engine, "num_shards", 1),
+            shards=self.engine.num_shards,
             uptime_seconds=round(time.monotonic() - self._started, 3),
         )
         return status, body, {}
@@ -574,7 +564,7 @@ class ArchiveServer:
         if (
             self._sealer is not None
             or interval <= 0
-            or not getattr(self.service.engine, "tail_enabled", False)
+            or not self.service.engine.tail_enabled
         ):
             return
 

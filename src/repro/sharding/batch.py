@@ -10,7 +10,10 @@ and each shard indexes its group with
 appends posting entries one pass per merged list.  The call does not
 return until every document in the batch is committed *and* queryable,
 so there is still no buffering window for Mala to exploit (Section 2.3);
-batching changes the grouping of work, not its observability.
+batching changes the grouping of work, not its observability.  There is
+no ``add()``/``flush()`` pair that holds documents back for a fuller
+batch: that buffer is the attack (:mod:`repro.baselines.buffered` keeps
+one, for ``buffer_wipe_attack`` to wipe).
 
 Accounting: each shard's I/O counters record exactly what the same
 documents would have cost if inserted one at a time (with an unbounded
@@ -21,7 +24,7 @@ tail block instead of interleaved ones).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import WorkloadError
 from repro.sharding.router import ShardRouter
@@ -36,27 +39,14 @@ class BatchIngestor:
         Per-shard :class:`TrustworthySearchEngine` instances.
     router:
         Allocates global IDs and commits the WORM document map.
-    batch_size:
-        Auto-flush threshold for the buffered :meth:`add` path.
     metrics:
         Optional metrics registry (the sharded engine passes the shared
         one); ``None`` leaves the ingestor unmetered.
     """
 
-    def __init__(
-        self,
-        shards: Sequence,
-        router: ShardRouter,
-        *,
-        batch_size: int = 64,
-        metrics=None,
-    ):
-        if batch_size <= 0:
-            raise WorkloadError(f"batch_size must be positive, got {batch_size}")
+    def __init__(self, shards: Sequence, router: ShardRouter, *, metrics=None):
         self.shards = list(shards)
         self.router = router
-        self.batch_size = batch_size
-        self._pending: List[Tuple[str, Optional[int]]] = []
         self._metrics_on = metrics is not None and bool(metrics.enabled)
         if self._metrics_on:
             self._c_batches = metrics.counter(
@@ -71,14 +61,7 @@ class BatchIngestor:
                 "repro_ingest_bytes_total",
                 "UTF-8 bytes of document text ingested through the batch path",
             )
-            self._g_pending = metrics.gauge(
-                "repro_ingest_pending_documents",
-                "Documents buffered but not yet flushed",
-            )
 
-    # ------------------------------------------------------------------
-    # immediate path
-    # ------------------------------------------------------------------
     def ingest(
         self,
         texts: Sequence[str],
@@ -120,62 +103,5 @@ class BatchIngestor:
             self._c_bytes.inc(sum(len(text.encode("utf-8")) for text in texts))
         return [assignment.global_id for assignment in assignments]
 
-    # ------------------------------------------------------------------
-    # buffered path
-    # ------------------------------------------------------------------
-    def add(self, text: str, *, commit_time: Optional[int] = None) -> None:
-        """Buffer one document; flushes when ``batch_size`` is reached.
-
-        Buffered documents are *not yet committed* — callers that need
-        the real-time guarantee use :meth:`ingest` (or the sharded
-        engine's ``index_document``/``index_batch``, which do).  The
-        buffered path exists for bulk loads that end with an explicit
-        :meth:`flush`.
-        """
-        self._pending.append((text, commit_time))
-        if self._metrics_on:
-            self._g_pending.set(len(self._pending))
-        if len(self._pending) >= self.batch_size:
-            self.flush()
-
-    def flush(self, *, next_commit_time: Optional[int] = None) -> List[int]:
-        """Ingest everything buffered; returns the global IDs assigned."""
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        if self._metrics_on:
-            self._g_pending.set(0)
-        if next_commit_time is None:
-            next_commit_time = (
-                max(
-                    (
-                        shard.time_index.last_commit_time
-                        for shard in self.shards
-                    ),
-                    default=-1,
-                )
-                + 1
-            )
-        commit_times: List[int] = []
-        for _, explicit in pending:
-            if explicit is not None:
-                if explicit < next_commit_time:
-                    raise WorkloadError(
-                        f"commit_time {explicit} precedes the batch clock "
-                        f"{next_commit_time}; commits are monotonic"
-                    )
-                next_commit_time = explicit
-            commit_times.append(next_commit_time)
-            next_commit_time += 1
-        return self.ingest([text for text, _ in pending], commit_times)
-
-    @property
-    def pending(self) -> int:
-        """Documents buffered but not yet flushed."""
-        return len(self._pending)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchIngestor(shards={len(self.shards)}, "
-            f"batch_size={self.batch_size}, pending={self.pending})"
-        )
+        return f"BatchIngestor(shards={len(self.shards)})"

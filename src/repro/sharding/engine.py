@@ -26,8 +26,9 @@ from __future__ import annotations
 from functools import wraps
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.verification import AuditReport, audit_search_result
-from repro.errors import TamperDetectedError, WorkloadError
+from repro.core import verification
+from repro.core.verification import AuditReport
+from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.documents import Document
@@ -116,8 +117,6 @@ class ShardedSearchEngine:
         log).  Defaults to a fresh in-memory store.
     max_workers:
         Query fan-out thread-pool width (default: one per shard).
-    batch_size:
-        Auto-flush threshold of the buffered ingest path.
     executor:
         ``"thread"`` (default) fans queries out on a thread pool over
         the in-process shard engines; ``"process"`` spawns one worker
@@ -148,7 +147,6 @@ class ShardedSearchEngine:
         store_factory: Optional[Callable[[int], CachedWormStore]] = None,
         coordinator_store: Optional[CachedWormStore] = None,
         max_workers: Optional[int] = None,
-        batch_size: int = 64,
         executor: str = "thread",
         shard_paths: Optional[Sequence[str]] = None,
         metrics=None,
@@ -210,12 +208,7 @@ class ShardedSearchEngine:
                 analyzer=self.analyzer,
                 metrics=self.metrics,
             )
-        self.ingestor = BatchIngestor(
-            self.shards,
-            self.router,
-            batch_size=batch_size,
-            metrics=self.metrics,
-        )
+        self.ingestor = BatchIngestor(self.shards, self.router, metrics=self.metrics)
         self.documents = _GlobalDocumentView(self.shards, self.router)
         self._clock = (
             max(
@@ -312,32 +305,23 @@ class ShardedSearchEngine:
         query,
         *,
         top_k: int = 10,
-        verify: Optional[bool] = None,
+        verify: bool = False,
         trace=None,
     ) -> List[SearchResult]:
         """Run a query across all shards; returns global ranked results.
 
-        Pass a :class:`~repro.observability.trace.QueryTrace` as
-        ``trace`` to record the fan-out: one span per shard (with the
+        With ``verify`` a stuffed answer raises
+        :class:`~repro.errors.TamperDetectedError`, as the unsharded
+        engine's does.  Pass a
+        :class:`~repro.observability.trace.QueryTrace` as ``trace`` to
+        record the fan-out: one span per shard (with the
         queue/execution split), the heap merge, and verification.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
         results = self.executor.search(query, top_k=top_k, trace=trace)
-        should_verify = self.config.verify_results if verify is None else verify
-        if should_verify:
-            if trace is not None:
-                verify_span = trace.begin("verify", results=len(results))
-            report = self.verify_results([r.doc_id for r in results], query.terms)
-            if trace is not None:
-                verify_span.note(ok=report.ok)
-                trace.finish(verify_span)
-            if not report.ok:
-                raise TamperDetectedError(
-                    f"result verification failed: {report.violations}",
-                    location=f"query {query.terms!r}",
-                    invariant="result-document-consistency",
-                )
+        if verify:
+            verification.require_verified(self, results, query, trace)
         return results
 
     def profile(self, query):
@@ -359,33 +343,15 @@ class ShardedSearchEngine:
         has no committed document anywhere, so it fails the existence
         check exactly like single-engine stuffing does.
         """
+        return verification.verify_results(self, doc_ids, terms)
 
-        def exists(global_id: int) -> bool:
-            if not self.router.has(global_id):
-                return False
-            shard_id, local_id = self.router.to_local(global_id)
-            shard = self.shards[shard_id]
-            if shard.documents.exists(local_id):
-                return True
-            retention = shard._retention_if_any()
-            return retention is not None and retention.is_disposed(local_id)
-
-        def contains(global_id: int, term: str) -> bool:
-            if not self.router.has(global_id):
-                return True  # existence check already flags it
-            shard_id, local_id = self.router.to_local(global_id)
-            shard = self.shards[shard_id]
-            if not shard.documents.exists(local_id):
-                return True  # disposed: the disposition record vouches
-            text = shard.documents.get(local_id).text
-            return term in self.analyzer.term_counts(text)
-
-        return audit_search_result(
-            doc_ids,
-            list(terms),
-            document_exists=exists,
-            document_contains=contains,
-        )
+    def is_disposed(self, global_id: int) -> bool:
+        """Whether a disposition record, on its shard, explains the
+        absence of ``global_id`` (never for an unmapped ID)."""
+        if not self.router.has(global_id):
+            return False
+        shard_id, local_id = self.router.to_local(global_id)
+        return self.shards[shard_id].is_disposed(local_id)
 
     @property
     def incidents(self):
@@ -396,61 +362,11 @@ class ShardedSearchEngine:
             self._incidents = IncidentLog(self.coordinator, INCIDENT_FILE)
         return self._incidents
 
-    def search_with_incident_handling(
-        self, query, *, top_k: int = 10, trace=None
-    ):
-        """Search, verify, and quarantine any exposed stuffing globally.
-
-        Mirrors the unsharded engine's Section-6 handling: fabricated
-        IDs (no document-map record, or a mapped document that was never
-        committed and never disposed) are quarantined in the
-        coordinator's incident log; keyword-mismatch plants are excluded
-        from this result only.  Returns ``(results, report)``.
-        """
-        if isinstance(query, str):
-            query = parse_query(query, analyzer=self.analyzer)
-        raw = self.search(
-            query,
-            top_k=top_k + len(self.incidents.quarantined_doc_ids),
-            verify=False,
-            trace=trace,
-        )
-        candidates = [r for r in raw if not self.incidents.is_quarantined(r.doc_id)]
-        report = self.verify_results([r.doc_id for r in candidates], query.terms)
-        if not report.ok:
-            def fabricated(global_id: int) -> bool:
-                if not self.router.has(global_id):
-                    return True
-                shard_id, local_id = self.router.to_local(global_id)
-                shard = self.shards[shard_id]
-                if shard.documents.exists(local_id):
-                    return False
-                retention = shard._retention_if_any()
-                return retention is None or not retention.is_disposed(local_id)
-
-            def mismatched(global_id: int) -> bool:
-                if not self.documents.exists(global_id):
-                    return False
-                text = self.documents.get(global_id).text
-                counts = self.analyzer.term_counts(text)
-                return not any(t in counts for t in query.terms)
-
-            fabricated_ids = [r.doc_id for r in candidates if fabricated(r.doc_id)]
-            mismatch_ids = {r.doc_id for r in candidates if mismatched(r.doc_id)}
-            self.incidents.record(
-                "posting-stuffing",
-                location=f"query {query.terms!r}",
-                invariant="result-document-consistency",
-                description="; ".join(report.violations),
-                quarantine_doc_ids=fabricated_ids,
-            )
-            candidates = [
-                r
-                for r in candidates
-                if not self.incidents.is_quarantined(r.doc_id)
-                and r.doc_id not in mismatch_ids
-            ]
-        return candidates[:top_k], report
+    def search_with_incident_handling(self, query, *, top_k: int = 10, trace=None):
+        """Search, verify, and quarantine any exposed stuffing globally,
+        in the coordinator's incident log; returns ``(results, report)``.
+        See :func:`repro.core.verification.search_with_incident_handling`."""
+        return verification.search_with_incident_handling(self, query, top_k=top_k, trace=trace)
 
     # ------------------------------------------------------------------
     # tail mode (write–read decoupling, per shard)

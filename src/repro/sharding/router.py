@@ -208,11 +208,6 @@ class ShardRouter:
     def __len__(self) -> int:
         return len(self._shard_of)
 
-    @property
-    def num_documents(self) -> int:
-        """Documents routed so far (== next global ID)."""
-        return len(self._shard_of)
-
     def has(self, global_id: int) -> bool:
         """Whether ``global_id`` has a committed map record."""
         return 0 <= global_id < len(self._shard_of)

@@ -108,10 +108,10 @@ class TestVerification:
 
     def test_verify_config_flag(self):
         engine = TrustworthySearchEngine(
-            EngineConfig(num_lists=8, branching=None, verify_results=True)
+            EngineConfig(num_lists=8, branching=None)
         )
         engine.index_document("hello world memo")
-        assert engine.search("memo")  # verification on by default, passes
+        assert engine.search("memo", verify=True)  # verification on, passes
 
 
 class TestConfigurations:

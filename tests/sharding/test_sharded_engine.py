@@ -152,16 +152,6 @@ class TestIngest:
             with pytest.raises(WorkloadError):
                 sharded.index_batch(["a", "b"], commit_times=[1])
 
-    def test_buffered_ingestor_flushes_at_batch_size(self):
-        sharded = ShardedSearchEngine(CONFIG, num_shards=2, batch_size=3)
-        with sharded:
-            for i in range(5):
-                sharded.ingestor.add(f"buffered doc {i}")
-            assert sharded.ingestor.pending == 2  # 3 auto-flushed
-            sharded.ingestor.flush()
-            assert sharded.ingestor.pending == 0
-            assert len(sharded.documents) == 5
-
     def test_document_view_round_trip(self):
         sharded = ShardedSearchEngine(CONFIG, num_shards=3)
         with sharded:

@@ -41,6 +41,40 @@ class TestInit:
         device.close()
 
 
+class TestConfigRecord:
+    """The config record is committed state: its bytes are a format."""
+
+    def test_record_bytes(self, archive):
+        from repro.cli import _CONFIG_FILE
+        from repro.search.engine import EngineConfig
+
+        config = EngineConfig(num_lists=64, branching=None, tail_max_docs=9)
+        engine, handle = open_archive(archive, create=config, shards=2)
+        record = engine.coordinator.peek_block(_CONFIG_FILE, 0)
+        handle.close()
+        assert record == (
+            b'{"num_lists":64,"block_size":8192,"branching":null,'
+            b'"ranking":"bm25","retention_period":null,"shards":2,'
+            b'"tail_max_docs":9,"seal_strategy":"uniform",'
+            b'"seal_popular_terms":8,"merge_at_segments":8}'
+        )
+
+    def test_record_from_before_shards_and_tail_mode(self):
+        from repro.cli import _CONFIG_FILE, _read_config
+        from repro.worm.storage import CachedWormStore
+
+        store = CachedWormStore(None)
+        store.create_file(_CONFIG_FILE).append_record(
+            b'{"num_lists":16,"block_size":1024,"branching":4,'
+            b'"ranking":"cosine","retention_period":7}'
+        )
+        config, shards = _read_config(store)
+        assert shards == 1
+        assert (config.num_lists, config.ranking) == (16, "cosine")
+        assert config.tail_max_docs is None  # tail mode off
+        assert config.merge_at_segments == 8  # the field's default
+
+
 class TestIndexAndSearch:
     def test_round_trip(self, archive, capsys):
         run("init", "--archive", archive, "--num-lists", "32")
