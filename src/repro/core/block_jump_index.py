@@ -223,17 +223,19 @@ class BlockJumpIndex:
         (:meth:`PostingList.append_blocks`), followed by the Figure-7
         pointer walk of :meth:`insert` for every document ID in it — a
         walk reads only blocks *before* the tail, so the pointers set
-        are exactly those of posting-by-posting inserts.  I/O accounting
+        are exactly those of posting-by-posting inserts, and block 0,
+        with nothing before it to point from, gets none.  I/O accounting
         is per block, not per posting (see ``append_blocks``).  Returns
         the position of the last inserted posting.
         """
         if self._path is None:
             self.rebuild_path()
         position = (-1, -1)
-        for block_no, index, chunk in self.posting_list.append_blocks(entries):
-            for doc_id, _code in chunk:
+        for block_no, index, doc_ids in self.posting_list.append_blocks(entries):
+            # In block 0 one call is enough: it only seeds the path.
+            for doc_id in (doc_ids if block_no else doc_ids[:1]).tolist():
                 self._point_at(doc_id, block_no)
-            position = (block_no, index + len(chunk) - 1)
+            position = (block_no, index + len(doc_ids) - 1)
         return position
 
     def _point_at(self, doc_id: int, last_block: int) -> None:

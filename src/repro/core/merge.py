@@ -36,17 +36,24 @@ import numpy as np
 from repro.errors import IndexError_, WorkloadError
 
 
-def _stable_hash(term_id: int, salt: int) -> int:
-    """Deterministic 64-bit integer mix (splitmix64 finalizer).
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64(num_terms: int, salt: int) -> np.ndarray:
+    """Deterministic 64-bit mix (splitmix64 finalizer) of term IDs
+    ``0 .. num_terms - 1``, as one ``uint64`` column.
 
     Python's builtin ``hash`` is randomized per process for strings and
     not guaranteed stable across versions for our purposes; merging
-    decisions must be reproducible, so we mix explicitly.
+    decisions must be reproducible, so we mix explicitly.  ``uint64``
+    arithmetic wraps, which is the mix's ``& 0xFFFF…`` after every step.
     """
-    x = (term_id + 0x9E3779B97F4A7C15 * (salt + 1)) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
+    with np.errstate(over="ignore"):
+        x = np.arange(num_terms, dtype=np.uint64)
+        x += np.uint64((0x9E3779B97F4A7C15 * (salt + 1)) & _MASK64)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
 
 
 @dataclass
@@ -146,11 +153,7 @@ class UniformHashMerge(MergeStrategy):
 
     def assign(self, num_terms: int) -> TermAssignment:
         """Assign each term to ``hash(term) mod num_lists``."""
-        ids = np.fromiter(
-            (_stable_hash(t, self.salt) % self.num_lists for t in range(num_terms)),
-            dtype=np.int64,
-            count=num_terms,
-        )
+        ids = _splitmix64(num_terms, self.salt) % np.uint64(self.num_lists)
         return TermAssignment(list_ids=ids, num_lists=self.num_lists)
 
 
@@ -186,16 +189,12 @@ class PopularUnmergedMerge(MergeStrategy):
         """Popular terms get lists ``0..k-1``; the rest hash into ``k..M-1``."""
         k = len(self.popular_terms)
         merged_lists = self.num_lists - k
-        ids = np.fromiter(
-            (
-                k + _stable_hash(t, self.salt) % merged_lists
-                for t in range(num_terms)
-            ),
-            dtype=np.int64,
-            count=num_terms,
-        )
-        in_range = self.popular_terms[self.popular_terms < num_terms]
-        ids[in_range] = np.arange(len(in_range), dtype=np.int64)
+        hashed = _splitmix64(num_terms, self.salt) % np.uint64(merged_lists)
+        ids = hashed.astype(np.int64) + k
+        # A popular term keeps its own position's list whichever others
+        # the universe has grown to hold yet (stability under growth).
+        in_range = self.popular_terms < num_terms
+        ids[self.popular_terms[in_range]] = np.flatnonzero(in_range)
         return TermAssignment(list_ids=ids, num_lists=self.num_lists)
 
 

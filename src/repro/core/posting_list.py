@@ -24,6 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import DocumentIdOrderError, IndexError_, TamperDetectedError
 from repro.core.posting import (
     MAX_TERM_ID_WITH_TF,
@@ -31,7 +33,7 @@ from repro.core.posting import (
     Posting,
     encode_posting,
 )
-from repro.core.vecdecode import DecodedBlock
+from repro.core.vecdecode import DecodedBlock, posting_array
 from repro.worm.storage import CachedWormStore
 
 
@@ -178,7 +180,7 @@ class PostingList:
 
     def append_blocks(
         self, entries: Iterable[Tuple[int, int]]
-    ) -> Iterator[Tuple[int, int, Sequence[Tuple[int, int]]]]:
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Bulk-load ``(doc_id, term_code)`` postings, a block per record.
 
         The write path of a list built once, in order, by one writer —
@@ -191,13 +193,27 @@ class PostingList:
         block, which puts a bulk load outside Section 3's per-append
         accounting (use :meth:`append` where that is what is measured).
 
-        Yields ``(block_no, first_index, postings)`` after each record
+        ``entries`` is any iterable of pairs, normalised on entry to the
+        ``(n, 2)`` array of :func:`~repro.core.vecdecode.posting_array`
+        — where a field outside 32 bits raises with nothing committed.
+        Yields ``(block_no, first_index, doc_ids)`` after each record
         commits, so a jump index can set that block's pointers before
-        the next block exists.  Order and range checks run on every
-        posting *before* its block is written: a bad posting raises with
+        the next block exists.  One vector comparison finds where the
+        load first descends; each block is held against that, in one
+        comparison, *before* it is written: a descending ID raises with
         nothing of its block committed (earlier blocks stay — WORM).
         """
-        entries = list(entries)
+        entries = posting_array(entries)
+        doc_ids = entries[:, 0]
+        # The first posting below its predecessor (for the first one, the
+        # list's last ID); ``len(entries)`` when every one is in order.
+        descends = doc_ids[1:] < doc_ids[:-1]
+        if len(entries) and int(doc_ids[0]) < self.last_doc_id:
+            descent = 0
+        elif descends.any():
+            descent = int(descends.argmax()) + 1
+        else:
+            descent = len(entries)
         per_block = self.entries_per_block
         start = 0
         while start < len(entries):
@@ -206,20 +222,17 @@ class PostingList:
             if force_new:
                 index = 0
             block_no = self.num_blocks - 1 if index else self.num_blocks
-            chunk = entries[start : start + per_block - index]
-            start += len(chunk)
-            last = self.last_doc_id
-            for doc_id, _code in chunk:
-                if doc_id < last:
-                    raise DocumentIdOrderError(
-                        f"doc_id {doc_id} < last appended {last} in "
-                        f"posting list '{self.name}'"
-                    )
-                last = doc_id
-            payload = b"".join(encode_posting(d, c) for d, c in chunk)
+            end = min(start + per_block - index, len(entries))
+            if descent < end:
+                before = int(doc_ids[descent - 1]) if descent else self.last_doc_id
+                raise DocumentIdOrderError(
+                    f"doc_id {doc_ids[descent]} < last appended {before} in "
+                    f"posting list '{self.name}'"
+                )
+            last = int(doc_ids[end - 1])
             expected = (block_no, index * POSTING_SIZE)
             position = self.store.append_record(
-                self.name, payload, force_new_block=force_new
+                self.name, entries[start:end].tobytes(), force_new_block=force_new
             )
             if position != expected:
                 # The device rolls to a new block silently when a record
@@ -234,12 +247,13 @@ class PostingList:
                 self._block_max[block_no] = last
             else:
                 self._block_max.append(last)
-            self._tail_entries = index + len(chunk)
-            self.count += len(chunk)
+            self._tail_entries = index + end - start
+            self.count += end - start
             self.last_doc_id = last
             if self.read_cache is not None:
                 self.read_cache.invalidate(self.name, block_no)
-            yield block_no, index, chunk
+            yield block_no, index, doc_ids[start:end]
+            start = end
 
     def append_many(
         self, entries: Iterable[Tuple[int, int]]
@@ -247,8 +261,8 @@ class PostingList:
         """Bulk-load postings through :meth:`append_blocks`; returns the
         position of the last one (``(-1, -1)`` when there were none)."""
         position = (-1, -1)
-        for block_no, index, chunk in self.append_blocks(entries):
-            position = (block_no, index + len(chunk) - 1)
+        for block_no, index, doc_ids in self.append_blocks(entries):
+            position = (block_no, index + len(doc_ids) - 1)
         return position
 
     # ------------------------------------------------------------------

@@ -36,14 +36,22 @@ from __future__ import annotations
 
 import struct
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.merge import PopularUnmergedMerge, UniformHashMerge
-from repro.core.posting import MAX_TERM_ID_WITH_TF
+from repro.core.merge import PopularUnmergedMerge, TermAssignment, UniformHashMerge
+from repro.core.posting import MAX_TERM_ID_WITH_TF, POSTING_SIZE
 from repro.core.posting_list import PostingList
-from repro.core.vecdecode import COLUMN_TYPECODE, TermColumn, term_columns
+from repro.core.vecdecode import (
+    COLUMN_TYPECODE,
+    TermColumn,
+    decode_blocks,
+    term_columns,
+)
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.join import MergedListCursor, conjunctive_join
 
@@ -376,19 +384,34 @@ class ReadCosts:
         )
 
 
+#: A segment's postings as parallel ``uint32`` columns:
+#: ``(doc_ids, term_codes)``.
+PostingColumns = Tuple[np.ndarray, np.ndarray]
+
+
 def write_segment_lists(
     store,
     seg_no: int,
-    postings_by_term: Dict[int, List[Tuple[int, int]]],
+    columns: PostingColumns,
     *,
     num_lists: int,
     strategy: int,
     popular_terms: Sequence[int],
     branching: Optional[int],
 ) -> int:
-    """Write segment ``seg_no``'s merged posting lists; returns the
-    posting count.  Pure data write — the caller commits the manifest
-    record afterwards (the atomic step)."""
+    """Write segment ``seg_no``'s merged posting lists from its
+    postings' ``columns``; returns the posting count.  Pure data write —
+    the caller commits the manifest record afterwards (the atomic step).
+
+    One stable sort lays the postings out by (list, doc, term id) — the
+    order the synchronous path appends in, so monotonicity invariants
+    and jump-pointer placement are identical.  Postings that tie (a
+    stuffed repeat of a ``(doc, term)`` pair in a merge's input) keep
+    the order they came in.
+    """
+    doc_ids, term_codes = columns
+    if not len(doc_ids):
+        return 0
     family = MergedListFamily(
         store,
         SegmentInfo(
@@ -402,25 +425,32 @@ def write_segment_lists(
         ),
         branching=branching,
     )
-    postings_by_list: Dict[int, List[Tuple[int, int]]] = {}
-    for term_id in sorted(postings_by_term):
-        postings_by_list.setdefault(family.list_for(term_id), []).extend(
-            postings_by_term[term_id]
-        )
-    # Ascending (doc, term) order — the same order the synchronous path
-    # appends in, so monotonicity invariants and jump-pointer placement
-    # are identical.
+    term_ids = term_codes & MAX_TERM_ID_WITH_TF
+    list_ids = family.assignment_through(int(term_ids.max())).list_ids[term_ids]
+    order = np.lexsort((term_ids, doc_ids, list_ids))
+    postings = np.stack((doc_ids[order], term_codes[order]), axis=1)
+    list_ids = list_ids[order]
+    starts = np.flatnonzero(np.r_[True, list_ids[1:] != list_ids[:-1]]).tolist()
     family.append_many(
-        (
-            list_id,
-            sorted(
-                postings_by_list[list_id],
-                key=lambda e: (e[0], e[1] & MAX_TERM_ID_WITH_TF),
-            ),
-        )
-        for list_id in sorted(postings_by_list)
+        (int(list_ids[start]), postings[start:end])
+        for start, end in zip(starts, [*starts[1:], len(postings)])
     )
-    return sum(len(entries) for entries in postings_by_term.values())
+    return len(postings)
+
+
+def family_file_names(
+    device, families: Sequence["MergedListFamily"]
+) -> List[List[str]]:
+    """Per family, every committed list file under its prefix (sorted),
+    from one listing of the device."""
+    found: Dict[str, List[str]] = {family.prefix: [] for family in families}
+    lengths = {len(prefix) for prefix in found}
+    for name in device.list_files():
+        for length in lengths:
+            names = found.get(name[:length])
+            if names is not None:
+                names.append(name)
+    return [found[family.prefix] for family in families]
 
 
 class MergedListFamily:
@@ -480,8 +510,8 @@ class MergedListFamily:
     # ------------------------------------------------------------------
     # term → list, list → WORM file
     # ------------------------------------------------------------------
-    def list_for(self, term_id: int) -> int:
-        """The physical list ``term_id`` maps to.
+    def assignment_through(self, term_id: int) -> TermAssignment:
+        """The term→list assignment, covering at least ``0 .. term_id``.
 
         Strategies are stable under universe growth (see
         :class:`~repro.core.merge.MergeStrategy`), so a larger
@@ -501,7 +531,11 @@ class MergedListFamily:
                     f"({universe} terms) the merge strategy was built for"
                 )
             self._assignment = self.strategy.assign(universe)
-        return self._assignment.list_for(term_id)
+        return self._assignment
+
+    def list_for(self, term_id: int) -> int:
+        """The physical list ``term_id`` maps to."""
+        return self.assignment_through(term_id).list_for(term_id)
 
     def _attach(
         self, list_id: int, *, create: bool = False
@@ -556,7 +590,8 @@ class MergedListFamily:
     ) -> None:
         """Append ``(list_id, [(doc_id, term_code), ...])`` groups in the
         caller's order, creating lists on first use.  Entries of one
-        list must arrive in ascending doc order (the list enforces it).
+        list — pairs, or the rows of an ``(n, 2)`` array — must arrive
+        in ascending doc order (the list enforces it).
 
         The directly-appended family grows a posting at a time, each
         append through Section 3's cache model (what FIG2 / FIG8B
@@ -677,11 +712,7 @@ class MergedListFamily:
     # ------------------------------------------------------------------
     def list_file_names(self) -> List[str]:
         """Every committed list file of this family (sorted)."""
-        return sorted(
-            name
-            for name in self.store.device.list_files()
-            if name.startswith(self.prefix)
-        )
+        return family_file_names(self.store.device, [self])[0]
 
     def attached_lists(
         self,
@@ -690,20 +721,45 @@ class MergedListFamily:
         for name in self.list_file_names():
             yield self._attach(int(name[len(self.prefix) :]))
 
-    def postings_by_term(self) -> Dict[int, List[Tuple[int, int]]]:
-        """All postings regrouped per term, doc order (merge input).
+    def read_columns(self, names: Sequence[str]) -> PostingColumns:
+        """All postings of the list files ``names`` (this family's
+        :meth:`list_file_names`) as ``(doc_ids, term_codes)`` columns,
+        list after list — a merge's input.
 
-        Uncached scan: merging is maintenance and must not evict the
-        query working set from the decoded-block tier.
+        Every committed block is read straight from the store, once,
+        and nothing is attached: uncounted and uncached — merging is
+        maintenance and must not evict the query working set from the
+        decoded-block tier.  What attaching a list would have refused
+        is refused here: a block that is not whole postings, and a list
+        whose document IDs descend (one comparison over the whole
+        column; a list may start below the end of the one before it).
         """
-        grouped: Dict[int, List[Tuple[int, int]]] = {}
-        for posting_list, _ in self.attached_lists():
-            for docs, codes in posting_list.scan_columns(counted=False):
-                for doc_id, code in zip(docs, codes):
-                    grouped.setdefault(
-                        code & MAX_TERM_ID_WITH_TF, []
-                    ).append((doc_id, code))
-        return grouped
+        payloads: List[bytes] = []
+        list_starts: List[int] = []
+        count = 0
+        for name in names:
+            list_starts.append(count)
+            for block_no in range(self.store.open_file(name).num_blocks):
+                payloads.append(self.store.peek_block(name, block_no))
+                count += len(payloads[-1]) // POSTING_SIZE
+        postings = decode_blocks(payloads)
+        if self.decode_metrics is not None:
+            self.decode_metrics[0].inc(len(payloads))
+            self.decode_metrics[1].inc(len(postings))
+        doc_ids = postings[:, 0]
+        descents = np.setdiff1d(
+            np.flatnonzero(doc_ids[1:] < doc_ids[:-1]) + 1, list_starts
+        )
+        if len(descents):
+            at = int(descents[0])
+            which = bisect_right(list_starts, at) - 1
+            raise TamperDetectedError(
+                f"doc ID {doc_ids[at]} after {doc_ids[at - 1]}",
+                location=f"posting list '{names[which]}', "
+                f"posting {at - list_starts[which]}",
+                invariant="posting-monotonicity",
+            )
+        return doc_ids, postings[:, 1]
 
     def posting_count(self) -> int:
         return sum(len(pl) for pl, _ in self.attached_lists())

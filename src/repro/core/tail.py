@@ -32,11 +32,12 @@ which is a constant-time capture of the current dict references:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.vecdecode import TermColumn
+from repro.core.vecdecode import TermColumn, posting_array
 from repro.errors import WorkloadError
 
 
@@ -177,9 +178,11 @@ class MutableTailIndex:
         """``term_id -> posting count`` (popularity input for sealing)."""
         return {t: len(entries) for t, entries in self._postings.items()}
 
-    def postings_by_term(self) -> Dict[int, List[Tuple[int, int]]]:
-        """A defensive copy of all postings, for the sealer."""
-        return {t: list(entries) for t, entries in self._postings.items()}
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All postings flattened into fresh ``(doc_ids, term_codes)``
+        ``uint32`` columns, term after term — the sealer's input."""
+        postings = posting_array(chain.from_iterable(self._postings.values()))
+        return postings[:, 0], postings[:, 1]
 
     def __len__(self) -> int:
         return len(self._docs)

@@ -27,11 +27,13 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.core.posting import (
+    MAX_DOC_ID,
     MAX_TERM_ID_WITH_TF,
     POSTING_SIZE,
     _STRUCT,
@@ -52,9 +54,24 @@ _FAST = array("I").itemsize == 4
 #: Type code of the columns :func:`decode_columns` returns.
 COLUMN_TYPECODE = "I" if _FAST else "L"
 
+#: Field type of an encoded posting: little-endian, whatever the host.
+_POSTING_DTYPE = np.dtype("<u4")
+
 #: One term's postings as parallel columns: ``(term_id, doc_ids, tfs)``,
 #: document IDs strictly ascending, frequencies at least 1.
 TermColumn = Tuple[int, np.ndarray, np.ndarray]
+
+
+def _whole_postings(payload: bytes) -> bytes:
+    """``payload``, refused unless it is whole postings: posting lists
+    never split an entry across blocks, so a misfit length means
+    corruption."""
+    if len(payload) % POSTING_SIZE:
+        raise IndexError_(
+            f"posting region of {len(payload)} bytes is not a multiple of "
+            f"{POSTING_SIZE}"
+        )
+    return payload
 
 
 def decode_columns(payload: bytes) -> Tuple[array, array]:
@@ -67,15 +84,9 @@ def decode_columns(payload: bytes) -> Tuple[array, array]:
     Raises
     ------
     IndexError_
-        If the payload is not a multiple of :data:`POSTING_SIZE` bytes —
-        posting lists never split an entry across blocks, so a misfit
-        length means corruption.
+        If the payload is not a multiple of :data:`POSTING_SIZE` bytes.
     """
-    if len(payload) % POSTING_SIZE:
-        raise IndexError_(
-            f"posting region of {len(payload)} bytes is not a multiple of "
-            f"{POSTING_SIZE}"
-        )
+    _whole_postings(payload)
     if _FAST:
         words = array("I")
         words.frombytes(payload)
@@ -88,6 +99,45 @@ def decode_columns(payload: bytes) -> Tuple[array, array]:
         doc_ids.append(doc_id)
         term_codes.append(term_code)
     return doc_ids, term_codes
+
+
+def decode_blocks(payloads: Iterable[bytes]) -> np.ndarray:
+    """Decode many blocks' payloads, in order, into one ``(n, 2)``
+    ``uint32`` array of ``(doc_id, term_code)`` rows — what
+    :func:`posting_array` builds, read back.  Each payload is held to
+    :func:`decode_columns`' length check."""
+    data = b"".join(map(_whole_postings, payloads))
+    return np.frombuffer(data, dtype=_POSTING_DTYPE).reshape(-1, 2)
+
+
+def posting_array(entries: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """``(doc_id, term_code)`` pairs as the ``(n, 2)`` little-endian
+    ``uint32`` array whose bytes are the postings' encoding — the write
+    side's counterpart of :func:`decode_blocks`, and the one place
+    Python integers become posting fields.  An array that already is
+    one passes through.
+
+    Raises
+    ------
+    IndexError_
+        If a field is outside 32 bits.  The check runs on a wider
+        integer type before the cast, which would otherwise wrap the
+        value silently (numpy 1.x) instead of refusing it.
+    """
+    try:
+        if not isinstance(entries, np.ndarray):
+            flat = np.fromiter(chain.from_iterable(entries), dtype=np.int64)
+            entries = flat.reshape(-1, 2)
+        if entries.dtype != _POSTING_DTYPE:
+            if len(entries) and not 0 <= entries.min() <= entries.max() <= MAX_DOC_ID:
+                raise OverflowError
+            entries = entries.astype(_POSTING_DTYPE)
+    except OverflowError:
+        raise IndexError_(
+            f"posting field out of range [0, {MAX_DOC_ID}] (doc IDs and term "
+            "codes are 32 bits wide)"
+        ) from None
+    return entries
 
 
 def term_columns(

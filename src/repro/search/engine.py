@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -43,11 +44,13 @@ from repro.core.segments import (
     STRATEGY_POPULAR,
     STRATEGY_UNIFORM,
     MergedListFamily,
+    PostingColumns,
     ReadCosts,
     SealedSegment,
     SegmentInfo,
     SegmentManifest,
     choose_popular_terms,
+    family_file_names,
     next_seg_no,
     validate_seal_strategy,
     write_segment_lists,
@@ -492,6 +495,9 @@ class TrustworthySearchEngine:
             self._segments = tuple(
                 self._open_family(info) for info in self._manifest.live()
             )
+            # Read off the device once per session (manifest + orphans),
+            # then counted: a seal's cost must not grow with the archive.
+            self._next_seg_no = next_seg_no(self.store.device, self._manifest)
         if self._lexicon_file.num_blocks or len(self.time_index):
             self._restore_state()
 
@@ -816,12 +822,13 @@ class TrustworthySearchEngine:
             yield from family.attached_lists()
 
     def _choose_assignment(
-        self, counts: Dict[int, int]
+        self, term_codes: np.ndarray
     ) -> Tuple[int, Tuple[int, ...]]:
         """Pick the ``(strategy, popular_terms)`` a new segment pins.
 
-        ``counts`` is the term-popularity evidence of the postings being
-        sealed/merged; the ``"epoch"`` policy instead uses what the
+        ``term_codes`` is the code column of the postings being
+        sealed/merged, whose term counts are the ``"popular"`` policy's
+        evidence; the ``"epoch"`` policy instead uses what the
         previous epoch left behind (:func:`repro.core.epochs.learn_popular_terms`'s
         adaptation idea applied online — see :meth:`seal_tail`),
         falling back to uniform while no prior epoch exists.
@@ -829,7 +836,13 @@ class TrustworthySearchEngine:
         policy = self.config.seal_strategy
         if policy == "uniform":
             return STRATEGY_UNIFORM, ()
-        source = counts if policy == "popular" else self._epoch_counts
+        if policy == "popular":
+            terms, counts = np.unique(
+                term_codes & MAX_TERM_ID_WITH_TF, return_counts=True
+            )
+            source = dict(zip(terms.tolist(), counts.tolist()))
+        else:
+            source = self._epoch_counts
         popular = choose_popular_terms(
             source, self.config.seal_popular_terms, self.config.num_lists
         )
@@ -839,27 +852,29 @@ class TrustworthySearchEngine:
 
     def _write_segment(
         self,
-        postings: Dict[int, List[Tuple[int, int]]],
+        columns: PostingColumns,
         *,
         first_doc: int,
         last_doc: int,
         doc_count: int,
         inputs: Tuple[int, ...] = (),
     ) -> SealedSegment:
-        """Lay ``postings`` out as a new segment and commit it.
+        """Lay the postings in ``columns`` out as a new segment and
+        commit it.
 
         Writes the segment's merged posting lists first and appends the
         manifest record last — the atomic step; a crash before it leaves
         only orphan files that recovery ignores and never overwrites.
+        The segment number is spent before the first list file exists,
+        so a write that raises part-way burns it in this session too.
         """
-        strategy, popular = self._choose_assignment(
-            {t: len(entries) for t, entries in postings.items()}
-        )
-        seg_no = next_seg_no(self.store.device, self._manifest)
+        strategy, popular = self._choose_assignment(columns[1])
+        seg_no = self._next_seg_no
+        self._next_seg_no += 1
         write_segment_lists(
             self.store,
             seg_no,
-            postings,
+            columns,
             num_lists=self.config.num_lists,
             strategy=strategy,
             popular_terms=popular,
@@ -891,7 +906,7 @@ class TrustworthySearchEngine:
         if tail.doc_count == 0:
             return None
         segment = self._write_segment(
-            tail.postings_by_term(),
+            tail.columns(),
             first_doc=tail.first_doc,
             last_doc=tail.last_doc,
             doc_count=tail.doc_count,
@@ -917,25 +932,24 @@ class TrustworthySearchEngine:
     def merge_segments(self) -> Optional[int]:
         """Merge every live segment into one, online (Section 3.3).
 
-        Gathers postings per term across the live segments (doc order is
-        preserved — segment doc ranges are disjoint and ascending),
-        re-chooses the term→list assignment from the combined
-        popularity, writes the merged segment, and retires the inputs
-        with a single manifest append.  Readers holding an older
-        :meth:`index_view` keep their segments; the retired segments'
-        read-cache entries are dropped.  Returns the merged segment
-        number (``None`` with fewer than two live segments).
+        Concatenates the live segments' posting columns (segment doc
+        ranges are disjoint and ascending, and the new segment's sort
+        keeps doc order whatever they hold), re-chooses the term→list
+        assignment from the combined popularity, writes the merged
+        segment, and retires the inputs with a single manifest append.
+        Readers holding an older :meth:`index_view` keep their segments;
+        the retired segments' read-cache entries are dropped.  Returns
+        the merged segment number (``None`` with fewer than two live
+        segments).
         """
         self._require_tail()
         retired = self._segments
         if len(retired) < 2:
             return None
-        merged: Dict[int, List[Tuple[int, int]]] = {}
-        for segment in retired:
-            for term_id, entries in segment.postings_by_term().items():
-                merged.setdefault(term_id, []).extend(entries)
+        names = family_file_names(self.store.device, retired)
+        columns = [s.read_columns(n) for s, n in zip(retired, names)]
         segment = self._write_segment(
-            merged,
+            tuple(np.concatenate(column) for column in zip(*columns)),
             first_doc=retired[0].info.first_doc,
             last_doc=retired[-1].info.last_doc,
             doc_count=sum(s.info.doc_count for s in retired),
@@ -946,9 +960,7 @@ class TrustworthySearchEngine:
             # Segment-retirement hook: the retired lists can never be
             # read again, so their decoded blocks and jump memos are
             # dead weight.
-            self.read_cache.forget_lists(
-                name for s in retired for name in s.list_file_names()
-            )
+            self.read_cache.forget_lists(chain.from_iterable(names))
         if self._metrics_on:
             self._c_merges.inc()
             self._g_segments.set(1)

@@ -1,7 +1,12 @@
 """Unit tests for the merging strategies and term assignments."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.merge import (
     GreedyCostMerge,
@@ -105,6 +110,84 @@ class TestPopularUnmergedMerge:
     def test_too_many_popular_rejected(self):
         with pytest.raises(IndexError_):
             PopularUnmergedMerge(2, popular_terms=[1, 2])
+
+
+def _stable_hash(term_id: int, salt: int) -> int:
+    """The splitmix64 finalizer a term at a time, masking by hand: the
+    scalar the vector hash replaced, kept as its reference."""
+    x = (term_id + 0x9E3779B97F4A7C15 * (salt + 1)) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
+_salts = st.one_of(st.integers(-3, 40), st.integers(-(2**70), 2**70))
+_popular_sets = st.lists(st.integers(0, 3000), max_size=12, unique=True)
+
+
+class TestVectorHashIsTheScalarHash:
+    """Committed postings cannot move, so the hash that places a term
+    may never change: pinned values taken before it was vectorised, the
+    scalar loop as reference, and growth stability as a property."""
+
+    def test_pinned_assignments(self):
+        assert UniformHashMerge(1024).assign(10).list_ids.tolist() == [
+            431, 193, 718, 1005, 714, 858, 0, 471, 566, 100,
+        ]
+        assert PopularUnmergedMerge(16, [3, 5]).assign(10).list_ids.tolist() == [
+            11, 11, 6, 0, 8, 1, 12, 11, 6, 4,
+        ]
+
+    def test_pinned_digest_of_large_universes(self):
+        digest = hashlib.sha256()
+        for assignment in (
+            UniformHashMerge(1024).assign(60000),
+            UniformHashMerge(7, salt=3).assign(5000),
+            PopularUnmergedMerge(1024, [5, 9, 40000]).assign(60000),
+        ):
+            assert assignment.list_ids.dtype == np.int64
+            digest.update(assignment.list_ids.tobytes())
+        assert digest.hexdigest() == (
+            "06be5c8ff6dc04ef4a087f49ab097cdbbc0c7f64b2f9649c2ebc8c3112f61ddd"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        num_lists=st.integers(1, 5000),
+        salt=_salts,
+        popular=_popular_sets,
+    )
+    def test_equals_the_scalar_loop(self, n, num_lists, salt, popular):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            uniform = UniformHashMerge(num_lists, salt=salt).assign(n)
+            pinned = PopularUnmergedMerge(
+                num_lists + len(popular), popular, salt=salt
+            ).assign(n)
+        hashes = [_stable_hash(t, salt) for t in range(n)]
+        assert uniform.list_ids.tolist() == [h % num_lists for h in hashes]
+        expected = [len(popular) + h % num_lists for h in hashes]
+        for list_id, term_id in enumerate(popular):
+            if term_id < n:
+                expected[term_id] = list_id
+        assert pinned.list_ids.tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(0, 3000), st.integers(0, 3000)),
+        num_lists=st.integers(1, 2000),
+        salt=_salts,
+        popular=_popular_sets,
+    )
+    def test_stable_under_universe_growth(self, sizes, num_lists, salt, popular):
+        small, large = sorted(sizes)
+        for strategy in (
+            UniformHashMerge(num_lists, salt=salt),
+            PopularUnmergedMerge(num_lists + len(popular), popular, salt=salt),
+        ):
+            grown = strategy.assign(large).list_ids[:small]
+            assert grown.tolist() == strategy.assign(small).list_ids.tolist()
 
 
 class TestLearnedPopularMerge:

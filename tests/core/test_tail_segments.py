@@ -8,8 +8,12 @@ popularity heuristic, and segment list round-trips.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.posting import pack_term_tf
+from repro.core.block_jump_index import BlockJumpIndex
+from repro.core.posting import MAX_TERM_ID_WITH_TF, pack_term_tf
+from repro.core.posting_list import PostingList
 from repro.core.segments import (
     MANIFEST_FILE,
     STRATEGY_POPULAR,
@@ -28,6 +32,7 @@ from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import Candidates, _max_merge_repeats
 from repro.worm.persistent import JournaledWormDevice, scan_journal
 from repro.worm.storage import CachedWormStore
+from tests.helpers import columns_of, device_state, postings_of
 
 
 def make_store() -> CachedWormStore:
@@ -96,9 +101,11 @@ class TestMutableTailIndex:
     def test_postings_by_term_is_defensive(self):
         tail = MutableTailIndex()
         tail.add(0, {1: pack_term_tf(1, 1)})
-        copy = tail.postings_by_term()
-        copy[1].clear()
-        assert len(tail.snapshot().postings_for(1)) == 1
+        doc_ids, term_codes = tail.columns()
+        doc_ids[:] = 9
+        term_codes[:] = 0
+        assert tail.snapshot().postings_for(1) == [(0, pack_term_tf(1, 1))]
+        assert postings_of(tail.columns()) == {1: [(0, pack_term_tf(1, 1))]}
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +210,7 @@ class TestNextSegNo:
         write_segment_lists(
             store,
             7,
-            {1: [(0, pack_term_tf(1, 1))]},
+            columns_of({1: [(0, pack_term_tf(1, 1))]}),
             num_lists=8,
             strategy=STRATEGY_UNIFORM,
             popular_terms=(),
@@ -255,7 +262,7 @@ class TestSealRecordCount:
         total = write_segment_lists(
             store,
             0,
-            postings,
+            columns_of(postings),
             num_lists=4,
             strategy=STRATEGY_UNIFORM,
             popular_terms=(),
@@ -298,7 +305,7 @@ class TestSealedSegmentReads:
         total = write_segment_lists(
             store,
             0,
-            self.POSTINGS,
+            columns_of(self.POSTINGS),
             num_lists=8,
             strategy=STRATEGY_UNIFORM,
             popular_terms=(),
@@ -315,7 +322,10 @@ class TestSealedSegmentReads:
             0: {1: 2},
             2: {1: 1, 9: 1},
         }
-        assert segment.postings_by_term() == self.POSTINGS
+        assert (
+            postings_of(segment.read_columns(segment.list_file_names()))
+            == self.POSTINGS
+        )
         assert segment.posting_count() == 5
 
     def test_absent_term_short_circuits_conjunction(self):
@@ -323,7 +333,7 @@ class TestSealedSegmentReads:
         write_segment_lists(
             store,
             0,
-            self.POSTINGS,
+            columns_of(self.POSTINGS),
             num_lists=8,
             strategy=STRATEGY_UNIFORM,
             popular_terms=(),
@@ -338,7 +348,7 @@ class TestSealedSegmentReads:
         write_segment_lists(
             store,
             0,
-            self.POSTINGS,
+            columns_of(self.POSTINGS),
             num_lists=8,
             strategy=STRATEGY_POPULAR,
             popular_terms=(1, 5),
@@ -360,3 +370,182 @@ class TestSealedSegmentReads:
         assert store.device.exists(segment_list_name(0, 0))
         candidates = Candidates(segment.collect_candidates([1, 5, 9]))
         assert len(candidates) == 3
+
+
+# ----------------------------------------------------------------------
+# a segment written from columns == the same postings appended one by one
+# ----------------------------------------------------------------------
+@st.composite
+def _segment_inputs(draw):
+    """Postings in arrival order, with a few stuffed repeats of a
+    ``(doc, term)`` pair at another frequency, and a layout."""
+    gaps = draw(st.lists(st.integers(1, 40), min_size=1, max_size=60))
+    # Term IDs past 1024 make a family re-derive its assignment over a
+    # doubled universe while the reference loop is still asking.
+    terms = st.one_of(st.integers(0, 40), st.integers(1024, 5000))
+    tfs = st.integers(1, 255)
+    entries = []
+    doc_id = draw(st.integers(0, 5)) - 1
+    for gap in gaps:
+        doc_id += gap
+        for term_id in draw(st.lists(terms, min_size=1, max_size=12, unique=True)):
+            entries.append((doc_id, pack_term_tf(term_id, draw(tfs))))
+    entries.append((doc_id, pack_term_tf(draw(st.integers(5001, 9000)), draw(tfs))))
+    for at in draw(st.lists(st.integers(0, len(entries) - 1), max_size=3)):
+        doc_id, code = entries[at]
+        entries.append((doc_id, pack_term_tf(code & MAX_TERM_ID_WITH_TF, draw(tfs))))
+    used = sorted({code & MAX_TERM_ID_WITH_TF for _, code in entries})
+    popular = draw(st.lists(st.sampled_from(used), max_size=3, unique=True))
+    return entries, tuple(sorted(popular))
+
+
+def _tie_key(entry):
+    return entry[0], entry[1] & MAX_TERM_ID_WITH_TF
+
+
+class TestColumnarSegmentWrite:
+    """``write_segment_lists`` sorts two columns once and hands each list
+    a slice; what lands on the device is what a per-posting writer
+    leaves after appending in (list, doc, term id, arrival) order."""
+
+    NUM_LISTS = 4
+    #: branching -> block size holding 8 postings beside the pointer
+    #: slots of a 32-bit ID space, so lists span blocks and set pointers.
+    BLOCK_SIZES = {None: 64, 2: 64 + 4 * 32, 32: 64 + 4 * 31 * 7}
+
+    def _info(self, popular):
+        return seal_info(
+            0, 0, 0, 1,
+            num_lists=self.NUM_LISTS,
+            strategy=STRATEGY_POPULAR if popular else STRATEGY_UNIFORM,
+            popular_terms=popular,
+        )
+
+    def _write_columns(self, entries, popular, branching):
+        store = CachedWormStore(None, block_size=self.BLOCK_SIZES[branching])
+        info = self._info(popular)
+        array = np.array(entries, dtype=np.uint32)
+        total = write_segment_lists(
+            store,
+            0,
+            (array[:, 0], array[:, 1]),
+            num_lists=info.num_lists,
+            strategy=info.strategy,
+            popular_terms=info.popular_terms,
+            branching=branching,
+        )
+        assert total == len(entries)
+        return store
+
+    def _write_per_posting(self, entries, popular, branching):
+        """The reference: one ``append`` / ``insert`` per posting."""
+        store = CachedWormStore(None, block_size=self.BLOCK_SIZES[branching])
+        layout = SealedSegment(store, self._info(popular), branching=branching)
+        by_list = {}
+        for arrival, (doc_id, code) in enumerate(entries):
+            term_id = code & MAX_TERM_ID_WITH_TF
+            by_list.setdefault(layout.list_for(term_id), []).append(
+                (doc_id, term_id, arrival, code)
+            )
+        pointers_set = 0
+        for list_id in sorted(by_list):
+            name = segment_list_name(0, list_id)
+            if branching is None:
+                add = PostingList(store, name).append
+            else:
+                jump = BlockJumpIndex.create(store, name, branching=branching)
+                add = jump.insert
+            for doc_id, _term_id, _arrival, code in sorted(by_list[list_id]):
+                add(doc_id, code)
+            if branching is not None:
+                pointers_set += jump.pointers_set
+        return store, pointers_set
+
+    def _observe(self, store, popular, branching, terms):
+        segment = SealedSegment(store, self._info(popular), branching=branching)
+        lists = [pl for pl, _jump in segment.attached_lists()]
+        return {
+            "device": device_state(store.device),
+            "lists": [(pl.name, pl.count, pl.last_doc_id) for pl in lists],
+            "pointers": sum(
+                block.slots_set
+                for pl in lists
+                for block in store.device.open_file(pl.name).blocks()
+            ),
+            "candidates": [
+                (term_id, doc_ids.tolist(), tfs.tolist())
+                for term_id, doc_ids, tfs in segment.collect_candidates(terms)
+            ],
+            "joins": [
+                segment.conjunctive_doc_ids(terms[at : at + 2])[0]
+                for at in range(len(terms) - 1)
+            ],
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        inputs=_segment_inputs(),
+        branching=st.sampled_from([None, 2, 32]),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def test_columns_equal_per_posting(self, inputs, branching, shuffle):
+        entries, popular = inputs
+        terms = sorted({code & MAX_TERM_ID_WITH_TF for _, code in entries})
+        reference, pointers_set = self._write_per_posting(entries, popular, branching)
+        expected = self._observe(reference, popular, branching, terms)
+        assert expected["pointers"] == pointers_set
+        assert sum(count for _, count, _ in expected["lists"]) == len(entries)
+        written = self._write_columns(entries, popular, branching)
+        assert self._observe(written, popular, branching, terms) == expected
+
+        # Any arrival order gives the same segment, as long as the
+        # postings that tie on (doc, term) stay in theirs...
+        order = list(range(len(entries)))
+        shuffle.shuffle(order)
+        tied_at = {}
+        for position, at in enumerate(order):
+            tied_at.setdefault(_tie_key(entries[at]), []).append(position)
+        for positions in tied_at.values():
+            for position, at in zip(positions, sorted(order[p] for p in positions)):
+                order[position] = at
+        shuffled = [entries[at] for at in order]
+        written = self._write_columns(shuffled, popular, branching)
+        assert self._observe(written, popular, branching, terms)["device"] == (
+            expected["device"]
+        )
+
+        # ... and not otherwise: ties are not sorted, they keep the
+        # order they came in.
+        ties = {}
+        for entry in entries:
+            ties.setdefault(_tie_key(entry), []).append(entry)
+        if any(len(set(tied)) > 1 for tied in ties.values()):
+            backwards = [ties[_tie_key(entry)].pop() for entry in entries]
+            written = self._write_columns(backwards, popular, branching)
+            assert device_state(written.device) != expected["device"]
+
+    def test_tie_order_is_arrival_order(self):
+        first, second = (3, pack_term_tf(7, 2)), (3, pack_term_tf(7, 9))
+        stores = [
+            self._write_columns(entries, (), None)
+            for entries in ([first, second], [second, first])
+        ]
+        name = segment_list_name(0, SealedSegment(
+            stores[0], self._info(()), branching=None
+        ).list_for(7))
+        assert [
+            [(p.doc_id, p.term_code) for p in PostingList(store, name).scan()]
+            for store in stores
+        ] == [[first, second], [second, first]]
+
+    def test_empty_columns_write_nothing(self):
+        store = make_store()
+        empty = np.array([], dtype=np.uint32)
+        assert (
+            write_segment_lists(
+                store, 0, (empty, empty), num_lists=4, strategy=STRATEGY_UNIFORM,
+                popular_terms=(), branching=4,
+            )
+            == 0
+        )
+        assert store.device.list_files() == []

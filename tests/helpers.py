@@ -5,8 +5,11 @@ index-building boilerplate; build engines through these helpers instead
 so corpus tweaks and config plumbing happen in one place.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.posting import MAX_TERM_ID_WITH_TF
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.sharding import ShardedSearchEngine
 from repro.worm.storage import CachedWormStore
@@ -127,3 +130,25 @@ def device_state(device):
             ],
         }
     return state
+
+
+#: ``{term_id: [(doc_id, term_code), ...]}`` — how tests spell a
+#: segment's postings.
+PostingsByTerm = Dict[int, List[Tuple[int, int]]]
+
+
+def columns_of(postings: PostingsByTerm) -> Tuple[np.ndarray, np.ndarray]:
+    """``postings`` as the ``(doc_ids, term_codes)`` ``uint32`` columns
+    a segment is written from, term after term."""
+    flat = [entry for term_id in sorted(postings) for entry in postings[term_id]]
+    array = np.array(flat, dtype=np.uint32).reshape(-1, 2)
+    return array[:, 0], array[:, 1]
+
+
+def postings_of(columns: Tuple[np.ndarray, np.ndarray]) -> PostingsByTerm:
+    """The inverse of :func:`columns_of`: columns regrouped per term,
+    each term's entries in column order."""
+    grouped: PostingsByTerm = {}
+    for doc_id, code in zip(columns[0].tolist(), columns[1].tolist()):
+        grouped.setdefault(code & MAX_TERM_ID_WITH_TF, []).append((doc_id, code))
+    return grouped

@@ -16,8 +16,9 @@ import pytest
 
 from repro.adversary.detection import full_engine_audit
 from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.posting import pack_term_tf
-from repro.errors import WorkloadError
+from repro.core.posting import encode_posting, pack_term_tf
+from repro.core.segments import segment_list_name
+from repro.errors import IndexError_, TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.faults import (
     FaultInjectingWormDevice,
@@ -517,6 +518,166 @@ class TestSealCrashRecovery:
         new_seg = recovered.seal_tail()
         assert new_seg is not None and new_seg >= 1
         recovered_device.close()
+
+
+class TestSegmentNumbering:
+    """The next segment number is read off the device once, when the
+    archive opens, and counted from there: a seal's cost must not grow
+    with the number of files the archive holds."""
+
+    def test_a_failed_seal_burns_its_number_in_session(self, monkeypatch):
+        engine, legacy_engine = build_pair(
+            tail_config(tail_max_docs=100, branching=None, block_size=512)
+        )
+        append_record = engine.store.append_record
+        calls = []
+
+        def failing_on_the_third(name, payload, **kwargs):
+            calls.append(name)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return append_record(name, payload, **kwargs)
+
+        monkeypatch.setattr(engine.store, "append_record", failing_on_the_third)
+        with pytest.raises(OSError):
+            engine.seal_tail()
+        monkeypatch.undo()
+        orphans = [
+            name
+            for name in engine.store.device.list_files()
+            if name.startswith("engine/seg/000000/")
+        ]
+        assert len(orphans) >= 2  # some lists went down before the failure
+        info = engine.segments_info()
+        assert info["manifest_records"] == 0 and not info["segments"]
+        assert info["tail_docs"] == len(DEFAULT_CORPUS)
+        assert_equivalent(engine, legacy_engine)
+        # Same session, no rescan: the next seal takes the next number.
+        assert engine.seal_tail() == 1
+        assert_equivalent(engine, legacy_engine)
+        assert all(r.ok for r in full_engine_audit(engine))
+
+    def test_seals_do_not_list_the_device_and_a_merge_lists_it_once(
+        self, monkeypatch
+    ):
+        engine, legacy_engine = build_pair(
+            tail_config(tail_max_docs=2, read_cache=True)
+        )
+        device = engine.store.device
+        list_files = device.list_files
+        listings = []
+
+        def counting():
+            listings.append(1)
+            return list_files()
+
+        monkeypatch.setattr(device, "list_files", counting)
+        engine.index_document("imclone zebra")
+        engine.index_document("stewart zebra")  # seals
+        assert len(engine.iter_segments()) == 4 and not listings
+        assert engine.merge_segments() == 4
+        assert len(listings) == 1
+        for text in ("imclone zebra", "stewart zebra"):
+            legacy_engine.index_document(text)
+        assert_equivalent(engine, legacy_engine, QUERIES + ["zebra"])
+
+
+class TestMergeReadsWhatAnAttachRead:
+    """A merge reads its inputs' blocks straight from the store, without
+    attaching their lists — and still refuses what an attach refused."""
+
+    TEXTS = ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"]
+
+    QUERIES = ("alpha gamma", "+alpha +beta", "gamma")
+
+    def sealed(self, **kwargs):
+        engine = TrustworthySearchEngine(tail_config(tail_max_docs=2, **kwargs))
+        for text in self.TEXTS:
+            engine.index_document(text)
+        first, second = engine.iter_segments()
+        alpha = engine.term_id("alpha")
+        name = segment_list_name(first.info.seg_no, first.list_for(alpha))
+        return engine, alpha, name
+
+    def raw_append(self, engine, name, payload):
+        """Mala's interface: the device, below every order check."""
+        engine.store.device.open_file(name).append_record(payload)
+
+    def answers(self, engine):
+        """Per query, the ranked answer — or the error reading it raises."""
+        outcomes = []
+        for query in self.QUERIES:
+            try:
+                outcomes.append(results(engine, query))
+            except (TamperDetectedError, IndexError_) as error:
+                outcomes.append(type(error))
+        return outcomes
+
+    def refused(self, engine, error):
+        """The merge raises ``error`` and leaves everything as it was:
+        no manifest record, the same live segments, the same answers."""
+        records = engine.segments_info()["manifest_records"]
+        segments = engine.iter_segments()
+        answers = self.answers(engine)
+        with pytest.raises(error) as excinfo:
+            engine.merge_segments()
+        assert engine.segments_info()["manifest_records"] == records
+        assert engine.iter_segments() == segments
+        assert self.answers(engine) == answers
+        assert isinstance(answers[-1], list) and answers[-1]
+        return excinfo.value
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_a_descending_doc_id_is_tampering(self, attached):
+        """Refused whether or not a search attached (and so checked) the
+        list before Mala wrote to it."""
+        engine, alpha, name = self.sealed()
+        if attached:
+            self.answers(engine)
+        self.raw_append(engine, name, encode_posting(0, pack_term_tf(alpha, 3)))
+        error = self.refused(engine, TamperDetectedError)
+        assert error.invariant == "posting-monotonicity"
+        assert f"'{name}'" in error.location
+
+    def test_a_torn_posting_raises_what_the_decoder_raises(self):
+        engine, _alpha, name = self.sealed()
+        self.raw_append(engine, name, b"\x00" * 4)
+        error = self.refused(engine, IndexError_)
+        assert "not a multiple of 8" in str(error)
+
+    def test_an_in_order_stuffed_posting_is_kept_in_doc_order(self):
+        """Doc 4 lives in the tail; stuffed in order into segment 0 it
+        merges as it always did: kept, and placed by document ID."""
+        engine, alpha, name = self.sealed()
+        self.raw_append(engine, name, encode_posting(4, pack_term_tf(alpha, 9)))
+        merged = engine.merge_segments()
+        assert merged is not None
+        (segment,) = engine.iter_segments()
+        posting_list, _ = segment.posting_list_for(alpha)
+        alphas = [
+            (p.doc_id, p.term_code >> 24)
+            for p in posting_list.scan(counted=False)
+            if p.term_code & 0xFFFFFF == alpha
+        ]
+        assert alphas == [(0, 1), (1, 1), (2, 1), (4, 9)]
+
+    def test_a_merge_attaches_nothing_and_counts_what_it_decodes(self):
+        engine, _alpha, _name = self.sealed()
+        first, second = engine.iter_segments()
+        blocks = sum(
+            engine.store.open_file(name).num_blocks
+            for segment in (first, second)
+            for name in segment.list_file_names()
+        )
+        postings = sum(len(set(text.split())) for text in self.TEXTS[:4])
+        attached = [dict(segment._lists) for segment in (first, second)]
+        decoded = [series.value for series in engine._decode_series]
+        assert engine.merge_segments() is not None
+        assert [dict(segment._lists) for segment in (first, second)] == attached
+        assert [series.value for series in engine._decode_series] == [
+            decoded[0] + blocks,
+            decoded[1] + postings,
+        ]
 
 
 _MERGE_WORDS = "audit memo ledger trade waksal imclone filing quarter".split()
