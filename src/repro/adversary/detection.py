@@ -32,6 +32,9 @@ def full_engine_audit(engine) -> List[AuditReport]:
     Covers:
 
     * every physical posting list (order + jump-pointer invariants);
+    * every live sealed segment's names: bytes appended to its shared
+      file after the seal and files its directory does not name are
+      read by no query, and are reported, a finding per file;
     * the commit-time log (monotonicity of times and document IDs).
 
     A sharded engine gets both for each shard (report subjects prefixed
@@ -59,6 +62,14 @@ def full_engine_audit(engine) -> List[AuditReport]:
         audit_posting_list(posting_list, jump)
         for posting_list, jump in engine.iter_posting_lists()
     ]
+    for segment in engine.iter_segments():
+        for name, size in segment.unreachable_files():
+            report = AuditReport(subject=f"segment {segment.info.seg_no}")
+            report.add(
+                f"file '{name}': {size} bytes its manifest record does not "
+                "commit (written after the seal; no query reads them)"
+            )
+            reports.append(report)
     reports.append(_log_report("commit-time log", engine.time_index.verify))
     return reports
 

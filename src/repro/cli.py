@@ -630,7 +630,8 @@ def _print_segment_table(info, indent: str = "") -> None:
         return
     print(
         f"{indent}{'seg':>5} {'docs':>12} {'count':>7} "
-        f"{'strategy':<8} {'popular':>7} merged-from"
+        f"{'strategy':<8} {'popular':>7} {'lists':>6} {'short':>6} "
+        f"{'blocks':>6} merged-from"
     )
     for seg in info["segments"]:
         merged = (
@@ -638,11 +639,16 @@ def _print_segment_table(info, indent: str = "") -> None:
             if seg["merged_from"]
             else "-"
         )
+        # A segment sealed before short lists shared a file has no counts.
+        lists, short, blocks = (
+            "-" if seg[key] is None else seg[key]
+            for key in ("lists", "short_lists", "shared_blocks")
+        )
         print(
             f"{indent}{seg['seg_no']:>5} "
             f"{seg['first_doc']:>5}..{seg['last_doc']:<5} "
             f"{seg['doc_count']:>7} {seg['strategy']:<8} "
-            f"{seg['popular_terms']:>7} {merged}"
+            f"{seg['popular_terms']:>7} {lists:>6} {short:>6} {blocks:>6} {merged}"
         )
 
 

@@ -26,7 +26,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import DocumentIdOrderError, IndexError_, TamperDetectedError
+from repro.errors import (
+    DocumentIdOrderError,
+    IndexError_,
+    TamperDetectedError,
+    WormViolationError,
+)
 from repro.core.posting import (
     MAX_TERM_ID_WITH_TF,
     POSTING_SIZE,
@@ -54,6 +59,13 @@ class PostingList:
     slot_count:
         Write-once pointer slots reserved per block (0 when no jump index
         is attached).
+    extent:
+        ``(file, block_no, offset, length)``: the list is not a file of
+        its own but these bytes of another file's block, whole postings
+        written before the list was ever read — a sealed segment's short
+        list (:mod:`repro.core.segments`).  It is one block, read-only,
+        and ``name`` — the name it would have as a file — only keys it
+        in the read cache.
     """
 
     def __init__(
@@ -63,6 +75,7 @@ class PostingList:
         *,
         entries_per_block: Optional[int] = None,
         slot_count: int = 0,
+        extent: Optional[Tuple[str, int, int, int]] = None,
     ):
         max_entries = store.block_size // POSTING_SIZE
         if entries_per_block is None:
@@ -83,7 +96,10 @@ class PostingList:
         #: engine attaches one, every block decode increments both (the
         #: ``repro_decode_*_total`` observability series).
         self.decode_metrics = None
-        self._file = store.ensure_file(name, slot_count=slot_count)
+        self._extent = extent
+        self._file = (
+            store.ensure_file(name, slot_count=slot_count) if extent is None else None
+        )
         #: Total committed postings.
         self.count = 0
         #: Largest appended document ID (-1 when empty).
@@ -95,7 +111,7 @@ class PostingList:
         # the *indexing code's* own memory; certified readers never trust
         # it and always re-derive largest IDs from block contents.
         self._block_max: List[int] = []
-        if self._file.num_blocks:
+        if self.num_blocks:
             self._restore_from_worm()
 
     def _restore_from_worm(self) -> None:
@@ -107,7 +123,7 @@ class PostingList:
         sessions.
         """
         last = -1
-        for block_no in range(self._file.num_blocks):
+        for block_no in range(self.num_blocks):
             entries = self.read_block_postings(block_no, counted=False)
             for doc_id in entries.doc_ids:
                 if doc_id < last:
@@ -128,7 +144,14 @@ class PostingList:
     @property
     def num_blocks(self) -> int:
         """Number of allocated blocks."""
-        return self._file.num_blocks
+        return 1 if self._file is None else self._file.num_blocks
+
+    def _refuse_sealed(self) -> None:
+        if self._extent is not None:
+            raise WormViolationError(
+                f"posting list '{self.name}' is a sealed extent of "
+                f"'{self._extent[0]}' and cannot be appended to"
+            )
 
     def __len__(self) -> int:
         return self.count
@@ -154,6 +177,7 @@ class PostingList:
             writers assign IDs from an increasing counter, so this is a
             caller bug, not tampering.
         """
+        self._refuse_sealed()
         if doc_id < self.last_doc_id:
             raise DocumentIdOrderError(
                 f"doc_id {doc_id} < last appended {self.last_doc_id} in "
@@ -203,6 +227,7 @@ class PostingList:
         comparison, *before* it is written: a descending ID raises with
         nothing of its block committed (earlier blocks stay — WORM).
         """
+        self._refuse_sealed()
         entries = posting_array(entries)
         doc_ids = entries[:, 0]
         # The first posting below its predecessor (for the first one, the
@@ -280,11 +305,11 @@ class PostingList:
         This path never consults the read cache — use
         :meth:`load_block_postings` on the query path.
         """
-        if counted:
-            payload = self.store.read_block(self.name, block_no)
-        else:
-            payload = self.store.peek_block(self.name, block_no)
-        entries = DecodedBlock.from_payload(payload)
+        read = self.store.read_block if counted else self.store.peek_block
+        # An extent is block 0; any other is asked of the device under
+        # the list's own name, which has no such block.
+        address = self._extent if self._extent and not block_no else (self.name, block_no)
+        entries = DecodedBlock.from_payload(read(*address))
         metrics = self.decode_metrics
         if metrics is not None:
             metrics[0].inc()

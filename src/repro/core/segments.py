@@ -8,9 +8,15 @@ disjunctive scan, and the zigzag join.  The engine reads an ordered set
 of families plus, in tail mode, the in-memory tail; nothing else.
 
 A *segment* is one frozen batch of documents: the tail's postings,
-regrouped under a Section-3 merging strategy and appended to the
-segment's own family (``engine/seg/<seg_no>/pl/<list_id>``).  Segments
-are never modified after sealing — the WORM device would refuse anyway —
+regrouped under a Section-3 merging strategy and written once, sorted,
+as the segment's own family.  A list that would be a one-block file —
+no longer than one block of a jump-indexed file holds, so that no jump
+pointer would ever leave it — is *short*, and all of a segment's short
+lists share one WORM file, ``engine/seg/<seg_no>/short``: whole lists
+packed into blocks, none straddling one, then a directory of every
+non-empty list.  A longer list keeps a file of its own,
+``engine/seg/<seg_no>/pl/<list_id>``, and its jump index.  Segments are
+never modified after sealing — the WORM device would refuse anyway —
 which is what makes the read path snapshot-friendly: a reader holding a
 list of sealed segments plus a tail snapshot sees one consistent index
 no matter what the sealer and merger do next.  Without tail mode there
@@ -19,12 +25,15 @@ is a single directly-appended family, ``engine/pl/<list_id>``.
 The **manifest** (``engine/segments``) is the atomic commit point.
 Sealing writes the segment's posting lists first and appends one
 manifest record last; merging does the same with a record that names
-its input segments.  A crash anywhere before the manifest append leaves
-only orphan list files, which recovery ignores (the manifest is the
-sole source of truth — orphans only occupy their segment number, see
-:func:`next_seg_no`).  Replay validates the doc-range bookkeeping of
-every record; an inconsistent manifest is indistinguishable from
-tampering and is reported as such.
+its input segments.  The record also fixes where the shared file ends
+— its data blocks and directory entries, counted — so nothing appended
+to that file after the seal is read by anyone, and a list the directory
+does not name is empty whatever files appear later.  A crash anywhere
+before the manifest append leaves only orphan files, which recovery
+ignores (the manifest is the sole source of truth — orphans only occupy
+their segment number, see :func:`next_seg_no`).  Replay validates the
+doc-range bookkeeping of every record; an inconsistent manifest is
+indistinguishable from tampering and is reported as such.
 
 Merging is *online*: a merge rewrites several live segments' postings
 into one new segment under a freshly chosen strategy and then retires
@@ -38,7 +47,7 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,13 +55,15 @@ from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import PopularUnmergedMerge, TermAssignment, UniformHashMerge
 from repro.core.posting import MAX_TERM_ID_WITH_TF, POSTING_SIZE
 from repro.core.posting_list import PostingList
+from repro.core.space import postings_per_block
 from repro.core.vecdecode import (
     COLUMN_TYPECODE,
     TermColumn,
     decode_blocks,
+    posting_array,
     term_columns,
 )
-from repro.errors import TamperDetectedError, WorkloadError
+from repro.errors import DocumentIdOrderError, TamperDetectedError, WorkloadError, WormError
 from repro.search.join import MergedListCursor, conjunctive_join
 
 #: WORM file holding the manifest log.
@@ -69,17 +80,44 @@ STRATEGY_UNIFORM = 0
 STRATEGY_POPULAR = 1
 
 # opcode, seg_no, first_doc, last_doc, doc_count, num_lists, strategy,
-# n_popular, n_inputs — followed by n_popular + n_inputs u32 values.
+# n_popular, n_inputs — followed, under the shared-file opcodes, by the
+# three counts of a SharedFile, then by n_popular + n_inputs u32 values.
 _HEADER = struct.Struct("<BIQQQIBHH")
+_SHARED = struct.Struct("<III")
 _U32 = struct.Struct("<I")
 
 _OP_SEAL = 1
 _OP_MERGE = 2
+#: Added to either: the segment's short lists share one file.
+_OP_SHARED = 2
+
+#: A directory entry of a shared file: ``(list id, block, count)`` —
+#: the data block holding the list and its postings, or ``_LONG`` for a
+#: block: the mark of a list in a file of its own.  Lists fill a block
+#: without gaps, in directory order, so a list starts where the ones
+#: before it in its block end, and no directory can describe extents
+#: that overlap.
+_ENTRY_DTYPE = np.dtype("<u4")
+_ENTRY_SIZE = 3 * _ENTRY_DTYPE.itemsize
+_LONG = 0xFFFFFFFF
 
 
 def segment_list_name(seg_no: int, list_id: int) -> str:
-    """The WORM file holding one merged list of one segment."""
+    """The WORM file holding one merged list of one segment — or the
+    name a short list of its shared file is known by."""
     return f"{SEGMENT_PREFIX}{seg_no:06d}/pl/{list_id:08d}"
+
+
+class SharedFile(NamedTuple):
+    """Where a segment's shared file ends, as its manifest record fixes
+    it: what the reader takes, and not a byte more."""
+
+    #: Data blocks; the directory's blocks follow them.
+    blocks: int
+    #: Directory entries: the segment's non-empty lists.
+    lists: int
+    #: Those of them held in the data blocks.
+    short_lists: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +127,9 @@ class SegmentInfo:
     ``popular_terms`` and ``strategy`` pin the term→list assignment the
     sealer used, so readers rebuild the exact same mapping in any later
     session.  ``inputs`` is empty for a seal and names the retired
-    segments for a merge.
+    segments for a merge.  ``shared`` is ``None`` for a segment sealed
+    before short lists shared a file: each of its lists is a file, found
+    by listing the device.
     """
 
     seg_no: int
@@ -100,9 +140,11 @@ class SegmentInfo:
     strategy: int
     popular_terms: Tuple[int, ...] = ()
     inputs: Tuple[int, ...] = ()
+    shared: Optional[SharedFile] = None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly form (CLI ``segments`` subcommand)."""
+        shared_blocks, lists, short_lists = self.shared or (None, None, None)
         return {
             "seg_no": self.seg_no,
             "first_doc": self.first_doc,
@@ -114,11 +156,16 @@ class SegmentInfo:
             ),
             "popular_terms": len(self.popular_terms),
             "merged_from": list(self.inputs),
+            "lists": lists,
+            "short_lists": short_lists,
+            "shared_blocks": shared_blocks,
         }
 
 
 def _pack_record(info: SegmentInfo) -> bytes:
     opcode = _OP_MERGE if info.inputs else _OP_SEAL
+    if info.shared is not None:
+        opcode += _OP_SHARED
     head = _HEADER.pack(
         opcode,
         info.seg_no,
@@ -130,6 +177,8 @@ def _pack_record(info: SegmentInfo) -> bytes:
         len(info.popular_terms),
         len(info.inputs),
     )
+    if info.shared is not None:
+        head += _SHARED.pack(*info.shared)
     tail = b"".join(
         _U32.pack(v) for v in (*info.popular_terms, *info.inputs)
     )
@@ -139,6 +188,7 @@ def _pack_record(info: SegmentInfo) -> bytes:
 def _unpack_records(payload: bytes, *, location: str) -> Iterator[SegmentInfo]:
     offset = 0
     while offset < len(payload):
+        start = offset
         if offset + _HEADER.size > len(payload):
             raise TamperDetectedError(
                 f"truncated manifest record at byte {offset}",
@@ -157,12 +207,17 @@ def _unpack_records(payload: bytes, *, location: str) -> Iterator[SegmentInfo]:
             n_inputs,
         ) = _HEADER.unpack_from(payload, offset)
         offset += _HEADER.size
+        shared = None
+        if opcode > _OP_SHARED and offset + _SHARED.size <= len(payload):
+            shared = SharedFile(*_SHARED.unpack_from(payload, offset))
+            offset += _SHARED.size
+            opcode -= _OP_SHARED
         extra = n_popular + n_inputs
         if opcode not in (_OP_SEAL, _OP_MERGE) or (
             offset + extra * _U32.size > len(payload)
         ):
             raise TamperDetectedError(
-                f"malformed manifest record at byte {offset - _HEADER.size}",
+                f"malformed manifest record at byte {start}",
                 location=location,
                 invariant="segment-manifest",
             )
@@ -188,6 +243,7 @@ def _unpack_records(payload: bytes, *, location: str) -> Iterator[SegmentInfo]:
             strategy=strategy,
             popular_terms=tuple(values[:n_popular]),
             inputs=inputs,
+            shared=shared,
         )
 
 
@@ -262,6 +318,16 @@ class SegmentManifest:
         if any(r.seg_no == info.seg_no for r in self._records):
             raise TamperDetectedError(
                 f"segment number {info.seg_no} reused",
+                location=f"segment manifest '{self.name}'",
+                invariant="segment-manifest",
+            )
+        shared = info.shared
+        if shared is not None and not (
+            bool(shared.blocks) == bool(shared.short_lists)
+            and shared.blocks <= shared.short_lists <= shared.lists <= info.num_lists
+        ):
+            raise TamperDetectedError(
+                f"segment {info.seg_no} of {info.num_lists} lists cannot have {shared}",
                 location=f"segment manifest '{self.name}'",
                 invariant="segment-manifest",
             )
@@ -388,6 +454,9 @@ class ReadCosts:
 #: ``(doc_ids, term_codes)``.
 PostingColumns = Tuple[np.ndarray, np.ndarray]
 
+#: Where a short list lies: ``(file, block, offset, length)``, in bytes.
+Extent = Tuple[str, int, int, int]
+
 
 def write_segment_lists(
     store,
@@ -398,20 +467,23 @@ def write_segment_lists(
     strategy: int,
     popular_terms: Sequence[int],
     branching: Optional[int],
-) -> int:
+) -> Tuple[int, SharedFile]:
     """Write segment ``seg_no``'s merged posting lists from its
-    postings' ``columns``; returns the posting count.  Pure data write —
-    the caller commits the manifest record afterwards (the atomic step).
+    postings' ``columns``; returns the posting count and what the
+    manifest record must say of the shared file.  Pure data write — the
+    caller commits that record afterwards (the atomic step).
 
     One stable sort lays the postings out by (list, doc, term id) — the
     order the synchronous path appends in, so monotonicity invariants
     and jump-pointer placement are identical.  Postings that tie (a
     stuffed repeat of a ``(doc, term)`` pair in a merge's input) keep
-    the order they came in.
+    the order they came in.  The short lists then go down together
+    (:meth:`MergedListFamily.write_shared_file`), each longer one
+    through the bulk load of a file of its own.
     """
     doc_ids, term_codes = columns
     if not len(doc_ids):
-        return 0
+        return 0, SharedFile(0, 0, 0)
     family = MergedListFamily(
         store,
         SegmentInfo(
@@ -430,27 +502,20 @@ def write_segment_lists(
     order = np.lexsort((term_ids, doc_ids, list_ids))
     postings = np.stack((doc_ids[order], term_codes[order]), axis=1)
     list_ids = list_ids[order]
-    starts = np.flatnonzero(np.r_[True, list_ids[1:] != list_ids[:-1]]).tolist()
-    family.append_many(
-        (int(list_ids[start]), postings[start:end])
-        for start, end in zip(starts, [*starts[1:], len(postings)])
+    starts = np.flatnonzero(np.r_[True, list_ids[1:] != list_ids[:-1]])
+    counts = np.diff(np.r_[starts, len(postings)])
+    list_ids = list_ids[starts]
+    short = counts <= family.short_limit
+    shared = family.write_shared_file(
+        list_ids, counts, short, postings[np.repeat(short, counts)]
     )
-    return len(postings)
-
-
-def family_file_names(
-    device, families: Sequence["MergedListFamily"]
-) -> List[List[str]]:
-    """Per family, every committed list file under its prefix (sorted),
-    from one listing of the device."""
-    found: Dict[str, List[str]] = {family.prefix: [] for family in families}
-    lengths = {len(prefix) for prefix in found}
-    for name in device.list_files():
-        for length in lengths:
-            names = found.get(name[:length])
-            if names is not None:
-                names.append(name)
-    return [found[family.prefix] for family in families]
+    family.append_many(
+        (list_id, postings[start : start + count])
+        for list_id, start, count in zip(
+            list_ids[~short].tolist(), starts[~short].tolist(), counts[~short].tolist()
+        )
+    )
+    return len(postings), shared
 
 
 class MergedListFamily:
@@ -460,11 +525,13 @@ class MergedListFamily:
     lists through a merging strategy, lists append in doc order, and
     each may carry a jump index.  Pinned to a manifest record (``info``)
     it is a sealed segment — ``engine/seg/<seg_no>/pl/`` under the
-    assignment the record names, never appended to after the seal.
-    Without one it is the directly-appended family ``engine/pl/`` under
-    the caller's ``strategy``.  Lists (and jump indexes) attach lazily
-    and plug into the engine's read cache by file name: decoded-block
-    and jump-memo tiers key on it.
+    assignment the record names, never appended to after the seal; its
+    short lists are extents of one shared file and its directory, not
+    the device, says which lists exist.  Without one it is the
+    directly-appended family ``engine/pl/`` under the caller's
+    ``strategy``.  Lists (and jump indexes) attach lazily and plug into
+    the engine's read cache by file name: decoded-block and jump-memo
+    tiers key on it.
 
     ``length_hints`` (term id → posting count) orders joins by filtered
     list length where the owner tracks it; without it the raw merged
@@ -491,8 +558,18 @@ class MergedListFamily:
         #: What fixes a sealed segment's term→list assignment; segments
         #: of equal layout are scanned as one (:meth:`collect_candidates`).
         self.layout: Optional[Tuple[int, Tuple[int, ...]]] = None
+        #: Where the file a sealed segment's short lists share ends
+        #: (``None``: every list is a file of its own), its name, and
+        #: its directory once read (see :meth:`_directory`).
+        self.shared: Optional[SharedFile] = None
+        self.shared_name: Optional[str] = None
+        self._extents: Optional[Dict[int, Optional[Extent]]] = None
         if info is not None:
-            self.prefix = f"{SEGMENT_PREFIX}{info.seg_no:06d}/pl/"
+            #: Every file of the segment is under this name.
+            self.root = f"{SEGMENT_PREFIX}{info.seg_no:06d}/"
+            self.shared = info.shared
+            self.shared_name = self.root + "short"
+            self.prefix = self.root + "pl/"
             strategy = _assignment_for(info)
             self.layout = (
                 info.num_lists,
@@ -537,12 +614,27 @@ class MergedListFamily:
         """The physical list ``term_id`` maps to."""
         return self.assignment_through(term_id).list_for(term_id)
 
+    def list_name(self, list_id: int) -> str:
+        """The WORM file holding list ``list_id`` — or, for a short list
+        of a shared file, the name it is known by."""
+        return f"{self.prefix}{list_id:08d}"
+
+    @property
+    def short_limit(self) -> int:
+        """The most postings a *short* list holds: one block of a file
+        of its own — block 0, where the jump index sets no pointer."""
+        if self.branching is None:
+            return self.store.block_size // POSTING_SIZE
+        return postings_per_block(self.store.block_size, self.branching)
+
     def _attach(
         self, list_id: int, *, create: bool = False
     ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """The physical ``(list, jump index)``, attached on first use;
         ``None`` while the list has never been written (unless
-        ``create``).
+        ``create``).  A short list of a shared file attaches as a
+        read-only one-block list over its extent, under the name it
+        would have as a file.
 
         Searches run in parallel and may first-touch one list at the
         same moment.  Each then builds a pair of its own; the pair is
@@ -553,11 +645,21 @@ class MergedListFamily:
         """
         attached = self._lists.get(list_id)
         if attached is None:
-            name = f"{self.prefix}{list_id:08d}"
-            if not create and not self.store.device.exists(name):
+            name = self.list_name(list_id)
+            extent = None
+            if self.shared is not None:
+                directory = self._directory()
+                if list_id not in directory:
+                    return None
+                extent = directory[list_id]
+            elif not create and not self.store.device.exists(name):
                 return None
             jump = None
-            if self.branching is not None:
+            if extent is not None:
+                posting_list = PostingList(
+                    self.store, name, entries_per_block=self.short_limit, extent=extent
+                )
+            elif self.branching is not None:
                 jump = BlockJumpIndex.create(
                     self.store, name, branching=self.branching
                 )
@@ -574,6 +676,72 @@ class MergedListFamily:
                 posting_list.decode_metrics = self.decode_metrics
             attached = self._lists[list_id] = (posting_list, jump)
         return attached
+
+    def _directory(self) -> Dict[int, Optional[Extent]]:
+        """The shared file's directory, read on first use: for every
+        non-empty list of the segment, by ID, ascending, a short list's
+        extent in the data blocks, or ``None`` for a list in a file of
+        its own.
+
+        It is held to the manifest record: exactly the committed
+        entries, ascending list IDs, the short lists filling exactly the
+        committed data blocks, in order — so no extent leaves its block
+        or skips a posting.
+        """
+        if self._extents is not None:
+            return self._extents
+        shared, name = self.shared, self.shared_name
+        per_block = self.store.block_size // _ENTRY_SIZE
+        try:
+            worm_file = self.store.open_file(name) if any(shared) else None
+            directory = b"".join(
+                worm_file.read(
+                    shared.blocks + at // per_block,
+                    0,
+                    min(per_block, shared.lists - at) * _ENTRY_SIZE,
+                )
+                for at in range(0, shared.lists, per_block)
+            )
+            fills = [worm_file.block(b).fill for b in range(shared.blocks)]
+        except WormError as error:
+            raise self._mismatch(f"is shorter than that: {error}") from None
+        entries = np.frombuffer(directory, dtype=_ENTRY_DTYPE).reshape(-1, 3)
+        ids = entries[:, 0].astype(np.int64)
+        short = entries[:, 1] != _LONG
+        block, count = entries[short, 1:].astype(np.int64).T
+        # The row each short list starts at, counting through the data
+        # blocks, and the first and last list of each block.
+        starts = np.cumsum(count) - count
+        opens = np.r_[True, np.diff(block) != 0][: len(block)]
+        closes = np.r_[opens[1:], True][: len(block)]
+        bases = starts[opens]
+        if not (
+            len(block) == shared.short_lists
+            and (np.diff(ids) > 0).all()
+            and (ids < self.info.num_lists).all()
+            and np.array_equal(block[opens], np.arange(shared.blocks))
+            and np.array_equal(((starts + count)[closes] - bases) * POSTING_SIZE, fills)
+        ):
+            raise self._mismatch("holds a directory that does not match it")
+        extents = zip(
+            [name] * len(block),
+            block.tolist(),
+            ((starts - bases[block]) * POSTING_SIZE).tolist(),
+            (count * POSTING_SIZE).tolist(),
+        )
+        self._extents = {
+            list_id: next(extents) if is_short else None
+            for list_id, is_short in zip(ids.tolist(), short.tolist())
+        }
+        return self._extents
+
+    def _mismatch(self, what: str) -> TamperDetectedError:
+        return TamperDetectedError(
+            f"segment {self.info.seg_no} commits {self.shared.blocks} data blocks and "
+            f"{self.shared.lists} directory entries; its shared file {what}",
+            location=f"shared file '{self.shared_name}'",
+            invariant="segment-manifest",
+        )
 
     def posting_list_for(
         self, term_id: int
@@ -608,6 +776,69 @@ class MergedListFamily:
                 add = posting_list.append if jump is None else jump.insert
                 for doc_id, term_code in entries:
                     add(doc_id, term_code)
+
+    def write_shared_file(
+        self,
+        list_ids: np.ndarray,
+        counts: np.ndarray,
+        short: np.ndarray,
+        postings: np.ndarray,
+    ) -> SharedFile:
+        """Write a new segment's shared file; returns where it ends.
+
+        ``list_ids`` / ``counts`` name every non-empty list, ascending,
+        ``short`` marks those whose ``postings`` — an ``(n, 2)`` array,
+        list after list — go into the data blocks: whole lists, next
+        fit, so none straddles a block and each stays one block read.
+        The directory follows in blocks of its own.  One WORM record per
+        block, each held to the position it must land at; a document ID
+        that descends inside a list raises before anything is written.
+        """
+        postings = posting_array(postings)
+        ends = np.cumsum(counts[short])
+        doc_ids = postings[:, 0]
+        descents = np.setdiff1d(np.flatnonzero(doc_ids[1:] < doc_ids[:-1]) + 1, ends)
+        if len(descents):
+            at = int(descents[0])
+            list_id = list_ids[short][np.searchsorted(ends, at, side="right")]
+            raise DocumentIdOrderError(
+                f"doc_id {doc_ids[at]} < last appended {doc_ids[at - 1]} in "
+                f"posting list '{self.list_name(list_id)}'"
+            )
+        capacity = self.store.block_size // POSTING_SIZE
+        rows = np.r_[0, ends]
+        opens: List[int] = []  # the first list of each block
+        first = 0
+        while first < len(ends):
+            opens.append(first)
+            first = int(np.searchsorted(ends, rows[first] + capacity, side="right"))
+        self.store.ensure_file(self.shared_name)
+        bases = rows[opens].tolist()
+        for block_no, (start, end) in enumerate(zip(bases, [*bases[1:], len(postings)])):
+            self._append_block(postings[start:end].tobytes(), block_no)
+        entries = np.empty((len(list_ids), 3), dtype=_ENTRY_DTYPE)
+        entries[:, 0] = list_ids
+        entries[:, 1] = _LONG
+        entries[:, 2] = counts
+        entries[short, 1] = np.searchsorted(opens, np.arange(len(ends)), side="right") - 1
+        per_block = self.store.block_size // _ENTRY_SIZE
+        for at in range(0, len(entries), per_block):
+            self._append_block(
+                entries[at : at + per_block].tobytes(), len(opens) + at // per_block
+            )
+        return SharedFile(len(opens), len(entries), len(ends))
+
+    def _append_block(self, payload: bytes, block_no: int) -> None:
+        position = self.store.append_record(
+            self.shared_name, payload, force_new_block=True
+        )
+        if position != (block_no, 0):
+            # The file held bytes this writer never appended.
+            raise TamperDetectedError(
+                f"block record landed at {position}, expected {(block_no, 0)}",
+                location=f"shared file '{self.shared_name}', block {block_no}",
+                invariant="posting-block-position",
+            )
 
     # ------------------------------------------------------------------
     # query paths
@@ -710,34 +941,71 @@ class MergedListFamily:
     # ------------------------------------------------------------------
     # maintenance / audit
     # ------------------------------------------------------------------
-    def list_file_names(self) -> List[str]:
-        """Every committed list file of this family (sorted)."""
-        return family_file_names(self.store.device, [self])[0]
+    def list_ids(self, own_files: bool = False) -> List[int]:
+        """Every non-empty list, ascending — or only those that are
+        files of their own.  A shared-file segment's directory names
+        them; otherwise each is a file under the prefix, found by
+        listing the device."""
+        if self.shared is None:
+            return [
+                int(name[len(self.prefix) :])
+                for name in self.store.device.list_files()
+                if name.startswith(self.prefix)
+            ]
+        return [
+            list_id
+            for list_id, extent in self._directory().items()
+            if extent is None or not own_files
+        ]
+
+    def list_names(self, own_files: bool = False) -> List[str]:
+        """:meth:`list_ids` by name — a short list's being the one it
+        would have as a file, its key in the read cache."""
+        return [self.list_name(list_id) for list_id in self.list_ids(own_files)]
+
+    def attached_names(self) -> List[str]:
+        """The lists attached so far, by name: the only ones of this
+        family the read cache can hold anything of."""
+        return [posting_list.name for posting_list, _ in self._lists.values()]
 
     def attached_lists(
         self,
     ) -> Iterator[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """Attach and yield every committed ``(list, jump)`` pair."""
-        for name in self.list_file_names():
-            yield self._attach(int(name[len(self.prefix) :]))
+        for list_id in self.list_ids():
+            yield self._attach(list_id)
 
-    def read_columns(self, names: Sequence[str]) -> PostingColumns:
-        """All postings of the list files ``names`` (this family's
-        :meth:`list_file_names`) as ``(doc_ids, term_codes)`` columns,
-        list after list — a merge's input.
+    def read_columns(self) -> PostingColumns:
+        """All postings of this family as ``(doc_ids, term_codes)``
+        columns, list after list — a merge's input.
 
-        Every committed block is read straight from the store, once,
-        and nothing is attached: uncounted and uncached — merging is
-        maintenance and must not evict the query working set from the
-        decoded-block tier.  What attaching a list would have refused
-        is refused here: a block that is not whole postings, and a list
-        whose document IDs descend (one comparison over the whole
-        column; a list may start below the end of the one before it).
+        Every committed block is read straight from the store, once — a
+        shared file's data blocks whole, list starts from its directory,
+        then each list file's — and nothing is attached: uncounted and
+        uncached — merging is maintenance and must not evict the query
+        working set from the decoded-block tier.  What attaching a list
+        would have refused is refused here: a block that is not whole
+        postings, and a list whose document IDs descend (one comparison
+        over the whole column; a list may start below the end of the
+        one before it).
         """
         payloads: List[bytes] = []
+        list_ids: List[int] = []
         list_starts: List[int] = []
         count = 0
-        for name in names:
+        if self.shared is not None:
+            for list_id, extent in self._directory().items():
+                if extent is not None:
+                    list_ids.append(list_id)
+                    list_starts.append(count)
+                    count += extent[3] // POSTING_SIZE
+            payloads = [
+                self.store.peek_block(self.shared_name, block_no)
+                for block_no in range(self.shared.blocks)
+            ]
+        for list_id in self.list_ids(own_files=True):
+            name = self.list_name(list_id)
+            list_ids.append(list_id)
             list_starts.append(count)
             for block_no in range(self.store.open_file(name).num_blocks):
                 payloads.append(self.store.peek_block(name, block_no))
@@ -755,11 +1023,32 @@ class MergedListFamily:
             which = bisect_right(list_starts, at) - 1
             raise TamperDetectedError(
                 f"doc ID {doc_ids[at]} after {doc_ids[at - 1]}",
-                location=f"posting list '{names[which]}', "
+                location=f"posting list '{self.list_name(list_ids[which])}', "
                 f"posting {at - list_starts[which]}",
                 invariant="posting-monotonicity",
             )
         return doc_ids, postings[:, 1]
+
+    def unreachable_files(self) -> List[Tuple[str, int]]:
+        """An audit's findings under a shared-file segment's names:
+        ``(file, bytes)`` for what no query reads — the shared file's
+        bytes past the end its manifest record fixes, and every file
+        that is neither it nor a long list of its directory."""
+        if self.shared is None:
+            return []
+        own = set(self.list_names(own_files=True))
+        committed = self.shared.lists * _ENTRY_SIZE + sum(
+            extent[3] for extent in self._directory().values() if extent is not None
+        )
+        found = []
+        for name in self.store.device.list_files():
+            if name.startswith(self.root) and name not in own:
+                size = self.store.open_file(name).total_bytes()
+                if name != self.shared_name:
+                    found.append((name, size))
+                elif size != committed:
+                    found.append((name, size - committed))
+        return found
 
     def posting_count(self) -> int:
         return sum(len(pl) for pl, _ in self.attached_lists())

@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from time import perf_counter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -50,7 +49,6 @@ from repro.core.segments import (
     SegmentInfo,
     SegmentManifest,
     choose_popular_terms,
-    family_file_names,
     next_seg_no,
     validate_seal_strategy,
     write_segment_lists,
@@ -689,27 +687,39 @@ class TrustworthySearchEngine:
     # ------------------------------------------------------------------
     # lexicon
     # ------------------------------------------------------------------
-    def term_id(self, term: str, *, create: bool = False) -> Optional[int]:
-        """Engine-local term ID for ``term`` (optionally allocating one).
+    def term_id(self, term: str) -> Optional[int]:
+        """Engine-local term ID for ``term`` (``None`` if never indexed).
 
         Terms are canonicalized via :func:`lexicon_key` before lookup and
         allocation, so the in-memory lexicon, the WORM lexicon log, and
         query-time lookups always agree on one byte sequence per term.
         """
-        term = lexicon_key(term)
-        existing = self._lexicon.lookup(term)
-        if existing is not None or not create:
-            return existing
-        if "\n" in term:
-            raise WorkloadError(
-                f"term {term!r} contains a newline; the WORM lexicon log "
-                f"is newline-delimited and cannot represent it"
-            )
-        if len(self._lexicon) > MAX_TERM_ID_WITH_TF:
+        return self._lexicon.lookup(lexicon_key(term))
+
+    def _add_terms(self, terms: Sequence[str]) -> None:
+        """Allocate IDs, in order, for canonical ``terms`` new to the
+        lexicon: logged first — one WORM record for all of them, more
+        only when they outgrow a block (a record never spans one) — then
+        added in memory.  The log's bytes are those of a record per
+        term, so restart reads it as ever."""
+        for term in terms:
+            if "\n" in term:
+                raise WorkloadError(
+                    f"term {term!r} contains a newline; the WORM lexicon log "
+                    f"is newline-delimited and cannot represent it"
+                )
+        if len(self._lexicon) + len(terms) > MAX_TERM_ID_WITH_TF + 1:
             raise WorkloadError("lexicon exceeded the 24-bit term-id space")
-        term_id = self._lexicon.add(term)
-        self._lexicon_file.append_record(term.encode("utf-8") + b"\n")
-        return term_id
+        record = b""
+        for line in (term.encode("utf-8") + b"\n" for term in terms):
+            if record and len(record) + len(line) > self.store.block_size:
+                self._lexicon_file.append_record(record)
+                record = b""
+            record += line
+        if record:
+            self._lexicon_file.append_record(record)
+        for term in terms:
+            self._lexicon.add(term)
 
     @property
     def vocabulary_size(self) -> int:
@@ -863,15 +873,16 @@ class TrustworthySearchEngine:
         commit it.
 
         Writes the segment's merged posting lists first and appends the
-        manifest record last — the atomic step; a crash before it leaves
-        only orphan files that recovery ignores and never overwrites.
+        manifest record last — the atomic step, which also fixes where
+        the short lists' shared file ends; a crash before it leaves only
+        orphan files that recovery ignores and never overwrites.
         The segment number is spent before the first list file exists,
         so a write that raises part-way burns it in this session too.
         """
         strategy, popular = self._choose_assignment(columns[1])
         seg_no = self._next_seg_no
         self._next_seg_no += 1
-        write_segment_lists(
+        _, shared = write_segment_lists(
             self.store,
             seg_no,
             columns,
@@ -889,6 +900,7 @@ class TrustworthySearchEngine:
             strategy=strategy,
             popular_terms=popular,
             inputs=inputs,
+            shared=shared,
         )
         self._manifest.append(info)
         return self._open_family(info)
@@ -946,8 +958,7 @@ class TrustworthySearchEngine:
         retired = self._segments
         if len(retired) < 2:
             return None
-        names = family_file_names(self.store.device, retired)
-        columns = [s.read_columns(n) for s, n in zip(retired, names)]
+        columns = [segment.read_columns() for segment in retired]
         segment = self._write_segment(
             tuple(np.concatenate(column) for column in zip(*columns)),
             first_doc=retired[0].info.first_doc,
@@ -959,8 +970,10 @@ class TrustworthySearchEngine:
         if self.read_cache is not None:
             # Segment-retirement hook: the retired lists can never be
             # read again, so their decoded blocks and jump memos are
-            # dead weight.
-            self.read_cache.forget_lists(chain.from_iterable(names))
+            # dead weight.  Only a list a query attached has any.
+            self.read_cache.forget_lists(
+                name for segment in retired for name in segment.attached_names()
+            )
         if self._metrics_on:
             self._c_merges.inc()
             self._g_segments.set(1)
@@ -1024,9 +1037,10 @@ class TrustworthySearchEngine:
 
         The per-document body of every ingest call.  The index update
         happens here, before returning: real-time index update, no
-        buffering window.  Tail mode registers the postings in memory
-        (the document, commit-time, and lexicon logs already journal
-        everything the tail is rebuilt from).  Otherwise they go to the
+        buffering window.  The terms the document introduces go to the
+        lexicon log as one record.  Tail mode registers the postings in
+        memory (the document, commit-time, and lexicon logs already
+        journal everything the tail is rebuilt from).  Otherwise they go to the
         merged WORM lists: appended now, in term order, or — inside
         :meth:`index_batch` — grouped per list into ``batch`` for one
         pass per list before that call returns.
@@ -1045,9 +1059,12 @@ class TrustworthySearchEngine:
         doc_id = self.documents.commit(
             text, commit_time=commit_time, retention_until=retention_until
         )
-        id_counts: Dict[int, int] = {}
-        for term, count in term_counts.items():
-            id_counts[self.term_id(term, create=True)] = count
+        keys = {term: lexicon_key(term) for term in term_counts}
+        lookup = self._lexicon.lookup
+        self._add_terms(
+            list(dict.fromkeys(k for k in keys.values() if lookup(k) is None))
+        )
+        id_counts = {lookup(keys[term]): count for term, count in term_counts.items()}
         # Postings carry the paper's "keyword frequency" metadata,
         # packed into the code field's spare byte.
         codes = {t: pack_term_tf(t, id_counts[t]) for t in sorted(id_counts)}
@@ -1527,6 +1544,7 @@ class TrustworthySearchEngine:
             "segments_live": len(self._segments),
             "manifest_records": lifecycle.get("manifest_records", 0),
             "device_bytes": self.store.device.total_bytes(),
+            "device_files": len(self.store.device),
         }
 
     # ------------------------------------------------------------------

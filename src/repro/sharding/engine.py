@@ -470,6 +470,7 @@ class ShardedSearchEngine:
                 "segments_live",
                 "manifest_records",
                 "device_bytes",
+                "device_files",
             )
         }
         if self._incidents is not None or self.coordinator.device.exists(INCIDENT_FILE):
@@ -483,6 +484,7 @@ class ShardedSearchEngine:
         stats["device_bytes"] = (
             summed["device_bytes"] + self.coordinator.device.total_bytes()
         )
+        stats["device_files"] = summed["device_files"] + len(self.coordinator.device)
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -123,11 +123,14 @@ class CachedWormStore:
             self.cache.invalidate(key)
         return block_no, offset
 
-    def read_block(self, name: str, block_no: int) -> bytes:
-        """Read the committed bytes of a block, counting a miss as one read."""
+    def read_block(
+        self, name: str, block_no: int, offset: int = 0, length: Optional[int] = None
+    ) -> bytes:
+        """Read the committed bytes of a block — all of them, or the
+        ``length`` at ``offset`` — counting a miss as one read."""
         worm_file = self.device.open_file(name)
         self.cache.access((name, block_no))
-        return worm_file.read(block_no)
+        return worm_file.read(block_no, offset, length)
 
     def set_slot(self, name: str, block_no: int, slot_no: int, value: int) -> None:
         """Assign a write-once pointer slot, counting a miss as one read.
@@ -149,14 +152,16 @@ class CachedWormStore:
     # ------------------------------------------------------------------
     # uncounted paths (application-memory metadata, verification passes)
     # ------------------------------------------------------------------
-    def peek_block(self, name: str, block_no: int) -> bytes:
+    def peek_block(
+        self, name: str, block_no: int, offset: int = 0, length: Optional[int] = None
+    ) -> bytes:
         """Read block bytes *without* touching the cache or counters.
 
         Used by code that models application-side memory (the tail-path
         optimization of Section 4.5) and by offline auditors whose I/O is
         not part of any reported figure.
         """
-        return self.device.open_file(name).read(block_no)
+        return self.device.open_file(name).read(block_no, offset, length)
 
     def peek_slot(self, name: str, block_no: int, slot_no: int) -> Optional[int]:
         """Read a pointer slot without touching the cache or counters."""

@@ -1,20 +1,26 @@
-"""Writes ``tail_archive_pr15.worm`` and ``tail_archive_pr15.json``.
+"""Writes ``tail_archive_<stem>.worm`` and ``tail_archive_<stem>.json``.
 
-The pair is a fixture of ``tests/search/test_cross_commit_replay.py``: a
-small tail-mode archive journal as commit 8ff0b9e (PR 15, the last one
-to journal a sealed segment posting by posting) wrote it, the script of
-operations that produced it, and the answers that commit gave.  It was
-run once, against a checkout of that commit:
+A pair is a fixture of ``tests/search/test_cross_commit_replay.py``: a
+small tail-mode archive journal as one commit wrote it, the script of
+operations that produced it, and the answers that commit gave.  Each
+was run once, against a checkout of its commit, under its stem:
 
-    PYTHONPATH=<checkout of 8ff0b9e>/src python tests/data/make_tail_archive.py
+    PYTHONPATH=<checkout>/src python tests/data/make_tail_archive.py pr15
 
-Run against any later commit it writes the same device state under
-different record boundaries, which is what the test proves — do not
-regenerate the committed files.
+* ``pr15`` — commit 8ff0b9e (PR 15), the last one to journal a sealed
+  segment posting by posting.  Every list of every segment is a file.
+* ``pr21`` — PR 21, the first whose segments file their short lists in
+  one shared file with a directory, under manifest opcodes 3 and 4.
+  Code before it refuses this archive (``segment-manifest``).
+
+Run against a later commit the script writes the same answers and,
+where that commit changed it, another journal, which is what the tests
+prove — do not regenerate a committed pair; add a stem.
 """
 
 import json
 import os
+import sys
 
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.persistent import JournaledWormDevice
@@ -70,8 +76,8 @@ def answers(engine):
     }
 
 
-def main():
-    path = os.path.join(HERE, "tail_archive_pr15.worm")
+def main(stem):
+    path = os.path.join(HERE, f"tail_archive_{stem}.worm")
     if os.path.exists(path):
         os.remove(path)
     device = JournaledWormDevice(path, block_size=CONFIG["block_size"])
@@ -85,13 +91,14 @@ def main():
         "script": steps,
         "answers": answers(engine),
         "segments": [s["seg_no"] for s in engine.segments_info()["segments"]],
+        "segment_table": engine.segments_info()["segments"],
         "journal_records": device.records,
     }
     device.close()
-    with open(os.path.join(HERE, "tail_archive_pr15.json"), "w") as handle:
+    with open(os.path.join(HERE, f"tail_archive_{stem}.json"), "w") as handle:
         json.dump(recorded, handle, indent=1)
         handle.write("\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

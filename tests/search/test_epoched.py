@@ -123,8 +123,8 @@ class TestIsolation:
         engine.index_document("one")
         engine.index_document("two")
         files = engine.store.device.list_files()
-        assert any(f.startswith("engine/seg/000000/pl/") for f in files)
-        assert any(f.startswith("engine/seg/000001/pl/") for f in files)
+        assert "engine/seg/000000/short" in files
+        assert "engine/seg/000001/short" in files
         assert [f for f in files if "lexicon" in f] == ["engine/lexicon"]
         assert [f for f in files if "commit-times" in f] == [
             "engine/commit-times"

@@ -8,7 +8,7 @@ from repro.search.profiling import profile_query, recommend_configuration
 
 def build_engine(**config):
     engine = TrustworthySearchEngine(
-        EngineConfig(num_lists=8, branching=4, block_size=512, **config)
+        EngineConfig(**{"num_lists": 8, "branching": 4, "block_size": 512, **config})
     )
     for i in range(40):
         terms = ["common"]
@@ -105,7 +105,22 @@ class TestConjunctiveProfile:
 
 
 class TestConjunctiveProfileTail(TailEngine, TestConjunctiveProfile):
-    pass
+    def test_counts_and_matches(self, engine):
+        """A sealed list of at most a block's postings is an extent of
+        its segment's shared file: nothing to jump over, no jump index —
+        and the profile says so.  At eight postings to a block the same
+        lists span blocks and are joined through their jump indexes."""
+        profile = profile_query(engine, "+even +fifth")
+        assert profile.mode == "conjunctive"
+        assert profile.matches == 4  # multiples of 10
+        assert profile.blocks_read >= 1
+        assert not profile.used_jump_index
+        small_blocks = build_engine(
+            tail_max_docs=16, merge_at_segments=None, block_size=256
+        )
+        profile = profile_query(small_blocks, "+even +fifth")
+        assert profile.matches == 4
+        assert profile.used_jump_index
 
 
 class TestRecommendation:

@@ -30,6 +30,11 @@ from repro.worm.storage import CachedWormStore
 from tests.helpers import DEFAULT_CORPUS
 
 LEGACY = EngineConfig(num_lists=32, branching=4, retention_period=100)
+#: A block that holds one posting beside the pointer slots of ``LEGACY``'s
+#: jump index: a sealed list of two postings spans blocks, so it is a
+#: file of its own — the kind the device still appends to.  (What Mala
+#: can do to a list short enough to share a file: test_sealed_extents.py.)
+ONE_POSTING_BLOCKS = 200
 QUERIES = [
     "imclone finance",
     "stewart waksal imclone",
@@ -176,7 +181,10 @@ class TestEquivalence:
         max-merged them."""
         engine = TrustworthySearchEngine(
             tail_config(
-                tail_max_docs=2, seal_strategy=seal_strategy, seal_popular_terms=1
+                tail_max_docs=2,
+                seal_strategy=seal_strategy,
+                seal_popular_terms=1,
+                block_size=ONE_POSTING_BLOCKS,
             )
         )
         for text in ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"]:
@@ -188,6 +196,7 @@ class TestEquivalence:
         assert honest[2][alpha] == honest[4][alpha] == 1
 
         stuffed_list, _ = first.posting_list_for(alpha)
+        assert stuffed_list.num_blocks > 1  # a file of its own: appendable
         stuffed_list.append(2, pack_term_tf(alpha, 9))  # sealed in `second`
         stuffed_list.append(4, pack_term_tf(alpha, 7))  # in the tail
         honest[2][alpha], honest[4][alpha] = 9, 7
@@ -200,18 +209,20 @@ class TestEquivalence:
         """The conjunctive counterpart: a document stuffed into an older
         segment's lists under every query term joins there *and* where
         it really lives — and is still one hit, not two."""
-        engine = TrustworthySearchEngine(tail_config(tail_max_docs=2))
-        for text in ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha beta"]:
+        engine = TrustworthySearchEngine(
+            tail_config(tail_max_docs=2, block_size=ONE_POSTING_BLOCKS)
+        )
+        for text in ["alpha beta", "beta alpha", "alpha beta gamma", "beta", "alpha beta"]:
             engine.index_document(text)
         honest = results(engine, "+alpha +beta")
-        assert sorted(doc_id for doc_id, _ in honest) == [0, 2, 4]
+        assert sorted(doc_id for doc_id, _ in honest) == [0, 1, 2, 4]
         first = engine.iter_segments()[0]
         for term in ("alpha", "beta"):
             term_id = engine.term_id(term)
             stuffed_list, _ = first.posting_list_for(term_id)
             for doc_id in (2, 4, 4):  # sealed later; in the tail, twice
                 stuffed_list.append(doc_id, pack_term_tf(term_id, 9))
-        assert len(engine.match("+alpha +beta")) == 3
+        assert len(engine.match("+alpha +beta")) == 4
         assert results(engine, "+alpha +beta") == honest  # presence: tf 1
         assert len(engine.match("+alpha")) == 4  # one cursor, repeats and all
 
@@ -407,19 +418,24 @@ class TestRestartRecovery:
 class TestSealCrashRecovery:
     """Power loss at any WAL stage of any seal write loses nothing.
 
-    A seal writes the segment's posting lists (``create`` + ``append``
-    ops) and then commits one manifest record (the atomic step).  The
-    sweep below crashes at every counted fault point of the whole seal,
-    in both WAL stages, and proves each crash recovers to an engine that
-    answers exactly like an uncrashed reference — with the interrupted
-    seal either fully invisible (pre-manifest) or fully applied
+    A seal creates the shared file, appends its data blocks and then
+    its directory blocks, writes each long list (``create`` + an
+    ``append`` per block + a ``set_slot`` per pointer) and then commits
+    one manifest record (the atomic step).  The sweep below crashes at
+    every counted fault point of the whole seal, in both WAL stages, and
+    proves each crash recovers to an engine that answers exactly like an
+    uncrashed reference — with the interrupted seal either fully
+    invisible (pre-manifest: an orphan shared file, with or without its
+    directory, and maybe some long lists) or fully applied
     (post-manifest), never half-visible.
     """
 
-    CFG = tail_config(tail_max_docs=100, branching=None, block_size=512)
+    #: Eight postings to a list's block: the six documents seal into
+    #: long lists and short ones both.
+    CFG = tail_config(tail_max_docs=100, num_lists=4, branching=4, block_size=256)
 
     def prepare(self, path):
-        device = JournaledWormDevice(path, block_size=512)
+        device = JournaledWormDevice(path, block_size=256)
         engine = TrustworthySearchEngine(
             self.CFG, store=CachedWormStore(None, device=device)
         )
@@ -432,19 +448,27 @@ class TestSealCrashRecovery:
         path = str(tmp_path / "dry.worm")
         self.prepare(path)
         plan = FaultPlan()
-        device = FaultInjectingWormDevice(path, plan=plan, block_size=512)
+        device = FaultInjectingWormDevice(path, plan=plan, block_size=256)
         engine = TrustworthySearchEngine(
             self.CFG, store=CachedWormStore(None, device=device)
         )
         assert engine.seal_tail() is not None
+        shared = engine.iter_segments()[0].info.shared
         device.close()
         # WAL points are counted per "op:stage"; each op passes both
         # stages, so either stage's count is the op's call total.
-        return {
+        ops = {
             op: plan.count(f"{op}:between-log-and-apply")
-            for op in ("create", "append")
-            if plan.count(f"{op}:between-log-and-apply")
+            for op in ("create", "append", "set_slot")
         }
+        # Every kind of write is in the sweep: the shared file and each
+        # long list created; data blocks, directory blocks, two or more
+        # blocks per long list and the manifest record appended.
+        long_lists = shared.lists - shared.short_lists
+        assert shared.blocks >= 1 and shared.short_lists >= 2 and long_lists >= 2
+        assert ops["create"] == 1 + long_lists and ops["set_slot"] >= long_lists
+        assert ops["append"] >= shared.blocks + 1 + 2 * long_lists + 1
+        return ops
 
     def test_crash_sweep_over_every_seal_write(self, tmp_path):
         reference = TrustworthySearchEngine(self.CFG)
@@ -452,14 +476,13 @@ class TestSealCrashRecovery:
             reference.index_document(text)
 
         ops = self.count_seal_ops(tmp_path)
-        assert ops["create"] >= 1 and ops["append"] >= 2
         cases = wal_crash_cases(ops)
         assert len(cases) > 10  # the sweep is real, not a single point
         for op, stage, call in cases:
             path = str(tmp_path / f"{op}-{stage}-{call}.worm")
             self.prepare(path)
             plan = FaultPlan().crash(f"{op}:{stage}", on_call=call)
-            device = FaultInjectingWormDevice(path, plan=plan, block_size=512)
+            device = FaultInjectingWormDevice(path, plan=plan, block_size=256)
             engine = TrustworthySearchEngine(
                 self.CFG, store=CachedWormStore(None, device=device)
             )
@@ -467,7 +490,7 @@ class TestSealCrashRecovery:
                 engine.seal_tail()
             device.close()
 
-            recovered_device = JournaledWormDevice(path, block_size=512)
+            recovered_device = JournaledWormDevice(path, block_size=256)
             recovered = TrustworthySearchEngine(
                 self.CFG,
                 store=CachedWormStore(None, device=recovered_device),
@@ -481,8 +504,9 @@ class TestSealCrashRecovery:
             manifest_before = recovered.segments_info()["manifest_records"]
             seg_no = recovered.seal_tail()
             if manifest_before == 0:
-                assert seg_no is not None
+                assert seg_no == 1
             assert_equivalent(recovered, reference)
+            assert all(r.ok for r in full_engine_audit(recovered))
             recovered_device.close()
 
     def test_post_crash_orphans_do_not_leak_into_queries(self, tmp_path):
@@ -498,7 +522,7 @@ class TestSealCrashRecovery:
         plan = FaultPlan().crash(
             "append:after-apply", on_call=ops["append"] - 1
         )
-        device = FaultInjectingWormDevice(path, plan=plan, block_size=512)
+        device = FaultInjectingWormDevice(path, plan=plan, block_size=256)
         engine = TrustworthySearchEngine(
             self.CFG, store=CachedWormStore(None, device=device)
         )
@@ -506,7 +530,7 @@ class TestSealCrashRecovery:
             engine.seal_tail()
         device.close()
 
-        recovered_device = JournaledWormDevice(path, block_size=512)
+        recovered_device = JournaledWormDevice(path, block_size=256)
         recovered = TrustworthySearchEngine(
             self.CFG, store=CachedWormStore(None, device=recovered_device)
         )
@@ -526,36 +550,41 @@ class TestSegmentNumbering:
     with the number of files the archive holds."""
 
     def test_a_failed_seal_burns_its_number_in_session(self, monkeypatch):
-        engine, legacy_engine = build_pair(
-            tail_config(tail_max_docs=100, branching=None, block_size=512)
-        )
-        append_record = engine.store.append_record
-        calls = []
+        # The seal's appends: a data block, a directory block, the
+        # manifest record.  Whichever fails, the orphan is one file —
+        # without its directory, or whole — and invisible.
+        for failing_call in (1, 2, 3):
+            engine, legacy_engine = build_pair(
+                tail_config(tail_max_docs=100, branching=None, block_size=512)
+            )
+            append_record = engine.store.append_record
+            calls = []
 
-        def failing_on_the_third(name, payload, **kwargs):
-            calls.append(name)
-            if len(calls) == 3:
-                raise OSError("no space left on device")
-            return append_record(name, payload, **kwargs)
+            def failing(name, payload, **kwargs):
+                calls.append(name)
+                if len(calls) == failing_call:
+                    raise OSError("no space left on device")
+                return append_record(name, payload, **kwargs)
 
-        monkeypatch.setattr(engine.store, "append_record", failing_on_the_third)
-        with pytest.raises(OSError):
-            engine.seal_tail()
-        monkeypatch.undo()
-        orphans = [
-            name
-            for name in engine.store.device.list_files()
-            if name.startswith("engine/seg/000000/")
-        ]
-        assert len(orphans) >= 2  # some lists went down before the failure
-        info = engine.segments_info()
-        assert info["manifest_records"] == 0 and not info["segments"]
-        assert info["tail_docs"] == len(DEFAULT_CORPUS)
-        assert_equivalent(engine, legacy_engine)
-        # Same session, no rescan: the next seal takes the next number.
-        assert engine.seal_tail() == 1
-        assert_equivalent(engine, legacy_engine)
-        assert all(r.ok for r in full_engine_audit(engine))
+            monkeypatch.setattr(engine.store, "append_record", failing)
+            with pytest.raises(OSError):
+                engine.seal_tail()
+            monkeypatch.undo()
+            orphans = [
+                name
+                for name in engine.store.device.list_files()
+                if name.startswith("engine/seg/000000/")
+            ]
+            assert orphans == ["engine/seg/000000/short"]
+            assert engine.store.open_file(orphans[0]).num_blocks == failing_call - 1
+            info = engine.segments_info()
+            assert info["manifest_records"] == 0 and not info["segments"]
+            assert info["tail_docs"] == len(DEFAULT_CORPUS)
+            assert_equivalent(engine, legacy_engine)
+            # Same session, no rescan: the next seal takes the next number.
+            assert engine.seal_tail() == 1
+            assert_equivalent(engine, legacy_engine)
+            assert all(r.ok for r in full_engine_audit(engine))
 
     def test_seals_do_not_list_the_device_and_a_merge_lists_it_once(
         self, monkeypatch
@@ -576,7 +605,10 @@ class TestSegmentNumbering:
         engine.index_document("stewart zebra")  # seals
         assert len(engine.iter_segments()) == 4 and not listings
         assert engine.merge_segments() == 4
-        assert len(listings) == 1
+        # Each input's directory names its lists, so not even the merge
+        # lists the device; the once is for an input sealed before lists
+        # shared a file (test_cross_commit_replay.py counts it).
+        assert not listings
         for text in ("imclone zebra", "stewart zebra"):
             legacy_engine.index_document(text)
         assert_equivalent(engine, legacy_engine, QUERIES + ["zebra"])
@@ -584,19 +616,24 @@ class TestSegmentNumbering:
 
 class TestMergeReadsWhatAnAttachRead:
     """A merge reads its inputs' blocks straight from the store, without
-    attaching their lists — and still refuses what an attach refused."""
+    attaching their lists — and still refuses what an attach refused.
+    Mala writes to the one kind of sealed list the device still appends
+    to: a file of its own, here two blocks of a posting each."""
 
     TEXTS = ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"]
 
     QUERIES = ("alpha gamma", "+alpha +beta", "gamma")
 
     def sealed(self, **kwargs):
-        engine = TrustworthySearchEngine(tail_config(tail_max_docs=2, **kwargs))
+        engine = TrustworthySearchEngine(
+            tail_config(tail_max_docs=2, block_size=ONE_POSTING_BLOCKS, **kwargs)
+        )
         for text in self.TEXTS:
             engine.index_document(text)
         first, second = engine.iter_segments()
         alpha = engine.term_id("alpha")
         name = segment_list_name(first.info.seg_no, first.list_for(alpha))
+        assert engine.store.open_file(name).num_blocks == 2
         return engine, alpha, name
 
     def raw_append(self, engine, name, payload):
@@ -664,11 +701,17 @@ class TestMergeReadsWhatAnAttachRead:
     def test_a_merge_attaches_nothing_and_counts_what_it_decodes(self):
         engine, _alpha, _name = self.sealed()
         first, second = engine.iter_segments()
+        # The shared files' data blocks, and every block of a long list.
         blocks = sum(
-            engine.store.open_file(name).num_blocks
+            segment.info.shared.blocks
+            + sum(
+                engine.store.open_file(name).num_blocks
+                for name in segment.list_names()
+                if engine.store.device.exists(name)
+            )
             for segment in (first, second)
-            for name in segment.list_file_names()
         )
+        assert blocks > first.info.shared.blocks + second.info.shared.blocks > 0
         postings = sum(len(set(text.split())) for text in self.TEXTS[:4])
         attached = [dict(segment._lists) for segment in (first, second)]
         decoded = [series.value for series in engine._decode_series]
@@ -686,9 +729,11 @@ _MERGE_WORDS = "audit memo ledger trade waksal imclone filing quarter".split()
 class TestMergeCrashRecovery:
     """Power loss at any WAL stage of any merge write loses nothing.
 
-    A merge writes the merged segment's lists — a ``create`` per list,
-    an ``append`` per posting-list *block*, a ``set_slot`` per jump
-    pointer — and then commits one manifest record naming its inputs.
+    A merge writes the merged segment's lists — the shared file created,
+    an ``append`` per data block and per directory block of it, then per
+    long list a ``create``, an ``append`` per posting-list *block* and a
+    ``set_slot`` per jump pointer — and then commits one manifest record
+    naming its inputs.
     Crashing at every one of those writes, in both WAL stages, must
     reopen to an engine that answers like the uncrashed reference: the
     inputs still live and the half-written segment invisible (its number
@@ -697,7 +742,7 @@ class TestMergeCrashRecovery:
     """
 
     CFG = tail_config(
-        tail_max_docs=20, num_lists=2, branching=4, block_size=512
+        tail_max_docs=20, num_lists=4, branching=4, block_size=512
     )
     CORPUS = [
         " ".join(_MERGE_WORDS[(i * step) % 8] for step in (1, 3, 5, 7))
@@ -748,11 +793,13 @@ class TestMergeCrashRecovery:
             op: plan.count(f"{op}:between-log-and-apply")
             for op in ("create", "append", "set_slot")
         }
-        # Two lists of a few blocks each, pointers between the blocks,
-        # one manifest record: tens of writes, not one per posting.
+        # A shared file of a data block and a directory block, two long
+        # lists of a few blocks each, pointers between the blocks, one
+        # manifest record: tens of writes, not one per posting.
         postings = sum(len(set(text.split())) for text in self.CORPUS)
-        assert ops["create"] == 2 and ops["set_slot"] >= 2
-        assert 4 <= ops["append"] <= postings // 10
+        assert reference.iter_segments()[0].info.shared == (1, 4, 2)
+        assert ops["create"] == 3 and ops["set_slot"] >= 2
+        assert 2 + 4 <= ops["append"] <= postings // 10
 
         for op, stage, call in wal_crash_cases(ops):
             path = str(tmp_path / f"{op}-{stage}-{call}.worm")
