@@ -32,7 +32,6 @@ NONDETERMINISTIC = {
     "READ-CACHE.txt",
     "VEC-DECODE.txt",
     "VEC-SCORE.txt",
-    "VEC-SHARD-SCALING.txt",
 }
 
 

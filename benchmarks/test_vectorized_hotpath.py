@@ -15,19 +15,11 @@ floors at the bottom of each benchmark.
   operation per query term over the whole candidate set) vs the
   per-document ``score()`` loop on the same candidates, asserting
   identical floats first.
-* **VEC-SHARD-SCALING** — single-query latency of the thread executor
-  vs the process executor on a 4-shard file-backed archive with
-  CPU-heavy queries.  Threads serialize matching and scoring behind
-  the GIL; processes pay pickling instead.  The floor only applies on
-  machines with >= 4 CPUs, and is deliberately lenient — the claim is
-  "process fan-out is competitive and scales", not a fixed ratio.
 
-All three are wall-clock and land in ``NONDETERMINISTIC`` in
+Both are wall-clock and land in ``NONDETERMINISTIC`` in
 ``check_expectations.py``.
 """
 
-import os
-import tempfile
 from time import perf_counter
 
 import numpy as np
@@ -48,15 +40,6 @@ SCORE_DOCS = 4_000
 SCORE_TERMS = 3
 SCORE_ROUNDS = 9
 MIN_SCORE_SPEEDUP = 10.0
-
-SHARDS = 4
-SHARD_DOCS = 1_200
-SHARD_ROUNDS = 5
-SHARD_QUERIES_PER_ROUND = 6
-# Process fan-out must stay within this factor of the thread executor
-# on >=4 CPUs (it should usually win; the lenient bound absorbs CI
-# machine noise without letting a real regression through).
-MAX_PROCESS_OVER_THREAD = 1.25
 
 
 # ----------------------------------------------------------------------
@@ -219,115 +202,3 @@ def test_vectorized_scoring(benchmark, emit):
         f"{MIN_SCORE_SPEEDUP:.0f}x floor "
         f"({column_best * 1e3:.2f} ms vs {scalar_best * 1e3:.2f} ms)"
     )
-
-
-# ----------------------------------------------------------------------
-# VEC-SHARD-SCALING
-# ----------------------------------------------------------------------
-def _shard_texts(workload):
-    docs = workload.documents[:SHARD_DOCS]
-    return [
-        " ".join(
-            f"t{tid}"
-            for tid, count in zip(doc.term_ids, doc.term_counts)
-            for _ in range(count)
-        )
-        for doc in docs
-    ]
-
-
-def _shard_queries(workload):
-    # Prefer broad (1-2 term) queries over popular terms: large candidate
-    # sets make matching/scoring CPU-heavy, which is what distinguishes
-    # GIL-shared threads from independent processes.
-    picked = [q for q in workload.queries if 1 <= q.num_terms <= 2]
-    return [
-        " ".join(f"t{tid}" for tid in q.term_ids)
-        for q in picked[:SHARD_QUERIES_PER_ROUND]
-    ]
-
-
-def test_thread_vs_process_shard_scaling(benchmark, workload, emit):
-    from repro.cli import open_archive
-    from repro.search.engine import EngineConfig
-
-    texts = _shard_texts(workload)
-    queries = _shard_queries(workload)
-
-    def run():
-        with tempfile.TemporaryDirectory(prefix="repro-vecbench-") as tmp:
-            path = os.path.join(tmp, "archive.worm")
-            engine, handle = open_archive(
-                path,
-                create=EngineConfig(
-                    num_lists=64, block_size=4096, branching=None
-                ),
-                shards=SHARDS,
-            )
-            engine.index_batch(texts)
-            handle.close()
-
-            thread_engine, thread_handle = open_archive(path)
-            process_engine, process_handle = open_archive(
-                path, executor="process"
-            )
-            try:
-                for query in queries:  # identical answers first
-                    assert process_engine.search(query, top_k=10) == (
-                        thread_engine.search(query, top_k=10)
-                    ), query
-                thread_best = float("inf")
-                process_best = float("inf")
-                for _ in range(SHARD_ROUNDS):
-                    start = perf_counter()
-                    for query in queries:
-                        thread_engine.search(query, top_k=10)
-                    thread_best = min(thread_best, perf_counter() - start)
-                    start = perf_counter()
-                    for query in queries:
-                        process_engine.search(query, top_k=10)
-                    process_best = min(process_best, perf_counter() - start)
-            finally:
-                thread_handle.close()
-                process_handle.close()
-        return thread_best, process_best
-
-    thread_best, process_best = once(benchmark, run)
-    ratio = process_best / thread_best
-    per_query = len(queries)
-    table = format_table(
-        ("executor", "best round (ms)", "per query (ms)", "vs thread"),
-        [
-            (
-                "thread",
-                f"{thread_best * 1e3:.2f}",
-                f"{thread_best * 1e3 / per_query:.2f}",
-                "1.00x",
-            ),
-            (
-                "process",
-                f"{process_best * 1e3:.2f}",
-                f"{process_best * 1e3 / per_query:.2f}",
-                f"{ratio:.2f}x",
-            ),
-        ],
-    )
-    cpus = os.cpu_count() or 1
-    gated = cpus >= SHARDS
-    emit(
-        "VEC-SHARD-SCALING",
-        table
-        + f"\n{SHARDS} shards, {len(texts)} docs, "
-        f"{per_query} queries per round, {cpus} CPUs"
-        + (
-            f"\nrequired: process <= {MAX_PROCESS_OVER_THREAD:.2f}x thread"
-            if gated
-            else "\nfloor skipped: fewer CPUs than shards"
-        ),
-    )
-    if gated:
-        assert ratio <= MAX_PROCESS_OVER_THREAD, (
-            f"process executor at {ratio:.2f}x thread latency exceeds the "
-            f"{MAX_PROCESS_OVER_THREAD:.2f}x bound "
-            f"({process_best * 1e3:.2f} ms vs {thread_best * 1e3:.2f} ms)"
-        )

@@ -2,18 +2,20 @@
 
 Usage (also available as ``python -m repro``)::
 
-    repro-search init    --archive records.worm [--num-lists N]
+    repro-search init    --archive records.worm [--num-lists N] [--block-size B]
                          [--branching B] [--retention PERIOD] [--shards K]
                          [--tail-max-docs N] [--seal-strategy uniform|popular|epoch]
                          [--seal-popular K] [--merge-at N]
     repro-search index   --archive records.worm --text "..." [--text "..."]
     repro-search index   --archive records.worm file1.txt ... [--batch-size N]
+                         [--commit-time T] [--fsync] [--group-commit N]
+                         [--metrics-json out.json]
     repro-search search  --archive records.worm "stewart waksal" [--top-k K]
-                         [--verify] [--workers W] [--trace]
+                         [--verify] [--trace]
                          [--read-cache] [--cache-policy lru|2q|slru]
                          [--cache-mb MB] [--repeat N]
                          [--metrics-json out.json]
-    repro-search audit   --archive records.worm
+    repro-search audit   --archive records.worm [--json case.json]
     repro-search stats   --archive records.worm
     repro-search metrics --archive records.worm [--json out.json]
     repro-search profile --archive records.worm "+a +b +c" --query-file log.txt
@@ -21,13 +23,16 @@ Usage (also available as ``python -m repro``)::
                          [--fsync] [--group-commit N]
     repro-search verify-journal --archive records.worm
     repro-search segments --archive records.worm [--seal] [--merge]
+                         [--fsync] [--group-commit N]
     repro-search serve   --archive records.worm [--host H] [--port P]
                          [--rate R] [--burst B] [--max-inflight N]
-                         [--max-queue Q] [--fsync] [--group-commit N]
-                         [--seal-interval S]
+                         [--max-queue Q] [--queue-timeout S]
+                         [--request-timeout S] [--fsync] [--group-commit N]
+                         [--read-cache] [--cache-policy lru|2q|slru]
+                         [--cache-mb MB] [--log-requests] [--seal-interval S]
     repro-search loadtest [--clients N] [--duration S] [--mix F]
-                          [--arrival-rate R] [--seed S] [--shards K]
-                          [--tail-max-docs N]
+                          [--arrival-rate R] [--seed S] [--docs N]
+                          [--drift STRIDE] [--shards K] [--tail-max-docs N]
                           [--endpoint http://HOST:PORT]
                           [--out BENCH_LOADTEST.json] [--compare BASELINE]
     repro-search capacity --snapshot BENCH_LOADTEST.json
@@ -44,7 +49,7 @@ journal becomes the coordinator (configuration, global document map,
 global incident log) and each shard lives in a sibling journal
 ``records.worm.shard00`` … ``records.worm.shard{K-1}``.  Every other
 subcommand detects the sharded layout from the committed configuration;
-queries fan out across the shards in parallel.
+a query visits every shard and merges their ranked runs.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ def _read_config(store: CachedWormStore):
 
 
 class _ArchiveHandle:
-    """Closer for a sharded archive: engine pool plus every journal."""
+    """Closer for a sharded archive: the engine, then every journal."""
 
     def __init__(self, devices, engine):
         self._devices = devices
@@ -134,13 +139,11 @@ def open_archive(
     *,
     create: Optional[EngineConfig] = None,
     shards: int = 1,
-    workers: Optional[int] = None,
     fsync: bool = False,
     group_commit: int = 1,
     read_cache: bool = False,
     cache_policy: str = "lru",
     cache_mb: float = 8.0,
-    executor: str = "thread",
 ):
     """Open (or with ``create``, initialize) an archive at ``path``.
 
@@ -152,9 +155,6 @@ def open_archive(
     ``read_cache`` / ``cache_policy`` / ``cache_mb`` likewise enable the
     session-scoped read-path cache (per shard on a sharded archive) —
     none of these is persisted, because none shapes committed state.
-    ``executor`` selects the query fan-out of a sharded archive:
-    ``"thread"`` (default) or ``"process"`` (per-shard worker processes
-    reopening the shard journals; also a session knob).
     """
     device = JournaledWormDevice(path, fsync=fsync, group_commit=group_commit)
     store = CachedWormStore(None, device=device)
@@ -177,11 +177,6 @@ def open_archive(
             read_cache_mb=cache_mb,
         )
     if shards <= 1:
-        if executor == "process":
-            raise ReproError(
-                "executor='process' needs a sharded archive "
-                "(init with --shards >= 2)"
-            )
         engine = TrustworthySearchEngine(config, store=store)
         return engine, device
     devices = [device]
@@ -200,9 +195,6 @@ def open_archive(
         num_shards=shards,
         store_factory=shard_store,
         coordinator_store=store,
-        max_workers=workers,
-        executor=executor,
-        shard_paths=[_shard_path(path, i) for i in range(shards)],
     )
     return engine, _ArchiveHandle(devices, engine)
 
@@ -216,10 +208,8 @@ def _require(condition, message: str) -> None:
 
 def _session_options(args) -> dict:
     """The :func:`open_archive` keywords of the session option groups
-    (durability, fan-out, read cache) the subcommand declares."""
+    (durability, read cache) the subcommand declares."""
     names = (
-        "workers",
-        "executor",
         "fsync",
         "group_commit",
         "read_cache",
@@ -523,44 +513,16 @@ def _cmd_loadtest(args) -> int:
         finally:
             transport.close()
     else:
-        import contextlib
-        import tempfile
-
+        # An ephemeral in-memory archive: the harness measures the
+        # engine, not a disk layout, and every run starts from the same
+        # state.
         engine_config = EngineConfig(
             num_lists=256,
             block_size=4096,
             branching=None,
             tail_max_docs=args.tail_max_docs or None,
         )
-        with contextlib.ExitStack() as cleanup:
-            if args.executor == "process":
-                # Process workers reopen the shard journals in their own
-                # interpreters, so the ephemeral archive must be
-                # file-backed: build it in a temp directory that dies
-                # with the run.
-                _require(
-                    args.shards >= 2, "--executor process needs --shards >= 2"
-                )
-                tmp = cleanup.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-loadtest-")
-                )
-                engine, archive = open_archive(
-                    os.path.join(tmp, "archive.worm"),
-                    create=engine_config,
-                    shards=args.shards,
-                    workers=args.workers,
-                    executor="process",
-                )
-            else:
-                # An ephemeral in-memory archive: the harness measures
-                # the engine, not a disk layout, and every run starts
-                # from the same state.
-                engine = archive = ShardedSearchEngine(
-                    engine_config,
-                    num_shards=args.shards,
-                    max_workers=args.workers,
-                )
-            cleanup.callback(archive.close)
+        with ShardedSearchEngine(engine_config, num_shards=args.shards) as engine:
             result = run_load_test(engine, config)
             export_loadtest(engine.metrics, result)
     print(result.summary())
@@ -751,22 +713,27 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _add_fanout_options(
-    parser: argparse.ArgumentParser,
-    *,
-    executor_help: str = "sharded query fan-out: 'thread' shares the "
-    "interpreter, 'process' spawns one worker process per shard "
-    "(default: thread)",
-) -> None:
-    """``--workers`` and ``--executor``, shared by search/serve/loadtest."""
+def _add_layout_options(parser: argparse.ArgumentParser, *, shards: int) -> None:
+    """``--shards`` and ``--tail-max-docs``, for the two subcommands that
+    create an archive: init, and loadtest (an ephemeral one)."""
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="query fan-out threads on a sharded archive (default: one "
-        "per shard)",
+        "--shards", type=int, default=shards,
+        help=f"partition the archive across K shards (default: {shards})",
     )
     parser.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help=executor_help,
+        "--tail-max-docs", type=int, default=0, metavar="N",
+        help="enable the write–read decoupled tail: buffer up to N docs "
+        "per shard in the in-memory tail before sealing a WORM segment "
+        "(default: 0 = legacy synchronous posting-list appends)",
+    )
+
+
+def _add_metrics_json_option(parser: argparse.ArgumentParser) -> None:
+    """``--metrics-json``, shared by index and search."""
+    parser.add_argument(
+        "--metrics-json", default=None, metavar="PATH",
+        help="write a metrics snapshot (repro-metrics/v1 JSON; search adds "
+        "the query trace) once the command has run",
     )
 
 
@@ -825,16 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retention", type=int, default=None,
         help="retention period in commit-time units (default: forever)",
     )
-    init.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the archive across K parallel shards (default: 1)",
-    )
-    init.add_argument(
-        "--tail-max-docs", type=int, default=0,
-        help="enable the write–read decoupled tail: buffer up to N docs "
-        "in the in-memory tail before sealing a WORM segment "
-        "(default: 0 = legacy synchronous posting-list appends)",
-    )
+    _add_layout_options(init, shards=1)
     init.add_argument(
         "--seal-strategy", choices=["uniform", "popular", "epoch"],
         default="uniform",
@@ -866,10 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="documents committed per batched index pass (default: 64)",
     )
     _add_durability_options(index)
-    index.add_argument(
-        "--metrics-json", default=None, metavar="PATH",
-        help="write a metrics snapshot (repro-metrics/v1 JSON) after indexing",
-    )
+    _add_metrics_json_option(index)
     index.set_defaults(func=_cmd_index)
 
     search = sub.add_parser(
@@ -882,7 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", action="store_true",
         help="verify results against WORM documents; quarantine stuffing",
     )
-    _add_fanout_options(search)
     search.add_argument(
         "--trace", action="store_true",
         help="print the per-stage query trace (spans with micro-costs)",
@@ -893,10 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the query N times in one session (with --read-cache the "
         "later runs are served from the result cache)",
     )
-    search.add_argument(
-        "--metrics-json", default=None, metavar="PATH",
-        help="write a metrics snapshot (with the query trace) after searching",
-    )
+    _add_metrics_json_option(search)
     search.set_defaults(func=_cmd_search)
 
     audit = sub.add_parser("audit", help="full tamper audit of the archive")
@@ -977,7 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080,
         help="bind port; 0 picks a free one (default: 8080)",
     )
-    _add_fanout_options(serve)
     serve.add_argument(
         "--rate", type=float, default=200.0,
         help="per-tenant sustained requests/second; 0 disables rate "
@@ -1044,16 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=42,
         help="workload determinism seed (default: 42)",
     )
-    loadtest.add_argument(
-        "--shards", type=int, default=2,
-        help="shards of the ephemeral archive (default: 2)",
-    )
-    _add_fanout_options(
-        loadtest,
-        executor_help="query fan-out of the ephemeral archive: 'process' "
-        "builds it file-backed in a temp directory and spawns one worker "
-        "process per shard (default: thread)",
-    )
+    _add_layout_options(loadtest, shards=2)
     loadtest.add_argument(
         "--docs", type=int, default=300,
         help="documents preloaded before the clock starts (default: 300)",
@@ -1064,16 +1005,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ranks (default: 0 = stable popularity)",
     )
     loadtest.add_argument(
-        "--tail-max-docs", type=int, default=0, metavar="N",
-        help="run the ephemeral archive in tail mode: buffer N docs per "
-        "shard before sealing a segment (default: 0 = legacy "
-        "synchronous indexing); ignored with --endpoint",
-    )
-    loadtest.add_argument(
         "--endpoint", default=None, metavar="URL",
         help="drive a running 'repro-search serve' instance over HTTP "
         "(e.g. http://127.0.0.1:8080) instead of an ephemeral "
-        "in-process engine; --shards/--workers are then ignored",
+        "in-process engine; --shards/--tail-max-docs are then ignored",
     )
     loadtest.add_argument(
         "--out", default=None, metavar="PATH",

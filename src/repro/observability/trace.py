@@ -9,8 +9,7 @@ is the paper's accounting at per-query granularity instead of
 per-experiment.
 
 Spans form a tree via parent indices; recording is append-only under a
-lock so the sharded executor's worker threads can add spans
-concurrently.  ``to_dict()`` is stable (insertion-ordered spans, sorted
+lock, so a trace shared between threads stays consistent.  ``to_dict()`` is stable (insertion-ordered spans, sorted
 attributes) so traces can be committed as JSON fixtures.
 """
 
@@ -67,8 +66,8 @@ class QueryTrace:
         print(trace.pretty())
 
     The context-manager :meth:`span` nests spans per thread of control;
-    the executor's worker threads use :meth:`record` to add completed
-    shard spans without touching the coordinator's span stack.
+    the shard executor uses :meth:`record` to add completed shard and
+    merge spans from the times it has already taken.
     """
 
     def __init__(self, query: str = ""):
@@ -115,8 +114,8 @@ class QueryTrace:
     ) -> Span:
         """Add an already-timed span (``start``/``end`` are perf_counter values).
 
-        Thread-safe and stack-free: worker threads report completed
-        stages without interleaving with the coordinator's nesting.
+        Thread-safe and stack-free: a completed stage is reported
+        without touching the nesting of :meth:`span`.
         """
         with self._lock:
             span = Span(

@@ -59,9 +59,6 @@ class DocumentStore:
         """
         return f"{self.prefix}/{doc_id:010d}"
 
-    # Backwards-compatible alias (pre-dates the public naming API).
-    _file_name = file_name
-
     def restore(self, next_doc_id: int, commit_times: Dict[int, int]) -> None:
         """Reattach to documents committed in a previous session.
 

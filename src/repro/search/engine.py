@@ -145,10 +145,9 @@ class EngineConfig:
         terms, ``ti``, when that epoch saw no query), so evidence
         gathered in one epoch lays out the next.  The evidence is
         session memory, so the first epoch, and the first seal after a
-        restart, pin ``"uniform"``; queries answered by process-executor
-        workers never reach this engine, so such an archive adapts on
-        ``ti``.  ``merge_at_segments=None`` keeps every epoch's layout;
-        a merge re-lays its inputs out from the same evidence.
+        restart, pin ``"uniform"``.  ``merge_at_segments=None`` keeps
+        every epoch's layout; a merge re-lays its inputs out from the
+        same evidence.
     seal_popular_terms:
         How many popular terms get unmerged lists under ``"popular"`` /
         ``"epoch"``.

@@ -8,7 +8,7 @@ instances and recovers the single-engine API on top:
   (:mod:`repro.sharding.router`), committing the global↔local mapping to
   WORM, and indexes each shard's group in one batched pass
   (:mod:`repro.sharding.batch`);
-* **search** fans out to every shard on a thread pool, re-ranks under
+* **search** visits every shard in the caller's thread, re-ranks under
   aggregated collection statistics, and heap-merges the per-shard runs
   (:mod:`repro.sharding.executor`);
 * **trust** is preserved compositionally: every shard enforces the
@@ -23,7 +23,6 @@ corpus — is property-tested in ``tests/sharding``.
 
 from __future__ import annotations
 
-from functools import wraps
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import verification
@@ -39,31 +38,12 @@ from repro.search.engine import (
 )
 from repro.search.query import parse_query
 from repro.sharding.batch import BatchIngestor
-from repro.sharding.executor import ParallelQueryExecutor, ProcessShardExecutor
+from repro.sharding.executor import ParallelQueryExecutor
 from repro.sharding.router import ShardRouter
 from repro.worm.storage import CachedWormStore
 
 #: Coordinator WORM file for the sharded engine's incident log.
 INCIDENT_FILE = "shard/incidents"
-
-
-def _mutates(method):
-    """Mark process-executor workers stale once ``method`` has run.
-
-    Workers hold a spawn-time replay of the shard journals; whatever a
-    mutating call committed — even one that then raised — is missing
-    from it, and a committed document must never be omitted.
-    """
-
-    @wraps(method)
-    def wrapper(self, *args, **kwargs):
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            if self.executor_kind == "process":
-                self.executor.refresh()
-
-    return wrapper
 
 
 class _GlobalDocumentView:
@@ -98,7 +78,7 @@ class _GlobalDocumentView:
 
 
 class ShardedSearchEngine:
-    """Sharded, parallel trustworthy search over K independent shards.
+    """Sharded trustworthy search over K independent shards.
 
     Parameters
     ----------
@@ -115,21 +95,6 @@ class ShardedSearchEngine:
     coordinator_store:
         WORM store for cross-shard state (document map, global incident
         log).  Defaults to a fresh in-memory store.
-    max_workers:
-        Query fan-out thread-pool width (default: one per shard).
-    executor:
-        ``"thread"`` (default) fans queries out on a thread pool over
-        the in-process shard engines; ``"process"`` spawns one worker
-        process per shard (GIL-free matching and scoring) — requires
-        ``shard_paths``.  Workers replay their shard journal at spawn,
-        so every mutating call here marks them stale and the next query
-        respawns them: read-your-writes holds, at the price of a
-        journal replay per write-then-read.  Both return identical
-        results.
-    shard_paths:
-        Filesystem paths of the per-shard WORM journals (one per
-        shard), required by the process executor so workers can reopen
-        the shards in their own processes.
     metrics:
         Metrics registry shared by every shard, the executor, and the
         batch ingestor; each shard stamps its series with a
@@ -146,28 +111,10 @@ class ShardedSearchEngine:
         num_shards: int = 2,
         store_factory: Optional[Callable[[int], CachedWormStore]] = None,
         coordinator_store: Optional[CachedWormStore] = None,
-        max_workers: Optional[int] = None,
-        executor: str = "thread",
-        shard_paths: Optional[Sequence[str]] = None,
         metrics=None,
     ):
         if num_shards <= 0:
             raise WorkloadError(f"num_shards must be positive, got {num_shards}")
-        if executor not in ("thread", "process"):
-            raise WorkloadError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        if executor == "process":
-            if shard_paths is None:
-                raise WorkloadError(
-                    "executor='process' needs shard_paths (per-shard journal "
-                    "files workers can reopen); in-memory shards cannot be "
-                    "shared across processes"
-                )
-            if len(shard_paths) != num_shards:
-                raise WorkloadError(
-                    f"got {len(shard_paths)} shard paths for {num_shards} shards"
-                )
         self.config = config or EngineConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if store_factory is None:
@@ -190,24 +137,13 @@ class ShardedSearchEngine:
         )
         self.router = ShardRouter(self.coordinator, num_shards)
         self.analyzer = Analyzer()
-        self.executor_kind = executor
-        if executor == "process":
-            self.executor = ProcessShardExecutor(
-                shard_paths,
-                self.router,
-                self.config,
-                analyzer=self.analyzer,
-                metrics=self.metrics,
-            )
-        else:
-            self.executor = ParallelQueryExecutor(
-                self.shards,
-                self.router,
-                self.config,
-                max_workers=max_workers,
-                analyzer=self.analyzer,
-                metrics=self.metrics,
-            )
+        self.executor = ParallelQueryExecutor(
+            self.shards,
+            self.router,
+            self.config,
+            analyzer=self.analyzer,
+            metrics=self.metrics,
+        )
         self.ingestor = BatchIngestor(self.shards, self.router, metrics=self.metrics)
         self.documents = _GlobalDocumentView(self.shards, self.router)
         self._clock = (
@@ -228,7 +164,7 @@ class ShardedSearchEngine:
         return len(self.shards)
 
     def close(self) -> None:
-        """Release the query thread pool (engine state stays usable)."""
+        """Refuse further queries (engine state stays usable)."""
         self.executor.close()
 
     def sync(self) -> None:
@@ -261,7 +197,6 @@ class ShardedSearchEngine:
             commit_times=None if commit_time is None else [commit_time],
         )[0]
 
-    @_mutates
     def index_batch(
         self,
         texts: Sequence[str],
@@ -314,8 +249,8 @@ class ShardedSearchEngine:
         :class:`~repro.errors.TamperDetectedError`, as the unsharded
         engine's does.  Pass a
         :class:`~repro.observability.trace.QueryTrace` as ``trace`` to
-        record the fan-out: one span per shard (with the
-        queue/execution split), the heap merge, and verification.
+        record the fan-out: one span per shard, the heap merge, and
+        verification.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
@@ -376,7 +311,6 @@ class ShardedSearchEngine:
         """Whether the shards run in tail mode (``tail_max_docs`` set)."""
         return self.config.tail_max_docs is not None
 
-    @_mutates
     def seal_tail(self) -> List[Optional[int]]:
         """Seal every shard's tail into a segment.
 
@@ -387,7 +321,6 @@ class ShardedSearchEngine:
         """
         return [shard.seal_tail() for shard in self.shards]
 
-    @_mutates
     def merge_segments(self) -> List[Optional[int]]:
         """Merge each shard's live segments into one (``None`` if <2)."""
         return [shard.merge_segments() for shard in self.shards]
@@ -406,7 +339,6 @@ class ShardedSearchEngine:
     # ------------------------------------------------------------------
     # retention
     # ------------------------------------------------------------------
-    @_mutates
     def dispose_expired(self, *, now: Optional[int] = None) -> List[int]:
         """Dispose expired documents on every shard; returns global IDs."""
         if now is None:

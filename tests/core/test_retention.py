@@ -30,7 +30,7 @@ class TestHorizons:
     def test_document_cannot_be_deleted_early(self):
         engine = make_engine(retention_period=10)
         doc_id = engine.index_document("keep me", commit_time=0)
-        name = engine.documents._file_name(doc_id)
+        name = engine.documents.file_name(doc_id)
         with pytest.raises(WormViolationError):
             engine.store.device.delete_file(name, now=5)
 
@@ -140,8 +140,7 @@ class TestSweepEfficiency:
     def test_public_file_name_matches_legacy_alias(self):
         engine = make_engine()
         doc_id = engine.index_document("named", commit_time=0)
-        store = engine.documents
-        assert store.file_name(doc_id) == store._file_name(doc_id)
+        assert engine.store.device.exists(engine.documents.file_name(doc_id))
 
 
 class TestCrashRecovery:

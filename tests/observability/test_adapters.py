@@ -184,7 +184,7 @@ class TestEngineIntegration:
             if s["labels"]["stage"] == "join"
         }
         assert join_shards == {"0", "1", "2"}
-        # ...and its own queue/run latency histograms in the executor
+        # ...and its own run latency histogram in the executor
         hist = snap["repro_shard_run_seconds"]["series"]
         assert {s["labels"]["shard"] for s in hist} == {"0", "1", "2"}
         assert _value(snap, "repro_fanout_queries_total") == 1
@@ -192,10 +192,10 @@ class TestEngineIntegration:
         assert _value(
             snap, "repro_store_block_writes_total", shard="coordinator"
         ) == engine.coordinator.io.block_writes
-        # per-shard spans carry the queue/run split
+        # one span per shard, each with its run's size
         shard_spans = [s for s in trace.spans if s.name == "shard"]
         assert {s.attrs["shard"] for s in shard_spans} == {0, 1, 2}
-        assert all("queue_seconds" in s.attrs for s in shard_spans)
+        assert all("results" in s.attrs for s in shard_spans)
 
     def test_null_metrics_run_is_unmetered_but_correct(self):
         metered = TrustworthySearchEngine(CONFIG)

@@ -96,40 +96,18 @@ class TestEndToEnd:
             assert client.search("imclone")  # slot free again
 
 
-class TestProcessExecutor:
-    def test_ingest_then_search_reads_its_own_write(self, tmp_path):
-        """``serve --executor process``: the workers replayed the shard
-        journals before the ingest, and the search after it must still
-        find the document the service acknowledged."""
-        path = str(tmp_path / "archive")
-        engine, handle = open_archive(path, create=ARCHIVE_CONFIG, shards=2)
-        engine.index_batch(DEFAULT_CORPUS)
-        handle.close()
-
-        service = ArchiveService(
-            *open_archive(path, executor="process"), config=FAST
-        )
-        with ArchiveServer(service) as srv, HTTPTransport(srv.endpoint) as client:
-            assert client.search("imclone")  # spawns the workers
-            assert client.search("quagga") == []
-            doc_ids = client.index_batch(["quagga sighting report"])
-            assert [h.doc_id for h in client.search("quagga")] == doc_ids
-            assert client.search("imclone")
-
-
 class TestHitsArePlainNumbers:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_hits_are_python_numbers_and_json_encodable(self, tmp_path, executor):
+    def test_hits_are_python_numbers_and_json_encodable(self, tmp_path):
         """Ranking works on arrays; what leaves it must not be array
-        scalars: ``/search`` JSON-encodes hits and process workers
-        pickle them.  One query ranks by columns (hundreds of
-        postings), one by the scalar scorer (a single posting)."""
+        scalars: ``/search`` JSON-encodes hits.  One query ranks by
+        columns (hundreds of postings), one by the scalar scorer (a
+        single posting)."""
         path = str(tmp_path / "archive")
         engine, handle = open_archive(path, create=ARCHIVE_CONFIG, shards=2)
         engine.index_batch([f"imclone memo record{i}" for i in range(120)])
         handle.close()
 
-        engine, handle = open_archive(path, executor=executor)
+        engine, handle = open_archive(path)
         service = ArchiveService(engine, config=FAST)
         try:
             for query, expected in (("imclone memo", 5), ("record7", 1)):

@@ -1,9 +1,8 @@
-"""Shard failures during parallel query fan-out.
+"""Shard failures during query fan-out.
 
-A query fans out to every shard on a thread pool; when one shard raises,
-the executor must cancel the sibling futures that have not started,
-preserve the exception type (``TamperDetectedError`` handling upstream
-depends on it), and attach the failing shard's index.
+A query visits every shard in turn; when one shard raises, the executor
+must stop there, preserve the exception type (``TamperDetectedError``
+handling upstream depends on it), and attach the failing shard's index.
 """
 
 import pytest
@@ -22,37 +21,6 @@ def engine():
         engine.index_document(f"compliance memo number{i} shared")
     with engine:
         yield engine
-
-
-class _RecordingFuture:
-    """Wraps a real future; records whether cancel() was attempted."""
-
-    def __init__(self, future):
-        self._future = future
-        self.cancel_attempts = 0
-
-    def result(self, timeout=None):
-        return self._future.result(timeout)
-
-    def cancel(self):
-        self.cancel_attempts += 1
-        return self._future.cancel()
-
-
-class _RecordingPool:
-    """Wraps the fan-out pool so tests can observe future cancellation."""
-
-    def __init__(self, pool):
-        self._pool = pool
-        self.futures = []
-
-    def submit(self, fn, *args, **kwargs):
-        future = _RecordingFuture(self._pool.submit(fn, *args, **kwargs))
-        self.futures.append(future)
-        return future
-
-    def shutdown(self, wait=True):
-        self._pool.shutdown(wait=wait)
 
 
 class TestShardFailurePropagation:
@@ -81,20 +49,30 @@ class TestShardFailurePropagation:
         assert excinfo.value.shard_index == 2
         assert excinfo.value.invariant == "posting-crc"
 
-    def test_sibling_futures_are_cancelled(self, engine):
-        def boom(query):
-            raise RuntimeError("shard 0 down")
+    def test_failure_mid_query_stops_the_loop(self, engine):
+        def tampered(query):
+            raise TamperDetectedError(
+                "posting list CRC mismatch",
+                location="shard 1",
+                invariant="posting-crc",
+            )
 
-        engine.shards[0].match = boom
-        executor = engine.executor
-        executor._pool = _RecordingPool(executor.pool)
-        with pytest.raises(RuntimeError):
+        visited = []
+        original = engine.shards[2].match
+
+        def recording(query):
+            visited.append(2)
+            return original(query)
+
+        engine.shards[1].match = tampered
+        engine.shards[2].match = recording
+        with pytest.raises(TamperDetectedError) as excinfo:
             engine.search("shared", verify=False)
-        pool = executor._pool
-        assert len(pool.futures) == 3
-        # Every outstanding future got a cancellation attempt (including
-        # the failed one — cancelling a done future is a cheap no-op).
-        assert all(f.cancel_attempts == 1 for f in pool.futures)
+        assert excinfo.value.shard_index == 1
+        assert visited == []
+        del engine.shards[1].match
+        assert len(engine.search("shared", verify=False, top_k=20)) == 12
+        assert visited == [2]
 
     def test_healthy_queries_still_work_after_a_failure(self, engine):
         original = engine.shards[1].match

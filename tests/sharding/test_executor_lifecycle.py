@@ -1,27 +1,26 @@
-"""Executor lifecycle: close is idempotent, reuse-after-close errors.
+"""Executor lifecycle: close is idempotent, reuse-after-close errors,
+and a search starts no thread.
 
-Before the explicit closed state, ``ParallelQueryExecutor.close()`` set
-``_pool = None`` and the lazy ``pool`` property silently respawned a
-fresh pool on the next query — resurrecting an executor its owner had
-already released, and leaking the new pool (the owner never closes
-twice).  Both executors now refuse queries after close and tolerate
-repeated closes.
+The executor visits the shards in the caller's thread.  Closing it only
+marks it released: its owner's queries then raise instead of running
+against journals the owner may already have closed.
 """
+
+import sys
+import threading
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.search.engine import EngineConfig
 from repro.sharding.engine import ShardedSearchEngine
-from repro.sharding.executor import ProcessShardExecutor
+
+CONFIG = EngineConfig(num_lists=16, block_size=4096, branching=None)
 
 
 @pytest.fixture
 def sharded():
-    engine = ShardedSearchEngine(
-        EngineConfig(num_lists=16, block_size=4096, branching=None),
-        num_shards=2,
-    )
+    engine = ShardedSearchEngine(CONFIG, num_shards=2)
     engine.index_batch(["alpha beta", "beta gamma", "gamma alpha"])
     yield engine
     engine.close()
@@ -39,61 +38,70 @@ class TestThreadExecutorLifecycle:
         with pytest.raises(WorkloadError, match="closed"):
             sharded.search("beta", top_k=5)
 
-    def test_pool_property_after_close_raises(self, sharded):
-        sharded.executor.close()
-        with pytest.raises(WorkloadError, match="closed"):
-            sharded.executor.pool
-
-    def test_pool_not_respawned_by_close_close(self, sharded):
-        # Trigger lazy pool creation, close, and verify no pool returns.
-        sharded.search("alpha", top_k=5)
-        sharded.executor.close()
-        assert sharded.executor._pool is None
-
     def test_engine_context_manager_closes_executor(self):
-        with ShardedSearchEngine(
-            EngineConfig(num_lists=16, block_size=4096, branching=None),
-            num_shards=2,
-        ) as engine:
+        with ShardedSearchEngine(CONFIG, num_shards=2) as engine:
             engine.index_batch(["alpha beta"])
         assert engine.executor.closed
 
+    def test_search_starts_no_thread(self):
+        with ShardedSearchEngine(CONFIG, num_shards=3) as engine:
+            engine.index_batch([f"alpha memo number{i}" for i in range(12)])
+            before = set(threading.enumerate())
+            assert len(engine.search("alpha", top_k=20)) == 12
+            after = set(threading.enumerate())
+        assert after == before
+        assert not [t.name for t in after if t.name.startswith("shard-query")]
 
-class TestProcessExecutorLifecycle:
-    """Mirror of the thread-executor contract (no workers spawned)."""
 
-    def make(self, tmp_path):
-        engine = ShardedSearchEngine(
-            EngineConfig(num_lists=16, block_size=4096, branching=None),
-            num_shards=2,
-            executor="process",
-            shard_paths=[str(tmp_path / "s0"), str(tmp_path / "s1")],
+def _mixed_queries(count: int):
+    """ANY, ALL and time-ranged queries over the corpus of
+    :func:`test_concurrent_callers_get_the_single_threaded_answers`."""
+    queries = []
+    for i in range(count):
+        a, b = f"topic{i % 7}", f"group{i % 5}"
+        kind = i % 4
+        if kind == 0:
+            queries.append(f"{a} {b} shared")
+        elif kind == 1:
+            queries.append(f"+{a} +{b}")
+        elif kind == 2:
+            queries.append(f"{a} shared @{i % 50}..{i % 50 + 120}")
+        else:
+            queries.append(f"+shared +{b} @{i % 90}..{i % 90 + 60}")
+    return queries
+
+
+def test_concurrent_callers_get_the_single_threaded_answers():
+    """Callers share no pool: they meet only in the shard engines, and
+    each gets the bits a lone caller gets."""
+    queries = _mixed_queries(200)
+
+    def answers(engine):
+        return [
+            [(hit.doc_id, hit.score.hex()) for hit in engine.search(query, top_k=10)]
+            for query in queries
+        ]
+
+    with ShardedSearchEngine(CONFIG, num_shards=3) as engine:
+        engine.index_batch(
+            [f"shared topic{i % 7} group{i % 5} serial{i}" for i in range(210)]
         )
-        assert isinstance(engine.executor, ProcessShardExecutor)
-        return engine
+        expected = answers(engine)
+        assert sum(1 for hits in expected if hits) > 150
+        got = [None] * 8
 
-    def test_close_is_idempotent(self, tmp_path):
-        engine = self.make(tmp_path)
-        engine.executor.close()
-        engine.executor.close()
-        assert engine.executor.closed
+        def caller(slot):
+            got[slot] = answers(engine)
 
-    def test_search_after_close_raises(self, tmp_path):
-        engine = self.make(tmp_path)
-        engine.close()
-        with pytest.raises(WorkloadError, match="closed"):
-            engine.search("beta", top_k=5)
-
-    def test_constructor_validation(self):
-        config = EngineConfig(num_lists=16, block_size=4096, branching=None)
-        with pytest.raises(WorkloadError, match="shard_paths"):
-            ShardedSearchEngine(config, num_shards=2, executor="process")
-        with pytest.raises(WorkloadError, match="2 shard paths for 3 shards"):
-            ShardedSearchEngine(
-                config,
-                num_shards=3,
-                executor="process",
-                shard_paths=["a", "b"],
-            )
-        with pytest.raises(WorkloadError, match="executor"):
-            ShardedSearchEngine(config, num_shards=2, executor="fiber")
+        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    assert all(result == expected for result in got)

@@ -77,7 +77,7 @@ class TestTraceFlag:
         assert "trace '+stewart +waksal'" in out
         for stage in ("shard", "merge"):
             assert stage in out
-        assert "queue_seconds=" in out
+        assert "results=" in out
 
     def test_trace_emitted_even_without_matches(self, archive, capsys):
         _index_corpus(archive)
@@ -132,7 +132,7 @@ class TestMetricsJsonFlag:
         runs = metrics["repro_shard_run_seconds"]["series"]
         assert {s["labels"]["shard"] for s in runs} == {"0", "1"}
         assert all(s["count"] == 1 for s in runs)
-        assert "repro_shard_queue_seconds" in metrics
+        assert metrics["repro_fanout_queries_total"]["series"][0]["value"] == 1
 
         # per-stage spans in the attached trace (sharded path: per-shard
         # execution spans plus the coordinator's global merge)
@@ -142,7 +142,7 @@ class TestMetricsJsonFlag:
         assert "shard" in names and "merge" in names
         shard_spans = [s for s in trace["spans"] if s["name"] == "shard"]
         assert {s["attrs"]["shard"] for s in shard_spans} == {0, 1}
-        assert all("queue_seconds" in s["attrs"] for s in shard_spans)
+        assert all("results" in s["attrs"] for s in shard_spans)
 
     def test_snapshot_is_stable_json(self, archive, tmp_path, capsys):
         _index_corpus(archive)
