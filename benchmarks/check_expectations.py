@@ -27,7 +27,6 @@ HERE = pathlib.Path(__file__).parent
 #: Compared for presence, not content (wall-clock measurements inside).
 NONDETERMINISTIC = {
     "FIG4.txt",
-    "LOADTEST.txt",
     "OBS-OVERHEAD.txt",
     "READ-CACHE.txt",
     "VEC-DECODE.txt",

@@ -3,24 +3,24 @@
 Not a paper figure: this benchmark prices the session read cache on the
 workload it is built for — a Zipf-skewed query stream where a few hot
 queries dominate.  The same archive is queried with the cache off and
-once per eviction policy (LRU, 2Q, segmented LRU); every configuration
-runs the identical request stream, interleaved round by round so machine
-noise hits them symmetrically, and each is scored by its best (minimum)
-round.
+with it on; both run the identical request stream, interleaved round by
+round so machine noise hits them symmetrically, and each is scored by
+its best (minimum) round.
 
 The report is wall-clock and therefore compared for presence only by
 ``check_expectations.py``; the enforced claim is the assertion at the
-bottom: every policy must answer the hot stream at least ``MIN_SPEEDUP``
-times faster than the uncached engine while returning identical results.
+bottom: the cached engine must answer the hot stream at least
+``MIN_SPEEDUP`` times faster than the uncached one while returning
+identical results.
 """
 
+from dataclasses import replace
 from time import perf_counter
 
 from conftest import once
 
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.simulate.report import format_table
-from repro.worm.cache import READ_CACHE_POLICIES
 
 MAX_DOCS = 600
 NUM_QUERIES = 12
@@ -29,8 +29,6 @@ HOT_WEIGHT = 24  # stream length contributed by the hottest query
 TOP_K = 10
 MIN_SPEEDUP = 2.0
 BASE_CONFIG = EngineConfig(num_lists=64, block_size=4096, branching=None)
-
-POLICIES = sorted(READ_CACHE_POLICIES)
 
 
 def _texts(workload):
@@ -64,19 +62,8 @@ def _hot_stream(workload):
     return queries, stream
 
 
-def _build(texts, policy=None):
-    config = (
-        BASE_CONFIG
-        if policy is None
-        else EngineConfig(
-            num_lists=BASE_CONFIG.num_lists,
-            block_size=BASE_CONFIG.block_size,
-            branching=BASE_CONFIG.branching,
-            read_cache=True,
-            cache_policy=policy,
-        )
-    )
-    engine = TrustworthySearchEngine(config)
+def _build(texts, read_cache):
+    engine = TrustworthySearchEngine(replace(BASE_CONFIG, read_cache=read_cache))
     engine.index_batch(texts)
     return engine
 
@@ -93,61 +80,50 @@ def test_read_cache_speedup(benchmark, workload, emit):
     queries, stream = _hot_stream(workload)
 
     def run():
-        uncached = _build(texts)
-        cached = {policy: _build(texts, policy) for policy in POLICIES}
+        uncached = _build(texts, False)
+        cached = _build(texts, True)
         # results must agree — the cache changes cost, never answers
         for query in queries:
             expected = [
                 (r.doc_id, r.score)
                 for r in uncached.search(query, top_k=TOP_K)
             ]
-            for policy, engine in cached.items():
-                got = [
-                    (r.doc_id, r.score)
-                    for r in engine.search(query, top_k=TOP_K)
-                ]
-                assert got == expected, f"{policy} diverged on {query!r}"
-        rounds = {name: [] for name in ["off", *POLICIES]}
+            got = [
+                (r.doc_id, r.score) for r in cached.search(query, top_k=TOP_K)
+            ]
+            assert got == expected, f"the cache changed the answer to {query!r}"
+        rounds = {"off": [], "on": []}
         for _ in range(ROUNDS):
             rounds["off"].append(_round_seconds(uncached, stream))
-            for policy, engine in cached.items():
-                rounds[policy].append(_round_seconds(engine, stream))
+            rounds["on"].append(_round_seconds(cached, stream))
         best = {name: min(times) for name, times in rounds.items()}
-        hit_rates = {
-            policy: cached[policy].read_cache_stats()["results"]["hit_rate"]
-            for policy in POLICIES
-        }
-        return best, hit_rates
+        return best, cached.read_cache_stats()["results"]["hit_rate"]
 
-    best, hit_rates = once(benchmark, run)
+    best, hit_rate = once(benchmark, run)
 
-    rows = [("off", f"{best['off'] * 1e3:.2f}", "1.00x", "-")]
-    speedups = {}
-    for policy in POLICIES:
-        speedups[policy] = best["off"] / best[policy]
-        rows.append(
-            (
-                policy,
-                f"{best[policy] * 1e3:.2f}",
-                f"{speedups[policy]:.2f}x",
-                f"{hit_rates[policy] * 100:.1f}%",
-            )
-        )
+    speedup = best["off"] / best["on"]
     table = format_table(
-        ("cache", "best round (ms)", "speedup", "result hit rate"), rows
+        ("cache", "best round (ms)", "speedup", "result hit rate"),
+        [
+            ("off", f"{best['off'] * 1e3:.2f}", "1.00x", "-"),
+            (
+                "on",
+                f"{best['on'] * 1e3:.2f}",
+                f"{speedup:.2f}x",
+                f"{hit_rate * 100:.1f}%",
+            ),
+        ],
     )
     emit(
         "READ-CACHE",
         table
         + f"\nstream: {len(stream)} requests over {NUM_QUERIES} distinct "
         f"queries (Zipf), {MAX_DOCS}-doc archive"
-        + f"\nrequired speedup: >={MIN_SPEEDUP:.0f}x for every policy",
+        + f"\nrequired speedup: >={MIN_SPEEDUP:.0f}x",
     )
 
-    for policy in POLICIES:
-        assert speedups[policy] >= MIN_SPEEDUP, (
-            f"{policy}: {speedups[policy]:.2f}x speedup is below the "
-            f"{MIN_SPEEDUP:.0f}x floor "
-            f"(cached {best[policy] * 1e3:.2f} ms vs "
-            f"uncached {best['off'] * 1e3:.2f} ms per round)"
-        )
+    assert speedup >= MIN_SPEEDUP, (
+        f"{speedup:.2f}x speedup is below the {MIN_SPEEDUP:.0f}x floor "
+        f"(cached {best['on'] * 1e3:.2f} ms vs "
+        f"uncached {best['off'] * 1e3:.2f} ms per round)"
+    )

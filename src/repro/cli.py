@@ -12,8 +12,7 @@ Usage (also available as ``python -m repro``)::
                          [--metrics-json out.json]
     repro-search search  --archive records.worm "stewart waksal" [--top-k K]
                          [--verify] [--trace]
-                         [--read-cache] [--cache-policy lru|2q|slru]
-                         [--cache-mb MB] [--repeat N]
+                         [--read-cache] [--cache-mb MB] [--repeat N]
                          [--metrics-json out.json]
     repro-search audit   --archive records.worm [--json case.json]
     repro-search stats   --archive records.worm
@@ -28,15 +27,8 @@ Usage (also available as ``python -m repro``)::
                          [--rate R] [--burst B] [--max-inflight N]
                          [--max-queue Q] [--queue-timeout S]
                          [--request-timeout S] [--fsync] [--group-commit N]
-                         [--read-cache] [--cache-policy lru|2q|slru]
-                         [--cache-mb MB] [--log-requests] [--seal-interval S]
-    repro-search loadtest [--clients N] [--duration S] [--mix F]
-                          [--arrival-rate R] [--seed S] [--docs N]
-                          [--drift STRIDE] [--shards K] [--tail-max-docs N]
-                          [--endpoint http://HOST:PORT]
-                          [--out BENCH_LOADTEST.json] [--compare BASELINE]
-    repro-search capacity --snapshot BENCH_LOADTEST.json
-                          --target-qps QPS --target-p99-ms MS
+                         [--read-cache] [--cache-mb MB] [--log-requests]
+                         [--seal-interval S]
 
 The archive is one append-only journal file holding the entire WORM
 device: documents, posting lists, jump pointers, commit-time log,
@@ -142,7 +134,6 @@ def open_archive(
     fsync: bool = False,
     group_commit: int = 1,
     read_cache: bool = False,
-    cache_policy: str = "lru",
     cache_mb: float = 8.0,
 ):
     """Open (or with ``create``, initialize) an archive at ``path``.
@@ -152,9 +143,9 @@ def open_archive(
     shard count from the committed configuration.  ``fsync`` /
     ``group_commit`` are per-session durability knobs applied to every
     journal the archive opens (coordinator and shards alike);
-    ``read_cache`` / ``cache_policy`` / ``cache_mb`` likewise enable the
-    session-scoped read-path cache (per shard on a sharded archive) —
-    none of these is persisted, because none shapes committed state.
+    ``read_cache`` / ``cache_mb`` likewise enable the session-scoped
+    read-path cache (per shard on a sharded archive) — none of these is
+    persisted, because none shapes committed state.
     """
     device = JournaledWormDevice(path, fsync=fsync, group_commit=group_commit)
     store = CachedWormStore(None, device=device)
@@ -170,12 +161,7 @@ def open_archive(
             )
         config, shards = _read_config(store)
     if read_cache:
-        config = replace(
-            config,
-            read_cache=True,
-            cache_policy=cache_policy,
-            read_cache_mb=cache_mb,
-        )
+        config = replace(config, read_cache=True, read_cache_mb=cache_mb)
     if shards <= 1:
         engine = TrustworthySearchEngine(config, store=store)
         return engine, device
@@ -209,13 +195,7 @@ def _require(condition, message: str) -> None:
 def _session_options(args) -> dict:
     """The :func:`open_archive` keywords of the session option groups
     (durability, read cache) the subcommand declares."""
-    names = (
-        "fsync",
-        "group_commit",
-        "read_cache",
-        "cache_policy",
-        "cache_mb",
-    )
+    names = ("fsync", "group_commit", "read_cache", "cache_mb")
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
@@ -472,100 +452,6 @@ def _cmd_verify_journal(args) -> int:
     return 0
 
 
-def _cmd_loadtest(args) -> int:
-    """Run the whole-system load harness against an ephemeral archive."""
-    from repro.loadtest import (
-        LoadTestConfig,
-        compare_snapshots,
-        read_snapshot,
-        run_load_test,
-    )
-    from repro.loadtest.snapshot import snapshot_document, write_snapshot
-    from repro.observability import export_loadtest
-
-    _require(args.clients >= 1, f"--clients must be >= 1 (got {args.clients})")
-    _require(args.duration > 0, f"--duration must be positive (got {args.duration})")
-    _require(0.0 <= args.mix <= 1.0, f"--mix must be in [0, 1] (got {args.mix})")
-    _require(
-        args.arrival_rate is None or args.arrival_rate > 0,
-        f"--arrival-rate must be positive (got {args.arrival_rate})",
-    )
-    _require(args.shards >= 1, f"--shards must be >= 1 (got {args.shards})")
-    _require(args.docs >= 1, f"--docs must be >= 1 (got {args.docs})")
-    config = LoadTestConfig(
-        clients=args.clients,
-        duration=args.duration,
-        mix=args.mix,
-        arrival_rate=args.arrival_rate,
-        seed=args.seed,
-        preload_docs=args.docs,
-        drift_stride=args.drift,
-    )
-    if args.endpoint:
-        # Drive a running archive service over HTTP: same deterministic
-        # plan, but latency now includes the wire, admission control,
-        # and the service's own reader-writer serialisation.
-        from repro.loadtest.transport import HTTPTransport
-
-        transport = HTTPTransport(args.endpoint)
-        try:
-            result = run_load_test(transport, config)
-        finally:
-            transport.close()
-    else:
-        # An ephemeral in-memory archive: the harness measures the
-        # engine, not a disk layout, and every run starts from the same
-        # state.
-        engine_config = EngineConfig(
-            num_lists=256,
-            block_size=4096,
-            branching=None,
-            tail_max_docs=args.tail_max_docs or None,
-        )
-        with ShardedSearchEngine(engine_config, num_shards=args.shards) as engine:
-            result = run_load_test(engine, config)
-            export_loadtest(engine.metrics, result)
-    print(result.summary())
-    for message in result.error_messages:
-        print(f"  error: {message}", file=sys.stderr)
-    if args.out:
-        write_snapshot(result, args.out)
-        print(f"wrote load-test snapshot to {args.out}")
-    if args.compare:
-        baseline = read_snapshot(args.compare)
-        violations, report = compare_snapshots(
-            baseline, snapshot_document(result)
-        )
-        for line in report:
-            print(line)
-        if violations:
-            print(f"{len(violations)} regression(s) beyond tolerance:")
-            for violation in violations:
-                print(f"  - {violation}", file=sys.stderr)
-            return 1
-        print("all banded metrics within tolerance of the baseline")
-    return 0
-
-
-def _cmd_capacity(args) -> int:
-    """Predict shards x workers from committed load-test snapshots."""
-    from repro.core.cost_model import predict_capacity
-    from repro.loadtest import read_snapshot
-
-    _require(
-        args.target_qps > 0,
-        f"--target-qps must be positive (got {args.target_qps})",
-    )
-    _require(
-        args.target_p99_ms > 0,
-        f"--target-p99-ms must be positive (got {args.target_p99_ms})",
-    )
-    snapshots = [read_snapshot(path) for path in args.snapshot]
-    plan = predict_capacity(snapshots, args.target_qps, args.target_p99_ms)
-    print(plan.summary())
-    return 0
-
-
 def _cmd_dispose(args) -> int:
     # Disposition-log appends and WORM deletes are exactly the writes
     # that must not be lost; honour the same durability knobs as index.
@@ -713,21 +599,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _add_layout_options(parser: argparse.ArgumentParser, *, shards: int) -> None:
-    """``--shards`` and ``--tail-max-docs``, for the two subcommands that
-    create an archive: init, and loadtest (an ephemeral one)."""
-    parser.add_argument(
-        "--shards", type=int, default=shards,
-        help=f"partition the archive across K shards (default: {shards})",
-    )
-    parser.add_argument(
-        "--tail-max-docs", type=int, default=0, metavar="N",
-        help="enable the write–read decoupled tail: buffer up to N docs "
-        "per shard in the in-memory tail before sealing a WORM segment "
-        "(default: 0 = legacy synchronous posting-list appends)",
-    )
-
-
 def _add_metrics_json_option(parser: argparse.ArgumentParser) -> None:
     """``--metrics-json``, shared by index and search."""
     parser.add_argument(
@@ -755,16 +626,11 @@ def _add_durability_options(
 
 
 def _add_read_cache_options(parser: argparse.ArgumentParser) -> None:
-    """``--read-cache``, ``--cache-policy`` and ``--cache-mb``, shared by
-    search and serve."""
+    """``--read-cache`` and ``--cache-mb``, shared by search and serve."""
     parser.add_argument(
         "--read-cache", action="store_true",
         help="enable the session-scoped read-path cache (decoded blocks, "
         "query results, jump-pointer memo)",
-    )
-    parser.add_argument(
-        "--cache-policy", choices=["lru", "2q", "slru"], default="lru",
-        help="read-cache eviction policy (default: lru)",
     )
     parser.add_argument(
         "--cache-mb", type=float, default=8.0,
@@ -792,7 +658,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--retention", type=int, default=None,
         help="retention period in commit-time units (default: forever)",
     )
-    _add_layout_options(init, shards=1)
+    init.add_argument(
+        "--shards", type=int, default=1,
+        help="partition the archive across K shards (default: 1)",
+    )
+    init.add_argument(
+        "--tail-max-docs", type=int, default=0, metavar="N",
+        help="enable the write–read decoupled tail: buffer up to N docs "
+        "per shard in the in-memory tail before sealing a WORM segment "
+        "(default: 0 = legacy synchronous posting-list appends)",
+    )
     init.add_argument(
         "--seal-strategy", choices=["uniform", "popular", "epoch"],
         default="uniform",
@@ -966,80 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0 = size-triggered sealing only)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="drive concurrent mixed search/ingest traffic and measure "
-        "QPS, latency percentiles, and ingest throughput",
-    )
-    loadtest.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent client threads (default: 4)",
-    )
-    loadtest.add_argument(
-        "--duration", type=float, default=5.0,
-        help="run length in seconds (default: 5)",
-    )
-    loadtest.add_argument(
-        "--mix", type=float, default=0.9,
-        help="fraction of operations that are searches; the rest are "
-        "ingests (default: 0.9)",
-    )
-    loadtest.add_argument(
-        "--arrival-rate", type=float, default=None,
-        help="total ops/second for open-loop mode (latency then includes "
-        "queueing delay); default: closed loop",
-    )
-    loadtest.add_argument(
-        "--seed", type=int, default=42,
-        help="workload determinism seed (default: 42)",
-    )
-    _add_layout_options(loadtest, shards=2)
-    loadtest.add_argument(
-        "--docs", type=int, default=300,
-        help="documents preloaded before the clock starts (default: 300)",
-    )
-    loadtest.add_argument(
-        "--drift", type=int, default=0, metavar="STRIDE",
-        help="rotate query popularity between epochs by STRIDE hot-pool "
-        "ranks (default: 0 = stable popularity)",
-    )
-    loadtest.add_argument(
-        "--endpoint", default=None, metavar="URL",
-        help="drive a running 'repro-search serve' instance over HTTP "
-        "(e.g. http://127.0.0.1:8080) instead of an ephemeral "
-        "in-process engine; --shards/--tail-max-docs are then ignored",
-    )
-    loadtest.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the BENCH_LOADTEST.json snapshot to PATH",
-    )
-    loadtest.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="diff this run against a baseline snapshot under the default "
-        "tolerance bands; exit 1 on regression",
-    )
-    loadtest.set_defaults(func=_cmd_loadtest)
-
-    capacity = sub.add_parser(
-        "capacity",
-        help="predict shards x workers for a QPS/p99 target from "
-        "load-test snapshots",
-    )
-    capacity.add_argument(
-        "--snapshot", action="append", required=True, metavar="PATH",
-        help="BENCH_LOADTEST.json snapshot(s) to calibrate from "
-        "(repeatable)",
-    )
-    capacity.add_argument(
-        "--target-qps", type=float, required=True,
-        help="throughput target in queries/second",
-    )
-    capacity.add_argument(
-        "--target-p99-ms", type=float, required=True,
-        help="latency target: search p99 in milliseconds",
-    )
-    capacity.set_defaults(func=_cmd_capacity)
     return parser
 
 

@@ -27,12 +27,9 @@ Layout of the subpackage:
 
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.cost_model import (
-    CapacityModel,
-    CapacityPlan,
     cost_ratio,
     merged_workload_cost,
     per_query_costs,
-    predict_capacity,
     unmerged_workload_cost,
 )
 from repro.core.jump_index import JumpIndex
@@ -53,8 +50,6 @@ from repro.core.term_coding import HuffmanCode, build_huffman_code, entropy_bits
 
 __all__ = [
     "BlockJumpIndex",
-    "CapacityModel",
-    "CapacityPlan",
     "CommitTimeIndex",
     "Disposition",
     "GreedyCostMerge",
@@ -78,7 +73,6 @@ __all__ = [
     "jump_pointers_per_block",
     "merged_workload_cost",
     "per_query_costs",
-    "predict_capacity",
     "space_overhead",
     "unmerged_workload_cost",
 ]

@@ -16,7 +16,6 @@ Figure-3 sweeps over 10⁵-term universes run in milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -121,174 +120,3 @@ def minimum_sum_of_squares_cost(parts: Sequence[Sequence[float]]) -> float:
     """
     return float(sum(sum(p) ** 2 for p in parts))
 
-
-# ----------------------------------------------------------------------
-# capacity prediction, calibrated from load-test snapshots
-# ----------------------------------------------------------------------
-#
-# The workload-cost model above prices queries in postings scanned; the
-# capacity model below converts *measured* whole-system throughput into
-# a provisioning answer: how many shards and how many concurrent
-# workers are needed to serve a target QPS at a target p99.  It is
-# calibrated from ``BENCH_LOADTEST.json`` snapshots written by
-# :mod:`repro.loadtest` (duck-typed dicts — this module stays
-# independent of the harness), under two deliberately simple, monotone
-# assumptions:
-#
-# * shards scale throughput linearly (PR 1's SHARD-SCALING benchmark is
-#   the evidence at small K); a shard's usable rate at a latency target
-#   tighter than the calibrated p99 degrades proportionally
-#   (queueing-linear derating);
-# * the concurrency needed to sustain a rate follows Little's law,
-#   ``N = λ · W`` with ``W`` the calibrated mean search latency.
-
-
-@dataclass(frozen=True)
-class CapacityCalibration:
-    """One calibrated operating point extracted from a snapshot."""
-
-    qps_per_shard: float
-    p99_ms: float
-    mean_ms: float
-    shards: int
-    clients: int
-
-    def __post_init__(self) -> None:
-        if self.qps_per_shard <= 0 or self.p99_ms <= 0 or self.mean_ms <= 0:
-            raise IndexError_(
-                "calibration needs positive qps_per_shard, p99_ms, and "
-                f"mean_ms; got {self}"
-            )
-
-
-@dataclass(frozen=True)
-class CapacityPlan:
-    """A provisioning recommendation for one (QPS, p99) target."""
-
-    shards: int
-    workers: int
-    target_qps: float
-    target_p99_ms: float
-    predicted_qps: float
-    predicted_p99_ms: float
-    qps_per_shard: float
-
-    def summary(self) -> str:
-        """Human-readable plan (what the ``capacity`` subcommand prints)."""
-        return (
-            f"target {self.target_qps:.0f} qps @ p99 <= "
-            f"{self.target_p99_ms:.1f} ms\n"
-            f"  provision {self.shards} shard(s) x {self.workers} worker(s)\n"
-            f"  predicted capacity {self.predicted_qps:.1f} qps "
-            f"({self.qps_per_shard:.1f} usable qps/shard), "
-            f"predicted p99 {self.predicted_p99_ms:.2f} ms"
-        )
-
-
-def _snapshot_calibration(snapshot: dict) -> CapacityCalibration:
-    """Extract a :class:`CapacityCalibration` from one snapshot dict."""
-    schema = snapshot.get("schema", "")
-    if not str(schema).startswith("repro-loadtest/"):
-        raise IndexError_(
-            f"not a load-test snapshot (schema {schema!r}); capacity "
-            "calibration needs repro-loadtest/v1 documents"
-        )
-    metrics = snapshot.get("metrics")
-    if not isinstance(metrics, dict):
-        raise IndexError_("load-test snapshot is missing 'metrics'")
-    try:
-        qps = float(metrics["qps"])
-        shards = int(metrics.get("shards", 1)) or 1
-        search = metrics["latency_ms"]["search"]
-        p99_ms = float(search["p99_ms"])
-        mean_ms = float(search["mean_ms"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IndexError_(
-            f"load-test snapshot is missing calibration fields: {exc}"
-        ) from exc
-    config = snapshot.get("config", {})
-    clients = int(config.get("clients", 1)) if isinstance(config, dict) else 1
-    return CapacityCalibration(
-        qps_per_shard=qps / shards,
-        p99_ms=p99_ms,
-        mean_ms=mean_ms,
-        shards=shards,
-        clients=clients,
-    )
-
-
-class CapacityModel:
-    """Predict shards × workers for a throughput/latency target.
-
-    Calibrate from one or more load-test snapshots (the best observed
-    per-shard rate wins — other points are assumed to be the same
-    system under less favourable conditions), then ask
-    :meth:`predict_capacity` for a plan.  Both outputs are monotone in
-    the targets: more QPS or a tighter p99 never yields fewer shards or
-    workers.
-    """
-
-    def __init__(self, calibration: CapacityCalibration):
-        self.calibration = calibration
-
-    @classmethod
-    def from_snapshots(cls, snapshots: Iterable[dict]) -> "CapacityModel":
-        """Calibrate from ``BENCH_LOADTEST.json`` documents."""
-        points = [_snapshot_calibration(snap) for snap in snapshots]
-        if not points:
-            raise IndexError_("capacity calibration needs >= 1 snapshot")
-        return cls(max(points, key=lambda p: p.qps_per_shard))
-
-    def usable_qps_per_shard(self, target_p99_ms: float) -> float:
-        """Per-shard rate the model credits at a given p99 target.
-
-        At targets at or above the calibrated p99 a shard serves its
-        full measured rate; tighter targets derate linearly (half the
-        latency budget -> half the usable rate), which keeps the
-        prediction pessimistic-but-monotone rather than optimistic.
-        """
-        cal = self.calibration
-        return cal.qps_per_shard * min(1.0, target_p99_ms / cal.p99_ms)
-
-    def predict_capacity(
-        self, target_qps: float, target_p99_ms: float
-    ) -> CapacityPlan:
-        """The provisioning plan for ``target_qps`` at ``target_p99_ms``."""
-        if target_qps <= 0:
-            raise IndexError_(f"target_qps must be positive, got {target_qps}")
-        if target_p99_ms <= 0:
-            raise IndexError_(
-                f"target_p99_ms must be positive, got {target_p99_ms}"
-            )
-        cal = self.calibration
-        usable = self.usable_qps_per_shard(target_p99_ms)
-        shards = max(1, int(np.ceil(target_qps / usable)))
-        # Little's law: concurrency to sustain the rate at the
-        # calibrated mean latency, but never fewer workers than shards
-        # (each shard needs a fan-out lane to contribute).
-        workers = max(
-            shards, int(np.ceil(target_qps * (cal.mean_ms / 1000.0)))
-        )
-        return CapacityPlan(
-            shards=shards,
-            workers=workers,
-            target_qps=target_qps,
-            target_p99_ms=target_p99_ms,
-            predicted_qps=shards * usable,
-            predicted_p99_ms=min(cal.p99_ms, target_p99_ms),
-            qps_per_shard=usable,
-        )
-
-
-def predict_capacity(
-    snapshots, target_qps: float, target_p99_ms: float
-) -> CapacityPlan:
-    """One-call convenience: calibrate from snapshot dict(s) and predict.
-
-    ``snapshots`` may be a single snapshot document or an iterable of
-    them.
-    """
-    if isinstance(snapshots, dict):
-        snapshots = [snapshots]
-    model = CapacityModel.from_snapshots(snapshots)
-    return model.predict_capacity(target_qps, target_p99_ms)

@@ -18,9 +18,9 @@ Concurrency contract
 --------------------
 The tail is written by exactly one writer at a time — the same
 single-writer discipline the WORM append path already requires, and the
-one the service layer (writer-preferring lock) and the load-test
-harness both enforce.  Readers take :meth:`MutableTailIndex.snapshot`,
-which is a constant-time capture of the current dict references:
+one the service layer (writer-preferring lock) enforces.  Readers take
+:meth:`MutableTailIndex.snapshot`, which is a constant-time capture of
+the current dict references:
 
 * :meth:`clear` (sealing) replaces the dicts wholesale, so a snapshot
   taken before a seal stays valid forever (copy-on-seal);

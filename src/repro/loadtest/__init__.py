@@ -1,35 +1,19 @@
-"""Whole-system load testing: concurrent traffic, latency accounting,
-capacity calibration, and a committed performance trajectory.
+"""The archive service's HTTP client.
 
-Per-figure benchmarks measure one mechanism at a time; this package
-measures the *system*: N client threads of mixed search/ingest traffic
-(open- or closed-loop, Zipfian query popularity with optional drift)
-driven against a sharded engine, with p50/p95/p99 latency recorded by a
-thread-safe reservoir recorder and throughput pulled from the metrics
-registry.  Results serialize to a schema-versioned ``BENCH_LOADTEST.json``
-snapshot committed per PR, and :mod:`repro.loadtest.compare` diffs two
-snapshots under per-metric tolerance bands so CI can fail on regression.
+:mod:`repro.loadtest.transport` holds :class:`HTTPTransport` — keep-alive
+connections to a running ``repro-search serve``, typed errors for 429 and
+503 — and this package re-exports it.  It is what ``bench/``'s
+``svc-mixed`` workload, the service tests and CI's service smoke drive
+the service with.
 
-See :mod:`repro.loadtest.harness` for the driver,
-:mod:`repro.loadtest.recorder` for latency accounting,
-:mod:`repro.loadtest.snapshot` for the snapshot format, and
-:func:`repro.core.cost_model.CapacityModel` for the capacity predictor
-calibrated from snapshots.
+The package was the first whole-system load harness (driver, latency
+recorder, snapshots, tolerance bands); ``python3 -m bench`` measures the
+assembled system now and the harness is deleted.  The name stays because
+``bench/`` imports ``repro.loadtest.transport`` and binds
+``HTTPTransport._request`` by that path, and ``bench/`` changes only in
+PRs of its own; the rename to a client module rides with the next one.
 """
 
-from repro.loadtest.compare import DEFAULT_BANDS, ToleranceBand, compare_snapshots
-from repro.loadtest.harness import (
-    LoadTestConfig,
-    LoadTestHarness,
-    LoadTestResult,
-    run_load_test,
-)
-from repro.loadtest.recorder import LatencyRecorder, LatencySummary
-from repro.loadtest.snapshot import (
-    SNAPSHOT_SCHEMA,
-    read_snapshot,
-    write_snapshot,
-)
 from repro.loadtest.transport import (
     HTTPTransport,
     RateLimitedError,
@@ -39,21 +23,9 @@ from repro.loadtest.transport import (
 )
 
 __all__ = [
-    "DEFAULT_BANDS",
     "HTTPTransport",
-    "LatencyRecorder",
-    "LatencySummary",
-    "LoadTestConfig",
-    "LoadTestHarness",
-    "LoadTestResult",
     "RateLimitedError",
-    "SNAPSHOT_SCHEMA",
     "ServiceClientError",
     "ServiceOverloadedError",
     "ServiceProtocolError",
-    "ToleranceBand",
-    "compare_snapshots",
-    "read_snapshot",
-    "run_load_test",
-    "write_snapshot",
 ]

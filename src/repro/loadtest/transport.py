@@ -1,23 +1,24 @@
-"""HTTP client transport: drive the archive service with the load harness.
+"""HTTP client for the archive service.
 
-:class:`~repro.loadtest.harness.LoadTestHarness` duck-types its target —
-anything with ``search(query, top_k=...)`` and ``index_batch(texts)``.
-:class:`HTTPTransport` satisfies that protocol over the wire, so the
-same deterministic workload plan that measures the in-process engine
-measures a running :mod:`repro.service` endpoint (``repro-search
-loadtest --endpoint http://...``), queueing delay, admission control,
-and serialisation included.
+:class:`HTTPTransport` has an engine's calling surface —
+``search(query, top_k=...)`` and ``index_batch(texts)`` — over the wire,
+so whatever drives an in-process engine can drive a running
+:mod:`repro.service` endpoint, queueing delay, admission control and
+serialisation included.
 
-Each client thread keeps one persistent ``http.client.HTTPConnection``
-(the service speaks HTTP/1.1 keep-alive), reconnecting transparently
-when the server closes an idle connection.  Non-2xx answers raise typed
-exceptions — :class:`RateLimitedError` for 429, :class:`ServiceOverloadedError`
-for 503 — whose class names land in the harness's per-class error
-counter, so a nonzero error rate in a snapshot names its cause.
+Each calling thread keeps one persistent ``http.client.HTTPConnection``
+(the service speaks HTTP/1.1 keep-alive).  Non-2xx answers raise typed
+exceptions — :class:`RateLimitedError` for 429,
+:class:`ServiceOverloadedError` for 503.
 
-The transport sets ``needs_write_lock = False``: the service's own
-reader-writer discipline is the thing under test, and a client-side
-write lock would fake a serialisation the server never sees.
+What is retried: one thing.  A server may close a kept-alive connection
+while it sits idle; the client learns of it on its next request, as a
+reset or a hang-up before any byte of an answer, and sends that request
+once more on a fresh connection.  Nothing else is sent twice — not a
+request on a connection opened for it, and never one that timed out: a
+late answer is not a missing one, the archive may have committed the
+batch, and a committed duplicate can never be taken back.  Those raise
+:class:`ServiceClientError` and the caller decides.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
+
+
+#: How a connection the peer closed before answering shows up
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``).
+_PEER_CLOSED = (ConnectionResetError, BrokenPipeError)
 
 
 class ServiceClientError(ReproError):
@@ -82,10 +88,6 @@ class HTTPTransport:
         Value for the ``X-Repro-Tenant`` header (rate-limit identity);
         ``None`` sends no header (the service charges ``default``).
     """
-
-    #: The harness must not serialise ingest client-side: the service's
-    #: reader-writer lock is the real one.
-    needs_write_lock = False
 
     def __init__(
         self,
@@ -149,26 +151,25 @@ class HTTPTransport:
             headers["Content-Type"] = "application/json"
         if self.tenant is not None:
             headers["X-Repro-Tenant"] = self.tenant
-        for attempt in (0, 1):
+        reused = getattr(self._local, "connection", None) is not None
+        while True:
+            response = None
             try:
                 connection = self._connection()
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
                 raw = response.read()  # drain: keep-alive needs a clean socket
                 break
-            except (
-                http.client.HTTPException,
-                ConnectionError,
-                socket.timeout,
-                OSError,
-            ) as exc:
-                # A server-closed keep-alive connection surfaces here on
-                # the next request; one reconnect retry is safe for it.
+            except (http.client.HTTPException, OSError) as exc:
                 self._drop_connection()
-                if attempt:
-                    raise ServiceClientError(
-                        f"{method} {path} failed: {type(exc).__name__}: {exc}"
-                    ) from exc
+                # The server closed this connection while it sat idle
+                # (see the module docstring): the one case sent again.
+                if reused and response is None and isinstance(exc, _PEER_CLOSED):
+                    reused = False
+                    continue
+                raise ServiceClientError(
+                    f"{method} {path} failed: {type(exc).__name__}: {exc}"
+                ) from exc
         response_headers = {k: v for k, v in response.getheaders()}
         if response.getheader("Connection", "").lower() == "close":
             self._drop_connection()
@@ -203,7 +204,7 @@ class HTTPTransport:
         raise ServiceProtocolError(message)
 
     # ------------------------------------------------------------------
-    # engine protocol (what the harness calls)
+    # the engine's calling surface
     # ------------------------------------------------------------------
     def search(
         self, query: str, *, top_k: int = 10, verify: bool = False
@@ -229,8 +230,7 @@ class HTTPTransport:
 
         Batches larger than the service's per-request document cap
         (:data:`repro.service.protocol.MAX_INGEST_DOCUMENTS`) are split
-        into multiple requests transparently — the harness's preload
-        can exceed one request's worth.
+        into multiple requests transparently.
         """
         from repro.service.protocol import MAX_INGEST_DOCUMENTS
 
@@ -256,14 +256,6 @@ class HTTPTransport:
         if self._health is None:
             self._health = self._call("GET", "/healthz")
         return self._health
-
-    @property
-    def num_shards(self) -> int:
-        """Shard count reported by the service (for snapshots)."""
-        try:
-            return int(self.healthz().get("shards", 1))
-        except ServiceClientError:
-            return 1
 
     def close(self) -> None:
         """Close every per-thread connection this transport opened."""

@@ -13,7 +13,6 @@ from repro.observability.adapters import (
     export_archive,
     export_faults,
     export_journal,
-    export_loadtest,
     export_read_cache,
     export_service,
     export_store,
@@ -47,7 +46,6 @@ __all__ = [
     "export_archive",
     "export_faults",
     "export_journal",
-    "export_loadtest",
     "export_read_cache",
     "export_service",
     "export_store",

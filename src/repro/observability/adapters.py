@@ -164,9 +164,9 @@ def export_read_cache(registry, read_cache, *, shard: str = "0") -> None:
 def counter_value(registry, name: str, **labels: object) -> Optional[float]:
     """Current value of one counter/gauge series, or ``None`` if absent.
 
-    The read-side complement of the exporters above: the load-test
-    harness uses it to pull authoritative totals (e.g. ingested bytes)
-    back out of a registry without reaching into engine internals.
+    The read-side complement of the exporters above: pulls an
+    authoritative total (e.g. ingested bytes) back out of a registry
+    without reaching into engine internals.
     Returns ``None`` for a missing registry, a disabled one, an
     unregistered name, or an unbound label set — callers fall back to
     their own accounting.
@@ -182,37 +182,6 @@ def counter_value(registry, name: str, **labels: object) -> Optional[float]:
                 return float(series.value)
         return None
     return None
-
-
-def export_loadtest(registry, result, *, run: str = "default") -> None:
-    """Export a load-test result's headline numbers as gauges.
-
-    ``result`` is a :class:`~repro.loadtest.harness.LoadTestResult`,
-    duck-typed through ``to_dict()`` so this module keeps importing no
-    engine or harness code.  One series per metric, labelled by ``run``
-    so several configurations can share a registry.
-    """
-    if not registry.enabled:
-        return
-    run = str(run)
-    doc = result.to_dict()
-    flat = {
-        "qps": doc["qps"],
-        "ingest_docs_per_s": doc["ingest_docs_per_s"],
-        "ingest_mb_per_s": doc["ingest_mb_per_s"],
-        "error_rate": doc["error_rate"],
-        "operations": doc["operations"],
-        "search_p50_ms": doc["latency_ms"]["search"]["p50_ms"],
-        "search_p95_ms": doc["latency_ms"]["search"]["p95_ms"],
-        "search_p99_ms": doc["latency_ms"]["search"]["p99_ms"],
-        "ingest_p99_ms": doc["latency_ms"]["ingest"]["p99_ms"],
-    }
-    for key, value in flat.items():
-        registry.gauge(
-            f"repro_loadtest_{key}",
-            f"Load-test result '{key}' (see repro.loadtest)",
-            labels=("run",),
-        ).labels(run=run).set(value)
 
 
 def export_service(registry, service_stats: Dict[str, object]) -> None:

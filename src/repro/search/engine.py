@@ -68,7 +68,6 @@ from repro.search.profiling import QueryProfile, profile_query
 from repro.search.query import QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
 from repro.search.readcache import ReadCache
-from repro.worm.cache import READ_CACHE_POLICIES
 from repro.worm.storage import CachedWormStore
 
 
@@ -124,9 +123,6 @@ class EngineConfig:
         memo.  Session-scoped acceleration only — it never shapes
         committed WORM state, so archives created with and without it
         are byte-identical.
-    cache_policy:
-        Eviction policy for the read cache: ``"lru"``, ``"2q"``, or
-        ``"slru"`` (see :mod:`repro.worm.cache`).
     read_cache_mb:
         Approximate in-memory budget of the decoded-block tier, in MB.
     tail_max_docs:
@@ -164,7 +160,6 @@ class EngineConfig:
     #: Term-immutability horizon in commit-time units (None = forever).
     retention_period: Optional[int] = None
     read_cache: bool = False
-    cache_policy: str = "lru"
     read_cache_mb: float = 8.0
     tail_max_docs: Optional[int] = None
     seal_strategy: str = "uniform"
@@ -176,11 +171,6 @@ class EngineConfig:
             raise WorkloadError(f"num_lists must be positive, got {self.num_lists}")
         if self.ranking not in ("bm25", "cosine"):
             raise WorkloadError(f"unknown ranking '{self.ranking}'")
-        if self.cache_policy not in READ_CACHE_POLICIES:
-            raise WorkloadError(
-                f"unknown cache policy '{self.cache_policy}'; choose from "
-                f"{sorted(READ_CACHE_POLICIES)}"
-            )
         if self.read_cache_mb <= 0:
             raise WorkloadError(
                 f"read_cache_mb must be positive, got {self.read_cache_mb}"
@@ -437,10 +427,7 @@ class TrustworthySearchEngine:
         #: Session-scoped read-path cache (None when disabled).  Never
         #: persisted: a restarted engine starts cold and re-verifies.
         self.read_cache = (
-            ReadCache(
-                policy=self.config.cache_policy,
-                capacity_mb=self.config.read_cache_mb,
-            )
+            ReadCache(capacity_mb=self.config.read_cache_mb)
             if self.config.read_cache
             else None
         )
@@ -1263,9 +1250,7 @@ class TrustworthySearchEngine:
             with self._stage("cache", trace) as span:
                 cached = cache.results.get(cache_key, fingerprint)
                 if span is not None:
-                    span.note(
-                        hit=cached is not None, policy=cache.policy_name
-                    )
+                    span.note(hit=cached is not None)
             if cached is not None:
                 return cached
         if costs is None:

@@ -10,8 +10,8 @@ timestamps or TTLs:
 * **Tier 1 — decoded posting blocks** (:class:`DecodedBlockCache`).
   Keyed by ``(list_name, block_no)``.  Every block except the current
   tail is frozen forever, so the only invalidation needed is the tail
-  block of a list receiving an append.  Eviction order is pluggable
-  (LRU / 2Q / segmented LRU, from :mod:`repro.worm.cache`).
+  block of a list receiving an append.  Eviction is least recently
+  used, as in the storage-cache model of :mod:`repro.worm.cache`.
 
 * **Tier 2 — query results** (:class:`QueryResultCache`).  Keyed by the
   normalized query; each entry carries a *fingerprint* of the per-term
@@ -39,11 +39,11 @@ no authority over WORM state.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.posting import Posting
-from repro.worm.cache import make_policy
 
 #: Nominal in-memory cost of one decoded posting (object + refs), used to
 #: map the ``--cache-mb`` byte budget onto decoded-entry lists.
@@ -83,19 +83,18 @@ class DecodedBlockCache:
     """Tier 1: decoded posting blocks keyed by ``(list_name, block_no)``.
 
     Holds the *decoded* entry lists (the expensive part of a block read),
-    bounded by an approximate byte budget.  Consumers must treat returned
-    lists as read-only — they are shared across cursors and queries.
+    bounded by an approximate byte budget, least recently used evicted
+    first.  Consumers must treat returned lists as read-only — they are
+    shared across cursors and queries.
     """
 
-    def __init__(self, *, policy: str = "lru", capacity_bytes: int = 8 << 20):
+    def __init__(self, *, capacity_bytes: int = 8 << 20):
         if capacity_bytes <= 0:
             raise ValueError(
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
-        self.policy_name = policy
         self.capacity_bytes = capacity_bytes
-        self._policy = make_policy(policy)
-        self._entries: Dict[Tuple[str, int], List[Posting]] = {}
+        self._entries: OrderedDict[Tuple[str, int], List[Posting]] = OrderedDict()
         self._weights: Dict[Tuple[str, int], int] = {}
         self.resident_bytes = 0
         self.stats = TierStats()
@@ -110,7 +109,7 @@ class DecodedBlockCache:
         if entries is None:
             self.stats.misses += 1
             return None
-        self._policy.on_hit(key)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         return entries
 
@@ -134,13 +133,11 @@ class DecodedBlockCache:
         if weight > self.capacity_bytes:
             return  # would evict the whole cache for one oversized block
         while self._entries and self.resident_bytes + weight > self.capacity_bytes:
-            victim = self._policy.victim()
-            self._drop(victim)
+            self._drop(next(iter(self._entries)))
             self.stats.evictions += 1
         self._entries[key] = entries
         self._weights[key] = weight
         self.resident_bytes += weight
-        self._policy.on_insert(key)
 
     def invalidate(self, name: str, block_no: int) -> None:
         """Drop one block (the tail of a list that just received an append)."""
@@ -149,22 +146,22 @@ class DecodedBlockCache:
             self._drop(key)
             self.stats.invalidations += 1
 
-    def forget_list(self, name: str) -> None:
-        """Drop every cached block of ``name`` (the list was retired).
+    def forget_lists(self, names: Set[str]) -> None:
+        """Drop every cached block of the lists ``names`` (they were retired).
 
         Used when a segment merge supersedes whole posting lists: the
         retired files can never be read again, so keeping their decoded
         blocks resident only squeezes live entries out of the budget.
-        Counted as invalidations.
+        One pass over the cache, however many lists retire.  Counted as
+        invalidations.
         """
-        for key in [k for k in self._entries if k[0] == name]:
+        for key in [k for k in self._entries if k[0] in names]:
             self._drop(key)
             self.stats.invalidations += 1
 
     def _drop(self, key: Tuple[str, int]) -> None:
         del self._entries[key]
         self.resident_bytes -= self._weights.pop(key)
-        self._policy.discard(key)
 
 
 class QueryResultCache:
@@ -174,15 +171,15 @@ class QueryResultCache:
     for each query term its resolved posting list and that list's length,
     plus the disposition-log length.  Append-only growth means a length
     match is proof of byte-identical recomputation; a mismatch evicts
-    exactly the stale entry (counted as an invalidation).
+    exactly the stale entry (counted as an invalidation).  A full cache
+    evicts its least recently used entry.
     """
 
-    def __init__(self, *, policy: str = "lru", max_entries: int = 256):
+    def __init__(self, *, max_entries: int = 256):
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
-        self._policy = make_policy(policy)
-        self._entries: Dict[Hashable, Tuple[Hashable, Any]] = {}
+        self._entries: OrderedDict[Hashable, Tuple[Hashable, Any]] = OrderedDict()
         self.stats = TierStats()
 
     def __len__(self) -> int:
@@ -198,26 +195,22 @@ class QueryResultCache:
         if cached_fp != fingerprint:
             # An append touched a list this entry depends on.
             del self._entries[key]
-            self._policy.discard(key)
             self.stats.invalidations += 1
             self.stats.misses += 1
             return None
-        self._policy.on_hit(key)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         return payload
 
     def put(self, key: Hashable, fingerprint: Hashable, payload: Any) -> None:
         if key in self._entries:
             self._entries[key] = (fingerprint, payload)
-            self._policy.on_hit(key)
+            self._entries.move_to_end(key)
             return
         while len(self._entries) >= self.max_entries:
-            victim = self._policy.victim()
-            del self._entries[victim]
-            self._policy.discard(victim)
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
         self._entries[key] = (fingerprint, payload)
-        self._policy.on_insert(key)
 
 
 class JumpMemo:
@@ -276,21 +269,12 @@ class ReadCache:
     neither needs a byte share.
     """
 
-    def __init__(
-        self,
-        *,
-        policy: str = "lru",
-        capacity_mb: float = 8.0,
-        result_entries: int = 256,
-    ):
+    def __init__(self, *, capacity_mb: float = 8.0, result_entries: int = 256):
         if capacity_mb <= 0:
             raise ValueError(f"capacity_mb must be positive, got {capacity_mb}")
-        self.policy_name = policy
         self.capacity_mb = capacity_mb
-        self.blocks = DecodedBlockCache(
-            policy=policy, capacity_bytes=int(capacity_mb * (1 << 20))
-        )
-        self.results = QueryResultCache(policy=policy, max_entries=result_entries)
+        self.blocks = DecodedBlockCache(capacity_bytes=int(capacity_mb * (1 << 20)))
+        self.results = QueryResultCache(max_entries=result_entries)
         self.memo_stats = TierStats()
         self._memos: Dict[str, JumpMemo] = {}
 
@@ -310,14 +294,14 @@ class ReadCache:
         match, and the engine's fingerprint carries the tail generation /
         per-term counts that govern result validity.
         """
+        names = set(names)
+        self.blocks.forget_lists(names)
         for name in names:
-            self.blocks.forget_list(name)
             self._memos.pop(name, None)
 
     def as_dict(self) -> Dict[str, Any]:
         """Per-tier counters plus residency, for stats/metrics export."""
         return {
-            "policy": self.policy_name,
             "blocks": {
                 **self.blocks.stats.as_dict(),
                 "resident": len(self.blocks),

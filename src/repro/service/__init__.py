@@ -29,7 +29,7 @@ from repro.service.admission import (
     TenantRateLimiter,
     TokenBucket,
 )
-from repro.service.locks import NullRequestLock, ReadWriteLock
+from repro.service.locks import ReadWriteLock
 from repro.service.protocol import (
     DEFAULT_TENANT,
     PROTOCOL_SCHEMA,
@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "Decision",
     "IngestRequest",
-    "NullRequestLock",
     "PROTOCOL_SCHEMA",
     "ReadWriteLock",
     "SchemaError",

@@ -1,10 +1,9 @@
-"""Reader-writer lock shared by the service and the load harness.
+"""The archive service's reader-writer lock.
 
 The engine's append path (journal tail, lexicon, router clock) is
 single-writer by design, while searches are safe to run fully
-concurrent; both the long-lived archive service and the in-process load
-harness therefore serialise ingest against reads with the same
-discipline.  This lock is writer-preferring: a waiting writer blocks
+concurrent; the long-lived archive service therefore serialises ingest
+against reads.  This lock is writer-preferring: a waiting writer blocks
 new readers (they queue behind it on ``_writer``), so a steady search
 stream cannot starve the committing pipeline.
 """
@@ -67,33 +66,3 @@ class ReadWriteLock:
         finally:
             self.release_write()
 
-
-class NullRequestLock:
-    """A :class:`ReadWriteLock` stand-in that synchronises nothing.
-
-    Used when another layer already serialises writers — e.g. the load
-    harness driving the archive service over HTTP, where the service's
-    own reader-writer discipline is the one under test and a
-    client-side lock would only fake serialisation the server never
-    sees.
-    """
-
-    def acquire_read(self) -> None:
-        pass
-
-    def release_read(self) -> None:
-        pass
-
-    def acquire_write(self) -> None:
-        pass
-
-    def release_write(self) -> None:
-        pass
-
-    @contextmanager
-    def reading(self):
-        yield
-
-    @contextmanager
-    def writing(self):
-        yield

@@ -366,7 +366,7 @@ class ShardedSearchEngine:
         if all(stats is None for stats in per_shard):
             return None
         present = [stats for stats in per_shard if stats is not None]
-        summed: Dict[str, object] = {"policy": present[0]["policy"]}
+        summed: Dict[str, object] = {}
         for tier in ("blocks", "results", "jump_memo"):
             summed[tier] = {
                 key: sum(stats[tier][key] for stats in present)

@@ -157,194 +157,6 @@ class LRUBlockCache:
         return f"LRUBlockCache(resident={len(self._resident)}/{cap})"
 
 
-# ----------------------------------------------------------------------
-# pluggable eviction policies (read-path caches)
-# ----------------------------------------------------------------------
-class EvictionPolicy:
-    """Recency bookkeeping for a read cache: who gets evicted next.
-
-    The write-path :class:`LRUBlockCache` above models the paper's
-    storage-server cache and is deliberately LRU-only (Section 3 fixes
-    that).  The *read-path* caches in :mod:`repro.search.readcache` are
-    ours to tune, so their eviction order is pluggable: a policy tracks
-    key recency and answers :meth:`victim`; the owning cache stores the
-    actual values and calls back on insert/hit/removal.
-
-    Policies never remove keys on their own — :meth:`victim` nominates,
-    the cache evicts and then calls :meth:`discard`.
-    """
-
-    #: Registry name (also the CLI ``--cache-policy`` value).
-    name = "base"
-
-    def on_insert(self, key: Hashable) -> None:
-        """A key was added to the cache."""
-        raise NotImplementedError
-
-    def on_hit(self, key: Hashable) -> None:
-        """A resident key was accessed."""
-        raise NotImplementedError
-
-    def victim(self) -> Hashable:
-        """The key that should be evicted next (must be non-empty)."""
-        raise NotImplementedError
-
-    def discard(self, key: Hashable) -> None:
-        """Forget a key (evicted or invalidated by the cache)."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class LRUPolicy(EvictionPolicy):
-    """Classic least-recently-used ordering."""
-
-    name = "lru"
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        self._order[key] = None
-
-    def on_hit(self, key: Hashable) -> None:
-        self._order.move_to_end(key)
-
-    def victim(self) -> Hashable:
-        return next(iter(self._order))
-
-    def discard(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class TwoQPolicy(EvictionPolicy):
-    """Simplified 2Q (Johnson & Shasha): scan-resistant LRU.
-
-    New keys enter a FIFO probation queue (``A1in``); only a *second*
-    access promotes to the main LRU (``Am``), so a one-pass scan over a
-    cold posting list cannot flush the hot working set.  Evicted
-    probation keys leave a ghost entry (``A1out``, keys only) whose
-    readmission goes straight to ``Am``.
-    """
-
-    name = "2q"
-
-    def __init__(self, *, a1_fraction: float = 0.25, ghost_factor: int = 2):
-        if not 0.0 < a1_fraction < 1.0:
-            raise ValueError(f"a1_fraction must be in (0, 1), got {a1_fraction}")
-        self._a1_fraction = a1_fraction
-        self._ghost_factor = ghost_factor
-        self._a1in: "OrderedDict[Hashable, None]" = OrderedDict()
-        self._am: "OrderedDict[Hashable, None]" = OrderedDict()
-        self._ghost: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        if key in self._ghost:
-            del self._ghost[key]
-            self._am[key] = None
-        else:
-            self._a1in[key] = None
-
-    def on_hit(self, key: Hashable) -> None:
-        if key in self._a1in:
-            del self._a1in[key]
-            self._am[key] = None
-        elif key in self._am:
-            self._am.move_to_end(key)
-
-    def victim(self) -> Hashable:
-        total = len(self._a1in) + len(self._am)
-        if self._a1in and (
-            not self._am or len(self._a1in) >= self._a1_fraction * total
-        ):
-            key = next(iter(self._a1in))
-            # Remember the evictee so a re-reference promotes directly.
-            self._ghost[key] = None
-            ghost_cap = max(1, self._ghost_factor * total)
-            while len(self._ghost) > ghost_cap:
-                self._ghost.popitem(last=False)
-            return key
-        return next(iter(self._am))
-
-    def discard(self, key: Hashable) -> None:
-        self._a1in.pop(key, None)
-        self._am.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._a1in) + len(self._am)
-
-
-class SegmentedLRUPolicy(EvictionPolicy):
-    """Segmented LRU: probationary and protected segments.
-
-    First access lands in the probationary segment; a hit promotes to
-    the protected segment (capped at ``protected_fraction`` of resident
-    keys, overflow demoting back to probationary-MRU).  Eviction always
-    takes the probationary LRU tail, so keys touched twice survive
-    one-shot scans — similar insight to 2Q, different mechanics.
-    """
-
-    name = "slru"
-
-    def __init__(self, *, protected_fraction: float = 0.75):
-        if not 0.0 < protected_fraction < 1.0:
-            raise ValueError(
-                f"protected_fraction must be in (0, 1), got {protected_fraction}"
-            )
-        self._protected_fraction = protected_fraction
-        self._probation: "OrderedDict[Hashable, None]" = OrderedDict()
-        self._protected: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        self._probation[key] = None
-
-    def on_hit(self, key: Hashable) -> None:
-        if key in self._probation:
-            del self._probation[key]
-            self._protected[key] = None
-            cap = max(1, int(self._protected_fraction * len(self)))
-            while len(self._protected) > cap:
-                demoted, _ = self._protected.popitem(last=False)
-                self._probation[demoted] = None
-        elif key in self._protected:
-            self._protected.move_to_end(key)
-
-    def victim(self) -> Hashable:
-        if self._probation:
-            return next(iter(self._probation))
-        return next(iter(self._protected))
-
-    def discard(self, key: Hashable) -> None:
-        self._probation.pop(key, None)
-        self._protected.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
-
-
-#: Read-cache policies by registry/CLI name.
-READ_CACHE_POLICIES = {
-    LRUPolicy.name: LRUPolicy,
-    TwoQPolicy.name: TwoQPolicy,
-    SegmentedLRUPolicy.name: SegmentedLRUPolicy,
-}
-
-
-def make_policy(name: str) -> EvictionPolicy:
-    """Instantiate a read-cache eviction policy by registry name."""
-    try:
-        return READ_CACHE_POLICIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown cache policy '{name}'; "
-            f"choose from {sorted(READ_CACHE_POLICIES)}"
-        ) from None
-
-
 def cache_blocks_for_size(cache_size_bytes: int, block_size: int) -> int:
     """Number of block slots in a cache of ``cache_size_bytes``.
 

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import (
-    CapacityModel,
     cost_ratio,
     merged_workload_cost,
     minimum_sum_of_squares_cost,
     per_query_costs,
     per_query_unmerged_costs,
-    predict_capacity,
     query_slowdowns,
     unmerged_workload_cost,
 )
@@ -118,134 +116,3 @@ class TestNpCompletenessReduction:
         ta = TermAssignment(list_ids=np.array([0, 0, 1, 1, 1]), num_lists=2)
         parts = [[3, 1], [4, 1, 5]]
         assert merged_workload_cost(ta, stats) == minimum_sum_of_squares_cost(parts)
-
-
-def loadtest_snapshot(qps=2000.0, shards=2, p99_ms=8.0, mean_ms=2.0, clients=4):
-    """A synthetic BENCH_LOADTEST.json document for calibration tests."""
-    return {
-        "schema": "repro-loadtest/v1",
-        "seed": 42,
-        "config": {"clients": clients, "mix": 0.9, "seed": 42},
-        "metrics": {
-            "qps": qps,
-            "shards": shards,
-            "latency_ms": {
-                "search": {"p99_ms": p99_ms, "mean_ms": mean_ms},
-                "ingest": {"p99_ms": 12.0, "mean_ms": 5.0},
-            },
-        },
-    }
-
-
-class TestCapacityCalibration:
-    def test_calibrates_from_synthetic_snapshot(self):
-        model = CapacityModel.from_snapshots([loadtest_snapshot()])
-        cal = model.calibration
-        assert cal.qps_per_shard == pytest.approx(1000.0)  # 2000 qps / 2 shards
-        assert cal.p99_ms == 8.0
-        assert cal.mean_ms == 2.0
-        assert cal.shards == 2
-        assert cal.clients == 4
-
-    def test_best_observed_point_wins(self):
-        slow = loadtest_snapshot(qps=500.0, shards=2)
-        fast = loadtest_snapshot(qps=3000.0, shards=2)
-        model = CapacityModel.from_snapshots([slow, fast])
-        assert model.calibration.qps_per_shard == pytest.approx(1500.0)
-
-    def test_rejects_non_loadtest_schema(self):
-        snapshot = loadtest_snapshot()
-        snapshot["schema"] = "repro-metrics/v1"
-        with pytest.raises(IndexError_):
-            CapacityModel.from_snapshots([snapshot])
-
-    def test_rejects_missing_metrics(self):
-        with pytest.raises(IndexError_):
-            CapacityModel.from_snapshots([{"schema": "repro-loadtest/v1"}])
-        snapshot = loadtest_snapshot()
-        del snapshot["metrics"]["latency_ms"]["search"]["mean_ms"]
-        with pytest.raises(IndexError_):
-            CapacityModel.from_snapshots([snapshot])
-
-    def test_rejects_empty_snapshot_list(self):
-        with pytest.raises(IndexError_):
-            CapacityModel.from_snapshots([])
-
-    def test_rejects_idle_run(self):
-        with pytest.raises(IndexError_):
-            CapacityModel.from_snapshots([loadtest_snapshot(qps=0.0)])
-
-
-class TestCapacityPrediction:
-    @pytest.fixture()
-    def model(self):
-        return CapacityModel.from_snapshots([loadtest_snapshot()])
-
-    def test_target_within_one_shard(self, model):
-        plan = model.predict_capacity(800.0, 10.0)
-        assert plan.shards == 1
-        assert plan.predicted_qps >= 800.0
-
-    def test_target_needs_more_shards(self, model):
-        plan = model.predict_capacity(5000.0, 10.0)
-        assert plan.shards == 5  # ceil(5000 / 1000 usable qps/shard)
-        assert plan.workers >= plan.shards
-
-    def test_tight_p99_derates_linearly(self, model):
-        # Half the calibrated 8ms budget -> half the usable rate.
-        assert model.usable_qps_per_shard(4.0) == pytest.approx(500.0)
-        assert model.usable_qps_per_shard(8.0) == pytest.approx(1000.0)
-        assert model.usable_qps_per_shard(80.0) == pytest.approx(1000.0)
-
-    def test_workers_follow_littles_law(self, model):
-        # 5000 qps at 2ms mean -> N = lambda * W = 10 concurrent searches,
-        # but never fewer workers than shards.
-        plan = model.predict_capacity(5000.0, 10.0)
-        assert plan.workers == max(plan.shards, 10)
-
-    def test_monotone_in_target_qps(self, model):
-        """More target QPS never yields fewer shards or workers."""
-        plans = [
-            model.predict_capacity(qps, 10.0)
-            for qps in (100.0, 500.0, 1000.0, 2500.0, 5000.0, 20000.0)
-        ]
-        for lower, higher in zip(plans, plans[1:]):
-            assert higher.shards >= lower.shards
-            assert higher.workers >= lower.workers
-
-    def test_monotone_in_target_p99(self, model):
-        """A tighter p99 target never yields fewer shards."""
-        plans = [
-            model.predict_capacity(3000.0, p99)
-            for p99 in (32.0, 16.0, 8.0, 4.0, 2.0, 1.0)
-        ]
-        for looser, tighter in zip(plans, plans[1:]):
-            assert tighter.shards >= looser.shards
-
-    def test_rejects_bad_targets(self, model):
-        with pytest.raises(IndexError_):
-            model.predict_capacity(0.0, 10.0)
-        with pytest.raises(IndexError_):
-            model.predict_capacity(1000.0, -1.0)
-
-    def test_convenience_accepts_single_dict(self):
-        plan = predict_capacity(loadtest_snapshot(), 5000.0, 10.0)
-        assert plan.shards == 5
-
-    def test_plan_summary_mentions_provisioning(self, model):
-        text = model.predict_capacity(5000.0, 10.0).summary()
-        assert "shard(s)" in text and "worker(s)" in text
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        qps_a=st.floats(min_value=1.0, max_value=1e6),
-        qps_b=st.floats(min_value=1.0, max_value=1e6),
-        p99=st.floats(min_value=0.1, max_value=100.0),
-    )
-    def test_monotonicity_property(self, qps_a, qps_b, p99):
-        model = CapacityModel.from_snapshots([loadtest_snapshot()])
-        lo, hi = sorted((qps_a, qps_b))
-        plan_lo = model.predict_capacity(lo, p99)
-        plan_hi = model.predict_capacity(hi, p99)
-        assert plan_hi.shards >= plan_lo.shards
-        assert plan_hi.workers >= plan_lo.workers

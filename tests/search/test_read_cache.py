@@ -1,4 +1,4 @@
-"""Unit tests for the read-path cache hierarchy and eviction policies."""
+"""Unit tests for the read-path cache hierarchy."""
 
 import threading
 
@@ -11,95 +11,16 @@ from repro.search.readcache import (
     DecodedBlockCache,
     JumpMemo,
     QueryResultCache,
-    ReadCache,
 )
 from repro.errors import WorkloadError
-from repro.worm.cache import (
-    READ_CACHE_POLICIES,
-    LRUPolicy,
-    SegmentedLRUPolicy,
-    TwoQPolicy,
-    make_policy,
-)
 from repro.worm.storage import CachedWormStore
 from tests.helpers import DEFAULT_CORPUS, SMALL_CONFIG, build_engine
 
-ALL_POLICIES = sorted(READ_CACHE_POLICIES)
 
-
-def cached_config(policy="lru", **kwargs):
+def cached_config(**kwargs):
     from dataclasses import replace
 
-    return replace(SMALL_CONFIG, read_cache=True, cache_policy=policy, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# eviction policies
-# ----------------------------------------------------------------------
-class TestPolicies:
-    def test_factory_knows_all_policies(self):
-        for name in ALL_POLICIES:
-            assert make_policy(name).name == name
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            make_policy("arc")
-
-    def test_lru_evicts_least_recent(self):
-        p = LRUPolicy()
-        for key in "abc":
-            p.on_insert(key)
-        p.on_hit("a")
-        assert p.victim() == "b"
-        p.discard("b")
-        assert p.victim() == "c"
-        assert len(p) == 2
-
-    def test_2q_scan_resistance(self):
-        """One-touch scan keys are evicted before twice-touched keys."""
-        p = TwoQPolicy()
-        p.on_insert("hot")
-        p.on_hit("hot")  # promoted to Am
-        for key in ("s1", "s2", "s3"):
-            p.on_insert(key)  # scan traffic, stays in A1in
-        assert p.victim() == "s1"  # FIFO probation head, not "hot"
-        p.discard("s1")
-
-    def test_2q_ghost_promotes_on_readmission(self):
-        p = TwoQPolicy()
-        for key in ("a", "b", "c", "d"):
-            p.on_insert(key)
-        victim = p.victim()  # goes to the ghost queue
-        p.discard(victim)
-        p.on_insert(victim)  # readmission: straight to Am
-        # A fresh one-touch key is now a better victim than the ghost hit.
-        p.on_insert("fresh")
-        assert p.victim() != victim
-
-    def test_slru_protects_twice_touched(self):
-        p = SegmentedLRUPolicy()
-        p.on_insert("hot")
-        p.on_hit("hot")  # promoted to protected
-        for key in ("s1", "s2", "s3"):
-            p.on_insert(key)
-        assert p.victim() == "s1"
-        assert len(p) == 4
-
-    def test_slru_demotes_protected_overflow(self):
-        p = SegmentedLRUPolicy(protected_fraction=0.5)
-        for key in ("a", "b", "c", "d"):
-            p.on_insert(key)
-            p.on_hit(key)  # everything tries to get protected
-        # Protected is capped, so some keys were demoted back; the policy
-        # still tracks all four and can nominate a victim.
-        assert len(p) == 4
-        assert p.victim() in ("a", "b", "c", "d")
-
-    def test_policy_param_validation(self):
-        with pytest.raises(ValueError):
-            TwoQPolicy(a1_fraction=1.5)
-        with pytest.raises(ValueError):
-            SegmentedLRUPolicy(protected_fraction=0.0)
+    return replace(SMALL_CONFIG, read_cache=True, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -135,14 +56,19 @@ class TestDecodedBlockCache:
         with pytest.raises(ValueError):
             DecodedBlockCache(capacity_bytes=0)
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_all_policies_work(self, policy):
-        cache = DecodedBlockCache(policy=policy, capacity_bytes=2048)
-        for block_no in range(8):
+    def test_evicts_least_recently_used(self):
+        # 128 + 64*5 = 448 bytes a block; the budget fits three.
+        cache = DecodedBlockCache(capacity_bytes=1400)
+        for block_no in range(3):
             cache.put("pl", block_no, list(range(5)))
-            cache.get("pl", block_no)
-        assert len(cache) >= 1
-        assert cache.resident_bytes <= 2048
+        cache.get("pl", 0)
+        cache.put("pl", 3, list(range(5)))
+        assert cache.get("pl", 1) is None
+        assert all(cache.get("pl", n) is not None for n in (0, 2, 3))
+        cache.put("pl", 2, list(range(5)))  # a re-put counts as a use
+        cache.put("pl", 4, list(range(5)))
+        assert cache.get("pl", 0) is None
+        assert cache.stats.evictions == 2
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +90,19 @@ class TestQueryResultCache:
             cache.put(f"q{i}", (), i)
         assert len(cache) == 2
         assert cache.stats.evictions == 2
+
+    def test_evicts_least_recently_used(self):
+        cache = QueryResultCache(max_entries=3)
+        for key in "abc":
+            cache.put(key, (), key)
+        cache.get("a", ())
+        cache.put("d", (), "d")
+        assert cache.get("b", ()) is None
+        cache.put("c", (1,), "a re-put counts as a use")
+        cache.put("e", (), "e")
+        assert cache.get("a", ()) is None
+        assert [cache.get(key, ()) for key in "de"] == ["d", "e"]
+        assert cache.stats.evictions == 2 and cache.stats.invalidations == 0
 
     def test_put_refreshes_existing_key(self):
         cache = QueryResultCache()
@@ -193,9 +132,7 @@ class TestJumpMemo:
 # engine integration
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
-    def test_config_validates_policy_and_budget(self):
-        with pytest.raises(WorkloadError, match="cache policy"):
-            EngineConfig(cache_policy="arc")
+    def test_config_validates_budget(self):
         with pytest.raises(WorkloadError, match="read_cache_mb"):
             EngineConfig(read_cache_mb=-1)
 
@@ -204,9 +141,8 @@ class TestEngineIntegration:
         assert engine.read_cache is None
         assert engine.read_cache_stats() is None
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_repeated_query_hits_result_cache(self, policy):
-        engine = build_engine(config=cached_config(policy))
+    def test_repeated_query_hits_result_cache(self):
+        engine = build_engine(config=cached_config())
         first = engine.search("+imclone +stewart")
         second = engine.search("+imclone +stewart")
         assert [(r.doc_id, r.score) for r in first] == [
@@ -365,8 +301,7 @@ class TestEngineIntegration:
         trace = QueryTrace("imclone")
         engine.search("imclone", trace=trace)
         spans = {s["name"]: s for s in trace.to_dict()["spans"]}
-        assert spans["cache"]["attrs"]["hit"] is True
-        assert spans["cache"]["attrs"]["policy"] == "lru"
+        assert spans["cache"]["attrs"] == {"hit": True}
 
     def test_verify_reruns_on_cached_results(self):
         """Result verification is never skipped for cache hits."""
@@ -425,12 +360,11 @@ class TestEngineIntegration:
 
 
 class TestShardedIntegration:
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_sharded_repeat_query_hits_per_shard_caches(self, policy):
+    def test_sharded_repeat_query_hits_per_shard_caches(self):
         from tests.helpers import SHARD_CONFIG, build_sharded
         from dataclasses import replace
 
-        config = replace(SHARD_CONFIG, read_cache=True, cache_policy=policy)
+        config = replace(SHARD_CONFIG, read_cache=True)
         sharded = build_sharded(
             [f"common doc{i}" for i in range(12)],
             num_shards=3,
@@ -443,7 +377,6 @@ class TestShardedIntegration:
                 (r.doc_id, r.score) for r in second
             ]
             stats = sharded.read_cache_stats()
-            assert stats["policy"] == policy
             assert stats["results"]["hits"] >= 1
             assert len(stats["per_shard"]) == 3
 

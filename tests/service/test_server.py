@@ -1,13 +1,16 @@
 """End-to-end service tests: real HTTP, concurrency, and the drain.
 
-These drive :class:`ArchiveServer` over loopback sockets with the
-load-harness :class:`HTTPTransport` as the client, covering what the
-socketless handler tests cannot: keep-alive plumbing, the reader-writer
-discipline under real thread interleavings, and the graceful-drain
-contract (no accepted request is lost).
+These drive :class:`ArchiveServer` over loopback sockets with
+:class:`HTTPTransport` as the client, covering what the socketless
+handler tests cannot: keep-alive plumbing, the reader-writer discipline
+under real thread interleavings, and the graceful-drain contract (no
+accepted request is lost).  The client's own rule — what it sends a
+second time and what it never does — is tested against a raw socket
+server that misbehaves on cue.
 """
 
 import json
+import socketserver
 import threading
 import time
 from dataclasses import replace
@@ -15,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import open_archive
-from repro.loadtest import (
+from repro.loadtest.transport import (
     HTTPTransport,
     RateLimitedError,
     ServiceClientError,
@@ -94,6 +97,95 @@ class TestEndToEnd:
             finally:
                 service.admission.gate.leave()
             assert client.search("imclone")  # slot free again
+
+
+class _MisbehavingServer(socketserver.ThreadingTCPServer):
+    """A loopback server that answers its n-th request as ``script[n]``
+    says (and any further one as the last): ``"answer"``; ``"late"``
+    (after ``LATE`` seconds); ``"hang up"`` (close, unanswered);
+    ``"answer, then close"`` (what a server does to a connection it has
+    kept alive long enough).  Leaving the ``with`` block joins every
+    connection's thread, so ``requests`` is complete when it is read."""
+
+    LATE = 0.8
+    ANSWER = b'{"results": [], "doc_ids": [0]}'
+
+    def __init__(self, *script):
+        super().__init__(("127.0.0.1", 0), _MisbehavingHandler)
+        self.script = script
+        self.requests = []
+        self.connections = 0
+        self.closed_one = threading.Event()
+        self.endpoint = "http://127.0.0.1:%d" % self.server_address[1]
+        threading.Thread(target=self.serve_forever, args=(0.05,)).start()
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+        super().__exit__(*exc_info)
+
+
+class _MisbehavingHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        server = self.server
+        server.connections += 1
+        while True:
+            request_line = self.rfile.readline()
+            if not request_line:
+                return  # the client hung up
+            length = 0
+            for header in iter(self.rfile.readline, b"\r\n"):
+                name, _, value = header.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            self.rfile.read(length)
+            action = server.script[min(len(server.requests), len(server.script) - 1)]
+            server.requests.append(request_line.decode().rsplit(" ", 1)[0])
+            if action == "hang up":
+                return
+            if action == "late":
+                time.sleep(server.LATE)
+            try:
+                self.wfile.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(server.ANSWER), server.ANSWER)
+                )
+            except OSError:
+                return  # the client gave up waiting
+            if action == "answer, then close":
+                return
+
+    def finish(self):
+        super().finish()
+        self.server.closed_one.set()
+
+
+class TestClientRetry:
+    @pytest.mark.parametrize(
+        "script",
+        [("late",), ("hang up",), ("answer", "late")],
+        ids=["late answer", "fresh connection hung up", "late on a kept-alive one"],
+    )
+    def test_an_ingest_is_never_sent_twice(self, script):
+        """An archive cannot take a committed duplicate back, and a write
+        waiting out a merge behind the writer lock is how an answer gets
+        late: the client raises and leaves the decision to its caller."""
+        with _MisbehavingServer(*script) as srv:
+            with HTTPTransport(srv.endpoint, timeout=0.3) as client:
+                for _ in script[:-1]:
+                    client.search("put the connection in use")
+                with pytest.raises(ServiceClientError):
+                    client.index_batch(["a record to be committed once"])
+        searches = len(script) - 1
+        assert srv.requests == ["POST /search"] * searches + ["POST /ingest"]
+
+    def test_reconnects_when_the_server_closed_an_idle_connection(self):
+        with _MisbehavingServer("answer, then close", "answer") as srv:
+            with HTTPTransport(srv.endpoint, timeout=2.0) as client:
+                assert client.index_batch(["first"]) == [0]
+                assert srv.closed_one.wait(timeout=5)
+                assert client.index_batch(["second"]) == [0]
+        assert srv.requests == ["POST /ingest", "POST /ingest"]
+        assert srv.connections == 2
 
 
 class TestHitsArePlainNumbers:
