@@ -144,16 +144,21 @@ class WormFile:
         rejected.  ``force_new_block`` starts a fresh block even if the
         tail has room — used by posting lists that cap entries per block
         below raw capacity to reserve space for jump pointers.
+
+        A journal replay calls this once per record, so the checks are
+        written out here: a payload that passes the block-size check and
+        lands in a block with room for it cannot fail ``Block.append``'s.
         """
-        self.validate_append(payload)
-        if (
-            not self._blocks
-            or force_new_block
-            or self._blocks[-1].remaining < len(payload)
-        ):
-            self.allocate_block()
-        tail = self._blocks[-1]
-        offset = tail.append(payload)
+        size = len(payload)
+        if size > self.block_size:
+            self.validate_append(payload)  # raises
+        blocks = self._blocks
+        tail = blocks[-1] if blocks else None
+        if tail is None or force_new_block or tail.capacity - len(tail._data) < size:
+            tail = self.allocate_block()
+        data = tail._data
+        offset = len(data)
+        data.extend(payload)
         return tail.block_no, offset
 
     def set_slot(self, block_no: int, slot_no: int, value: int) -> None:

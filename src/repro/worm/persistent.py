@@ -66,7 +66,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, Optional, Tuple
 
 from repro.errors import TamperDetectedError, WormError
 from repro.worm.device import DEFAULT_BLOCK_SIZE, WormDevice, WormFile
@@ -104,8 +104,14 @@ _MAX_TAIL = {FORMAT_V1: 0xFFFF, FORMAT_V2: 0xFFFFFFFF}
 #: Every record's tail opens with: u64 sequence number, u8 opcode, u16
 #: file-name length (the name follows).  The writer packs the first two
 #: in ``_write_record`` and the length with the name, in ``_name_bytes``.
-_HEAD = struct.Struct("<QBH")
 _SEQ_OP = struct.Struct("<QB")
+_TAIL_HEAD_SIZE = _SEQ_OP.size + _U16.size
+
+#: A record's frame and the head of its tail, read by one unpack.
+_HEAD = {
+    FORMAT_V1: struct.Struct("<IHQBH"),
+    FORMAT_V2: struct.Struct("<BIIQBH"),
+}
 
 #: Fixed fields following the file name, per opcode.  An append's are
 #: ``force_new_block`` and the payload length; the payload follows them.
@@ -118,84 +124,110 @@ _FIELDS = {
 
 
 #: A parsed record: ``(end offset, opcode, file name, fixed fields,
-#: payload)``.  Name and payload are views of the journal's bytes — no
-#: copy until the device stores them; the payload is empty unless the
-#: record is an append.
-_Record = Tuple[int, int, memoryview, tuple, memoryview]
+#: payload)``.  The payload is a view of the journal's bytes — no copy
+#: until the device stores it — and is empty unless the record is an
+#: append.
+_Record = Tuple[int, int, str, tuple, memoryview]
 
 
-def _parse_record(
-    data: memoryview,
-    offset: int,
-    expected_seq: int,
-    fmt: int,
-    path: str,
-) -> Optional[_Record]:
-    """Parse one journal record at ``offset`` of the journal's bytes.
+def _records(data: bytes, start: int, fmt: int, path: str) -> Iterator[_Record]:
+    """Parse the journal's bytes from ``start``, yielding each record.
 
-    Returns ``None`` for a torn record (one that does not extend to a
-    full frame); raises :class:`TamperDetectedError` for CRC, sequence,
-    opcode or size violations.  A record whose CRC holds is exactly as
-    long as its opcode and its own length fields say, or it is refused:
-    nothing is read past a short body or silently cut to fit.
+    Stops at a torn final record (one that does not extend to a full
+    frame); raises :class:`TamperDetectedError` for version, CRC, size,
+    sequence, opcode or file-name violations.  A record whose CRC holds
+    is exactly as long as its opcode and its own length fields say, or it
+    is refused: nothing is read past a short body or silently cut to fit.
+    A file name is decoded the first time it appears and looked up after.
     """
-    if fmt == FORMAT_V2:
-        if offset + _FRAME_V2.size > len(data):
-            return None  # torn frame header
-        version, crc, length = _FRAME_V2.unpack_from(data, offset)
-        if version != FORMAT_V2:
+    # Replay runs this loop once per record; what it calls is bound here.
+    crc32 = zlib.crc32
+    layout = _FIELDS.get
+    view = memoryview(data)
+    size = len(data)
+    v2 = fmt == FORMAT_V2
+    head = _HEAD[fmt]
+    frame = _FRAME_V2 if v2 else _FRAME_V1
+    unpack_head, head_size, frame_size = head.unpack_from, head.size, frame.size
+    names: Dict[bytes, str] = {}
+    known_name = names.get
+    offset = start
+    seq = 0
+    while offset < size:
+        if offset + head_size <= size:
+            values = unpack_head(data, offset)
+        elif offset + frame_size <= size:
+            # Too near the end for a whole head: the record is torn or
+            # too short to name a file, and both are refused below
+            # before the fields it lacks are read.
+            values = frame.unpack_from(data, offset) + (None, None, None)
+        else:
+            return  # torn frame header
+        if v2:
+            version, crc, length, record_seq, opcode, name_len = values
+            if version != FORMAT_V2:
+                raise TamperDetectedError(
+                    f"journal record at byte {offset} has unsupported format "
+                    f"version {version}",
+                    location=f"journal '{path}'",
+                    invariant="journal-record-version",
+                )
+        else:
+            crc, length, record_seq, opcode, name_len = values
+        tail = offset + frame_size
+        end = tail + length
+        if end > size:
+            return  # torn body
+        if crc32(view[tail:end]) != crc:
             raise TamperDetectedError(
-                f"journal record at byte {offset} has unsupported format "
-                f"version {version}",
+                f"journal record at byte {offset} fails its CRC",
                 location=f"journal '{path}'",
-                invariant="journal-record-version",
+                invariant="journal-crc",
             )
-        start = offset + _FRAME_V2.size
-    else:
-        if offset + _FRAME_V1.size > len(data):
-            return None  # torn frame header
-        crc, length = _FRAME_V1.unpack_from(data, offset)
-        start = offset + _FRAME_V1.size
-    end = start + length
-    if end > len(data):
-        return None  # torn body
-    tail = data[start:end]
-    if zlib.crc32(tail) != crc:
-        raise TamperDetectedError(
-            f"journal record at byte {offset} fails its CRC",
-            location=f"journal '{path}'",
-            invariant="journal-crc",
-        )
-    if length < _HEAD.size:
-        raise _bad_size(path, offset, length, "too short for a file name")
-    seq, opcode, name_len = _HEAD.unpack_from(tail)
-    if seq != expected_seq:
-        raise TamperDetectedError(
-            f"journal record at byte {offset} claims sequence {seq}, "
-            f"expected {expected_seq}",
-            location=f"journal '{path}'",
-            invariant="journal-sequence",
-        )
-    if opcode not in OP_NAMES:
-        raise TamperDetectedError(
-            f"journal contains unknown opcode {opcode}",
-            location=f"journal '{path}'",
-            invariant="journal-opcode",
-        )
-    fields = _FIELDS[opcode]
-    name_end = _HEAD.size + name_len
-    body_end = name_end + fields.size
-    if length < body_end:
-        raise _bad_size(
-            path, offset, length, f"too short for a {OP_NAMES[opcode]}'s fields"
-        )
-    values = fields.unpack_from(tail, name_end)
-    expected = body_end + (values[1] if opcode == _OP_APPEND else 0)
-    if length != expected:
-        raise _bad_size(
-            path, offset, length, f"but its fields describe {expected}"
-        )
-    return end, opcode, tail[_HEAD.size : name_end], values, tail[body_end:]
+        if length < _TAIL_HEAD_SIZE:
+            raise _bad_size(path, offset, length, "too short for a file name")
+        if record_seq != seq:
+            raise TamperDetectedError(
+                f"journal record at byte {offset} claims sequence "
+                f"{record_seq}, expected {seq}",
+                location=f"journal '{path}'",
+                invariant="journal-sequence",
+            )
+        fields = layout(opcode)
+        if fields is None:
+            raise TamperDetectedError(
+                f"journal contains unknown opcode {opcode}",
+                location=f"journal '{path}'",
+                invariant="journal-opcode",
+            )
+        name_at = tail + _TAIL_HEAD_SIZE
+        name_end = name_at + name_len
+        body_end = name_end + fields.size
+        if body_end > end:
+            raise _bad_size(
+                path, offset, length, f"too short for a {OP_NAMES[opcode]}'s fields"
+            )
+        values = fields.unpack_from(data, name_end)
+        expected = body_end + values[1] if opcode == _OP_APPEND else body_end
+        if expected != end:
+            raise _bad_size(
+                path, offset, length, f"but its fields describe {expected - tail}"
+            )
+        raw = data[name_at:name_end]
+        name = known_name(raw)
+        if name is None:
+            try:
+                name = names[raw] = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise TamperDetectedError(
+                    f"journal record at byte {offset} names a file in bytes "
+                    "that are not UTF-8",
+                    location=f"journal '{path}'",
+                    invariant="journal-name",
+                ) from None
+        yield end, opcode, name, values, view[body_end:end]
+        offset = end
+        seq += 1
 
 
 def _bad_size(path: str, offset: int, length: int, what: str) -> TamperDetectedError:
@@ -275,14 +307,16 @@ class JournalScanReport:
 def scan_journal(path: str) -> JournalScanReport:
     """Verify a journal file without constructing a device.
 
-    Walks every record, checking framing, CRCs, sequence numbers, and
-    opcodes — the same checks replay performs — but applies nothing, so
-    it is safe to run on corrupt or foreign files.
+    Walks every record through the parser replay uses, so it checks
+    what replay checks of each record by itself — framing, CRC, sizes,
+    sequence number, opcode, file name — but applies nothing, so it is
+    safe to run on corrupt or foreign files.  What only applying shows
+    (an append to a file that was never created, a slot set twice) is
+    found by replay alone.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     fmt, offset, torn_header = _sniff_format(data)
-    view = memoryview(data)
     report = JournalScanReport(
         path=path, format_version=fmt, total_bytes=len(data)
     )
@@ -292,45 +326,39 @@ def scan_journal(path: str) -> JournalScanReport:
     if not data:
         return report
     report.committed_bytes = min(offset, len(data))
-    expected_seq = 0
-    while offset < len(data):
-        try:
-            record = _parse_record(view, offset, expected_seq, fmt, path)
-        except TamperDetectedError as exc:
-            report.error = str(exc)
-            report.invariant = exc.invariant
-            break
-        if record is None:
-            report.torn_bytes = len(data) - offset
-            break
-        end, opcode, _name, _fields, payload = record
-        name = OP_NAMES[opcode]
-        report.op_counts[name] = report.op_counts.get(name, 0) + 1
-        report.op_bytes[name] = report.op_bytes.get(name, 0) + end - offset
-        report.payload_bytes += len(payload)
-        offset = report.committed_bytes = end
-        expected_seq += 1
-    report.records = expected_seq
+    try:
+        for end, opcode, _name, _fields, payload in _records(data, offset, fmt, path):
+            name = OP_NAMES[opcode]
+            report.op_counts[name] = report.op_counts.get(name, 0) + 1
+            report.op_bytes[name] = report.op_bytes.get(name, 0) + end - offset
+            report.payload_bytes += len(payload)
+            report.records += 1
+            offset = report.committed_bytes = end
+    except TamperDetectedError as exc:
+        report.error = str(exc)
+        report.invariant = exc.invariant
+    else:
+        report.torn_bytes = len(data) - offset
     return report
 
 
 class _JournaledWormFile(WormFile):
     """WormFile that journals appends and slot assignments (log first)."""
 
-    __slots__ = ("_journal",)
+    __slots__ = ("_journal", "_name_field")
 
     def __init__(self, name, *, journal: "JournaledWormDevice", **kwargs):
         super().__init__(name, **kwargs)
         self._journal = journal
+        #: The name as every record about this file carries it, encoded once.
+        self._name_field = journal._name_bytes(name)
 
     def append_record(self, payload: bytes, *, force_new_block: bool = False):
         journal = self._journal
-        if journal.replaying:
-            return super().append_record(payload, force_new_block=force_new_block)
         # Validate -> log -> apply: a payload the device would refuse is
         # never journaled, and a journaled payload is always applied.
         self.validate_append(payload)
-        journal.log_append(self.name, payload, force_new_block)
+        journal.log_append(self._name_field, payload, force_new_block)
         journal._fault_point("append:between-log-and-apply")
         result = super().append_record(payload, force_new_block=force_new_block)
         journal._fault_point("append:after-apply")
@@ -338,9 +366,6 @@ class _JournaledWormFile(WormFile):
 
     def set_slot(self, block_no: int, slot_no: int, value: int) -> None:
         journal = self._journal
-        if journal.replaying:
-            super().set_slot(block_no, slot_no, value)
-            return
         self.validate_set_slot(block_no, slot_no)
         journal.log_set_slot(self.name, block_no, slot_no, value)
         journal._fault_point("set_slot:between-log-and-apply")
@@ -386,8 +411,6 @@ class JournaledWormDevice(WormDevice):
         self._sequence = 0
         self._pending_records = 0
         self._closed = False
-        #: True while the constructor replays history (suppresses logging).
-        self.replaying = False
         data = b""
         if os.path.exists(path):
             with open(path, "rb") as handle:
@@ -487,13 +510,6 @@ class JournaledWormDevice(WormDevice):
 
     def create_file(self, name, *, block_size=None, slot_count=0,
                     retention_until=None):
-        if self.replaying:
-            return super().create_file(
-                name,
-                block_size=block_size,
-                slot_count=slot_count,
-                retention_until=retention_until,
-            )
         self.validate_create(name)
         self._log_create(
             name, block_size or self.block_size, slot_count, retention_until
@@ -509,9 +525,6 @@ class JournaledWormDevice(WormDevice):
         return worm_file
 
     def delete_file(self, name: str, *, now: Optional[float] = None) -> None:
-        if self.replaying:
-            super().delete_file(name, now=now)
-            return
         self.validate_delete(name, now=now)
         body = self._name_bytes(name) + _FIELDS[_OP_DELETE].pack(
             now if now is not None else -1.0
@@ -602,11 +615,16 @@ class JournaledWormDevice(WormDevice):
         )
         self._write_record(_OP_CREATE, body)
 
-    def log_append(self, name: str, payload: bytes, force_new_block: bool) -> None:
-        """Journal one data append (called by the file before applying)."""
+    def log_append(
+        self, name_field: bytes, payload: bytes, force_new_block: bool
+    ) -> None:
+        """Journal one data append (called by the file before applying).
+
+        ``name_field`` is the file's name as :meth:`_name_bytes` encodes it.
+        """
         body = b"".join(
             (
-                self._name_bytes(name),
+                name_field,
                 _FIELDS[_OP_APPEND].pack(bool(force_new_block), len(payload)),
                 payload,
             )
@@ -624,53 +642,49 @@ class JournaledWormDevice(WormDevice):
     # replay
     # ------------------------------------------------------------------
     def _replay(self, data: bytes, start: int) -> None:
-        self.replaying = True
-        try:
-            view = memoryview(data)
-            offset = start
-            expected_seq = 0
-            while offset < len(data):
-                record = _parse_record(
-                    view, offset, expected_seq, self.format_version, self.path
-                )
-                if record is None:
-                    # Torn tail: only acceptable as the journal's suffix.
-                    break
-                self._apply(record)
-                offset = record[0]
-                expected_seq += 1
-            self._sequence = expected_seq
-            if offset < len(data):
-                # Discard the torn trailing record on disk too, so new
-                # appends land at the committed boundary instead of
-                # after crash garbage (which would shadow them forever).
-                os.ftruncate(self._journal_file.fileno(), offset)
-                self._journal_size = offset
-        finally:
-            self.replaying = False
+        """Apply every committed record to the in-memory device.
 
-    def _apply(self, record: _Record) -> None:
-        _end, opcode, name, fields, payload = record
-        name = name.tobytes().decode("utf-8")
+        Records apply through the base device and file, which log
+        nothing.  An append — nearly every record of a journal that
+        appends a posting at a time — goes from the parser to the file in
+        the loop itself; ``open_file`` raises for a file never created.
+        """
+        files = self._files
+        append = WormFile.append_record
+        committed = start
+        records = 0
+        for committed, opcode, name, fields, payload in _records(
+            data, start, self.format_version, self.path
+        ):
+            records += 1
+            if opcode == _OP_APPEND:
+                worm_file = files.get(name) or self.open_file(name)
+                append(worm_file, payload, force_new_block=fields[0])
+            else:
+                self._apply(opcode, name, fields)
+        self._sequence = records
+        if committed < len(data):
+            # Torn tail: discard the trailing record on disk too, so new
+            # appends land at the committed boundary instead of after
+            # crash garbage (which would shadow them forever).
+            os.ftruncate(self._journal_file.fileno(), committed)
+            self._journal_size = committed
+
+    def _apply(self, opcode: int, name: str, fields: tuple) -> None:
+        """Replay a create, slot assignment or delete."""
         if opcode == _OP_CREATE:
             block_size, slot_count, retention = fields
-            self.create_file(
+            super().create_file(
                 name,
                 block_size=block_size,
                 slot_count=slot_count,
                 retention_until=None if retention < 0 else retention,
             )
-        elif opcode == _OP_APPEND:
-            # The payload is still a view of the journal's bytes; the
-            # block it lands in makes the only copy.
-            self.open_file(name).append_record(
-                payload, force_new_block=bool(fields[0])
-            )
         elif opcode == _OP_SET_SLOT:
-            self.open_file(name).set_slot(*fields)
-        else:  # _OP_DELETE; _parse_record rejects unknown opcodes
+            WormFile.set_slot(self.open_file(name), *fields)
+        else:  # _OP_DELETE; _records rejects unknown opcodes
             (now,) = fields
-            self.delete_file(name, now=None if now < 0 else now)
+            super().delete_file(name, now=None if now < 0 else now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

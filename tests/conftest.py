@@ -7,9 +7,15 @@ deterministic corpus/query-log pair is built once per session.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.simulate.workload_factory import Scale, get_workload
 from repro.worm.storage import CachedWormStore
+
+#: ``pytest --hypothesis-profile=ci``: the longer histories CI's
+#: fault-injection job runs the persistence machines with.  Tests that
+#: set their own budget keep it; the machines yield theirs to this one.
+settings.register_profile("ci", max_examples=200, stateful_step_count=50)
 
 
 @pytest.fixture(scope="session")

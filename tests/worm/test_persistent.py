@@ -1,6 +1,8 @@
 """Unit tests for the journaled (file-backed) WORM device."""
 
+import hashlib
 import os
+import shutil
 import struct
 import zlib
 
@@ -14,8 +16,10 @@ from repro.worm.persistent import (
     JournaledWormDevice,
     scan_journal,
 )
+from tests.helpers import device_state
 
 _V2_FRAME = struct.Struct("<BII")
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 
 @pytest.fixture()
@@ -427,6 +431,50 @@ class TestRecordSizes:
         )
         assert JournaledWormDevice(journal_path).open_file("f").read(0) == b"x" * 8
         assert scan_journal(journal_path).ok
+
+
+class TestFileNames:
+    """A record whose CRC and sizes hold but whose file name is not
+    UTF-8 is refused — by replay and by the scan alike — instead of
+    crashing replay with a ``UnicodeDecodeError`` the scan never sees."""
+
+    def test_non_utf8_name_is_refused(self, journal_path):
+        name = b"\xff\xfe"
+        body = struct.pack("<H", len(name)) + name + struct.pack("<IId", 64, 0, -1.0)
+        write_v2_journal(journal_path, [v2_tail(0, 1, body)])
+        with pytest.raises(TamperDetectedError) as excinfo:
+            JournaledWormDevice(journal_path)
+        assert excinfo.value.invariant == "journal-name"
+        assert excinfo.value.location == f"journal '{journal_path}'"
+        report = scan_journal(journal_path)
+        assert not report.ok
+        assert report.invariant == "journal-name"
+        assert report.error == str(excinfo.value)
+        assert report.records == 0
+
+
+class TestReplayedState:
+    """Replay rebuilds the device the committed archives were written
+    to: the digest of every file's name, retention, slot count, block
+    bytes and slots, as the parser before the single-pass replay loop
+    computed it."""
+
+    DIGESTS = {
+        "tail_archive_pr15.worm": (
+            201, "5e2662fdb0825e9f9ee662fef72a16d59ac095069cfd932f68848c046cd51ddc"
+        ),
+        "tail_archive_pr21.worm": (
+            109, "835f88433e7161897da847c05b78d443277599797bc5eaaeb54c6400b4f8a652"
+        ),
+    }
+
+    @pytest.mark.parametrize("archive", sorted(DIGESTS))
+    def test_archive_replays_to_its_pinned_state(self, tmp_path, archive):
+        path = str(tmp_path / archive)
+        shutil.copy(os.path.join(DATA, archive), path)
+        with JournaledWormDevice(path) as device:
+            digest = hashlib.sha256(repr(device_state(device)).encode()).hexdigest()
+            assert (device.records, digest) == self.DIGESTS[archive]
 
 
 class TestScanJournal:
