@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from repro.errors import WorkloadError
+from repro.errors import FileExistsOnWormError, UnknownFileError, WorkloadError
 from repro.worm.storage import CachedWormStore
 
 
@@ -70,11 +70,25 @@ class DocumentStore:
 
     @property
     def next_doc_id(self) -> int:
-        """The ID the next committed document will receive."""
+        """The ID the next committed document will receive, unless a
+        file already holds it (see :meth:`commit`)."""
         return self._next_doc_id
 
     def __len__(self) -> int:
-        return self._next_doc_id
+        """Documents ever committed, disposed ones included."""
+        return len(self._commit_times)
+
+    @property
+    def has_burned(self) -> bool:
+        """Whether some ID below :attr:`next_doc_id` is no document."""
+        return len(self._commit_times) < self._next_doc_id
+
+    def is_burned(self, doc_id: int) -> bool:
+        """Whether ``doc_id`` was spent on a commit that never finished:
+        a crash after its file was created and before its commit-time
+        record.  Postings that commit appended may name it; the file
+        may hold torn text.  It is not a document, and is never reused."""
+        return doc_id < self._next_doc_id and doc_id not in self._commit_times
 
     # ------------------------------------------------------------------
     # commit path
@@ -98,6 +112,10 @@ class DocumentStore:
         a disposal as legitimate up to one time unit before the true
         horizon.
 
+        The ID is the next one no file holds yet: a commit interrupted
+        after its create left a file under the ID it was given, which
+        burns that ID.
+
         Raises
         ------
         WorkloadError
@@ -111,11 +129,15 @@ class DocumentStore:
                 f"units, got {retention_until!r}; the disposition log "
                 f"records integer horizons"
             )
-        doc_id = self._next_doc_id
-        name = self.file_name(doc_id)
-        worm_file = self.store.device.create_file(
-            name, retention_until=retention_until
-        )
+        while True:
+            doc_id = self._next_doc_id
+            try:
+                worm_file = self.store.device.create_file(
+                    self.file_name(doc_id), retention_until=retention_until
+                )
+                break
+            except FileExistsOnWormError:
+                self._next_doc_id += 1
         payload = text.encode("utf-8")
         block_size = self.store.block_size
         if not payload:
@@ -130,8 +152,10 @@ class DocumentStore:
     # read path
     # ------------------------------------------------------------------
     def exists(self, doc_id: int) -> bool:
-        """Whether ``doc_id`` refers to a committed document."""
-        return self.store.device.exists(self.file_name(doc_id))
+        """Whether ``doc_id`` refers to a committed, undisposed document."""
+        return doc_id in self._commit_times and self.store.device.exists(
+            self.file_name(doc_id)
+        )
 
     def get(self, doc_id: int) -> Document:
         """Fetch a committed document.
@@ -140,8 +164,10 @@ class DocumentStore:
         ------
         UnknownFileError
             If no such document was committed — e.g. when a stuffed
-            posting pointed at a fabricated ID.
+            posting pointed at a fabricated ID, or at a burned one.
         """
+        if doc_id not in self._commit_times:
+            raise UnknownFileError(f"no document {doc_id} was committed")
         name = self.file_name(doc_id)
         worm_file = self.store.open_file(name)
         chunks = [self.store.peek_block(name, b) for b in range(worm_file.num_blocks)]
@@ -156,8 +182,8 @@ class DocumentStore:
 
     def documents(self) -> Iterator[Document]:
         """Iterate all committed documents in ID order."""
-        for doc_id in range(self._next_doc_id):
+        for doc_id in list(self._commit_times):
             yield self.get(doc_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DocumentStore(docs={self._next_doc_id}, prefix='{self.prefix}')"
+        return f"DocumentStore(docs={len(self)}, prefix='{self.prefix}')"

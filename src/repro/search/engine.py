@@ -63,7 +63,6 @@ from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.documents import DocumentStore
 from repro.search.join import conjunctive_join  # noqa: F401 - bound by bench/layers.py
-from repro.search.lexicon import PrefixHashLexicon
 from repro.search.profiling import QueryProfile, profile_query
 from repro.search.query import QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
@@ -213,16 +212,8 @@ class Candidates(Mapping[int, Mapping[int, int]]):
     ``(document, term)`` pair is in at most one column.  Ranking
     (:func:`repro.search.ranking.rank`) reads the columns whole, and so
     does the result cache, which hands the same object to every hit.
-
-    **Column order is accumulation order.**  A score is a floating-point
-    sum over the document's terms, so its last bit depends on the order
-    of the additions, and every ranked answer this library has given
-    added them in the order the scan met them: per group of same-layout
-    families ``(list id, term id)``, in the tail ``term id``, for an ALL
-    query the query's own term order.  Documents of different groups do
-    not overlap, so adding column by column (``everywhere`` first) gives
-    each document its own group's order — and the answers ``tests/data``
-    records stay equal.
+    Scoring meets a document's terms in ascending term ID, whichever
+    path found them, so every layout sums a score in one order.
 
     As a read-only ``Mapping[int, Mapping[int, int]]`` — ``doc_id ->
     {term_id: tf}``, what ``match()`` used to build for every query —
@@ -281,25 +272,29 @@ class Candidates(Mapping[int, Mapping[int, int]]):
                 columns.append((term_id, docs[kept], tfs[kept]))
         return Candidates(columns, doc_ids[mask], self.everywhere)
 
-    @staticmethod
-    def _key_of(term_keys: Optional[Mapping[int, int]]):
-        """Term ID -> the key scoring knows the term by: ``term_keys``'s
-        (``None``, leave the term out, for one it does not name), or
-        without ``term_keys`` the ID itself."""
-        return (lambda term_id: term_id) if term_keys is None else term_keys.get
+    def _by_term_id(self, term_keys: Optional[Mapping[int, int]]):
+        """``(key, docs, tfs)`` per column and per term held everywhere
+        (``docs`` ``None``, ``tfs`` 1), by ascending term ID, keyed
+        through ``term_keys`` as :meth:`scoring_columns`."""
+        key_of = (lambda term_id: term_id) if term_keys is None else term_keys.get
+        columns = [(term_id, None, 1) for term_id in self.everywhere]
+        columns.extend(self.columns)
+        columns.sort(key=lambda column: column[0])
+        keyed = ((key_of(term_id), docs, tfs) for term_id, docs, tfs in columns)
+        return [column for column in keyed if column[0] is not None]
 
     def rows(
         self, term_keys: Optional[Mapping[int, int]] = None
     ) -> Dict[int, Dict[int, int]]:
-        """``doc_id -> {term: tf}`` built afresh, terms in accumulation
-        order, keyed through ``term_keys`` as :meth:`scoring_columns`."""
-        key_of = self._key_of(term_keys)
-        shared = {key_of(term_id): 1 for term_id in self.everywhere}
-        shared.pop(None, None)
-        rows = {doc_id: dict(shared) for doc_id in self.doc_ids.tolist()}
-        for term_id, docs, tfs in self.columns:
-            key = key_of(term_id)
-            if key is not None:
+        """``doc_id -> {term: tf}`` built afresh, terms by ascending ID,
+        keyed through ``term_keys`` as :meth:`scoring_columns`."""
+        all_ids = self.doc_ids.tolist()
+        rows: Dict[int, Dict[int, int]] = {doc_id: {} for doc_id in all_ids}
+        for key, docs, tfs in self._by_term_id(term_keys):
+            if docs is None:
+                for doc_id in all_ids:
+                    rows[doc_id][key] = 1
+            else:
                 for doc_id, tf in zip(docs.tolist(), tfs.tolist()):
                     rows[doc_id][key] = tf
         return rows
@@ -307,25 +302,25 @@ class Candidates(Mapping[int, Mapping[int, int]]):
     def scoring_columns(
         self, term_keys: Optional[Mapping[int, int]] = None
     ) -> List[Tuple[int, object, object]]:
-        """``(term, rows, tfs)`` per term in accumulation order, for
+        """``(term, rows, tfs)`` per term by ascending term ID, for
         :meth:`~repro.search.ranking.BM25Scorer.score_columns`: ``rows``
         index ``doc_ids`` (``slice(None)`` for all of them, in order);
         ``tfs`` is a column, or the number 1 for a term held everywhere.
         ``term_keys`` maps term IDs to the keys the scorer's statistics
         use (a shard executor's are query positions) and drops the
         terms it does not name; without it the IDs are the keys."""
-        key_of = self._key_of(term_keys)
         doc_ids = self.doc_ids
         everyone = slice(None)
-        columns = [(key_of(term_id), everyone, 1) for term_id in self.everywhere]
-        for term_id, docs, tfs in self.columns:
-            rows = (
+        return [
+            (
+                key,
                 everyone
-                if len(docs) == len(doc_ids)
-                else np.searchsorted(doc_ids, docs)
+                if docs is None or len(docs) == len(doc_ids)
+                else np.searchsorted(doc_ids, docs),
+                tfs,
             )
-            columns.append((key_of(term_id), rows, tfs))
-        return [column for column in columns if column[0] is not None]
+            for key, docs, tfs in self._by_term_id(term_keys)
+        ]
 
     def _as_mapping(self) -> Dict[int, Mapping[int, int]]:
         if self._mapping is None:
@@ -442,13 +437,10 @@ class TrustworthySearchEngine:
         )
         self.time_index = CommitTimeIndex(self.store, "engine/commit-times")
         # Lexicon: term string <-> engine-local term ID (order of first
-        # appearance).  Rebuildable from the WORM lexicon log.  The
-        # hashed-prefix layer accelerates ordered probes (prefix
-        # expansion) without slowing exact resolution.
-        self._lexicon = PrefixHashLexicon()
+        # appearance).  Rebuildable from the WORM lexicon log.
+        self._term_ids: Dict[str, int] = {}
+        self._terms: List[str] = []
         self._lexicon_file = self.store.ensure_file("engine/lexicon")
-        #: Per-term posting counts (join-ordering hints; derived data).
-        self._term_postings: Dict[int, int] = {}
         # The directly-appended merged lists (``engine/pl/``); physical
         # lists are created lazily as terms first hash into them.
         self._family = self._open_family(
@@ -500,13 +492,13 @@ class TrustworthySearchEngine:
             self.store.peek_block("engine/lexicon", b)
             for b in range(self._lexicon_file.num_blocks)
         )
-        for raw in payload.split(b"\n"):
-            if raw:
-                self._lexicon.add(raw.decode("utf-8"))
+        self._remember(raw.decode("utf-8") for raw in payload.split(b"\n") if raw)
         commit_times = {}
         for commit_time, doc_id in self.time_index.iter_records():
             commit_times[doc_id] = commit_time
-        self.documents.restore(len(commit_times), commit_times)
+        # The log's document IDs rise strictly (checked as it is read),
+        # with a gap where a crash burned one.
+        self.documents.restore(next(reversed(commit_times), -1) + 1, commit_times)
         self._clock = self.time_index.last_commit_time + 1
         # The tail itself is derived data: every document above the
         # sealed horizon re-enters it from the journaled document +
@@ -516,7 +508,7 @@ class TrustworthySearchEngine:
         sealed_through = (
             self._manifest.sealed_through if self._manifest is not None else -1
         )
-        for doc_id in range(len(commit_times)):
+        for doc_id in commit_times:
             if not self.documents.exists(doc_id):
                 continue
             text = self.documents.get(doc_id).text
@@ -528,10 +520,6 @@ class TrustworthySearchEngine:
                     id_counts[tid] = c
             if id_counts:
                 self.stats.add_document(doc_id, id_counts)
-                for term_id in id_counts:
-                    self._term_postings[term_id] = (
-                        self._term_postings.get(term_id, 0) + 1
-                    )
             if self._tail is not None and doc_id > sealed_through:
                 self._tail.add(
                     doc_id,
@@ -680,7 +668,13 @@ class TrustworthySearchEngine:
         allocation, so the in-memory lexicon, the WORM lexicon log, and
         query-time lookups always agree on one byte sequence per term.
         """
-        return self._lexicon.lookup(lexicon_key(term))
+        return self._term_ids.get(lexicon_key(term))
+
+    def _remember(self, terms: Iterable[str]) -> None:
+        """Give each of ``terms`` the next term ID, in memory."""
+        for term in terms:
+            self._term_ids[term] = len(self._terms)
+            self._terms.append(term)
 
     def _add_terms(self, terms: Sequence[str]) -> None:
         """Allocate IDs, in order, for canonical ``terms`` new to the
@@ -694,7 +688,7 @@ class TrustworthySearchEngine:
                     f"term {term!r} contains a newline; the WORM lexicon log "
                     f"is newline-delimited and cannot represent it"
                 )
-        if len(self._lexicon) + len(terms) > MAX_TERM_ID_WITH_TF + 1:
+        if len(self._terms) + len(terms) > MAX_TERM_ID_WITH_TF + 1:
             raise WorkloadError("lexicon exceeded the 24-bit term-id space")
         record = b""
         for line in (term.encode("utf-8") + b"\n" for term in terms):
@@ -704,30 +698,16 @@ class TrustworthySearchEngine:
             record += line
         if record:
             self._lexicon_file.append_record(record)
-        for term in terms:
-            self._lexicon.add(term)
+        self._remember(terms)
 
     @property
     def vocabulary_size(self) -> int:
         """Number of distinct terms seen so far."""
-        return len(self._lexicon)
+        return len(self._terms)
 
     def term_text(self, term_id: int) -> str:
         """The term string behind an engine-local term ID."""
-        return self._lexicon.term(term_id)
-
-    def terms_with_prefix(
-        self, prefix: str, *, limit: Optional[int] = None
-    ) -> List[str]:
-        """Vocabulary terms starting with ``prefix``, lexicographically.
-
-        Served by the lexicon's hashed-prefix layer: one hash probe to
-        the prefix bucket plus a short comparison tail, instead of a
-        binary search over the whole vocabulary.  The prefix is
-        canonicalized the same way terms are, so callers can pass raw
-        user input.
-        """
-        return self._lexicon.terms_with_prefix(lexicon_key(prefix), limit=limit)
+        return self._terms[term_id]
 
     # ------------------------------------------------------------------
     # the index: merged-list families (+ the tail, when decoupled)
@@ -745,7 +725,7 @@ class TrustworthySearchEngine:
             strategy=strategy,
             read_cache=self.read_cache,
             decode_metrics=self._decode_series if self._metrics_on else None,
-            length_hints=self._term_postings if info is None else None,
+            length_hints=self.stats.df if info is None else None,
         )
 
     def _list_id_for(self, term_id: int) -> int:
@@ -1046,7 +1026,7 @@ class TrustworthySearchEngine:
             text, commit_time=commit_time, retention_until=retention_until
         )
         keys = {term: lexicon_key(term) for term in term_counts}
-        lookup = self._lexicon.lookup
+        lookup = self._term_ids.get
         self._add_terms(
             list(dict.fromkeys(k for k in keys.values() if lookup(k) is None))
         )
@@ -1068,10 +1048,6 @@ class TrustworthySearchEngine:
                     batch.setdefault(list_for(t), []).append((doc_id, code))
         self.time_index.record_commit(doc_id, commit_time)
         self.stats.add_document(doc_id, id_counts)
-        for term_id in id_counts:
-            self._term_postings[term_id] = (
-                self._term_postings.get(term_id, 0) + 1
-            )
         if self._metrics_on:
             self._c_docs.inc()
             self._c_postings.inc(len(id_counts))
@@ -1206,11 +1182,11 @@ class TrustworthySearchEngine:
         """Matching documents with their per-term frequencies.
 
         Runs the query's retrieval phase only: posting-list scanning or
-        conjunctive joining, the commit-time constraint, and the
-        disposition filter.  Scoring and top-k selection are left to the
-        caller — :meth:`search` ranks locally, while a sharded executor
-        re-ranks the union of per-shard matches under aggregated
-        collection statistics.
+        conjunctive joining, the commit-time constraint, and the filter
+        of disposed and burned IDs.  Scoring and top-k selection are
+        left to the caller — :meth:`search` ranks locally, while a
+        sharded executor re-ranks the union of per-shard matches under
+        aggregated collection statistics.
 
         Returns :class:`Candidates`: the matches as columns, which also
         read as a mapping ``doc_id -> {term_id: tf}``.  Term IDs are
@@ -1291,11 +1267,16 @@ class TrustworthySearchEngine:
             )
         else:
             candidates = self._scan(term_ids, view, trace, costs)
+        # What makes an indexed ID no answer.  A disposed document's
+        # postings stay on WORM, and so do any a commit appended before
+        # a crash burned its ID.
+        gone = []
         retention = self._retention_if_any()
-        has_filters = query.time_range is not None or (
-            retention is not None and len(retention)
-        )
-        if has_filters:
+        if retention is not None and len(retention):
+            gone.append(retention.is_disposed)
+        if self.documents.has_burned:
+            gone.append(self.documents.is_burned)
+        if query.time_range is not None or gone:
             with self._stage(
                 "filter", trace, candidates=len(candidates)
             ) as span:
@@ -1312,12 +1293,12 @@ class TrustworthySearchEngine:
                     if last - first + 1 != len(window):
                         allowed &= np.isin(doc_ids, window)
                     candidates = candidates.keep(allowed)
-                if retention is not None and len(retention):
-                    disposed = [
-                        retention.is_disposed(doc_id)
+                if gone:
+                    dead = [
+                        any(test(doc_id) for test in gone)
                         for doc_id in candidates.doc_ids.tolist()
                     ]
-                    candidates = candidates.keep(~np.array(disposed, dtype=bool))
+                    candidates = candidates.keep(~np.array(dead, dtype=bool))
                 if span is not None:
                     span.note(kept=len(candidates))
         if cache is not None:

@@ -225,8 +225,7 @@ def rank(
     ``term_keys`` maps its term IDs to the keys ``scorer``'s statistics
     use (a shard executor scores under statistics keyed by query
     position) and drops the terms it does not name; without it the
-    term IDs are the keys.  Terms are added to a document's score in
-    column order — see ``Candidates`` for why that order is kept.
+    term IDs are the keys.
 
     Exactly ``sorted(..., key=(-score, doc_id))[:top_k]`` over every
     candidate, without sorting them all: every score at least the

@@ -9,12 +9,16 @@ One module per figure family:
   per-query cost/slowdown distributions.
 * :mod:`repro.simulate.jump_sim` — Figures 8(b) and 8(c): insert I/O with
   jump indexes and conjunctive query speedups.
-* :mod:`repro.simulate.runtime` — Figure 4: *measured* (wall-clock)
-  workload run-time ratios on a real scan path.
 * :mod:`repro.simulate.workload_factory` — shared, cached construction of
   the scaled synthetic workload all experiments run on.
 * :mod:`repro.simulate.report` — plain-text table/series rendering used
   by the benchmark harness to print the regenerated figures.
+
+Figure 4, the paper's check of the simulated cost against a real engine,
+is not simulated here: ``benchmarks/test_fig4_measured_runtime.py``
+builds merged and unmerged archives with
+:class:`~repro.search.engine.TrustworthySearchEngine` and times its
+``search()``.
 
 Scale: defaults are deliberately smaller than the paper's 1M-document /
 300k-query workload so the whole suite runs in minutes of pure Python;

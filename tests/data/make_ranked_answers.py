@@ -1,22 +1,25 @@
-"""Writes ``ranked_answers_pr16.json``.
+"""Writes ``ranked_answers_term_order.json``.
 
 The file is the fixture of ``tests/search/test_ranked_answers.py``: a
 seeded corpus, the variants it is indexed under (legacy merged lists and
 tail mode under each seal strategy, one and two shards, BM25 and
 cosine), and the ranked answers — document IDs and ``float.hex()``
-scores — that commit d18acd0 (PR 16, the last one to carry candidates
-as a dict of dicts) gave to a fixed query list.  It was run once,
-against a checkout of that commit:
+scores — given to a fixed query list once every path summed a score's
+terms in ascending term-ID order:
 
-    PYTHONPATH=<checkout of d18acd0>/src python tests/data/make_ranked_answers.py
+    PYTHONPATH=src python tests/data/make_ranked_answers.py
 
-Every variant is answered three ways there — through the sharded engine
-with the read cache off, with it on (every query twice, so the second
-answer is a result-cache hit), and, with one shard, through the plain
-engine — and the script refuses to write unless all agree, so one
-recorded answer per variant and query is the whole truth.  A float's
-last bit depends on the order its terms were added in, which is what
-the test holds later commits to — do not regenerate the committed file.
+Every variant is answered three ways — through the sharded engine with
+the read cache off, with it on (every query twice, so the second answer
+is a result-cache hit), and, with one shard, through the plain engine —
+and the script refuses to write unless all agree, so one recorded
+answer per variant and query is the whole truth.  A float's last bit
+depends on the order its terms were added in, which is what the test
+holds later commits to — do not regenerate the committed file.
+
+``ranked_answers_pr16.json`` is the same script's output at commit
+d18acd0, the last to carry candidates as a dict of dicts, when each
+layout summed in the order its scan met the terms.
 """
 
 import json
@@ -138,7 +141,7 @@ def main():
             if answer != ways[0][1]:
                 raise SystemExit(f"{name}: {label} disagrees with {ways[0][0]}")
         recorded[name] = ways[0][1]
-    with open(os.path.join(HERE, "ranked_answers_pr16.json"), "w") as handle:
+    with open(os.path.join(HERE, "ranked_answers_term_order.json"), "w") as handle:
         json.dump(
             {"documents": documents, "variants": VARIANTS, "answers": recorded},
             handle,

@@ -1,104 +1,34 @@
-"""PrefixHashLexicon: hash tier + hashed-prefix ordered tier.
+"""The engine's lexicon: a dict from canonical term to dense ID, and the
+list of terms by ID.
 
-The ordered tier must agree with a plain sorted-list reference on every
-probe — the hashed prefix table is an accelerator, never an
-approximation — and the hash tier must preserve the engine's dense
-first-appearance ID contract.
+IDs are assigned in first-appearance order and survive a restart (the
+WORM lexicon log replays them in the same order); a term over
+:data:`~repro.search.engine.MAX_LEXICON_TERM_BYTES` is known by its
+canonical form, at ingest and at lookup alike.
 """
 
-from bisect import bisect_left
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.search.lexicon import PrefixHashLexicon
-
-terms_strategy = st.lists(
-    st.text(alphabet="abcz", min_size=1, max_size=6), unique=True, max_size=60
+from repro.search.engine import (
+    MAX_LEXICON_TERM_BYTES,
+    EngineConfig,
+    TrustworthySearchEngine,
 )
-probe_strategy = st.text(alphabet="abcz", max_size=6)
 
 
-def reference_geq(terms, key):
-    ordered = sorted(terms)
-    index = bisect_left(ordered, key)
-    return ordered[index] if index < len(ordered) else None
+def vocabulary(engine):
+    return [engine.term_text(i) for i in range(engine.vocabulary_size)]
 
 
 class TestHashTier:
     def test_dense_first_appearance_ids(self):
-        lexicon = PrefixHashLexicon()
-        assert lexicon.add("gamma") == 0
-        assert lexicon.add("alpha") == 1
-        assert lexicon.add("beta") == 2
-        assert lexicon.lookup("alpha") == 1
-        assert lexicon.lookup("missing") is None
-        assert lexicon.term(0) == "gamma"
-        assert len(lexicon) == 3
-
-    def test_prefix_len_validation(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            PrefixHashLexicon(prefix_len=0)
-
-
-class TestOrderedTier:
-    @given(terms=terms_strategy, key=probe_strategy)
-    @settings(max_examples=150, deadline=None)
-    def test_property_find_geq_matches_sorted_reference(self, terms, key):
-        lexicon = PrefixHashLexicon(prefix_len=2)
-        for term in terms:
-            lexicon.add(term)
-        assert lexicon.find_geq(key) == reference_geq(terms, key)
-
-    @given(terms=terms_strategy, prefix=probe_strategy)
-    @settings(max_examples=150, deadline=None)
-    def test_property_terms_with_prefix_matches_reference(self, terms, prefix):
-        lexicon = PrefixHashLexicon(prefix_len=2)
-        for term in terms:
-            lexicon.add(term)
-        expected = sorted(t for t in terms if t.startswith(prefix))
-        assert lexicon.terms_with_prefix(prefix) == expected
-        limit = 3
-        assert lexicon.terms_with_prefix(prefix, limit=limit) == expected[:limit]
-
-    @given(terms=terms_strategy)
-    @settings(max_examples=80, deadline=None)
-    def test_property_iter_ordered_is_sorted(self, terms):
-        lexicon = PrefixHashLexicon(prefix_len=2)
-        for term in terms:
-            lexicon.add(term)
-        assert list(lexicon.iter_ordered()) == sorted(terms)
-
-    def test_rebuild_is_lazy_and_batched(self):
-        lexicon = PrefixHashLexicon()
-        for term in ("delta", "alpha", "charlie"):
-            lexicon.add(term)
-        assert lexicon.rebuilds == 0
-        lexicon.find_geq("b")
-        assert lexicon.rebuilds == 1
-        # Ordered probes without intervening appends reuse the layer.
-        lexicon.terms_with_prefix("a")
-        lexicon.find_geq("z")
-        assert lexicon.rebuilds == 1
-        lexicon.add("bravo")
-        lexicon.find_geq("b")
-        assert lexicon.rebuilds == 2
-
-    def test_probe_longer_and_shorter_than_prefix_len(self):
-        lexicon = PrefixHashLexicon(prefix_len=4)
-        for term in ("retain", "retention", "retrieval", "zebra"):
-            lexicon.add(term)
-        assert lexicon.terms_with_prefix("ret") == [
-            "retain",
-            "retention",
-            "retrieval",
-        ]
-        assert lexicon.terms_with_prefix("retention") == ["retention"]
-        assert lexicon.find_geq("reta") == "retain"
-        assert lexicon.find_geq("zz") is None
+        engine = TrustworthySearchEngine(EngineConfig(num_lists=8, branching=None))
+        engine.index_term_counts({"gamma": 1})
+        engine.index_term_counts({"gamma": 2, "alpha": 1, "beta": 1})
+        assert engine.term_id("gamma") == 0
+        assert engine.term_id("alpha") == 1
+        assert engine.term_id("beta") == 2
+        assert engine.term_id("missing") is None
+        assert engine.term_text(0) == "gamma"
+        assert engine.vocabulary_size == 3
 
 
 class TestEngineIntegration:
@@ -110,29 +40,21 @@ class TestEngineIntegration:
         engine.index_document("retrieval of compliant records")
         return engine
 
-    def test_terms_with_prefix(self):
-        engine = self.build()
-        assert engine.terms_with_prefix("ret") == [
-            "retained",
-            "retention",
-            "retrieval",
-        ]
-        assert engine.terms_with_prefix("ret", limit=1) == ["retained"]
-        assert engine.terms_with_prefix("zzz") == []
-
     def test_prefix_canonicalized_like_terms(self):
+        """An over-long term is known by its leading
+        ``MAX_LEXICON_TERM_BYTES``: the indexed term, the cut form and
+        any longer probe sharing it resolve to one ID."""
         engine = self.build()
-        # lexicon_key truncation applies to prefixes exactly as to terms,
-        # so an over-long probe degrades to its stored canonical form
-        # instead of silently matching nothing.
         long_term = "r" * 400
         engine.index_term_counts({long_term: 1})
-        assert engine.terms_with_prefix(long_term) == engine.terms_with_prefix(
-            "r" * 128
-        )
+        cut = "r" * MAX_LEXICON_TERM_BYTES
+        assert engine.term_id(long_term) == engine.term_id(cut) is not None
+        assert engine.term_id("r" * 200) == engine.term_id(cut)
+        assert engine.term_text(engine.term_id(long_term)) == cut
 
     def test_lexicon_survives_restart(self):
         engine = self.build()
         reopened = TrustworthySearchEngine(engine.config, store=engine.store)
-        assert reopened.terms_with_prefix("ret") == engine.terms_with_prefix("ret")
         assert reopened.vocabulary_size == engine.vocabulary_size
+        assert vocabulary(reopened) == vocabulary(engine)
+        assert reopened.term_id("retrieval") == engine.term_id("retrieval")

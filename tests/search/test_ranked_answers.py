@@ -1,17 +1,24 @@
-"""Ranked answers recorded at PR 16, asserted of every later commit.
+"""Ranked answers recorded once, asserted of every later commit.
 
-``tests/data/ranked_answers_pr16.json`` holds what commit d18acd0 — the
-last to carry a query's candidates as a dict of dicts, scored a document
-at a time — answered to a fixed query list over a seeded corpus, under
-every index layout, one and two shards, both scorers: document IDs and
-``float.hex()`` scores.  A score's last bit depends on the order its
-terms were added in, so equality here is the proof that replacing the
-candidate pipeline moved neither a ranking nor an accumulation order.
+``tests/data/ranked_answers_term_order.json`` holds what the engine
+answered to a fixed query list over a seeded corpus, under every index
+layout, one and two shards, both scorers: document IDs and
+``float.hex()`` scores, every score summed over its terms in ascending
+term-ID order.  A score's last bit depends on the order its terms were
+added in, so equality here is the proof that a later change moved
+neither a ranking nor the summation order.
 ``tests/data/make_ranked_answers.py`` wrote the file and is what asks
 the questions again.
+
+``tests/data/ranked_answers_pr16.json`` is the same questions answered
+by commit d18acd0, the last to carry a query's candidates as a dict of
+dicts, when each layout summed in the order its scan met the terms.
+Only the order of the additions differs, so its rankings are held
+identical and its scores to within one unit in the last place.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -21,8 +28,14 @@ from repro.sharding import ShardedSearchEngine
 from tests.data.make_ranked_answers import answers, build
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
-with open(os.path.join(DATA, "ranked_answers_pr16.json")) as _handle:
-    RECORDED = json.load(_handle)
+
+
+def _load(name):
+    with open(os.path.join(DATA, name)) as handle:
+        return json.load(handle)
+
+
+RECORDED = _load("ranked_answers_term_order.json")
 
 
 @pytest.mark.parametrize("read_cache", [False, True], ids=["cache-off", "cache-on"])
@@ -46,3 +59,15 @@ def test_plain_engine_answers_as_recorded(name):
     engine = build(TrustworthySearchEngine(config), RECORDED["documents"])
     assert answers(engine) == RECORDED["answers"][name]
 
+
+def test_scan_order_answers_differ_by_at_most_one_ulp():
+    before = _load("ranked_answers_pr16.json")
+    assert before["documents"] == RECORDED["documents"]
+    assert before["variants"] == RECORDED["variants"]
+    for name, by_query in before["answers"].items():
+        for query, answer in by_query.items():
+            now = RECORDED["answers"][name][query]
+            assert [doc for doc, _ in answer] == [doc for doc, _ in now], (name, query)
+            for (_, then_hex), (_, now_hex) in zip(answer, now):
+                then, score = float.fromhex(then_hex), float.fromhex(now_hex)
+                assert abs(then - score) <= math.ulp(score), (name, query)

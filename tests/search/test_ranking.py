@@ -165,8 +165,7 @@ def scoring_cases(draw):
 
 def as_the_dict_pipeline_did(lists, wanted):
     """``doc -> {term: tf}`` by the loop ``collect_candidates`` used to
-    be: a posting at a time, first sight of a term fixing its place in
-    the document's dict, the largest frequency of a repeat winning."""
+    be: a posting at a time, the largest frequency of a repeat winning."""
     rows = {}
     for postings in lists:
         for doc_id, term, tf in postings:
@@ -214,14 +213,17 @@ class TestColumnScorerIsTheScalarScorer:
         stats, wanted, lists = case
         scorer, keys = scorers_for(stats, wanted, ranking, aggregated)
         rows = as_the_dict_pipeline_did(lists, wanted)
+        # A score sums its terms by ascending term ID, whatever list or
+        # column holds them.
         reference = {
             doc_id: scorer.score(
-                doc_id, {t if keys is None else keys[t]: tf for t, tf in freqs.items()}
+                doc_id, {t if keys is None else keys[t]: tf for t, tf in sorted(freqs.items())}
             )
             for doc_id, freqs in rows.items()
         }
         candidates = as_columns(lists, wanted)
         assert {d: dict(f) for d, f in candidates.items()} == rows
+        assert all(list(f) == sorted(f) for f in candidates.values())
         assert len(candidates) == len(rows)
 
         totals = scorer.score_columns(candidates.doc_ids, candidates.scoring_columns(keys))
@@ -249,7 +251,7 @@ class TestColumnScorerIsTheScalarScorer:
     )
     def test_a_joins_answer_scores_on_presence(self, case, joined, ranking, aggregated):
         """An ALL query's candidates: the join's documents, every query
-        term held by each, ``tf`` 1, added in the query's term order."""
+        term held by each, ``tf`` 1, added by ascending term ID."""
         stats, wanted, _ = case
         scorer, keys = scorers_for(stats, wanted, ranking, aggregated)
         doc_ids = np.array(sorted(joined), dtype=np.uint32)
@@ -257,7 +259,7 @@ class TestColumnScorerIsTheScalarScorer:
         assert {d: dict(f) for d, f in candidates.items()} == {
             d: dict.fromkeys(wanted, 1) for d in sorted(joined)
         }
-        presence = {t if keys is None else keys[t]: 1 for t in wanted}
+        presence = {t if keys is None else keys[t]: 1 for t in sorted(wanted)}
         by_rank = sorted(
             ((d, scorer.score(d, presence)) for d in joined),
             key=lambda pair: (-pair[1], pair[0]),

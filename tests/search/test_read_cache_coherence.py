@@ -147,8 +147,14 @@ class ReadCacheCoherence(RuleBasedStateMachine):
             )
 
 
-ReadCacheCoherence.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=15, deadline=None
+#: Tier-1 runs 12 histories of 15 steps; ``--hypothesis-profile=ci``
+#: (registered in ``tests/conftest.py``) runs 200 of 50.
+_BUDGET = (
+    {}
+    if settings.get_current_profile_name() == "ci"
+    else {"max_examples": 12, "stateful_step_count": 15}
 )
+
+ReadCacheCoherence.TestCase.settings = settings(deadline=None, **_BUDGET)
 
 TestReadCacheCoherence = ReadCacheCoherence.TestCase

@@ -135,6 +135,29 @@ class TestEquivalence:
         tail_engine, legacy_engine = build_pair(cfg)
         assert_equivalent(tail_engine, legacy_engine)
 
+    @pytest.mark.parametrize("strategy", ["uniform", "popular", "epoch"])
+    def test_a_three_term_score_sums_in_one_order(self, strategy):
+        """Legacy lists once met a document's terms by ``(list id, term
+        id)`` and the tail by term ID, so these scores differed in the
+        last bit; every path now sums by ascending term ID."""
+        texts = [
+            "finance quarter audit quarter audit",
+            "audit trade finance memo",
+            "ledger finance finance filing",
+            "filing filing filing finance quarter imclone filing",
+            "finance imclone stewart quarter revenue waksal audit",
+            "filing trade audit imclone waksal imclone trade",
+            "memo audit quarter trade filing audit memo ledger",
+        ]
+        cfg = tail_config(
+            tail_max_docs=4, seal_strategy=strategy, seal_popular_terms=2
+        )
+        tail_engine, legacy_engine = build_pair(cfg, texts)
+        query = "revenue finance quarter"
+        assert [
+            (r.doc_id, r.score.hex()) for r in tail_engine.search(query)
+        ] == [(r.doc_id, r.score.hex()) for r in legacy_engine.search(query)]
+
     def test_manual_seal_and_merge_mid_stream(self):
         tail_engine, legacy_engine = build_pair(tail_config(tail_max_docs=100))
         assert tail_engine.seal_tail() is not None
@@ -346,14 +369,9 @@ class TestRestartRecovery:
         assert reopened.iter_segments()[-1].info.popular_terms == (
             reopened.term_id("zebra"),
         )
-        # Same documents in the same order as the legacy engine; scores
-        # to the last-but-one digit only — a non-uniform layout sums a
-        # 3-term score in another order (so does "popular", and so did
-        # both before this test existed; see ROADMAP's oracle item).
-        for query in QUERIES + ["zebra"]:
-            got, expected = results(reopened, query), results(legacy_engine, query)
-            assert [d for d, _ in got] == [d for d, _ in expected], query
-            assert [s for _, s in got] == pytest.approx([s for _, s in expected])
+        # Every layout sums a score's terms in ascending term-ID order,
+        # so the answers equal the legacy engine's to the last bit.
+        assert_equivalent(reopened, legacy_engine, QUERIES + ["zebra"])
         assert all(r.ok for r in full_engine_audit(reopened))
         reopened.store.device.close()
 

@@ -50,8 +50,10 @@ class TestEquivalence:
             assert {r.doc_id for r in got} == {r.doc_id for r in expected}
             by_id = {r.doc_id: r.score for r in got}
             for r in expected:
-                # Scores agree to float-sum reassociation error: each
-                # shard accumulates the same statistics in its own order.
+                # Scores agree to float-sum reassociation error only:
+                # every engine sums a score's terms by ascending term ID,
+                # but each shard grows its own term-ID space, so a shard
+                # can meet the same terms in another order.
                 assert by_id[r.doc_id] == pytest.approx(r.score, abs=1e-9)
         finally:
             sharded.close()
