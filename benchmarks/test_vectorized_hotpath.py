@@ -149,7 +149,7 @@ def _scoring_fixture():
 
 def test_vectorized_scoring(benchmark, emit):
     scorer, candidates, rows = _scoring_fixture()
-    assert {d: dict(f) for d, f in candidates.items()} == rows
+    assert candidates.rows() == rows
 
     def by_columns():
         return scorer.score_columns(

@@ -50,8 +50,7 @@ def main() -> None:
         for hit in engine.search("+stewart +waksal"):
             print(f"  doc {hit.doc_id}  score {hit.score:.2f}")
 
-        # The profile separates total scan work from the critical path
-        # (the slowest shard) — the modeled parallel speedup.
+        # The profile sums each shard's scan work.
         profile = profile_sharded_query(engine, "imclone trading")
         print(f"\nprofile: {profile.summary()}")
 

@@ -95,7 +95,7 @@ def demo_stuffing() -> None:
     print(f"  Mala appends {len(fakes)} future-ID postings (monotone, so")
     print(f"  the structural audit stays green: "
           f"ok={audit_posting_list(posting_list).ok})")
-    result_ids = [p.doc_id for p in posting_list.scan(counted=False)]
+    result_ids = posting_list.doc_ids()
     report = audit_search_result(
         result_ids,
         ["imclone"],

@@ -629,8 +629,8 @@ def _add_read_cache_options(parser: argparse.ArgumentParser) -> None:
     """``--read-cache`` and ``--cache-mb``, shared by search and serve."""
     parser.add_argument(
         "--read-cache", action="store_true",
-        help="enable the session-scoped read-path cache (decoded blocks, "
-        "query results, jump-pointer memo)",
+        help="enable the session-scoped read-path cache (decoded blocks "
+        "and query results)",
     )
     parser.add_argument(
         "--cache-mb", type=float, default=8.0,

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.posting import Posting
 from repro.core.posting_list import PostingCursor, PostingList
@@ -111,12 +111,6 @@ class BlockJumpIndex:
                 f"{self.num_slots}"
             )
         self.track_tail_path = track_tail_path
-        #: Optional :class:`~repro.search.readcache.JumpMemo` set by the
-        #: engine when read caching is enabled.  Memoizes frozen-block
-        #: maxima and already-certified pointer edges; both are immutable
-        #: under WORM semantics, so navigation stays exact (see the
-        #: readcache module docstring for the trust argument).
-        self.memo = None
         # Writer memory (Section 4.5): only inserts use the path, so it
         # stays unbuilt (None) until the first one; readers of committed
         # blocks never pay for it.
@@ -313,16 +307,21 @@ class BlockJumpIndex:
         once (uncounted); this is exactly the path future inserts extend.
         """
         self._path = []
-        worm_file = self.posting_list.store.open_file(self.posting_list.name)
         block_no = 0 if self.posting_list.num_blocks else None
         while block_no is not None:
-            slots = worm_file.block(block_no).slots()[: self.num_slots]
+            slots = self.slots(block_no)
             last_slot = max(
                 (s for s, t in enumerate(slots) if t is not None), default=None
             )
             target = None if last_slot is None else slots[last_slot]
             self._path.append(_PathNode(block_no, last_slot, target))
             block_no = target
+
+    def slots(self, block_no: int) -> Tuple[Optional[int], ...]:
+        """Block ``block_no``'s pointer slots, read at once and
+        uncounted (``None`` where unset)."""
+        worm_file = self.posting_list.store.open_file(self.posting_list.name)
+        return worm_file.block(block_no).slots()[: self.num_slots]
 
     # ------------------------------------------------------------------
     # read path — Lookup_block / FindGeq (certified readers)
@@ -412,14 +411,7 @@ class BlockJumpIndex:
         fall back to the first later non-NULL pointer at this block.
         """
         block_no = start_block
-        memo = self.memo
-        nb = memo.nb(block_no) if memo is not None else None
-        if nb is None:
-            nb = cursor.peek_block(block_no).doc_ids[-1]
-            if memo is not None and block_no < self.posting_list.num_blocks - 1:
-                # Only frozen (non-tail) blocks are memoized; the tail's
-                # largest ID still grows with appends.
-                memo.put_nb(block_no, nb)
+        nb = cursor.peek_block(block_no).doc_ids[-1]
         if k <= nb:
             return block_no
         slot = self.slot_for(nb, k)
@@ -450,40 +442,51 @@ class BlockJumpIndex:
         slot: int,
         target: int,
     ) -> None:
-        """Certified-reader checks on a followed pointer (tamper tripwire).
-
-        With a jump memo attached, an edge that already passed the full
-        checks this process lifetime is not re-verified: the slot is
-        write-once, the source block is frozen, and the target's entries
-        only grow, so every certified fact stays true.  Fresh (never
-        followed) edges — including anything an attacker plants after
-        startup — always run the complete tripwire.
-        """
+        """Certified-reader check on a pointer about to be followed (the
+        tamper tripwire): :meth:`pointer_fault`, raised."""
         self.pointers_followed += 1
-        memo = self.memo
-        if memo is not None and memo.edge_verified(block_no, slot, target):
-            return
+        fault = self.pointer_fault(
+            block_no, nb, slot, target, lambda b: cursor.peek_block(b).doc_ids
+        )
+        if fault is not None:
+            invariant, finding = fault
+            raise TamperDetectedError(
+                f"block {block_no} slot {slot}: {finding}",
+                location=f"posting list '{self.posting_list.name}', "
+                f"block {block_no}, slot {slot}",
+                invariant=invariant,
+            )
+
+    def pointer_fault(
+        self,
+        block_no: int,
+        nb: int,
+        slot: int,
+        target: int,
+        doc_ids_of: Callable[[int], Sequence[int]],
+    ) -> Optional[Tuple[str, str]]:
+        """The pointer check: what is wrong with ``slot`` of block
+        ``block_no`` (largest ID ``nb``) pointing at ``target``, as
+        ``(invariant, finding)``, or ``None`` when nothing is.
+
+        An honest pointer goes forward, to a block that exists, holding
+        an ID of the slot's range (Section 4.3's monotonicity).
+        ``doc_ids_of(b)`` reads block ``b``'s sorted document IDs; the
+        target is read only once it is known to exist.
+        """
         if target <= block_no:
-            raise TamperDetectedError(
-                f"jump pointer from block {block_no} goes backwards to "
-                f"{target}",
-                location=f"posting list '{self.posting_list.name}', "
-                f"block {block_no}, slot {slot}",
-                invariant="jump-forward-only",
-            )
+            return "jump-forward-only", f"pointer goes backwards to block {target}"
+        if target >= self.posting_list.num_blocks:
+            return "jump-target-range", f"pointer targets nonexistent block {target}"
         lo, hi = self.slot_range(nb, slot)
-        target_docs = cursor.peek_block(target).doc_ids
-        first_geq_lo = bisect_left(target_docs, lo)
-        if not (first_geq_lo < len(target_docs) and target_docs[first_geq_lo] < hi):
-            raise TamperDetectedError(
-                f"jump pointer (slot {slot}) from block {block_no} "
-                f"targets block {target} holding no ID in [{lo}, {hi})",
-                location=f"posting list '{self.posting_list.name}', "
-                f"block {block_no}, slot {slot}",
-                invariant="jump-target-range",
+        target_docs = doc_ids_of(target)
+        first = bisect_left(target_docs, lo)
+        if first == len(target_docs) or target_docs[first] >= hi:
+            return (
+                "jump-target-range",
+                f"target block {target} holds no ID in [{lo}, {hi})",
             )
-        if memo is not None:
-            memo.record_edge(block_no, slot, target)
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -38,7 +38,7 @@ from repro.core.posting import (
     Posting,
     encode_posting,
 )
-from repro.core.vecdecode import DecodedBlock, posting_array
+from repro.core.vecdecode import DecodedBlock, descents, posting_array
 from repro.worm.storage import CachedWormStore
 
 
@@ -118,25 +118,58 @@ class PostingList:
         """Rebuild writer-memory state from committed blocks (reopen path).
 
         One uncounted pass — restart recovery is not part of any reported
-        I/O figure.  Enforces the same order invariant as the write path;
-        a violation here means the stored list was tampered with between
-        sessions.
+        I/O figure — held to :meth:`check_order`: a violation here means
+        the stored list was tampered with between sessions.
         """
+        columns, violations = self.check_order()
+        if violations:
+            block_no, doc_id, last = violations[0]
+            raise TamperDetectedError(
+                f"doc ID {doc_id} after {last}",
+                location=f"posting list '{self.name}', block {block_no}",
+                invariant="posting-monotonicity",
+            )
         last = -1
-        for block_no in range(self.num_blocks):
-            entries = self.read_block_postings(block_no, counted=False)
-            for doc_id in entries.doc_ids:
-                if doc_id < last:
-                    raise TamperDetectedError(
-                        f"doc ID {doc_id} after {last}",
-                        location=f"posting list '{self.name}', block {block_no}",
-                        invariant="posting-monotonicity",
-                    )
-                last = doc_id
-            self.count += len(entries)
-            self._block_max.append(entries.doc_ids[-1] if len(entries) else last)
-            self._tail_entries = len(entries)
+        for column in columns:
+            if column:
+                last = column[-1]
+            self._block_max.append(last)
+            self.count += len(column)
+        self._tail_entries = len(column)
         self.last_doc_id = last
+
+    def check_order(
+        self,
+    ) -> Tuple[List[Sequence[int]], Sequence[Tuple[int, int, int]]]:
+        """The order check (:func:`~repro.core.vecdecode.descents`) over
+        the stored list, as every reader of it runs it.
+
+        Returns every block's document IDs, read uncounted from the
+        device, and ``(block, doc ID, largest ID before it)`` for each
+        posting below the largest ID before it — none in a list only the
+        honest writer appended to.
+        """
+        # A loop, not a comprehension: attaching a one-block list is a
+        # hot path, and CPython before 3.12 builds a frame per comprehension.
+        columns = []
+        for block_no in range(self.num_blocks):
+            columns.append(self.read_block_postings(block_no, counted=False).doc_ids)
+        doc_ids = (
+            columns[0]
+            if len(columns) == 1
+            else np.concatenate([np.empty(0, dtype=np.uint32), *columns])
+        )
+        at, top = descents(doc_ids)
+        if not len(at):
+            return columns, ()
+        ends = np.cumsum([len(column) for column in columns])
+        return columns, list(
+            zip(
+                np.searchsorted(ends, at, side="right").tolist(),
+                np.asarray(doc_ids)[at].tolist(),
+                top.tolist(),
+            )
+        )
 
     # ------------------------------------------------------------------
     # geometry
@@ -222,23 +255,19 @@ class PostingList:
         — where a field outside 32 bits raises with nothing committed.
         Yields ``(block_no, first_index, doc_ids)`` after each record
         commits, so a jump index can set that block's pointers before
-        the next block exists.  One vector comparison finds where the
-        load first descends; each block is held against that, in one
-        comparison, *before* it is written: a descending ID raises with
-        nothing of its block committed (earlier blocks stay — WORM).
+        the next block exists.  The order check
+        (:func:`~repro.core.vecdecode.descents`, run once over the list's
+        last ID and the load) finds where the load first descends; each
+        block is held against that, in one comparison, *before* it is
+        written: a descending ID raises with nothing of its block
+        committed (earlier blocks stay — WORM).
         """
         self._refuse_sealed()
         entries = posting_array(entries)
         doc_ids = entries[:, 0]
-        # The first posting below its predecessor (for the first one, the
-        # list's last ID); ``len(entries)`` when every one is in order.
-        descends = doc_ids[1:] < doc_ids[:-1]
-        if len(entries) and int(doc_ids[0]) < self.last_doc_id:
-            descent = 0
-        elif descends.any():
-            descent = int(descends.argmax()) + 1
-        else:
-            descent = len(entries)
+        at, top = descents(np.concatenate(([self.last_doc_id], doc_ids)))
+        # ``len(entries)`` when every posting is in order.
+        descent = int(at[0]) - 1 if len(at) else len(entries)
         per_block = self.entries_per_block
         start = 0
         while start < len(entries):
@@ -249,9 +278,8 @@ class PostingList:
             block_no = self.num_blocks - 1 if index else self.num_blocks
             end = min(start + per_block - index, len(entries))
             if descent < end:
-                before = int(doc_ids[descent - 1]) if descent else self.last_doc_id
                 raise DocumentIdOrderError(
-                    f"doc_id {doc_ids[descent]} < last appended {before} in "
+                    f"doc_id {doc_ids[descent]} < last appended {top[0]} in "
                     f"posting list '{self.name}'"
                 )
             last = int(doc_ids[end - 1])
@@ -297,8 +325,7 @@ class PostingList:
         """Decode all postings of block ``block_no``.
 
         Returns a :class:`~repro.core.vecdecode.DecodedBlock` — parallel
-        doc-ID / term-code columns decoded in one pass, compatible with
-        the ``List[Posting]`` the scalar decoder used to return.
+        doc-ID / term-code columns decoded in one pass.
 
         ``counted=True`` routes the access through the storage cache so it
         contributes to I/O statistics; auditors pass ``counted=False``.
@@ -339,27 +366,14 @@ class PostingList:
         """A forward cursor over the list, optionally term-filtered."""
         return PostingCursor(self, term_code=term_code)
 
-    def scan(self, *, counted: bool = True, cached: bool = False) -> Iterator[Posting]:
-        """Yield every posting in order (one counted read per block).
-
-        ``cached=True`` serves blocks through the attached read cache
-        (query path); audits keep the default and always hit the device.
-        """
-        for block_no in range(self.num_blocks):
-            if cached:
-                entries, _ = self.load_block_postings(block_no)
-                yield from entries
-            else:
-                yield from self.read_block_postings(block_no, counted=counted)
-
     def scan_columns(
         self, *, counted: bool = True, cached: bool = False
     ) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
-        """Yield ``(doc_ids, term_codes)`` columns per block, in order.
+        """Yield ``(doc_ids, term_codes)`` columns per block, in order
+        (one counted read per block unless ``counted=False``).
 
-        The batch counterpart of :meth:`scan`: identical block-read
-        accounting, but consumers iterate two flat integer columns per
-        block instead of a ``Posting`` object stream.
+        ``cached=True`` serves blocks through the attached read cache
+        (query path); audits keep the default and always hit the device.
         """
         for block_no in range(self.num_blocks):
             if cached:
@@ -374,25 +388,6 @@ class PostingList:
         for docs, _codes in self.scan_columns(counted=counted):
             out.extend(docs)
         return out
-
-    def verify_order(self) -> None:
-        """Audit that stored doc IDs are non-decreasing.
-
-        An honest writer can never produce a violation (``append`` checks
-        it), so a stored violation means someone appended through a
-        lower-level interface — tampering.
-        """
-        last = -1
-        for block_no in range(self.num_blocks):
-            entries = self.read_block_postings(block_no, counted=False)
-            for doc_id in entries.doc_ids:
-                if doc_id < last:
-                    raise TamperDetectedError(
-                        f"doc ID {doc_id} after {last}",
-                        location=f"posting list '{self.name}', block {block_no}",
-                        invariant="posting-monotonicity",
-                    )
-                last = doc_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

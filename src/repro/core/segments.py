@@ -60,6 +60,7 @@ from repro.core.vecdecode import (
     COLUMN_TYPECODE,
     TermColumn,
     decode_blocks,
+    descents,
     posting_array,
     term_columns,
 )
@@ -530,8 +531,8 @@ class MergedListFamily:
     the device, says which lists exist.  Without one it is the
     directly-appended family ``engine/pl/`` under the caller's
     ``strategy``.  Lists (and jump indexes) attach lazily and plug into
-    the engine's read cache by file name: decoded-block and jump-memo
-    tiers key on it.
+    the engine's read cache by file name: its decoded-block tier keys on
+    it.
 
     ``length_hints`` (term id → posting count) orders joins by filtered
     list length where the owner tracks it; without it the raw merged
@@ -555,6 +556,13 @@ class MergedListFamily:
         self.read_cache = read_cache
         self.decode_metrics = decode_metrics
         self.length_hints = length_hints
+        #: The most postings a *short* list holds: one block of a file
+        #: of its own — block 0, where the jump index sets no pointer.
+        self.short_limit = (
+            store.block_size // POSTING_SIZE
+            if branching is None
+            else postings_per_block(store.block_size, branching)
+        )
         #: What fixes a sealed segment's term→list assignment; segments
         #: of equal layout are scanned as one (:meth:`collect_candidates`).
         self.layout: Optional[Tuple[int, Tuple[int, ...]]] = None
@@ -619,14 +627,6 @@ class MergedListFamily:
         of a shared file, the name it is known by."""
         return f"{self.prefix}{list_id:08d}"
 
-    @property
-    def short_limit(self) -> int:
-        """The most postings a *short* list holds: one block of a file
-        of its own — block 0, where the jump index sets no pointer."""
-        if self.branching is None:
-            return self.store.block_size // POSTING_SIZE
-        return postings_per_block(self.store.block_size, self.branching)
-
     def _attach(
         self, list_id: int, *, create: bool = False
     ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
@@ -664,8 +664,6 @@ class MergedListFamily:
                     self.store, name, branching=self.branching
                 )
                 posting_list = jump.posting_list
-                if self.read_cache is not None:
-                    jump.memo = self.read_cache.memo_for(name)
             else:
                 posting_list = PostingList(self.store, name)
             if self.read_cache is not None:
@@ -797,12 +795,12 @@ class MergedListFamily:
         postings = posting_array(postings)
         ends = np.cumsum(counts[short])
         doc_ids = postings[:, 0]
-        descents = np.setdiff1d(np.flatnonzero(doc_ids[1:] < doc_ids[:-1]) + 1, ends)
-        if len(descents):
-            at = int(descents[0])
+        at, top = descents(doc_ids, ends)
+        if len(at):
+            at = int(at[0])
             list_id = list_ids[short][np.searchsorted(ends, at, side="right")]
             raise DocumentIdOrderError(
-                f"doc_id {doc_ids[at]} < last appended {doc_ids[at - 1]} in "
+                f"doc_id {doc_ids[at]} < last appended {top[0]} in "
                 f"posting list '{self.list_name(list_id)}'"
             )
         capacity = self.store.block_size // POSTING_SIZE
@@ -985,9 +983,9 @@ class MergedListFamily:
         uncached — merging is maintenance and must not evict the query
         working set from the decoded-block tier.  What attaching a list
         would have refused is refused here: a block that is not whole
-        postings, and a list whose document IDs descend (one comparison
-        over the whole column; a list may start below the end of the
-        one before it).
+        postings, and a list whose document IDs descend (the order check
+        of :func:`~repro.core.vecdecode.descents`, once over the whole
+        column; a list may start below the end of the one before it).
         """
         payloads: List[bytes] = []
         list_ids: List[int] = []
@@ -1015,14 +1013,12 @@ class MergedListFamily:
             self.decode_metrics[0].inc(len(payloads))
             self.decode_metrics[1].inc(len(postings))
         doc_ids = postings[:, 0]
-        descents = np.setdiff1d(
-            np.flatnonzero(doc_ids[1:] < doc_ids[:-1]) + 1, list_starts
-        )
-        if len(descents):
-            at = int(descents[0])
+        at, top = descents(doc_ids, list_starts)
+        if len(at):
+            at = int(at[0])
             which = bisect_right(list_starts, at) - 1
             raise TamperDetectedError(
-                f"doc ID {doc_ids[at]} after {doc_ids[at - 1]}",
+                f"doc ID {doc_ids[at]} after {top[0]}",
                 location=f"posting list '{self.list_name(list_ids[which])}', "
                 f"posting {at - list_starts[which]}",
                 invariant="posting-monotonicity",

@@ -87,70 +87,49 @@ def audit_posting_list(
 ) -> AuditReport:
     """Offline audit of one posting list (and its jump pointers, if any).
 
-    Checks:
+    Runs the checks the readers run, reporting every violation instead
+    of stopping at the first:
 
-    * document IDs are non-decreasing across the entire list (a violation
-      means a low-level append bypassed the honest writer — the
-      binary-search attack of Section 4 leaves exactly this trace);
-    * every set jump pointer goes forward and targets a block containing
-      an ID inside the pointer's range (Section 4.3's monotonicity
-      property).
+    * the order check (:meth:`PostingList.check_order`) over the whole
+      list: a document ID below one before it means a low-level
+      append bypassed the honest writer — the binary-search attack of
+      Section 4 leaves exactly this trace;
+    * the pointer check (:meth:`BlockJumpIndex.pointer_fault`) on every
+      set jump pointer: it goes forward, to a block that exists,
+      holding an ID inside the pointer's range (Section 4.3's
+      monotonicity property).
 
     Uses uncounted reads (audits are not part of any reported figure).
     """
     report = AuditReport(subject=f"posting list '{posting_list.name}'")
-    last = -1
-    block_last: List[int] = []
-    for block_no in range(posting_list.num_blocks):
-        entries = posting_list.read_block_postings(block_no, counted=False)
-        for posting in entries:
-            report.entries_checked += 1
-            if posting.doc_id < last:
-                report.add(
-                    f"block {block_no}: doc ID {posting.doc_id} after {last} "
-                    "(append-order violation)"
-                )
-            last = max(last, posting.doc_id)
-        block_last.append(entries[-1].doc_id if entries else -1)
+    columns, violations = posting_list.check_order()
+    for block_no, doc_id, last in violations:
+        report.add(
+            f"block {block_no}: doc ID {doc_id} after {last} "
+            "(append-order violation)"
+        )
+    report.entries_checked = sum(map(len, columns))
     if jump_index is not None:
-        _audit_jump_pointers(posting_list, jump_index, block_last, report)
+        _audit_jump_pointers(jump_index, columns, report)
     return report
 
 
 def _audit_jump_pointers(
-    posting_list: PostingList,
-    jump_index: BlockJumpIndex,
-    block_last: List[int],
-    report: AuditReport,
+    jump_index: BlockJumpIndex, columns: List[Sequence[int]], report: AuditReport
 ) -> None:
-    """Check every committed jump pointer against its range invariant."""
-    store = posting_list.store
-    for block_no in range(posting_list.num_blocks):
-        nb = block_last[block_no]
-        for slot in range(jump_index.num_slots):
-            target = store.peek_slot(posting_list.name, block_no, slot)
+    """Hold every committed jump pointer to the pointer check; ``columns``
+    are the list's blocks' document IDs."""
+    for block_no, doc_ids in enumerate(columns):
+        nb = doc_ids[-1] if doc_ids else -1
+        for slot, target in enumerate(jump_index.slots(block_no)):
             if target is None:
                 continue
             report.entries_checked += 1
-            if target <= block_no:
-                report.add(
-                    f"block {block_no} slot {slot}: pointer goes backwards "
-                    f"to block {target}"
-                )
-                continue
-            if target >= posting_list.num_blocks:
-                report.add(
-                    f"block {block_no} slot {slot}: pointer targets "
-                    f"nonexistent block {target}"
-                )
-                continue
-            lo, hi = jump_index.slot_range(nb, slot)
-            entries = posting_list.read_block_postings(target, counted=False)
-            if not any(lo <= p.doc_id < hi for p in entries):
-                report.add(
-                    f"block {block_no} slot {slot}: target block {target} "
-                    f"holds no ID in [{lo}, {hi})"
-                )
+            fault = jump_index.pointer_fault(
+                block_no, nb, slot, target, columns.__getitem__
+            )
+            if fault is not None:
+                report.add(f"block {block_no} slot {slot}: {fault[1]}")
 
 
 def audit_search_result(

@@ -129,7 +129,7 @@ def export_read_cache(registry, read_cache, *, shard: str = "0") -> None:
     :class:`~repro.search.readcache.ReadCache` (or ``None`` when read
     caching is disabled); duck-typed through ``as_dict()`` so this
     module keeps importing no engine code.  Emits one series per tier
-    (``tier="blocks" | "results" | "jump_memo"``) for hits, misses,
+    (``tier="blocks" | "results"``) for hits, misses,
     evictions, and invalidations, plus block-tier residency gauges.
     """
     if not registry.enabled or read_cache is None:
@@ -147,7 +147,7 @@ def export_read_cache(registry, read_cache, *, shard: str = "0") -> None:
             f"{help_text}, per tier",
             labels=("shard", "tier"),
         )
-        for tier in ("blocks", "results", "jump_memo"):
+        for tier in ("blocks", "results"):
             family.labels(shard=shard, tier=tier).set(tiers[tier][counter_key])
     registry.gauge(
         "repro_readcache_resident_blocks",

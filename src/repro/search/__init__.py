@@ -41,7 +41,6 @@ from repro.search.query import Query, QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CosineScorer, CollectionStats
 from repro.search.readcache import (
     DecodedBlockCache,
-    JumpMemo,
     QueryResultCache,
     ReadCache,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Document",
     "DocumentStore",
     "EngineConfig",
-    "JumpMemo",
     "MemoryCursor",
     "MergedListCursor",
     "Query",

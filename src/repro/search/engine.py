@@ -30,7 +30,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,12 +115,11 @@ class EngineConfig:
     ranking:
         ``"bm25"`` or ``"cosine"``.
     read_cache:
-        Enable the three-tier read-path cache
-        (:mod:`repro.search.readcache`): decoded posting blocks, query
-        results (length-fingerprint invalidated), and a jump-pointer
-        memo.  Session-scoped acceleration only — it never shapes
-        committed WORM state, so archives created with and without it
-        are byte-identical.
+        Enable the two-tier read-path cache
+        (:mod:`repro.search.readcache`): decoded posting blocks and
+        query results (length-fingerprint invalidated).  Session-scoped
+        acceleration only — it never shapes committed WORM state, so
+        archives created with and without it are byte-identical.
     read_cache_mb:
         Approximate in-memory budget of the decoded-block tier, in MB.
     tail_max_docs:
@@ -199,7 +197,7 @@ class SearchResult:
     score: float
 
 
-class Candidates(Mapping[int, Mapping[int, int]]):
+class Candidates:
     """The documents a query matched, as columns; immutable.
 
     ``doc_ids`` holds every matched document once, ascending; ``len()``
@@ -214,13 +212,10 @@ class Candidates(Mapping[int, Mapping[int, int]]):
     does the result cache, which hands the same object to every hit.
     Scoring meets a document's terms in ascending term ID, whichever
     path found them, so every layout sums a score in one order.
-
-    As a read-only ``Mapping[int, Mapping[int, int]]`` — ``doc_id ->
-    {term_id: tf}``, what ``match()`` used to build for every query —
-    it serves callers that want to look: tests, ``profile_query``.
+    :meth:`rows` is the ``doc_id -> {term_id: tf}`` form, built afresh.
     """
 
-    __slots__ = ("doc_ids", "everywhere", "columns", "postings", "_mapping")
+    __slots__ = ("doc_ids", "everywhere", "columns", "postings")
 
     def __init__(
         self,
@@ -237,7 +232,6 @@ class Candidates(Mapping[int, Mapping[int, int]]):
         self.postings = len(self.everywhere) * len(doc_ids)
         for _, docs, _ in self.columns:
             self.postings += len(docs)
-        self._mapping: Optional[Dict[int, Mapping[int, int]]] = None
 
     @staticmethod
     def _union(doc_columns: List[np.ndarray]) -> np.ndarray:
@@ -321,20 +315,6 @@ class Candidates(Mapping[int, Mapping[int, int]]):
             )
             for key, docs, tfs in self._by_term_id(term_keys)
         ]
-
-    def _as_mapping(self) -> Dict[int, Mapping[int, int]]:
-        if self._mapping is None:
-            self._mapping = {
-                doc_id: MappingProxyType(freqs)
-                for doc_id, freqs in self.rows().items()
-            }
-        return self._mapping
-
-    def __getitem__(self, doc_id: int) -> Mapping[int, int]:
-        return self._as_mapping()[doc_id]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._as_mapping())
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -484,9 +464,8 @@ class TrustworthySearchEngine:
         commit-time log, the posting lists, and the documents themselves
         all live on WORM (the posting lists and commit log verified their
         own invariants when reattached).  Ranking statistics and posting
-        counts are recomputed from the stored documents; documents
-        ingested with ``store_text=False`` contribute document counts but
-        no term statistics, which only affects ranking quality.
+        counts are recomputed from the stored documents, re-analysed as
+        they were at ingest — the one way a document gets its terms.
         """
         payload = b"".join(
             self.store.peek_block("engine/lexicon", b)
@@ -681,13 +660,8 @@ class TrustworthySearchEngine:
         lexicon: logged first — one WORM record for all of them, more
         only when they outgrow a block (a record never spans one) — then
         added in memory.  The log's bytes are those of a record per
-        term, so restart reads it as ever."""
-        for term in terms:
-            if "\n" in term:
-                raise WorkloadError(
-                    f"term {term!r} contains a newline; the WORM lexicon log "
-                    f"is newline-delimited and cannot represent it"
-                )
+        term, so restart reads it as ever.  The analyzer's terms hold
+        no newline, the log's delimiter."""
         if len(self._terms) + len(terms) > MAX_TERM_ID_WITH_TF + 1:
             raise WorkloadError("lexicon exceeded the 24-bit term-id space")
         record = b""
@@ -935,8 +909,8 @@ class TrustworthySearchEngine:
         self._segments = (segment,)
         if self.read_cache is not None:
             # Segment-retirement hook: the retired lists can never be
-            # read again, so their decoded blocks and jump memos are
-            # dead weight.  Only a list a query attached has any.
+            # read again, so their decoded blocks are dead weight.
+            # Only a list a query attached has any.
             self.read_cache.forget_lists(
                 name for segment in retired for name in segment.attached_names()
             )
@@ -971,26 +945,14 @@ class TrustworthySearchEngine:
         """Commit a document to WORM and index it, atomically from the
         caller's perspective; returns the assigned document ID."""
         term_counts = self.analyzer.term_counts(text)
-        return self._ingest(text, term_counts, commit_time)
-
-    def index_term_counts(
-        self,
-        term_counts: Mapping[str, int],
-        *,
-        commit_time: Optional[int] = None,
-        store_text: bool = True,
-    ) -> int:
-        """Index pre-analyzed term counts (bulk/synthetic ingest path)."""
-        text = (
-            " ".join(
-                word
-                for term, count in sorted(term_counts.items())
-                for word in [term] * count
-            )
-            if store_text
-            else ""
+        start = perf_counter() if self._metrics_on else 0.0
+        doc_id = self._commit_document(
+            text, term_counts, self._clock if commit_time is None else commit_time
         )
-        return self._ingest(text, dict(term_counts), commit_time)
+        if self._metrics_on:
+            self._m_ingest.observe(perf_counter() - start)
+        self._after_ingest()
+        return doc_id
 
     def _commit_document(
         self,
@@ -1060,23 +1022,6 @@ class TrustworthySearchEngine:
                 self._g_tail_docs.set(self._tail.doc_count)
             if self._tail.doc_count >= self.config.tail_max_docs:
                 self.seal_tail()
-
-    def _ingest(
-        self,
-        text: str,
-        term_counts: Dict[str, int],
-        commit_time: Optional[int],
-    ) -> int:
-        start = perf_counter() if self._metrics_on else 0.0
-        doc_id = self._commit_document(
-            text,
-            term_counts,
-            self._clock if commit_time is None else commit_time,
-        )
-        if self._metrics_on:
-            self._m_ingest.observe(perf_counter() - start)
-        self._after_ingest()
-        return doc_id
 
     def index_batch(
         self,

@@ -341,9 +341,10 @@ def sequential_conjunctive(
     for posting_list, code in zip(posting_lists, term_codes):
         blocks += posting_list.num_blocks
         ids = {
-            p.doc_id
-            for p in posting_list.scan(counted=False)
-            if code is None or p.term_code == code
+            doc
+            for docs, codes in posting_list.scan_columns(counted=False)
+            for doc, c in zip(docs, codes)
+            if code is None or c == code
         }
         id_sets.append(ids)
     result = set.intersection(*id_sets) if id_sets else set()

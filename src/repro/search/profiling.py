@@ -91,20 +91,12 @@ def profile_query(engine, query) -> QueryProfile:
 
 @dataclass
 class ShardedQueryProfile:
-    """Cost breakdown of one query fanned out across engine shards.
+    """Cost breakdown of one query run on every engine shard.
 
-    Sharded query cost has two readings, and the profile reports both:
-
-    * ``total_*`` — work *done*: the sum over shards, i.e. what the
-      query costs in aggregate device I/O (the billing view);
-    * ``critical_path_entries`` / ``critical_path_blocks`` — work
-      *waited for*: the slowest single shard, i.e. the query's latency
-      under perfect fan-out (the paper's workload cost Q per
-      Section 3.1, applied to the parallel plan).
-
-    ``modeled_speedup`` is their ratio — the factor by which fanning out
-    shortens the entry-scan critical path versus scanning the same
-    postings serially.  On a balanced K-shard archive it approaches K.
+    ``total_*`` is the work done: the sum over shards, what the query
+    costs in aggregate device I/O.  The shards run one after another in
+    the caller's thread, so the totals are also what the query waits
+    for; ``per_shard`` keeps each shard's own profile.
     """
 
     terms: Tuple[str, ...]
@@ -113,19 +105,15 @@ class ShardedQueryProfile:
     per_shard: List[QueryProfile]
     total_entries_scanned: int
     total_blocks_read: int
-    critical_path_entries: int
-    critical_path_blocks: int
     matches: int
-    modeled_speedup: float
 
     def summary(self) -> str:
         """One-line human-readable cost summary."""
         return (
             f"{self.mode} {list(self.terms)} over {self.shards} shards: "
             f"{self.matches} matches, "
-            f"{self.total_entries_scanned} entries total / "
-            f"{self.critical_path_entries} on the critical path "
-            f"({self.modeled_speedup:.2f}x modeled speedup)"
+            f"{self.total_blocks_read} blocks / "
+            f"{self.total_entries_scanned} entries total"
         )
 
 
@@ -133,35 +121,22 @@ def profile_sharded_query(sharded_engine, query) -> ShardedQueryProfile:
     """Profile ``query`` against every shard of a sharded engine.
 
     Runs :func:`profile_query` independently per shard (each shard is a
-    complete engine with its own lists and jump indexes) and aggregates
-    the per-shard footprints into total and critical-path costs.
+    complete engine with its own lists and jump indexes) and sums the
+    per-shard footprints.
     """
     if isinstance(query, str):
         query = parse_query(query, analyzer=sharded_engine.analyzer)
     per_shard = [
         profile_query(shard, query) for shard in sharded_engine.shards
     ]
-    total_entries = sum(p.entries_scanned for p in per_shard)
-    total_blocks = sum(p.blocks_read for p in per_shard)
-    critical_entries = max(
-        (p.entries_scanned for p in per_shard), default=0
-    )
-    critical_blocks = max((p.blocks_read for p in per_shard), default=0)
-    if critical_entries:
-        speedup = total_entries / critical_entries
-    else:
-        speedup = 1.0
     return ShardedQueryProfile(
         terms=per_shard[0].terms if per_shard else query.terms,
         mode=per_shard[0].mode if per_shard else "disjunctive",
         shards=len(per_shard),
         per_shard=per_shard,
-        total_entries_scanned=total_entries,
-        total_blocks_read=total_blocks,
-        critical_path_entries=critical_entries,
-        critical_path_blocks=critical_blocks,
+        total_entries_scanned=sum(p.entries_scanned for p in per_shard),
+        total_blocks_read=sum(p.blocks_read for p in per_shard),
         matches=sum(p.matches for p in per_shard),
-        modeled_speedup=speedup,
     )
 
 

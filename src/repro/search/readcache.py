@@ -1,4 +1,4 @@
-"""Three-tier read-path cache hierarchy for the search engine.
+"""Two-tier read-path cache for the search engine.
 
 The paper's storage cache (Section 3) only absorbs *writes*: every query
 still walks posting lists and jump pointers straight off WORM and pays
@@ -21,34 +21,25 @@ timestamps or TTLs:
   stale entry — an append to one list never touches cached results for
   queries over other lists.
 
-* **Tier 3 — jump-pointer memo** (:class:`JumpMemo`).  Remembers, per
-  posting list, the largest doc ID of frozen (non-tail) blocks and jump
-  pointer edges that already passed the certified-reader checks, so hot
-  ``FindGeq`` descents skip re-decoding head-path blocks.  Pointer slots
-  are write-once and frozen blocks never change, so a memoized fact can
-  never go stale within a process.
-
-Trust posture: the caches accelerate the *query* path only.  Audits,
-restart recovery, and result verification always re-read the device
-(``counted=False`` peeks, never cache-served), and cached blocks were
-decoded by the same certified read path that enforces the monotonicity
-invariants — so tamper detection (Section 4) is not weakened.  All tiers
-are in-process, per-engine memory: they never outlive a restart and hold
-no authority over WORM state.
+Trust posture: the caches hold decoded blocks and candidate sets, never
+a verdict.  A list's order is checked when it attaches, from the device,
+and every jump pointer a seek follows is checked each time it is
+followed, whether the blocks come from the device or from tier 1.
+Audits, restart recovery and result verification always re-read the
+device (``counted=False`` peeks, never cache-served).  Both tiers are
+in-process, per-engine memory: they never outlive a restart and hold no
+authority over WORM state.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Set, Tuple
 
-from repro.core.posting import Posting
+from repro.core.vecdecode import DecodedBlock
 
-#: Nominal in-memory cost of one decoded posting (object + refs), used to
-#: map the ``--cache-mb`` byte budget onto decoded-entry lists.
-POSTING_MEMORY_COST = 64
-#: Fixed per-cached-block overhead (key tuple, dict slots, list header).
+#: Fixed per-cached-block overhead (key tuple, dict slots, object header).
 BLOCK_MEMORY_OVERHEAD = 128
 
 
@@ -82,10 +73,11 @@ class TierStats:
 class DecodedBlockCache:
     """Tier 1: decoded posting blocks keyed by ``(list_name, block_no)``.
 
-    Holds the *decoded* entry lists (the expensive part of a block read),
-    bounded by an approximate byte budget, least recently used evicted
-    first.  Consumers must treat returned lists as read-only — they are
-    shared across cursors and queries.
+    Holds the *decoded* column pairs (the expensive part of a block
+    read), bounded by a byte budget — each block weighs its columns'
+    ``nbytes`` plus a fixed overhead — least recently used evicted
+    first.  Consumers must treat returned blocks as read-only — they
+    are shared across cursors and queries.
     """
 
     def __init__(self, *, capacity_bytes: int = 8 << 20):
@@ -94,7 +86,7 @@ class DecodedBlockCache:
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[Tuple[str, int], List[Posting]] = OrderedDict()
+        self._entries: OrderedDict[Tuple[str, int], DecodedBlock] = OrderedDict()
         self._weights: Dict[Tuple[str, int], int] = {}
         self.resident_bytes = 0
         self.stats = TierStats()
@@ -102,7 +94,7 @@ class DecodedBlockCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, name: str, block_no: int) -> Optional[List[Posting]]:
+    def get(self, name: str, block_no: int) -> Optional[DecodedBlock]:
         """The cached decoded block, or ``None`` on a miss."""
         key = (name, block_no)
         entries = self._entries.get(key)
@@ -113,23 +105,14 @@ class DecodedBlockCache:
         self.stats.hits += 1
         return entries
 
-    def put(self, name: str, block_no: int, entries: List[Posting]) -> None:
-        """Cache a freshly decoded block (evicting under the byte budget).
-
-        Column-valued entries (:class:`~repro.core.vecdecode.DecodedBlock`)
-        report their resident size exactly via ``nbytes``; legacy
-        ``List[Posting]`` entries keep the per-object cost model.
-        """
+    def put(self, name: str, block_no: int, entries: DecodedBlock) -> None:
+        """Cache a freshly decoded block (evicting under the byte budget)."""
         key = (name, block_no)
         if key in self._entries:
             # Re-decoded concurrently with an earlier put; keep the newer
             # copy (identical content for frozen blocks, fresher for tails).
             self._drop(key)
-        nbytes = getattr(entries, "nbytes", None)
-        if nbytes is not None:
-            weight = BLOCK_MEMORY_OVERHEAD + nbytes
-        else:
-            weight = BLOCK_MEMORY_OVERHEAD + POSTING_MEMORY_COST * len(entries)
+        weight = BLOCK_MEMORY_OVERHEAD + entries.nbytes
         if weight > self.capacity_bytes:
             return  # would evict the whole cache for one oversized block
         while self._entries and self.resident_bytes + weight > self.capacity_bytes:
@@ -213,60 +196,12 @@ class QueryResultCache:
         self._entries[key] = (fingerprint, payload)
 
 
-class JumpMemo:
-    """Tier 3: per-list memo of frozen-block maxima and verified jump edges.
-
-    ``FindGeq`` descents repeatedly decode head-path blocks just to learn
-    each block's largest doc ID, then re-run the certified-reader checks
-    on the same write-once pointer slots.  Both facts are immutable once
-    observed (non-tail blocks are frozen; slots are write-once and the
-    in-process device enforces WORM), so memoizing them preserves
-    verification semantics: every edge was checked by the full
-    :meth:`BlockJumpIndex._check_jump` tripwire at least once per process
-    lifetime, and tail blocks are never memoized.
-
-    Memory is bounded by the structure itself — at most one integer per
-    frozen block plus one entry per *distinct followed* pointer edge.
-    """
-
-    def __init__(self, stats: Optional[TierStats] = None):
-        self.stats = stats if stats is not None else TierStats()
-        self._nb: Dict[int, int] = {}
-        self._edges: Set[Tuple[int, int, int]] = set()
-
-    def nb(self, block_no: int) -> Optional[int]:
-        """Memoized largest doc ID of ``block_no`` (``None`` if unknown)."""
-        value = self._nb.get(block_no)
-        if value is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return value
-
-    def put_nb(self, block_no: int, nb: int) -> None:
-        """Record a frozen block's largest ID (caller excludes the tail)."""
-        self._nb[block_no] = nb
-
-    def edge_verified(self, block_no: int, slot: int, target: int) -> bool:
-        """Whether this exact pointer edge already passed certification."""
-        if (block_no, slot, target) in self._edges:
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
-
-    def record_edge(self, block_no: int, slot: int, target: int) -> None:
-        """Mark an edge as certified (after the full checks succeeded)."""
-        self._edges.add((block_no, slot, target))
-
-
 class ReadCache:
-    """The engine-level container wiring the three tiers together.
+    """The engine-level container wiring the two tiers together.
 
     One instance per engine (per shard, in a sharded archive).  The block
     cache takes the whole ``capacity_mb`` byte budget; the result cache
-    is entry-bounded and the jump memos are structurally bounded, so
-    neither needs a byte share.
+    is entry-bounded, so it needs no byte share.
     """
 
     def __init__(self, *, capacity_mb: float = 8.0, result_entries: int = 256):
@@ -275,29 +210,16 @@ class ReadCache:
         self.capacity_mb = capacity_mb
         self.blocks = DecodedBlockCache(capacity_bytes=int(capacity_mb * (1 << 20)))
         self.results = QueryResultCache(max_entries=result_entries)
-        self.memo_stats = TierStats()
-        self._memos: Dict[str, JumpMemo] = {}
-
-    def memo_for(self, name: str) -> JumpMemo:
-        """The jump memo of posting list ``name`` (created on first use)."""
-        memo = self._memos.get(name)
-        if memo is None:
-            memo = JumpMemo(self.memo_stats)
-            self._memos[name] = memo
-        return memo
 
     def forget_lists(self, names: Iterable[str]) -> None:
         """Retire posting lists wholesale (e.g. after a segment merge).
 
-        Drops their tier-1 decoded blocks and tier-3 jump memos.  Tier-2
-        results need no action: a merge never changes *which* documents
-        match, and the engine's fingerprint carries the tail generation /
-        per-term counts that govern result validity.
+        Drops their tier-1 decoded blocks.  Tier-2 results need no
+        action: a merge never changes *which* documents match, and the
+        engine's fingerprint carries the tail generation / per-term
+        counts that govern result validity.
         """
-        names = set(names)
-        self.blocks.forget_lists(names)
-        for name in names:
-            self._memos.pop(name, None)
+        self.blocks.forget_lists(set(names))
 
     def as_dict(self) -> Dict[str, Any]:
         """Per-tier counters plus residency, for stats/metrics export."""
@@ -311,5 +233,4 @@ class ReadCache:
                 **self.results.stats.as_dict(),
                 "resident": len(self.results),
             },
-            "jump_memo": self.memo_stats.as_dict(),
         }

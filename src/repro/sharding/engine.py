@@ -367,7 +367,7 @@ class ShardedSearchEngine:
             return None
         present = [stats for stats in per_shard if stats is not None]
         summed: Dict[str, object] = {}
-        for tier in ("blocks", "results", "jump_memo"):
+        for tier in ("blocks", "results"):
             summed[tier] = {
                 key: sum(stats[tier][key] for stats in present)
                 for key in present[0][tier]

@@ -153,7 +153,7 @@ class TestStuffingAttack:
             pl.append(i, term_code=7)
         fake_ids = posting_stuffing_attack(pl, 7, count=5)
         assert fake_ids == list(range(10, 15))
-        pl.verify_order()  # monotonic: the order audit passes
+        assert audit_posting_list(pl).ok  # monotonic: the order audit passes
         # ...but the documents do not exist, which result verification sees.
         from repro.core.verification import audit_search_result
 

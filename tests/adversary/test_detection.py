@@ -63,7 +63,12 @@ class TestTamperedEngine:
         reports = full_engine_audit(engine)
         assert all(r.ok for r in reports)
         report = engine.verify_results(
-            [p.doc_id for p in pl.scan(counted=False) if p.term_code == tid],
+            [
+                doc_id
+                for docs, codes in pl.scan_columns(counted=False)
+                for doc_id, code in zip(docs, codes)
+                if code == tid
+            ],
             ["imclone"],
         )
         assert not report.ok

@@ -491,6 +491,22 @@ class TestTampering:
             bji.find_geq(cursor, lo)
         assert excinfo.value.invariant == "jump-target-range"
 
+    def test_pointer_past_the_end_detected(self):
+        """A pointer to a block the list does not have is tampering, not
+        a read of a missing block."""
+        bji = make_index(branching=2, block_size=128)
+        for v in range(0, 4000, 4):
+            bji.insert(v)
+        store, name = bji.posting_list.store, bji.posting_list.name
+        nb = bji.posting_list.block_max_hint(0)
+        # IDs are multiples of 4, so the range just past nb holds none.
+        slot = bji.slot_for(nb, nb + 1)
+        store.set_slot(name, 0, slot, bji.posting_list.num_blocks + 3)
+        with pytest.raises(TamperDetectedError) as excinfo:
+            bji.find_geq(bji.posting_list.cursor(), nb + 1)
+        assert excinfo.value.invariant == "jump-target-range"
+        assert excinfo.value.location.endswith(f"block 0, slot {slot}")
+
     def test_committed_entries_stay_visible_after_attack(self):
         from repro.adversary.attacks import block_jump_pointer_attack
 

@@ -53,8 +53,12 @@ class TestRead:
     def test_scan_order(self, pl):
         for i in range(50):
             pl.append(i, term_code=i % 3)
-        postings = list(pl.scan(counted=False))
-        assert [p.doc_id for p in postings] == list(range(50))
+        rows = [
+            row
+            for docs, codes in pl.scan_columns(counted=False)
+            for row in zip(docs, codes)
+        ]
+        assert rows == [(i, i % 3) for i in range(50)]
 
     def test_doc_ids(self, pl):
         for i in (1, 4, 9):
@@ -77,10 +81,12 @@ class TestRead:
 
 
 class TestVerifyOrder:
+    """Attaching a list runs the order check over every stored block."""
+
     def test_clean_list_passes(self, pl):
         for i in range(100):
             pl.append(i)
-        pl.verify_order()
+        assert len(PostingList(pl.store, pl.name)) == 100
 
     def test_raw_out_of_order_append_detected(self, store):
         """Mala appends through the device, bypassing the honest writer."""
@@ -91,8 +97,9 @@ class TestVerifyOrder:
         pl.append(9)
         store.device.open_file("pl/tampered").append_record(encode_posting(3, 0))
         with pytest.raises(TamperDetectedError) as excinfo:
-            pl.verify_order()
+            PostingList(store, "pl/tampered")
         assert excinfo.value.invariant == "posting-monotonicity"
+        assert excinfo.value.location == "posting list 'pl/tampered', block 0"
 
 
 class TestCursor:

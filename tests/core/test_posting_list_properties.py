@@ -36,10 +36,15 @@ class TestPostingListProperties:
     @settings(max_examples=60, deadline=None)
     def test_property_scan_reproduces_appends(self, stream):
         posting_list, postings = build(stream)
-        scanned = [(p.doc_id, p.term_code) for p in posting_list.scan(counted=False)]
+        scanned = [
+            row
+            for docs, codes in posting_list.scan_columns(counted=False)
+            for row in zip(docs, codes)
+        ]
         assert scanned == postings
         assert len(posting_list) == len(postings)
-        posting_list.verify_order()
+        # Reattaching runs the order check over what was appended.
+        assert len(PostingList(posting_list.store, "pl")) == len(postings)
 
     @given(stream=posting_streams, data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.posting import MAX_TERM_ID_WITH_TF, Posting, pack_term_tf
+from repro.core.posting import MAX_TERM_ID_WITH_TF, pack_term_tf
 from repro.core.posting_list import PostingList
 from repro.core.segments import (
     MANIFEST_FILE,
@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.search.engine import Candidates, _max_merge_repeats
 from repro.worm.persistent import JournaledWormDevice, scan_journal
 from repro.worm.storage import CachedWormStore
-from tests.helpers import columns_of, device_state, postings_of
+from tests.helpers import columns_of, device_state, postings_of, rows_of
 
 
 def make_store() -> CachedWormStore:
@@ -89,7 +89,7 @@ class TestMutableTailIndex:
         columns = snap.collect_candidates([1, 9])
         assert sum(len(doc_ids) for _, doc_ids, _ in columns) == 1  # scanned
         candidates = Candidates(_max_merge_repeats([earlier, *columns]))
-        assert candidates[5][1] == 4  # max(2, 4)
+        assert candidates.rows()[5][1] == 4  # max(2, 4)
 
     def test_doc_ids_must_increase(self):
         tail = MutableTailIndex()
@@ -344,7 +344,7 @@ class TestSealedSegmentReads:
         doc_ids, _seeks, _blocks = segment.conjunctive_doc_ids([1, 5])
         assert doc_ids == [0]
         candidates = Candidates(segment.collect_candidates([1, 9]))
-        assert {d: dict(tf) for d, tf in candidates.items()} == {
+        assert candidates.rows() == {
             0: {1: 2},
             2: {1: 1, 9: 1},
         }
@@ -396,7 +396,7 @@ class TestSealedSegmentReads:
         assert segment.list_for(9) >= 2
         hot, _jump = segment.posting_list_for(1)
         assert hot.name == segment_list_name(0, 0)
-        assert [(p.doc_id, p.term_code) for p in hot.scan()] == self.POSTINGS[1]
+        assert rows_of(hot) == self.POSTINGS[1]
         candidates = Candidates(segment.collect_candidates([1, 5, 9]))
         assert len(candidates) == 3
 
@@ -513,10 +513,7 @@ class TestColumnarSegmentWrite:
         return {
             "device": {name: state[name] for name in long},
             "lists": [(pl.name, pl.count, pl.last_doc_id) for pl in lists],
-            "postings": [
-                [(p.doc_id, p.term_code) for p in pl.scan(counted=False)]
-                for pl in lists
-            ],
+            "postings": [rows_of(pl) for pl in lists],
             "pointers": sum(
                 block.slots_set
                 for name in long
@@ -589,11 +586,11 @@ class TestColumnarSegmentWrite:
         ]
         assert [
             [
-                (p.doc_id, p.term_code)
-                for p in SealedSegment(store, info, branching=None)
-                .posting_list_for(7)[0]
-                .scan()
-                if p.term_code & MAX_TERM_ID_WITH_TF == 7
+                (doc_id, code)
+                for doc_id, code in rows_of(
+                    SealedSegment(store, info, branching=None).posting_list_for(7)[0]
+                )
+                if code & MAX_TERM_ID_WITH_TF == 7
             ]
             for store, info in written
         ] == [[first, second], [second, first]]
@@ -836,9 +833,8 @@ class TestSharedFileDirectory:
         assert (posting_list.num_blocks, len(posting_list)) == (1, 3)
         assert posting_list.last_doc_id == 2
         reads = store.io.block_reads
-        assert posting_list.read_block_postings(0) == [
-            Posting(*entry) for entry in self.THREE
-        ]
+        block = posting_list.read_block_postings(0)
+        assert list(zip(block.doc_ids, block.term_codes)) == self.THREE
         assert store.io.block_reads == reads + 1  # counted: the shared block
         with pytest.raises(UnknownFileError):
             posting_list.read_block_postings(1, counted=False)

@@ -115,6 +115,33 @@ def epoch_layouts(engine: TrustworthySearchEngine) -> List[List[str]]:
     ]
 
 
+#: Jump-indexed lists of B = 2, "alpha" at the even IDs (two 8 KiB
+#: blocks of them) and "beta" at the odd ones: the ID range just past an
+#: alpha block's largest ID holds no alpha, so its pointer slot is unset.
+POINTER_CONFIG = EngineConfig(num_lists=1024, branching=2)
+POINTER_CORPUS = ["alpha" if i % 2 == 0 else "beta" for i in range(2200)]
+
+
+def plant_pointer_past_the_end(engine: TrustworthySearchEngine) -> None:
+    """Mala points the slot of alpha's head block that a ``+alpha +beta``
+    join seeks through first at a block the list does not have."""
+    posting_list, jump = engine.posting_list_for("alpha")
+    assert posting_list is not engine.posting_list_for("beta")[0]
+    nb = posting_list.block_max_hint(0)
+    posting_list.store.set_slot(
+        posting_list.name, 0, jump.slot_for(nb, nb + 1), posting_list.num_blocks + 3
+    )
+
+
+def rows_of(posting_list, *, counted: bool = False) -> List[Tuple[int, int]]:
+    """A posting list's ``(doc_id, term_code)`` rows, in stored order."""
+    return [
+        row
+        for docs, codes in posting_list.scan_columns(counted=counted)
+        for row in zip(docs, codes)
+    ]
+
+
 def device_state(device):
     """Comparable snapshot of a device's full committed state."""
     state = {}

@@ -137,7 +137,7 @@ class TestEngineIntegration:
             EngineConfig(num_lists=4, block_size=512, branching=4, **config)
         )
         for i in range(200):
-            engine.index_term_counts({f"t{i % 40}": 1, "common": 1})
+            engine.index_document(f"t{i % 40} common")
         engine.search("+t3 +common")
         snap = engine_metrics(engine).snapshot()
         # A sealed list short enough to share a file has no jump index.

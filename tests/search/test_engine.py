@@ -31,10 +31,6 @@ class TestIngest:
         with pytest.raises(WorkloadError):
             engine.index_document("backdated doc", commit_time=50)
 
-    def test_index_term_counts_path(self, engine):
-        doc_id = engine.index_term_counts({"gadget": 2, "widget": 1})
-        assert [r.doc_id for r in engine.search("gadget")][0] == doc_id
-
     def test_real_time_update_no_buffering(self, engine):
         """A document is searchable the moment index_document returns."""
         doc_id = engine.index_document("immediately searchable unicorns")

@@ -43,7 +43,9 @@ def _build_world(tiny_workload, config, *, merge=False):
             vocabulary.word(int(t)): int(c)
             for t, c in zip(doc.term_ids, doc.term_counts)
         }
-        doc_id = engine.index_term_counts(counts, store_text=False)
+        doc_id = engine.index_document(
+            " ".join(" ".join([word] * count) for word, count in counts.items())
+        )
         assert doc_id == doc.doc_id
         term_sets[doc_id] = set(counts)
     if merge:

@@ -86,7 +86,7 @@ class TestTimeWindow:
     def test_join_reads_only_overlapping_segments(self, engine):
         costs = ReadCosts()
         matched = engine.match("+imclone +filing @101..102", costs=costs)
-        assert sorted(matched) == [1, 2]  # a window across a segment edge
+        assert matched.doc_ids.tolist() == [1, 2]  # a window across a segment edge
         assert costs.families_skipped == 1
         everything = ReadCosts()
         engine.match("+imclone +filing", costs=everything)
@@ -102,7 +102,7 @@ class TestTimeWindow:
     def test_empty_window_touches_no_list(self, engine):
         costs = ReadCosts()
         trace = QueryTrace()
-        assert engine.match("imclone @500..600", costs=costs, trace=trace) == {}
+        assert not engine.match("imclone @500..600", costs=costs, trace=trace)
         assert costs.blocks == 0 and costs.lists == 0
         assert not any(s.name in ("scan", "join") for s in trace.spans)
         filtered = next(s for s in trace.spans if s.name == "filter")
@@ -119,7 +119,7 @@ class TestTimeWindow:
         for i in range(6):
             engine.index_document(f"imclone doc{i}", commit_time=100 + i)
         costs = ReadCosts()
-        assert sorted(engine.match("imclone @102..103", costs=costs)) == [2, 3]
+        assert engine.match("imclone @102..103", costs=costs).doc_ids.tolist() == [2, 3]
         assert costs.families_skipped == 0 and costs.lists == 1
 
 
@@ -200,7 +200,7 @@ class TestWindowPruningProperty:
         low, high = query.time_range
         return {
             doc_id: tf
-            for doc_id, tf in shard.match(unranged).items()
+            for doc_id, tf in shard.match(unranged).rows().items()
             if low <= commit_time_of(doc_id) <= high
         }
 
@@ -229,8 +229,8 @@ class TestWindowPruningProperty:
                         lambda d: docs[engine.router.to_global(shard_id, d)][1],
                     )
                     # Twice: the second answer may come from the result cache.
-                    assert shard.match(query) == reference, (window, mode)
-                    assert shard.match(query) == reference, (window, mode)
+                    assert shard.match(query).rows() == reference, (window, mode)
+                    assert shard.match(query).rows() == reference, (window, mode)
                     matched |= {
                         engine.router.to_global(shard_id, d) for d in reference
                     }

@@ -21,8 +21,8 @@ def vocabulary(engine):
 class TestHashTier:
     def test_dense_first_appearance_ids(self):
         engine = TrustworthySearchEngine(EngineConfig(num_lists=8, branching=None))
-        engine.index_term_counts({"gamma": 1})
-        engine.index_term_counts({"gamma": 2, "alpha": 1, "beta": 1})
+        engine.index_document("gamma")
+        engine.index_document("gamma gamma alpha beta")
         assert engine.term_id("gamma") == 0
         assert engine.term_id("alpha") == 1
         assert engine.term_id("beta") == 2
@@ -46,7 +46,7 @@ class TestEngineIntegration:
         any longer probe sharing it resolve to one ID."""
         engine = self.build()
         long_term = "r" * 400
-        engine.index_term_counts({long_term: 1})
+        engine.index_document(long_term)
         cut = "r" * MAX_LEXICON_TERM_BYTES
         assert engine.term_id(long_term) == engine.term_id(cut) is not None
         assert engine.term_id("r" * 200) == engine.term_id(cut)

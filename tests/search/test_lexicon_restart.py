@@ -10,9 +10,6 @@ posting-list mapping across restarts.  The fix canonicalizes terms via
 and keeps the in-memory and on-WORM forms identical.
 """
 
-import pytest
-
-from repro.errors import WorkloadError
 from repro.search.engine import (
     MAX_LEXICON_TERM_BYTES,
     EngineConfig,
@@ -39,6 +36,15 @@ def reopen(engine):
     return TrustworthySearchEngine(CONFIG, store=engine.store)
 
 
+def log_terms(engine, *terms):
+    """Append ``terms`` to ``engine``'s lexicon log the way an older
+    writer did: a record per term, in its canonical form."""
+    for term in terms:
+        engine.store.append_record(
+            "engine/lexicon", lexicon_key(term).encode("utf-8") + b"\n"
+        )
+
+
 class TestLexiconKey:
     def test_short_terms_unchanged(self):
         assert lexicon_key("revenue") == "revenue"
@@ -59,22 +65,23 @@ class TestLexiconKey:
 
 class TestRestartRoundTrip:
     def test_multibyte_terms_survive_restart(self):
+        """Terms an older writer logged from pre-analysed counts — a
+        record per new term, multi-byte ones too, which the analyzer
+        (``[a-z0-9]+``) never emits — reopen to the IDs they were given.
+        Before the cut moved to a character boundary this decode
+        crashed: the log held a torn multi-byte character."""
         engine = TrustworthySearchEngine(CONFIG)
-        doc = engine.index_term_counts({CJK_TERM: 2, EMOJI_TERM: 1, "memo": 1})
-        original_ids = {
-            t: engine.term_id(t) for t in (CJK_TERM, EMOJI_TERM, "memo")
-        }
-        # Pre-fix this decode crashed: the lexicon log held a torn
-        # multi-byte character.
+        engine.index_document("memo")
+        log_terms(engine, CJK_TERM, EMOJI_TERM)
         reopened = reopen(engine)
-        assert reopened.vocabulary_size == engine.vocabulary_size
-        for term, term_id in original_ids.items():
+        assert reopened.vocabulary_size == 3
+        for term_id, term in enumerate(("memo", CJK_TERM, EMOJI_TERM)):
             assert reopened.term_id(term) == term_id
 
     def test_long_term_keeps_its_posting_list(self):
         engine = TrustworthySearchEngine(CONFIG)
-        engine.index_term_counts({LONG_ASCII: 1, "anchor": 1})
-        engine.index_term_counts({"anchor": 1})
+        engine.index_document(f"{LONG_ASCII} anchor")
+        engine.index_document("anchor")
         reopened = reopen(engine)
         # Pre-fix the restored string was the raw 128-byte slice while
         # the live engine had indexed the full 300-char term, so the
@@ -85,19 +92,13 @@ class TestRestartRoundTrip:
 
     def test_in_memory_and_worm_forms_identical(self):
         engine = TrustworthySearchEngine(CONFIG)
-        engine.index_term_counts({CJK_TERM: 1, LONG_ASCII: 1})
+        engine.index_document(f"{LONG_ASCII} anchor")
         reopened = reopen(engine)
         assert vocabulary(reopened) == vocabulary(engine)
 
     def test_repeated_restarts_are_stable(self):
         engine = TrustworthySearchEngine(CONFIG)
-        engine.index_term_counts({CJK_TERM: 1})
+        log_terms(engine, CJK_TERM)
         once = reopen(engine)
         twice = reopen(once)
-        assert vocabulary(twice) == vocabulary(engine)
-        assert twice.vocabulary_size == 1
-
-    def test_newline_terms_are_rejected(self):
-        engine = TrustworthySearchEngine(CONFIG)
-        with pytest.raises(WorkloadError):
-            engine.index_term_counts({"bad\nterm": 1})
+        assert vocabulary(twice) == vocabulary(once) == [lexicon_key(CJK_TERM)]

@@ -87,12 +87,12 @@ class TestEngineListStability:
         """Lists assigned before a restart survive growth after it."""
         config = EngineConfig(num_lists=16, branching=None, block_size=512)
         engine = TrustworthySearchEngine(config)
-        engine.index_term_counts({f"t{i:05d}": 1 for i in range(1500)})
+        engine.index_document(" ".join(f"t{i:05d}" for i in range(1500)))
         before = {
             term_id: engine._list_id_for(term_id) for term_id in range(1500)
         }
         reopened = TrustworthySearchEngine(config, store=engine.store)
         # Grow the reopened lexicon past the next re-derivation point.
-        reopened.index_term_counts({f"u{i:05d}": 1 for i in range(2000)})
+        reopened.index_document(" ".join(f"u{i:05d}" for i in range(2000)))
         for term_id, expected in before.items():
             assert reopened._list_id_for(term_id) == expected

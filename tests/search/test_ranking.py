@@ -222,8 +222,8 @@ class TestColumnScorerIsTheScalarScorer:
             for doc_id, freqs in rows.items()
         }
         candidates = as_columns(lists, wanted)
-        assert {d: dict(f) for d, f in candidates.items()} == rows
-        assert all(list(f) == sorted(f) for f in candidates.values())
+        assert candidates.rows() == rows
+        assert all(list(f) == sorted(f) for f in candidates.rows().values())
         assert len(candidates) == len(rows)
 
         totals = scorer.score_columns(candidates.doc_ids, candidates.scoring_columns(keys))
@@ -256,7 +256,7 @@ class TestColumnScorerIsTheScalarScorer:
         scorer, keys = scorers_for(stats, wanted, ranking, aggregated)
         doc_ids = np.array(sorted(joined), dtype=np.uint32)
         candidates = Candidates((), doc_ids, wanted)
-        assert {d: dict(f) for d, f in candidates.items()} == {
+        assert candidates.rows() == {
             d: dict.fromkeys(wanted, 1) for d in sorted(joined)
         }
         presence = {t if keys is None else keys[t]: 1 for t in sorted(wanted)}

@@ -7,11 +7,10 @@ import pytest
 from repro.observability import QueryTrace, export_read_cache
 from repro.observability.metrics import MetricsRegistry
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.search.readcache import (
-    DecodedBlockCache,
-    JumpMemo,
-    QueryResultCache,
-)
+from array import array
+
+from repro.core.vecdecode import DecodedBlock
+from repro.search.readcache import DecodedBlockCache, QueryResultCache
 from repro.errors import WorkloadError
 from repro.worm.storage import CachedWormStore
 from tests.helpers import DEFAULT_CORPUS, SMALL_CONFIG, build_engine
@@ -23,15 +22,21 @@ def cached_config(**kwargs):
     return replace(SMALL_CONFIG, read_cache=True, **kwargs)
 
 
+def block(postings):
+    """A decoded block of ``postings`` postings: 8 bytes of columns each."""
+    return DecodedBlock(array("I", range(postings)), array("I", range(postings)))
+
+
 # ----------------------------------------------------------------------
 # tier 1: decoded blocks
 # ----------------------------------------------------------------------
 class TestDecodedBlockCache:
     def test_hit_miss_and_invalidate(self):
         cache = DecodedBlockCache(capacity_bytes=1 << 20)
+        entries = block(3)
         assert cache.get("pl", 0) is None
-        cache.put("pl", 0, ["entries"])
-        assert cache.get("pl", 0) == ["entries"]
+        cache.put("pl", 0, entries)
+        assert cache.get("pl", 0) is entries
         cache.invalidate("pl", 0)
         assert cache.get("pl", 0) is None
         assert cache.stats.hits == 1
@@ -39,17 +44,17 @@ class TestDecodedBlockCache:
         assert cache.stats.invalidations == 1
 
     def test_byte_budget_evicts(self):
-        # Each put weighs 128 + 64*10 = 768 bytes; cap fits two blocks.
+        # Each put weighs 128 + 8*80 = 768 bytes; cap fits two blocks.
         cache = DecodedBlockCache(capacity_bytes=1600)
         for block_no in range(4):
-            cache.put("pl", block_no, list(range(10)))
+            cache.put("pl", block_no, block(80))
         assert len(cache) == 2
         assert cache.stats.evictions == 2
-        assert cache.resident_bytes <= 1600
+        assert cache.resident_bytes == 2 * 768
 
     def test_oversized_block_not_cached(self):
         cache = DecodedBlockCache(capacity_bytes=256)
-        cache.put("pl", 0, list(range(100)))
+        cache.put("pl", 0, block(100))
         assert len(cache) == 0
 
     def test_invalid_capacity_rejected(self):
@@ -57,16 +62,16 @@ class TestDecodedBlockCache:
             DecodedBlockCache(capacity_bytes=0)
 
     def test_evicts_least_recently_used(self):
-        # 128 + 64*5 = 448 bytes a block; the budget fits three.
+        # 128 + 8*40 = 448 bytes a block; the budget fits three.
         cache = DecodedBlockCache(capacity_bytes=1400)
         for block_no in range(3):
-            cache.put("pl", block_no, list(range(5)))
+            cache.put("pl", block_no, block(40))
         cache.get("pl", 0)
-        cache.put("pl", 3, list(range(5)))
+        cache.put("pl", 3, block(40))
         assert cache.get("pl", 1) is None
         assert all(cache.get("pl", n) is not None for n in (0, 2, 3))
-        cache.put("pl", 2, list(range(5)))  # a re-put counts as a use
-        cache.put("pl", 4, list(range(5)))
+        cache.put("pl", 2, block(40))  # a re-put counts as a use
+        cache.put("pl", 4, block(40))
         assert cache.get("pl", 0) is None
         assert cache.stats.evictions == 2
 
@@ -113,22 +118,6 @@ class TestQueryResultCache:
 
 
 # ----------------------------------------------------------------------
-# tier 3: jump memo
-# ----------------------------------------------------------------------
-class TestJumpMemo:
-    def test_nb_and_edge_memo(self):
-        memo = JumpMemo()
-        assert memo.nb(0) is None
-        memo.put_nb(0, 41)
-        assert memo.nb(0) == 41
-        assert not memo.edge_verified(0, 3, 7)
-        memo.record_edge(0, 3, 7)
-        assert memo.edge_verified(0, 3, 7)
-        assert memo.stats.hits == 2
-        assert memo.stats.misses == 2
-
-
-# ----------------------------------------------------------------------
 # engine integration
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
@@ -167,7 +156,7 @@ class TestEngineIntegration:
         )
         engine.search("imclone")   # caches the imclone query
         engine.search(untouched)   # caches the untouched query
-        engine.index_term_counts({"imclone": 1})  # appends to one list
+        engine.index_document("imclone")  # appends to one list
         engine.search("imclone")
         engine.search(untouched)
         stats = engine.read_cache_stats()["results"]
@@ -202,7 +191,7 @@ class TestEngineIntegration:
 
     def test_segment_merge_forgets_retired_lists(self):
         """Merging segments retires their posting lists; the block cache
-        and jump memos must drop them instead of pinning dead entries."""
+        must drop them instead of pinning dead entries."""
         from dataclasses import replace
 
         engine = build_engine(
@@ -212,7 +201,7 @@ class TestEngineIntegration:
                 merge_at_segments=None,
             )
         )
-        engine.search("imclone")  # warms blocks/memos on segment lists
+        engine.search("imclone")  # warms blocks of segment lists
         retired = [
             name
             for segment in engine.iter_segments()
@@ -227,7 +216,6 @@ class TestEngineIntegration:
         assert all(
             key[0] not in retired for key in cache.blocks._entries
         )
-        assert all(name not in retired for name in cache._memos)
         # And the merged layout still answers identically.
         legacy = build_engine()
         assert [r.doc_id for r in engine.search("imclone")] == [
@@ -236,19 +224,10 @@ class TestEngineIntegration:
 
     def test_cached_candidates_are_read_only(self):
         """The result tier hands every hit the same object, so nothing
-        about it can be changed: not the mapping, not a document's
-        frequencies, not a column."""
+        about it can be changed: not a column, not the document list."""
         engine = build_engine(config=cached_config())
         first = engine.match("imclone")
-        doc_id, freqs = next(iter(first.items()))
-        with pytest.raises(TypeError):
-            first[doc_id] = {}
-        with pytest.raises(TypeError):
-            del first[doc_id]
-        with pytest.raises(AttributeError):
-            first.clear()
-        with pytest.raises(TypeError):
-            freqs[next(iter(freqs))] = 99
+        assert first.columns
         for _, docs, tfs in first.columns:
             with pytest.raises(ValueError):
                 docs[0] = 99
@@ -258,9 +237,7 @@ class TestEngineIntegration:
             first.doc_ids[0] = 99
         again = engine.match("imclone")
         assert again is first  # a hit: shared, not copied
-        assert {d: dict(tf) for d, tf in again.items()} == {
-            d: dict(tf) for d, tf in build_engine().match("imclone").items()
-        }
+        assert again.rows() == build_engine().match("imclone").rows()
 
     def test_racing_first_touches_attach_one_list(self):
         """Regression: two searches that first-touch a list at once used
@@ -273,17 +250,18 @@ class TestEngineIntegration:
         build_engine(["alpha beta"] * 5, store=store)
         # A new session over the same device: nothing attached yet.
         engine = TrustworthySearchEngine(cached_config(), store=store)
-        memo_for = engine.read_cache.memo_for
         parked, release = threading.Event(), threading.Event()
 
-        def parking_memo_for(name):
-            # The first caller stops here, mid-attach, until released.
-            if not parked.is_set():
-                parked.set()
-                assert release.wait(timeout=10)
-            return memo_for(name)
+        class ParkingLists(dict):
+            def __setitem__(self, list_id, attached):
+                # The first caller stops here, about to publish what it
+                # attached, until released.
+                if not parked.is_set():
+                    parked.set()
+                    assert release.wait(timeout=10)
+                super().__setitem__(list_id, attached)
 
-        engine.read_cache.memo_for = parking_memo_for
+        engine._family._lists = ParkingLists()
         first = threading.Thread(target=engine.search, args=("alpha",))
         first.start()
         assert parked.wait(timeout=10)
@@ -321,7 +299,7 @@ class TestEngineIntegration:
         with pytest.raises(TamperDetectedError):
             engine.search("imclone", verify=True)
 
-    def test_jump_memo_reduces_block_loads(self):
+    def test_rerun_join_reads_frozen_blocks_from_cache(self):
         # Small blocks so each posting list spans many blocks and the
         # jump index actually navigates.
         config = cached_config(block_size=512)
@@ -330,13 +308,12 @@ class TestEngineIntegration:
         )
         engine.search("+alpha +beta")
         stats = engine.read_cache_stats()
-        # Append via term counts: invalidates the result tier and only
-        # the tail posting blocks, so the re-run hits memo + blocks.
-        engine.index_term_counts({"alpha": 1, "beta": 1})
+        # An append invalidates the result tier and only the tail
+        # posting blocks, so the re-run's seeks hit the block tier.
+        engine.index_document("alpha beta")
         engine.search("+alpha +beta")
         stats2 = engine.read_cache_stats()
-        assert stats["jump_memo"]["hits"] > 0
-        assert stats2["jump_memo"]["hits"] > stats["jump_memo"]["hits"]
+        assert stats2["results"]["invalidations"] == 1
         assert stats2["blocks"]["hits"] > stats["blocks"]["hits"]
 
     def test_metrics_export(self):

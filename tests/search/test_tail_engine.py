@@ -27,7 +27,7 @@ from repro.worm.faults import (
 )
 from repro.worm.persistent import JournaledWormDevice
 from repro.worm.storage import CachedWormStore
-from tests.helpers import DEFAULT_CORPUS
+from tests.helpers import DEFAULT_CORPUS, rows_of
 
 LEGACY = EngineConfig(num_lists=32, branching=4, retention_period=100)
 #: A block that holds one posting beside the pointer slots of ``LEGACY``'s
@@ -214,7 +214,7 @@ class TestEquivalence:
             engine.index_document(text)
         first, second = engine.iter_segments()
         assert (first.layout == second.layout) == (seal_strategy == "uniform")
-        honest = {d: dict(f) for d, f in engine.match("alpha gamma").items()}
+        honest = engine.match("alpha gamma").rows()
         alpha = engine.term_id("alpha")
         assert honest[2][alpha] == honest[4][alpha] == 1
 
@@ -224,7 +224,7 @@ class TestEquivalence:
         stuffed_list.append(4, pack_term_tf(alpha, 7))  # in the tail
         honest[2][alpha], honest[4][alpha] = 9, 7
         matched = engine.match("alpha gamma")
-        assert {d: dict(f) for d, f in matched.items()} == honest
+        assert matched.rows() == honest
         assert len(matched) == len(honest) == 4
         assert sorted(r.doc_id for r in engine.search("alpha gamma")) == [0, 1, 2, 4]
 
@@ -710,9 +710,9 @@ class TestMergeReadsWhatAnAttachRead:
         (segment,) = engine.iter_segments()
         posting_list, _ = segment.posting_list_for(alpha)
         alphas = [
-            (p.doc_id, p.term_code >> 24)
-            for p in posting_list.scan(counted=False)
-            if p.term_code & 0xFFFFFF == alpha
+            (doc_id, code >> 24)
+            for doc_id, code in rows_of(posting_list)
+            if code & 0xFFFFFF == alpha
         ]
         assert alphas == [(0, 1), (1, 1), (2, 1), (4, 9)]
 

@@ -15,7 +15,13 @@ from repro.service import (
     ArchiveService,
     ServiceConfig,
 )
-from tests.helpers import DEFAULT_CORPUS, build_engine
+from tests.helpers import (
+    DEFAULT_CORPUS,
+    POINTER_CONFIG,
+    POINTER_CORPUS,
+    build_engine,
+    plant_pointer_past_the_end,
+)
 
 
 @pytest.fixture()
@@ -268,5 +274,14 @@ class TestErrorMapping:
             )
         )
         status, body, _ = service.dispatch("POST", "/search", {"query": "x"})
+        assert status == 500
+        assert body["error"]["code"] == "tampering"
+
+    def test_pointer_past_the_end_is_tampering(self):
+        engine = build_engine(POINTER_CORPUS, config=POINTER_CONFIG, batch=True)
+        plant_pointer_past_the_end(engine)
+        status, body, _ = ArchiveService(engine).dispatch(
+            "POST", "/search", {"query": "+alpha +beta", "verify": True}
+        )
         assert status == 500
         assert body["error"]["code"] == "tampering"

@@ -84,6 +84,25 @@ class TestCliErrorPaths:
         code = main(["search", "--archive", archive, "imclone"])
         assert code != 0
 
+    def test_search_verify_exits_3_on_pointer_past_the_end(self, tmp_path, capsys):
+        """A jump pointer to a block the list does not have is tampering
+        (exit 3), not a bad request (exit 2)."""
+        from repro.cli import main, open_archive
+        from tests.helpers import (
+            POINTER_CONFIG,
+            POINTER_CORPUS,
+            plant_pointer_past_the_end,
+        )
+
+        archive = str(tmp_path / "a.worm")
+        engine, handle = open_archive(archive, create=POINTER_CONFIG)
+        engine.index_batch(POINTER_CORPUS)
+        plant_pointer_past_the_end(engine)
+        handle.close()
+        capsys.readouterr()
+        assert main(["search", "--archive", archive, "--verify", "+alpha +beta"]) == 3
+        assert "TAMPERING DETECTED" in capsys.readouterr().err
+
     def test_index_missing_file_exits_cleanly(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -96,23 +115,6 @@ class TestCliErrorPaths:
 
 
 class TestEngineSeams:
-    def test_index_term_counts_stores_text_by_default(self):
-        from repro.search.engine import EngineConfig, TrustworthySearchEngine
-
-        engine = TrustworthySearchEngine(EngineConfig(num_lists=8, branching=None))
-        doc_id = engine.index_term_counts({"alpha": 2, "beta": 1})
-        text = engine.documents.get(doc_id).text
-        assert text.split() == ["alpha", "alpha", "beta"]
-
-    def test_index_term_counts_can_skip_text(self):
-        from repro.search.engine import EngineConfig, TrustworthySearchEngine
-
-        engine = TrustworthySearchEngine(EngineConfig(num_lists=8, branching=None))
-        doc_id = engine.index_term_counts({"alpha": 1}, store_text=False)
-        assert engine.documents.get(doc_id).text == ""
-        # Still searchable: the posting went in regardless.
-        assert [r.doc_id for r in engine.search("alpha")] == [doc_id]
-
     def test_archive_stats_counts_committed_state(self):
         from repro.search.engine import EngineConfig, TrustworthySearchEngine
 
