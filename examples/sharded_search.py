@@ -3,7 +3,8 @@
 
 Partitions a record archive across four shards — each a complete
 `TrustworthySearchEngine` with its own WORM store, posting lists, and
-jump indexes — glued together by an append-only WORM document map.
+jump indexes — glued together by global IDs derived from each shard's
+commit-time log.
 Shows batched ingestion, fan-out/merge queries that return exactly the
 single-engine results, per-shard cost profiling, and what happens when
 an insider stuffs one shard's posting list.
@@ -71,7 +72,7 @@ def main() -> None:
         print(f"  quarantined fabricated IDs: {sorted(engine.incidents.quarantined_doc_ids)}")
         print(f"  clean results returned: {sorted(r.doc_id for r in results)}")
 
-        # An offline audit sweeps every shard plus the document map.
+        # An offline audit sweeps every shard.
         reports = full_sharded_audit(engine)
         bad = [r for r in reports if not r.ok]
         print(f"\nfull sharded audit: {len(reports)} reports, {len(bad)} with violations")

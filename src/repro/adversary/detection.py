@@ -2,9 +2,9 @@
 
 What an investigator (or a scheduled compliance job) runs: audit every
 posting list, every jump-pointer set, and the commit-time log — per
-shard, plus the document map, when the archive has shards.  Unlike the
-query-path checks — which raise the moment they cross a violation — the
-audit *collects* everything into reports, the artifact Bob files.
+shard, when the archive has shards.  Unlike the query-path checks —
+which raise the moment they cross a violation — the audit *collects*
+everything into reports, the artifact Bob files.
 """
 
 from __future__ import annotations
@@ -13,17 +13,6 @@ from typing import List
 
 from repro.core.verification import AuditReport, audit_posting_list
 from repro.errors import TamperDetectedError
-
-
-def _log_report(subject: str, verify) -> AuditReport:
-    """The report on one self-verifying WORM log: ``verify()`` returns
-    the number of records it checked, or raises on the first bad one."""
-    report = AuditReport(subject=subject)
-    try:
-        report.entries_checked = verify()
-    except TamperDetectedError as exc:
-        report.add(str(exc))
-    return report
 
 
 def full_engine_audit(engine) -> List[AuditReport]:
@@ -37,10 +26,9 @@ def full_engine_audit(engine) -> List[AuditReport]:
       read by no query, and are reported, a finding per file;
     * the commit-time log (monotonicity of times and document IDs).
 
-    A sharded engine gets both for each shard (report subjects prefixed
-    with the shard number) and one more report for the coordinator's
-    WORM document map — the cross-shard trust anchor that has no
-    counterpart in the unsharded engine.
+    A sharded engine gets all of it for each shard (report subjects
+    prefixed with the shard number); its global IDs are derived from
+    the shards' commit-time logs, so there is nothing else to audit.
 
     The returned list always includes at least a log's report; check
     ``all(r.ok for r in reports)`` for a clean bill of health.
@@ -52,7 +40,6 @@ def full_engine_audit(engine) -> List[AuditReport]:
             for report in full_engine_audit(shard):
                 report.subject = f"shard {shard_id}: {report.subject}"
                 reports.append(report)
-        reports.append(_log_report("shard document map", engine.router.verify))
         return reports
     # Every posting list ever committed — the directly-appended merged
     # lists and the sealed segments' alike carry the same order/jump
@@ -70,7 +57,14 @@ def full_engine_audit(engine) -> List[AuditReport]:
                 "commit (written after the seal; no query reads them)"
             )
             reports.append(report)
-    reports.append(_log_report("commit-time log", engine.time_index.verify))
+    # The commit-time log verifies itself: it returns the records it
+    # checked, or raises on the first bad one.
+    log_report = AuditReport(subject="commit-time log")
+    try:
+        log_report.entries_checked = engine.time_index.verify()
+    except TamperDetectedError as exc:
+        log_report.add(str(exc))
+    reports.append(log_report)
     return reports
 
 

@@ -37,8 +37,9 @@ into the archive at ``init`` time (it shapes committed state, so it must
 not drift between sessions).
 
 With ``init --shards K`` (K > 1) the archive is partitioned: the main
-journal becomes the coordinator (configuration, global document map,
-global incident log) and each shard lives in a sibling journal
+journal becomes the coordinator (configuration, global incident log;
+global document IDs are derived from the shards) and each shard lives
+in a sibling journal
 ``records.worm.shard00`` … ``records.worm.shard{K-1}``.  Every other
 subcommand detects the sharded layout from the committed configuration;
 a query visits every shard and merges their ranked runs.

@@ -22,8 +22,9 @@ it name a committed document (``engine.documents.exists``), does a
 disposition record explain its absence (``engine.is_disposed``), what
 text does it hold (``engine.documents.get``) — which the document store
 and retention log answer for one engine, and the global document view
-and the router for K shards.  An unmapped or synthetic negative global
-ID exists nowhere and was disposed by no one: fabricated in both.
+and the router for K shards.  A global ID no shard committed, or a
+synthetic negative one, exists nowhere and was disposed by no one:
+fabricated in both.
 """
 
 from __future__ import annotations

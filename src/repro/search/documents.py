@@ -14,8 +14,9 @@ file, keyed by document ID, so that:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import FileExistsOnWormError, UnknownFileError, WorkloadError
 from repro.worm.storage import CachedWormStore
@@ -48,6 +49,8 @@ class DocumentStore:
         self.prefix = prefix
         self._next_doc_id = 0
         self._commit_times: Dict[int, int] = {}
+        #: The burned IDs below :attr:`next_doc_id`, ascending.
+        self._burned: List[int] = []
 
     def file_name(self, doc_id: int) -> str:
         """The WORM file name holding ``doc_id``'s committed bytes.
@@ -67,6 +70,8 @@ class DocumentStore:
         """
         self._next_doc_id = next_doc_id
         self._commit_times.update(commit_times)
+        if len(self._commit_times) < next_doc_id:
+            self._burned = [i for i in range(next_doc_id) if i not in self._commit_times]
 
     @property
     def next_doc_id(self) -> int:
@@ -81,7 +86,7 @@ class DocumentStore:
     @property
     def has_burned(self) -> bool:
         """Whether some ID below :attr:`next_doc_id` is no document."""
-        return len(self._commit_times) < self._next_doc_id
+        return bool(self._burned)
 
     def is_burned(self, doc_id: int) -> bool:
         """Whether ``doc_id`` was spent on a commit that never finished:
@@ -89,6 +94,22 @@ class DocumentStore:
         record.  Postings that commit appended may name it; the file
         may hold torn text.  It is not a document, and is never reused."""
         return doc_id < self._next_doc_id and doc_id not in self._commit_times
+
+    def rank(self, doc_id: int) -> int:
+        """How many committed IDs lie below ``doc_id``, or -1 when no
+        committed document has that ID."""
+        if doc_id not in self._commit_times:
+            return -1
+        return doc_id - bisect_left(self._burned, doc_id) if self._burned else doc_id
+
+    def committed_id(self, rank: int) -> int:
+        """The committed ID of that :meth:`rank` (``rank`` below ``len(self)``)."""
+        doc_id = rank
+        for burned in self._burned:
+            if burned > doc_id:
+                break
+            doc_id += 1
+        return doc_id
 
     # ------------------------------------------------------------------
     # commit path
@@ -137,6 +158,7 @@ class DocumentStore:
                 )
                 break
             except FileExistsOnWormError:
+                self._burned.append(doc_id)
                 self._next_doc_id += 1
         payload = text.encode("utf-8")
         block_size = self.store.block_size

@@ -1438,6 +1438,9 @@ class TrustworthySearchEngine:
             incidents = 0
         return {
             "documents": len(self.documents),
+            # IDs a crash spent between a document's create and its
+            # commit-time record: no document, and no tamper finding.
+            "burned_documents": self.documents.next_doc_id - len(self.documents),
             "vocabulary": self.vocabulary_size,
             "physical_lists": lists,
             "postings": postings,

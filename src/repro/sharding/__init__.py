@@ -1,9 +1,10 @@
 """Sharded query execution and batched ingestion.
 
 Partitions a trustworthy archive across ``K`` independent engine shards
-(stable hash routing, WORM document map), runs each query on every shard
-with globally consistent ranking, and ingests document batches one pass
-per merged posting list.
+(stable hash routing; global IDs derived from the shards' commit-time
+logs, not stored), runs each query on every shard with globally
+consistent ranking, and ingests document batches one pass per merged
+posting list.
 """
 
 from repro.sharding.batch import BatchIngestor

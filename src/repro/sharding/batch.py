@@ -15,6 +15,10 @@ no ``add()``/``flush()`` pair that holds documents back for a fuller
 batch: that buffer is the attack (:mod:`repro.baselines.buffered` keeps
 one, for ``buffer_wipe_attack`` to wipe).
 
+Routing writes nothing: a document's global ID is fixed when its shard
+commits it (:mod:`repro.sharding.router`), so a crash between two
+shards' groups leaves no record that disagrees with the shards.
+
 Accounting: each shard's I/O counters record exactly what the same
 documents would have cost if inserted one at a time (with an unbounded
 cache, bit-identical counts; with a bounded cache, the same counting
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.errors import WorkloadError
 from repro.sharding.router import ShardRouter
 
 
@@ -38,7 +41,7 @@ class BatchIngestor:
     shards:
         Per-shard :class:`TrustworthySearchEngine` instances.
     router:
-        Allocates global IDs and commits the WORM document map.
+        Picks each document's global ID and shard.
     metrics:
         Optional metrics registry (the sharded engine passes the shared
         one); ``None`` leaves the ingestor unmetered.
@@ -67,36 +70,24 @@ class BatchIngestor:
         texts: Sequence[str],
         commit_times: Sequence[int],
     ) -> List[int]:
-        """Commit and index ``texts`` with the given commit times.
+        """Commit and index ``texts`` with the given commit times (one
+        per text).
 
-        Routes every document first (committing its WORM map record),
-        then ingests each shard's group in one batched pass.  Returns
-        global document IDs in input order.
+        Routes every document first, then ingests each shard's group in
+        one batched pass; a shard's commit-time records fix its
+        documents' global IDs.  Returns global document IDs in input
+        order.
         """
-        texts = list(texts)
-        if len(commit_times) != len(texts):
-            raise WorkloadError(
-                f"got {len(texts)} texts but {len(commit_times)} "
-                f"commit times"
-            )
         assignments = self.router.assign_many(len(texts))
         groups: Dict[int, List[int]] = {}
         for position, assignment in enumerate(assignments):
             groups.setdefault(assignment.shard_id, []).append(position)
         for shard_id in sorted(groups):
             positions = groups[shard_id]
-            local_ids = self.shards[shard_id].index_batch(
+            self.shards[shard_id].index_batch(
                 [texts[p] for p in positions],
                 commit_times=[commit_times[p] for p in positions],
             )
-            for position, local_id in zip(positions, local_ids):
-                expected = assignments[position].local_id
-                if local_id != expected:
-                    raise WorkloadError(
-                        f"shard {shard_id} assigned local ID {local_id} "
-                        f"where the document map recorded {expected}; "
-                        f"shard and map are out of step"
-                    )
         if self._metrics_on:
             self._c_batches.inc()
             self._c_batch_docs.inc(len(texts))

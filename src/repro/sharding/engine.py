@@ -5,16 +5,16 @@ independent :class:`~repro.search.engine.TrustworthySearchEngine`
 instances and recovers the single-engine API on top:
 
 * **ingest** routes documents by stable global-ID hash
-  (:mod:`repro.sharding.router`), committing the global↔local mapping to
-  WORM, and indexes each shard's group in one batched pass
-  (:mod:`repro.sharding.batch`);
+  (:mod:`repro.sharding.router`) and indexes each shard's group in one
+  batched pass (:mod:`repro.sharding.batch`); the global↔local mapping
+  is derived from the shards' commit-time logs, never stored;
 * **search** visits every shard in the caller's thread, re-ranks under
   aggregated collection statistics, and heap-merges the per-shard runs
   (:mod:`repro.sharding.executor`);
 * **trust** is preserved compositionally: every shard enforces the
-  paper's invariants over its own monotonic local IDs, the document map
-  is append-only and self-verifying, and result verification /
-  incident handling work on global IDs end-to-end.
+  paper's invariants over its own monotonic local IDs, each document
+  has one commit point (its shard's commit-time record), and result
+  verification / incident handling work on global IDs end-to-end.
 
 The equivalence that makes sharding safe to adopt — a K-shard engine
 returns the same results and scores as a 1-shard engine over the same
@@ -45,6 +45,13 @@ from repro.worm.storage import CachedWormStore
 #: Coordinator WORM file for the sharded engine's incident log.
 INCIDENT_FILE = "shard/incidents"
 
+#: Where archives before the derived mapping stored a document map.  A
+#: new archive gets one record there that such code refuses to parse
+#: (``doc-map-format``), so it cannot misread the archive; nothing here
+#: reads the file.
+LEGACY_MAP_FILE = "shard/doc-map"
+_NO_MAP_RECORD = b"no map: global IDs are derived from the shards\n"
+
 
 class _GlobalDocumentView:
     """Read-only, global-ID view over the per-shard document stores."""
@@ -58,9 +65,10 @@ class _GlobalDocumentView:
 
     def exists(self, global_id: int) -> bool:
         """Whether ``global_id`` refers to a committed document."""
-        if not self._router.has(global_id):
+        try:
+            shard_id, local_id = self._router.to_local(global_id)
+        except WorkloadError:  # no shard has committed it
             return False
-        shard_id, local_id = self._router.to_local(global_id)
         return self._shards[shard_id].documents.exists(local_id)
 
     def get(self, global_id: int) -> Document:
@@ -93,8 +101,8 @@ class ShardedSearchEngine:
         (e.g. one journal file per shard).  Defaults to fresh in-memory
         stores per the config.
     coordinator_store:
-        WORM store for cross-shard state (document map, global incident
-        log).  Defaults to a fresh in-memory store.
+        WORM store for cross-shard state (the global incident log).
+        Defaults to a fresh in-memory store.
     metrics:
         Metrics registry shared by every shard, the executor, and the
         batch ingestor; each shard stamps its series with a
@@ -135,7 +143,9 @@ class ShardedSearchEngine:
         self.coordinator = coordinator_store or CachedWormStore(
             None, block_size=self.config.block_size
         )
-        self.router = ShardRouter(self.coordinator, num_shards)
+        if not self.coordinator.device.exists(LEGACY_MAP_FILE):
+            self.coordinator.create_file(LEGACY_MAP_FILE).append_record(_NO_MAP_RECORD)
+        self.router = ShardRouter([shard.documents for shard in self.shards])
         self.analyzer = Analyzer()
         self.executor = ParallelQueryExecutor(
             self.shards,
@@ -205,10 +215,9 @@ class ShardedSearchEngine:
     ) -> List[int]:
         """Commit and index a batch; returns global IDs in input order.
 
-        Every document is committed to WORM, mapped in the WORM document
-        map, and indexed on its shard before this call returns — the
-        real-time guarantee of the unsharded engine, at batch
-        granularity.
+        Every document is committed to WORM and indexed on its shard
+        before this call returns — the real-time guarantee of the
+        unsharded engine, at batch granularity.
         """
         texts = list(texts)
         if commit_times is None:
@@ -273,7 +282,7 @@ class ShardedSearchEngine:
     ) -> AuditReport:
         """Cross-check global results against the shard WORM documents.
 
-        A global ID with no document-map record (including the negative
+        A global ID no shard has committed (including the negative
         synthetic IDs the router emits for stuffed shard-local postings)
         has no committed document anywhere, so it fails the existence
         check exactly like single-engine stuffing does.
@@ -282,7 +291,7 @@ class ShardedSearchEngine:
 
     def is_disposed(self, global_id: int) -> bool:
         """Whether a disposition record, on its shard, explains the
-        absence of ``global_id`` (never for an unmapped ID)."""
+        absence of ``global_id`` (never for an uncommitted ID)."""
         if not self.router.has(global_id):
             return False
         shard_id, local_id = self.router.to_local(global_id)
@@ -381,14 +390,15 @@ class ShardedSearchEngine:
 
         Numeric fields are sums over the shard archives (``vocabulary``
         sums per-shard lexicons, so terms present on several shards are
-        counted once per shard).  Coordinator state (document map,
-        global incidents) is reported alongside.
+        counted once per shard).  The coordinator's global incidents
+        are added in.
         """
         per_shard = [shard.archive_stats() for shard in self.shards]
         summed = {
             key: sum(stats[key] for stats in per_shard)
             for key in (
                 "documents",
+                "burned_documents",
                 "vocabulary",
                 "physical_lists",
                 "postings",

@@ -115,9 +115,10 @@ def _score_shard(
     position (the shard-neutral vocabulary of ``aggregate``), under
     aggregated df/num_docs/avg length with shard-local document lengths.
     Ordering by ``(-score, local_id)`` matches the global sort because
-    local IDs are assigned in the same arrival order as global IDs
-    within a shard, so no document past a shard's ``top_k`` can reach
-    the global ``top_k``.
+    a shard's ``k``-th committed local ID maps to the ``k``-th global ID
+    routed to it, so local and global IDs rise together within a shard
+    and no document past a shard's ``top_k`` can reach the global
+    ``top_k``.
     """
     candidates = engine.match(query)
     if not candidates:

@@ -7,32 +7,28 @@ every per-shard trust invariant of the paper — posting-list
 monotonicity, write-once jump-pointer placement, commit-log ordering —
 holds shard-locally exactly as it does in the unsharded engine.
 
-What makes the partitioned archive *globally* trustworthy is the
-document map maintained here: an append-only WORM file recording one
-``global_id shard_id local_id`` line per committed document.  The map is
-self-verifying, because every field is recomputable by an auditor:
+The global↔local mapping is derived from the shards, not stored.  A
+global ID ``g`` belongs to shard ``stable_shard(g, K)``; if ``g`` is the
+``k``-th global ID routed there, it is committed exactly when that
+shard's commit-time log holds more than ``k`` documents, and its local
+ID is the shard's ``k``-th committed ID.  Each shard's commit-time
+record is therefore the one commit point of a document: there is no
+second record of the mapping to fall out of step with it, to parse, or
+to audit.  An auditor recomputes every field from the shards' logs.
 
-* global IDs are dense (record ``n`` carries global ID ``n``);
-* the shard is a pure function of the global ID (:func:`stable_shard`),
-  so a record claiming a different placement is tampering, not drift;
-* local IDs count up per shard (record ``n`` for shard ``s`` carries the
-  number of earlier records routed to ``s``).
-
-A regulator can therefore rebuild — or dispute — the entire global
-mapping from the WORM map alone; Mala gains nothing by editing it, and
-she cannot edit it anyway (it is append-only on WORM).
+A crash mid-batch can commit some shards' groups and not others.  The
+global IDs left uncommitted were never acknowledged (the batch raised);
+:meth:`ShardRouter.assign_many` hands them out again, to the next
+documents routed to those shards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.errors import TamperDetectedError, WorkloadError
-from repro.worm.storage import CachedWormStore
-
-#: Default WORM file holding the global document map.
-MAP_FILE = "shard/doc-map"
+from repro.errors import WorkloadError
+from repro.search.documents import DocumentStore
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -55,192 +51,119 @@ def stable_shard(global_id: int, num_shards: int) -> int:
 
 @dataclass(frozen=True)
 class ShardAssignment:
-    """One routed document: its global ID and shard-local placement."""
+    """One routed document: its global ID and its shard."""
 
     global_id: int
     shard_id: int
-    local_id: int
 
 
 class ShardRouter:
-    """Allocates global document IDs and maps them to shard-local IDs.
+    """Maps global document IDs to shard-local ones, and back.
 
     Parameters
     ----------
-    store:
-        Coordinator WORM store holding the document map (typically the
-        archive's main journal, separate from the shard journals).
-    num_shards:
-        Number of shards ``K``; must match across sessions (the map's
-        placement invariant is checked against it on restore).
-    map_file:
-        WORM file name of the document map.
+    documents:
+        The shards' document stores, in shard order; their commit-time
+        logs are the mapping.
     """
 
-    def __init__(
-        self,
-        store: CachedWormStore,
-        num_shards: int,
-        *,
-        map_file: str = MAP_FILE,
-    ):
-        if num_shards <= 0:
-            raise WorkloadError(f"num_shards must be positive, got {num_shards}")
-        self.store = store
-        self.num_shards = num_shards
-        self.map_file = map_file
-        self._file = store.ensure_file(map_file)
-        #: global_id -> shard_id (dense, index == global_id).
+    def __init__(self, documents: Sequence[DocumentStore]):
+        if not documents:
+            raise WorkloadError("num_shards must be positive, got 0")
+        self._documents = list(documents)
+        self.num_shards = len(self._documents)
+        #: The routing table: global_id -> shard_id, and global_id -> its
+        #: rank among the global IDs of that shard ...
         self._shard_of: List[int] = []
-        #: global_id -> local_id (parallel to ``_shard_of``).
-        self._local_of: List[int] = []
-        #: shard_id -> [global ids in local-id order].
-        self._globals: List[List[int]] = [[] for _ in range(num_shards)]
-        if self._file.num_blocks:
-            self._restore()
+        self._rank_of: List[int] = []
+        #: ... and shard_id -> its global IDs, ascending.
+        self._globals: List[List[int]] = [[] for _ in documents]
+        # Route every committed document now.  From here on only
+        # assign_many (which ingest serialises) grows the table, and
+        # lookups just index it, so concurrent readers never write.
+        uncovered = len(self)
+        while uncovered:
+            uncovered -= self._route_next()
 
-    # ------------------------------------------------------------------
-    # WORM map
-    # ------------------------------------------------------------------
-    def _restore(self) -> None:
-        """Rebuild the in-memory mapping from the WORM map (reopen path).
-
-        Every record is re-checked against the map invariants, so a
-        tampered map is detected at attach time rather than silently
-        misrouting queries.
-        """
-        payload = b"".join(
-            self.store.peek_block(self.map_file, b)
-            for b in range(self._file.num_blocks)
-        )
-        for raw in payload.split(b"\n"):
-            if not raw:
-                continue
-            try:
-                fields = [int(x) for x in raw.split()]
-                global_id, shard_id, local_id = fields
-            except ValueError:
-                raise TamperDetectedError(
-                    f"unparseable document-map record {raw!r}",
-                    location=f"doc map '{self.map_file}'",
-                    invariant="doc-map-format",
-                ) from None
-            self._check_record(global_id, shard_id, local_id)
-            self._admit(shard_id, local_id)
-
-    def _check_record(
-        self, global_id: int, shard_id: int, local_id: int
-    ) -> None:
-        where = f"doc map '{self.map_file}', record {len(self._shard_of)}"
-        if global_id != len(self._shard_of):
-            raise TamperDetectedError(
-                f"global ID {global_id} where {len(self._shard_of)} was "
-                f"expected (IDs are dense and ordered)",
-                location=where,
-                invariant="doc-map-density",
-            )
-        if not 0 <= shard_id < self.num_shards:
-            raise TamperDetectedError(
-                f"shard {shard_id} outside [0, {self.num_shards})",
-                location=where,
-                invariant="doc-map-placement",
-            )
-        if shard_id != stable_shard(global_id, self.num_shards):
-            raise TamperDetectedError(
-                f"document {global_id} recorded on shard {shard_id} but "
-                f"hashes to shard "
-                f"{stable_shard(global_id, self.num_shards)}",
-                location=where,
-                invariant="doc-map-placement",
-            )
-        if local_id != len(self._globals[shard_id]):
-            raise TamperDetectedError(
-                f"local ID {local_id} where shard {shard_id} expected "
-                f"{len(self._globals[shard_id])} (local IDs are "
-                f"per-shard monotonic)",
-                location=where,
-                invariant="doc-map-local-monotonicity",
-            )
-
-    def _admit(self, shard_id: int, local_id: int) -> None:
+    def _route_next(self) -> bool:
+        """Add the first global ID past the table; whether a shard has
+        committed it."""
         global_id = len(self._shard_of)
+        shard_id = stable_shard(global_id, self.num_shards)
+        shard_globals = self._globals[shard_id]
+        rank = len(shard_globals)
+        self._rank_of.append(rank)
+        shard_globals.append(global_id)
+        # Last, because lookups bound a global ID by this list's length.
         self._shard_of.append(shard_id)
-        self._local_of.append(local_id)
-        self._globals[shard_id].append(global_id)
-
-    def verify(self) -> int:
-        """Re-audit the committed WORM map; returns records checked.
-
-        Raises
-        ------
-        TamperDetectedError
-            If any stored record violates the map invariants.
-        """
-        fresh = ShardRouter(self.store, self.num_shards, map_file=self.map_file)
-        if fresh._shard_of != self._shard_of:
-            raise TamperDetectedError(
-                "committed document map diverges from the session's "
-                "in-memory mapping",
-                location=f"doc map '{self.map_file}'",
-                invariant="doc-map-consistency",
-            )
-        return len(fresh._shard_of)
+        return rank < len(self._documents[shard_id])
 
     # ------------------------------------------------------------------
     # assignment
     # ------------------------------------------------------------------
-    def assign(self) -> ShardAssignment:
-        """Route the next document: commit one map record to WORM."""
-        global_id = len(self._shard_of)
-        shard_id = stable_shard(global_id, self.num_shards)
-        local_id = len(self._globals[shard_id])
-        self._file.append_record(f"{global_id} {shard_id} {local_id}\n".encode("ascii"))
-        self._admit(shard_id, local_id)
-        return ShardAssignment(global_id, shard_id, local_id)
-
     def assign_many(self, count: int) -> List[ShardAssignment]:
-        """Route ``count`` documents in global-ID order."""
-        return [self.assign() for _ in range(count)]
+        """The ``count`` smallest uncommitted global IDs, ascending, with
+        their shards.  Nothing is written: a document's global ID is
+        fixed when its shard commits it."""
+        committed = [len(d) for d in self._documents]
+        # The table routes every committed ID, so the smallest
+        # uncommitted one is a shard's first uncommitted slot in it, or
+        # the first ID past it.
+        global_id = min(
+            [len(self._shard_of)] + [g[n] for g, n in zip(self._globals, committed) if n < len(g)]
+        )
+        assignments: List[ShardAssignment] = []
+        while len(assignments) < count:
+            if global_id == len(self._shard_of):
+                self._route_next()
+            shard_id = self._shard_of[global_id]
+            if self._rank_of[global_id] >= committed[shard_id]:
+                assignments.append(ShardAssignment(global_id, shard_id))
+            global_id += 1
+        return assignments
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._shard_of)
+        return sum(len(d) for d in self._documents)
 
     def has(self, global_id: int) -> bool:
-        """Whether ``global_id`` has a committed map record."""
-        return 0 <= global_id < len(self._shard_of)
+        """Whether a shard has committed ``global_id``."""
+        return (
+            0 <= global_id < len(self._shard_of)
+            and self._rank_of[global_id] < len(self._documents[self._shard_of[global_id]])
+        )
 
     def to_local(self, global_id: int) -> Tuple[int, int]:
-        """``(shard_id, local_id)`` of a routed document."""
+        """``(shard_id, local_id)`` of a committed document."""
         if not self.has(global_id):
-            raise WorkloadError(f"global doc ID {global_id} has no document-map record")
-        return self._shard_of[global_id], self._local_of[global_id]
+            raise WorkloadError(f"global doc ID {global_id} names no committed document")
+        shard_id = self._shard_of[global_id]
+        return shard_id, self._documents[shard_id].committed_id(self._rank_of[global_id])
 
     def to_global(self, shard_id: int, local_id: int) -> int:
         """Global ID behind a shard-local document ID.
 
-        Shard-local IDs with no map record — e.g. postings stuffed
-        directly into a shard's lists — translate to a unique *negative*
-        synthetic ID, so they flow through ranking and into result
-        verification (where their lack of a WORM document exposes them)
-        instead of crashing the query path.
+        A local ID no routed commit-time record names — a posting
+        stuffed directly into a shard's lists, an ID a crash burned, or
+        a document committed on a shard behind the router's back —
+        translates to a unique *negative* synthetic ID, so it flows
+        through ranking and into result verification (where its lack of
+        a WORM document exposes it) instead of crashing the query path.
         """
         if not 0 <= shard_id < self.num_shards:
             raise WorkloadError(f"shard {shard_id} outside [0, {self.num_shards})")
+        rank = self._documents[shard_id].rank(local_id)
         shard_globals = self._globals[shard_id]
-        if 0 <= local_id < len(shard_globals):
-            return shard_globals[local_id]
+        if 0 <= rank < len(shard_globals):
+            return shard_globals[rank]
         return -(1 + shard_id + local_id * self.num_shards)
 
     def shard_size(self, shard_id: int) -> int:
-        """Documents routed to ``shard_id`` so far."""
-        return len(self._globals[shard_id])
+        """Documents committed on ``shard_id``."""
+        return len(self._documents[shard_id])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = [len(g) for g in self._globals]
-        return (
-            f"ShardRouter(shards={self.num_shards}, docs={len(self)}, "
-            f"sizes={sizes})"
-        )
+        sizes = [len(d) for d in self._documents]
+        return f"ShardRouter(shards={self.num_shards}, docs={len(self)}, sizes={sizes})"

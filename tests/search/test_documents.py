@@ -1,9 +1,12 @@
 """Unit tests for the WORM-resident document store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UnknownFileError
 from repro.search.documents import DocumentStore
+from repro.worm.storage import CachedWormStore
 
 
 @pytest.fixture()
@@ -69,3 +72,29 @@ class TestRead:
         # Appending *more* bytes is legal but does not alter the original.
         before = block.read()
         assert before == b"original"
+
+
+class TestRank:
+    """A committed ID's rank counts the committed IDs below it, and
+    ``committed_id`` inverts it, across IDs a crash burned."""
+
+    @given(st.lists(st.booleans(), max_size=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_inverts_committed_id(self, burns, data):
+        store = CachedWormStore(None, block_size=256)
+        docs = DocumentStore(store)
+        committed = []
+        for burn in burns:
+            if burn:  # a crash left this ID's file with no commit record
+                store.device.create_file(docs.file_name(docs.next_doc_id))
+            committed.append(docs.commit("text", commit_time=len(committed)))
+        if data.draw(st.booleans()):  # the same IDs, restored from the log
+            restored = DocumentStore(store)
+            restored.restore(docs.next_doc_id, {i: 0 for i in committed})
+            docs = restored
+        assert docs.has_burned == any(burns)
+        for rank, doc_id in enumerate(committed):
+            assert docs.rank(doc_id) == rank
+            assert docs.committed_id(rank) == doc_id
+        for doc_id in range(docs.next_doc_id):
+            assert (docs.rank(doc_id) == -1) == docs.is_burned(doc_id)

@@ -8,20 +8,25 @@ store and checking that queries, statistics and trust checks all
 survive.
 """
 
+import os
 import shutil
 from dataclasses import replace
 
 import pytest
 
 from repro.adversary.detection import full_engine_audit
+from repro.cli import open_archive
 from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
+from repro.sharding import ShardedSearchEngine
+from repro.sharding.router import stable_shard
 from repro.worm.faults import FaultInjectingWormDevice, FaultPlan, SimulatedCrashError
 from repro.worm.persistent import JournaledWormDevice
 from repro.worm.storage import CachedWormStore
 
 
 CONFIG = EngineConfig(num_lists=32, branching=4, block_size=512)
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 TEXTS = [
     "imclone trading memo for stewart and waksal",
@@ -224,5 +229,184 @@ class TestCommitCrashRecovery:
         assert all(report.ok for report in full_engine_audit(reopened))
         documents = reopened.documents
         assert len(documents) == len(self.BEFORE) + survived + len(self.AFTER)
+        assert reopened.archive_stats()["burned_documents"] == documents.next_doc_id - len(
+            documents
+        )
         reopened.store.device.close()
         return documents.next_doc_id - len(documents)
+
+
+class TestShardedCommitCrashRecovery:
+    """Power loss at any WAL stage of any write one 2-shard batch makes,
+    on either shard's journal, leaves an archive that reopens, takes new
+    batches and answers like one built from the documents that survived.
+
+    A batch routes its documents and then commits each shard's group in
+    turn; a shard's commit-time record is the one commit point of a
+    document, and fixes its global ID.  A crash commits the groups of
+    the shards before the crashed one, a prefix of its own group and
+    nothing after.  The global IDs left uncommitted are holes, and the
+    next batch's documents routed to those shards take them.
+    """
+
+    #: Global IDs 0 and 2 are the first on shards 1 and 0: each shard
+    #: meets the batch's terms in one order before the batch, so no
+    #: batch document adds a term and term IDs (with them every score's
+    #: bits) do not depend on what survived.
+    BEFORE = [
+        "alpha beta gamma delta epsilon memo",
+        "beta gamma gamma",
+        "alpha beta gamma delta epsilon filing",
+        "alpha delta delta",
+    ]
+    #: Global IDs 4–9: shard 0 gets five, shard 1 the fourth.
+    BATCH = [
+        "alpha alpha beta",
+        "gamma delta",
+        "beta epsilon epsilon",
+        "alpha gamma delta",
+        "delta epsilon alpha beta",
+        "gamma gamma gamma",
+    ]
+    #: As many as the batch, so they fill every hole it can leave.
+    AFTER = [
+        "alpha zeta",
+        "beta gamma zeta",
+        "epsilon",
+        "alpha beta delta",
+        "zeta zeta gamma",
+        "beta epsilon alpha",
+    ]
+    QUERIES = ["alpha", "gamma delta", "+alpha +beta", "epsilon zeta", "+beta +gamma", "memo"]
+    CONFIG = EngineConfig(num_lists=4, branching=4, block_size=512, tail_max_docs=100)
+
+    def open(self, path, crash=None):
+        """The archive at ``path``: ``(engine, devices)``, coordinator
+        first; ``crash`` is ``(shard, plan)`` for one shard's journal."""
+        devices = [JournaledWormDevice(path, block_size=512)]
+        for shard_id in range(2):
+            shard_path = f"{path}.shard{shard_id}"
+            if crash is not None and crash[0] == shard_id:
+                devices.append(
+                    FaultInjectingWormDevice(shard_path, plan=crash[1], block_size=512)
+                )
+            else:
+                devices.append(JournaledWormDevice(shard_path, block_size=512))
+        engine = ShardedSearchEngine(
+            self.CONFIG,
+            num_shards=2,
+            store_factory=lambda i: CachedWormStore(None, device=devices[i + 1]),
+            coordinator_store=CachedWormStore(None, device=devices[0]),
+        )
+        return engine, devices
+
+    def copy(self, source, path):
+        for suffix in ("", ".shard0", ".shard1"):
+            shutil.copy(source + suffix, path + suffix)
+
+    def answers(self, engine):
+        text = engine.documents.get
+        return {
+            query: [(text(r.doc_id).text, r.score.hex()) for r in engine.search(query, top_k=40)]
+            for query in self.QUERIES
+        }
+
+    def texts(self, engine):
+        """Every committed document's text, by global ID."""
+        documents = engine.documents
+        every_id = range(len(self.BEFORE + self.BATCH + self.AFTER))
+        return {g: documents.get(g).text for g in every_id if documents.exists(g)}
+
+    def test_crash_sweep_over_every_batch_write(self, tmp_path):
+        template = str(tmp_path / "template.worm")
+        engine, devices = self.open(template)
+        assert engine.index_batch(self.BEFORE) == [0, 1, 2, 3]
+        for device in devices:
+            device.close()
+
+        dry = str(tmp_path / "dry.worm")
+        ops = {}
+        for shard_id in range(2):
+            self.copy(template, dry)
+            plan = FaultPlan()
+            engine, devices = self.open(dry, crash=(shard_id, plan))
+            assert engine.index_batch(self.BATCH) == list(range(4, 10))
+            for device in devices:
+                device.close()
+            for op in ("create", "append"):
+                ops[shard_id, op] = plan.count(f"{op}:between-log-and-apply")
+        # Per document: its file's create, its text and its commit-time
+        # record (tail mode keeps postings in memory; no new terms).
+        assert ops == {(0, "create"): 5, (0, "append"): 10, (1, "create"): 1, (1, "append"): 2}
+
+        for (shard_id, op), total in sorted(ops.items()):
+            for call in range(1, total + 1):
+                for stage in ("between-log-and-apply", "after-apply"):
+                    path = str(tmp_path / f"{shard_id}-{op}-{stage}-{call}.worm")
+                    self.copy(template, path)
+                    plan = FaultPlan().crash(f"{op}:{stage}", on_call=call)
+                    crashing, devices = self.open(path, crash=(shard_id, plan))
+                    with pytest.raises(SimulatedCrashError):
+                        crashing.index_batch(self.BATCH)
+                    for device in devices:
+                        device.close()
+                    # Every write before a document's commit-time record
+                    # (each second append) burns its ID.
+                    at_commit_record = op == "append" and call % 2 == 0
+                    assert self.check_recovery(path, shard_id) == (0 if at_commit_record else 1)
+
+    def test_a_map_record_no_shard_committed_is_not_read(self, tmp_path):
+        """What a crash left when the coordinator stored a document map,
+        written before any shard committed: a map record for a document
+        no shard holds.  Code that read the map refused every later
+        batch ("shard and map are out of step")."""
+        path = str(tmp_path / "archive.worm")
+        for suffix in ("", ".shard00", ".shard01"):
+            shutil.copy(os.path.join(DATA, "sharded_archive_docmap.worm") + suffix, path + suffix)
+        device = JournaledWormDevice(path)
+        shard_id = stable_shard(30, 2)
+        local_id = sum(stable_shard(g, 2) == shard_id for g in range(30))
+        device.open_file("shard/doc-map").append_record(f"30 {shard_id} {local_id}\n".encode())
+        device.close()
+        engine, handle = open_archive(path)
+        try:
+            assert len(engine.documents) == 30
+            assert engine.index_batch(["residue memo", "residue ledger"]) == [30, 31]
+            assert {r.doc_id for r in engine.search("residue", verify=True)} == {30, 31}
+        finally:
+            handle.close()
+
+    def check_recovery(self, path, crashed_shard):
+        """Reopen, ingest, reopen; returns ``burned_documents``."""
+        recovered, devices = self.open(path)
+        survivors = self.texts(recovered)
+        assert {g: survivors[g] for g in range(4)} == dict(enumerate(self.BEFORE))
+        batch = {g: text for g, text in survivors.items() if g >= 4}
+        # Every surviving batch document holds the ID the batch routed it
+        # to: the groups of the shards before the crashed one and a
+        # prefix of the crashed shard's own group.
+        assert all(self.BATCH[g - 4] == text for g, text in batch.items())
+        groups = [[g for g in range(4, 10) if stable_shard(g, 2) == s] for s in range(2)]
+        committed = [[g for g in group if g in batch] for group in groups]
+        assert committed[crashed_shard] == groups[crashed_shard][: len(committed[crashed_shard])]
+        assert committed[:crashed_shard] == groups[:crashed_shard]
+        assert not any(committed[crashed_shard + 1 :])
+
+        records = devices[0].records
+        after_ids = recovered.index_batch(self.AFTER)
+        assert devices[0].records == records  # the coordinator is not written
+        expected = {**survivors, **dict(zip(after_ids, self.AFTER))}
+        assert sorted(expected) == list(range(len(expected)))  # every hole filled
+        for device in devices:
+            device.close()
+
+        reopened, devices = self.open(path)
+        assert self.texts(reopened) == expected
+        reference = ShardedSearchEngine(self.CONFIG, num_shards=2)
+        reference.index_batch([expected[g] for g in sorted(expected)])
+        assert self.answers(reopened) == self.answers(reference)
+        assert all(report.ok for report in full_engine_audit(reopened))
+        burned = reopened.archive_stats()["burned_documents"]
+        for device in devices:
+            device.close()
+        return burned

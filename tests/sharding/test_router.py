@@ -1,15 +1,32 @@
-"""The shard router: stable placement and the WORM document map."""
+"""The shard router: stable placement, and global IDs derived from the
+shards' commit-time logs."""
 
 import pytest
 
-from repro.errors import TamperDetectedError, WorkloadError
-from repro.sharding.router import MAP_FILE, ShardRouter, stable_shard
+from repro.errors import WorkloadError
+from repro.search.engine import EngineConfig, TrustworthySearchEngine
+from repro.sharding.router import ShardRouter, stable_shard
 from repro.worm.storage import CachedWormStore
 
+CONFIG = EngineConfig(num_lists=8, block_size=512, branching=4)
 
-@pytest.fixture()
-def store():
-    return CachedWormStore(None, block_size=4096)
+
+def open_shards(stores):
+    """Shard engines over ``stores``; over used stores, a reopen."""
+    shards = [TrustworthySearchEngine(CONFIG, store=store) for store in stores]
+    return shards, ShardRouter([shard.documents for shard in shards])
+
+
+def new_shards(num_shards):
+    return open_shards([CachedWormStore(None, block_size=512) for _ in range(num_shards)])
+
+
+def ingest(router, shards, count):
+    """Route ``count`` documents and commit each on its shard."""
+    assignments = router.assign_many(count)
+    for a in assignments:
+        shards[a.shard_id].index_document(f"document g{a.global_id}")
+    return assignments
 
 
 class TestStableShard:
@@ -36,120 +53,122 @@ class TestStableShard:
 
 
 class TestAssignment:
-    def test_global_ids_dense(self, store):
-        router = ShardRouter(store, 3)
-        assignments = router.assign_many(50)
+    def test_global_ids_dense(self):
+        shards, router = new_shards(3)
+        assignments = ingest(router, shards, 50)
         assert [a.global_id for a in assignments] == list(range(50))
+        assert [a.shard_id for a in assignments] == [stable_shard(g, 3) for g in range(50)]
 
-    def test_local_ids_monotonic_per_shard(self, store):
-        router = ShardRouter(store, 3)
-        assignments = router.assign_many(100)
-        next_local = [0, 0, 0]
-        for a in assignments:
-            assert a.local_id == next_local[a.shard_id]
-            next_local[a.shard_id] += 1
+    def test_assignment_writes_nothing(self):
+        shards, router = new_shards(3)
+        ingest(router, shards, 5)
+        # Until a shard commits them, the same IDs are handed out again.
+        assert router.assign_many(4) == router.assign_many(4)
+        assert [a.global_id for a in router.assign_many(4)] == [5, 6, 7, 8]
+        assert len(router) == 5
 
-    def test_round_trip_lookup(self, store):
-        router = ShardRouter(store, 4)
-        for a in router.assign_many(60):
-            assert router.to_local(a.global_id) == (a.shard_id, a.local_id)
-            assert router.to_global(a.shard_id, a.local_id) == a.global_id
+    def test_local_ids_monotonic_per_shard(self):
+        stores = [CachedWormStore(None, block_size=512) for _ in range(3)]
+        shards, router = open_shards(stores)
+        assignments = ingest(router, shards, 100)
+        for _ in range(2):  # this session, then a reopen
+            next_local = [0, 0, 0]
+            for a in assignments:
+                assert router.to_local(a.global_id) == (a.shard_id, next_local[a.shard_id])
+                next_local[a.shard_id] += 1
+            shards, router = open_shards(stores)
 
-    def test_unknown_global_id_rejected(self, store):
-        router = ShardRouter(store, 2)
-        router.assign_many(3)
+    def test_round_trip_lookup(self):
+        shards, router = new_shards(4)
+        for a in ingest(router, shards, 60):
+            shard_id, local_id = router.to_local(a.global_id)
+            assert shard_id == a.shard_id
+            assert router.to_global(shard_id, local_id) == a.global_id
+            text = shards[shard_id].documents.get(local_id).text
+            assert text == f"document g{a.global_id}"
+
+    def test_unknown_global_id_rejected(self):
+        shards, router = new_shards(2)
+        ingest(router, shards, 3)
         assert not router.has(3)
+        assert not router.has(-1)
         with pytest.raises(WorkloadError):
             router.to_local(3)
+        # Past the highest committed ID the answer needs no routing table.
+        assert not router.has(10**12)
+        assert len(router._shard_of) < 10
 
-    def test_unmapped_local_gets_negative_synthetic_id(self, store):
-        router = ShardRouter(store, 3)
-        router.assign_many(10)
+    def test_unmapped_local_gets_negative_synthetic_id(self):
+        shards, router = new_shards(3)
+        ingest(router, shards, 10)
         synthetic = router.to_global(1, router.shard_size(1) + 5)
         assert synthetic < 0
         assert not router.has(synthetic)
 
-    def test_synthetic_ids_unique(self, store):
-        router = ShardRouter(store, 3)
+    def test_synthetic_ids_unique(self):
+        _, router = new_shards(3)
         seen = set()
         for shard_id in range(3):
             for local_id in range(router.shard_size(shard_id), 20):
                 seen.add(router.to_global(shard_id, local_id))
         assert len(seen) == sum(20 - router.shard_size(s) for s in range(3))
 
-    def test_invalid_shard_count(self, store):
+    def test_burned_local_id_maps_to_nothing(self):
+        shards, router = new_shards(2)
+        ingest(router, shards, 6)
+        shard = shards[0]
+        burned = shard.documents.next_doc_id
+        # A crash left this ID's file behind with no commit-time record.
+        shard.store.device.create_file(shard.documents.file_name(burned))
+        later = ingest(router, shards, 6)
+        on_shard = [a.global_id for a in later if a.shard_id == 0]
+        assert on_shard
+        assert router.to_local(on_shard[0]) == (0, burned + 1)
+        assert router.to_global(0, burned + 1) == on_shard[0]
+        assert router.to_global(0, burned) < 0
+        for a in later:
+            shard_id, local_id = router.to_local(a.global_id)
+            assert shards[shard_id].documents.get(local_id).text == f"document g{a.global_id}"
+
+    def test_invalid_shard_count(self):
         with pytest.raises(WorkloadError):
-            ShardRouter(store, 0)
+            ShardRouter([])
 
 
 class TestPersistence:
-    def test_restore_from_worm_map(self, store):
-        router = ShardRouter(store, 3)
-        originals = router.assign_many(40)
-        reopened = ShardRouter(store, 3)
+    def test_restore_from_worm_map(self):
+        # The mapping comes back from the shards' commit-time logs.
+        stores = [CachedWormStore(None, block_size=512) for _ in range(3)]
+        shards, router = open_shards(stores)
+        originals = ingest(router, shards, 40)
+        expected = {a.global_id: router.to_local(a.global_id) for a in originals}
+        _, reopened = open_shards(stores)
         assert len(reopened) == 40
-        for a in originals:
-            assert reopened.to_local(a.global_id) == (a.shard_id, a.local_id)
+        assert {g: reopened.to_local(g) for g in expected} == expected
 
-    def test_verify_clean_map(self, store):
-        router = ShardRouter(store, 3)
-        router.assign_many(25)
-        assert router.verify() == 25
+    def test_restore_continues_assignment(self):
+        stores = [CachedWormStore(None, block_size=512) for _ in range(2)]
+        shards, router = open_shards(stores)
+        ingest(router, shards, 10)
+        _, reopened = open_shards(stores)
+        assert reopened.assign_many(1)[0].global_id == 10
 
-    def test_restore_continues_assignment(self, store):
-        ShardRouter(store, 2).assign_many(10)
-        reopened = ShardRouter(store, 2)
-        assert reopened.assign().global_id == 10
-
-
-class TestTamperDetection:
-    def test_wrong_shard_detected(self, store):
-        router = ShardRouter(store, 3)
-        router.assign_many(5)
-        # Mala appends a map record routing the next document to a shard
-        # other than the one its global ID hashes to.
-        global_id = 5
-        wrong = (stable_shard(global_id, 3) + 1) % 3
-        store.open_file(MAP_FILE).append_record(
-            f"{global_id} {wrong} 0\n".encode("ascii")
-        )
-        with pytest.raises(TamperDetectedError) as exc:
-            ShardRouter(store, 3)
-        assert exc.value.invariant == "doc-map-placement"
-
-    def test_sparse_global_id_detected(self, store):
-        router = ShardRouter(store, 2)
-        router.assign_many(4)
-        store.open_file(MAP_FILE).append_record(
-            f"9 {stable_shard(9, 2)} 0\n".encode("ascii")
-        )
-        with pytest.raises(TamperDetectedError) as exc:
-            ShardRouter(store, 2)
-        assert exc.value.invariant == "doc-map-density"
-
-    def test_local_id_gap_detected(self, store):
-        router = ShardRouter(store, 2)
-        router.assign_many(4)
-        shard = stable_shard(4, 2)
-        bogus_local = router.shard_size(shard) + 3
-        store.open_file(MAP_FILE).append_record(
-            f"4 {shard} {bogus_local}\n".encode("ascii")
-        )
-        with pytest.raises(TamperDetectedError) as exc:
-            ShardRouter(store, 2)
-        assert exc.value.invariant == "doc-map-local-monotonicity"
-
-    def test_garbage_record_detected(self, store):
-        router = ShardRouter(store, 2)
-        router.assign_many(2)
-        store.open_file(MAP_FILE).append_record(b"not a map record\n")
-        with pytest.raises(TamperDetectedError) as exc:
-            ShardRouter(store, 2)
-        assert exc.value.invariant == "doc-map-format"
-
-    def test_verify_flags_appended_tampering(self, store):
-        router = ShardRouter(store, 2)
-        router.assign_many(6)
-        store.open_file(MAP_FILE).append_record(b"99 0 99\n")
-        with pytest.raises(TamperDetectedError):
-            router.verify()
+    def test_uncommitted_ids_are_handed_out_first(self):
+        stores = [CachedWormStore(None, block_size=512) for _ in range(2)]
+        shards, router = open_shards(stores)
+        ingest(router, shards, 10)
+        # A batch whose shard-1 group never committed: its IDs are holes.
+        batch = router.assign_many(8)
+        for a in batch:
+            if a.shard_id == 0:
+                shards[0].index_document(f"document g{a.global_id}")
+        holes = [a.global_id for a in batch if a.shard_id == 1]
+        assert holes
+        shards, reopened = open_shards(stores)
+        assert len(reopened) == 10 + 8 - len(holes)
+        assert not any(reopened.has(g) for g in holes)
+        refill = ingest(reopened, shards, len(holes) + 3)
+        assert [a.global_id for a in refill[: len(holes)]] == holes
+        assert all(a.global_id >= 18 for a in refill[len(holes) :])
+        assert len(reopened) == 21
+        assert all(reopened.has(g) for g in range(21))

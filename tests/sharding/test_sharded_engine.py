@@ -1,5 +1,9 @@
 """The sharded engine: equivalence, batching, and trust properties."""
 
+import json
+import os
+import shutil
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -8,14 +12,17 @@ from hypothesis import strategies as st
 
 from repro.adversary.attacks import posting_stuffing_attack
 from repro.adversary.detection import full_sharded_audit
+from repro.cli import open_archive
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig
 from repro.search.profiling import profile_sharded_query
 from repro.sharding import ShardedSearchEngine
 from repro.worm.storage import CachedWormStore
+from tests.data.make_sharded_archive import answers, placement
 from tests.helpers import SHARD_CONFIG, build_engine_pair
 
 CONFIG = SHARD_CONFIG
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 VOCAB = [f"term{i}" for i in range(12)]
 
@@ -220,17 +227,6 @@ class TestTrust:
             )
             assert {r.doc_id for r in again} == set(range(8))
 
-    def test_map_tampering_fails_audit(self):
-        sharded = ShardedSearchEngine(CONFIG, num_shards=2)
-        with sharded:
-            sharded.index_batch(["a b", "c d", "e f"])
-            sharded.coordinator.open_file("shard/doc-map").append_record(
-                b"99 0 99\n"
-            )
-            reports = full_sharded_audit(sharded)
-            bad = [r for r in reports if not r.ok]
-            assert [r.subject for r in bad] == ["shard document map"]
-
     def test_clean_archive_passes_audit(self):
         sharded = ShardedSearchEngine(CONFIG, num_shards=3)
         with sharded:
@@ -331,6 +327,57 @@ class TestProfiling:
                 p.blocks_read for p in profile.per_shard
             )
             assert "4 shards" in profile.summary()
+
+
+class TestArchiveWithADocumentMap:
+    """An archive whose coordinator stored a document map (``shard/doc-map``,
+    written by commit c5c5966) opens with the placement and answers that
+    commit recorded, though nothing reads the map, and keeps ingesting."""
+
+    @staticmethod
+    def copy_archive(tmp_path):
+        """The fixture's journals copied under ``tmp_path``, and what it recorded."""
+        with open(os.path.join(DATA, "sharded_archive_docmap.json")) as handle:
+            recorded = json.load(handle)
+        path = str(tmp_path / "archive.worm")
+        for suffix in ("", ".shard00", ".shard01"):
+            shutil.copy(os.path.join(DATA, "sharded_archive_docmap.worm") + suffix, path + suffix)
+        return path, recorded
+
+    def test_concurrent_searches_after_reopen(self, tmp_path):
+        # Searches share a reader lock in the service, so lookups on a
+        # freshly reopened archive must only read the routing table.
+        path, recorded = self.copy_archive(tmp_path)
+        engine, handle = open_archive(path)
+        try:
+            table = list(engine.router._shard_of)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = list(pool.map(lambda _: answers(engine), range(16)))
+            assert all(run == recorded["answers"] for run in runs)
+            assert engine.router._shard_of == table
+            assert placement(engine) == recorded["placement"]
+            for g, (shard_id, local_id) in enumerate(recorded["placement"]):
+                assert engine.router.to_global(shard_id, local_id) == g
+        finally:
+            handle.close()
+
+    def test_same_placement_and_answers_then_ingest(self, tmp_path):
+        path, recorded = self.copy_archive(tmp_path)
+        engine, handle = open_archive(path)
+        assert placement(engine) == recorded["placement"]
+        assert answers(engine) == recorded["answers"]
+        assert engine.index_batch(["memo ledger appended", "audit appended"]) == [30, 31]
+        handle.close()
+
+        engine, handle = open_archive(path)
+        try:
+            assert placement(engine)[:30] == recorded["placement"]
+            texts = recorded["texts"] + ["memo ledger appended", "audit appended"]
+            assert [engine.documents.get(g).text for g in range(32)] == texts
+            assert {r.doc_id for r in engine.search("appended", verify=True)} == {30, 31}
+            assert all(report.ok for report in full_sharded_audit(engine))
+        finally:
+            handle.close()
 
 
 class TestConstruction:
