@@ -232,7 +232,7 @@ class PostingList:
         if self.read_cache is not None:
             # The tail block's decoded contents just changed; frozen
             # blocks are untouched, so this is the only key to drop.
-            self.read_cache.invalidate(self.name, block_no)
+            self.read_cache.invalidate((self.name, block_no))
         return block_no, index
 
     def append_blocks(
@@ -304,7 +304,7 @@ class PostingList:
             self.count += end - start
             self.last_doc_id = last
             if self.read_cache is not None:
-                self.read_cache.invalidate(self.name, block_no)
+                self.read_cache.invalidate((self.name, block_no))
             yield block_no, index, doc_ids[start:end]
             start = end
 
@@ -354,12 +354,12 @@ class PostingList:
         """
         cache = self.read_cache
         if cache is not None:
-            entries = cache.get(self.name, block_no)
+            entries = cache.get((self.name, block_no))
             if entries is not None:
                 return entries, True
         entries = self.read_block_postings(block_no, counted=False)
         if cache is not None:
-            cache.put(self.name, block_no, entries)
+            cache.put((self.name, block_no), entries)
         return entries, False
 
     def cursor(self, *, term_code: Optional[int] = None) -> "PostingCursor":

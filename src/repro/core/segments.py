@@ -423,7 +423,9 @@ class ReadCosts:
 
     One accumulator per query: every family the query reads adds its
     share, and the engine records the totals once (metrics, trace span,
-    :func:`~repro.search.profiling.profile_query`).
+    :func:`~repro.search.profiling.profile_query`).  A family the read
+    cache's result tier answers reads nothing and adds nothing but to
+    ``families_cached``.
     """
 
     #: Distinct physical lists read.
@@ -441,6 +443,8 @@ class ReadCosts:
     #: Sealed segments a time-ranged query did not read: their manifest
     #: doc range misses the query's window.
     families_skipped: int = 0
+    #: Families whose retrieval the read cache's result tier served.
+    families_cached: int = 0
     per_list_blocks: Dict[int, int] = field(default_factory=dict)
 
     def charge(self, list_id: int, blocks: int) -> None:
@@ -572,6 +576,8 @@ class MergedListFamily:
         self.shared: Optional[SharedFile] = None
         self.shared_name: Optional[str] = None
         self._extents: Optional[Dict[int, Optional[Extent]]] = None
+        #: The sealed segment's number (``None``: the appendable family).
+        self.seg_no = info.seg_no if info is not None else None
         if info is not None:
             #: Every file of the segment is under this name.
             self.root = f"{SEGMENT_PREFIX}{info.seg_no:06d}/"
@@ -640,8 +646,8 @@ class MergedListFamily:
         same moment.  Each then builds a pair of its own; the pair is
         published by one assignment, so whichever lands last, everyone
         afterwards — the writer, which appends through the jump index's
-        list, and the result-cache fingerprint, which reads that list's
-        length — sees the same list.
+        list, and :meth:`growth_marks`, which reads that list's length —
+        sees the same list.
         """
         attached = self._lists.get(list_id)
         if attached is None:
@@ -747,6 +753,25 @@ class MergedListFamily:
         """The committed ``(list, jump index)`` holding ``term_id``'s
         postings, or ``None`` while that list has never been written."""
         return self._attach(self.list_for(term_id))
+
+    def growth_marks(self, term_ids: Iterable[int]) -> Tuple[int, ...]:
+        """The length of each list of ``term_ids`` that can still grow
+        (``-1`` while never written), by list ID: what a retrieval of
+        those terms from this family depends on that an append changes.
+
+        A sealed segment's short lists, and the lists its directory does
+        not name, are fixed by its manifest record, so its marks are its
+        long lists' lengths — usually none.
+        """
+        if self.shared is not None and self.shared.lists == self.shared.short_lists:
+            return ()
+        marks = []
+        for list_id in sorted({self.list_for(term_id) for term_id in term_ids}):
+            if self.shared is not None and self._directory().get(list_id, ()) is not None:
+                continue
+            attached = self._attach(list_id)
+            marks.append(-1 if attached is None else len(attached[0]))
+        return tuple(marks)
 
     # ------------------------------------------------------------------
     # write path
@@ -894,7 +919,9 @@ class MergedListFamily:
         wanted: Iterable[int],
         costs: Optional[ReadCosts] = None,
         peers: Sequence["MergedListFamily"] = (),
-    ) -> List[TermColumn]:
+        *,
+        cut: bool = False,
+    ):
         """The wanted terms' postings as ``(term_id, doc_ids, tfs)``
         columns (disjunctive path), ordered by ``(list id, term id)``;
         adds the scan's micro-costs to ``costs``.
@@ -905,6 +932,15 @@ class MergedListFamily:
         blocks concatenate — this family's, then every peer's — into one
         sorted column that is masked once per term, not once per family.
         Blocks are fetched, counted and cached one at a time, as ever.
+
+        With ``cut`` it returns ``(pieces, own)``: for this family and
+        then each peer, the columns of its own postings — every column
+        cut at the peers' first documents — and ``True``.  When a list
+        holds a posting outside the doc range of the family that stores
+        it (only stuffing puts one there, or a merge of a stuffed list),
+        the cut would hand it to another family: then this family's
+        piece is all the columns, the peers' are empty, and ``own`` is
+        ``False``.
         """
         if costs is None:
             costs = ReadCosts()
@@ -913,10 +949,15 @@ class MergedListFamily:
         terms_of: Dict[int, List[int]] = {}
         for term_id in sorted(set(wanted)):
             terms_of.setdefault(self.list_for(term_id), []).append(term_id)
+        # Where each peer's documents start: the cuts.
+        firsts = np.array([p.info.first_doc for p in peers], dtype=np.uint32) if cut else None
+        in_range = True
         columns: List[TermColumn] = []
         for list_id in sorted(terms_of):
             doc_ids, term_codes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
+            starts = []
             for family in (self, *peers):
+                starts.append(len(doc_ids))
                 attached = family._attach(list_id)
                 if attached is None:
                     continue
@@ -929,12 +970,31 @@ class MergedListFamily:
                     doc_ids.extend(block_docs)
                     term_codes.extend(block_codes)
             costs.entries += len(doc_ids)
+            if cut and peers and in_range:
+                # In range exactly when the column ascends and the cuts
+                # by doc range fall where each peer's postings start.
+                docs = np.frombuffer(doc_ids, dtype=f"u{doc_ids.itemsize}")
+                in_range = bool((docs[1:] >= docs[:-1]).all()) and (
+                    docs.searchsorted(firsts).tolist() == starts[1:]
+                )
             columns.extend(term_columns(doc_ids, term_codes, terms_of[list_id]))
         if cached:
             costs.block_cache_hits += (
                 self.read_cache.blocks.stats.hits - hits_before
             )
-        return columns
+        if not cut:
+            return columns
+        pieces: List[List[TermColumn]] = [[] for _ in range(1 + len(peers))]
+        if not (peers and in_range):
+            pieces[0] = columns
+            return pieces, in_range
+        for term_id, docs, tfs in columns:
+            start = 0
+            for piece, end in zip(pieces, [*docs.searchsorted(firsts).tolist(), len(docs)]):
+                if start < end:
+                    piece.append((term_id, docs[start:end], tfs[start:end]))
+                start = end
+        return pieces, True
 
     # ------------------------------------------------------------------
     # maintenance / audit

@@ -111,9 +111,8 @@ class MutableTailIndex:
         self._postings: Dict[int, List[Tuple[int, int]]] = {}
         self._docs: Dict[int, Dict[int, int]] = {}
         self._num_postings = 0
-        #: Bumped on every structural change (seal/clear).  A component
-        #: of the tier-2 result-cache fingerprint: cached results are
-        #: conservatively invalidated across seals.
+        #: Bumped on every structural change (seal/clear); reported as
+        #: ``segments_info()["tail_generation"]``.
         self.generation = 0
 
     # ------------------------------------------------------------------

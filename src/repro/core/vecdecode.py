@@ -176,10 +176,8 @@ def term_columns(
     The unpacking is :func:`~repro.core.posting.unpack_term_tf`'s: the
     term ID is the code's low 24 bits, the frequency its high byte, and
     a zero byte (a code written without packing) reads as 1.  An honest
-    list yields strictly ascending document IDs per term.  Anything else
-    — a stuffed duplicate of a ``(document, term)`` pair, a list whose
-    document IDs run backwards across the segments concatenated into it
-    — is put in order, the largest frequency of a pair winning.
+    list yields strictly ascending document IDs per term; anything else
+    is put in order by :func:`ascending`.
     """
     dtype = f"u{doc_ids.itemsize}"
     docs = np.frombuffer(doc_ids, dtype=dtype)
@@ -189,18 +187,24 @@ def term_columns(
     for term_id in term_ids:
         mask = terms == term_id
         term_docs = docs[mask]
-        if not len(term_docs):
-            continue
-        tfs = np.maximum(codes[mask] >> 24, 1)
-        if len(term_docs) > 1 and not (term_docs[1:] > term_docs[:-1]).all():
-            order = np.argsort(term_docs, kind="stable")
-            term_docs, tfs = term_docs[order], tfs[order]
-            first = np.flatnonzero(
-                np.concatenate(([True], term_docs[1:] != term_docs[:-1]))
-            )
-            term_docs, tfs = term_docs[first], np.maximum.reduceat(tfs, first)
-        columns.append((term_id, term_docs, tfs))
+        if len(term_docs):
+            tfs = np.maximum(codes[mask] >> 24, 1)
+            columns.append((term_id, *ascending(term_docs, tfs)))
     return columns
+
+
+def ascending(docs: np.ndarray, tfs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One term's ``(doc_ids, tfs)`` with the document IDs strictly
+    ascending: as they are, or — when a stuffed duplicate of a
+    ``(document, term)`` pair, or a list whose document IDs run backwards
+    across the families concatenated into it, broke the order — sorted,
+    each document once at the largest of its frequencies."""
+    if len(docs) > 1 and not (docs[1:] > docs[:-1]).all():
+        order = np.argsort(docs, kind="stable")
+        docs, tfs = docs[order], tfs[order]
+        first = np.flatnonzero(np.concatenate(([True], docs[1:] != docs[:-1])))
+        docs, tfs = docs[first], np.maximum.reduceat(tfs, first)
+    return docs, tfs
 
 
 class DecodedBlock:

@@ -39,18 +39,14 @@ from repro.search.join import (
 )
 from repro.search.query import Query, QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CosineScorer, CollectionStats
-from repro.search.readcache import (
-    DecodedBlockCache,
-    QueryResultCache,
-    ReadCache,
-)
+from repro.search.readcache import CacheTier, ReadCache
 
 __all__ = [
     "Analyzer",
     "BM25Scorer",
+    "CacheTier",
     "CollectionStats",
     "CosineScorer",
-    "DecodedBlockCache",
     "Document",
     "DocumentStore",
     "EngineConfig",
@@ -59,7 +55,6 @@ __all__ = [
     "Query",
     "QueryMode",
     "QueryProfile",
-    "QueryResultCache",
     "ReadCache",
     "SearchResult",
     "ShardedQueryProfile",

@@ -67,7 +67,14 @@ class DocumentStore:
 
         ``next_doc_id`` and ``commit_times`` come from the trustworthy
         commit-time log (the store's own counters are session-local).
+        A file above the last committed ID is an orphan a crash left
+        between a commit's create and its commit-time record: its ID is
+        burned now, not at the next commit — postings that commit
+        appended must not answer a query before then.  One ``exists``
+        probe per orphan, and one that finds none.
         """
+        while self.store.device.exists(self.file_name(next_doc_id)):
+            next_doc_id += 1
         self._next_doc_id = next_doc_id
         self._commit_times.update(commit_times)
         if len(self._commit_times) < next_doc_id:

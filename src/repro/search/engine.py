@@ -27,7 +27,6 @@ Example
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -54,7 +53,7 @@ from repro.core.segments import (
 )
 from repro.core.tail import MutableTailIndex, TailSnapshot
 from repro.core.time_index import CommitTimeIndex
-from repro.core.vecdecode import TermColumn
+from repro.core.vecdecode import TermColumn, ascending
 from repro.core import verification
 from repro.core.verification import AuditReport
 from repro.errors import WorkloadError
@@ -116,12 +115,12 @@ class EngineConfig:
         ``"bm25"`` or ``"cosine"``.
     read_cache:
         Enable the two-tier read-path cache
-        (:mod:`repro.search.readcache`): decoded posting blocks and
-        query results (length-fingerprint invalidated).  Session-scoped
+        (:mod:`repro.search.readcache`): decoded posting blocks and each
+        list family's retrieval of a query's terms.  Session-scoped
         acceleration only — it never shapes committed WORM state, so
         archives created with and without it are byte-identical.
     read_cache_mb:
-        Approximate in-memory budget of the decoded-block tier, in MB.
+        Approximate in-memory budget of both tiers together, in MB.
     tail_max_docs:
         Enable write–read decoupling: ingest lands in a mutable
         in-memory tail (:mod:`repro.core.tail`) that auto-seals into an
@@ -202,14 +201,13 @@ class Candidates:
 
     ``doc_ids`` holds every matched document once, ascending; ``len()``
     counts those.  ``columns`` holds one ``(term_id, doc_ids, tfs)``
-    triple per query term and group of the index it was found in:
-    strictly ascending document IDs beside the term's frequency in each.
-    ``everywhere`` names the terms *every* document holds, scored on
-    presence (``tf`` 1): a conjunctive join's answer is its document
-    list and the query's terms, and builds nothing per term.  A
-    ``(document, term)`` pair is in at most one column.  Ranking
-    (:func:`repro.search.ranking.rank`) reads the columns whole, and so
-    does the result cache, which hands the same object to every hit.
+    triple per query term found: strictly ascending document IDs beside
+    the term's frequency in each.  ``everywhere`` names the terms
+    *every* document holds, scored on presence (``tf`` 1): a
+    conjunctive join's answer is its document list and the query's
+    terms, and builds nothing per term.  Ranking
+    (:func:`repro.search.ranking.rank`) reads the columns whole; they
+    may be arrays the read cache shares, so nothing writes to them.
     Scoring meets a document's terms in ascending term ID, whichever
     path found them, so every layout sums a score in one order.
     :meth:`rows` is the ``doc_id -> {term_id: tf}`` form, built afresh.
@@ -244,14 +242,6 @@ class Candidates:
         first[0] = True
         np.not_equal(merged[1:], merged[:-1], out=first[1:])
         return merged[first]
-
-    def frozen(self) -> "Candidates":
-        """This object, its arrays made read-only: what is shared (the
-        result cache's entries) cannot be written through."""
-        self.doc_ids.flags.writeable = False
-        for _, docs, tfs in self.columns:
-            docs.flags.writeable = tfs.flags.writeable = False
-        return self
 
     def keep(self, mask: np.ndarray) -> "Candidates":
         """The candidates whose row of ``doc_ids`` ``mask`` selects."""
@@ -327,36 +317,53 @@ class Candidates:
 _NO_CANDIDATES = Candidates()
 
 
-def _max_merge_repeats(columns: List[TermColumn]) -> List[TermColumn]:
-    """``columns`` with every ``(document, term)`` pair in one column.
+class _Stage:
+    """``with`` one query stage: its histogram ``series`` (``None`` with
+    metrics off) times the block, and its ``span`` of ``trace``, if any,
+    is what the block gets and is finished after it.  A class, not a
+    generator: on a query the result tier answers, timing its stages
+    costs as much as its lookups do."""
 
-    Groups of families and the tail cover disjoint documents, so the
-    columns one term gets from each do not overlap — unless a posting
-    was stuffed into one group under a document ID of another.  The
-    earlier column then keeps the pair, at the larger frequency (what
-    max-merging into one ``{term: tf}`` per document did).  Two columns
-    whose ID ranges are apart, the honest case, cost two comparisons.
+    __slots__ = ("series", "trace", "span", "start")
+
+    def __init__(self, series, trace, span):
+        self.series, self.trace, self.span = series, trace, span
+
+    def __enter__(self):
+        self.start = perf_counter()
+        return self.span
+
+    def __exit__(self, *exc_info) -> None:
+        if self.series is not None:
+            self.series.observe(perf_counter() - self.start)
+        if self.span is not None:
+            self.trace.finish(self.span)
+
+
+def _concatenated(pieces: Iterable[Sequence[TermColumn]]) -> List[TermColumn]:
+    """One column per term out of ``pieces`` — each family's columns in
+    view order, then the tail's: the term's parts end to end.
+
+    Each part ascends, and families and the tail cover disjoint,
+    ascending documents, so the parts line up end to end; a posting
+    stuffed into one of them under a document ID of another breaks the
+    order at a seam, and :func:`ascending` restores it, the larger
+    frequency of a repeated ``(document, term)`` pair winning.
     """
-    merged: List[TermColumn] = []
-    columns_of: Dict[int, List[int]] = {}
-    for term_id, docs, tfs in columns:
-        for index in columns_of.get(term_id, ()):
-            _, earlier_docs, earlier_tfs = merged[index]
-            if docs[0] > earlier_docs[-1] or docs[-1] < earlier_docs[0]:
-                continue
-            at = np.searchsorted(earlier_docs, docs)
-            at[at == len(earlier_docs)] = 0
-            repeated = earlier_docs[at] == docs
-            if repeated.any():
-                at = at[repeated]
-                earlier_tfs[at] = np.maximum(earlier_tfs[at], tfs[repeated])
-                docs, tfs = docs[~repeated], tfs[~repeated]
-                if not len(docs):
-                    break
-        else:
-            columns_of.setdefault(term_id, []).append(len(merged))
-            merged.append((term_id, docs, tfs))
-    return merged
+    parts: Dict[int, List[TermColumn]] = {}
+    for piece in pieces:
+        for column in piece:
+            parts.setdefault(column[0], []).append(column)
+    columns = []
+    for term_id, same in parts.items():
+        if len(same) > 1:
+            docs = np.concatenate([column[1] for column in same])
+            tfs = np.concatenate([column[2] for column in same])
+            if any(a[1][-1] >= b[1][0] for a, b in zip(same, same[1:])):
+                docs, tfs = ascending(docs, tfs)
+            same = [(term_id, docs, tfs)]
+        columns.append(same[0])
+    return columns
 
 
 class TrustworthySearchEngine:
@@ -617,25 +624,17 @@ class TrustworthySearchEngine:
             self._series_bound[(label, value)] = series
         return series
 
-    @contextmanager
-    def _stage(self, name: str, trace, **attrs):
+    def _stage(self, name: str, trace, **attrs) -> _Stage:
         """Time one query stage into the stage histogram and, when a
         :class:`~repro.observability.trace.QueryTrace` is attached, a
         span.  Yields the span (``None`` without a trace) so stages can
         :meth:`~repro.observability.trace.Span.note` their micro-costs.
         """
-        span = trace.begin(name, **attrs) if trace is not None else None
-        timed = self._metrics_on
-        start = perf_counter() if timed else 0.0
-        try:
-            yield span
-        finally:
-            if timed:
-                self._series(self._m_stage, "stage", name).observe(
-                    perf_counter() - start
-                )
-            if span is not None:
-                trace.finish(span)
+        return _Stage(
+            self._series(self._m_stage, "stage", name) if self._metrics_on else None,
+            trace,
+            trace.begin(name, **attrs) if trace is not None else None,
+        )
 
     # ------------------------------------------------------------------
     # lexicon
@@ -890,7 +889,8 @@ class TrustworthySearchEngine:
         assignment from the combined popularity, writes the merged
         segment, and retires the inputs with a single manifest append.
         Readers holding an older :meth:`index_view` keep their segments;
-        the retired segments' read-cache entries are dropped.  Returns
+        the retired segments' read-cache entries — their decoded blocks
+        and their retrievals — are dropped, and no other.  Returns
         the merged segment number (``None`` with fewer than two live
         segments).
         """
@@ -908,11 +908,11 @@ class TrustworthySearchEngine:
         )
         self._segments = (segment,)
         if self.read_cache is not None:
-            # Segment-retirement hook: the retired lists can never be
-            # read again, so their decoded blocks are dead weight.
-            # Only a list a query attached has any.
-            self.read_cache.forget_lists(
-                name for segment in retired for name in segment.attached_names()
+            # The retired segments can never be read again.  Only a list
+            # a query attached has decoded blocks in the cache.
+            self.read_cache.retire(
+                {name for segment in retired for name in segment.attached_names()},
+                {segment.info.seg_no for segment in retired},
             )
         if self._metrics_on:
             self._c_merges.inc()
@@ -971,7 +971,9 @@ class TrustworthySearchEngine:
         journal everything the tail is rebuilt from).  Otherwise they go to the
         merged WORM lists: appended now, in term order, or — inside
         :meth:`index_batch` — grouped per list into ``batch`` for one
-        pass per list before that call returns.
+        pass per list before that call returns.  The commit-time record,
+        which makes the document one, comes after its postings: here, or
+        with ``batch`` from :meth:`index_batch`, after the batch's.
         """
         if commit_time < self._clock:
             raise WorkloadError(
@@ -1008,7 +1010,8 @@ class TrustworthySearchEngine:
             else:
                 for t, code in codes.items():
                     batch.setdefault(list_for(t), []).append((doc_id, code))
-        self.time_index.record_commit(doc_id, commit_time)
+        if batch is None:
+            self.time_index.record_commit(doc_id, commit_time)
         self.stats.add_document(doc_id, id_counts)
         if self._metrics_on:
             self._c_docs.inc()
@@ -1057,7 +1060,7 @@ class TrustworthySearchEngine:
                     f"got {len(texts)} texts but {len(commit_times)} "
                     f"commit times"
                 )
-        postings_by_list: Dict[int, List[Tuple[int, int]]] = {}
+        postings_by_list = {} if self._tail is None else None
         doc_ids = [
             self._commit_document(
                 text,
@@ -1067,10 +1070,16 @@ class TrustworthySearchEngine:
             )
             for text, commit_time in zip(texts, commit_times)
         ]
-        # One pass per merged list; per-list entries are in ascending
-        # doc-id order by construction, so monotonicity invariants (and
-        # jump-pointer placement) are identical to per-document ingest.
-        self._family.append_many(sorted(postings_by_list.items()))
+        if postings_by_list is not None:
+            # One pass per merged list; per-list entries are in ascending
+            # doc-id order by construction, so monotonicity invariants
+            # (and jump-pointer placement) are identical to per-document
+            # ingest.  The commit-time records follow: a crash among the
+            # appends leaves IDs that no record commits — burned — not
+            # committed documents missing postings.
+            self._family.append_many(sorted(postings_by_list.items()))
+            for doc_id, commit_time in zip(doc_ids, commit_times):
+                self.time_index.record_commit(doc_id, commit_time)
         self._after_ingest()
         return doc_ids
 
@@ -1151,29 +1160,17 @@ class TrustworthySearchEngine:
         sealed segments whose manifest range misses the window are not
         read at all (``ReadCosts.families_skipped``).
 
-        With the read cache enabled, the whole retrieval phase is served
-        from the query-result tier when the list-length fingerprint
-        proves nothing it depends on has changed (see
-        :class:`~repro.search.readcache.QueryResultCache`); the cached
-        ``Candidates`` is immutable, so every hit is handed the same
-        object.  Ranking and result verification always re-run on top of
-        cached candidates.
+        With the read cache enabled, the result tier answers each family
+        whose retrieval of these terms it holds and whose lists that can
+        still grow have not (see :mod:`repro.search.readcache`): a sealed
+        segment's entry outlives every ingest into the tail.  The tail,
+        the union, the filters, ranking and result verification run for
+        every query.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
         term_ids = self._resolve(query.terms, trace)
         view = self.index_view()
-        cache = self.read_cache
-        cache_key = fingerprint = None
-        if cache is not None:
-            cache_key = self._query_cache_key(query)
-            fingerprint = self._query_fingerprint(term_ids, view)
-            with self._stage("cache", trace) as span:
-                cached = cache.results.get(cache_key, fingerprint)
-                if span is not None:
-                    span.note(hit=cached is not None)
-            if cached is not None:
-                return cached
         if costs is None:
             costs = ReadCosts()
         window = None
@@ -1202,13 +1199,9 @@ class TrustworthySearchEngine:
         elif query.mode is QueryMode.ALL:
             # The join's doc list and the query's terms, each present
             # in every document: nothing is built per document or term.
-            # Ascending and once each, whatever was stuffed: a list can
-            # repeat a document, or name one a later family holds.
-            joined = sorted(set(self._join(term_ids, view, trace, costs)))
+            joined = self._join(term_ids, view, trace, costs)
             candidates = (
-                Candidates((), np.array(joined, dtype=np.uint32), term_ids)
-                if joined
-                else _NO_CANDIDATES
+                Candidates((), joined, term_ids) if len(joined) else _NO_CANDIDATES
             )
         else:
             candidates = self._scan(term_ids, view, trace, costs)
@@ -1246,8 +1239,6 @@ class TrustworthySearchEngine:
                     candidates = candidates.keep(~np.array(dead, dtype=bool))
                 if span is not None:
                     span.note(kept=len(candidates))
-        if cache is not None:
-            cache.results.put(cache_key, fingerprint, candidates.frozen())
         return candidates
 
     def _resolve(self, terms: Sequence[str], trace) -> List[Optional[int]]:
@@ -1266,74 +1257,83 @@ class TrustworthySearchEngine:
                         seen[term_id] = seen.get(term_id, 0) + 1
         return term_ids
 
-    def _query_cache_key(self, query) -> Tuple:
-        """Normalized result-cache key: mode, deduped sorted terms, range."""
-        terms = tuple(sorted(dict.fromkeys(query.terms)))
-        return (query.mode.value, terms, query.time_range)
-
-    def _query_fingerprint(
-        self, term_ids: Sequence[Optional[int]], view
-    ) -> Tuple:
-        """Everything the candidate set depends on, as list lengths.
-
-        For each indexed query term: the current length of its physical
-        list in every family of the view (``-1`` while that list was
-        never written) and its posting count in the tail.  Appends are
-        the only way any posting list or the commit-time log changes,
-        and a document that could alter this query's candidates
-        necessarily appends to one of these lists or to the tail; a
-        never-indexed term becomes indexed when it first appears; the
-        disposition-log length covers disposals.  The tail generation
-        conservatively invalidates cached results across seals, whose
-        new segment may lay the same lengths out under another
-        assignment.
-        """
-        families, tail = view
-        known = sorted(t for t in term_ids if t is not None)
-        parts: List[int] = [len(known)]
-        for family in families:
-            for term_id in known:
-                found = family.posting_list_for(term_id)
-                parts.append(len(found[0]) if found is not None else -1)
-        retention = self._retention_if_any()
-        parts.append(len(retention) if retention is not None else 0)
-        if tail is not None:
-            parts.append(tail.generation)
-            parts.extend(len(tail.postings_for(t)) for t in known)
-        return tuple(parts)
-
     def read_cache_stats(self) -> Optional[Dict[str, object]]:
         """Per-tier read-cache counters (``None`` when caching is off)."""
         return self.read_cache.as_dict() if self.read_cache is not None else None
 
+    def _per_family(
+        self, families, mode: str, term_ids: Tuple[int, ...], read, trace, costs
+    ) -> List[object]:
+        """What each of ``families`` adds to the union for ``term_ids``
+        under ``mode`` (``"any"`` or ``"all"``), in view order.
+
+        ``read(families, cut)`` computes it: a piece per family and, per
+        piece, whether it is that family's own — with ``cut``, pieces the
+        result tier can keep.  With the read cache, the tier answers each
+        family whose piece it holds under the same
+        :meth:`~repro.core.segments.MergedListFamily.growth_marks`, and
+        ``read`` gets the rest.
+        """
+        cache = self.read_cache
+        if cache is None:
+            return read(families, False)[0]
+        with self._stage("cache", trace, families=len(families)) as span:
+            keys = [(family.seg_no, mode, term_ids) for family in families]
+            marks = [family.growth_marks(term_ids) for family in families]
+            pieces = [cache.results.get(key, mark) for key, mark in zip(keys, marks)]
+            missing = [at for at, piece in enumerate(pieces) if piece is None]
+            costs.families_cached += len(families) - len(missing)
+            if span is not None:
+                span.note(families_cached=len(families) - len(missing))
+        if missing:
+            found, own = read([families[at] for at in missing], True)
+            for at, piece, keep in zip(missing, found, own):
+                pieces[at] = piece
+                if keep:
+                    cache.results.put(keys[at], piece, marks[at])
+        return pieces
+
     def _scan(
         self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
     ) -> Candidates:
-        """Disjunctive retrieval: scan the merged lists of the query
-        terms in every family, then the tail; collect tf per doc.
+        """Disjunctive retrieval: every family's columns of the query
+        terms, then the tail's, concatenated per term.
 
-        Families of one layout are scanned together, by the first of
-        them (see ``MergedListFamily.collect_candidates``).
+        Families the result tier does not answer are scanned, those of
+        one layout together by the first of them (see
+        ``MergedListFamily.collect_candidates``), which also cuts out
+        each one's own piece for the tier.
         """
         families, tail = view
-        present = [t for t in term_ids if t is not None]
-        groups: Dict[object, List[MergedListFamily]] = {}
-        for family in families:
-            groups.setdefault(family.layout, []).append(family)
+        present = tuple(sorted({t for t in term_ids if t is not None}))
+
+        def read(missing, cut):
+            groups: Dict[object, List[int]] = {}
+            for at, family in enumerate(missing):
+                groups.setdefault(family.layout, []).append(at)
+            found, own = [[] for _ in missing], [False] * len(missing)
+            for ats in groups.values():
+                first, *peers = [missing[at] for at in ats]
+                if cut:
+                    pieces, mine = first.collect_candidates(present, costs, peers, cut=True)
+                else:
+                    pieces, mine = [first.collect_candidates(present, costs, peers)], False
+                for at, piece in zip(ats, pieces):
+                    found[at], own[at] = piece, mine
+            return found, own
+
         with self._stage(
             "scan",
             trace,
             families=len(families),
             families_skipped=costs.families_skipped,
         ) as span:
-            columns: List[TermColumn] = []
-            for first, *peers in groups.values():
-                columns += first.collect_candidates(present, costs, peers)
+            pieces = self._per_family(families, "any", present, read, trace, costs)
             if tail is not None:
                 tail_columns = tail.collect_candidates(present)
                 costs.entries += sum(len(docs) for _, docs, _ in tail_columns)
-                columns += tail_columns
-            columns = _max_merge_repeats(columns)
+                pieces.append(tail_columns)
+            columns = _concatenated(pieces)
             candidates = Candidates(columns) if columns else _NO_CANDIDATES
             if self._metrics_on:
                 self._c_scan_entries.inc(costs.entries)
@@ -1349,8 +1349,11 @@ class TrustworthySearchEngine:
 
     def _join(
         self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
-    ) -> List[int]:
-        """Conjunctive retrieval: zigzag-join each family, then the tail.
+    ) -> np.ndarray:
+        """Conjunctive retrieval: the documents each family joins — the
+        result tier's, or zigzag-joined — then the tail's, ascending and
+        once each, whatever was stuffed (a list can repeat a document,
+        or name one a later family holds).
 
         A never-indexed term short-circuits to no matches — a document
         cannot contain a term that has no postings.  The join's
@@ -1359,9 +1362,16 @@ class TrustworthySearchEngine:
         trace is attached, the ``join`` span's attributes.
         """
         if not term_ids or None in term_ids:
-            return []
+            return _NO_CANDIDATES.doc_ids
         families, tail = view
-        doc_ids: List[int] = []
+
+        def read(missing, cut):
+            found = [
+                np.array(family.conjunctive_doc_ids(term_ids, costs)[0], dtype=np.uint32)
+                for family in missing
+            ]
+            return found, [True] * len(found)
+
         with self._stage(
             "join",
             trace,
@@ -1369,10 +1379,15 @@ class TrustworthySearchEngine:
             families=len(families),
             families_skipped=costs.families_skipped,
         ) as span:
-            for family in families:
-                doc_ids.extend(family.conjunctive_doc_ids(term_ids, costs)[0])
-            if tail is not None:
-                doc_ids.extend(tail.docs_with_all(term_ids))
+            wanted = tuple(sorted(term_ids))
+            parts = self._per_family(families, "all", wanted, read, trace, costs)
+            tail_docs = tail.docs_with_all(term_ids) if tail is not None else ()
+            if tail_docs:
+                parts.append(np.array(tail_docs, dtype=np.uint32))
+            parts = [part for part in parts if len(part)] or [_NO_CANDIDATES.doc_ids]
+            doc_ids = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            if len(doc_ids) > 1 and not (doc_ids[1:] > doc_ids[:-1]).all():
+                doc_ids = np.unique(doc_ids)
             if self._metrics_on:
                 self._c_seeks.inc(costs.seeks)
                 self._c_join_blocks.inc(costs.blocks)
@@ -1397,14 +1412,13 @@ class TrustworthySearchEngine:
     ) -> Tuple[List[int], int]:
         """Documents containing *all* terms, plus blocks read (Section 4).
 
-        The conjunctive half of :meth:`match`, uncached and unfiltered;
-        absent terms short-circuit to an empty result.
+        The conjunctive half of :meth:`match`, unfiltered; absent terms
+        short-circuit to an empty result.  A family the result tier
+        answers reads no block.
         """
         costs = ReadCosts()
-        doc_ids = self._join(
-            self._resolve(terms, trace), self.index_view(), trace, costs
-        )
-        return doc_ids, costs.blocks
+        doc_ids = self._join(self._resolve(terms, trace), self.index_view(), trace, costs)
+        return doc_ids.tolist(), costs.blocks
 
     def profile(self, query) -> QueryProfile:
         """Cost profile of ``query`` in the paper's units (cost Q)."""

@@ -41,6 +41,9 @@ class QueryProfile:
         Whether jump-index seeks were available on the conjunctive path.
     per_list_blocks:
         Blocks read per physical list id.
+    families_cached:
+        List families the read cache's result tier answered; they read
+        nothing, so they add to none of the counts above.
     """
 
     terms: Tuple[str, ...]
@@ -51,14 +54,16 @@ class QueryProfile:
     matches: int
     used_jump_index: bool
     per_list_blocks: Dict[int, int] = field(default_factory=dict)
+    families_cached: int = 0
 
     def summary(self) -> str:
         """One-line human-readable cost summary."""
         jump = "jump-index" if self.used_jump_index else "sequential"
+        cached = f", {self.families_cached} families cached" if self.families_cached else ""
         return (
             f"{self.mode} {list(self.terms)}: {self.matches} matches, "
             f"{self.blocks_read} blocks / {self.entries_scanned} entries "
-            f"over {self.physical_lists} lists ({jump})"
+            f"over {self.physical_lists} lists ({jump}{cached})"
         )
 
 
@@ -70,7 +75,8 @@ def profile_query(engine, query) -> QueryProfile:
     <repro.search.engine.TrustworthySearchEngine.match>` — whichever
     index layout the engine has — and the profile reports the
     micro-costs that one read path returns.  Reads only; on an engine
-    with the read cache on, a result-cache hit honestly costs nothing.
+    with the read cache on, a family the result tier answers honestly
+    costs nothing and is counted in ``families_cached``.
     """
     if isinstance(query, str):
         query = parse_query(query, analyzer=engine.analyzer)
@@ -86,6 +92,7 @@ def profile_query(engine, query) -> QueryProfile:
         matches=len(matches),
         used_jump_index=costs.used_jump_index,
         per_list_blocks=costs.per_list_blocks,
+        families_cached=costs.families_cached,
     )
 
 

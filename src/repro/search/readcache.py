@@ -4,43 +4,55 @@ The paper's storage cache (Section 3) only absorbs *writes*: every query
 still walks posting lists and jump pointers straight off WORM and pays
 full decode cost each time.  Committed WORM data is immutable and posting
 lists grow append-only, which makes read caching unusually safe here —
-cached state can be validated by cheap structural checks instead of
-timestamps or TTLs:
+an entry is validated by cheap structural checks instead of timestamps or
+TTLs, and only against what can still grow:
 
-* **Tier 1 — decoded posting blocks** (:class:`DecodedBlockCache`).
-  Keyed by ``(list_name, block_no)``.  Every block except the current
-  tail is frozen forever, so the only invalidation needed is the tail
-  block of a list receiving an append.  Eviction is least recently
-  used, as in the storage-cache model of :mod:`repro.worm.cache`.
+* **Decoded posting blocks** (``ReadCache.blocks``), keyed by
+  ``(list_name, block_no)``.  Every block but a list's last is frozen
+  forever, so the only invalidation needed is that block, when the list
+  receives an append.
 
-* **Tier 2 — query results** (:class:`QueryResultCache`).  Keyed by the
-  normalized query; each entry carries a *fingerprint* of the per-term
-  posting-list lengths (plus the disposition count) it was computed
-  from.  Because lists only grow, a length match proves the exact same
-  candidate set would be recomputed; a mismatch invalidates exactly the
-  stale entry — an append to one list never touches cached results for
-  queries over other lists.
+* **Per-family retrievals** (``ReadCache.results``), keyed by
+  ``(segment number, mode, term IDs)`` — ``None`` for the
+  directly-appended family.  A scan's entry holds the family's
+  ``(term_id, doc_ids, tfs)`` columns of the query terms, a join's the
+  family's joined document IDs.  The entry carries the lengths of the
+  lists it read that can still grow
+  (:meth:`~repro.core.segments.MergedListFamily.growth_marks`): a sealed
+  segment's short lists are fixed by its manifest record, so it carries
+  only its long lists' lengths, usually none; the directly-appended
+  family carries every list's.  Lists only grow, so equal lengths prove
+  the same retrieval would be recomputed.  The tail is never cached, so
+  an ingest touches no sealed segment's entry; a merge retires exactly
+  the merged-away segments' entries (:meth:`ReadCache.retire`).  The
+  time window, dispositions and burned IDs are filtered per query after
+  the union, so no entry depends on them.
 
-Trust posture: the caches hold decoded blocks and candidate sets, never
-a verdict.  A list's order is checked when it attaches, from the device,
-and every jump pointer a seek follows is checked each time it is
-followed, whether the blocks come from the device or from tier 1.
+Both kinds share one byte budget and one recency order: an entry weighs
+its arrays' bytes plus a fixed overhead, and the least recently used
+entry of either kind goes first.
+
+Trust posture: the caches hold decoded blocks and candidate columns,
+never a verdict.  A list's order is checked when it attaches, from the
+device, and every jump pointer a seek follows is checked each time it is
+followed, whether the blocks come from the device or from the cache.
 Audits, restart recovery and result verification always re-read the
-device (``counted=False`` peeks, never cache-served).  Both tiers are
-in-process, per-engine memory: they never outlive a restart and hold no
+device (``counted=False`` peeks, never cache-served).  The cache is
+in-process, per-engine memory: it never outlives a restart and holds no
 authority over WORM state.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Hashable, Iterable, Optional, Set, Tuple
 
-from repro.core.vecdecode import DecodedBlock
+import numpy as np
 
-#: Fixed per-cached-block overhead (key tuple, dict slots, object header).
-BLOCK_MEMORY_OVERHEAD = 128
+#: Fixed per-entry overhead (key tuple, dict slots, object header).
+ENTRY_OVERHEAD = 128
 
 
 @dataclass
@@ -53,184 +65,140 @@ class TierStats:
     invalidations: int = 0
 
     @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
     def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
+        accesses = self.hits + self.misses
+        return self.hits / accesses if accesses else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
-class DecodedBlockCache:
-    """Tier 1: decoded posting blocks keyed by ``(list_name, block_no)``.
+def _weigh(value) -> int:
+    """Bytes of ``value`` — an array, a list of ``(term_id, doc_ids,
+    tfs)`` columns, or a decoded block — its numpy arrays made read-only
+    on the way: every hit is handed the same ones."""
+    if isinstance(value, list):
+        arrays = [array for column in value for array in column[1:]]
+    elif isinstance(value, np.ndarray):
+        arrays = [value]
+    else:
+        return value.nbytes
+    for array in arrays:
+        array.setflags(write=False)
+    return sum(array.nbytes for array in arrays)
 
-    Holds the *decoded* column pairs (the expensive part of a block
-    read), bounded by a byte budget — each block weighs its columns'
-    ``nbytes`` plus a fixed overhead — least recently used evicted
-    first.  Consumers must treat returned blocks as read-only — they
-    are shared across cursors and queries.
+
+class CacheTier:
+    """One kind of entry in a :class:`ReadCache`, and its counters.
+
+    ``marks`` is what an entry was computed from: a lookup under other
+    marks finds it stale, drops it and counts an invalidation.  Values
+    are shared by every hit and must be treated as read-only.
     """
 
-    def __init__(self, *, capacity_bytes: int = 8 << 20):
-        if capacity_bytes <= 0:
-            raise ValueError(
-                f"capacity_bytes must be positive, got {capacity_bytes}"
-            )
-        self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[Tuple[str, int], DecodedBlock] = OrderedDict()
-        self._weights: Dict[Tuple[str, int], int] = {}
+    def __init__(self, cache: "ReadCache"):
+        self._cache = cache
+        self.stats = TierStats()
+        self.resident = 0
         self.resident_bytes = 0
-        self.stats = TierStats()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.resident
 
-    def get(self, name: str, block_no: int) -> Optional[DecodedBlock]:
-        """The cached decoded block, or ``None`` on a miss."""
-        key = (name, block_no)
-        entries = self._entries.get(key)
-        if entries is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entries
+    def get(self, key: Hashable, marks: Hashable = None) -> Optional[Any]:
+        """The cached value if present under ``marks``, else ``None``."""
+        cache, slot = self._cache, (self, key)
+        with cache.lock:
+            entry = cache.entries.get(slot)
+            if entry is not None and entry[1] != marks:
+                cache.invalidate([slot])
+                entry = None
+            if entry is None:
+                self.stats.misses += 1
+                return None
+            cache.entries.move_to_end(slot)
+            self.stats.hits += 1
+            return entry[0]
 
-    def put(self, name: str, block_no: int, entries: DecodedBlock) -> None:
-        """Cache a freshly decoded block (evicting under the byte budget)."""
-        key = (name, block_no)
-        if key in self._entries:
-            # Re-decoded concurrently with an earlier put; keep the newer
-            # copy (identical content for frozen blocks, fresher for tails).
-            self._drop(key)
-        weight = BLOCK_MEMORY_OVERHEAD + entries.nbytes
-        if weight > self.capacity_bytes:
-            return  # would evict the whole cache for one oversized block
-        while self._entries and self.resident_bytes + weight > self.capacity_bytes:
-            self._drop(next(iter(self._entries)))
-            self.stats.evictions += 1
-        self._entries[key] = entries
-        self._weights[key] = weight
-        self.resident_bytes += weight
+    def put(self, key: Hashable, value: Any, marks: Hashable = None) -> None:
+        """Cache ``value`` (replacing any entry under ``key``), evicting
+        the least recently used entries of either tier to fit; a value
+        larger than the whole budget is not cached."""
+        weight = ENTRY_OVERHEAD + _weigh(value)
+        cache, slot = self._cache, (self, key)
+        with cache.lock:
+            if slot in cache.entries:
+                cache.drop(slot)
+            if weight > cache.capacity_bytes:
+                return
+            while cache.resident_bytes + weight > cache.capacity_bytes:
+                oldest = next(iter(cache.entries))
+                cache.drop(oldest)
+                oldest[0].stats.evictions += 1
+            cache.entries[slot] = (value, marks, weight)
+            cache.resident_bytes += weight
+            self.resident += 1
+            self.resident_bytes += weight
 
-    def invalidate(self, name: str, block_no: int) -> None:
-        """Drop one block (the tail of a list that just received an append)."""
-        key = (name, block_no)
-        if key in self._entries:
-            self._drop(key)
-            self.stats.invalidations += 1
-
-    def forget_lists(self, names: Set[str]) -> None:
-        """Drop every cached block of the lists ``names`` (they were retired).
-
-        Used when a segment merge supersedes whole posting lists: the
-        retired files can never be read again, so keeping their decoded
-        blocks resident only squeezes live entries out of the budget.
-        One pass over the cache, however many lists retire.  Counted as
-        invalidations.
-        """
-        for key in [k for k in self._entries if k[0] in names]:
-            self._drop(key)
-            self.stats.invalidations += 1
-
-    def _drop(self, key: Tuple[str, int]) -> None:
-        del self._entries[key]
-        self.resident_bytes -= self._weights.pop(key)
-
-
-class QueryResultCache:
-    """Tier 2: match results keyed by normalized query + list-length fingerprint.
-
-    The fingerprint pins down everything the candidate set depends on:
-    for each query term its resolved posting list and that list's length,
-    plus the disposition-log length.  Append-only growth means a length
-    match is proof of byte-identical recomputation; a mismatch evicts
-    exactly the stale entry (counted as an invalidation).  A full cache
-    evicts its least recently used entry.
-    """
-
-    def __init__(self, *, max_entries: int = 256):
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[Hashable, Tuple[Hashable, Any]] = OrderedDict()
-        self.stats = TierStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable, fingerprint: Hashable) -> Optional[Any]:
-        """The cached payload if present *and* still valid, else ``None``."""
-        slot = self._entries.get(key)
-        if slot is None:
-            self.stats.misses += 1
-            return None
-        cached_fp, payload = slot
-        if cached_fp != fingerprint:
-            # An append touched a list this entry depends on.
-            del self._entries[key]
-            self.stats.invalidations += 1
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return payload
-
-    def put(self, key: Hashable, fingerprint: Hashable, payload: Any) -> None:
-        if key in self._entries:
-            self._entries[key] = (fingerprint, payload)
-            self._entries.move_to_end(key)
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[key] = (fingerprint, payload)
+    def invalidate(self, key: Hashable) -> None:
+        """Drop one entry (a list's last block, which an append changed)."""
+        with self._cache.lock:
+            self._cache.invalidate([(self, key)])
 
 
 class ReadCache:
-    """The engine-level container wiring the two tiers together.
+    """The engine's read cache: both tiers under one byte budget.
 
-    One instance per engine (per shard, in a sharded archive).  The block
-    cache takes the whole ``capacity_mb`` byte budget; the result cache
-    is entry-bounded, so it needs no byte share.
+    One instance per engine (per shard, in a sharded archive).
     """
 
-    def __init__(self, *, capacity_mb: float = 8.0, result_entries: int = 256):
+    def __init__(self, *, capacity_mb: float = 8.0):
         if capacity_mb <= 0:
             raise ValueError(f"capacity_mb must be positive, got {capacity_mb}")
         self.capacity_mb = capacity_mb
-        self.blocks = DecodedBlockCache(capacity_bytes=int(capacity_mb * (1 << 20)))
-        self.results = QueryResultCache(max_entries=result_entries)
+        self.capacity_bytes = int(capacity_mb * (1 << 20))
+        self.resident_bytes = 0
+        #: ``(tier, key) -> (value, marks, weight)``, least recently used first.
+        self.entries: "OrderedDict[Tuple[CacheTier, Hashable], tuple]" = OrderedDict()
+        self.lock = threading.Lock()
+        self.blocks = CacheTier(self)
+        self.results = CacheTier(self)
 
-    def forget_lists(self, names: Iterable[str]) -> None:
-        """Retire posting lists wholesale (e.g. after a segment merge).
+    def drop(self, slot: Tuple[CacheTier, Hashable]) -> None:
+        """Remove one entry (the caller holds :attr:`lock`)."""
+        _, _, weight = self.entries.pop(slot)
+        self.resident_bytes -= weight
+        slot[0].resident -= 1
+        slot[0].resident_bytes -= weight
 
-        Drops their tier-1 decoded blocks.  Tier-2 results need no
-        action: a merge never changes *which* documents match, and the
-        engine's fingerprint carries the tail generation / per-term
-        counts that govern result validity.
-        """
-        self.blocks.forget_lists(set(names))
+    def invalidate(self, slots: Iterable[Tuple[CacheTier, Hashable]]) -> None:
+        """Drop those of ``slots`` held, each counted as an invalidation
+        (the caller holds :attr:`lock`)."""
+        for slot in slots:
+            if slot in self.entries:
+                self.drop(slot)
+                slot[0].stats.invalidations += 1
+
+    def retire(self, names: Set[str], seg_nos: Set[int]) -> None:
+        """Forget what merged-away segments leave behind, in one pass:
+        the decoded blocks of their lists ``names`` and the retrievals of
+        segments ``seg_nos``.  Neither can be read again."""
+        with self.lock:
+            self.invalidate(
+                [
+                    (tier, key)
+                    for tier, key in self.entries
+                    if key[0] in (names if tier is self.blocks else seg_nos)
+                ]
+            )
 
     def as_dict(self) -> Dict[str, Any]:
         """Per-tier counters plus residency, for stats/metrics export."""
         return {
-            "blocks": {
-                **self.blocks.stats.as_dict(),
-                "resident": len(self.blocks),
-                "resident_bytes": self.blocks.resident_bytes,
-            },
-            "results": {
-                **self.results.stats.as_dict(),
-                "resident": len(self.results),
-            },
+            name: {
+                **tier.stats.as_dict(),
+                "resident": tier.resident,
+                "resident_bytes": tier.resident_bytes,
+            }
+            for name, tier in (("blocks", self.blocks), ("results", self.results))
         }

@@ -41,7 +41,7 @@ from repro.errors import (
     WorkloadError,
     WormViolationError,
 )
-from repro.search.engine import Candidates, _max_merge_repeats
+from repro.search.engine import Candidates, _concatenated
 from repro.worm.persistent import JournaledWormDevice, scan_journal
 from repro.worm.storage import CachedWormStore
 from tests.helpers import columns_of, device_state, postings_of, rows_of
@@ -88,8 +88,9 @@ class TestMutableTailIndex:
         earlier = (1, np.array([5], dtype=np.uint32), np.array([2], dtype=np.uint32))
         columns = snap.collect_candidates([1, 9])
         assert sum(len(doc_ids) for _, doc_ids, _ in columns) == 1  # scanned
-        candidates = Candidates(_max_merge_repeats([earlier, *columns]))
+        candidates = Candidates(_concatenated([[earlier], columns]))
         assert candidates.rows()[5][1] == 4  # max(2, 4)
+        assert len(candidates.columns) == 1  # one column per term
 
     def test_doc_ids_must_increase(self):
         tail = MutableTailIndex()

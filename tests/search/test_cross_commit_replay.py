@@ -19,17 +19,23 @@ equivalence, in the directions a commit can test:
   them to the same postings, list by list, in stored order;
 * an archive **written by PR 21** (the same script and queries) is
   pinned beside it, for the next change of segment bytes to start from.
+
+A legacy batch's journal changed order, not content, when its
+commit-time records moved after its postings: the same records, pinned
+as a sorted multiset, replaying to the same pinned device.
 """
 
+import hashlib
 import json
 import os
 import shutil
+import struct
 
 import pytest
 
 from repro.adversary.detection import full_engine_audit
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.worm.persistent import JournaledWormDevice, scan_journal
+from repro.worm.persistent import JournaledWormDevice, _records, _sniff_format, scan_journal
 from repro.worm.storage import CachedWormStore
 from tests.data.make_tail_archive import answers, run
 from tests.helpers import device_state, postings_of
@@ -42,6 +48,15 @@ with open(os.path.join(DATA, "tail_archive_pr15.json")) as _handle:
 with open(os.path.join(DATA, "tail_archive_pr21.json")) as _handle:
     RECORDED_PR21 = json.load(_handle)
 CONFIG = EngineConfig(**RECORDED["config"])
+#: The script's documents through legacy ``index_batch``, four a batch:
+#: the journal's record count, the sha256 of its records as a sorted
+#: multiset, and of the device replay rebuilds — as written when each
+#: document's commit-time record preceded the batch's postings.
+LEGACY_BATCHES = (
+    150,
+    "25570b41e5914cfad372a0165eb86c4cd20a48f342919b0b3645a146026892ef",
+    "878b7daf7db0425b9f2cf2eab736be4d865f4f74212bce28b502764c543bfd54",
+)
 
 
 def outside_segments(device):
@@ -256,3 +271,38 @@ def test_same_ingest_by_block_replays_to_the_same_device(tmp_path, old_archive):
         postings // 8 - blocks + terms - len(documents)
     )
     assert new.committed_bytes < old.committed_bytes
+
+
+def test_a_legacy_batch_commits_its_documents_after_their_postings(tmp_path):
+    """Legacy ``index_batch`` appends a batch's postings, then its
+    commit-time records, so a crash among the appends burns the batch's
+    IDs.  No document's commit-time record precedes one of its postings
+    in the journal; the records are those written before the reorder,
+    and they replay to the same device."""
+    config = EngineConfig(**{**RECORDED["config"], "tail_max_docs": None})
+    texts = [step[1] for step in RECORDED["script"] if step[0] == "index"]
+    path = str(tmp_path / "legacy.worm")
+    device = JournaledWormDevice(path, block_size=config.block_size)
+    engine = TrustworthySearchEngine(config, store=CachedWormStore(None, device=device))
+    for at in range(0, len(texts), 4):
+        engine.index_batch(texts[at : at + 4])
+    device.close()
+
+    with open(path, "rb") as handle:
+        data = handle.read()
+    fmt, start, _ = _sniff_format(data)
+    records = [
+        (opcode, name, tuple(fields), bytes(payload))
+        for _, opcode, name, fields, payload in _records(data, start, fmt, path)
+    ]
+    committed = set()
+    for _, name, _, payload in records:
+        if name == engine.time_index.name:
+            committed.update(doc_id for _, doc_id in struct.iter_unpack("<QI", payload))
+        elif name.startswith("engine/pl/"):
+            assert not committed & {doc_id for doc_id, _ in struct.iter_unpack("<II", payload)}
+    assert committed == set(range(len(texts)))
+    with JournaledWormDevice(path) as replayed:
+        state = hashlib.sha256(repr(device_state(replayed)).encode()).hexdigest()
+    multiset = hashlib.sha256(repr(sorted(records)).encode()).hexdigest()
+    assert (len(records), multiset, state) == LEGACY_BATCHES

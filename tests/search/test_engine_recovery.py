@@ -125,16 +125,17 @@ class TestRecovery:
 
 class TestCommitCrashRecovery:
     """Power loss at any WAL stage of one document's commit leaves an
-    archive that reopens, takes new documents and answers like one that
-    never crashed.
+    archive that reopens, answers, takes new documents and answers like
+    one that never crashed.
 
     A commit creates the document's file and appends its text, logs the
     terms it introduces, appends its postings to the merged lists
     (legacy mode; the tail keeps them in memory) and then logs its
     commit-time record, the step that makes it a document.  A crash
     before that record leaves the file, and in legacy mode some
-    postings, under an ID no document holds: the ID is burned, never
-    reused, and no query answers with it.
+    postings, under an ID no document holds: the ID is burned from the
+    reopen on, never reused, and no query answers with it — verified,
+    so a posting of it would raise as a fabricated result.
     """
 
     BEFORE = ["alpha beta", "beta gamma", "gamma alpha beta"]
@@ -166,13 +167,16 @@ class TestCommitCrashRecovery:
         one; their order does not) with ``float.hex()`` scores."""
         text = engine.documents.get
         return {
-            query: [(text(r.doc_id).text, r.score.hex()) for r in engine.search(query)]
+            query: [
+                (text(r.doc_id).text, r.score.hex())
+                for r in engine.search(query, verify=True)
+            ]
             for query in self.QUERIES
         }
 
-    def reference(self, config, survived):
+    def reference(self, config, survived, after=AFTER):
         engine = TrustworthySearchEngine(config)
-        for text in self.BEFORE + [self.DOCUMENT] * survived + self.AFTER:
+        for text in self.BEFORE + [self.DOCUMENT] * survived + after:
             engine.index_document(text)
         return self.answers(engine)
 
@@ -216,10 +220,13 @@ class TestCommitCrashRecovery:
         assert burned == 2 * (sum(ops.values()) - 1)
 
     def check_recovery(self, path, config):
-        """Reopen, ingest, reopen; returns how many IDs were burned."""
+        """Reopen, query, ingest, reopen, query; returns how many IDs
+        were burned."""
         recovered = self.engine_on(path, config)
         survived = len(recovered.documents) - len(self.BEFORE)
         assert survived in (0, 1)
+        assert self.answers(recovered) == self.reference(config, survived, after=[])
+        burned = recovered.archive_stats()["burned_documents"]
         for text in self.AFTER:
             recovered.index_document(text)
         recovered.store.device.close()
@@ -229,24 +236,28 @@ class TestCommitCrashRecovery:
         assert all(report.ok for report in full_engine_audit(reopened))
         documents = reopened.documents
         assert len(documents) == len(self.BEFORE) + survived + len(self.AFTER)
-        assert reopened.archive_stats()["burned_documents"] == documents.next_doc_id - len(
-            documents
-        )
+        # Known burned at the reopen, before any commit allocated past it.
+        assert burned == documents.next_doc_id - len(documents)
+        assert reopened.archive_stats()["burned_documents"] == burned
         reopened.store.device.close()
-        return documents.next_doc_id - len(documents)
+        return burned
 
 
 class TestShardedCommitCrashRecovery:
     """Power loss at any WAL stage of any write one 2-shard batch makes,
-    on either shard's journal, leaves an archive that reopens, takes new
-    batches and answers like one built from the documents that survived.
+    on either shard's journal, leaves an archive that reopens, answers
+    like one built from the documents that survived, and takes new
+    batches.
 
     A batch routes its documents and then commits each shard's group in
     turn; a shard's commit-time record is the one commit point of a
     document, and fixes its global ID.  A crash commits the groups of
     the shards before the crashed one, a prefix of its own group and
     nothing after.  The global IDs left uncommitted are holes, and the
-    next batch's documents routed to those shards take them.
+    next batch's documents routed to those shards take them.  In legacy
+    mode a group's postings go to the merged lists before its
+    commit-time records, so a crash among them burns the group's IDs
+    rather than committing documents some of whose postings are missing.
     """
 
     #: Global IDs 0 and 2 are the first on shards 1 and 0: each shard
@@ -279,8 +290,10 @@ class TestShardedCommitCrashRecovery:
     ]
     QUERIES = ["alpha", "gamma delta", "+alpha +beta", "epsilon zeta", "+beta +gamma", "memo"]
     CONFIG = EngineConfig(num_lists=4, branching=4, block_size=512, tail_max_docs=100)
+    #: Documents of the batch each shard commits, and their postings.
+    GROUPS = {0: (5, 11), 1: (1, 3)}
 
-    def open(self, path, crash=None):
+    def open(self, path, config, crash=None):
         """The archive at ``path``: ``(engine, devices)``, coordinator
         first; ``crash`` is ``(shard, plan)`` for one shard's journal."""
         devices = [JournaledWormDevice(path, block_size=512)]
@@ -293,7 +306,7 @@ class TestShardedCommitCrashRecovery:
             else:
                 devices.append(JournaledWormDevice(shard_path, block_size=512))
         engine = ShardedSearchEngine(
-            self.CONFIG,
+            config,
             num_shards=2,
             store_factory=lambda i: CachedWormStore(None, device=devices[i + 1]),
             coordinator_store=CachedWormStore(None, device=devices[0]),
@@ -305,9 +318,15 @@ class TestShardedCommitCrashRecovery:
             shutil.copy(source + suffix, path + suffix)
 
     def answers(self, engine):
+        """Each query's ranking by document text, verified (a burned ID's
+        posting would raise as a fabricated result), ``float.hex()``
+        scores."""
         text = engine.documents.get
         return {
-            query: [(text(r.doc_id).text, r.score.hex()) for r in engine.search(query, top_k=40)]
+            query: [
+                (text(r.doc_id).text, r.score.hex())
+                for r in engine.search(query, top_k=40, verify=True)
+            ]
             for query in self.QUERIES
         }
 
@@ -317,9 +336,25 @@ class TestShardedCommitCrashRecovery:
         every_id = range(len(self.BEFORE + self.BATCH + self.AFTER))
         return {g: documents.get(g).text for g in every_id if documents.exists(g)}
 
-    def test_crash_sweep_over_every_batch_write(self, tmp_path):
+    def burned_by(self, mode, op, call, shard_id):
+        """IDs a crash at the ``call``-th ``op`` of a shard's group burns.
+
+        Tail mode writes each document's create, text and commit-time
+        record in turn.  Legacy mode writes every create and text, then
+        the group's postings, then its commit-time records.
+        """
+        documents, postings = self.GROUPS[shard_id]
+        if mode == "tail":
+            return 1 if op == "create" else call % 2
+        if op == "create" or call <= documents:
+            return call
+        return min(documents, 2 * documents + postings - call)
+
+    @pytest.mark.parametrize("mode", ["legacy", "tail"])
+    def test_crash_sweep_over_every_batch_write(self, tmp_path, mode):
+        config = self.CONFIG if mode == "tail" else replace(self.CONFIG, tail_max_docs=None)
         template = str(tmp_path / "template.worm")
-        engine, devices = self.open(template)
+        engine, devices = self.open(template, config)
         assert engine.index_batch(self.BEFORE) == [0, 1, 2, 3]
         for device in devices:
             device.close()
@@ -329,15 +364,20 @@ class TestShardedCommitCrashRecovery:
         for shard_id in range(2):
             self.copy(template, dry)
             plan = FaultPlan()
-            engine, devices = self.open(dry, crash=(shard_id, plan))
+            engine, devices = self.open(dry, config, crash=(shard_id, plan))
             assert engine.index_batch(self.BATCH) == list(range(4, 10))
             for device in devices:
                 device.close()
-            for op in ("create", "append"):
+            for op in ("create", "append", "set_slot"):
                 ops[shard_id, op] = plan.count(f"{op}:between-log-and-apply")
         # Per document: its file's create, its text and its commit-time
-        # record (tail mode keeps postings in memory; no new terms).
-        assert ops == {(0, "create"): 5, (0, "append"): 10, (1, "create"): 1, (1, "append"): 2}
+        # record; in legacy mode also its postings (no new terms).
+        for shard_id, (documents, postings) in self.GROUPS.items():
+            appends = 2 * documents + (postings if mode == "legacy" else 0)
+            assert ops.pop((shard_id, "create")) == documents
+            assert ops.pop((shard_id, "append")) == appends
+            assert ops.pop((shard_id, "set_slot")) == 0
+            ops[shard_id, "create"], ops[shard_id, "append"] = documents, appends
 
         for (shard_id, op), total in sorted(ops.items()):
             for call in range(1, total + 1):
@@ -345,15 +385,13 @@ class TestShardedCommitCrashRecovery:
                     path = str(tmp_path / f"{shard_id}-{op}-{stage}-{call}.worm")
                     self.copy(template, path)
                     plan = FaultPlan().crash(f"{op}:{stage}", on_call=call)
-                    crashing, devices = self.open(path, crash=(shard_id, plan))
+                    crashing, devices = self.open(path, config, crash=(shard_id, plan))
                     with pytest.raises(SimulatedCrashError):
                         crashing.index_batch(self.BATCH)
                     for device in devices:
                         device.close()
-                    # Every write before a document's commit-time record
-                    # (each second append) burns its ID.
-                    at_commit_record = op == "append" and call % 2 == 0
-                    assert self.check_recovery(path, shard_id) == (0 if at_commit_record else 1)
+                    burned = self.check_recovery(path, config, shard_id)
+                    assert burned == self.burned_by(mode, op, call, shard_id)
 
     def test_a_map_record_no_shard_committed_is_not_read(self, tmp_path):
         """What a crash left when the coordinator stored a document map,
@@ -376,9 +414,23 @@ class TestShardedCommitCrashRecovery:
         finally:
             handle.close()
 
-    def check_recovery(self, path, crashed_shard):
-        """Reopen, ingest, reopen; returns ``burned_documents``."""
-        recovered, devices = self.open(path)
+    def committed_only(self, recovered, config):
+        """A 2-shard archive holding each shard's committed documents in
+        its order, and nothing else: what the recovered archive answers
+        like before its next batch."""
+        stores = []
+        for shard in recovered.shards:
+            documents = shard.documents
+            local = TrustworthySearchEngine(config)
+            local.index_batch(
+                [documents.get(i).text for i in range(documents.next_doc_id) if documents.exists(i)]
+            )
+            stores.append(local.store)
+        return ShardedSearchEngine(config, num_shards=2, store_factory=stores.__getitem__)
+
+    def check_recovery(self, path, config, crashed_shard):
+        """Reopen, query, ingest, reopen, query; returns ``burned_documents``."""
+        recovered, devices = self.open(path, config)
         survivors = self.texts(recovered)
         assert {g: survivors[g] for g in range(4)} == dict(enumerate(self.BEFORE))
         batch = {g: text for g, text in survivors.items() if g >= 4}
@@ -391,6 +443,8 @@ class TestShardedCommitCrashRecovery:
         assert committed[crashed_shard] == groups[crashed_shard][: len(committed[crashed_shard])]
         assert committed[:crashed_shard] == groups[:crashed_shard]
         assert not any(committed[crashed_shard + 1 :])
+        assert self.answers(recovered) == self.answers(self.committed_only(recovered, config))
+        burned = recovered.archive_stats()["burned_documents"]
 
         records = devices[0].records
         after_ids = recovered.index_batch(self.AFTER)
@@ -400,13 +454,14 @@ class TestShardedCommitCrashRecovery:
         for device in devices:
             device.close()
 
-        reopened, devices = self.open(path)
+        reopened, devices = self.open(path, config)
         assert self.texts(reopened) == expected
-        reference = ShardedSearchEngine(self.CONFIG, num_shards=2)
+        reference = ShardedSearchEngine(config, num_shards=2)
         reference.index_batch([expected[g] for g in sorted(expected)])
         assert self.answers(reopened) == self.answers(reference)
         assert all(report.ok for report in full_engine_audit(reopened))
-        burned = reopened.archive_stats()["burned_documents"]
+        # Known burned at the reopen, before the batch allocated past them.
+        assert reopened.archive_stats()["burned_documents"] == burned
         for device in devices:
             device.close()
         return burned

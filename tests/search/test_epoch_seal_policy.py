@@ -36,15 +36,21 @@ def make_engine(docs_per_epoch=3, **kwargs):
 class TestEvidence:
     def test_result_cache_hits_still_count_as_queries(self):
         engine = make_engine(docs_per_epoch=100, popular=1, read_cache=True)
-        engine.index_document("hotterm filler filler")
+        engine.index_document("filler hotterm")
+        engine.index_document("filler")
+        engine.seal_tail()  # epoch 0, queried by none: its term counts pick filler
         for _ in range(4):
-            engine.search("hotterm")  # served from the result cache after #1
-        assert engine.read_cache_stats()["results"]["hits"] >= 3
-        engine.search("filler")
-        engine.seal_tail()
-        engine.index_document("anything")
-        engine.seal_tail()
-        assert epoch_layouts(engine) == [[], ["hotterm"]]
+            engine.search("hotterm")  # epoch 0's entry serves #2 to #4
+        assert engine.read_cache_stats()["results"]["hits"] == 3
+        for _ in range(2):
+            engine.search("filler")
+        # Epoch 1 saw hotterm asked four times and filler twice; with
+        # only the misses counted it would be once each, and the tie
+        # would go to filler, the lower term ID.
+        for text in ("anything", "more"):
+            engine.index_document(text)
+            engine.seal_tail()
+        assert epoch_layouts(engine) == [[], ["filler"], ["hotterm"]]
 
     def test_unqueried_epoch_hands_on_its_term_counts(self):
         engine = make_engine(docs_per_epoch=2, popular=1)

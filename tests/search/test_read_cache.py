@@ -1,24 +1,26 @@
 """Unit tests for the read-path cache hierarchy."""
 
 import threading
+from array import array
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.observability import QueryTrace, export_read_cache
+from repro.adversary.attacks import posting_stuffing_attack
+from repro.core.posting import pack_term_tf
+from repro.core.segments import ReadCosts
+from repro.core.vecdecode import DecodedBlock
+from repro.errors import WorkloadError
+from repro.observability import QueryTrace, counter_value, export_read_cache
 from repro.observability.metrics import MetricsRegistry
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from array import array
-
-from repro.core.vecdecode import DecodedBlock
-from repro.search.readcache import DecodedBlockCache, QueryResultCache
-from repro.errors import WorkloadError
+from repro.search.readcache import ReadCache
 from repro.worm.storage import CachedWormStore
 from tests.helpers import DEFAULT_CORPUS, SMALL_CONFIG, build_engine
 
 
 def cached_config(**kwargs):
-    from dataclasses import replace
-
     return replace(SMALL_CONFIG, read_cache=True, **kwargs)
 
 
@@ -27,94 +29,128 @@ def block(postings):
     return DecodedBlock(array("I", range(postings)), array("I", range(postings)))
 
 
+def column(*doc_ids):
+    """A one-term scan entry: ``(term_id, doc_ids, tfs)``, 8 bytes a posting."""
+    docs = np.array(doc_ids, dtype=np.uint32)
+    return [(7, docs, np.ones(len(docs), dtype=np.uint32))]
+
+
+def budget(capacity_bytes):
+    """A read cache of exactly ``capacity_bytes``."""
+    return ReadCache(capacity_mb=capacity_bytes / (1 << 20))
+
+
+def keys(cache, tier):
+    """The keys ``cache`` holds in ``tier``, least recently used first."""
+    return [key for owner, key in cache.entries if owner is tier]
+
+
 # ----------------------------------------------------------------------
 # tier 1: decoded blocks
 # ----------------------------------------------------------------------
 class TestDecodedBlockCache:
     def test_hit_miss_and_invalidate(self):
-        cache = DecodedBlockCache(capacity_bytes=1 << 20)
+        cache = budget(1 << 20).blocks
         entries = block(3)
-        assert cache.get("pl", 0) is None
-        cache.put("pl", 0, entries)
-        assert cache.get("pl", 0) is entries
-        cache.invalidate("pl", 0)
-        assert cache.get("pl", 0) is None
+        assert cache.get(("pl", 0)) is None
+        cache.put(("pl", 0), entries)
+        assert cache.get(("pl", 0)) is entries
+        cache.invalidate(("pl", 0))
+        assert cache.get(("pl", 0)) is None
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert cache.stats.invalidations == 1
 
     def test_byte_budget_evicts(self):
         # Each put weighs 128 + 8*80 = 768 bytes; cap fits two blocks.
-        cache = DecodedBlockCache(capacity_bytes=1600)
+        cache = budget(1600).blocks
         for block_no in range(4):
-            cache.put("pl", block_no, block(80))
+            cache.put(("pl", block_no), block(80))
         assert len(cache) == 2
         assert cache.stats.evictions == 2
         assert cache.resident_bytes == 2 * 768
 
     def test_oversized_block_not_cached(self):
-        cache = DecodedBlockCache(capacity_bytes=256)
-        cache.put("pl", 0, block(100))
+        cache = budget(256).blocks
+        cache.put(("pl", 0), block(100))
         assert len(cache) == 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            DecodedBlockCache(capacity_bytes=0)
+            ReadCache(capacity_mb=0)
 
     def test_evicts_least_recently_used(self):
         # 128 + 8*40 = 448 bytes a block; the budget fits three.
-        cache = DecodedBlockCache(capacity_bytes=1400)
+        cache = budget(1400).blocks
         for block_no in range(3):
-            cache.put("pl", block_no, block(40))
-        cache.get("pl", 0)
-        cache.put("pl", 3, block(40))
-        assert cache.get("pl", 1) is None
-        assert all(cache.get("pl", n) is not None for n in (0, 2, 3))
-        cache.put("pl", 2, block(40))  # a re-put counts as a use
-        cache.put("pl", 4, block(40))
-        assert cache.get("pl", 0) is None
+            cache.put(("pl", block_no), block(40))
+        cache.get(("pl", 0))
+        cache.put(("pl", 3), block(40))
+        assert cache.get(("pl", 1)) is None
+        assert all(cache.get(("pl", n)) is not None for n in (0, 2, 3))
+        cache.put(("pl", 2), block(40))  # a re-put counts as a use
+        cache.put(("pl", 4), block(40))
+        assert cache.get(("pl", 0)) is None
         assert cache.stats.evictions == 2
 
 
 # ----------------------------------------------------------------------
-# tier 2: query results
+# tier 2: per-family retrievals
 # ----------------------------------------------------------------------
 class TestQueryResultCache:
+    """Entries keyed ``(segment number, mode, term IDs)``, stored under
+    the lengths of the lists they read that can still grow."""
+
     def test_fingerprint_mismatch_invalidates_exactly(self):
-        cache = QueryResultCache()
-        cache.put("q1", (5,), {"r": 1})
-        cache.put("q2", (9,), {"r": 2})
-        # q1's dependency grew; q2's did not.
-        assert cache.get("q1", (6,)) is None
-        assert cache.get("q2", (9,)) == {"r": 2}
+        cache = budget(1 << 20).results
+        cache.put((0, "any", (7,)), column(1, 2), (5,))
+        cache.put((1, "any", (7,)), column(9), ())
+        # Segment 0's long list grew; segment 1 has none that can.
+        assert cache.get((0, "any", (7,)), (6,)) is None
+        assert cache.get((1, "any", (7,)), ())[0][1].tolist() == [9]
         assert cache.stats.invalidations == 1
+        assert len(cache) == 1
 
     def test_entry_bound_evicts(self):
-        cache = QueryResultCache(max_entries=2)
-        for i in range(4):
-            cache.put(f"q{i}", (), i)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 2
+        # One budget for both tiers: 128 + 8*50 = 528 bytes an entry of
+        # either kind, and room for three.
+        cache = budget(1600)
+        cache.blocks.put(("pl", 0), block(50))
+        for seg_no in range(3):
+            cache.results.put((seg_no, "any", (7,)), column(*range(50)))
+        assert len(cache.results) == 3 and len(cache.blocks) == 0
+        assert cache.blocks.stats.evictions == 1
+        assert cache.results.stats.evictions == 0
+        assert cache.resident_bytes == 3 * 528
 
     def test_evicts_least_recently_used(self):
-        cache = QueryResultCache(max_entries=3)
+        cache = budget(3 * (128 + 8 * 4)).results
         for key in "abc":
-            cache.put(key, (), key)
-        cache.get("a", ())
-        cache.put("d", (), "d")
-        assert cache.get("b", ()) is None
-        cache.put("c", (1,), "a re-put counts as a use")
-        cache.put("e", (), "e")
-        assert cache.get("a", ()) is None
-        assert [cache.get(key, ()) for key in "de"] == ["d", "e"]
+            cache.put(key, column(1, 2, 3, 4))
+        cache.get("a")
+        cache.put("d", column(1, 2, 3, 4))
+        assert cache.get("b") is None
+        cache.put("c", column(1, 2, 3, 4), (1,))  # a re-put counts as a use
+        cache.put("e", column(1, 2, 3, 4))
+        assert cache.get("a") is None
+        assert all(cache.get(key) is not None for key in "de")
         assert cache.stats.evictions == 2 and cache.stats.invalidations == 0
 
     def test_put_refreshes_existing_key(self):
-        cache = QueryResultCache()
-        cache.put("q", (1,), "old")
-        cache.put("q", (2,), "new")
+        cache = budget(1 << 20).results
+        cache.put("q", column(1), (1,))
+        cache.put("q", column(2), (2,))
         assert len(cache) == 1
-        assert cache.get("q", (2,)) == "new"
+        assert cache.get("q", (2,))[0][1].tolist() == [2]
+
+    def test_stored_arrays_are_read_only(self):
+        cache = budget(1 << 20).results
+        piece = column(1, 2)
+        cache.put("q", piece)
+        _, docs, tfs = cache.get("q")[0]
+        for array_ in (docs, tfs):
+            with pytest.raises(ValueError):
+                array_[0] = 99
 
 
 # ----------------------------------------------------------------------
@@ -171,14 +207,11 @@ class TestEngineIntegration:
             len(DEFAULT_CORPUS)
         ]
 
-    def test_disposition_invalidates_cached_results(self):
-        """The fingerprint's disposition-count component must catch a
-        live ``dispose_expired``: postings of a disposed document stay
-        on WORM (lists are append-only), so only the disposition log
-        distinguishes a stale cached result from a fresh one."""
-        engine = build_engine(
-            config=cached_config(retention_period=10),
-        )
+    def test_disposal_after_caching_shows_on_next_search(self):
+        """A disposal appends to no posting list — a disposed document's
+        postings stay on WORM — so the cached retrieval stays valid, and
+        the filter every query runs after the union drops the document."""
+        engine = build_engine(config=cached_config(retention_period=10))
         before = [r.doc_id for r in engine.search("imclone")]
         assert 0 in before
         disposed = engine.dispose_expired(now=10_000)
@@ -186,14 +219,11 @@ class TestEngineIntegration:
         after = [r.doc_id for r in engine.search("imclone")]
         assert after == []
         stats = engine.read_cache_stats()["results"]
-        assert stats["invalidations"] >= 1
-        assert stats["hits"] == 0
+        assert stats["hits"] == 1 and stats["invalidations"] == 0
 
     def test_segment_merge_forgets_retired_lists(self):
         """Merging segments retires their posting lists; the block cache
         must drop them instead of pinning dead entries."""
-        from dataclasses import replace
-
         engine = build_engine(
             config=replace(
                 cached_config(),
@@ -210,12 +240,10 @@ class TestEngineIntegration:
         cache = engine.read_cache
         # Short lists are cached under the names they would have as files.
         assert not any(engine.store.device.exists(name) for name in retired)
-        assert {key[0] for key in cache.blocks._entries} <= set(retired)
-        assert cache.blocks._entries
+        assert {key[0] for key in keys(cache, cache.blocks)} <= set(retired)
+        assert keys(cache, cache.blocks)
         engine.merge_segments()
-        assert all(
-            key[0] not in retired for key in cache.blocks._entries
-        )
+        assert all(key[0] not in retired for key in keys(cache, cache.blocks))
         # And the merged layout still answers identically.
         legacy = build_engine()
         assert [r.doc_id for r in engine.search("imclone")] == [
@@ -223,29 +251,36 @@ class TestEngineIntegration:
         ]
 
     def test_cached_candidates_are_read_only(self):
-        """The result tier hands every hit the same object, so nothing
-        about it can be changed: not a column, not the document list."""
+        """The result tier hands every hit the same arrays, so nothing
+        about them can be changed: a scan's columns and a join's
+        document list are read-only — and a hit answers exactly what a
+        recomputation would."""
         engine = build_engine(config=cached_config())
         first = engine.match("imclone")
-        assert first.columns
-        for _, docs, tfs in first.columns:
+        again = engine.match("imclone")
+        assert engine.read_cache_stats()["results"]["hits"] == 1
+        assert again.columns
+        for _, docs, tfs in again.columns:
             with pytest.raises(ValueError):
                 docs[0] = 99
             with pytest.raises(ValueError):
                 tfs[0] = 99
-        with pytest.raises(ValueError):
-            first.doc_ids[0] = 99
-        again = engine.match("imclone")
-        assert again is first  # a hit: shared, not copied
-        assert again.rows() == build_engine().match("imclone").rows()
+        assert again.rows() == first.rows() == build_engine().match("imclone").rows()
+        reference = build_engine().match("+imclone +stewart").rows()
+        for _ in range(2):
+            joined = engine.match("+imclone +stewart")
+            assert joined.rows() == reference
+            with pytest.raises(ValueError):
+                joined.doc_ids[0] = 99
+        assert engine.read_cache_stats()["results"]["hits"] == 2
 
     def test_racing_first_touches_attach_one_list(self):
         """Regression: two searches that first-touch a list at once used
         to leave the family holding one search's list and the other's
         jump index.  The writer appends through the jump index's own
-        list, so the list the fingerprint measured stopped growing, and
-        the result cache went on answering from before the ingest —
-        omitting a committed document."""
+        list, so the list the result tier measured stopped growing, and
+        the tier went on answering from before the ingest — omitting a
+        committed document."""
         store = CachedWormStore(None, block_size=SMALL_CONFIG.block_size)
         build_engine(["alpha beta"] * 5, store=store)
         # A new session over the same device: nothing attached yet.
@@ -279,11 +314,10 @@ class TestEngineIntegration:
         trace = QueryTrace("imclone")
         engine.search("imclone", trace=trace)
         spans = {s["name"]: s for s in trace.to_dict()["spans"]}
-        assert spans["cache"]["attrs"] == {"hit": True}
+        assert spans["cache"]["attrs"] == {"families": 1, "families_cached": 1}
 
     def test_verify_reruns_on_cached_results(self):
         """Result verification is never skipped for cache hits."""
-        from repro.adversary.attacks import posting_stuffing_attack
         from repro.errors import TamperDetectedError
 
         engine = build_engine(config=cached_config())
@@ -294,8 +328,8 @@ class TestEngineIntegration:
             tid,
             count=len(engine.documents) + 3,
         )
-        # The attack *appended* postings, so the fingerprint changed and
-        # retrieval re-runs; either way verification must fire.
+        # The attack *appended* postings, so the list's length changed
+        # and retrieval re-runs; either way verification must fire.
         with pytest.raises(TamperDetectedError):
             engine.search("imclone", verify=True)
 
@@ -336,10 +370,121 @@ class TestEngineIntegration:
         assert registry.snapshot() == {}
 
 
+#: Three sealed segments of 48 documents and five in the tail.  "alpha"
+#: is in every document, so its list in each segment is long (more than
+#: the 40 postings a short list holds at 512-byte blocks, B = 4).
+TAIL_CONFIG = EngineConfig(
+    num_lists=16, branching=4, block_size=512, tail_max_docs=48, merge_at_segments=None
+)
+TAIL_TEXTS = [f"alpha {'beta' if i % 2 else 'gamma'} doc{i}" for i in range(149)]
+QUERIES = ["alpha", "beta gamma", "alpha beta", "+alpha +beta", "+beta +gamma", "alpha @55..70"]
+
+
+def tail_engine(read_cache=True):
+    engine = TrustworthySearchEngine(replace(TAIL_CONFIG, read_cache=read_cache))
+    for text in TAIL_TEXTS:
+        engine.index_document(text)
+    assert len(engine.iter_segments()) == 3
+    return engine
+
+
+def answers(engine):
+    """Every query's ranking with ``float.hex()`` scores."""
+    return {
+        query: [(r.doc_id, r.score.hex()) for r in engine.search(query, top_k=200)]
+        for query in QUERIES
+    }
+
+
+def result_segments(engine):
+    return {key[0] for key in keys(engine.read_cache, engine.read_cache.results)}
+
+
+class TestFamilyEntries:
+    """A sealed segment's entry depends only on its long lists, so it
+    outlives every ingest into the tail and every seal after it."""
+
+    def test_sealed_entry_is_hit_after_a_tail_only_ingest(self):
+        engine = tail_engine()
+        answers(engine)
+        engine.index_document("alpha beta gamma late")  # into the tail
+        for query in ("alpha beta", "+alpha +beta"):
+            costs = ReadCosts()
+            matched = engine.match(query, costs=costs)
+            assert costs.families_cached == 3 and costs.lists == costs.blocks == 0
+            assert 149 in matched.doc_ids.tolist()
+        assert engine.read_cache_stats()["results"]["invalidations"] == 0
+        reference = tail_engine(read_cache=False)
+        reference.index_document("alpha beta gamma late")
+        assert answers(engine) == answers(reference)
+
+    def test_a_seal_adds_entries_only_for_the_new_segment(self):
+        engine = tail_engine()
+        answers(engine)
+        before = set(keys(engine.read_cache, engine.read_cache.results))
+        for i in range(43):  # the tail reaches 48 and seals
+            engine.index_document(f"alpha beta more{i}")
+        new = engine.iter_segments()[-1].info.seg_no
+        assert len(engine.iter_segments()) == 4
+        answers(engine)
+        after = set(keys(engine.read_cache, engine.read_cache.results))
+        assert before < after
+        assert {key[0] for key in after - before} == {new}
+        assert engine.read_cache_stats()["results"]["invalidations"] == 0
+
+    def test_a_merge_leaves_no_entry_for_a_retired_segment(self):
+        engine = tail_engine()
+        answers(engine)
+        retired = {segment.info.seg_no for segment in engine.iter_segments()}
+        assert result_segments(engine) == retired
+        merged = engine.merge_segments()
+        assert not result_segments(engine)
+        assert answers(engine) == answers(tail_engine(read_cache=False))
+        assert result_segments(engine) == {merged}
+
+    def test_a_cached_family_reads_nothing(self):
+        engine = tail_engine()
+        engine.profile("alpha")
+        scanned = counter_value(engine.metrics, "repro_scan_entries_total")
+        profile = engine.profile("alpha")
+        assert profile.families_cached == 3
+        assert (profile.physical_lists, profile.blocks_read) == (0, 0)
+        assert profile.entries_scanned == 5  # the tail's alpha postings
+        assert counter_value(engine.metrics, "repro_scan_entries_total") == scanned + 5
+
+    @pytest.mark.parametrize("cached_first", [True, False])
+    def test_stuffing_a_long_list_answers_as_without_the_cache(self, cached_first):
+        """Mala stuffs the first segment's long "alpha" list with
+        postings under IDs of the second segment's documents, at a
+        frequency of 9: the cached engine's answers change exactly as
+        the uncached engine's do — whether the stuffed segment's entry
+        was cached before (it is invalidated) or no entry exists yet (the
+        segments scanned together cannot be cut by doc range, so none of
+        them is cached)."""
+        on, off = tail_engine(), tail_engine(read_cache=False)
+        before = answers(off)
+        if cached_first:
+            assert answers(on) == before
+        for engine in (on, off):
+            alpha = engine.term_id("alpha")
+            segment = engine.iter_segments()[0]
+            posting_list, _ = segment.posting_list_for(alpha)
+            assert len(posting_list) > segment.short_limit
+            posting_stuffing_attack(
+                posting_list, pack_term_tf(alpha, 9), count=3, first_fake_doc_id=60
+            )
+        stuffed = answers(off)
+        assert [doc_id for doc_id, _ in stuffed["alpha"][:3]] == [60, 61, 62]
+        assert answers(on) == stuffed
+        alpha = on.term_id("alpha")
+        scans = [key for key in keys(on.read_cache, on.read_cache.results) if key[1] == "any"]
+        assert any(key[0] == 0 and alpha in key[2] for key in scans) == cached_first
+        assert answers(on) == stuffed  # and again, from what was cached
+
+
 class TestShardedIntegration:
     def test_sharded_repeat_query_hits_per_shard_caches(self):
         from tests.helpers import SHARD_CONFIG, build_sharded
-        from dataclasses import replace
 
         config = replace(SHARD_CONFIG, read_cache=True)
         sharded = build_sharded(
@@ -359,7 +504,6 @@ class TestShardedIntegration:
 
     def test_batch_ingest_keeps_shard_caches_coherent(self):
         from tests.helpers import SHARD_CONFIG, build_sharded
-        from dataclasses import replace
 
         config = replace(SHARD_CONFIG, read_cache=True)
         sharded = build_sharded(

@@ -297,8 +297,8 @@ class TestRestartRecovery:
         # and lexicon logs.
         assert reopened._tail.doc_count == 2
         before, after = engine.segments_info(), reopened.segments_info()
-        # The generation counter is process-local (it versions in-process
-        # result-cache fingerprints), so it restarts at zero.
+        # The generation counter is process-local (it counts this
+        # process's seals), so it restarts at zero.
         before.pop("tail_generation"), after.pop("tail_generation")
         assert after == before
         assert_equivalent(reopened, legacy_engine)
