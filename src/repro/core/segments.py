@@ -919,9 +919,7 @@ class MergedListFamily:
         wanted: Iterable[int],
         costs: Optional[ReadCosts] = None,
         peers: Sequence["MergedListFamily"] = (),
-        *,
-        cut: bool = False,
-    ):
+    ) -> List[TermColumn]:
         """The wanted terms' postings as ``(term_id, doc_ids, tfs)``
         columns (disjunctive path), ordered by ``(list id, term id)``;
         adds the scan's micro-costs to ``costs``.
@@ -932,15 +930,6 @@ class MergedListFamily:
         blocks concatenate — this family's, then every peer's — into one
         sorted column that is masked once per term, not once per family.
         Blocks are fetched, counted and cached one at a time, as ever.
-
-        With ``cut`` it returns ``(pieces, own)``: for this family and
-        then each peer, the columns of its own postings — every column
-        cut at the peers' first documents — and ``True``.  When a list
-        holds a posting outside the doc range of the family that stores
-        it (only stuffing puts one there, or a merge of a stuffed list),
-        the cut would hand it to another family: then this family's
-        piece is all the columns, the peers' are empty, and ``own`` is
-        ``False``.
         """
         if costs is None:
             costs = ReadCosts()
@@ -949,15 +938,10 @@ class MergedListFamily:
         terms_of: Dict[int, List[int]] = {}
         for term_id in sorted(set(wanted)):
             terms_of.setdefault(self.list_for(term_id), []).append(term_id)
-        # Where each peer's documents start: the cuts.
-        firsts = np.array([p.info.first_doc for p in peers], dtype=np.uint32) if cut else None
-        in_range = True
         columns: List[TermColumn] = []
         for list_id in sorted(terms_of):
             doc_ids, term_codes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
-            starts = []
             for family in (self, *peers):
-                starts.append(len(doc_ids))
                 attached = family._attach(list_id)
                 if attached is None:
                     continue
@@ -970,31 +954,12 @@ class MergedListFamily:
                     doc_ids.extend(block_docs)
                     term_codes.extend(block_codes)
             costs.entries += len(doc_ids)
-            if cut and peers and in_range:
-                # In range exactly when the column ascends and the cuts
-                # by doc range fall where each peer's postings start.
-                docs = np.frombuffer(doc_ids, dtype=f"u{doc_ids.itemsize}")
-                in_range = bool((docs[1:] >= docs[:-1]).all()) and (
-                    docs.searchsorted(firsts).tolist() == starts[1:]
-                )
             columns.extend(term_columns(doc_ids, term_codes, terms_of[list_id]))
         if cached:
             costs.block_cache_hits += (
                 self.read_cache.blocks.stats.hits - hits_before
             )
-        if not cut:
-            return columns
-        pieces: List[List[TermColumn]] = [[] for _ in range(1 + len(peers))]
-        if not (peers and in_range):
-            pieces[0] = columns
-            return pieces, in_range
-        for term_id, docs, tfs in columns:
-            start = 0
-            for piece, end in zip(pieces, [*docs.searchsorted(firsts).tolist(), len(docs)]):
-                if start < end:
-                    piece.append((term_id, docs[start:end], tfs[start:end]))
-                start = end
-        return pieces, True
+        return columns
 
     # ------------------------------------------------------------------
     # maintenance / audit

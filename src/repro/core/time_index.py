@@ -25,8 +25,6 @@ from __future__ import annotations
 import struct
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.jump_index import JumpIndex
 from repro.errors import DocumentIdOrderError, TamperDetectedError
 from repro.worm.storage import CachedWormStore
@@ -34,9 +32,6 @@ from repro.worm.storage import CachedWormStore
 _RECORD = struct.Struct("<QI")
 #: Bytes per (commit_time, doc_id) log record: 8-byte time + 4-byte doc ID.
 RECORD_SIZE = _RECORD.size
-#: The same record as a column pair.
-_RECORDS = np.dtype([("time", "<u8"), ("doc", "<u4")])
-_MAX_TIME = (1 << 64) - 1
 
 
 class CommitTimeIndex:
@@ -124,36 +119,22 @@ class CommitTimeIndex:
         self, start_offset: int = 0, *, counted: bool = False
     ) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(offset, commit_time, doc_id)`` from record
-        ``start_offset`` to the end of the committed log, checked: both
-        fields of every record must be monotonic after the record before
-        it.  Restart recovery and the audits read the log this way;
-        :meth:`docs_in_range` reads the same blocks in columns.
-        """
-        prev_time, prev_doc = -1, -1
-        for offset, payload in self._blocks(start_offset, counted):
-            for commit_time, doc_id in _RECORD.iter_unpack(payload):
-                if commit_time < prev_time or doc_id <= prev_doc:
-                    raise self._out_of_order(offset, commit_time, doc_id, prev_time, prev_doc)
-                yield offset, commit_time, doc_id
-                prev_time, prev_doc = commit_time, doc_id
-                offset += 1
+        ``start_offset`` to the end of the committed log, checked.
 
-    def _blocks(self, start_offset: int, counted: bool) -> Iterator[Tuple[int, memoryview]]:
-        """Yield ``(offset, records)``: the log's blocks from the one
-        holding record ``start_offset`` to the end of the committed log,
-        each from its first record at or after ``start_offset``.
-
-        The one reader of the log's blocks.  The extent comes from WORM
-        state, not writer memory: a certified reader must scan everything
+        The one reader of the log.  The extent comes from WORM state,
+        not writer memory: a certified reader must scan everything
         actually committed — including records Mala appended around the
         honest writer, whose in-memory count would not include them.
         Each block is read once (a counted read with ``counted``) and
         must hold whole records, every block but the tail a full
-        complement of them, or record offsets would not address the log.
+        complement of them, or record offsets would not address the log;
+        both fields of every record must be monotonic after the record
+        before it.
         """
         read = self.store.read_block if counted else self.store.peek_block
         per_block = self._records_per_block
         tail_block = self._file.num_blocks - 1
+        prev_time, prev_doc = -1, -1
         for block_no in range(start_offset // per_block, tail_block + 1):
             payload = read(self.name, block_no)
             if len(payload) % RECORD_SIZE or (
@@ -169,15 +150,20 @@ class CommitTimeIndex:
             if counted:
                 self.blocks_scanned += 1
             offset = max(start_offset, block_no * per_block)
-            yield offset, memoryview(payload)[offset % per_block * RECORD_SIZE :]
-
-    def _out_of_order(self, offset, commit_time, doc_id, prev_time, prev_doc):
-        return TamperDetectedError(
-            f"commit log record {offset} ({commit_time}, {doc_id}) violates "
-            f"monotonicity after ({prev_time}, {prev_doc})",
-            location=f"commit log '{self.name}', record {offset}",
-            invariant="commit-time-monotonicity",
-        )
+            for commit_time, doc_id in _RECORD.iter_unpack(
+                memoryview(payload)[offset % per_block * RECORD_SIZE :]
+            ):
+                if commit_time < prev_time or doc_id <= prev_doc:
+                    raise TamperDetectedError(
+                        f"commit log record {offset} ({commit_time}, "
+                        f"{doc_id}) violates monotonicity after "
+                        f"({prev_time}, {prev_doc})",
+                        location=f"commit log '{self.name}', record {offset}",
+                        invariant="commit-time-monotonicity",
+                    )
+                yield offset, commit_time, doc_id
+                prev_time, prev_doc = commit_time, doc_id
+                offset += 1
 
     def docs_in_range(self, t_start: int, t_end: int) -> List[int]:
         """Document IDs committed with ``t_start <= time <= t_end``.
@@ -197,39 +183,21 @@ class CommitTimeIndex:
         start_time = self._jump.node_value(node_id)
         if start_time > t_end:
             return []
-        # A block at a time, in columns: the records up to and including
-        # the first past the range are held to the same checks, in the
-        # same order, as _walk's record-at-a-time loop.
-        parts = []
-        prev_time, prev_doc = -1, -1
-        for offset, payload in self._blocks(start_offset, counted=True):
-            records = np.frombuffer(payload, dtype=_RECORDS)
-            times, docs = records["time"], records["doc"]
-            if not len(times):
-                continue
-            if offset == start_offset and times[0] != start_time:
+        docs: List[int] = []
+        for offset, commit_time, doc_id in self._walk(
+            start_offset, counted=True
+        ):
+            if offset == start_offset and commit_time != start_time:
                 raise TamperDetectedError(
                     f"jump node for time {start_time} points at record "
-                    f"{offset} holding time {times[0]}",
+                    f"{offset} holding time {commit_time}",
                     location=f"commit log '{self.name}', record {offset}",
                     invariant="commit-time-jump-payload",
                 )
-            past = np.flatnonzero(times > min(t_end, _MAX_TIME))
-            end = int(past[0]) + 1 if len(past) else len(times)
-            times, docs = times[:end], docs[:end]
-            bad = np.flatnonzero((times[1:] < times[:-1]) | (docs[1:] <= docs[:-1])) + 1
-            if times[0] < prev_time or docs[0] <= prev_doc:
-                bad = [0]
-            if len(bad):
-                at = int(bad[0])
-                before = (times[at - 1], docs[at - 1]) if at else (prev_time, prev_doc)
-                raise self._out_of_order(offset + at, times[at], docs[at], *before)
-            if len(past):
-                parts.append(docs[:-1])
+            if commit_time > t_end:
                 break
-            parts.append(docs)
-            prev_time, prev_doc = int(times[-1]), int(docs[-1])
-        return np.concatenate(parts).tolist() if parts else []
+            docs.append(doc_id)
+        return docs
 
     def iter_records(self) -> Iterator[Tuple[int, int]]:
         """Yield every committed ``(commit_time, doc_id)`` pair in order.

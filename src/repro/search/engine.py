@@ -341,14 +341,16 @@ class _Stage:
 
 
 def _concatenated(pieces: Iterable[Sequence[TermColumn]]) -> List[TermColumn]:
-    """One column per term out of ``pieces`` — each family's columns in
-    view order, then the tail's: the term's parts end to end.
+    """One column per term out of ``pieces`` — each family's (or group
+    of same-layout families') columns, then the tail's: the term's parts
+    end to end.
 
-    Each part ascends, and families and the tail cover disjoint,
-    ascending documents, so the parts line up end to end; a posting
-    stuffed into one of them under a document ID of another breaks the
-    order at a seam, and :func:`ascending` restores it, the larger
-    frequency of a repeated ``(document, term)`` pair winning.
+    Each part ascends, and families and the tail cover disjoint
+    documents, so parts in view order line up end to end.  A group out
+    of view order, or a posting stuffed into one part under a document
+    ID of another, breaks the order at a seam, and :func:`ascending`
+    restores it, the larger frequency of a repeated ``(document, term)``
+    pair winning.
     """
     parts: Dict[int, List[TermColumn]] = {}
     for piece in pieces:
@@ -1060,6 +1062,15 @@ class TrustworthySearchEngine:
                     f"got {len(texts)} texts but {len(commit_times)} "
                     f"commit times"
                 )
+            # Checked before the first commit: a batch is refused whole.
+            clock = self._clock
+            for commit_time in commit_times:
+                if commit_time < clock:
+                    raise WorkloadError(
+                        f"commit_time {commit_time} precedes the engine clock "
+                        f"{clock}; commits are monotonic"
+                    )
+                clock = commit_time + 1
         postings_by_list = {} if self._tail is None else None
         doc_ids = [
             self._commit_document(
@@ -1265,18 +1276,12 @@ class TrustworthySearchEngine:
         self, families, mode: str, term_ids: Tuple[int, ...], read, trace, costs
     ) -> List[object]:
         """What each of ``families`` adds to the union for ``term_ids``
-        under ``mode`` (``"any"`` or ``"all"``), in view order.
-
-        ``read(families, cut)`` computes it: a piece per family and, per
-        piece, whether it is that family's own — with ``cut``, pieces the
-        result tier can keep.  With the read cache, the tier answers each
-        family whose piece it holds under the same
-        :meth:`~repro.core.segments.MergedListFamily.growth_marks`, and
-        ``read`` gets the rest.
+        under ``mode`` (``"any"`` or ``"all"``), in view order: the
+        result tier's entry for the family under the same
+        :meth:`~repro.core.segments.MergedListFamily.growth_marks`, or
+        ``read(family)``, which is then kept.
         """
         cache = self.read_cache
-        if cache is None:
-            return read(families, False)[0]
         with self._stage("cache", trace, families=len(families)) as span:
             keys = [(family.seg_no, mode, term_ids) for family in families]
             marks = [family.growth_marks(term_ids) for family in families]
@@ -1285,12 +1290,9 @@ class TrustworthySearchEngine:
             costs.families_cached += len(families) - len(missing)
             if span is not None:
                 span.note(families_cached=len(families) - len(missing))
-        if missing:
-            found, own = read([families[at] for at in missing], True)
-            for at, piece, keep in zip(missing, found, own):
-                pieces[at] = piece
-                if keep:
-                    cache.results.put(keys[at], piece, marks[at])
+        for at in missing:
+            pieces[at] = read(families[at])
+            cache.results.put(keys[at], pieces[at], marks[at])
         return pieces
 
     def _scan(
@@ -1299,36 +1301,36 @@ class TrustworthySearchEngine:
         """Disjunctive retrieval: every family's columns of the query
         terms, then the tail's, concatenated per term.
 
-        Families the result tier does not answer are scanned, those of
-        one layout together by the first of them (see
-        ``MergedListFamily.collect_candidates``), which also cuts out
-        each one's own piece for the tier.
+        With the read cache, each family the result tier does not answer
+        is scanned on its own; without it, families of one layout are
+        scanned together, by the first of them (see
+        ``MergedListFamily.collect_candidates``).
         """
         families, tail = view
         present = tuple(sorted({t for t in term_ids if t is not None}))
-
-        def read(missing, cut):
-            groups: Dict[object, List[int]] = {}
-            for at, family in enumerate(missing):
-                groups.setdefault(family.layout, []).append(at)
-            found, own = [[] for _ in missing], [False] * len(missing)
-            for ats in groups.values():
-                first, *peers = [missing[at] for at in ats]
-                if cut:
-                    pieces, mine = first.collect_candidates(present, costs, peers, cut=True)
-                else:
-                    pieces, mine = [first.collect_candidates(present, costs, peers)], False
-                for at, piece in zip(ats, pieces):
-                    found[at], own[at] = piece, mine
-            return found, own
-
         with self._stage(
             "scan",
             trace,
             families=len(families),
             families_skipped=costs.families_skipped,
         ) as span:
-            pieces = self._per_family(families, "any", present, read, trace, costs)
+            if self.read_cache is None:
+                groups: Dict[object, List[MergedListFamily]] = {}
+                for family in families:
+                    groups.setdefault(family.layout, []).append(family)
+                pieces = [
+                    first.collect_candidates(present, costs, peers)
+                    for first, *peers in groups.values()
+                ]
+            else:
+                pieces = self._per_family(
+                    families,
+                    "any",
+                    present,
+                    lambda family: family.collect_candidates(present, costs),
+                    trace,
+                    costs,
+                )
             if tail is not None:
                 tail_columns = tail.collect_candidates(present)
                 costs.entries += sum(len(docs) for _, docs, _ in tail_columns)
@@ -1365,12 +1367,8 @@ class TrustworthySearchEngine:
             return _NO_CANDIDATES.doc_ids
         families, tail = view
 
-        def read(missing, cut):
-            found = [
-                np.array(family.conjunctive_doc_ids(term_ids, costs)[0], dtype=np.uint32)
-                for family in missing
-            ]
-            return found, [True] * len(found)
+        def read(family):
+            return np.array(family.conjunctive_doc_ids(term_ids, costs)[0], dtype=np.uint32)
 
         with self._stage(
             "join",
@@ -1379,8 +1377,11 @@ class TrustworthySearchEngine:
             families=len(families),
             families_skipped=costs.families_skipped,
         ) as span:
-            wanted = tuple(sorted(term_ids))
-            parts = self._per_family(families, "all", wanted, read, trace, costs)
+            if self.read_cache is None:
+                parts = [read(family) for family in families]
+            else:
+                wanted = tuple(sorted(term_ids))
+                parts = self._per_family(families, "all", wanted, read, trace, costs)
             tail_docs = tail.docs_with_all(term_ids) if tail is not None else ()
             if tail_docs:
                 parts.append(np.array(tail_docs, dtype=np.uint32))

@@ -16,7 +16,7 @@ import pytest
 
 from repro.adversary.detection import full_engine_audit
 from repro.cli import open_archive
-from repro.errors import TamperDetectedError
+from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.sharding import ShardedSearchEngine
 from repro.sharding.router import stable_shard
@@ -121,6 +121,24 @@ class TestRecovery:
         engine = TrustworthySearchEngine(CONFIG, store=CachedWormStore(None))
         assert engine.vocabulary_size == 0
         assert len(engine.documents) == 0
+
+    @pytest.mark.parametrize("tail_max_docs", [None, 8])
+    @pytest.mark.parametrize("commit_times", [[20, 19], [20, 20], [2, 30]])
+    def test_a_refused_batch_commits_nothing(self, tail_max_docs, commit_times):
+        """Commit times that do not rise from the engine clock refuse the
+        whole batch before its first document: nothing is counted this
+        session that a reopen would not find."""
+        config = replace(CONFIG, tail_max_docs=tail_max_docs)
+        engine = TrustworthySearchEngine(config)
+        engine.index_batch(TEXTS, commit_times=[1, 3, 5, 7])
+        with pytest.raises(WorkloadError):
+            engine.index_batch(["late memo", "later memo"], commit_times=commit_times)
+        assert len(engine.documents) == engine.stats.num_docs == len(engine.time_index) == 4
+        assert not engine.documents.exists(4)
+        assert engine.index_batch(["late memo"], commit_times=[8]) == [4]
+        reopened = TrustworthySearchEngine(config, store=engine.store)
+        assert len(reopened.documents) == 5
+        assert {r.doc_id for r in reopened.search("memo", verify=True)} == {0, 4}
 
 
 class TestCommitCrashRecovery:
