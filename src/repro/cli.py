@@ -469,11 +469,7 @@ def _cmd_dispose(args) -> int:
 
 
 def _print_segment_table(info, indent: str = "") -> None:
-    print(
-        f"{indent}tail: {info['tail_docs']} docs, "
-        f"{info['tail_postings']} postings, "
-        f"generation {info['tail_generation']}"
-    )
+    print(f"{indent}tail: {info['tail_docs']} docs, {info['tail_postings']} postings")
     if not info["segments"]:
         print(f"{indent}no sealed segments")
         return

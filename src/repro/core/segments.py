@@ -868,11 +868,11 @@ class MergedListFamily:
     # ------------------------------------------------------------------
     def conjunctive_doc_ids(
         self, term_ids: Sequence[int], costs: Optional[ReadCosts] = None
-    ) -> Tuple[List[int], int, int]:
+    ) -> List[int]:
         """Documents in this family containing *all* terms (Section 4).
 
-        Returns ``(doc_ids, seeks, blocks_read)`` and adds the zigzag
-        join's full micro-costs to ``costs``; an absent or empty list
+        Adds the zigzag join's micro-costs — seeks, blocks read, jump
+        pointers followed — to ``costs``; an absent or empty list
         short-circuits to no matches.
         """
         hints = self.length_hints
@@ -882,7 +882,7 @@ class MergedListFamily:
             list_id = self.list_for(term_id)
             attached = self._attach(list_id)
             if attached is None or not len(attached[0]):
-                return [], 0, 0
+                return []
             posting_list, jump = attached
             sources.append((list_id, posting_list))
             cursors.append(
@@ -899,10 +899,9 @@ class MergedListFamily:
             costs = ReadCosts()
         jumps = {c.jump_index for c in cursors if c.jump_index is not None}
         follows_before = sum(j.pointers_followed for j in jumps)
-        doc_ids, blocks = conjunctive_join(cursors)
-        seeks = sum(c.seeks for c in cursors)
+        doc_ids, _ = conjunctive_join(cursors)
         costs.lists += len({list_id for list_id, _ in sources})
-        costs.seeks += seeks
+        costs.seeks += sum(c.seeks for c in cursors)
         costs.jump_follows += (
             sum(j.pointers_followed for j in jumps) - follows_before
         )
@@ -912,7 +911,7 @@ class MergedListFamily:
             costs.charge(list_id, read)
             costs.entries += read * posting_list.entries_per_block
             costs.block_cache_hits += cursor.cache_hits()
-        return doc_ids, seeks, blocks
+        return doc_ids
 
     def collect_candidates(
         self,
@@ -1070,9 +1069,6 @@ class MergedListFamily:
                 elif size != committed:
                     found.append((name, size - committed))
         return found
-
-    def posting_count(self) -> int:
-        return sum(len(pl) for pl, _ in self.attached_lists())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.info is None:

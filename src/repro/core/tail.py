@@ -48,23 +48,15 @@ class TailSnapshot:
     see the module docstring for when those references are stable.
     """
 
-    __slots__ = ("generation", "last_doc", "_postings", "_docs")
+    __slots__ = ("_postings", "_docs")
 
     def __init__(
         self,
-        generation: int,
-        last_doc: Optional[int],
         postings: Dict[int, List[Tuple[int, int]]],
         docs: Dict[int, Dict[int, int]],
     ):
-        self.generation = generation
-        self.last_doc = last_doc
         self._postings = postings
         self._docs = docs
-
-    def postings_for(self, term_id: int) -> Sequence[Tuple[int, int]]:
-        """``(doc_id, packed_code)`` entries of ``term_id``, doc order."""
-        return self._postings.get(term_id, ())
 
     def collect_candidates(self, wanted: Iterable[int]) -> List[TermColumn]:
         """The wanted terms' tail postings as ``(term_id, doc_ids, tfs)``
@@ -94,10 +86,6 @@ class TailSnapshot:
             if all(t in self._docs[doc_id] for t in others)
         ]
 
-    @property
-    def doc_count(self) -> int:
-        return len(self._docs)
-
 
 class MutableTailIndex:
     """Per-term postings of documents not yet sealed into a segment.
@@ -111,9 +99,6 @@ class MutableTailIndex:
         self._postings: Dict[int, List[Tuple[int, int]]] = {}
         self._docs: Dict[int, Dict[int, int]] = {}
         self._num_postings = 0
-        #: Bumped on every structural change (seal/clear); reported as
-        #: ``segments_info()["tail_generation"]``.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # write path (single writer)
@@ -138,7 +123,7 @@ class MutableTailIndex:
         self._num_postings += len(codes)
 
     def clear(self) -> None:
-        """Drop everything (after sealing) and bump the generation.
+        """Drop everything (after sealing).
 
         Replaces the dicts instead of clearing them so outstanding
         snapshots keep their pre-seal view (copy-on-seal).
@@ -146,16 +131,13 @@ class MutableTailIndex:
         self._postings = {}
         self._docs = {}
         self._num_postings = 0
-        self.generation += 1
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
     def snapshot(self) -> TailSnapshot:
         """A constant-time immutable view (see the module docstring)."""
-        return TailSnapshot(
-            self.generation, self.last_doc, self._postings, self._docs
-        )
+        return TailSnapshot(self._postings, self._docs)
 
     @property
     def doc_count(self) -> int:
@@ -189,5 +171,5 @@ class MutableTailIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MutableTailIndex(docs={len(self._docs)}, "
-            f"postings={self._num_postings}, gen={self.generation})"
+            f"postings={self._num_postings})"
         )

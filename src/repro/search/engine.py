@@ -188,6 +188,34 @@ class EngineConfig:
             )
 
 
+def check_commit_times(
+    clock: int, count: int, commit_times: Optional[Sequence[int]]
+) -> List[int]:
+    """The commit times of a batch of ``count`` texts, checked before
+    anything is written: ``clock`` onwards when ``commit_times`` is
+    ``None``; otherwise one time per text, none below ``clock`` and each
+    above the time before it.  A batch that breaks the rule is refused
+    whole with a :class:`~repro.errors.WorkloadError` naming what the
+    time was compared against."""
+    if commit_times is None:
+        return list(range(clock, clock + count))
+    commit_times = list(commit_times)
+    if len(commit_times) != count:
+        raise WorkloadError(f"got {count} texts but {len(commit_times)} commit times")
+    if commit_times and commit_times[0] < clock:
+        raise WorkloadError(
+            f"commit_time {commit_times[0]} precedes the engine clock {clock}; "
+            f"commits are monotonic"
+        )
+    for before, commit_time in zip(commit_times, commit_times[1:]):
+        if commit_time <= before:
+            raise WorkloadError(
+                f"commit_time {commit_time} does not follow {before}, the time "
+                f"before it in the batch; commits are monotonic"
+            )
+    return commit_times
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """One ranked hit."""
@@ -256,54 +284,43 @@ class Candidates:
                 columns.append((term_id, docs[kept], tfs[kept]))
         return Candidates(columns, doc_ids[mask], self.everywhere)
 
-    def _by_term_id(self, term_keys: Optional[Mapping[int, int]]):
-        """``(key, docs, tfs)`` per column and per term held everywhere
-        (``docs`` ``None``, ``tfs`` 1), by ascending term ID, keyed
-        through ``term_keys`` as :meth:`scoring_columns`."""
-        key_of = (lambda term_id: term_id) if term_keys is None else term_keys.get
+    def _by_term_id(self):
+        """``(term_id, docs, tfs)`` per column and per term held
+        everywhere (``docs`` ``None``, ``tfs`` 1), by ascending term ID."""
         columns = [(term_id, None, 1) for term_id in self.everywhere]
         columns.extend(self.columns)
         columns.sort(key=lambda column: column[0])
-        keyed = ((key_of(term_id), docs, tfs) for term_id, docs, tfs in columns)
-        return [column for column in keyed if column[0] is not None]
+        return columns
 
-    def rows(
-        self, term_keys: Optional[Mapping[int, int]] = None
-    ) -> Dict[int, Dict[int, int]]:
-        """``doc_id -> {term: tf}`` built afresh, terms by ascending ID,
-        keyed through ``term_keys`` as :meth:`scoring_columns`."""
+    def rows(self) -> Dict[int, Dict[int, int]]:
+        """``doc_id -> {term_id: tf}`` built afresh, terms by ascending ID."""
         all_ids = self.doc_ids.tolist()
         rows: Dict[int, Dict[int, int]] = {doc_id: {} for doc_id in all_ids}
-        for key, docs, tfs in self._by_term_id(term_keys):
+        for term_id, docs, tfs in self._by_term_id():
             if docs is None:
                 for doc_id in all_ids:
-                    rows[doc_id][key] = 1
+                    rows[doc_id][term_id] = 1
             else:
                 for doc_id, tf in zip(docs.tolist(), tfs.tolist()):
-                    rows[doc_id][key] = tf
+                    rows[doc_id][term_id] = tf
         return rows
 
-    def scoring_columns(
-        self, term_keys: Optional[Mapping[int, int]] = None
-    ) -> List[Tuple[int, object, object]]:
-        """``(term, rows, tfs)`` per term by ascending term ID, for
+    def scoring_columns(self) -> List[Tuple[int, object, object]]:
+        """``(term_id, rows, tfs)`` per term by ascending term ID, for
         :meth:`~repro.search.ranking.BM25Scorer.score_columns`: ``rows``
         index ``doc_ids`` (``slice(None)`` for all of them, in order);
-        ``tfs`` is a column, or the number 1 for a term held everywhere.
-        ``term_keys`` maps term IDs to the keys the scorer's statistics
-        use (a shard executor's are query positions) and drops the
-        terms it does not name; without it the IDs are the keys."""
+        ``tfs`` is a column, or the number 1 for a term held everywhere."""
         doc_ids = self.doc_ids
         everyone = slice(None)
         return [
             (
-                key,
+                term_id,
                 everyone
                 if docs is None or len(docs) == len(doc_ids)
                 else np.searchsorted(doc_ids, docs),
                 tfs,
             )
-            for key, docs, tfs in self._by_term_id(term_keys)
+            for term_id, docs, tfs in self._by_term_id()
         ]
 
     def __len__(self) -> int:
@@ -592,7 +609,7 @@ class TrustworthySearchEngine:
         self._decode_series = (self._c_decode_blocks, self._c_decode_postings)
         self._m_ingest = m.histogram(
             "repro_ingest_seconds",
-            "Per-document commit+index latency",
+            "Commit+index latency of one index_batch call (a seal it triggers excluded)",
             labels=base,
         ).labels(**bound)
         self._c_seals = m.counter(
@@ -702,9 +719,6 @@ class TrustworthySearchEngine:
             decode_metrics=self._decode_series if self._metrics_on else None,
             length_hints=self.stats.df if info is None else None,
         )
-
-    def _list_id_for(self, term_id: int) -> int:
-        return self._family.list_for(term_id)
 
     @property
     def tail_enabled(self) -> bool:
@@ -933,7 +947,6 @@ class TrustworthySearchEngine:
             "tail_enabled": True,
             "tail_docs": self._tail.doc_count,
             "tail_postings": self._tail.posting_count,
-            "tail_generation": self._tail.generation,
             "manifest_records": self._manifest.record_count,
             "segments": [s.info.as_dict() for s in self._segments],
         }
@@ -945,43 +958,77 @@ class TrustworthySearchEngine:
         self, text: str, *, commit_time: Optional[int] = None
     ) -> int:
         """Commit a document to WORM and index it, atomically from the
-        caller's perspective; returns the assigned document ID."""
-        term_counts = self.analyzer.term_counts(text)
+        caller's perspective; returns the assigned document ID.  A batch
+        of one: :meth:`index_batch` is the one way a document enters."""
+        return self.index_batch(
+            [text], commit_times=None if commit_time is None else [commit_time]
+        )[0]
+
+    def index_batch(
+        self,
+        texts: Iterable[str],
+        *,
+        commit_times: Optional[Sequence[int]] = None,
+    ) -> List[int]:
+        """Commit and index a batch of documents; returns their IDs.
+
+        The commit times (by default the engine clock onwards) are
+        checked by :func:`check_commit_times` before anything is
+        written, so a refused batch commits nothing.  Each document is
+        committed to WORM *and* indexed inside this one call — batching
+        groups work, it does not introduce the buffering window Section
+        2.3 forbids (the call does not return until every document in
+        the batch is queryable).
+
+        Tail mode registers each document's postings in the tail and
+        writes its commit-time record right after it.  Otherwise the
+        postings go to the merged WORM lists one pass per list, in
+        ascending document order, and the batch's commit-time records
+        follow: a crash among the appends leaves IDs that no record
+        commits — burned — not committed documents missing postings.
+        Each posting is still appended on its own, through Section 3's
+        cache model, so with an unbounded storage cache the
+        :class:`~repro.worm.iostats.IoStats` counts are those of
+        ingesting the documents one at a time (Figure 2/8(b)).
+        """
+        texts = list(texts)
+        commit_times = check_commit_times(self._clock, len(texts), commit_times)
         start = perf_counter() if self._metrics_on else 0.0
-        doc_id = self._commit_document(
-            text, term_counts, self._clock if commit_time is None else commit_time
-        )
+        postings_by_list: Dict[int, List[Tuple[int, int]]] = {}
+        doc_ids = [
+            self._commit_document(text, commit_time, postings_by_list)
+            for text, commit_time in zip(texts, commit_times)
+        ]
+        if self._tail is None:
+            self._family.append_many(sorted(postings_by_list.items()))
+            for doc_id, commit_time in zip(doc_ids, commit_times):
+                self.time_index.record_commit(doc_id, commit_time)
         if self._metrics_on:
             self._m_ingest.observe(perf_counter() - start)
-        self._after_ingest()
-        return doc_id
+        if self._tail is not None:
+            if self._metrics_on:
+                self._g_tail_docs.set(self._tail.doc_count)
+            if self._tail.doc_count >= self.config.tail_max_docs:
+                self.seal_tail()
+        return doc_ids
 
     def _commit_document(
         self,
         text: str,
-        term_counts: Mapping[str, int],
         commit_time: int,
-        batch: Optional[Dict[int, List[Tuple[int, int]]]] = None,
+        postings_by_list: Dict[int, List[Tuple[int, int]]],
     ) -> int:
-        """Commit one document and register its postings; returns its ID.
+        """Commit one document of :meth:`index_batch` and register its
+        postings; returns its ID.
 
-        The per-document body of every ingest call.  The index update
-        happens here, before returning: real-time index update, no
-        buffering window.  The terms the document introduces go to the
-        lexicon log as one record.  Tail mode registers the postings in
-        memory (the document, commit-time, and lexicon logs already
-        journal everything the tail is rebuilt from).  Otherwise they go to the
-        merged WORM lists: appended now, in term order, or — inside
-        :meth:`index_batch` — grouped per list into ``batch`` for one
-        pass per list before that call returns.  The commit-time record,
-        which makes the document one, comes after its postings: here, or
-        with ``batch`` from :meth:`index_batch`, after the batch's.
+        The terms the document introduces go to the lexicon log as one
+        record.  Tail mode adds the postings to the tail (the document,
+        commit-time and lexicon logs journal everything it is rebuilt
+        from) and writes the commit-time record, which makes the
+        document one.  Otherwise the postings are grouped per merged
+        list into ``postings_by_list``, for the batch to append.
         """
-        if commit_time < self._clock:
-            raise WorkloadError(
-                f"commit_time {commit_time} precedes the engine clock "
-                f"{self._clock}; commits are monotonic"
-            )
+        term_counts = self.analyzer.term_counts(text)
         self._clock = commit_time + 1
         retention_until = (
             commit_time + self.config.retention_period
@@ -1002,97 +1049,16 @@ class TrustworthySearchEngine:
         codes = {t: pack_term_tf(t, id_counts[t]) for t in sorted(id_counts)}
         if self._tail is not None:
             self._tail.add(doc_id, codes)
+            self.time_index.record_commit(doc_id, commit_time)
         else:
             list_for = self._family.list_for
-            if batch is None:
-                self._family.append_many(
-                    (list_for(t), ((doc_id, code),))
-                    for t, code in codes.items()
-                )
-            else:
-                for t, code in codes.items():
-                    batch.setdefault(list_for(t), []).append((doc_id, code))
-        if batch is None:
-            self.time_index.record_commit(doc_id, commit_time)
+            for t, code in codes.items():
+                postings_by_list.setdefault(list_for(t), []).append((doc_id, code))
         self.stats.add_document(doc_id, id_counts)
         if self._metrics_on:
             self._c_docs.inc()
             self._c_postings.inc(len(id_counts))
         return doc_id
-
-    def _after_ingest(self) -> None:
-        """Publish the tail's size and seal it once full."""
-        if self._tail is not None:
-            if self._metrics_on:
-                self._g_tail_docs.set(self._tail.doc_count)
-            if self._tail.doc_count >= self.config.tail_max_docs:
-                self.seal_tail()
-
-    def index_batch(
-        self,
-        texts: Iterable[str],
-        *,
-        commit_times: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Commit and index a batch of documents in one amortized pass.
-
-        Semantically equivalent to calling :meth:`index_document` once
-        per text, in order — same document IDs, same commit times, same
-        committed WORM state, and (with an unbounded storage cache) the
-        exact same :class:`~repro.worm.iostats.IoStats` counts, so the
-        Figure-2/8(b) accounting semantics are preserved.  What batching
-        buys is amortization: posting entries are appended one pass per
-        merged list, so per-list lookups (physical-list resolution, jump
-        state) happen once per list instead of once per posting, and a
-        bounded cache sees consecutive appends to each tail block instead
-        of interleaved ones (fewer evictions under cache pressure).
-
-        Each document is still committed to WORM *and* indexed inside
-        this one call — batching groups work, it does not introduce the
-        buffering window Section 2.3 forbids (the call does not return
-        until every document in the batch is queryable).
-        """
-        texts = list(texts)
-        if commit_times is None:
-            commit_times = list(range(self._clock, self._clock + len(texts)))
-        else:
-            commit_times = list(commit_times)
-            if len(commit_times) != len(texts):
-                raise WorkloadError(
-                    f"got {len(texts)} texts but {len(commit_times)} "
-                    f"commit times"
-                )
-            # Checked before the first commit: a batch is refused whole.
-            clock = self._clock
-            for commit_time in commit_times:
-                if commit_time < clock:
-                    raise WorkloadError(
-                        f"commit_time {commit_time} precedes the engine clock "
-                        f"{clock}; commits are monotonic"
-                    )
-                clock = commit_time + 1
-        postings_by_list = {} if self._tail is None else None
-        doc_ids = [
-            self._commit_document(
-                text,
-                self.analyzer.term_counts(text),
-                commit_time,
-                postings_by_list,
-            )
-            for text, commit_time in zip(texts, commit_times)
-        ]
-        if postings_by_list is not None:
-            # One pass per merged list; per-list entries are in ascending
-            # doc-id order by construction, so monotonicity invariants
-            # (and jump-pointer placement) are identical to per-document
-            # ingest.  The commit-time records follow: a crash among the
-            # appends leaves IDs that no record commits — burned — not
-            # committed documents missing postings.
-            self._family.append_many(sorted(postings_by_list.items()))
-            for doc_id, commit_time in zip(doc_ids, commit_times):
-                self.time_index.record_commit(doc_id, commit_time)
-        self._after_ingest()
-        return doc_ids
 
     # ------------------------------------------------------------------
     # query path
@@ -1368,7 +1334,7 @@ class TrustworthySearchEngine:
         families, tail = view
 
         def read(family):
-            return np.array(family.conjunctive_doc_ids(term_ids, costs)[0], dtype=np.uint32)
+            return np.array(family.conjunctive_doc_ids(term_ids, costs), dtype=np.uint32)
 
         with self._stage(
             "join",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +44,8 @@ SCALAR_UP_TO = 16
 #: ``numpy.log`` is not guaranteed to round the same way.
 _LOG_TF = np.array([0.0] + [1.0 + math.log(tf) for tf in range(1, 256)])
 
-#: One query term's postings, as the scorers take them: the term's key
-#: in the collection statistics, the rows of the candidate set its
+#: One query term's postings, as the scorers take them: the term's ID,
+#: its key in the collection statistics, the rows of the candidate set its
 #: documents are (an index array, or ``slice(None)`` for all of them,
 #: in order), and the term's frequency in each (a column, or one number
 #: where every document holds the term as often).
@@ -212,20 +212,12 @@ class CosineScorer:
         return total / np.sqrt(np.maximum(1, self.stats.lengths_of(doc_ids)))
 
 
-def rank(
-    scorer,
-    candidates,
-    top_k: int,
-    term_keys: Optional[Mapping[int, int]] = None,
-) -> List[Tuple[int, float]]:
+def rank(scorer, candidates, top_k: int) -> List[Tuple[int, float]]:
     """The ``top_k`` best of ``candidates`` as ``(doc_id, score)`` pairs
     of Python numbers, best first, equal scores by ascending ID.
 
-    ``candidates`` is a :class:`~repro.search.engine.Candidates`.
-    ``term_keys`` maps its term IDs to the keys ``scorer``'s statistics
-    use (a shard executor scores under statistics keyed by query
-    position) and drops the terms it does not name; without it the
-    term IDs are the keys.
+    ``candidates`` is a :class:`~repro.search.engine.Candidates`, whose
+    term IDs key ``scorer``'s statistics.
 
     Exactly ``sorted(..., key=(-score, doc_id))[:top_k]`` over every
     candidate, without sorting them all: every score at least the
@@ -237,12 +229,12 @@ def rank(
     if candidates.postings <= SCALAR_UP_TO:
         ranked = sorted(
             (-scorer.score(doc_id, freqs), doc_id)
-            for doc_id, freqs in candidates.rows(term_keys).items()
+            for doc_id, freqs in candidates.rows().items()
         )
         return [(doc_id, -negated) for negated, doc_id in ranked[:top_k]]
     doc_ids = candidates.doc_ids
     count = len(doc_ids)
-    columns = candidates.scoring_columns(term_keys)
+    columns = candidates.scoring_columns()
     total = scorer.score_columns(doc_ids, columns)
     if count > top_k:
         kth_best = np.partition(total, count - top_k)[count - top_k]

@@ -1,17 +1,16 @@
 """Batched ingestion across shards.
 
-The unsharded engine indexes each document inside its own call.  At
-scale, the per-document overhead — analyzer runs, lexicon lookups,
-per-posting physical-list resolution, tail-block cache churn — dominates
-ingest cost.  :class:`BatchIngestor` regains that cost without giving up
-the paper's real-time-update requirement: a batch is routed per shard,
-and each shard indexes its group with
+Every document enters an engine through
 :meth:`~repro.search.engine.TrustworthySearchEngine.index_batch`, which
-appends posting entries one pass per merged list.  The call does not
-return until every document in the batch is committed *and* queryable,
-so there is still no buffering window for Mala to exploit (Section 2.3);
-batching changes the grouping of work, not its observability.  There is
-no ``add()``/``flush()`` pair that holds documents back for a fuller
+appends posting entries one pass per merged list (``index_document`` is
+a batch of one).  :class:`BatchIngestor` keeps that grouping across
+shards without giving up the paper's real-time-update requirement: a
+batch is routed per shard, and each shard indexes its group with one
+``index_batch`` call.  The call does not return until every document
+in the batch is committed *and* queryable, so there is still no
+buffering window for Mala to exploit (Section 2.3); batching changes
+the grouping of work, not its observability.  There is no
+``add()``/``flush()`` pair that holds documents back for a fuller
 batch: that buffer is the attack (:mod:`repro.baselines.buffered` keeps
 one, for ``buffer_wipe_attack`` to wipe).
 

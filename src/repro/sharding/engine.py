@@ -35,6 +35,7 @@ from repro.search.engine import (
     EngineConfig,
     SearchResult,
     TrustworthySearchEngine,
+    check_commit_times,
 )
 from repro.search.query import parse_query
 from repro.sharding.batch import BatchIngestor
@@ -217,28 +218,16 @@ class ShardedSearchEngine:
 
         Every document is committed to WORM and indexed on its shard
         before this call returns — the real-time guarantee of the
-        unsharded engine, at batch granularity.
+        unsharded engine, at batch granularity.  The commit times are
+        checked as the unsharded engine checks them
+        (:func:`~repro.search.engine.check_commit_times`), before
+        anything is written or the clock moves.
         """
         texts = list(texts)
-        if commit_times is None:
-            commit_times = list(range(self._clock, self._clock + len(texts)))
-        else:
-            commit_times = list(commit_times)
-            if len(commit_times) != len(texts):
-                raise WorkloadError(
-                    f"got {len(texts)} texts but {len(commit_times)} "
-                    f"commit times"
-                )
-            for commit_time in commit_times:
-                if commit_time < self._clock:
-                    raise WorkloadError(
-                        f"commit_time {commit_time} precedes the engine "
-                        f"clock {self._clock}; commits are monotonic"
-                    )
-                self._clock = commit_time + 1
+        commit_times = check_commit_times(self._clock, len(texts), commit_times)
         if not texts:
             return []
-        self._clock = max(self._clock, commit_times[-1] + 1)
+        self._clock = commit_times[-1] + 1
         return self.ingestor.ingest(texts, commit_times)
 
     # ------------------------------------------------------------------

@@ -47,17 +47,18 @@ from repro.sharding.router import ShardRouter
 class AggregatedTermStats:
     """Collection-level statistics aggregated across every shard.
 
-    Term keys are *positions in the query's term tuple* — a shard-neutral
-    vocabulary, since each shard grows its own term-ID space.
+    Document frequencies are keyed by the query's terms, a shard-neutral
+    vocabulary, since each shard grows its own term-ID space; a shard
+    scores under its own term IDs (:func:`_score_shard`).
     """
 
-    df: Dict[int, int]
+    df: Dict[str, int]
     num_docs: int
     avg_doc_length: float
 
     @classmethod
     def of(
-        cls, df: Dict[int, int], num_docs: int, total_length: int
+        cls, df: Dict[str, int], num_docs: int, total_length: int
     ) -> "AggregatedTermStats":
         """From cross-shard sums — exactly the statistics a single
         unsharded engine would hold for the same corpus."""
@@ -68,15 +69,16 @@ class AggregatedTermStats:
 class _ShardScopedStats:
     """A :class:`CollectionStats`-compatible view for scoring one shard.
 
-    Global quantities (document count, document frequencies, average
-    length) come from the cross-shard aggregate; per-document lengths are
-    answered by the owning shard's own statistics, keyed by local ID.
+    Global quantities (document count, average length) come from the
+    cross-shard aggregate, and ``df`` holds its document frequencies
+    under the shard's own term IDs; per-document lengths are answered by
+    the owning shard's own statistics, keyed by local ID.
     """
 
     __slots__ = ("df", "num_docs", "avg_doc_length", "doc_length", "lengths_of")
 
-    def __init__(self, aggregate: AggregatedTermStats, local: CollectionStats):
-        self.df = aggregate.df
+    def __init__(self, aggregate: AggregatedTermStats, local: CollectionStats, df: Dict[int, int]):
+        self.df = df
         self.num_docs = aggregate.num_docs
         self.avg_doc_length = aggregate.avg_doc_length
         self.doc_length = local.doc_length
@@ -111,9 +113,9 @@ def _score_shard(
     shard-local ``(id, score)`` run.
 
     Candidates from the shard's own index, ranked by
-    :func:`repro.search.ranking.rank` with term IDs keyed by query
-    position (the shard-neutral vocabulary of ``aggregate``), under
-    aggregated df/num_docs/avg length with shard-local document lengths.
+    :func:`repro.search.ranking.rank` under its own term IDs, as an
+    unsharded engine ranks, with aggregated df/num_docs/avg length and
+    shard-local document lengths.
     Ordering by ``(-score, local_id)`` matches the global sort because
     a shard's ``k``-th committed local ID maps to the ``k``-th global ID
     routed to it, so local and global IDs rise together within a shard
@@ -123,14 +125,14 @@ def _score_shard(
     candidates = engine.match(query)
     if not candidates:
         return []
-    position_of: Dict[int, int] = {}
-    for position, term in enumerate(query.terms):
+    df: Dict[int, int] = {}
+    for term, count in aggregate.df.items():
         term_id = engine.term_id(term)
         if term_id is not None:
-            position_of[term_id] = position
-    stats = _ShardScopedStats(aggregate, engine.stats)
+            df[term_id] = count
+    stats = _ShardScopedStats(aggregate, engine.stats, df)
     scorer = BM25Scorer(stats) if ranking == "bm25" else CosineScorer(stats)
-    return rank(scorer, candidates, top_k, position_of)
+    return rank(scorer, candidates, top_k)
 
 
 class ParallelQueryExecutor:
@@ -237,14 +239,14 @@ class ParallelQueryExecutor:
         lengths — exactly the statistics a single unsharded engine would
         hold for the same corpus.
         """
-        df: Dict[int, int] = {}
-        for position, term in enumerate(terms):
+        df: Dict[str, int] = {}
+        for term in terms:
             total = 0
             for shard in self.shards:
                 term_id = shard.term_id(term)
                 if term_id is not None:
                     total += shard.stats.df.get(term_id, 0)
-            df[position] = total
+            df[term] = total
         return AggregatedTermStats.of(
             df,
             sum(shard.stats.num_docs for shard in self.shards),

@@ -21,6 +21,7 @@ from repro.core.segments import (
     SEGMENT_PREFIX,
     STRATEGY_POPULAR,
     STRATEGY_UNIFORM,
+    ReadCosts,
     SealedSegment,
     SegmentInfo,
     SharedFile,
@@ -75,7 +76,7 @@ class TestMutableTailIndex:
         assert tail.doc_count == 2
         assert tail.posting_count == 3
         assert (tail.first_doc, tail.last_doc) == (0, 2)
-        assert [d for d, _ in snap.postings_for(3)] == [0, 2]
+        assert [d.tolist() for _, d, _ in snap.collect_candidates([3])] == [[0, 2]]
         assert snap.docs_with_all([3, 7]) == [0]
         assert snap.docs_with_all([3]) == [0, 2]
         assert snap.docs_with_all([]) == []
@@ -106,10 +107,9 @@ class TestMutableTailIndex:
         snap = tail.snapshot()
         tail.clear()
         # Pre-seal snapshot keeps its view; the tail itself is empty.
-        assert snap.doc_count == 1
-        assert list(snap.postings_for(1))
+        assert snap.docs_with_all([1]) == [0]
         assert tail.doc_count == 0
-        assert tail.generation == snap.generation + 1
+        assert tail.snapshot().docs_with_all([1]) == []
 
     def test_postings_by_term_is_defensive(self):
         tail = MutableTailIndex()
@@ -117,7 +117,7 @@ class TestMutableTailIndex:
         doc_ids, term_codes = tail.columns()
         doc_ids[:] = 9
         term_codes[:] = 0
-        assert tail.snapshot().postings_for(1) == [(0, pack_term_tf(1, 1))]
+        assert tail.snapshot().docs_with_all([1]) == [0]
         assert postings_of(tail.columns()) == {1: [(0, pack_term_tf(1, 1))]}
 
 
@@ -342,15 +342,14 @@ class TestSealedSegmentReads:
         segment = SealedSegment(
             store, seal_info(0, 0, 2, 3, shared=shared), branching=branching
         )
-        doc_ids, _seeks, _blocks = segment.conjunctive_doc_ids([1, 5])
-        assert doc_ids == [0]
+        assert segment.conjunctive_doc_ids([1, 5]) == [0]
         candidates = Candidates(segment.collect_candidates([1, 9]))
         assert candidates.rows() == {
             0: {1: 2},
             2: {1: 1, 9: 1},
         }
         assert postings_of(segment.read_columns()) == self.POSTINGS
-        assert segment.posting_count() == 5
+        assert sum(len(pl) for pl, _ in segment.attached_lists()) == 5
         assert store.device.list_files() == [segment.shared_name]
 
     def test_absent_term_short_circuits_conjunction(self):
@@ -367,8 +366,9 @@ class TestSealedSegmentReads:
         segment = SealedSegment(
             store, seal_info(0, 0, 2, 3, shared=shared), branching=None
         )
-        doc_ids, seeks, blocks = segment.conjunctive_doc_ids([1, 1234])
-        assert doc_ids == [] and seeks == 0 and blocks == 0
+        costs = ReadCosts()
+        assert segment.conjunctive_doc_ids([1, 1234], costs) == []
+        assert costs.seeks == 0 and costs.blocks == 0
 
     def test_popular_layout_isolates_hot_terms(self):
         store = make_store()
@@ -525,7 +525,7 @@ class TestColumnarSegmentWrite:
                 for term_id, doc_ids, tfs in segment.collect_candidates(terms)
             ],
             "joins": [
-                segment.conjunctive_doc_ids(terms[at : at + 2])[0]
+                segment.conjunctive_doc_ids(terms[at : at + 2])
                 for at in range(len(terms) - 1)
             ],
         }

@@ -1,12 +1,14 @@
 """Integration tests for the end-to-end trustworthy search engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.merge import PopularUnmergedMerge
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, SearchResult, TrustworthySearchEngine
 from repro.search.query import Query, QueryMode
-from tests.helpers import build_engine
+from tests.helpers import SMALL_CONFIG, build_engine, device_state
 
 
 @pytest.fixture()
@@ -35,6 +37,59 @@ class TestIngest:
         """A document is searchable the moment index_document returns."""
         doc_id = engine.index_document("immediately searchable unicorns")
         assert [r.doc_id for r in engine.search("unicorns")] == [doc_id]
+
+
+#: One config per ingest mode; the tail seals inside the seventh
+#: document's call.
+MODES = {"legacy": SMALL_CONFIG, "tail": replace(SMALL_CONFIG, tail_max_docs=7)}
+
+
+class TestOneIngestPath:
+    """``index_document`` is ``index_batch`` of one text, in either mode,
+    with the engine clock's commit time or an explicit one."""
+
+    TEXT = "imclone stewart memo zebra quokka quokka"
+    QUERIES = ["imclone memo", "quokka", "+imclone +memo", "zebra stewart @0..60"]
+
+    @staticmethod
+    def answers(engine):
+        return [
+            [(r.doc_id, r.score.hex()) for r in engine.search(query)]
+            for query in TestOneIngestPath.QUERIES
+        ]
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("commit_time", [None, 50])
+    def test_a_document_is_a_batch_of_one(self, mode, commit_time):
+        one = build_engine(config=MODES[mode])
+        batch = build_engine(config=MODES[mode])
+        one.index_document(self.TEXT, commit_time=commit_time)
+        batch.index_batch(
+            [self.TEXT], commit_times=None if commit_time is None else [commit_time]
+        )
+        assert device_state(one.store.device) == device_state(batch.store.device)
+        assert one.store.io.snapshot() == batch.store.io.snapshot()
+        assert self.answers(one) == self.answers(batch)
+        assert len(one.iter_segments()) == (mode == "tail")
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("commit_time", [None, 50])
+    def test_a_refused_document_commits_nothing(self, mode, commit_time):
+        engine = build_engine(config=MODES[mode])
+        engine.index_document("memo before the refusal", commit_time=commit_time)
+        before = (
+            len(engine.documents),
+            engine.documents.next_doc_id,
+            len(engine.store.device),
+        )
+        with pytest.raises(WorkloadError, match="precedes the engine clock"):
+            engine.index_document(self.TEXT, commit_time=3)
+        after = (
+            len(engine.documents),
+            engine.documents.next_doc_id,
+            len(engine.store.device),
+        )
+        assert after == before
 
 
 class TestDisjunctiveSearch:

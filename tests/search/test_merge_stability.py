@@ -1,6 +1,7 @@
 """Merge-assignment stability under lexicon growth (property tests).
 
-``TrustworthySearchEngine._list_id_for`` re-derives a *larger*
+The engine's directly-appended list family (``MergedListFamily.list_for``)
+re-derives a *larger*
 :class:`~repro.core.merge.TermAssignment` whenever the lexicon outgrows
 the current one, relying on the :class:`~repro.core.merge.MergeStrategy`
 contract that ``assign(n')`` maps terms ``0 .. n-1`` exactly as
@@ -74,14 +75,14 @@ class TestEngineListStability:
         recorded = {}
         for term_id in sorted(growth_points):
             for known, expected in recorded.items():
-                assert engine._list_id_for(known) == expected, (
+                assert engine._family.list_for(known) == expected, (
                     f"term {known} moved from list {expected} after the "
                     f"universe grew past term {term_id}"
                 )
-            recorded[term_id] = engine._list_id_for(term_id)
+            recorded[term_id] = engine._family.list_for(term_id)
         # One final sweep after the largest growth event.
         for known, expected in recorded.items():
-            assert engine._list_id_for(known) == expected
+            assert engine._family.list_for(known) == expected
 
     def test_growth_across_restart_is_stable(self):
         """Lists assigned before a restart survive growth after it."""
@@ -89,10 +90,10 @@ class TestEngineListStability:
         engine = TrustworthySearchEngine(config)
         engine.index_document(" ".join(f"t{i:05d}" for i in range(1500)))
         before = {
-            term_id: engine._list_id_for(term_id) for term_id in range(1500)
+            term_id: engine._family.list_for(term_id) for term_id in range(1500)
         }
         reopened = TrustworthySearchEngine(config, store=engine.store)
         # Grow the reopened lexicon past the next re-derivation point.
         reopened.index_document(" ".join(f"u{i:05d}" for i in range(2000)))
         for term_id, expected in before.items():
-            assert reopened._list_id_for(term_id) == expected
+            assert reopened._family.list_for(term_id) == expected

@@ -186,19 +186,19 @@ def as_columns(lists, wanted):
 
 
 def scorers_for(stats, wanted, ranking, aggregated):
-    """``(scorer, term_keys)``: the engine's own scorer keyed by term
-    ID, or a shard executor's — aggregated statistics keyed by query
-    position over this shard's document lengths."""
+    """The engine's own scorer, or a shard executor's: statistics
+    aggregated over other shards too, keyed by this shard's term IDs,
+    over this shard's document lengths."""
     make = BM25Scorer if ranking == "bm25" else CosineScorer
     if not aggregated:
-        return make(stats), None
+        return make(stats)
+    df = {term: stats.df.get(term, 0) + position for position, term in enumerate(wanted)}
     aggregate = AggregatedTermStats.of(
-        {position: stats.df.get(term, 0) + position for position, term in enumerate(wanted)},
+        {f"term{term}": count for term, count in df.items()},
         stats.num_docs + 7,
         stats.total_length + 40,
     )
-    keys = {term: position for position, term in enumerate(wanted)}
-    return make(_ShardScopedStats(aggregate, stats)), keys
+    return make(_ShardScopedStats(aggregate, stats, df))
 
 
 class TestColumnScorerIsTheScalarScorer:
@@ -211,14 +211,12 @@ class TestColumnScorerIsTheScalarScorer:
     )
     def test_scores_and_rankings_are_bit_equal(self, case, ranking, aggregated, data):
         stats, wanted, lists = case
-        scorer, keys = scorers_for(stats, wanted, ranking, aggregated)
+        scorer = scorers_for(stats, wanted, ranking, aggregated)
         rows = as_the_dict_pipeline_did(lists, wanted)
         # A score sums its terms by ascending term ID, whatever list or
         # column holds them.
         reference = {
-            doc_id: scorer.score(
-                doc_id, {t if keys is None else keys[t]: tf for t, tf in sorted(freqs.items())}
-            )
+            doc_id: scorer.score(doc_id, dict(sorted(freqs.items())))
             for doc_id, freqs in rows.items()
         }
         candidates = as_columns(lists, wanted)
@@ -226,7 +224,7 @@ class TestColumnScorerIsTheScalarScorer:
         assert all(list(f) == sorted(f) for f in candidates.rows().values())
         assert len(candidates) == len(rows)
 
-        totals = scorer.score_columns(candidates.doc_ids, candidates.scoring_columns(keys))
+        totals = scorer.score_columns(candidates.doc_ids, candidates.scoring_columns())
         scored = dict(zip(candidates.doc_ids.tolist(), totals.tolist()))
         # == on floats, and on their bits: -0.0 and 0.0 are told apart.
         assert {d: s.hex() for d, s in scored.items()} == {
@@ -238,7 +236,7 @@ class TestColumnScorerIsTheScalarScorer:
         top_k = data.draw(st.sampled_from(sorted({1, 2, count, count + 3} - {0})))
         for scalar_up_to in (0, 10**9):  # every set by columns; by score()
             with patch.object(ranking_module, "SCALAR_UP_TO", scalar_up_to):
-                best = rank(scorer, candidates, top_k, keys)
+                best = rank(scorer, candidates, top_k)
             assert best == by_rank[:top_k]
             assert all(type(d) is int and type(s) is float for d, s in best)
 
@@ -253,20 +251,20 @@ class TestColumnScorerIsTheScalarScorer:
         """An ALL query's candidates: the join's documents, every query
         term held by each, ``tf`` 1, added by ascending term ID."""
         stats, wanted, _ = case
-        scorer, keys = scorers_for(stats, wanted, ranking, aggregated)
+        scorer = scorers_for(stats, wanted, ranking, aggregated)
         doc_ids = np.array(sorted(joined), dtype=np.uint32)
         candidates = Candidates((), doc_ids, wanted)
         assert candidates.rows() == {
             d: dict.fromkeys(wanted, 1) for d in sorted(joined)
         }
-        presence = {t if keys is None else keys[t]: 1 for t in sorted(wanted)}
+        presence = dict.fromkeys(sorted(wanted), 1)
         by_rank = sorted(
             ((d, scorer.score(d, presence)) for d in joined),
             key=lambda pair: (-pair[1], pair[0]),
         )
         for scalar_up_to in (0, 10**9):
             with patch.object(ranking_module, "SCALAR_UP_TO", scalar_up_to):
-                best = rank(scorer, candidates, len(joined), keys)
+                best = rank(scorer, candidates, len(joined))
             assert [(d, s.hex()) for d, s in best] == [(d, s.hex()) for d, s in by_rank]
 
     def test_ties_break_by_doc_id_at_the_cut(self):

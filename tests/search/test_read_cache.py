@@ -183,7 +183,7 @@ class TestEngineIntegration:
         # share merged lists), so pick an untouched term that provably
         # lives on a different list than the appended term.
         def lid(term):
-            return engine._list_id_for(engine.term_id(term))
+            return engine._family.list_for(engine.term_id(term))
 
         untouched = next(
             t

@@ -14,7 +14,7 @@ from repro.adversary.attacks import posting_stuffing_attack
 from repro.adversary.detection import full_sharded_audit
 from repro.cli import open_archive
 from repro.errors import TamperDetectedError, WorkloadError
-from repro.search.engine import EngineConfig
+from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.profiling import profile_sharded_query
 from repro.sharding import ShardedSearchEngine
 from repro.worm.storage import CachedWormStore
@@ -154,6 +154,36 @@ class TestIngest:
             sharded.index_batch(["a b", "c d"], commit_times=[5, 9])
             with pytest.raises(WorkloadError):
                 sharded.index_batch(["late"], commit_times=[7])
+
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    def test_a_refused_batch_leaves_the_clock(self, num_shards):
+        """Both engines check a batch's commit times by one rule before
+        the first write: a refused batch moves neither the clock nor the
+        document count, and the refusal names what it compared with."""
+        if num_shards is None:
+            engine = TrustworthySearchEngine(CONFIG)
+        else:
+            engine = ShardedSearchEngine(CONFIG, num_shards=num_shards)
+        engine.index_document("a b", commit_time=10)
+        with pytest.raises(WorkloadError, match="does not follow 20, the time before it"):
+            engine.index_batch(["c", "d"], commit_times=[20, 19])
+        with pytest.raises(WorkloadError, match="precedes the engine clock 11"):
+            engine.index_batch(["e"], commit_times=[5])
+        assert engine._clock == 11
+        assert len(engine.documents) == 1
+        (doc_id,) = engine.index_batch(["f"])
+        assert engine.documents.get(doc_id).commit_time == 11
+
+    def test_ingest_latency_is_observed_once_per_shard_batch(self):
+        sharded = ShardedSearchEngine(CONFIG, num_shards=2)
+        with sharded:
+            sharded.index_batch([f"memo number {i}" for i in range(8)])
+            assert all(sharded.router.shard_size(i) for i in range(2))
+            series = sharded.metrics.snapshot()["repro_ingest_seconds"]["series"]
+            assert sorted((s["labels"]["shard"], s["count"]) for s in series) == [
+                ("0", 1),
+                ("1", 1),
+            ]
 
     def test_commit_time_length_mismatch_rejected(self):
         sharded = ShardedSearchEngine(CONFIG, num_shards=2)
