@@ -8,43 +8,44 @@ shows pointer space overhead shrinking with L (so disjunctive scans get
 cheaper too) — at the cost of coarser seek granularity for conjunctive
 queries.
 
-This ablation sweeps L at fixed B, reporting (analytically) the space
-overhead and (from the live index) insert I/Os per document.
+This ablation sweeps L at fixed B, reporting (analytically, at the
+paper's N = 2**32) the space overhead and (from legacy engines, one
+document per ``index_batch``) insert I/Os per document.
 """
 
 from conftest import once
 
 from repro.core.space import postings_per_block, space_overhead
-from repro.simulate.jump_sim import build_merged_index
+from repro.search.engine import EngineConfig
+from repro.simulate.jump_sim import ingest, ios_per_doc
 from repro.simulate.report import format_table
 
 NUM_LISTS = 32
 BRANCHING = 8
-MAX_DOC_BITS = 16
 BLOCK_SIZES = [512, 1024, 2048, 4096]
 
 
 def test_ablation_block_size(benchmark, workload, emit):
     docs = workload.documents[: min(4000, len(workload.documents))]
-    n = 2**MAX_DOC_BITS
 
     def run():
         rows = []
         for block_size in BLOCK_SIZES:
-            bundle = build_merged_index(
+            engine = ingest(
                 docs,
-                num_lists=NUM_LISTS,
-                branching=BRANCHING,
-                block_size=block_size,
-                max_doc_bits=MAX_DOC_BITS,
-                cache_blocks=max(64, NUM_LISTS * 2),
+                EngineConfig(
+                    num_lists=NUM_LISTS,
+                    block_size=block_size,
+                    cache_blocks=max(64, NUM_LISTS * 2),
+                    branching=BRANCHING,
+                ),
             )
             rows.append(
                 (
                     block_size,
-                    postings_per_block(block_size, BRANCHING, n),
-                    round(100 * space_overhead(block_size, BRANCHING, n), 1),
-                    round(bundle.ios_per_doc(), 2),
+                    postings_per_block(block_size, BRANCHING),
+                    round(100 * space_overhead(block_size, BRANCHING), 1),
+                    round(ios_per_doc(engine), 2),
                 )
             )
         return rows

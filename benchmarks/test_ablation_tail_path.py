@@ -10,39 +10,66 @@ of application memory for this (8 MB for k=32,768 lists).
 This ablation toggles ``track_tail_path`` and reports insert I/Os per
 document with and without the optimization, across cache sizes: the
 naive walk re-reads path blocks on every insert, which a small cache
-cannot absorb.
+cannot absorb.  The engine always tracks the path and has no setting
+for it, so the lists here are ``BlockJumpIndex`` lists built directly,
+under the engine's uniform hashing, on one shared cached store.  They
+keep this ablation's own geometry, 1 KB blocks sized for N = 2**16 (66
+postings a block at B = 32): at the engine's 2 KB and N = 2**32 the
+tracked walk reads about 1% *more* than the naive one once the cache
+holds the path, because the naive walk's reads keep path blocks recent
+in the LRU order for the pointer writes that follow.
 """
 
 from conftest import once
 
-from repro.simulate.jump_sim import insert_ios_sweep
+from repro.core.block_jump_index import BlockJumpIndex
+from repro.core.merge import UniformHashMerge
 from repro.simulate.report import format_table
+from repro.worm.storage import CachedWormStore
 
 NUM_LISTS = 32
 BLOCK_SIZE = 1024
+MAX_DOC_BITS = 16
 BRANCHING = 32
 CACHE_BLOCKS = [48, 96, 192, 384]
 
 
+def _ios_per_doc(docs, list_ids, cache_blocks, track_tail_path):
+    store = CachedWormStore(cache_blocks, block_size=BLOCK_SIZE)
+    jumps = {}
+    for doc in docs:
+        for term in doc.term_ids.tolist():
+            list_id = int(list_ids[term])
+            if list_id not in jumps:
+                jumps[list_id] = BlockJumpIndex.create(
+                    store,
+                    f"pl/{list_id:08d}",
+                    branching=BRANCHING,
+                    max_doc_bits=MAX_DOC_BITS,
+                    track_tail_path=track_tail_path,
+                )
+            jumps[list_id].insert(doc.doc_id, term_code=term)
+    return store.io.total / len(docs)
+
+
 def test_ablation_tail_path(benchmark, workload, emit):
     docs = workload.documents[: min(4000, len(workload.documents))]
+    list_ids = UniformHashMerge(NUM_LISTS).assign(workload.vocabulary_size).list_ids
 
     def run():
-        kwargs = dict(
-            num_lists=NUM_LISTS,
-            branchings=[BRANCHING],
-            cache_block_counts=CACHE_BLOCKS,
-            block_size=BLOCK_SIZE,
-            max_doc_bits=16,
-        )
-        tracked = insert_ios_sweep(docs, track_tail_path=True, **kwargs)
-        naive = insert_ios_sweep(docs, track_tail_path=False, **kwargs)
-        return tracked[BRANCHING], naive[BRANCHING]
+        return [
+            (
+                cache,
+                _ios_per_doc(docs, list_ids, cache, True),
+                _ios_per_doc(docs, list_ids, cache, False),
+            )
+            for cache in CACHE_BLOCKS
+        ]
 
-    tracked, naive = once(benchmark, run)
+    points = once(benchmark, run)
     rows = [
         (cache, round(t, 2), round(n, 2), round(n / max(t, 1e-9), 2))
-        for (cache, t), (_, n) in zip(tracked, naive)
+        for cache, t, n in points
     ]
     emit(
         "ABL-TAILPATH",
@@ -55,7 +82,8 @@ def test_ablation_tail_path(benchmark, workload, emit):
             ),
         ),
     )
-    # The optimization matters most under cache pressure and never hurts.
-    for (_, t), (_, n) in zip(tracked, naive):
+    # The optimization matters most under cache pressure and, at this
+    # geometry, never hurts.
+    for _, t, n in points:
         assert n >= t * 0.99
-    assert naive[0][1] > tracked[0][1] * 1.3
+    assert points[0][2] > points[0][1] * 1.3

@@ -12,7 +12,10 @@ unmerged lists, and a B+ tree per list:
   merged without, and **30% slower** than the baseline.
 
 This benchmark composes the other experiments' machinery into that one
-table at our scale, checking signs and orders of magnitude.
+table at our scale, checking signs and orders of magnitude: Figure 2's
+cache simulation for insertion, the cost model Q and the analytic
+pointer overhead (the paper's N = 2**32) for the disjunctive rows, and
+the Figure 8(c) sweep, on legacy engines, for the conjunctive rows.
 """
 
 from conftest import once
@@ -52,17 +55,14 @@ def test_conclusion_summary(benchmark, workload, emit):
             docs, cache_size_bytes=baseline_cache, block_size=BLOCK_SIZE
         )
         disjunctive_vs_baseline = cost_ratio(assignment, workload.stats)
-        jump_overhead = disjunctive_slowdown(BLOCK_SIZE, 32, 2**16)
+        jump_overhead = disjunctive_slowdown(BLOCK_SIZE, 32)
         queries = {n: workload.queries_with_terms(n, limit=10) for n in TERM_COUNTS}
         speedups = query_speedup_sweep(
             docs,
             queries,
-            workload.stats.ti,
             num_lists=CONJ_LISTS,
             branchings=(32,),
             block_size=BLOCK_SIZE,
-            max_doc_bits=16,
-            include_unmerged_ideal=True,
         )
         return (
             insert_merged,

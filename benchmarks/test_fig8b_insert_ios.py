@@ -7,9 +7,14 @@ costs more I/O at small caches; "the curves level off eventually as the
 cache size increases", converging near 1.1 I/Os per document — "close to
 the 1 I/O per document required to just append the document IDs".
 
-Scaled: fewer/smaller lists and blocks (see module constants) keep the
-lists many blocks deep so pointer traffic is exercised; cache sizes are
-expressed in blocks around the number of merged lists.
+Measured on legacy engines, each document committed by an
+``index_batch`` of its own, I/Os read from ``engine.store.io``.  Scaled:
+fewer and smaller lists and blocks (see module constants) keep the lists
+many blocks deep so pointer traffic is exercised; cache sizes are
+expressed in blocks around the number of merged lists.  2 KB is the
+smallest power-of-two block every B fits at the paper's N = 2**32.  The
+commit-time log is one more tail block, so at 32 cache blocks even the
+append-only engine thrashes.
 """
 
 from conftest import once
@@ -18,8 +23,7 @@ from repro.simulate.jump_sim import insert_ios_sweep
 from repro.simulate.report import format_table
 
 NUM_LISTS = 32
-BLOCK_SIZE = 1024
-MAX_DOC_BITS = 16
+BLOCK_SIZE = 2048
 BRANCHINGS = [None, 2, 32, 64]
 CACHE_BLOCKS = [32, 48, 64, 96, 128, 256, 512, 1024]
 
@@ -34,7 +38,6 @@ def test_fig8b_insert_ios(benchmark, workload, emit):
             branchings=BRANCHINGS,
             cache_block_counts=CACHE_BLOCKS,
             block_size=BLOCK_SIZE,
-            max_doc_bits=MAX_DOC_BITS,
         )
 
     sweep = once(benchmark, run)

@@ -8,6 +8,16 @@ overhead; equal-size merged lists make the join a scan), rising smoothly
 to ~3x at 7 keywords; the ideal is faster still, with jump indexes
 "within a factor of 1.4 of the theoretical maximum" at the paper's
 scale.
+
+Measured on legacy engines: the zigzag is the engine's own conjunctive
+join, read from ``profile()``; the scan-merge join's blocks are those of
+the same query, disjunctive, on an engine with no jump index.  The
+paper's join steps over every posting of a merged list; the engine's
+cursors step over their own term's postings, so a seek skips blocks the
+term is absent from.  At 2 keywords that outweighs the pointer space for
+B <= 32 (speedup at or above 1), and only B = 64, whose blocks hold 37%
+fewer postings, keeps the paper's slowdown.  The speedup still rises
+with the keyword count, and the ideal still dominates.
 """
 
 from conftest import once
@@ -17,7 +27,6 @@ from repro.simulate.report import format_table
 
 NUM_LISTS = 16
 BLOCK_SIZE = 4096
-MAX_DOC_BITS = 16
 BRANCHINGS = (2, 32, 64)
 TERM_COUNTS = (2, 3, 4, 5, 6, 7)
 QUERIES_PER_COUNT = 12
@@ -33,11 +42,9 @@ def test_fig8c_query_speedup(benchmark, workload, emit):
         return query_speedup_sweep(
             workload.documents,
             queries,
-            workload.stats.ti,
             num_lists=NUM_LISTS,
             branchings=BRANCHINGS,
             block_size=BLOCK_SIZE,
-            max_doc_bits=MAX_DOC_BITS,
         )
 
     result = once(benchmark, run)
@@ -63,7 +70,8 @@ def test_fig8c_query_speedup(benchmark, workload, emit):
         assert speedups[7] > speedups[2]
         assert speedups[7] > 1.5
         assert speedups[2] < 1.3
-    # The paper's 2-keyword slowdown appears for the high-overhead Bs.
+    # The paper's 2-keyword slowdown survives the term filter only for
+    # the highest-overhead B.
     assert dict(result.series["B=64"])[2] < 1.05
     # The unmerged ideal dominates every jump-index configuration.
     for n in TERM_COUNTS:

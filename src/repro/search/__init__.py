@@ -10,8 +10,8 @@ subpackage is our equivalent substrate:
   (Section 3.1 cites both as the similarity measures in use);
 * :mod:`repro.search.query` — query model: disjunctive, conjunctive and
   commit-time-constrained queries;
-* :mod:`repro.search.join` — zigzag (Figure 5) and scan-merge joins over
-  seekable posting cursors, with blocks-read accounting;
+* :mod:`repro.search.join` — the zigzag join (Figure 5) over seekable
+  posting cursors, with blocks-read accounting;
 * :mod:`repro.search.engine` — :class:`TrustworthySearchEngine`, the
   end-to-end public API: real-time trustworthy ingest, ranked search,
   conjunctive joins, time-range filtering and result verification —
@@ -34,7 +34,6 @@ from repro.search.join import (
     MergedListCursor,
     TreeCursor,
     conjunctive_join,
-    sequential_conjunctive,
     zigzag,
 )
 from repro.search.query import Query, QueryMode, parse_query
@@ -65,6 +64,5 @@ __all__ = [
     "profile_query",
     "profile_sharded_query",
     "recommend_configuration",
-    "sequential_conjunctive",
     "zigzag",
 ]

@@ -1,4 +1,4 @@
-"""Zigzag and scan-merge joins over seekable posting cursors (Figure 5).
+"""The zigzag join over seekable posting cursors (Figure 5).
 
 Conjunctive queries intersect posting lists.  The zigzag join exploits
 that posting lists are sorted by document ID: each side repeatedly seeks
@@ -6,7 +6,14 @@ that posting lists are sorted by document ID: each side repeatedly seeks
 participate in the result.  With an auxiliary index (jump index here;
 B+ tree in the untrusted baseline) the seeks are logarithmic; without
 one they degrade to scans — both are represented as cursor adapters so
-the join code and the blocks-read accounting are shared.
+the join code and the blocks-read accounting are shared.  This is the
+one conjunctive join: the engine answers queries with it, and Figure
+8(c) measures it.
+
+A merged-list cursor steps over its own term's postings only, so each
+seek targets the other term's next document rather than the list's.
+The paper's join steps over every posting of the merged list and checks
+terms where document IDs meet; EXPERIMENTS.md (FIG8C) compares the two.
 
 The paper's trust guarantee rides on the seek primitive: Proposition 3
 says a jump-index FindGeq can never skip a committed ID, so
@@ -21,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.bplus_tree import BPlusTree
 from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.posting import MAX_TERM_ID_WITH_TF
 from repro.core.posting_list import PostingList
 from repro.errors import QueryError
 
@@ -188,164 +194,3 @@ def conjunctive_join(cursors: Sequence) -> Tuple[List[int], int]:
         result = zigzag(MemoryCursor(result), cursor)
     blocks = sum(c.blocks_read() for c in ordered)
     return result, blocks
-
-
-class RawMergedCursor:
-    """Doc-ID-granularity cursor over a merged list (paper join semantics).
-
-    The paper's engine zigzags over the merged lists *unfiltered* — every
-    posting participates in the stepping, and term membership is checked
-    only when document IDs match ("to remove false positives").  With
-    uniform merging this makes 2-keyword joins approximate a scan of both
-    lists (Section 4.5's explanation for the ~10% two-keyword slowdown),
-    which the filtered :class:`MergedListCursor` would avoid; the
-    simulation harness uses this cursor for figure fidelity.
-    """
-
-    def __init__(
-        self,
-        posting_list: PostingList,
-        wanted_codes: Sequence[int],
-        *,
-        jump_index: Optional[BlockJumpIndex] = None,
-    ):
-        self.jump_index = jump_index
-        self.wanted_codes = set(int(c) & MAX_TERM_ID_WITH_TF for c in wanted_codes)
-        self._cursor = posting_list.cursor()
-        #: Seek operations performed (the paper's FindGeq count).
-        self.seeks = 0
-
-    def doc(self) -> Optional[int]:
-        """Current document ID (``None`` when exhausted)."""
-        if self._cursor.exhausted:
-            return None
-        return self._cursor.current_doc
-
-    def seek_geq(self, k: int) -> Optional[int]:
-        """Advance to the first posting (any term) with ID >= ``k``."""
-        if self._cursor.exhausted:
-            return None
-        self.seeks += 1
-        if self.jump_index is not None:
-            self.jump_index.find_geq(self._cursor, k)
-        else:
-            self._cursor.seek_geq_sequential(k)
-        return self.doc()
-
-    def doc_has_codes(self, doc_id: int) -> bool:
-        """Whether the entries for ``doc_id`` cover all wanted term codes.
-
-        The cursor stands at the first entry for ``doc_id``; all entries
-        for one document are adjacent (appended together at ingest), so a
-        forward scan over the run suffices.  Blocks touched are charged
-        to this cursor like any other read.
-        """
-        remaining = set(self.wanted_codes)
-        block_no, index = self._cursor.position
-        posting_list = self._cursor.posting_list
-        while remaining and block_no < posting_list.num_blocks:
-            entries = self._cursor.peek_block(block_no)
-            docs, codes = entries.doc_ids, entries.term_codes
-            while index < len(docs):
-                if docs[index] != doc_id:
-                    return not remaining
-                remaining.discard(codes[index] & MAX_TERM_ID_WITH_TF)
-                index += 1
-            block_no += 1
-            index = 0
-        return not remaining
-
-    def estimated_length(self) -> int:
-        """Join-ordering hint: the raw merged-list length."""
-        return len(self._cursor.posting_list)
-
-    def blocks_read(self) -> int:
-        """Distinct posting-list blocks this cursor loaded."""
-        return len(self._cursor.blocks_read)
-
-    def cache_hits(self) -> int:
-        """Block loads served by the shared read cache (0 cache-off)."""
-        return self._cursor.cache_hits
-
-
-def paper_conjunctive_join(cursors: Sequence[RawMergedCursor]) -> Tuple[List[int], int]:
-    """K-way conjunctive join with the paper's unfiltered staged semantics.
-
-    ``cursors`` must be one :class:`RawMergedCursor` per *distinct*
-    physical list, each carrying the term codes the query needs from that
-    list.  As in Section 4.5, the two shortest lists are zigzag-joined
-    first (approximately a scan when they are of equal size); each
-    subsequent list is then probed with the shrinking partial result,
-    where the jump index's FindGeq pays off — this staging is what makes
-    the speedup grow with the number of keywords.
-    """
-    if not cursors:
-        raise QueryError("conjunctive join needs at least one cursor")
-    ordered = sorted(cursors, key=lambda c: c.estimated_length())
-    if len(ordered) == 1:
-        only = ordered[0]
-        result: List[int] = []
-        doc = only.doc()
-        while doc is not None:
-            if only.doc_has_codes(doc):
-                result.append(doc)
-            doc = only.seek_geq(doc + 1)
-        return result, only.blocks_read()
-    first, second = ordered[0], ordered[1]
-    result = _raw_zigzag_verified(first, second)
-    for cursor in ordered[2:]:
-        if not result:
-            break
-        result = [
-            doc
-            for doc in result
-            if cursor.seek_geq(doc) == doc and cursor.doc_has_codes(doc)
-        ]
-    blocks = sum(c.blocks_read() for c in ordered)
-    return result, blocks
-
-
-def _raw_zigzag_verified(c1: RawMergedCursor, c2: RawMergedCursor) -> List[int]:
-    """Zigzag two raw merged cursors, verifying term codes at matches."""
-    out: List[int] = []
-    top1, top2 = c1.doc(), c2.doc()
-    while top1 is not None and top2 is not None:
-        if top1 < top2:
-            top1 = c1.seek_geq(top2)
-        elif top2 < top1:
-            top2 = c2.seek_geq(top1)
-        else:
-            if c1.doc_has_codes(top1) and c2.doc_has_codes(top1):
-                out.append(top1)
-            top1 = c1.seek_geq(top1 + 1)
-            top2 = c2.seek_geq(top2 + 1)
-    return out
-
-
-def sequential_conjunctive(
-    posting_lists: Sequence[PostingList],
-    term_codes: Sequence[Optional[int]],
-) -> Tuple[List[int], int]:
-    """Scan-merge conjunctive join baseline (no auxiliary index).
-
-    Reads every block of every involved list once — the denominator^-1 of
-    Figure 8(c)'s speedup metric ("the number of blocks read when no jump
-    index is kept, using a sequential scan-merge join").
-    """
-    if len(posting_lists) != len(term_codes):
-        raise QueryError("posting_lists and term_codes must align")
-    if not posting_lists:
-        raise QueryError("conjunctive join needs at least one list")
-    blocks = 0
-    id_sets: List[set] = []
-    for posting_list, code in zip(posting_lists, term_codes):
-        blocks += posting_list.num_blocks
-        ids = {
-            doc
-            for docs, codes in posting_list.scan_columns(counted=False)
-            for doc, c in zip(docs, codes)
-            if code is None or c == code
-        }
-        id_sets.append(ids)
-    result = set.intersection(*id_sets) if id_sets else set()
-    return sorted(result), blocks

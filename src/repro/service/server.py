@@ -437,7 +437,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(raw)
 
     def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # No length to read the body by, so the connection ends here.
+            self.close_connection = True
+            raise SchemaError(
+                f"Content-Length {declared!r} is not a non-negative decimal integer"
+            )
+        length = int(declared)
         if length > self.service.config.max_body_bytes:
             raise SchemaError(
                 f"request body of {length} bytes exceeds the "

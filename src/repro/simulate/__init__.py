@@ -8,7 +8,8 @@ One module per figure family:
   ratios under the merging strategies, learned-statistics variants, and
   per-query cost/slowdown distributions.
 * :mod:`repro.simulate.jump_sim` — Figures 8(b) and 8(c): insert I/O with
-  jump indexes and conjunctive query speedups.
+  jump indexes and conjunctive query speedups, measured on legacy
+  :class:`~repro.search.engine.TrustworthySearchEngine` archives.
 * :mod:`repro.simulate.workload_factory` — shared, cached construction of
   the scaled synthetic workload all experiments run on.
 * :mod:`repro.simulate.report` — plain-text table/series rendering used
@@ -18,7 +19,8 @@ Figure 4, the paper's check of the simulated cost against a real engine,
 is not simulated here: ``benchmarks/test_fig4_measured_runtime.py``
 builds merged and unmerged archives with
 :class:`~repro.search.engine.TrustworthySearchEngine` and times its
-``search()``.
+``search()``.  The jump-index figures run on such archives too, so they
+take the engine's jump-index geometry, the paper's ``N = 2**32``.
 
 Scale: defaults are deliberately smaller than the paper's 1M-document /
 300k-query workload so the whole suite runs in minutes of pure Python;

@@ -1,22 +1,19 @@
 """Figures 8(b)/8(c): jump-index insert I/O and conjunctive query speedup.
 
-These experiments exercise the *real* index structures (WORM store,
-merged posting lists, block jump indexes, B+ tree baseline) rather than
-the analytic cost model, so they are the slowest part of the harness.
+Measured on the engine, not on a model of it: every index here is a
+legacy :class:`~repro.search.engine.TrustworthySearchEngine`.  A
+workload's documents go in through :meth:`index_batch
+<repro.search.engine.TrustworthySearchEngine.index_batch>`, one document
+per batch, so the store's :class:`~repro.worm.iostats.IoStats` count
+Section 3's random I/Os per inserted document — the commit-time log's
+tail block competing for the cache with the lists' — and queries go
+through :meth:`profile <repro.search.engine.TrustworthySearchEngine.profile>`,
+which reports the blocks the engine's own join or scan read.
 
-Scaling note: runs are smaller than the paper's (1M docs, 32,768 lists,
-8 KB blocks, N = 2**32) but keep the ratios that shape the figures —
-in particular the jump-pointer space overhead per block, which is what
-makes 2-keyword queries slightly *slower* with a jump index.  With the
-default ``block_size=4096`` and ``max_doc_bits=16``:
-
-====  ======  ==============  ===========
-B     levels  pointer bytes   overhead
-====  ======  ==============  ===========
-2     16      64              ~1.6%  (paper: 1.5% at 8 KB)
-32    4       496             ~12%   (paper: 11% at 8 KB)
-64    3       756             ~22%
-====  ======  ==============  ===========
+The engine sizes its jump indexes for the paper's ``N = 2**32``, so a
+block of ``L`` bytes holds :func:`repro.core.space.postings_per_block`
+postings beside the pointers: at 2 KB, 256 with no jump index and 240 /
+147 / 67 for B = 2 / 32 / 64; at 1 KB a B = 64 block holds none.
 """
 
 from __future__ import annotations
@@ -25,137 +22,34 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.unmerged import UnmergedBaselineIndex
-from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.merge import TermAssignment, UniformHashMerge
 from repro.core.posting import POSTING_SIZE
-from repro.core.posting_list import PostingList
-from repro.search.join import (
-    MergedListCursor,
-    RawMergedCursor,
-    paper_conjunctive_join,
-)
-from repro.worm.storage import CachedWormStore
+from repro.search.engine import EngineConfig, TrustworthySearchEngine
 
 
-@dataclass
-class MergedIndexBundle:
-    """A fully built merged index over one document set."""
-
-    store: CachedWormStore
-    assignment: TermAssignment
-    lists: Dict[int, PostingList]
-    jumps: Dict[int, BlockJumpIndex]
-    num_docs: int
-
-    def ios_per_doc(self) -> float:
-        """Average random I/Os per inserted document during the build."""
-        return self.store.io.total / max(1, self.num_docs)
-
-    def cursor_for_term(self, term_id: int, length_hint: Optional[int] = None):
-        """Term-filtered seekable cursor over the term's merged list."""
-        list_id = self.assignment.list_for(term_id)
-        posting_list = self.lists.get(list_id)
-        if posting_list is None:
-            return None
-        return MergedListCursor(
-            posting_list,
-            term_code=term_id,
-            jump_index=self.jumps.get(list_id),
-            length_hint=length_hint,
-        )
-
-    def scan_blocks_for_terms(self, term_ids: Sequence[int]) -> int:
-        """Blocks a scan-merge join reads: every block of every list."""
-        lists = {self.assignment.list_for(int(t)) for t in term_ids}
-        return sum(
-            self.lists[l].num_blocks for l in lists if l in self.lists
-        )
-
-    def raw_cursors_for_terms(self, term_ids: Sequence[int]):
-        """One :class:`RawMergedCursor` per distinct physical list.
-
-        Each cursor carries the query terms that hash into its list, so
-        the paper-semantics join can verify all of them at a match.
-        Returns ``None`` when some term's list was never created (the
-        term has no postings — the query result is trivially empty).
-        """
-        by_list: Dict[int, List[int]] = {}
-        for term in term_ids:
-            term = int(term)
-            by_list.setdefault(self.assignment.list_for(term), []).append(term)
-        cursors = []
-        for list_id, codes in by_list.items():
-            posting_list = self.lists.get(list_id)
-            if posting_list is None:
-                return None
-            cursors.append(
-                RawMergedCursor(
-                    posting_list, codes, jump_index=self.jumps.get(list_id)
-                )
-            )
-        return cursors
+def document_text(doc) -> str:
+    """A workload document as engine text: one ``t<id>`` token per term."""
+    return " ".join(f"t{term}" for term in doc.term_ids.tolist())
 
 
-def build_merged_index(
-    documents: Sequence,
-    *,
-    num_lists: int,
-    branching: Optional[int],
-    block_size: int = 4096,
-    max_doc_bits: int = 16,
-    cache_blocks: Optional[int] = None,
-    track_tail_path: bool = True,
-) -> MergedIndexBundle:
-    """Ingest ``documents`` into uniformly merged lists on a fresh store.
+def query_text(query, *, conjunctive: bool) -> str:
+    """A workload query as engine syntax: every term ``+``-prefixed when
+    ``conjunctive``."""
+    prefix = "+" if conjunctive else ""
+    return " ".join(f"{prefix}t{term}" for term in query.term_ids)
 
-    ``branching=None`` builds plain lists (the merged-no-jump-index
-    configuration); otherwise each physical list carries a base-``B``
-    block jump index.
-    """
-    store = CachedWormStore(cache_blocks, block_size=block_size)
-    assignment = UniformHashMerge(num_lists).assign(
-        max(int(d.term_ids.max()) for d in documents) + 1
-        if len(documents)
-        else 1
-    )
-    lists: Dict[int, PostingList] = {}
-    jumps: Dict[int, BlockJumpIndex] = {}
 
-    def physical(list_id: int) -> Tuple[PostingList, Optional[BlockJumpIndex]]:
-        posting_list = lists.get(list_id)
-        if posting_list is None:
-            name = f"pl/{list_id:08d}"
-            if branching is not None:
-                jump = BlockJumpIndex.create(
-                    store,
-                    name,
-                    branching=branching,
-                    max_doc_bits=max_doc_bits,
-                    track_tail_path=track_tail_path,
-                )
-                posting_list = jump.posting_list
-                jumps[list_id] = jump
-            else:
-                posting_list = PostingList(store, name)
-            lists[list_id] = posting_list
-        return posting_list, jumps.get(list_id)
-
-    list_ids = assignment.list_ids
+def ingest(documents: Sequence, config: EngineConfig) -> TrustworthySearchEngine:
+    """A legacy engine under ``config`` holding ``documents``, each
+    committed by an ``index_batch`` of its own."""
+    engine = TrustworthySearchEngine(config)
     for doc in documents:
-        for term in doc.term_ids:
-            term = int(term)
-            posting_list, jump = physical(int(list_ids[term]))
-            if jump is not None:
-                jump.insert(doc.doc_id, term_code=term)
-            else:
-                posting_list.append(doc.doc_id, term_code=term)
-    return MergedIndexBundle(
-        store=store,
-        assignment=assignment,
-        lists=lists,
-        jumps=jumps,
-        num_docs=len(documents),
-    )
+        engine.index_batch([document_text(doc)])
+    return engine
+
+
+def ios_per_doc(engine: TrustworthySearchEngine) -> float:
+    """Random I/Os per inserted document since ``engine`` was created."""
+    return engine.store.io.total / max(1, len(engine.documents))
 
 
 def insert_ios_sweep(
@@ -164,32 +58,28 @@ def insert_ios_sweep(
     num_lists: int,
     branchings: Sequence[Optional[int]],
     cache_block_counts: Sequence[int],
-    block_size: int = 4096,
-    max_doc_bits: int = 16,
-    track_tail_path: bool = True,
+    block_size: int,
 ) -> Dict[Optional[int], List[Tuple[int, float]]]:
     """The Figure 8(b) sweep: I/Os per inserted doc vs cache size per B.
 
-    Include ``None`` in ``branchings`` for the plain append-only
-    reference (the "1 I/O per document required to just append" line the
-    paper compares against).
+    Include ``None`` in ``branchings`` for the engine with no jump index
+    (the "1 I/O per document required to just append" line the paper
+    compares against).
     """
-    out: Dict[Optional[int], List[Tuple[int, float]]] = {}
-    for branching in branchings:
-        series: List[Tuple[int, float]] = []
-        for cache_blocks in cache_block_counts:
-            bundle = build_merged_index(
-                documents,
-                num_lists=num_lists,
-                branching=branching,
-                block_size=block_size,
-                max_doc_bits=max_doc_bits,
-                cache_blocks=cache_blocks,
-                track_tail_path=track_tail_path,
-            )
-            series.append((cache_blocks, bundle.ios_per_doc()))
-        out[branching] = series
-    return out
+
+    def ios(branching: Optional[int], cache_blocks: int) -> float:
+        config = EngineConfig(
+            num_lists=num_lists,
+            block_size=block_size,
+            cache_blocks=cache_blocks,
+            branching=branching,
+        )
+        return ios_per_doc(ingest(documents, config))
+
+    return {
+        branching: [(cache, ios(branching, cache)) for cache in cache_block_counts]
+        for branching in branchings
+    }
 
 
 @dataclass
@@ -199,89 +89,66 @@ class QuerySpeedupResult:
     #: label -> [(num_terms, speedup)]; labels: 'B=2', 'B=32', 'B=64',
     #: 'unmerged' (the B+ tree ideal).
     series: Dict[str, List[Tuple[int, float]]]
-    #: Raw mean blocks read per configuration and term count.
+    #: Mean blocks read per configuration ('scan' among them) and term
+    #: count.
     blocks: Dict[str, Dict[int, float]]
 
 
 def query_speedup_sweep(
     documents: Sequence,
     queries_by_terms: Dict[int, Sequence],
-    term_freqs,
     *,
     num_lists: int,
     branchings: Sequence[int] = (2, 32, 64),
     block_size: int = 4096,
-    max_doc_bits: int = 16,
-    include_unmerged_ideal: bool = True,
-    bplus_fanout: Optional[int] = None,
 ) -> QuerySpeedupResult:
     """The Figure 8(c) sweep: conjunctive query speedup vs #keywords.
 
-    ``speedup = blocks read by a scan-merge join over merged lists with
-    no jump index / blocks read by a zigzag join`` (values < 1 mean the
-    jump index slows the query down, as for 2-keyword queries).
-
-    ``term_freqs`` supplies ``ti`` hints for shortest-first join order.
+    ``speedup = blocks a scan-merge join reads / blocks the engine's
+    conjunctive join reads``.  The scan-merge join reads every block of
+    each list holding a query term, once per list: the blocks of the
+    same query, disjunctive, on an engine with no jump index.  The ideal
+    is unmerged lists with a B+ tree per term.  Below 1 the jump index
+    slows the query down.
     """
-    baseline = build_merged_index(
-        documents,
-        num_lists=num_lists,
-        branching=None,
-        block_size=block_size,
-        max_doc_bits=max_doc_bits,
-    )
-    bundles = {
-        f"B={b}": build_merged_index(
-            documents,
-            num_lists=num_lists,
-            branching=b,
-            block_size=block_size,
-            max_doc_bits=max_doc_bits,
-        )
-        for b in branchings
-    }
-    ideal = None
-    if include_unmerged_ideal:
-        ideal = UnmergedBaselineIndex(
-            fanout=bplus_fanout or max(4, block_size // POSTING_SIZE)
-        )
-        for doc in documents:
-            ideal.add_document(doc.doc_id, (int(t) for t in doc.term_ids))
 
-    series: Dict[str, List[Tuple[int, float]]] = {
-        label: [] for label in bundles
+    def engine(branching: Optional[int]) -> TrustworthySearchEngine:
+        config = EngineConfig(
+            num_lists=num_lists, block_size=block_size, branching=branching
+        )
+        return ingest(documents, config)
+
+    scan = engine(None)
+    joins = {f"B={b}": engine(b) for b in branchings}
+    ideal = UnmergedBaselineIndex(fanout=max(4, block_size // POSTING_SIZE))
+    for doc in documents:
+        ideal.add_document(doc.doc_id, doc.term_ids.tolist())
+    totals: Dict[str, Dict[int, int]] = {
+        label: {} for label in ("scan", *joins, "unmerged")
     }
-    blocks: Dict[str, Dict[int, float]] = {
-        label: {} for label in list(bundles) + (["scan"] + (["unmerged"] if ideal else []))
+    for num_terms, queries in sorted(queries_by_terms.items()):
+        any_texts = [query_text(q, conjunctive=False) for q in queries]
+        all_texts = [query_text(q, conjunctive=True) for q in queries]
+        totals["scan"][num_terms] = sum(scan.profile(t).blocks_read for t in any_texts)
+        for label, join in joins.items():
+            totals[label][num_terms] = sum(
+                join.profile(t).blocks_read for t in all_texts
+            )
+        totals["unmerged"][num_terms] = sum(
+            ideal.conjunctive_query(q.term_ids)[1] for q in queries
+        )
+    series = {
+        label: [
+            (n, totals["scan"][n] / read if read else 0.0)
+            for n, read in by_terms.items()
+        ]
+        for label, by_terms in totals.items()
+        if label != "scan"
     }
-    if ideal is not None:
-        series["unmerged"] = []
-    for num_terms in sorted(queries_by_terms):
-        queries = queries_by_terms[num_terms]
-        scan_total = 0
-        per_label_total: Dict[str, int] = {label: 0 for label in bundles}
-        ideal_total = 0
-        for query in queries:
-            terms = [int(t) for t in query.term_ids]
-            scan_total += baseline.scan_blocks_for_terms(terms)
-            for label, bundle in bundles.items():
-                cursors = bundle.raw_cursors_for_terms(terms)
-                if cursors is None:
-                    continue
-                _, blocks_read = paper_conjunctive_join(cursors)
-                per_label_total[label] += blocks_read
-            if ideal is not None:
-                _, ideal_blocks = ideal.conjunctive_query(terms)
-                ideal_total += ideal_blocks
-        n_queries = max(1, len(queries))
-        blocks["scan"][num_terms] = scan_total / n_queries
-        for label in bundles:
-            mean_blocks = per_label_total[label] / n_queries
-            blocks[label][num_terms] = mean_blocks
-            speedup = scan_total / per_label_total[label] if per_label_total[label] else 0.0
-            series[label].append((num_terms, speedup))
-        if ideal is not None:
-            blocks["unmerged"][num_terms] = ideal_total / n_queries
-            speedup = scan_total / ideal_total if ideal_total else 0.0
-            series["unmerged"].append((num_terms, speedup))
+    blocks = {
+        label: {
+            n: read / max(1, len(queries_by_terms[n])) for n, read in by_terms.items()
+        }
+        for label, by_terms in totals.items()
+    }
     return QuerySpeedupResult(series=series, blocks=blocks)

@@ -12,11 +12,8 @@ from repro.errors import QueryError
 from repro.search.join import (
     MemoryCursor,
     MergedListCursor,
-    RawMergedCursor,
     TreeCursor,
     conjunctive_join,
-    paper_conjunctive_join,
-    sequential_conjunctive,
     zigzag,
 )
 from repro.worm.storage import CachedWormStore
@@ -119,57 +116,6 @@ class TestMergedListCursor:
         with pytest.raises(QueryError):
             conjunctive_join([])
 
-
-class TestPaperSemantics:
-    def _world(self, seed=9, num_docs=300, num_terms=8):
-        random.seed(seed)
-        docs = []
-        docsets = {}
-        for doc_id in range(num_docs):
-            terms = random.sample(range(num_terms), random.randint(1, 4))
-            docs.append((doc_id, terms))
-            for t in terms:
-                docsets.setdefault(t, set()).add(doc_id)
-        return docs, docsets
-
-    def test_raw_join_matches_brute_force(self):
-        docs, docsets = self._world()
-        bji = build_bundle(docs)
-        for terms in [(0, 1), (1, 2, 3), (4, 5, 6, 7), (0, 2, 4)]:
-            cursors = [
-                RawMergedCursor(bji.posting_list, [t], jump_index=bji)
-                for t in terms
-            ]
-            got, _ = paper_conjunctive_join(cursors)
-            expect = sorted(set.intersection(*[docsets.get(t, set()) for t in terms]))
-            assert got == expect
-
-    def test_shared_list_multi_code_cursor(self):
-        """Terms hashing to the same list share one cursor with both codes."""
-        docs, docsets = self._world(seed=2)
-        bji = build_bundle(docs)
-        cursor = RawMergedCursor(bji.posting_list, [0, 1], jump_index=bji)
-        got, _ = paper_conjunctive_join([cursor])
-        assert got == sorted(docsets[0] & docsets[1])
-
-    def test_doc_has_codes_across_block_boundary(self):
-        """A document's postings may straddle blocks; all must be seen."""
-        store = CachedWormStore(None, block_size=256)
-        bji = BlockJumpIndex.create(store, "pl", branching=2, max_doc_bits=16)
-        p = bji.posting_list.entries_per_block
-        # Fill so that doc 100's two postings straddle a block boundary.
-        for i in range(p - 1):
-            bji.insert(i, term_code=0)
-        bji.insert(100, term_code=1)
-        bji.insert(100, term_code=2)
-        cur = RawMergedCursor(bji.posting_list, [1, 2], jump_index=bji)
-        assert cur.seek_geq(100) == 100
-        assert cur.doc_has_codes(100)
-
-    def test_empty_rejected(self):
-        with pytest.raises(QueryError):
-            paper_conjunctive_join([])
-
     @given(
         doc_terms=st.lists(
             st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=4),
@@ -183,7 +129,8 @@ class TestPaperSemantics:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_matches_brute_force(self, doc_terms, query, branching):
-        """Both join semantics agree with set intersection, always."""
+        """Term-filtered cursors over one merged list join to the set
+        intersection, always."""
         docs = [(doc_id, sorted(terms)) for doc_id, terms in enumerate(doc_terms)]
         docsets = {}
         for doc_id, terms in docs:
@@ -194,35 +141,9 @@ class TestPaperSemantics:
         expected = sorted(
             set.intersection(*[docsets.get(t, set()) for t in terms])
         )
-        raw = RawMergedCursor(bji.posting_list, terms, jump_index=bji)
-        got_raw, _ = paper_conjunctive_join([raw])
-        filtered = [
+        cursors = [
             MergedListCursor(bji.posting_list, term_code=t, jump_index=bji)
             for t in terms
         ]
-        got_filtered, _ = conjunctive_join(filtered)
-        assert got_raw == expected
-        assert got_filtered == expected
-
-
-class TestSequentialConjunctive:
-    def test_counts_every_block(self):
-        docs = [(i, [i % 2]) for i in range(300)]
-        bji = build_bundle(docs)
-        got, blocks = sequential_conjunctive(
-            [bji.posting_list, bji.posting_list], [0, 1]
-        )
-        assert got == []  # no doc carries both parities
-        assert blocks == 2 * bji.posting_list.num_blocks
-
-    def test_unfiltered_scan(self):
-        docs = [(i, [0, 1]) for i in range(20)]
-        bji = build_bundle(docs)
-        got, _ = sequential_conjunctive([bji.posting_list], [None])
-        assert got == list(range(20))
-
-    def test_misaligned_args_rejected(self):
-        with pytest.raises(QueryError):
-            sequential_conjunctive([], [0])
-        with pytest.raises(QueryError):
-            sequential_conjunctive([], [])
+        got, _ = conjunctive_join(cursors)
+        assert got == expected

@@ -10,6 +10,7 @@ server that misbehaves on cue.
 """
 
 import json
+import socket
 import socketserver
 import threading
 import time
@@ -97,6 +98,30 @@ class TestEndToEnd:
             finally:
                 service.admission.gate.leave()
             assert client.search("imclone")  # slot free again
+
+
+class TestContentLength:
+    """A body length that is not a non-negative decimal integer is a bad
+    request, refused before any byte of the body is read: ``-1`` would
+    read to the end of the stream past the size limit, and ``abc`` would
+    break the handler."""
+
+    @pytest.mark.parametrize("declared", [b"-1", b"abc"])
+    def test_a_malformed_length_is_refused(self, declared):
+        service = ArchiveService(
+            build_engine(batch=True), config=replace(FAST, max_body_bytes=1000)
+        )
+        with ArchiveServer(service) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=5) as sock:
+                sock.sendall(
+                    b"POST /ingest HTTP/1.1\r\nHost: archive\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + declared + b"\r\n\r\n"
+                )
+                reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]["code"] == "bad_request"
+        assert len(service.engine.documents) == len(DEFAULT_CORPUS)
 
 
 class _MisbehavingServer(socketserver.ThreadingTCPServer):

@@ -1,9 +1,11 @@
-"""Integration tests for the Figure 8(b)/8(c) simulations."""
+"""Integration tests for the Figure 8(b)/8(c) sweeps over engines."""
 
 import pytest
 
+from repro.search.engine import EngineConfig
 from repro.simulate.jump_sim import (
-    build_merged_index,
+    document_text,
+    ingest,
     insert_ios_sweep,
     query_speedup_sweep,
 )
@@ -14,28 +16,32 @@ def docs(tiny_workload):
     return tiny_workload.documents[:800]
 
 
-class TestBuildMergedIndex:
-    def test_bundle_consistent(self, docs):
-        bundle = build_merged_index(
-            docs, num_lists=16, branching=4, block_size=1024, max_doc_bits=16
+class TestIngest:
+    def test_every_posting_lands_in_a_list(self, docs):
+        engine = ingest(
+            docs, EngineConfig(num_lists=16, block_size=2048, branching=4)
         )
-        total_postings = sum(len(pl) for pl in bundle.lists.values())
-        assert total_postings == sum(d.num_distinct_terms for d in docs)
-        assert set(bundle.jumps) == set(bundle.lists)
+        stats = engine.archive_stats()
+        assert stats["documents"] == len(docs)
+        assert stats["postings"] == sum(d.num_distinct_terms for d in docs)
+        assert stats["jump_pointers"] > 0
 
-    def test_plain_bundle_has_no_jumps(self, docs):
-        bundle = build_merged_index(
-            docs, num_lists=16, branching=None, block_size=1024
+    def test_no_jump_pointers_without_branching(self, docs):
+        engine = ingest(
+            docs, EngineConfig(num_lists=16, block_size=2048, branching=None)
         )
-        assert not bundle.jumps
+        assert engine.archive_stats()["jump_pointers"] == 0
 
-    def test_scan_blocks_dedupes_shared_lists(self, docs):
-        bundle = build_merged_index(
-            docs, num_lists=1, branching=None, block_size=1024
+    def test_scan_reads_a_shared_list_once(self, docs):
+        """The scan-merge baseline of Figure 8(c) reads each list once,
+        however many query terms it holds."""
+        engine = ingest(
+            docs[:50], EngineConfig(num_lists=1, block_size=1024, branching=None)
         )
-        one = bundle.scan_blocks_for_terms([0])
-        two = bundle.scan_blocks_for_terms([0, 1])  # same single list
-        assert one == two
+        first, second = document_text(docs[0]).split()[:2]
+        one = engine.profile(first).blocks_read
+        two = engine.profile(f"{first} {second}").blocks_read
+        assert one == two == engine.archive_stats()["posting_blocks"]
 
 
 class TestInsertIoSweep:
@@ -43,12 +49,11 @@ class TestInsertIoSweep:
         """I/Os per doc fall with cache size; jump indexes cost more than
         plain appends at small caches and converge as the cache grows."""
         sweep = insert_ios_sweep(
-            docs,
+            docs[:400],
             num_lists=32,
             branchings=[None, 2, 32],
             cache_block_counts=[32, 64, 128, 512],
-            block_size=1024,
-            max_doc_bits=16,
+            block_size=2048,
         )
         for branching, series in sweep.items():
             ios = [v for _, v in series]
@@ -62,19 +67,6 @@ class TestInsertIoSweep:
         assert sweep[32][0][1] > sweep[2][0][1]
         assert b32_final >= b2_final * 0.8
 
-    def test_tail_path_ablation(self, docs):
-        """Disabling the Section 4.5 optimization inflates insert I/O."""
-        kwargs = dict(
-            num_lists=32,
-            branchings=[32],
-            cache_block_counts=[48],
-            block_size=1024,
-            max_doc_bits=16,
-        )
-        with_opt = insert_ios_sweep(docs, track_tail_path=True, **kwargs)
-        without = insert_ios_sweep(docs, track_tail_path=False, **kwargs)
-        assert without[32][0][1] > with_opt[32][0][1]
-
 
 class TestQuerySpeedupSweep:
     @pytest.fixture(scope="class")
@@ -84,11 +76,9 @@ class TestQuerySpeedupSweep:
         return query_speedup_sweep(
             wl.documents[:800],
             queries,
-            wl.stats.ti,
             num_lists=16,
             branchings=(2, 32),
             block_size=4096,
-            max_doc_bits=16,
         )
 
     def test_speedup_grows_with_terms(self, result):
@@ -97,8 +87,10 @@ class TestQuerySpeedupSweep:
             assert speedups[7] > speedups[2]
 
     def test_two_keyword_near_or_below_parity(self, result):
-        """Paper: 2-keyword queries are ~10% slower with a jump index."""
-        assert dict(result.series["B=32"])[2] < 1.15
+        """Paper: 2-keyword queries are ~10% slower with a jump index.
+        The engine's join filters each merged list by term, so it can
+        come out ahead at 2 keywords, but by little."""
+        assert dict(result.series["B=32"])[2] < 1.3
 
     def test_ideal_unmerged_fastest(self, result):
         for n in (2, 4, 7):

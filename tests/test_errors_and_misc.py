@@ -53,46 +53,6 @@ class TestErrorHierarchy:
         assert caught == 3
 
 
-class TestBundleHelpers:
-    def test_cursor_for_missing_term_list(self, tiny_workload):
-        from repro.simulate.jump_sim import build_merged_index
-
-        bundle = build_merged_index(
-            tiny_workload.documents[:50],
-            num_lists=4,
-            branching=None,
-            block_size=1024,
-        )
-        # A term whose physical list was never created yields no cursor.
-        absent = tiny_workload.vocabulary_size - 1
-        missing = [
-            lid
-            for lid in range(4)
-            if lid not in bundle.lists
-        ]
-        if missing:
-            term = next(
-                t
-                for t in range(tiny_workload.vocabulary_size)
-                if bundle.assignment.list_for(t) == missing[0]
-            )
-            assert bundle.cursor_for_term(term) is None
-
-    def test_ios_per_doc_zero_docs_safe(self):
-        from repro.simulate.jump_sim import MergedIndexBundle
-        from repro.core.merge import UniformHashMerge
-        from repro.worm.storage import CachedWormStore
-
-        bundle = MergedIndexBundle(
-            store=CachedWormStore(None),
-            assignment=UniformHashMerge(2).assign(4),
-            lists={},
-            jumps={},
-            num_docs=0,
-        )
-        assert bundle.ios_per_doc() == 0.0
-
-
 class TestReportFormatting:
     def test_fmt_handles_extremes(self):
         from repro.simulate.report import format_table
