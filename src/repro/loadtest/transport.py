@@ -6,10 +6,12 @@ so whatever drives an in-process engine can drive a running
 :mod:`repro.service` endpoint, queueing delay, admission control and
 serialisation included.
 
-Each calling thread keeps one persistent ``http.client.HTTPConnection``
-(the service speaks HTTP/1.1 keep-alive).  Non-2xx answers raise typed
-exceptions — :class:`RateLimitedError` for 429,
-:class:`ServiceOverloadedError` for 503.
+Each calling thread keeps one persistent connection (the service speaks
+HTTP/1.1 keep-alive) and speaks :mod:`repro.service.wire`, the codec the
+server speaks: a request goes out in one write, and its answer is read
+with the same bounded head reader and strict ``Content-Length`` framing.
+Non-2xx answers raise typed exceptions — :class:`RateLimitedError` for
+429, :class:`ServiceOverloadedError` for 503.
 
 What is retried: one thing.  A server may close a kept-alive connection
 while it sits idle; the client learns of it on its next request, as a
@@ -23,7 +25,6 @@ batch, and a committed duplicate can never be taken back.  Those raise
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -31,10 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
+from repro.service import wire
 
-
-#: How a connection the peer closed before answering shows up
-#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``).
+#: How a connection the peer closed before answering shows up.
 _PEER_CLOSED = (ConnectionResetError, BrokenPipeError)
 
 
@@ -75,6 +75,23 @@ class TransportSearchResult:
         return f"TransportSearchResult(doc_id={self.doc_id}, score={self.score})"
 
 
+class _Connection:
+    """One kept-alive socket and the buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.sock = socket.create_connection((host, port), timeout)
+        # A request longer than one segment ends in a short one, which
+        # Nagle would hold for the server's delayed ACK (~40 ms).
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
 class HTTPTransport:
     """Engine-protocol adapter over a running archive service.
 
@@ -107,26 +124,19 @@ class HTTPTransport:
         self.port = parts.port or 80
         self.timeout = timeout
         self.tenant = tenant
+        self._authority = parts.netloc
         self._local = threading.local()
-        self._connections: List[http.client.HTTPConnection] = []
+        self._connections: List[_Connection] = []
         self._connections_lock = threading.Lock()
         self._health: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
     # connection plumbing
     # ------------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            connection.connect()
-            # Request bodies go out as separate segments; Nagle plus
-            # delayed ACK would add ~40 ms per loopback round trip.
-            connection.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
+            connection = _Connection(self.host, self.port, self.timeout)
             self._local.connection = connection
             with self._connections_lock:
                 self._connections.append(connection)
@@ -144,37 +154,40 @@ class HTTPTransport:
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        body = None
-        headers = {"Accept": "application/json"}
+        headers = {"Host": self._authority}
+        body = b""
         if payload is not None:
             body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             headers["Content-Type"] = "application/json"
+            headers["Content-Length"] = str(len(body))
         if self.tenant is not None:
             headers["X-Repro-Tenant"] = self.tenant
+        request = wire.message(f"{method} {path} HTTP/1.1", headers, body)
         reused = getattr(self._local, "connection", None) is not None
         while True:
-            response = None
+            head = None
             try:
                 connection = self._connection()
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                raw = response.read()  # drain: keep-alive needs a clean socket
+                connection.sock.sendall(request)
+                head = wire.read_response(connection.rfile)
+                if head is None:
+                    raise ConnectionResetError("the service hung up without answering")
+                status, response_headers = head
+                raw = wire.read_body(connection.rfile, wire.content_length(response_headers))
                 break
-            except (http.client.HTTPException, OSError) as exc:
+            except (wire.WireError, OSError) as exc:
                 self._drop_connection()
                 # The server closed this connection while it sat idle
                 # (see the module docstring): the one case sent again.
-                if reused and response is None and isinstance(exc, _PEER_CLOSED):
+                if reused and head is None and isinstance(exc, _PEER_CLOSED):
                     reused = False
                     continue
                 raise ServiceClientError(
                     f"{method} {path} failed: {type(exc).__name__}: {exc}"
                 ) from exc
-        response_headers = {k: v for k, v in response.getheaders()}
-        if response.getheader("Connection", "").lower() == "close":
+        if "close" in response_headers.get("connection", "").lower():
             self._drop_connection()
-        content_type = response.getheader("Content-Type", "")
-        if content_type.startswith("application/json"):
+        if response_headers.get("content-type", "").startswith("application/json"):
             try:
                 document = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -183,7 +196,7 @@ class HTTPTransport:
                 ) from exc
         else:
             document = {"text": raw.decode("utf-8", errors="replace")}
-        return response.status, document, response_headers
+        return status, document, response_headers
 
     def _call(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
@@ -196,7 +209,7 @@ class HTTPTransport:
             f"{method} {path} -> {status}: "
             f"{error.get('message', 'no detail')}"
         )
-        retry_after = _parse_retry_after(headers.get("Retry-After"))
+        retry_after = _parse_retry_after(headers.get("retry-after"))
         if status == 429:
             raise RateLimitedError(message, retry_after=retry_after)
         if status == 503:

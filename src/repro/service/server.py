@@ -31,16 +31,19 @@ SIGINT both trigger it in :func:`repro.cli._cmd_serve`.
 from __future__ import annotations
 
 import json
+import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError, TamperDetectedError
 from repro.observability import engine_metrics, export_service
 from repro.observability.metrics import MetricsRegistry
+from repro.service import wire
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.locks import ReadWriteLock
 from repro.service.protocol import (
@@ -383,7 +386,7 @@ def _method_not_allowed(
     )
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
+class _ServiceHTTPServer(socketserver.ThreadingTCPServer):
     """Threading server that joins handler threads on close (drain)."""
 
     daemon_threads = False  # server_close() must join in-flight handlers
@@ -394,12 +397,19 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, handler)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP router over :meth:`ArchiveService.dispatch`."""
+#: The interim answer ``Expect: 100-continue`` waits for.
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
-    protocol_version = "HTTP/1.1"
-    # Headers and body are written as separate segments; without this,
-    # Nagle + delayed ACK turns every loopback response into ~40 ms.
+_TENANT = TENANT_HEADER.lower()
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read a head with :mod:`repro.service.wire`, route
+    it (:meth:`_handle`) through :meth:`ArchiveService.dispatch`, answer
+    in one write, until the client, HTTP/1.0 or the drain ends it."""
+
+    # A reply longer than one segment ends in a short one, which Nagle
+    # would hold for the client's delayed ACK (~40 ms on loopback).
     disable_nagle_algorithm = True
     server: _ServiceHTTPServer
 
@@ -411,10 +421,71 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = self.service.config.request_timeout
         super().setup()
 
-    # -- plumbing ------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.service.config.log_requests:
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self.head_only, self.request_line = False, "-"
+                try:
+                    request = wire.read_request(self.rfile)
+                except wire.WireError as exc:
+                    self.close_connection = True
+                    self._reply(400, error_payload("bad_request", str(exc)), {})
+                    return
+                if request is None:
+                    return
+                self._handle(*request)
+        except OSError:
+            return  # a read timed out or the client went away: hang up
+
+    def _handle(
+        self, method: str, target: str, version: str, headers: Dict[str, str]
+    ) -> None:
+        self.head_only = method == "HEAD"
+        self.request_line = f"{method} {target} {version}"
+        if version == "HTTP/1.0" or "close" in headers.get("connection", "").lower():
+            self.close_connection = True
+        try:
+            body = self._read_body(version, headers)
+            parts = urlsplit(target)
+            path = parts.path.rstrip("/") or "/"
+            if method == "POST":
+                payload = _json_body(body)
+            elif method == "GET":
+                payload = {
+                    key: values[-1]
+                    for key, values in parse_qs(parts.query).items()
+                }
+                if path == "/search" and payload:
+                    payload = _search_payload_from_query(payload)
+            else:
+                payload = None
+        except (SchemaError, ValueError) as exc:
+            self._reply(400, error_payload("bad_request", str(exc)), {})
+            return
+        tenant = headers.get(_TENANT, "").strip() or DEFAULT_TENANT
+        self._reply(*self.service.dispatch(method, path, payload, tenant=tenant))
+
+    def _read_body(self, version: str, headers: Dict[str, str]) -> bytes:
+        """The request's body.  A refusal here ends the connection: what
+        is left of the body unread cannot be framed as the next request."""
+        try:
+            length = wire.content_length(headers)
+            limit = self.service.config.max_body_bytes
+            if length > limit:
+                raise wire.WireError(
+                    f"request body of {length} bytes exceeds the {limit}-byte limit"
+                )
+            if (
+                length
+                and version == "HTTP/1.1"
+                and headers.get("expect", "").lower() == "100-continue"
+            ):
+                self.connection.sendall(_CONTINUE)
+            return wire.read_body(self.rfile, length)
+        except wire.WireError as exc:
+            self.close_connection = True
+            raise SchemaError(str(exc)) from exc
 
     def _reply(self, status: int, body: Dict[str, object], headers: Dict[str, str]) -> None:
         content_type = headers.pop("Content-Type", "application/json")
@@ -424,67 +495,33 @@ class _Handler(BaseHTTPRequestHandler):
             raw = (
                 json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
             ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(raw)))
-        if self.service.draining:
+        if headers.pop("Connection", None) == "close" or self.service.draining:
             self.close_connection = True
-            self.send_header("Connection", "close")
-        for name, value in headers.items():
-            if name.lower() != "connection" or not self.service.draining:
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def _read_body(self) -> object:
-        declared = (self.headers.get("Content-Length") or "0").strip()
-        if not (declared.isascii() and declared.isdigit()):
-            # No length to read the body by, so the connection ends here.
-            self.close_connection = True
-            raise SchemaError(
-                f"Content-Length {declared!r} is not a non-negative decimal integer"
-            )
-        length = int(declared)
-        if length > self.service.config.max_body_bytes:
-            raise SchemaError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.service.config.max_body_bytes}-byte limit"
-            )
-        if length == 0:
-            return None
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"request body is not valid JSON: {exc}") from exc
-
-    def _handle(self, method: str) -> None:
-        parts = urlsplit(self.path)
-        path = parts.path.rstrip("/") or "/"
-        try:
-            if method == "POST":
-                payload = self._read_body()
-            else:
-                payload = {
-                    key: values[-1]
-                    for key, values in parse_qs(parts.query).items()
-                }
-                if path == "/search" and payload:
-                    payload = _search_payload_from_query(payload)
-        except SchemaError as exc:
-            self._reply(400, error_payload("bad_request", str(exc)), {})
-            return
-        tenant = self.headers.get(TENANT_HEADER, DEFAULT_TENANT).strip()
-        status, body, headers = self.service.dispatch(
-            method, path, payload, tenant=tenant or DEFAULT_TENANT
+        head = {
+            "Date": formatdate(usegmt=True),
+            "Content-Type": content_type,
+            "Content-Length": str(len(raw)),
+        }
+        if self.close_connection:
+            head["Connection"] = "close"
+        head.update(headers)
+        self.connection.sendall(
+            wire.message(wire.status_line(status), head, b"" if self.head_only else raw)
         )
-        self._reply(status, body, headers)
+        if self.service.config.log_requests:
+            sys.stderr.write(
+                f'{self.client_address[0]} - - [{head["Date"]}] '
+                f'"{self.request_line}" {status} {len(raw)}\n'
+            )
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._handle("GET")
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._handle("POST")
+def _json_body(raw: bytes) -> object:
+    if not raw:
+        return None
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"request body is not valid JSON: {exc}") from exc
 
 
 def _search_payload_from_query(params: Dict[str, str]) -> Dict[str, object]:
