@@ -86,20 +86,5 @@ class SortedAppendLog:
                     invariant="sorted-run-monotonicity",
                 )
 
-    def safe_lookup(self, key: int) -> bool:
-        """Linear lookup with on-the-fly order checking (always correct)."""
-        prev = None
-        for i, stored in enumerate(self._keys):
-            if prev is not None and stored <= prev:
-                raise TamperDetectedError(
-                    f"key {stored} at position {i} after {prev}",
-                    location=f"sorted log position {i}",
-                    invariant="sorted-run-monotonicity",
-                )
-            if stored == key:
-                return True
-            prev = stored
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SortedAppendLog(len={len(self._keys)})"

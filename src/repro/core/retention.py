@@ -29,6 +29,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+import numpy as np
+
 from repro.errors import TamperDetectedError
 from repro.worm.storage import CachedWormStore
 
@@ -60,6 +62,7 @@ class RetentionManager:
         self.log_name = log_name
         self._file = store.ensure_file(log_name)
         self._dispositions: Dict[int, Disposition] = {}
+        self._disposed_column = np.empty(0, dtype=np.uint32)
         # Retention horizons learned during sweeps (doc_id -> horizon or
         # None for permanent documents), so repeated sweeps over a large
         # archive don't re-open every WORM file to re-read an unchanged
@@ -148,6 +151,13 @@ class RetentionManager:
     def is_disposed(self, doc_id: int) -> bool:
         """Whether ``doc_id`` was legitimately disposed of."""
         return doc_id in self._dispositions
+
+    def disposed_ids(self) -> np.ndarray:
+        """The :meth:`is_disposed` IDs as one ascending ``uint32``
+        column, rebuilt only when a disposition was added since."""
+        if len(self._disposed_column) != len(self._dispositions):
+            self._disposed_column = np.array(sorted(self._dispositions), dtype=np.uint32)
+        return self._disposed_column
 
     def disposition_for(self, doc_id: int) -> Optional[Disposition]:
         """The disposition record for ``doc_id``, if any."""

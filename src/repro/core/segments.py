@@ -867,9 +867,10 @@ class MergedListFamily:
     # query paths
     # ------------------------------------------------------------------
     def conjunctive_doc_ids(
-        self, term_ids: Sequence[int], costs: Optional[ReadCosts] = None
+        self, term_ids: Sequence[int], costs: Optional[ReadCosts] = None, window=None
     ) -> List[int]:
-        """Documents in this family containing *all* terms (Section 4).
+        """Documents in this family containing *all* terms (Section 4),
+        only those in the doc-ID ``window`` when one is given.
 
         Adds the zigzag join's micro-costs — seeks, blocks read, jump
         pointers followed — to ``costs``; an absent or empty list
@@ -899,7 +900,7 @@ class MergedListFamily:
             costs = ReadCosts()
         jumps = {c.jump_index for c in cursors if c.jump_index is not None}
         follows_before = sum(j.pointers_followed for j in jumps)
-        doc_ids, _ = conjunctive_join(cursors)
+        doc_ids, _ = conjunctive_join(cursors, window)
         costs.lists += len({list_id for list_id, _ in sources})
         costs.seeks += sum(c.seeks for c in cursors)
         costs.jump_follows += (

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from repro.errors import IndexError_
 
@@ -115,12 +115,3 @@ def entropy_bits(posting_counts: Mapping[int, int]) -> float:
             p = c / total
             h -= p * math.log2(p)
     return h
-
-
-def merged_list_code_stats(
-    term_ids: Sequence[int], posting_counts: Sequence[int]
-) -> HuffmanCode:
-    """Convenience wrapper pairing parallel term/count sequences."""
-    if len(term_ids) != len(posting_counts):
-        raise IndexError_("term_ids and posting_counts must align")
-    return build_huffman_code(dict(zip(map(int, term_ids), map(int, posting_counts))))

@@ -13,17 +13,21 @@ distinct commit times whose node payloads are log offsets, giving
 ``O(log N)`` trustworthy range queries (the jump index's Proposition 3
 guarantees no committed entry can be skipped).
 
-Cost: a range query enters through the jump index and then reads the log
-sequentially — one counted block read per log block scanned, from the
-block holding the first qualifying record to the one holding the first
-record past the range (or the log's end), every record in between
-checked as it is decoded.
+Cost: a range query is two FindGeq on the jump index, one for each end
+of the range, and one counted read of the record each lands on, checked
+against the time the jump node claims.  The answer is a document-ID
+interval, not a list: every ID between two logged ones is either logged
+(and then committed inside the range, both fields being monotonic) or
+burned by a crash, which the engine filters.  The log's order was checked
+up to a high-water mark — every record at restore, then every honest
+append made while the mark covered the whole log — so only records
+appended around the writer are walked, by the queries that reach them.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core.jump_index import JumpIndex
 from repro.errors import DocumentIdOrderError, TamperDetectedError
@@ -67,6 +71,7 @@ class CommitTimeIndex:
         self.blocks_scanned = 0
         self._records_per_block = store.block_size // RECORD_SIZE
         self._restore_from_worm()
+        self._mark()
 
     def _restore_from_worm(self) -> None:
         """Rebuild the jump index and counters from the committed log.
@@ -78,9 +83,23 @@ class CommitTimeIndex:
         for offset, commit_time, doc_id in self._walk():
             if commit_time > self._last_time:
                 self._jump.insert(commit_time, payload=offset)
-            self._last_time = commit_time
-            self._last_doc_id = doc_id
-            self.count = offset + 1
+            self._last_time, self._last_doc_id, self.count = commit_time, doc_id, offset + 1
+
+    def _mark(self) -> None:
+        """Move the checked high-water mark over the whole log, which
+        the writer's memory then describes: records ``[0, _checked)``
+        are known monotonic, ``_checked_last`` is the last of them, and
+        ``_seen`` is the log's extent now.  Below the mark the log is
+        committed WORM bytes that cannot change, so no query checks
+        those records again."""
+        self._checked, self._checked_last = self.count, (self._last_time, self._last_doc_id)
+        self._seen = self._extent()
+
+    def _extent(self) -> Tuple[int, int]:
+        """The log's blocks and its tail block's bytes: all of its WORM
+        state that an append can change (only the tail takes appends)."""
+        blocks = self._file.num_blocks
+        return blocks, self._file.block(blocks - 1).fill if blocks else 0
 
     # ------------------------------------------------------------------
     # write path
@@ -92,7 +111,9 @@ class CommitTimeIndex:
         increasing — the physical truth an honest ingest pipeline
         produces.  Violations are caller bugs
         (:class:`~repro.errors.DocumentIdOrderError`); *stored* violations
-        found later are tampering.
+        found later are tampering.  The record moves the checked mark
+        when the mark covered the whole log before it: then it follows
+        the last checked record, which is the writer's last one.
         """
         if commit_time < self._last_time:
             raise DocumentIdOrderError(
@@ -103,55 +124,61 @@ class CommitTimeIndex:
             raise DocumentIdOrderError(
                 f"doc_id {doc_id} must exceed last committed {self._last_doc_id}"
             )
+        covered = self._extent() == self._seen
         offset = self.count
         self.store.append_record(self.name, _RECORD.pack(commit_time, doc_id))
         if commit_time > self._last_time:
             # First record at this time: index it with its log offset.
             self._jump.insert(commit_time, payload=offset)
-        self._last_time = commit_time
-        self._last_doc_id = doc_id
-        self.count += 1
+        self._last_time, self._last_doc_id, self.count = commit_time, doc_id, offset + 1
+        if covered:
+            self._mark()
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
+    def _read(self, block_no: int, *, counted: bool) -> bytes:
+        """Log block ``block_no``, which must hold whole records — every
+        block but the tail a full complement of them, or record offsets
+        would not address the log."""
+        payload = (self.store.read_block if counted else self.store.peek_block)(self.name, block_no)
+        self.blocks_scanned += counted
+        if len(payload) % RECORD_SIZE or (
+            block_no < self._file.num_blocks - 1
+            and len(payload) != self._records_per_block * RECORD_SIZE
+        ):
+            raise TamperDetectedError(
+                f"commit log block {block_no} holds {len(payload)} "
+                f"bytes, not whole {RECORD_SIZE}-byte records",
+                location=f"commit log '{self.name}', block {block_no}",
+                invariant="commit-log-record-size",
+            )
+        return payload
+
     def _walk(
-        self, start_offset: int = 0, *, counted: bool = False
+        self, start_offset: int = 0, *, after=(-1, -1), from_block=None, counted=False
     ) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(offset, commit_time, doc_id)`` from record
         ``start_offset`` to the end of the committed log, checked.
 
-        The one reader of the log.  The extent comes from WORM state,
-        not writer memory: a certified reader must scan everything
+        The one reader of the log's records.  The extent comes from WORM
+        state, not writer memory: a certified reader must scan everything
         actually committed — including records Mala appended around the
         honest writer, whose in-memory count would not include them.
-        Each block is read once (a counted read with ``counted``) and
-        must hold whole records, every block but the tail a full
-        complement of them, or record offsets would not address the log;
-        both fields of every record must be monotonic after the record
-        before it.
+        Each block is read once (a counted read with ``counted``), from
+        ``from_block`` (by default the one holding ``start_offset``), and
+        checked by :meth:`_read`; both fields of every record must be
+        monotonic after the record before it, the first after ``after``.
         """
-        read = self.store.read_block if counted else self.store.peek_block
         per_block = self._records_per_block
-        tail_block = self._file.num_blocks - 1
-        prev_time, prev_doc = -1, -1
-        for block_no in range(start_offset // per_block, tail_block + 1):
-            payload = read(self.name, block_no)
-            if len(payload) % RECORD_SIZE or (
-                block_no < tail_block
-                and len(payload) != per_block * RECORD_SIZE
-            ):
-                raise TamperDetectedError(
-                    f"commit log block {block_no} holds {len(payload)} "
-                    f"bytes, not whole {RECORD_SIZE}-byte records",
-                    location=f"commit log '{self.name}', block {block_no}",
-                    invariant="commit-log-record-size",
-                )
-            if counted:
-                self.blocks_scanned += 1
+        prev_time, prev_doc = after
+        if from_block is None:
+            from_block = start_offset // per_block
+        for block_no in range(from_block, self._file.num_blocks):
+            payload = self._read(block_no, counted=counted)
             offset = max(start_offset, block_no * per_block)
             for commit_time, doc_id in _RECORD.iter_unpack(
-                memoryview(payload)[offset % per_block * RECORD_SIZE :]
+                memoryview(payload)[(offset - block_no * per_block) * RECORD_SIZE :]
             ):
                 if commit_time < prev_time or doc_id <= prev_doc:
                     raise TamperDetectedError(
@@ -165,39 +192,64 @@ class CommitTimeIndex:
                 prev_time, prev_doc = commit_time, doc_id
                 offset += 1
 
-    def docs_in_range(self, t_start: int, t_end: int) -> List[int]:
-        """Document IDs committed with ``t_start <= time <= t_end``.
+    def _boundary(self, node_id: int) -> Tuple[int, int]:
+        """The ``(commit_time, doc_id)`` record jump node ``node_id``
+        points at, by one counted read, held to the node's time."""
+        offset = self._jump.node_payload(node_id)
+        block_no, at = divmod(offset, self._records_per_block)
+        record = _RECORD.unpack_from(self._read(block_no, counted=True), at * RECORD_SIZE)
+        node_time = self._jump.node_value(node_id)
+        if record[0] != node_time:
+            raise TamperDetectedError(
+                f"jump node for time {node_time} points at record "
+                f"{offset} holding time {record[0]}",
+                location=f"commit log '{self.name}', record {offset}",
+                invariant="commit-time-jump-payload",
+            )
+        return record
 
-        Trust guarantees: the start position comes from the jump index
-        (no entry can be skipped, Proposition 3) and the subsequent scan
-        verifies monotonicity of both fields, so a retro-dated append
-        surfaces as :class:`~repro.errors.TamperDetectedError` instead of
-        silently distorting the answer.
+    def docs_in_range(self, t_start: int, t_end: int) -> Optional[Tuple[int, int]]:
+        """The document-ID interval ``(first, last)`` committed with
+        ``t_start <= time <= t_end``, or ``None`` when nothing was.
+
+        The IDs in between that the log does not hold were burned by a
+        crash; the caller filters those.  Trust guarantees: each end
+        comes from the jump index (no entry can be skipped, Proposition
+        3), and the record it lands on must hold the node's time.  The
+        log below the checked mark was checked when it was restored or
+        appended; past the mark — records appended around the writer —
+        every record up to the first one past ``t_end`` is checked for
+        monotonicity of both fields, so a retro-dated append surfaces as
+        :class:`~repro.errors.TamperDetectedError` instead of silently
+        distorting the answer.
         """
         if t_end < t_start:
-            return []
+            return None
         node_id = self._jump.find_geq_node(t_start)
-        if node_id is None:
-            return []
-        start_offset = self._jump.node_payload(node_id)
-        start_time = self._jump.node_value(node_id)
-        if start_time > t_end:
-            return []
-        docs: List[int] = []
-        for offset, commit_time, doc_id in self._walk(
-            start_offset, counted=True
+        if node_id is None or self._jump.node_value(node_id) > t_end:
+            return None
+        start = self._jump.node_payload(node_id)
+        first = after = self._boundary(node_id)
+        # A record the writer indexed past the mark is walked on from.
+        from_block = None
+        if start < self._checked:
+            if self._checked_last[0] > t_end:
+                # The range ends inside the checked log, where the first
+                # record past it is the one the next jump node points at.
+                return first[1], self._boundary(self._jump.find_geq_node(t_end + 1))[1] - 1
+            if self._extent() == self._seen:
+                return first[1], self._checked_last[1]
+            # Records appended around the writer: walk them from the
+            # block that was the tail when the mark last covered the log.
+            start, after, from_block = self._checked - 1, self._checked_last, self._seen[0] - 1
+        last = after[1]
+        for _, commit_time, doc_id in self._walk(
+            start + 1, after=after, from_block=from_block, counted=True
         ):
-            if offset == start_offset and commit_time != start_time:
-                raise TamperDetectedError(
-                    f"jump node for time {start_time} points at record "
-                    f"{offset} holding time {commit_time}",
-                    location=f"commit log '{self.name}', record {offset}",
-                    invariant="commit-time-jump-payload",
-                )
-            if commit_time > t_end:
+            if commit_time > t_end:  # checked, and past the range
                 break
-            docs.append(doc_id)
-        return docs
+            last = doc_id
+        return first[1], last
 
     def iter_records(self) -> Iterator[Tuple[int, int]]:
         """Yield every committed ``(commit_time, doc_id)`` pair in order.

@@ -18,6 +18,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+import numpy as np
+
 from repro.errors import FileExistsOnWormError, UnknownFileError, WorkloadError
 from repro.worm.storage import CachedWormStore
 
@@ -101,6 +103,11 @@ class DocumentStore:
         record.  Postings that commit appended may name it; the file
         may hold torn text.  It is not a document, and is never reused."""
         return doc_id < self._next_doc_id and doc_id not in self._commit_times
+
+    def burned_ids(self) -> np.ndarray:
+        """The :meth:`is_burned` IDs as one ascending ``uint32`` column
+        (a crash burns one, so there are few)."""
+        return np.array(self._burned, dtype=np.uint32)
 
     def rank(self, doc_id: int) -> int:
         """How many committed IDs lie below ``doc_id``, or -1 when no

@@ -1133,9 +1133,14 @@ class TrustworthySearchEngine:
         ascending, so the union of the scans, and the concatenation of
         per-family joins, equal one scan or join over a single
         merged-list family.
-        A time range resolves to its document-ID window first, and
-        sealed segments whose manifest range misses the window are not
-        read at all (``ReadCosts.families_skipped``).
+        A time range resolves to its document-ID window first: the
+        interval ``(first, last)`` from two FindGeq on the commit-time
+        index, whose IDs are each committed in the range or burned.
+        Sealed segments whose manifest range misses the window are not
+        read at all (``ReadCosts.families_skipped``); with the read
+        cache off, each family's join enters its lists at ``first`` and
+        stops past ``last``.  The filter then keeps the window's IDs
+        that are neither burned nor disposed.
 
         With the read cache enabled, the result tier answers each family
         whose retrieval of these terms it holds and whose lists that can
@@ -1156,12 +1161,12 @@ class TrustworthySearchEngine:
             blocks_before = times.blocks_scanned
             window = times.docs_in_range(*query.time_range)
             window_blocks = times.blocks_scanned - blocks_before
-        if window:
+        if window is not None:
             # Doc IDs rise with commit times, so the window is one doc-ID
             # interval, and a sealed segment whose manifest range misses
             # it holds no answer: a time-constrained query reads only
             # the overlapping epochs (Section 3.3).
-            first, last = window[0], window[-1]
+            first, last = window
             families, tail = view
             live = tuple(
                 f
@@ -1171,49 +1176,44 @@ class TrustworthySearchEngine:
             )
             costs.families_skipped = len(families) - len(live)
             view = (live, tail)
-        if window == []:  # nothing committed in the range: read no list
-            candidates = _NO_CANDIDATES
+        if query.time_range is not None and window is None:
+            candidates = _NO_CANDIDATES  # nothing committed in the range
         elif query.mode is QueryMode.ALL:
             # The join's doc list and the query's terms, each present
             # in every document: nothing is built per document or term.
-            joined = self._join(term_ids, view, trace, costs)
+            joined = self._join(term_ids, view, trace, costs, window)
             candidates = (
                 Candidates((), joined, term_ids) if len(joined) else _NO_CANDIDATES
             )
         else:
             candidates = self._scan(term_ids, view, trace, costs)
-        # What makes an indexed ID no answer.  A disposed document's
-        # postings stay on WORM, and so do any a commit appended before
-        # a crash burned its ID.
+        # What makes an indexed ID no answer, as ascending ID columns.  A
+        # disposed document's postings stay on WORM, and so do any a
+        # commit appended before a crash burned its ID.
         gone = []
         retention = self._retention_if_any()
         if retention is not None and len(retention):
-            gone.append(retention.is_disposed)
+            gone.append(retention.disposed_ids())
         if self.documents.has_burned:
-            gone.append(self.documents.is_burned)
+            gone.append(self.documents.burned_ids())
         if query.time_range is not None or gone:
             with self._stage(
                 "filter", trace, candidates=len(candidates)
             ) as span:
-                if window is not None and span is not None:
+                if query.time_range is not None and span is not None:
                     span.note(
-                        window_docs=len(window), window_blocks=window_blocks
+                        window_docs=0 if window is None else last - first + 1,
+                        window_blocks=window_blocks,
                     )
-                if window:
-                    # The log's doc IDs rise strictly (checked as it is
-                    # read), so a window as long as its span is every ID
-                    # in between.
-                    doc_ids = candidates.doc_ids
+                doc_ids = candidates.doc_ids
+                allowed = np.ones(len(doc_ids), dtype=bool)
+                if window is not None:
+                    # Every ID in the window is logged, and so committed
+                    # in the range, or burned, which ``gone`` drops.
                     allowed = (doc_ids >= first) & (doc_ids <= last)
-                    if last - first + 1 != len(window):
-                        allowed &= np.isin(doc_ids, window)
-                    candidates = candidates.keep(allowed)
-                if gone:
-                    dead = [
-                        any(test(doc_id) for test in gone)
-                        for doc_id in candidates.doc_ids.tolist()
-                    ]
-                    candidates = candidates.keep(~np.array(dead, dtype=bool))
+                for column in gone:
+                    allowed &= np.isin(doc_ids, column, invert=True)
+                candidates = candidates.keep(allowed)
                 if span is not None:
                     span.note(kept=len(candidates))
         return candidates
@@ -1316,12 +1316,15 @@ class TrustworthySearchEngine:
         return candidates
 
     def _join(
-        self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
+        self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts, window=None
     ) -> np.ndarray:
         """Conjunctive retrieval: the documents each family joins — the
         result tier's, or zigzag-joined — then the tail's, ascending and
         once each, whatever was stuffed (a list can repeat a document,
-        or name one a later family holds).
+        or name one a later family holds).  Without the read cache each
+        family joins only inside ``window``; the result tier keeps
+        whole-family retrievals, which every window reuses, so the
+        caller's filter cuts those.
 
         A never-indexed term short-circuits to no matches — a document
         cannot contain a term that has no postings.  The join's
@@ -1333,8 +1336,8 @@ class TrustworthySearchEngine:
             return _NO_CANDIDATES.doc_ids
         families, tail = view
 
-        def read(family):
-            return np.array(family.conjunctive_doc_ids(term_ids, costs), dtype=np.uint32)
+        def read(family, window=None):
+            return np.array(family.conjunctive_doc_ids(term_ids, costs, window), dtype=np.uint32)
 
         with self._stage(
             "join",
@@ -1344,7 +1347,7 @@ class TrustworthySearchEngine:
             families_skipped=costs.families_skipped,
         ) as span:
             if self.read_cache is None:
-                parts = [read(family) for family in families]
+                parts = [read(family, window) for family in families]
             else:
                 wanted = tuple(sorted(term_ids))
                 parts = self._per_family(families, "all", wanted, read, trace, costs)

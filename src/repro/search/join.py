@@ -23,6 +23,7 @@ is in both lists.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
@@ -151,12 +152,22 @@ class MemoryCursor:
         return 0
 
 
-def zigzag(cursor1, cursor2) -> List[int]:
-    """The ZIGZAG algorithm of Figure 5 over two seekable cursors."""
+def zigzag(cursor1, cursor2, first: int = 0, last: float = math.inf) -> List[int]:
+    """The ZIGZAG algorithm of Figure 5 over two seekable cursors, for
+    the documents in ``[first, last]``.
+
+    When both cursors start below ``first``, the first enters with one
+    FindGeq(``first``) — by Proposition 3 it skips no committed ID at or
+    above ``first`` — and the other follows it as the zigzag does
+    (entering both at ``first`` can cost more seeks than no window at
+    all).  The join stops once a cursor passes ``last``.
+    """
     out: List[int] = []
     top1 = cursor1.doc()
     top2 = cursor2.doc()
-    while top1 is not None and top2 is not None:
+    if top1 is not None and top2 is not None and max(top1, top2) < first:
+        top1 = cursor1.seek_geq(first)
+    while top1 is not None and top2 is not None and top1 <= last and top2 <= last:
         if top1 < top2:
             top1 = cursor1.seek_geq(top2)
         elif top2 < top1:
@@ -168,29 +179,34 @@ def zigzag(cursor1, cursor2) -> List[int]:
     return out
 
 
-def conjunctive_join(cursors: Sequence) -> Tuple[List[int], int]:
+def conjunctive_join(cursors: Sequence, window=None) -> Tuple[List[int], int]:
     """K-way conjunctive join, shortest lists first (Section 4.5).
 
     "Multi-keyword queries are answered with zigzag joins of the posting
     lists, starting with the shortest two lists"; each partial result is
-    then zigzag-joined with the next shortest list.  Returns the matching
-    document IDs and the total distinct blocks read across all cursors.
+    then zigzag-joined with the next shortest list.  With a ``window``
+    ``(first, last)`` of document IDs, the lists are joined only inside
+    it (see :func:`zigzag`).  Returns the matching document IDs and the
+    total distinct blocks read across all cursors.
     """
     if not cursors:
         raise QueryError("conjunctive join needs at least one cursor")
+    first, last = (0, math.inf) if window is None else window
     ordered = sorted(cursors, key=lambda c: c.estimated_length())
     if len(ordered) == 1:
         only = ordered[0]
         out: List[int] = []
         doc = only.doc()
-        while doc is not None:
+        if doc is not None and doc < first:
+            doc = only.seek_geq(first)
+        while doc is not None and doc <= last:
             out.append(doc)
             doc = only.seek_geq(doc + 1)
         return out, only.blocks_read()
-    result = zigzag(ordered[0], ordered[1])
+    result = zigzag(ordered[0], ordered[1], first, last)
     for cursor in ordered[2:]:
         if not result:
             break
-        result = zigzag(MemoryCursor(result), cursor)
+        result = zigzag(MemoryCursor(result), cursor, first, last)
     blocks = sum(c.blocks_read() for c in ordered)
     return result, blocks

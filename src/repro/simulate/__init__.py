@@ -29,6 +29,6 @@ The figures are ratio/shape-valued, which down-scaling preserves (see
 EXPERIMENTS.md for the paper-vs-measured record).
 """
 
-from repro.simulate.report import format_series, format_table
+from repro.simulate.report import format_table
 
-__all__ = ["format_series", "format_table"]
+__all__ = ["format_table"]

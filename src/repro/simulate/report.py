@@ -41,17 +41,3 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    name: str,
-    xs: Sequence,
-    ys: Sequence,
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one figure series as an x/y table."""
-    return format_table(
-        [x_label, y_label], list(zip(xs, ys)), title=name
-    )

@@ -28,10 +28,6 @@ class TestHonestOperation:
     def test_verify_sorted_clean(self, log):
         log.verify_sorted()
 
-    def test_safe_lookup(self, log):
-        assert log.safe_lookup(23)
-        assert not log.safe_lookup(24)
-
     def test_keys_snapshot(self, log):
         keys = log.keys()
         keys.append(999)
@@ -51,12 +47,3 @@ class TestTamperedOperation:
         with pytest.raises(TamperDetectedError) as excinfo:
             log.verify_sorted()
         assert excinfo.value.invariant == "sorted-run-monotonicity"
-
-    def test_safe_lookup_detects_before_reaching_target(self, log):
-        log.append(30)
-        with pytest.raises(TamperDetectedError):
-            log.safe_lookup(999)  # scan crosses the violation
-
-    def test_safe_lookup_finds_keys_before_violation(self, log):
-        log.append(30)
-        assert log.safe_lookup(2)  # found before the scan reaches the tail

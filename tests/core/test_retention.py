@@ -1,6 +1,8 @@
 """Unit tests for retention horizons and trustworthy disposition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.retention import RetentionManager
 from repro.errors import TamperDetectedError, WorkloadError, WormViolationError
@@ -84,6 +86,32 @@ class TestQueryBehaviour:
         assert not report.ok  # 999 has no disposition record
         assert engine.retention.classify_dangling(0) == "disposed"
         assert engine.retention.classify_dangling(999) == "fabricated"
+
+
+class TestDisposedColumn:
+    """The query filter's column of disposed IDs names exactly the IDs
+    :meth:`RetentionManager.is_disposed` does, after every sweep and
+    after a reopen."""
+
+    @given(
+        horizons=st.lists(st.integers(1, 30), min_size=1, max_size=30),
+        sweeps=st.lists(st.integers(0, 40), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_column_matches_is_disposed(self, horizons, sweeps):
+        store = CachedWormStore(None, block_size=256)
+        docs = DocumentStore(store)
+        retention = RetentionManager(store)
+        for doc_id, horizon in enumerate(horizons):
+            docs.commit("text", commit_time=doc_id, retention_until=horizon)
+        for now in sorted(sweeps):
+            retention.dispose_expired(docs, now=now)
+            column = retention.disposed_ids().tolist()
+            assert column == sorted(column)
+            ids = range(len(horizons) + 2)
+            assert [i in column for i in ids] == [retention.is_disposed(i) for i in ids]
+        reopened = RetentionManager(store)
+        assert reopened.disposed_ids().tolist() == retention.disposed_ids().tolist()
 
 
 class TestLogIntegrity:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.term_coding import (
     build_huffman_code,
     entropy_bits,
-    merged_list_code_stats,
 )
 from repro.errors import IndexError_
 
@@ -55,12 +54,6 @@ class TestHuffman:
             build_huffman_code({})
         with pytest.raises(IndexError_):
             build_huffman_code({1: 0})
-
-    def test_parallel_wrapper(self):
-        code = merged_list_code_stats([3, 4], [10, 20])
-        assert set(code.lengths) == {3, 4}
-        with pytest.raises(IndexError_):
-            merged_list_code_stats([1], [1, 2])
 
     @given(
         counts=st.dictionaries(

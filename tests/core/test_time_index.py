@@ -22,16 +22,16 @@ class TestRecording:
         commits = [(0, 100), (1, 100), (2, 105), (3, 200), (4, 201)]
         for doc_id, t in commits:
             cti.record_commit(doc_id, t)
-        assert cti.docs_in_range(100, 105) == [0, 1, 2]
-        assert cti.docs_in_range(101, 199) == [2]
-        assert cti.docs_in_range(200, 300) == [3, 4]
-        assert cti.docs_in_range(0, 99) == []
-        assert cti.docs_in_range(202, 300) == []
+        assert cti.docs_in_range(100, 105) == (0, 2)
+        assert cti.docs_in_range(101, 199) == (2, 2)
+        assert cti.docs_in_range(200, 300) == (3, 4)
+        assert cti.docs_in_range(0, 99) is None
+        assert cti.docs_in_range(202, 300) is None
         assert len(cti) == 5
 
     def test_inverted_range_empty(self, cti):
         cti.record_commit(0, 10)
-        assert cti.docs_in_range(20, 10) == []
+        assert cti.docs_in_range(20, 10) is None
 
     def test_first_commit_geq(self, cti):
         cti.record_commit(0, 50)
@@ -53,8 +53,7 @@ class TestRecording:
     def test_many_commits_spanning_blocks(self, cti):
         for doc_id in range(200):  # 12-byte records, 256-byte blocks
             cti.record_commit(doc_id, 1000 + doc_id // 3)
-        docs = cti.docs_in_range(1010, 1019)
-        assert docs == list(range(30, 60))
+        assert cti.docs_in_range(1010, 1019) == (30, 59)
         cti.verify()
 
 
@@ -97,6 +96,10 @@ class TestTamperDetection:
 
 
 RECORD = struct.Struct("<QI")
+
+#: ``--hypothesis-profile=ci`` (CI's fault-injection job) runs the
+#: profile's 200 examples; tier-1 runs these.
+_CI = settings.get_current_profile_name() == "ci"
 
 
 def _raw_record(store, name, commit_time, doc_id):
@@ -159,8 +162,10 @@ def reference_docs_in_range(cti, t_start, t_end):
 
 
 class TestBlockwiseScan:
-    """``docs_in_range`` reads the log by the block; every answer, alarm
-    and counted read must equal the record-at-a-time reference above."""
+    """``docs_in_range`` reads the log by the block; every answer and
+    alarm must equal the record-at-a-time reference above, and it reads
+    at most the two blocks its ends land in plus the blocks appended
+    since the log was last checked."""
 
     BLOCK_SIZE = 64
     PER_BLOCK = BLOCK_SIZE // RECORD.size  # 5 records
@@ -187,15 +192,15 @@ class TestBlockwiseScan:
             )
             return
         reads_before, scanned_before = counted_reads(), cti.blocks_scanned
-        assert cti.docs_in_range(t_start, t_end) == docs
-        # One counted read per log block the scan touched, no more.
-        blocks = (
-            0
-            if span is None
-            else span[1] // self.PER_BLOCK - span[0] // self.PER_BLOCK + 1
+        assert cti.docs_in_range(t_start, t_end) == (
+            (docs[0], docs[-1]) if docs else None
         )
-        assert counted_reads() - reads_before == blocks
-        assert cti.blocks_scanned - scanned_before == blocks
+        # The window's two boundary blocks, plus those appended since
+        # the checked mark last covered the log; none for an empty one.
+        appended = store.device.open_file("t").num_blocks - cti._seen[0]
+        blocks = 0 if span is None else 2 + appended
+        assert counted_reads() - reads_before <= blocks
+        assert cti.blocks_scanned - scanned_before <= blocks
 
     @given(
         gaps=st.lists(st.integers(0, 2), min_size=11, max_size=40),
@@ -209,7 +214,7 @@ class TestBlockwiseScan:
             max_size=8,
         ),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None, **({} if _CI else {"max_examples": 150}))
     def test_property_blockwise_equals_recordwise(
         self, gaps, tampered, resumed, ranges
     ):
@@ -245,7 +250,7 @@ class TestBlockwiseScan:
             assert (invariant, location) == ("commit-time-monotonicity", located)
             self._assert_matches_reference(store, cti, 103, t_end)
         # A scan that ends before it never reads it (same as record-wise).
-        assert cti.docs_in_range(103, 108) == [3, 4, 5, 6, 7, 8]
+        assert cti.docs_in_range(103, 108) == (3, 8)
         self._assert_matches_reference(store, cti, 103, 108)
 
     def test_jump_node_pointing_at_another_time(self):
@@ -261,7 +266,7 @@ class TestBlockwiseScan:
         store, cti = self._index(range(100, 112))
         _raw_record(store, "t", 111, 12)  # plausible: only the device saw it
         assert cti.count == 12
-        assert cti.docs_in_range(110, 200) == [10, 11, 12]
+        assert cti.docs_in_range(110, 200) == (10, 12)
         _raw_record(store, "t", 111, 12)  # a duplicate doc id is not
         invariant, location, _ = _alarm(lambda: cti.docs_in_range(110, 200))
         assert (invariant, location) == (

@@ -98,3 +98,28 @@ class TestRank:
             assert docs.committed_id(rank) == doc_id
         for doc_id in range(docs.next_doc_id):
             assert (docs.rank(doc_id) == -1) == docs.is_burned(doc_id)
+
+
+class TestBurnedColumn:
+    """The query filter's column of burned IDs names exactly the IDs
+    :meth:`DocumentStore.is_burned` does, after every commit and after a
+    restore."""
+
+    @given(st.lists(st.booleans(), max_size=40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_column_matches_is_burned(self, burns, restore):
+        store = CachedWormStore(None, block_size=256)
+        docs = DocumentStore(store)
+        committed = []
+        for burn in burns:
+            if burn:
+                store.device.create_file(docs.file_name(docs.next_doc_id))
+            committed.append(docs.commit("text", commit_time=len(committed)))
+            column = docs.burned_ids().tolist()
+            assert column == sorted(column)
+            ids = range(docs.next_doc_id + 2)
+            assert [i in column for i in ids] == [docs.is_burned(i) for i in ids]
+        if restore:
+            restored = DocumentStore(store)
+            restored.restore(docs.next_doc_id, {i: 0 for i in committed})
+            assert restored.burned_ids().tolist() == docs.burned_ids().tolist()

@@ -100,7 +100,7 @@ class TestWorkloadIntegration:
     def test_time_windows_match_ingest_order(self, world):
         engine, _, _ = world
         # Commit times are the ingest counter: window == ID range.
-        assert engine.time_index.docs_in_range(10, 19) == list(range(10, 20))
+        assert engine.time_index.docs_in_range(10, 19) == (10, 19)
 
     def test_full_audit_clean(self, world):
         from repro.adversary.detection import full_engine_audit

@@ -147,3 +147,71 @@ class TestMergedListCursor:
         ]
         got, _ = conjunctive_join(cursors)
         assert got == expected
+
+
+class TestWindowedJoin:
+    """A join bounded to a doc-ID window ``(first, last)`` answers the
+    unbounded join cut to the window, with no more seeks.  It reads no
+    more blocks either, except that a cursor's entry FindGeq may peek
+    its list's tail block (to rule out a target past the list's end),
+    which the unbounded join reads only if it runs that far."""
+
+    @staticmethod
+    def _join(bji, terms, window, jumps):
+        cursors = [
+            MergedListCursor(
+                bji.posting_list, term_code=t, jump_index=bji if jumps else None
+            )
+            for t in terms
+        ]
+        got, blocks = conjunctive_join(cursors, window)
+        reads = [set(c._cursor.blocks_read) for c in cursors]
+        return got, blocks, sum(c.seeks for c in cursors), reads
+
+    @given(
+        doc_terms=st.lists(
+            st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
+            min_size=1,
+            max_size=200,
+        ),
+        query=st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
+        branching=st.sampled_from([None, 2, 4]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_window_cuts_the_unbounded_join(
+        self, doc_terms, query, branching, data
+    ):
+        docs = [(doc_id, sorted(terms)) for doc_id, terms in enumerate(doc_terms)]
+        bji = build_bundle(docs, branching=branching or 4)
+        first = data.draw(st.integers(0, len(docs)))
+        last = data.draw(st.integers(first, len(docs) + 2))
+        terms = sorted(query)
+        jumps = branching is not None
+        full, full_blocks, full_seeks, full_reads = self._join(bji, terms, None, jumps)
+        got, blocks, seeks, reads = self._join(bji, terms, (first, last), jumps)
+        assert got == [d for d in full if first <= d <= last]
+        assert seeks <= full_seeks
+        tail = {bji.posting_list.num_blocks - 1}
+        if not jumps:  # sequential seeks read no tail ahead of time
+            tail = set()
+        assert blocks - sum(len(r & tail) for r in reads) <= full_blocks - sum(
+            len(r & tail) for r in full_reads
+        )
+
+    def test_window_past_the_lists_reads_no_more(self):
+        docs = [(i, [i % 2, 2]) for i in range(60)]
+        bji = build_bundle(docs)
+        full, full_blocks, full_seeks, _ = self._join(bji, [0, 2], None, True)
+        got, blocks, seeks, _ = self._join(bji, [0, 2], (100, 200), True)
+        assert got == [] and seeks <= full_seeks and blocks <= full_blocks
+
+    def test_single_cursor_window(self):
+        bji = build_bundle([(i, [0]) for i in range(30)])
+        cursor = MergedListCursor(bji.posting_list, term_code=0, jump_index=bji)
+        assert conjunctive_join([cursor], (7, 11))[0] == [7, 8, 9, 10, 11]
+
+    def test_zigzag_window(self):
+        a = MemoryCursor([1, 3, 5, 7, 9, 11])
+        b = MemoryCursor([3, 5, 6, 9, 11])
+        assert zigzag(a, b, 4, 9) == [5, 9]

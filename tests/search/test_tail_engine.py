@@ -249,6 +249,30 @@ class TestEquivalence:
         assert results(engine, "+alpha +beta") == honest  # presence: tf 1
         assert len(engine.match("+alpha")) == 4  # one cursor, repeats and all
 
+    @pytest.mark.parametrize("read_cache", [False, True])
+    def test_stuffed_repeat_in_a_windowed_join_is_one_candidate(self, read_cache):
+        """A time window bounds each family's join to the window's IDs,
+        which still reach past the family's own range: a document stuffed
+        into an older segment joins there and where it lives, and is one
+        hit."""
+        engine = TrustworthySearchEngine(
+            tail_config(
+                tail_max_docs=2, block_size=ONE_POSTING_BLOCKS, read_cache=read_cache
+            )
+        )
+        for text in ["alpha beta", "beta alpha", "alpha beta gamma", "beta", "alpha beta"]:
+            engine.index_document(text)  # document i commits at time i
+        honest = results(engine, "+alpha +beta @1..4")
+        assert sorted(doc_id for doc_id, _ in honest) == [1, 2, 4]
+        first = engine.iter_segments()[0]
+        for term in ("alpha", "beta"):
+            term_id = engine.term_id(term)
+            stuffed_list, _ = first.posting_list_for(term_id)
+            for doc_id in (2, 4, 4):  # sealed later; in the tail, twice
+                stuffed_list.append(doc_id, pack_term_tf(term_id, 9))
+        assert len(engine.match("+alpha +beta @1..4")) == 3
+        assert results(engine, "+alpha +beta @1..4") == honest
+
     def test_incident_handling_on_tail_engine(self):
         tail_engine, _ = build_pair(tail_config())
         hits, report = tail_engine.search_with_incident_handling("imclone")

@@ -1,6 +1,6 @@
 """Unit tests for the report formatting helpers."""
 
-from repro.simulate.report import format_series, format_table
+from repro.simulate.report import format_table
 
 
 class TestFormatTable:
@@ -22,12 +22,3 @@ class TestFormatTable:
     def test_no_title(self):
         out = format_table(["a"], [(1,)])
         assert out.splitlines()[0].strip() == "a"
-
-
-class TestFormatSeries:
-    def test_series(self):
-        out = format_series(
-            "curve", [1, 2], [0.5, 0.25], x_label="n", y_label="speedup"
-        )
-        assert out.splitlines()[0] == "curve"
-        assert "speedup" in out
