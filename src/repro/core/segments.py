@@ -60,6 +60,7 @@ from repro.core.vecdecode import (
     COLUMN_TYPECODE,
     TermColumn,
     decode_blocks,
+    decode_joined,
     descents,
     posting_array,
     term_columns,
@@ -462,6 +463,10 @@ PostingColumns = Tuple[np.ndarray, np.ndarray]
 #: Where a short list lies: ``(file, block, offset, length)``, in bytes.
 Extent = Tuple[str, int, int, int]
 
+#: What :meth:`MergedListFamily._extent` gives for a list a shared
+#: file's directory does not name.
+_UNNAMED: Tuple[()] = ()
+
 
 def write_segment_lists(
     store,
@@ -576,6 +581,9 @@ class MergedListFamily:
         self.shared: Optional[SharedFile] = None
         self.shared_name: Optional[str] = None
         self._extents: Optional[Dict[int, Optional[Extent]]] = None
+        #: The short lists whose document IDs descend, by ID, with where
+        #: they first do (see :meth:`_short_list_descents`).
+        self._descending: Optional[Dict[int, Tuple[int, int, int]]] = None
         #: The sealed segment's number (``None``: the appendable family).
         self.seg_no = info.seg_no if info is not None else None
         if info is not None:
@@ -652,13 +660,10 @@ class MergedListFamily:
         attached = self._lists.get(list_id)
         if attached is None:
             name = self.list_name(list_id)
-            extent = None
-            if self.shared is not None:
-                directory = self._directory()
-                if list_id not in directory:
-                    return None
-                extent = directory[list_id]
-            elif not create and not self.store.device.exists(name):
+            extent = self._extent(list_id)
+            if extent == _UNNAMED or (
+                self.shared is None and not create and not self.store.device.exists(name)
+            ):
                 return None
             jump = None
             if extent is not None:
@@ -747,6 +752,84 @@ class MergedListFamily:
             invariant="segment-manifest",
         )
 
+    def _extent(self, list_id: int):
+        """Where list ``list_id`` lies in the shared file: its extent if
+        it is a short list, ``None`` if it is a file of its own (every
+        list of a family without a shared file), :data:`_UNNAMED` if the
+        directory does not name it."""
+        return None if self.shared is None else self._directory().get(list_id, _UNNAMED)
+
+    def _shared_blocks(self) -> Iterator[Tuple[np.ndarray, Dict[int, Tuple[int, int, int]]]]:
+        """The shared file's data blocks, decoded in order, each with the
+        order check of its short lists: ``{list id: (posting, doc ID,
+        largest ID before it)}`` at the first descent of each list that
+        has one — none in an honest segment.
+
+        The check is :func:`~repro.core.vecdecode.descents` with list
+        starts from the directory, run a block at a time: no list
+        crosses one.
+        """
+        lists_in: Dict[int, List[Tuple[int, int]]] = {}
+        for list_id, extent in self._directory().items():
+            if extent is not None:
+                lists_in.setdefault(extent[1], []).append((list_id, extent[2] // POSTING_SIZE))
+        for block_no in range(self.shared.blocks):
+            postings = decode_blocks([self.store.peek_block(self.shared_name, block_no)])
+            lists = lists_in[block_no]
+            starts = [start for _, start in lists]
+            at, top = descents(postings[:, 0], starts)
+            found: Dict[int, Tuple[int, int, int]] = {}
+            for where, largest in zip(at.tolist(), top.tolist()):
+                list_id, start = lists[bisect_right(starts, where) - 1]
+                found.setdefault(list_id, (where - start, int(postings[where, 0]), largest))
+            yield postings, found
+
+    def _short_list_descents(self) -> Dict[int, Tuple[int, int, int]]:
+        """:meth:`_shared_blocks`' verdicts on every short list, found
+        once, when a scan first reads one.  Concurrent first readers may
+        each run the pass; the verdict is published by one assignment
+        and is the same whoever lands last."""
+        if self._descending is None:
+            descending: Dict[int, Tuple[int, int, int]] = {}
+            for _, found in self._shared_blocks():
+                descending.update(found)
+            self._descending = descending
+        return self._descending
+
+    def _out_of_order(self, list_id: int, where: str, doc_id, largest) -> TamperDetectedError:
+        return TamperDetectedError(
+            f"doc ID {doc_id} after {largest}",
+            location=f"posting list '{self.list_name(list_id)}', {where}",
+            invariant="posting-monotonicity",
+        )
+
+    def _list_payloads(self, list_id: int) -> Optional[List[bytes]]:
+        """List ``list_id``'s committed bytes, a block's worth at a time,
+        as a scan without the read cache reads them; ``None`` while the
+        list has never been written.
+
+        A short list of a shared file is its extent, held to
+        :meth:`_short_list_descents` and not attached: the same bytes
+        attaching it would read, refused with the same alarm.  Any other
+        list is attached (and checked) on first use, then read a whole
+        block at a time.
+        """
+        extent = self._extent(list_id)
+        if extent == _UNNAMED:
+            return None
+        if extent is not None:
+            descent = self._short_list_descents().get(list_id)
+            if descent is not None:
+                raise self._out_of_order(list_id, "block 0", *descent[1:])
+            return [self.store.peek_block(*extent)]
+        attached = self._attach(list_id)
+        if attached is None:
+            return None
+        posting_list = attached[0]
+        return [
+            self.store.peek_block(posting_list.name, b) for b in range(posting_list.num_blocks)
+        ]
+
     def posting_list_for(
         self, term_id: int
     ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
@@ -767,7 +850,7 @@ class MergedListFamily:
             return ()
         marks = []
         for list_id in sorted({self.list_for(term_id) for term_id in term_ids}):
-            if self.shared is not None and self._directory().get(list_id, ()) is not None:
+            if self._extent(list_id) is not None:
                 continue
             attached = self._attach(list_id)
             marks.append(-1 if attached is None else len(attached[0]))
@@ -929,7 +1012,14 @@ class MergedListFamily:
         document ranges are disjoint and ascending, so each list's
         blocks concatenate — this family's, then every peer's — into one
         sorted column that is masked once per term, not once per family.
-        Blocks are fetched, counted and cached one at a time, as ever.
+
+        With the read cache, blocks are fetched, decoded and cached one at
+        a time.  Without it, each list is read as bytes across the group
+        (:meth:`_list_payloads`: a sealed short list is a slice of its
+        shared file, checked once per segment, not attached), every piece
+        held to whole postings, and decoded once.  Costs and decode
+        counters are charged per block either way, a short list being
+        one block; peers share this family's decode counters.
         """
         if costs is None:
             costs = ReadCosts()
@@ -940,19 +1030,34 @@ class MergedListFamily:
             terms_of.setdefault(self.list_for(term_id), []).append(term_id)
         columns: List[TermColumn] = []
         for list_id in sorted(terms_of):
-            doc_ids, term_codes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
-            for family in (self, *peers):
-                attached = family._attach(list_id)
-                if attached is None:
+            if cached:
+                doc_ids, term_codes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
+                for family in (self, *peers):
+                    attached = family._attach(list_id)
+                    if attached is None:
+                        continue
+                    posting_list, _ = attached
+                    costs.lists += 1
+                    costs.charge(list_id, posting_list.num_blocks)
+                    for block_docs, block_codes in posting_list.scan_columns(
+                        counted=False, cached=True
+                    ):
+                        doc_ids.extend(block_docs)
+                        term_codes.extend(block_codes)
+            else:
+                payloads: List[bytes] = []
+                for family in (self, *peers):
+                    pieces = family._list_payloads(list_id)
+                    if pieces is not None:
+                        costs.lists += 1
+                        costs.charge(list_id, len(pieces))
+                        payloads += pieces
+                if not payloads:
                     continue
-                posting_list, _ = attached
-                costs.lists += 1
-                costs.charge(list_id, posting_list.num_blocks)
-                for block_docs, block_codes in posting_list.scan_columns(
-                    counted=False, cached=cached
-                ):
-                    doc_ids.extend(block_docs)
-                    term_codes.extend(block_codes)
+                doc_ids, term_codes = decode_joined(payloads)
+                if self.decode_metrics is not None:
+                    self.decode_metrics[0].inc(len(payloads))
+                    self.decode_metrics[1].inc(len(doc_ids))
             costs.entries += len(doc_ids)
             columns.extend(term_columns(doc_ids, term_codes, terms_of[list_id]))
         if cached:
@@ -1003,29 +1108,26 @@ class MergedListFamily:
         columns, list after list — a merge's input.
 
         Every committed block is read straight from the store, once — a
-        shared file's data blocks whole, list starts from its directory,
-        then each list file's — and nothing is attached: uncounted and
-        uncached — merging is maintenance and must not evict the query
-        working set from the decoded-block tier.  What attaching a list
-        would have refused is refused here: a block that is not whole
-        postings, and a list whose document IDs descend (the order check
-        of :func:`~repro.core.vecdecode.descents`, once over the whole
-        column; a list may start below the end of the one before it).
+        shared file's data blocks (:meth:`_shared_blocks`), then each
+        list file's — and nothing is attached: uncounted and uncached —
+        merging is maintenance and must not evict the query working set
+        from the decoded-block tier.  What attaching a list would have
+        refused is refused here: a block that is not whole postings, and
+        a list whose document IDs descend (the order check of
+        :func:`~repro.core.vecdecode.descents`, a shared block at a
+        time, then once over the list files' column; a list may start
+        below the end of the one before it).
         """
+        parts: List[np.ndarray] = []
+        if self.shared is not None:
+            for postings, found in self._shared_blocks():
+                for list_id, (index, doc_id, largest) in found.items():
+                    raise self._out_of_order(list_id, f"posting {index}", doc_id, largest)
+                parts.append(postings)
         payloads: List[bytes] = []
         list_ids: List[int] = []
         list_starts: List[int] = []
         count = 0
-        if self.shared is not None:
-            for list_id, extent in self._directory().items():
-                if extent is not None:
-                    list_ids.append(list_id)
-                    list_starts.append(count)
-                    count += extent[3] // POSTING_SIZE
-            payloads = [
-                self.store.peek_block(self.shared_name, block_no)
-                for block_no in range(self.shared.blocks)
-            ]
         for list_id in self.list_ids(own_files=True):
             name = self.list_name(list_id)
             list_ids.append(list_id)
@@ -1033,22 +1135,19 @@ class MergedListFamily:
             for block_no in range(self.store.open_file(name).num_blocks):
                 payloads.append(self.store.peek_block(name, block_no))
                 count += len(payloads[-1]) // POSTING_SIZE
-        postings = decode_blocks(payloads)
-        if self.decode_metrics is not None:
-            self.decode_metrics[0].inc(len(payloads))
-            self.decode_metrics[1].inc(len(postings))
-        doc_ids = postings[:, 0]
-        at, top = descents(doc_ids, list_starts)
+        own = decode_blocks(payloads)
+        at, top = descents(own[:, 0], list_starts)
         if len(at):
             at = int(at[0])
             which = bisect_right(list_starts, at) - 1
-            raise TamperDetectedError(
-                f"doc ID {doc_ids[at]} after {top[0]}",
-                location=f"posting list '{self.list_name(list_ids[which])}', "
-                f"posting {at - list_starts[which]}",
-                invariant="posting-monotonicity",
+            raise self._out_of_order(
+                list_ids[which], f"posting {at - list_starts[which]}", own[at, 0], top[0]
             )
-        return doc_ids, postings[:, 1]
+        postings = np.concatenate([*parts, own]) if parts else own
+        if self.decode_metrics is not None:
+            self.decode_metrics[0].inc(len(parts) + len(payloads))
+            self.decode_metrics[1].inc(len(postings))
+        return postings[:, 0], postings[:, 1]
 
     def unreachable_files(self) -> List[Tuple[str, int]]:
         """An audit's findings under a shared-file segment's names:

@@ -259,10 +259,6 @@ class CommitTimeIndex:
         for _, commit_time, doc_id in self._walk():
             yield commit_time, doc_id
 
-    def first_commit_geq(self, t: int) -> Optional[int]:
-        """Earliest indexed commit time ``>= t`` (``None`` if none)."""
-        return self._jump.find_geq(t)
-
     @property
     def last_commit_time(self) -> int:
         """Most recent committed time (-1 while empty)."""

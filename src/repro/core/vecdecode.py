@@ -98,6 +98,13 @@ def decode_columns(payload: bytes) -> Tuple[array, array]:
     return doc_ids, term_codes
 
 
+def decode_joined(payloads: Iterable[bytes]) -> Tuple[array, array]:
+    """:func:`decode_columns` of ``payloads`` end to end, each held to
+    its length check first: a torn block is refused even where a
+    neighbour's length would make the joined bytes whole postings."""
+    return decode_columns(b"".join(map(_whole_postings, payloads)))
+
+
 def decode_blocks(payloads: Iterable[bytes]) -> np.ndarray:
     """Decode many blocks' payloads, in order, into one ``(n, 2)``
     ``uint32`` array of ``(doc_id, term_code)`` rows — what

@@ -1268,8 +1268,11 @@ class TrustworthySearchEngine:
         terms, then the tail's, concatenated per term.
 
         With the read cache, each family the result tier does not answer
-        is scanned on its own; without it, families of one layout are
-        scanned together, by the first of them (see
+        is scanned on its own, a block at a time through the block tier.
+        Without it, families of one layout are scanned together, by the
+        first of them: each wanted list is read across them as bytes —
+        a sealed short list by its extent, order-checked once per
+        segment, not attached — and decoded once (see
         ``MergedListFamily.collect_candidates``).
         """
         families, tail = view

@@ -160,7 +160,10 @@ def zigzag(cursor1, cursor2, first: int = 0, last: float = math.inf) -> List[int
     FindGeq(``first``) — by Proposition 3 it skips no committed ID at or
     above ``first`` — and the other follows it as the zigzag does
     (entering both at ``first`` can cost more seeks than no window at
-    all).  The join stops once a cursor passes ``last``.
+    all).  The join stops once a cursor passes ``last``.  Against the
+    unbounded join, the entry FindGeq may be one seek more (the other
+    cursor can run out before the unbounded join gets that far) and
+    read one non-tail block more; no other step costs more.
     """
     out: List[int] = []
     top1 = cursor1.doc()

@@ -22,15 +22,6 @@ from repro.workloads.corpus import CorpusConfig, CorpusGenerator, SyntheticDocum
 from repro.workloads.drift import DriftConfig, DriftingWorkload, EpochWorkload
 from repro.workloads.queries import QueryLogConfig, QueryLogGenerator, SyntheticQuery
 from repro.workloads.stats import WorkloadStats
-from repro.workloads.trace import (
-    corpus_from_texts,
-    load_corpus,
-    load_queries,
-    queries_from_strings,
-    save_corpus,
-    save_queries,
-    stats_from_traces,
-)
 from repro.workloads.vocabulary import Vocabulary
 from repro.workloads.zipf import ZipfSampler, zipf_weights
 
@@ -47,12 +38,5 @@ __all__ = [
     "Vocabulary",
     "WorkloadStats",
     "ZipfSampler",
-    "corpus_from_texts",
-    "load_corpus",
-    "load_queries",
-    "queries_from_strings",
-    "save_corpus",
-    "save_queries",
-    "stats_from_traces",
     "zipf_weights",
 ]

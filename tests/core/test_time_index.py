@@ -4,12 +4,13 @@ import struct
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.time_index import CommitTimeIndex
 from repro.errors import DocumentIdOrderError, TamperDetectedError
 from repro.worm.storage import CachedWormStore
+from tests.helpers import budget
 
 
 @pytest.fixture()
@@ -32,13 +33,6 @@ class TestRecording:
     def test_inverted_range_empty(self, cti):
         cti.record_commit(0, 10)
         assert cti.docs_in_range(20, 10) is None
-
-    def test_first_commit_geq(self, cti):
-        cti.record_commit(0, 50)
-        cti.record_commit(1, 90)
-        assert cti.first_commit_geq(0) == 50
-        assert cti.first_commit_geq(51) == 90
-        assert cti.first_commit_geq(91) is None
 
     def test_retro_dated_commit_rejected_at_ingest(self, cti):
         cti.record_commit(0, 100)
@@ -96,10 +90,6 @@ class TestTamperDetection:
 
 
 RECORD = struct.Struct("<QI")
-
-#: ``--hypothesis-profile=ci`` (CI's fault-injection job) runs the
-#: profile's 200 examples; tier-1 runs these.
-_CI = settings.get_current_profile_name() == "ci"
 
 
 def _raw_record(store, name, commit_time, doc_id):
@@ -214,7 +204,7 @@ class TestBlockwiseScan:
             max_size=8,
         ),
     )
-    @settings(deadline=None, **({} if _CI else {"max_examples": 150}))
+    @budget(150)
     def test_property_blockwise_equals_recordwise(
         self, gaps, tampered, resumed, ranges
     ):

@@ -1,20 +1,11 @@
 """Property tests for the commit-time index against an interval reference."""
 
-import bisect
-
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.time_index import CommitTimeIndex
 from repro.worm.storage import CachedWormStore
-
-#: ``--hypothesis-profile=ci`` (CI's fault-injection job) runs the
-#: profile's 200 examples; tier-1 runs the budgets below.
-_CI = settings.get_current_profile_name() == "ci"
-
-
-def _budget(examples):
-    return settings(deadline=None, **({} if _CI else {"max_examples": examples}))
+from tests.helpers import budget
 
 
 commit_histories = st.lists(
@@ -42,7 +33,7 @@ def build(history):
 
 class TestCommitTimeProperties:
     @given(history=commit_histories, data=st.data())
-    @_budget(60)
+    @budget(60)
     def test_property_range_queries_match_reference(self, history, data):
         index, records = build(history)
         max_time = records[-1][0]
@@ -53,18 +44,8 @@ class TestCommitTimeProperties:
             (expected[0], expected[-1]) if expected else None
         )
 
-    @given(history=commit_histories, data=st.data())
-    @_budget(60)
-    def test_property_first_commit_geq(self, history, data):
-        index, records = build(history)
-        times = sorted({t for t, _ in records})
-        probe = data.draw(st.integers(min_value=0, max_value=times[-1] + 3))
-        idx = bisect.bisect_left(times, probe)
-        expected = times[idx] if idx < len(times) else None
-        assert index.first_commit_geq(probe) == expected
-
     @given(history=commit_histories)
-    @_budget(30)
+    @budget(30)
     def test_property_restore_preserves_answers(self, history):
         """Reattaching to the WORM log reproduces identical query answers."""
         index, records = build(history)

@@ -8,6 +8,7 @@ so corpus tweaks and config plumbing happen in one place.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from hypothesis import settings
 
 from repro.core.posting import MAX_TERM_ID_WITH_TF
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
@@ -179,3 +180,11 @@ def postings_of(columns: Tuple[np.ndarray, np.ndarray]) -> PostingsByTerm:
     for doc_id, code in zip(columns[0].tolist(), columns[1].tolist()):
         grouped.setdefault(code & MAX_TERM_ID_WITH_TF, []).append((doc_id, code))
     return grouped
+
+
+def budget(examples: int) -> settings:
+    """A property's Hypothesis settings: ``examples`` of them in
+    tier-1, the profile's 200 under ``--hypothesis-profile=ci`` (the CI
+    job that runs the property longer, so a false one fails there)."""
+    ci = settings.get_current_profile_name() == "ci"
+    return settings(deadline=None, **({} if ci else {"max_examples": examples}))

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.baselines.bplus_tree import BPlusTree
@@ -17,6 +17,7 @@ from repro.search.join import (
     zigzag,
 )
 from repro.worm.storage import CachedWormStore
+from tests.helpers import budget
 
 
 class TestMemoryCursor:
@@ -49,7 +50,7 @@ class TestZigzag:
         a=st.sets(st.integers(min_value=0, max_value=200), max_size=80),
         b=st.sets(st.integers(min_value=0, max_value=200), max_size=80),
     )
-    @settings(max_examples=60, deadline=None)
+    @budget(60)
     def test_property_matches_set_intersection(self, a, b):
         got = zigzag(MemoryCursor(sorted(a)), MemoryCursor(sorted(b)))
         assert got == sorted(a & b)
@@ -127,7 +128,7 @@ class TestMergedListCursor:
         ),
         branching=st.sampled_from([2, 4]),
     )
-    @settings(max_examples=40, deadline=None)
+    @budget(40)
     def test_property_matches_brute_force(self, doc_terms, query, branching):
         """Term-filtered cursors over one merged list join to the set
         intersection, always."""
@@ -151,10 +152,13 @@ class TestMergedListCursor:
 
 class TestWindowedJoin:
     """A join bounded to a doc-ID window ``(first, last)`` answers the
-    unbounded join cut to the window, with no more seeks.  It reads no
-    more blocks either, except that a cursor's entry FindGeq may peek
-    its list's tail block (to rule out a target past the list's end),
-    which the unbounded join reads only if it runs that far."""
+    unbounded join cut to the window.  Its entry FindGeq(``first``) may
+    cost one seek the unbounded join never makes (when a cursor runs
+    out before the unbounded join gets that far), and may read one
+    non-tail block the unbounded join's seeks never touch; nothing else
+    reads more.  A cursor's entry FindGeq may also peek its list's tail
+    block (to rule out a target past the list's end), which the
+    unbounded join reads only if it runs that far."""
 
     @staticmethod
     def _join(bji, terms, window, jumps):
@@ -176,26 +180,35 @@ class TestWindowedJoin:
         ),
         query=st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=3),
         branching=st.sampled_from([None, 2, 4]),
-        data=st.data(),
+        first=st.integers(0, 200),
+        last=st.integers(0, 202),
     )
-    @settings(max_examples=80, deadline=None)
+    # Window (2, 2): term 0's cursor enters at 2 with a seek; unbounded,
+    # term 2's cursor runs out on its first seek and the join ends there,
+    # one seek in.
+    @example(
+        doc_terms=[{2}, {0}, {0}], query={0, 2}, branching=None, first=2, last=0
+    )
+    @budget(80)
     def test_property_window_cuts_the_unbounded_join(
-        self, doc_terms, query, branching, data
+        self, doc_terms, query, branching, first, last
     ):
         docs = [(doc_id, sorted(terms)) for doc_id, terms in enumerate(doc_terms)]
         bji = build_bundle(docs, branching=branching or 4)
-        first = data.draw(st.integers(0, len(docs)))
-        last = data.draw(st.integers(first, len(docs) + 2))
+        # Map the drawn integers onto first in [0, len(docs)] and last in
+        # [first, len(docs) + 2], so most windows cut into the lists.
+        first %= len(docs) + 1
+        last = first + last % (len(docs) + 3 - first)
         terms = sorted(query)
         jumps = branching is not None
         full, full_blocks, full_seeks, full_reads = self._join(bji, terms, None, jumps)
         got, blocks, seeks, reads = self._join(bji, terms, (first, last), jumps)
         assert got == [d for d in full if first <= d <= last]
-        assert seeks <= full_seeks
+        assert seeks <= full_seeks + 1
         tail = {bji.posting_list.num_blocks - 1}
         if not jumps:  # sequential seeks read no tail ahead of time
             tail = set()
-        assert blocks - sum(len(r & tail) for r in reads) <= full_blocks - sum(
+        assert blocks - sum(len(r & tail) for r in reads) <= 1 + full_blocks - sum(
             len(r & tail) for r in full_reads
         )
 
