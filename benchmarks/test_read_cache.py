@@ -1,4 +1,4 @@
-"""READ-CACHE — hot-query speedup from the read-path cache hierarchy.
+"""READ-CACHE — hot-query speedup from the read-path cache.
 
 Not a paper figure: this benchmark prices the session read cache on the
 workload it is built for — a Zipf-skewed query stream where a few hot

@@ -626,12 +626,12 @@ def _add_read_cache_options(parser: argparse.ArgumentParser) -> None:
     """``--read-cache`` and ``--cache-mb``, shared by search and serve."""
     parser.add_argument(
         "--read-cache", action="store_true",
-        help="enable the session-scoped read-path cache (decoded blocks "
-        "and query results)",
+        help="enable the session-scoped read-path cache (each list "
+        "family's retrieval of a query's terms)",
     )
     parser.add_argument(
         "--cache-mb", type=float, default=8.0,
-        help="read-cache decoded-block budget in MB (default: 8)",
+        help="read-cache budget in MB (default: 8)",
     )
 
 

@@ -64,8 +64,7 @@ class PostingList:
         its own but these bytes of another file's block, whole postings
         written before the list was ever read — a sealed segment's short
         list (:mod:`repro.core.segments`).  It is one block, read-only,
-        and ``name`` — the name it would have as a file — only keys it
-        in the read cache.
+        and ``name`` is the name it would have as a file.
     """
 
     def __init__(
@@ -88,10 +87,6 @@ class PostingList:
         self.store = store
         self.name = name
         self.entries_per_block = entries_per_block
-        #: Optional shared decoded-block cache (query read path only).
-        #: Set by the engine when read caching is enabled; audits and
-        #: restart recovery never consult it.
-        self.read_cache = None
         #: Optional ``(blocks_counter, postings_counter)`` pair; when the
         #: engine attaches one, every block decode increments both (the
         #: ``repro_decode_*_total`` observability series).
@@ -229,10 +224,6 @@ class PostingList:
         self._block_max[block_no] = doc_id
         self.count += 1
         self.last_doc_id = doc_id
-        if self.read_cache is not None:
-            # The tail block's decoded contents just changed; frozen
-            # blocks are untouched, so this is the only key to drop.
-            self.read_cache.invalidate((self.name, block_no))
         return block_no, index
 
     def append_blocks(
@@ -303,8 +294,6 @@ class PostingList:
             self._tail_entries = index + end - start
             self.count += end - start
             self.last_doc_id = last
-            if self.read_cache is not None:
-                self.read_cache.invalidate((self.name, block_no))
             yield block_no, index, doc_ids[start:end]
             start = end
 
@@ -329,8 +318,6 @@ class PostingList:
 
         ``counted=True`` routes the access through the storage cache so it
         contributes to I/O statistics; auditors pass ``counted=False``.
-        This path never consults the read cache — use
-        :meth:`load_block_postings` on the query path.
         """
         read = self.store.read_block if counted else self.store.peek_block
         # An extent is block 0; any other is asked of the device under
@@ -343,43 +330,21 @@ class PostingList:
             metrics[1].inc(len(entries))
         return entries
 
-    def load_block_postings(self, block_no: int) -> Tuple[DecodedBlock, bool]:
-        """Query-path block load; returns ``(entries, served_from_cache)``.
-
-        When a read cache is attached, frozen decoded blocks are served
-        from memory (the tail block is cached too, but every append
-        invalidates it, so stale data can never be returned).  The
-        returned list must be treated as read-only.  Without a cache this
-        is exactly an uncounted :meth:`read_block_postings`.
-        """
-        cache = self.read_cache
-        if cache is not None:
-            entries = cache.get((self.name, block_no))
-            if entries is not None:
-                return entries, True
-        entries = self.read_block_postings(block_no, counted=False)
-        if cache is not None:
-            cache.put((self.name, block_no), entries)
-        return entries, False
+    def load_block_postings(self, block_no: int) -> DecodedBlock:
+        """A cursor's block load: an uncounted :meth:`read_block_postings`."""
+        return self.read_block_postings(block_no, counted=False)
 
     def cursor(self, *, term_code: Optional[int] = None) -> "PostingCursor":
         """A forward cursor over the list, optionally term-filtered."""
         return PostingCursor(self, term_code=term_code)
 
     def scan_columns(
-        self, *, counted: bool = True, cached: bool = False
+        self, *, counted: bool = True
     ) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
         """Yield ``(doc_ids, term_codes)`` columns per block, in order
-        (one counted read per block unless ``counted=False``).
-
-        ``cached=True`` serves blocks through the attached read cache
-        (query path); audits keep the default and always hit the device.
-        """
+        (one counted read per block unless ``counted=False``)."""
         for block_no in range(self.num_blocks):
-            if cached:
-                entries, _ = self.load_block_postings(block_no)
-            else:
-                entries = self.read_block_postings(block_no, counted=counted)
+            entries = self.read_block_postings(block_no, counted=counted)
             yield entries.doc_ids, entries.term_codes
 
     def doc_ids(self, *, counted: bool = False) -> List[int]:
@@ -427,9 +392,6 @@ class PostingCursor:
         )
         #: Distinct block numbers loaded by this cursor.
         self.blocks_read: Set[int] = set()
-        #: Block loads served by the list's shared read cache (0 when the
-        #: engine runs cache-off).
-        self.cache_hits = 0
         # Decoded blocks already paid for during this cursor's lifetime —
         # the query processor's in-memory block cache.
         self._decoded: dict = {}
@@ -561,11 +523,9 @@ class PostingCursor:
         """
         entries = self._decoded.get(block_no)
         if entries is None:
-            entries, from_cache = self.posting_list.load_block_postings(block_no)
+            entries = self.posting_list.load_block_postings(block_no)
             self._decoded[block_no] = entries
             self.blocks_read.add(block_no)
-            if from_cache:
-                self.cache_hits += 1
         return entries
 
     def _settle(self) -> None:

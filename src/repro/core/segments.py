@@ -44,7 +44,6 @@ the old segment list they snapshotted.
 from __future__ import annotations
 
 import struct
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -57,7 +56,6 @@ from repro.core.posting import MAX_TERM_ID_WITH_TF, POSTING_SIZE
 from repro.core.posting_list import PostingList
 from repro.core.space import postings_per_block
 from repro.core.vecdecode import (
-    COLUMN_TYPECODE,
     TermColumn,
     decode_blocks,
     decode_joined,
@@ -438,7 +436,6 @@ class ReadCosts:
     #: Cursor ``FindGeq`` seeks performed by joins.
     seeks: int = 0
     jump_follows: int = 0
-    block_cache_hits: int = 0
     #: Whether any joined list had a jump index to seek through.
     used_jump_index: bool = False
     #: Sealed segments a time-ranged query did not read: their manifest
@@ -539,9 +536,7 @@ class MergedListFamily:
     short lists are extents of one shared file and its directory, not
     the device, says which lists exist.  Without one it is the
     directly-appended family ``engine/pl/`` under the caller's
-    ``strategy``.  Lists (and jump indexes) attach lazily and plug into
-    the engine's read cache by file name: its decoded-block tier keys on
-    it.
+    ``strategy``.  Lists (and jump indexes) attach lazily.
 
     ``length_hints`` (term id → posting count) orders joins by filtered
     list length where the owner tracks it; without it the raw merged
@@ -555,14 +550,12 @@ class MergedListFamily:
         *,
         branching: Optional[int],
         strategy=None,
-        read_cache=None,
         decode_metrics=None,
         length_hints: Optional[Mapping[int, int]] = None,
     ):
         self.store = store
         self.info = info
         self.branching = branching
-        self.read_cache = read_cache
         self.decode_metrics = decode_metrics
         self.length_hints = length_hints
         #: The most postings a *short* list holds: one block of a file
@@ -677,10 +670,6 @@ class MergedListFamily:
                 posting_list = jump.posting_list
             else:
                 posting_list = PostingList(self.store, name)
-            if self.read_cache is not None:
-                # Attached after construction, so restart recovery
-                # (inside PostingList.__init__) always read the device.
-                posting_list.read_cache = self.read_cache.blocks
             if self.decode_metrics is not None:
                 posting_list.decode_metrics = self.decode_metrics
             attached = self._lists[list_id] = (posting_list, jump)
@@ -805,8 +794,8 @@ class MergedListFamily:
 
     def _list_payloads(self, list_id: int) -> Optional[List[bytes]]:
         """List ``list_id``'s committed bytes, a block's worth at a time,
-        as a scan without the read cache reads them; ``None`` while the
-        list has never been written.
+        as a scan reads them; ``None`` while the list has never been
+        written.
 
         A short list of a shared file is its extent, held to
         :meth:`_short_list_descents` and not attached: the same bytes
@@ -994,7 +983,6 @@ class MergedListFamily:
             read = cursor.blocks_read()
             costs.charge(list_id, read)
             costs.entries += read * posting_list.entries_per_block
-            costs.block_cache_hits += cursor.cache_hits()
         return doc_ids
 
     def collect_candidates(
@@ -1013,57 +1001,37 @@ class MergedListFamily:
         blocks concatenate — this family's, then every peer's — into one
         sorted column that is masked once per term, not once per family.
 
-        With the read cache, blocks are fetched, decoded and cached one at
-        a time.  Without it, each list is read as bytes across the group
-        (:meth:`_list_payloads`: a sealed short list is a slice of its
-        shared file, checked once per segment, not attached), every piece
-        held to whole postings, and decoded once.  Costs and decode
-        counters are charged per block either way, a short list being
-        one block; peers share this family's decode counters.
+        Each list is read as bytes across the group (:meth:`_list_payloads`:
+        a sealed short list is a slice of its shared file, checked once per
+        segment, not attached), every piece held to whole postings, and
+        decoded once.  Costs and decode
+        counters are charged per block, a short list being one block;
+        peers share this family's decode counters.  With or without the
+        engine's read cache the body is this one: the cache holds what
+        it returns, never a block.
         """
         if costs is None:
             costs = ReadCosts()
-        cached = self.read_cache is not None
-        hits_before = self.read_cache.blocks.stats.hits if cached else 0
         terms_of: Dict[int, List[int]] = {}
         for term_id in sorted(set(wanted)):
             terms_of.setdefault(self.list_for(term_id), []).append(term_id)
         columns: List[TermColumn] = []
         for list_id in sorted(terms_of):
-            if cached:
-                doc_ids, term_codes = array(COLUMN_TYPECODE), array(COLUMN_TYPECODE)
-                for family in (self, *peers):
-                    attached = family._attach(list_id)
-                    if attached is None:
-                        continue
-                    posting_list, _ = attached
+            payloads: List[bytes] = []
+            for family in (self, *peers):
+                pieces = family._list_payloads(list_id)
+                if pieces is not None:
                     costs.lists += 1
-                    costs.charge(list_id, posting_list.num_blocks)
-                    for block_docs, block_codes in posting_list.scan_columns(
-                        counted=False, cached=True
-                    ):
-                        doc_ids.extend(block_docs)
-                        term_codes.extend(block_codes)
-            else:
-                payloads: List[bytes] = []
-                for family in (self, *peers):
-                    pieces = family._list_payloads(list_id)
-                    if pieces is not None:
-                        costs.lists += 1
-                        costs.charge(list_id, len(pieces))
-                        payloads += pieces
-                if not payloads:
-                    continue
-                doc_ids, term_codes = decode_joined(payloads)
-                if self.decode_metrics is not None:
-                    self.decode_metrics[0].inc(len(payloads))
-                    self.decode_metrics[1].inc(len(doc_ids))
+                    costs.charge(list_id, len(pieces))
+                    payloads += pieces
+            if not payloads:
+                continue
+            doc_ids, term_codes = decode_joined(payloads)
+            if self.decode_metrics is not None:
+                self.decode_metrics[0].inc(len(payloads))
+                self.decode_metrics[1].inc(len(doc_ids))
             costs.entries += len(doc_ids)
             columns.extend(term_columns(doc_ids, term_codes, terms_of[list_id]))
-        if cached:
-            costs.block_cache_hits += (
-                self.read_cache.blocks.stats.hits - hits_before
-            )
         return columns
 
     # ------------------------------------------------------------------
@@ -1088,12 +1056,11 @@ class MergedListFamily:
 
     def list_names(self, own_files: bool = False) -> List[str]:
         """:meth:`list_ids` by name — a short list's being the one it
-        would have as a file, its key in the read cache."""
+        would have as a file."""
         return [self.list_name(list_id) for list_id in self.list_ids(own_files)]
 
     def attached_names(self) -> List[str]:
-        """The lists attached so far, by name: the only ones of this
-        family the read cache can hold anything of."""
+        """The lists attached so far, by name."""
         return [posting_list.name for posting_list, _ in self._lists.values()]
 
     def attached_lists(
@@ -1109,14 +1076,12 @@ class MergedListFamily:
 
         Every committed block is read straight from the store, once — a
         shared file's data blocks (:meth:`_shared_blocks`), then each
-        list file's — and nothing is attached: uncounted and uncached —
-        merging is maintenance and must not evict the query working set
-        from the decoded-block tier.  What attaching a list would have
-        refused is refused here: a block that is not whole postings, and
-        a list whose document IDs descend (the order check of
-        :func:`~repro.core.vecdecode.descents`, a shared block at a
-        time, then once over the list files' column; a list may start
-        below the end of the one before it).
+        list file's — and nothing is attached: uncounted, as maintenance
+        is.  What attaching a list would have refused is refused here: a
+        block that is not whole postings, and a list whose document IDs
+        descend (the order check of :func:`~repro.core.vecdecode.descents`,
+        a shared block at a time, then once over the list files' column;
+        a list may start below the end of the one before it).
         """
         parts: List[np.ndarray] = []
         if self.shared is not None:

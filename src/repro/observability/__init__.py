@@ -8,7 +8,6 @@ journal, and fault-injection layers' existing counters.
 """
 
 from repro.observability.adapters import (
-    counter_value,
     engine_metrics,
     export_archive,
     export_faults,
@@ -41,7 +40,6 @@ __all__ = [
     "NullMetricsRegistry",
     "QueryTrace",
     "Span",
-    "counter_value",
     "engine_metrics",
     "export_archive",
     "export_faults",

@@ -123,65 +123,35 @@ def export_faults(registry, device, *, shard: str = "0") -> None:
 
 
 def export_read_cache(registry, read_cache, *, shard: str = "0") -> None:
-    """Export a read-path cache's per-tier counters (no-op when off).
+    """Export a read-path cache's counters (no-op when off).
 
     ``read_cache`` is an engine's
     :class:`~repro.search.readcache.ReadCache` (or ``None`` when read
     caching is disabled); duck-typed through ``as_dict()`` so this
-    module keeps importing no engine code.  Emits one series per tier
-    (``tier="blocks" | "results"``) for hits, misses,
-    evictions, and invalidations, plus block-tier residency gauges.
+    module keeps importing no engine code.  Emits hits, misses,
+    evictions and invalidations, each labelled ``tier="results"``, plus
+    the resident bytes.
     """
     if not registry.enabled or read_cache is None:
         return
     shard = str(shard)
-    tiers = read_cache.as_dict()
+    stats = read_cache.as_dict()
     for counter_key, help_text in (
         ("hits", "Read-cache hits"),
         ("misses", "Read-cache misses"),
         ("evictions", "Read-cache evictions"),
         ("invalidations", "Read-cache invalidations (append-driven)"),
     ):
-        family = registry.counter(
+        registry.counter(
             f"repro_readcache_{counter_key}_total",
-            f"{help_text}, per tier",
+            help_text,
             labels=("shard", "tier"),
-        )
-        for tier in ("blocks", "results"):
-            family.labels(shard=shard, tier=tier).set(tiers[tier][counter_key])
-    registry.gauge(
-        "repro_readcache_resident_blocks",
-        "Decoded posting blocks resident in the read cache",
-        labels=("shard",),
-    ).labels(shard=shard).set(tiers["blocks"]["resident"])
+        ).labels(shard=shard, tier="results").set(stats[counter_key])
     registry.gauge(
         "repro_readcache_resident_bytes",
-        "Approximate bytes held by the decoded-block tier",
+        "Approximate bytes held by the read cache",
         labels=("shard",),
-    ).labels(shard=shard).set(tiers["blocks"]["resident_bytes"])
-
-
-def counter_value(registry, name: str, **labels: object) -> Optional[float]:
-    """Current value of one counter/gauge series, or ``None`` if absent.
-
-    The read-side complement of the exporters above: pulls an
-    authoritative total (e.g. ingested bytes) back out of a registry
-    without reaching into engine internals.
-    Returns ``None`` for a missing registry, a disabled one, an
-    unregistered name, or an unbound label set — callers fall back to
-    their own accounting.
-    """
-    if registry is None or not getattr(registry, "enabled", False):
-        return None
-    for family in registry.families():
-        if family.name != name:
-            continue
-        wanted = {key: str(value) for key, value in labels.items()}
-        for label_map, series in family.series():
-            if label_map == wanted:
-                return float(series.value)
-        return None
-    return None
+    ).labels(shard=shard).set(stats["resident_bytes"])
 
 
 def export_service(registry, service_stats: Dict[str, object]) -> None:

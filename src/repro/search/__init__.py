@@ -38,12 +38,11 @@ from repro.search.join import (
 )
 from repro.search.query import Query, QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CosineScorer, CollectionStats
-from repro.search.readcache import CacheTier, ReadCache
+from repro.search.readcache import ReadCache
 
 __all__ = [
     "Analyzer",
     "BM25Scorer",
-    "CacheTier",
     "CollectionStats",
     "CosineScorer",
     "Document",

@@ -64,7 +64,7 @@ from repro.search.join import conjunctive_join  # noqa: F401 - bound by bench/la
 from repro.search.profiling import QueryProfile, profile_query
 from repro.search.query import QueryMode, parse_query
 from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
-from repro.search.readcache import ReadCache
+from repro.search.readcache import ReadCache, TierStats
 from repro.worm.storage import CachedWormStore
 
 
@@ -114,13 +114,12 @@ class EngineConfig:
     ranking:
         ``"bm25"`` or ``"cosine"``.
     read_cache:
-        Enable the two-tier read-path cache
-        (:mod:`repro.search.readcache`): decoded posting blocks and each
-        list family's retrieval of a query's terms.  Session-scoped
+        Enable the read-path cache (:mod:`repro.search.readcache`):
+        each list family's retrieval of a query's terms.  Session-scoped
         acceleration only — it never shapes committed WORM state, so
         archives created with and without it are byte-identical.
     read_cache_mb:
-        Approximate in-memory budget of both tiers together, in MB.
+        Approximate in-memory budget of the cached retrievals, in MB.
     tail_max_docs:
         Enable write–read decoupling: ingest lands in a mutable
         in-memory tail (:mod:`repro.core.tail`) that auto-seals into an
@@ -707,15 +706,14 @@ class TrustworthySearchEngine:
     def _open_family(
         self, info: Optional[SegmentInfo] = None, *, strategy=None
     ) -> MergedListFamily:
-        """A list family wired to this engine's read cache and decode
-        metrics: the sealed segment ``info`` records, or (without one)
+        """A list family wired to this engine's decode metrics: the
+        sealed segment ``info`` records, or (without one)
         the directly-appended ``engine/pl/`` lists under ``strategy``."""
         return MergedListFamily(
             self.store,
             info,
             branching=self.config.branching,
             strategy=strategy,
-            read_cache=self.read_cache,
             decode_metrics=self._decode_series if self._metrics_on else None,
             length_hints=self.stats.df if info is None else None,
         )
@@ -905,10 +903,9 @@ class TrustworthySearchEngine:
         assignment from the combined popularity, writes the merged
         segment, and retires the inputs with a single manifest append.
         Readers holding an older :meth:`index_view` keep their segments;
-        the retired segments' read-cache entries — their decoded blocks
-        and their retrievals — are dropped, and no other.  Returns
-        the merged segment number (``None`` with fewer than two live
-        segments).
+        the retired segments' read-cache entries are dropped, and no
+        other.  Returns the merged segment number (``None`` with fewer
+        than two live segments).
         """
         self._require_tail()
         retired = self._segments
@@ -924,12 +921,8 @@ class TrustworthySearchEngine:
         )
         self._segments = (segment,)
         if self.read_cache is not None:
-            # The retired segments can never be read again.  Only a list
-            # a query attached has decoded blocks in the cache.
-            self.read_cache.retire(
-                {name for segment in retired for name in segment.attached_names()},
-                {segment.info.seg_no for segment in retired},
-            )
+            # The retired segments can never be read again.
+            self.read_cache.retire({segment.info.seg_no for segment in retired})
         if self._metrics_on:
             self._c_merges.inc()
             self._g_segments.set(1)
@@ -1235,8 +1228,11 @@ class TrustworthySearchEngine:
         return term_ids
 
     def read_cache_stats(self) -> Optional[Dict[str, object]]:
-        """Per-tier read-cache counters (``None`` when caching is off)."""
-        return self.read_cache.as_dict() if self.read_cache is not None else None
+        """Read-cache counters (``None`` when caching is off)."""
+        if self.read_cache is None:
+            return None
+        # Zero counters, for the one reader of a "blocks" tier: bench/probe.py.
+        return {"results": self.read_cache.as_dict(), "blocks": TierStats().as_dict()}
 
     def _per_family(
         self, families, mode: str, term_ids: Tuple[int, ...], read, trace, costs
@@ -1251,14 +1247,14 @@ class TrustworthySearchEngine:
         with self._stage("cache", trace, families=len(families)) as span:
             keys = [(family.seg_no, mode, term_ids) for family in families]
             marks = [family.growth_marks(term_ids) for family in families]
-            pieces = [cache.results.get(key, mark) for key, mark in zip(keys, marks)]
+            pieces = [cache.get(key, mark) for key, mark in zip(keys, marks)]
             missing = [at for at, piece in enumerate(pieces) if piece is None]
             costs.families_cached += len(families) - len(missing)
             if span is not None:
                 span.note(families_cached=len(families) - len(missing))
         for at in missing:
             pieces[at] = read(families[at])
-            cache.results.put(keys[at], pieces[at], marks[at])
+            cache.put(keys[at], pieces[at], marks[at])
         return pieces
 
     def _scan(
@@ -1267,13 +1263,13 @@ class TrustworthySearchEngine:
         """Disjunctive retrieval: every family's columns of the query
         terms, then the tail's, concatenated per term.
 
-        With the read cache, each family the result tier does not answer
-        is scanned on its own, a block at a time through the block tier.
-        Without it, families of one layout are scanned together, by the
-        first of them: each wanted list is read across them as bytes —
-        a sealed short list by its extent, order-checked once per
-        segment, not attached — and decoded once (see
-        ``MergedListFamily.collect_candidates``).
+        A family is read by ``MergedListFamily.collect_candidates``,
+        whatever the cache: each wanted list as bytes — a sealed short
+        list by its extent, order-checked once per segment, not
+        attached — decoded once.  Without the read cache, families of
+        one layout are read together, by the first of them, each list
+        across them all; with it, each family the result tier does not
+        answer is read on its own.
         """
         families, tail = view
         present = tuple(sorted({t for t in term_ids if t is not None}))
@@ -1314,8 +1310,6 @@ class TrustworthySearchEngine:
                     entries_scanned=costs.entries,
                     candidates=len(candidates),
                 )
-                if self.read_cache is not None:
-                    span.note(block_cache_hits=costs.block_cache_hits)
         return candidates
 
     def _join(
@@ -1376,8 +1370,6 @@ class TrustworthySearchEngine:
                     blocks_read=costs.blocks,
                     jump_follows=costs.jump_follows,
                 )
-                if self.read_cache is not None:
-                    span.note(block_cache_hits=costs.block_cache_hits)
         return doc_ids
 
     def conjunctive_doc_ids(

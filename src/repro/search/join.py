@@ -82,10 +82,6 @@ class MergedListCursor:
         """Distinct posting-list blocks this cursor loaded."""
         return len(self._cursor.blocks_read)
 
-    def cache_hits(self) -> int:
-        """Block loads served by the shared read cache (0 cache-off)."""
-        return self._cursor.cache_hits
-
 
 class TreeCursor:
     """Seekable cursor over a B+-tree-indexed (unmerged) posting list."""

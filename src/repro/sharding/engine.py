@@ -357,20 +357,20 @@ class ShardedSearchEngine:
         (created from the shared config), so coherence under
         :class:`~repro.sharding.batch.BatchIngestor` appends is local to
         each shard: a batch routed to shard ``i`` invalidates exactly
-        shard ``i``'s affected entries.  Tier counters are summed here;
-        ``per_shard`` keeps the unsummed dicts for drill-down.
+        shard ``i``'s affected entries.  Counters are summed here, and
+        ``hit_rate`` recomputed from the sums; ``per_shard`` keeps the
+        unsummed dicts for drill-down.
         """
         per_shard = [shard.read_cache_stats() for shard in self.shards]
         if all(stats is None for stats in per_shard):
             return None
         present = [stats for stats in per_shard if stats is not None]
         summed: Dict[str, object] = {}
-        for tier in ("blocks", "results"):
-            summed[tier] = {
-                key: sum(stats[tier][key] for stats in present)
-                for key in present[0][tier]
-                if key != "hit_rate"
-            }
+        for tier in present[0]:
+            totals = {key: sum(stats[tier][key] for stats in present) for key in present[0][tier]}
+            accesses = totals["hits"] + totals["misses"]
+            totals["hit_rate"] = totals["hits"] / accesses if accesses else 0.0
+            summed[tier] = totals
         summed["per_shard"] = per_shard
         return summed
 

@@ -28,6 +28,7 @@ from repro.core.segments import (
     ReadCosts,
     SealedSegment,
     SegmentInfo,
+    SegmentManifest,
     SharedFile,
     segment_list_name,
     write_segment_lists,
@@ -244,6 +245,51 @@ class TestTamper:
             SealedSegment(store, info, branching=None).collect_candidates(
                 [3], ReadCosts(), [reader]
             )
+
+    @pytest.mark.parametrize("read_cache", [False, True], ids=["cache-off", "cache-on"])
+    def test_an_engine_scan_refuses_it_alike_with_the_cache_on_or_off(self, read_cache):
+        """Mala commits segment 0 of three honestly ingested documents
+        herself, its "gamma" list descending.  A search names that list
+        at block 0, whether or not the read cache is on; the cache
+        holds no verdict and reads as the cache-off scan does: a short
+        list by its extent, attaching nothing."""
+        config = EngineConfig(
+            num_lists=8, branching=None, block_size=BLOCK_SIZE, tail_max_docs=100,
+            merge_at_segments=None, read_cache=read_cache,
+        )
+        store = CachedWormStore(None, block_size=BLOCK_SIZE)
+        writer = TrustworthySearchEngine(config, store=store)
+        for _ in range(3):
+            writer.index_document("alpha gamma")
+        alpha, gamma = writer.term_id("alpha"), writer.term_id("gamma")
+        info = SegmentInfo(
+            seg_no=0, first_doc=0, last_doc=2, doc_count=3, num_lists=8,
+            strategy=STRATEGY_UNIFORM, shared=SharedFile(1, 2, 2),
+        )
+        lists = SealedSegment(store, info, branching=None)
+        postings = {
+            lists.list_for(alpha): [(doc, _code(alpha)) for doc in (0, 1, 2)],
+            lists.list_for(gamma): [(doc, _code(gamma)) for doc in (1, 0, 2)],
+        }
+        first, second = sorted(postings)
+        rows = postings[first] + postings[second]
+        store.ensure_file(self.SHARED)
+        for block in (rows, [(first, 0, 3), (second, 0, 3)]):
+            store.append_record(
+                self.SHARED, np.array(block, dtype="<u4").tobytes(), force_new_block=True
+            )
+        SegmentManifest(store).append(info)
+
+        engine = TrustworthySearchEngine(config, store=store)
+        (segment,) = engine.iter_segments()
+        assert [r.doc_id for r in engine.search("alpha")] == [0, 1, 2]
+        with pytest.raises(TamperDetectedError) as exc:
+            engine.search("gamma")
+        assert exc.value.invariant == "posting-monotonicity"
+        name = segment_list_name(0, lists.list_for(gamma))
+        assert exc.value.location == f"posting list '{name}', block 0"
+        assert "doc ID 0 after 1" in str(exc.value)
+        assert segment.attached_names() == []
 
     def test_a_merge_refuses_the_descending_short_list_at_its_posting(self):
         store, info = self.descending_segment()

@@ -247,7 +247,6 @@ class TestTraceOnQueryPath:
             replace(CONFIG, tail_max_docs=20, read_cache=True)
         )
         assert join.attrs["jump_follows"] >= 0
-        assert join.attrs["block_cache_hits"] >= 0
 
     def test_time_ranged_query_explains_its_window_in_paper_units(self):
         engine = TrustworthySearchEngine(CONFIG)

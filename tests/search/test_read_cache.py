@@ -1,7 +1,6 @@
 """Unit tests for the read-path cache hierarchy."""
 
 import threading
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +9,8 @@ import pytest
 from repro.adversary.attacks import posting_stuffing_attack
 from repro.core.posting import pack_term_tf
 from repro.core.segments import ReadCosts
-from repro.core.vecdecode import DecodedBlock
 from repro.errors import WorkloadError
-from repro.observability import QueryTrace, counter_value, export_read_cache
+from repro.observability import QueryTrace, export_read_cache
 from repro.observability.metrics import MetricsRegistry
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.readcache import ReadCache
@@ -22,11 +20,6 @@ from tests.helpers import DEFAULT_CORPUS, SMALL_CONFIG, build_engine
 
 def cached_config(**kwargs):
     return replace(SMALL_CONFIG, read_cache=True, **kwargs)
-
-
-def block(postings):
-    """A decoded block of ``postings`` postings: 8 bytes of columns each."""
-    return DecodedBlock(array("I", range(postings)), array("I", range(postings)))
 
 
 def column(*doc_ids):
@@ -40,69 +33,24 @@ def budget(capacity_bytes):
     return ReadCache(capacity_mb=capacity_bytes / (1 << 20))
 
 
-def keys(cache, tier):
-    """The keys ``cache`` holds in ``tier``, least recently used first."""
-    return [key for owner, key in cache.entries if owner is tier]
+def keys(cache):
+    """The keys ``cache`` holds, least recently used first."""
+    return list(cache.entries)
 
 
 # ----------------------------------------------------------------------
-# tier 1: decoded blocks
-# ----------------------------------------------------------------------
-class TestDecodedBlockCache:
-    def test_hit_miss_and_invalidate(self):
-        cache = budget(1 << 20).blocks
-        entries = block(3)
-        assert cache.get(("pl", 0)) is None
-        cache.put(("pl", 0), entries)
-        assert cache.get(("pl", 0)) is entries
-        cache.invalidate(("pl", 0))
-        assert cache.get(("pl", 0)) is None
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 2
-        assert cache.stats.invalidations == 1
-
-    def test_byte_budget_evicts(self):
-        # Each put weighs 128 + 8*80 = 768 bytes; cap fits two blocks.
-        cache = budget(1600).blocks
-        for block_no in range(4):
-            cache.put(("pl", block_no), block(80))
-        assert len(cache) == 2
-        assert cache.stats.evictions == 2
-        assert cache.resident_bytes == 2 * 768
-
-    def test_oversized_block_not_cached(self):
-        cache = budget(256).blocks
-        cache.put(("pl", 0), block(100))
-        assert len(cache) == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ReadCache(capacity_mb=0)
-
-    def test_evicts_least_recently_used(self):
-        # 128 + 8*40 = 448 bytes a block; the budget fits three.
-        cache = budget(1400).blocks
-        for block_no in range(3):
-            cache.put(("pl", block_no), block(40))
-        cache.get(("pl", 0))
-        cache.put(("pl", 3), block(40))
-        assert cache.get(("pl", 1)) is None
-        assert all(cache.get(("pl", n)) is not None for n in (0, 2, 3))
-        cache.put(("pl", 2), block(40))  # a re-put counts as a use
-        cache.put(("pl", 4), block(40))
-        assert cache.get(("pl", 0)) is None
-        assert cache.stats.evictions == 2
-
-
-# ----------------------------------------------------------------------
-# tier 2: per-family retrievals
+# the cache: per-family retrievals
 # ----------------------------------------------------------------------
 class TestQueryResultCache:
     """Entries keyed ``(segment number, mode, term IDs)``, stored under
     the lengths of the lists they read that can still grow."""
 
+    def test_invalid_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            ReadCache(capacity_mb=0)
+
     def test_fingerprint_mismatch_invalidates_exactly(self):
-        cache = budget(1 << 20).results
+        cache = budget(1 << 20)
         cache.put((0, "any", (7,)), column(1, 2), (5,))
         cache.put((1, "any", (7,)), column(9), ())
         # Segment 0's long list grew; segment 1 has none that can.
@@ -112,19 +60,18 @@ class TestQueryResultCache:
         assert len(cache) == 1
 
     def test_entry_bound_evicts(self):
-        # One budget for both tiers: 128 + 8*50 = 528 bytes an entry of
-        # either kind, and room for three.
+        # 128 + 8*50 = 528 bytes an entry, and room for three.
         cache = budget(1600)
-        cache.blocks.put(("pl", 0), block(50))
-        for seg_no in range(3):
-            cache.results.put((seg_no, "any", (7,)), column(*range(50)))
-        assert len(cache.results) == 3 and len(cache.blocks) == 0
-        assert cache.blocks.stats.evictions == 1
-        assert cache.results.stats.evictions == 0
+        for seg_no in range(4):
+            cache.put((seg_no, "any", (7,)), column(*range(50)))
+        assert len(cache) == 3 and cache.get((0, "any", (7,))) is None
+        assert cache.stats.evictions == 1
         assert cache.resident_bytes == 3 * 528
+        cache.put("huge", column(*range(200)))  # more than the whole budget
+        assert "huge" not in cache.entries and len(cache) == 3
 
     def test_evicts_least_recently_used(self):
-        cache = budget(3 * (128 + 8 * 4)).results
+        cache = budget(3 * (128 + 8 * 4))
         for key in "abc":
             cache.put(key, column(1, 2, 3, 4))
         cache.get("a")
@@ -137,14 +84,14 @@ class TestQueryResultCache:
         assert cache.stats.evictions == 2 and cache.stats.invalidations == 0
 
     def test_put_refreshes_existing_key(self):
-        cache = budget(1 << 20).results
+        cache = budget(1 << 20)
         cache.put("q", column(1), (1,))
         cache.put("q", column(2), (2,))
         assert len(cache) == 1
         assert cache.get("q", (2,))[0][1].tolist() == [2]
 
     def test_stored_arrays_are_read_only(self):
-        cache = budget(1 << 20).results
+        cache = budget(1 << 20)
         piece = column(1, 2)
         cache.put("q", piece)
         _, docs, tfs = cache.get("q")[0]
@@ -222,8 +169,8 @@ class TestEngineIntegration:
         assert stats["hits"] == 1 and stats["invalidations"] == 0
 
     def test_segment_merge_forgets_retired_lists(self):
-        """Merging segments retires their posting lists; the block cache
-        must drop them instead of pinning dead entries."""
+        """Merging segments retires their posting lists; the cache must
+        drop their entries instead of pinning dead ones."""
         engine = build_engine(
             config=replace(
                 cached_config(),
@@ -231,19 +178,11 @@ class TestEngineIntegration:
                 merge_at_segments=None,
             )
         )
-        engine.search("imclone")  # warms blocks of segment lists
-        retired = [
-            name
-            for segment in engine.iter_segments()
-            for name in segment.list_names()
-        ]
-        cache = engine.read_cache
-        # Short lists are cached under the names they would have as files.
-        assert not any(engine.store.device.exists(name) for name in retired)
-        assert {key[0] for key in keys(cache, cache.blocks)} <= set(retired)
-        assert keys(cache, cache.blocks)
+        engine.search("imclone")  # caches each segment's retrieval
+        retired = {segment.info.seg_no for segment in engine.iter_segments()}
+        assert {key[0] for key in keys(engine.read_cache)} == retired
         engine.merge_segments()
-        assert all(key[0] not in retired for key in keys(cache, cache.blocks))
+        assert not keys(engine.read_cache)
         # And the merged layout still answers identically.
         legacy = build_engine()
         assert [r.doc_id for r in engine.search("imclone")] == [
@@ -333,23 +272,6 @@ class TestEngineIntegration:
         with pytest.raises(TamperDetectedError):
             engine.search("imclone", verify=True)
 
-    def test_rerun_join_reads_frozen_blocks_from_cache(self):
-        # Small blocks so each posting list spans many blocks and the
-        # jump index actually navigates.
-        config = cached_config(block_size=512)
-        engine = build_engine(
-            [f"alpha beta doc{i}" for i in range(200)], config=config
-        )
-        engine.search("+alpha +beta")
-        stats = engine.read_cache_stats()
-        # An append invalidates the result tier and only the tail
-        # posting blocks, so the re-run's seeks hit the block tier.
-        engine.index_document("alpha beta")
-        engine.search("+alpha +beta")
-        stats2 = engine.read_cache_stats()
-        assert stats2["results"]["invalidations"] == 1
-        assert stats2["blocks"]["hits"] > stats["blocks"]["hits"]
-
     def test_metrics_export(self):
         engine = build_engine(config=cached_config())
         engine.search("imclone")
@@ -397,7 +319,7 @@ def answers(engine):
 
 
 def result_segments(engine):
-    return {key[0] for key in keys(engine.read_cache, engine.read_cache.results)}
+    return {key[0] for key in keys(engine.read_cache)}
 
 
 class TestFamilyEntries:
@@ -421,13 +343,13 @@ class TestFamilyEntries:
     def test_a_seal_adds_entries_only_for_the_new_segment(self):
         engine = tail_engine()
         answers(engine)
-        before = set(keys(engine.read_cache, engine.read_cache.results))
+        before = set(keys(engine.read_cache))
         for i in range(43):  # the tail reaches 48 and seals
             engine.index_document(f"alpha beta more{i}")
         new = engine.iter_segments()[-1].info.seg_no
         assert len(engine.iter_segments()) == 4
         answers(engine)
-        after = set(keys(engine.read_cache, engine.read_cache.results))
+        after = set(keys(engine.read_cache))
         assert before < after
         assert {key[0] for key in after - before} == {new}
         assert engine.read_cache_stats()["results"]["invalidations"] == 0
@@ -443,14 +365,18 @@ class TestFamilyEntries:
         assert result_segments(engine) == {merged}
 
     def test_a_cached_family_reads_nothing(self):
+        def scanned():
+            (series,) = engine.metrics.snapshot()["repro_scan_entries_total"]["series"]
+            return series["value"]
+
         engine = tail_engine()
         engine.profile("alpha")
-        scanned = counter_value(engine.metrics, "repro_scan_entries_total")
+        before = scanned()
         profile = engine.profile("alpha")
         assert profile.families_cached == 3
         assert (profile.physical_lists, profile.blocks_read) == (0, 0)
         assert profile.entries_scanned == 5  # the tail's alpha postings
-        assert counter_value(engine.metrics, "repro_scan_entries_total") == scanned + 5
+        assert scanned() == before + 5
 
     @pytest.mark.parametrize("cached_first", [True, False])
     def test_stuffing_a_long_list_answers_as_without_the_cache(self, cached_first):
@@ -477,7 +403,7 @@ class TestFamilyEntries:
         assert [doc_id for doc_id, _ in stuffed["alpha"][:3]] == [60, 61, 62]
         assert answers(on) == stuffed
         alpha = on.term_id("alpha")
-        scans = [key for key in keys(on.read_cache, on.read_cache.results) if key[1] == "any"]
+        scans = [key for key in keys(on.read_cache) if key[1] == "any"]
         assert any(key[0] == 0 and alpha in key[2] for key in scans)
         assert answers(on) == stuffed  # and again, from what was cached
 
@@ -501,6 +427,26 @@ class TestShardedIntegration:
             stats = sharded.read_cache_stats()
             assert stats["results"]["hits"] >= 1
             assert len(stats["per_shard"]) == 3
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_summed_stats_carry_every_key_a_shard_does(self, num_shards):
+        """README documents ``read_cache_stats()["results"]["hit_rate"]``:
+        the sum over shards has it, from the summed counts."""
+        from tests.helpers import SHARD_CONFIG, build_sharded
+
+        config = replace(SHARD_CONFIG, read_cache=True)
+        sharded = build_sharded(
+            [f"common doc{i}" for i in range(12)], num_shards=num_shards, config=config
+        )
+        with sharded:
+            for _ in range(2):
+                sharded.search("common", top_k=20)
+            stats = sharded.read_cache_stats()
+            for tier in ("results", "blocks"):
+                for shard in stats["per_shard"]:
+                    assert stats[tier].keys() == shard[tier].keys()
+            assert stats["results"]["hit_rate"] == 0.5
+            assert stats["blocks"]["hits"] == stats["blocks"]["misses"] == 0
 
     def test_batch_ingest_keeps_shard_caches_coherent(self):
         from tests.helpers import SHARD_CONFIG, build_sharded

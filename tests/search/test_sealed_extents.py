@@ -170,7 +170,7 @@ def test_bytes_written_after_the_seal_are_unreachable_and_reported(
     path = tmp_path / "archive.worm"
     engine = build(path, config, merged)
     if read_cache:
-        assert answers(engine) == honest  # lists attached, both tiers warm
+        assert answers(engine) == honest  # the result tier warm
     root = f"{SEGMENT_PREFIX}{victim(engine).info.seg_no:06d}/"
     name, size = ATTACKS[attack](engine)
     assert name.startswith(root)

@@ -8,7 +8,6 @@ exercised here against an in-memory engine.
 import pytest
 
 from repro.errors import TamperDetectedError
-from repro.observability import counter_value
 from repro.service import (
     PROTOCOL_SCHEMA,
     AdmissionConfig,
@@ -150,14 +149,8 @@ class TestAdmission:
             "POST", "/search", {"query": "imclone"}, tenant="auditor"
         )
         assert status == 200
-        assert (
-            counter_value(
-                service.registry,
-                "repro_service_rejections_total",
-                reason="rate_limit",
-            )
-            == 1
-        )
+        rejections = service.registry.snapshot()["repro_service_rejections_total"]
+        assert rejections["series"] == [{"labels": {"reason": "rate_limit"}, "value": 1}]
 
     def test_full_gate_sheds_with_503(self):
         config = ServiceConfig(
