@@ -18,9 +18,10 @@ from repro.adversary import (
     posting_stuffing_attack,
 )
 from repro.baselines import BPlusTree, SortedAppendLog
-from repro.core import BlockJumpIndex, JumpIndex, PostingList
-from repro.core.verification import audit_posting_list, audit_search_result
+from repro.core import BlockJumpIndex, JumpIndex
+from repro.core.verification import audit_posting_list
 from repro.errors import TamperDetectedError
+from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.storage import CachedWormStore
 
 KEYS = [2, 4, 7, 11, 13, 19, 23, 29, 31, 36]
@@ -85,23 +86,17 @@ def demo_block_jump_index() -> None:
 
 def demo_stuffing() -> None:
     print("\n== posting-list stuffing (Section 5) ==")
-    store = CachedWormStore(None, block_size=256)
-    posting_list = PostingList(store, "pl-imclone")
-    real_docs = set()
-    for doc_id in range(12):
-        posting_list.append(doc_id, term_code=1)
-        real_docs.add(doc_id)
-    fakes = posting_stuffing_attack(posting_list, 1, count=6)
+    engine = TrustworthySearchEngine(EngineConfig(num_lists=8))
+    engine.index_batch([f"imclone memo {i}" for i in range(12)])
+    posting_list, _ = engine.posting_list_for("imclone")
+    fakes = posting_stuffing_attack(
+        posting_list, engine.term_id("imclone"), count=6
+    )
     print(f"  Mala appends {len(fakes)} future-ID postings (monotone, so")
     print(f"  the structural audit stays green: "
           f"ok={audit_posting_list(posting_list).ok})")
-    result_ids = posting_list.doc_ids()
-    report = audit_search_result(
-        result_ids,
-        ["imclone"],
-        document_exists=lambda d: d in real_docs,
-        document_contains=lambda d, t: True,
-    )
+    result_ids = [hit.doc_id for hit in engine.search("imclone", top_k=50)]
+    report = engine.verify_results(result_ids, "imclone")
     print(f"  result verification against WORM documents: "
           f"{len(report.violations)} stuffed postings exposed   <- DETECTED")
 

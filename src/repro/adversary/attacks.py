@@ -200,7 +200,7 @@ def posting_stuffing_attack(
     To avoid instantly tripping the order audit, Mala appends *future*
     document IDs (monotonicity preserved) that reference documents that
     do not exist.  Search results get diluted; result verification
-    (:func:`repro.core.verification.audit_search_result`) exposes every
+    (:func:`repro.core.verification.verify_results`) exposes every
     fake because the documents are absent from WORM.
 
     Returns the fabricated IDs.

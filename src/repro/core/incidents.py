@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TamperDetectedError
 from repro.worm.storage import CachedWormStore
@@ -63,6 +64,10 @@ class IncidentLog:
         self.store = store
         self.name = name
         self._file = store.ensure_file(name)
+        # Verified searches run concurrently (under a service's reader
+        # lock) and each may record: the sequence number and the append
+        # it goes into are taken together.
+        self._lock = threading.Lock()
         self._next_seq = 0
         self._quarantined: Set[int] = set()
         if self._file.num_blocks:
@@ -89,71 +94,66 @@ class IncidentLog:
         # Records never span blocks; budget the free-text field so the
         # whole record fits even on small-block devices.
         max_description = max(16, min(512, self.store.block_size - 192))
-        incident = Incident(
-            seq=self._next_seq,
-            kind=kind,
-            location=location[:96],
-            invariant=invariant[:64],
-            description=description[:max_description],
-            quarantined_doc_ids=tuple(sorted(quarantine_doc_ids or [])),
-        )
-        payload = json.dumps(
-            {
-                "seq": incident.seq,
-                "kind": incident.kind,
-                "location": incident.location,
-                "invariant": incident.invariant,
-                "description": incident.description,
-                "quarantined": list(incident.quarantined_doc_ids),
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
-        record = _LEN.pack(len(payload)) + payload
-        self.store.append_record(self.name, record)
-        self._next_seq += 1
-        self._quarantined.update(incident.quarantined_doc_ids)
+        with self._lock:
+            incident = Incident(
+                seq=self._next_seq,
+                kind=kind,
+                location=location[:96],
+                invariant=invariant[:64],
+                description=description[:max_description],
+                quarantined_doc_ids=tuple(sorted(quarantine_doc_ids or [])),
+            )
+            payload = json.dumps(
+                {
+                    "seq": incident.seq,
+                    "kind": incident.kind,
+                    "location": incident.location,
+                    "invariant": incident.invariant,
+                    "description": incident.description,
+                    "quarantined": list(incident.quarantined_doc_ids),
+                },
+                separators=(",", ":"),
+            ).encode("utf-8")
+            self.store.append_record(self.name, _LEN.pack(len(payload)) + payload)
+            self._next_seq += 1
+            self._quarantined.update(incident.quarantined_doc_ids)
         return incident
-
-    def record_exception(self, exc: TamperDetectedError, *, kind: str = "tamper") -> Incident:
-        """Record a :class:`TamperDetectedError` as it was raised."""
-        return self.record(
-            kind,
-            location=exc.location,
-            invariant=exc.invariant,
-            description=str(exc),
-        )
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
     def incidents(self) -> Iterator[Incident]:
-        """Yield every committed incident, verifying sequence integrity."""
+        """Yield every committed incident, verifying each record's framing
+        and fields and the sequence's integrity.
+
+        Anyone can append to a WORM file, so a record that runs past its
+        block, is not JSON or lacks a typed field raises
+        :class:`~repro.errors.TamperDetectedError`, as a bad sequence
+        number does.
+        """
         expected_seq = 0
         for block_no in range(self._file.num_blocks):
             payload = self.store.peek_block(self.name, block_no)
             offset = 0
-            while offset + _LEN.size <= len(payload):
-                (length,) = _LEN.unpack_from(payload, offset)
-                offset += _LEN.size
-                raw = payload[offset : offset + length]
-                offset += length
-                data = json.loads(raw.decode("utf-8"))
-                if data["seq"] != expected_seq:
+            while offset < len(payload):
+                location = f"incident log '{self.name}', block {block_no}, byte {offset}"
+                try:
+                    incident, offset = _decode(payload, offset)
+                except (struct.error, ValueError, KeyError, TypeError) as exc:
                     raise TamperDetectedError(
-                        f"incident log record claims seq {data['seq']}, "
+                        f"malformed incident record: {exc}",
+                        location=location,
+                        invariant="incident-record",
+                    ) from exc
+                if incident.seq != expected_seq:
+                    raise TamperDetectedError(
+                        f"incident log record claims seq {incident.seq}, "
                         f"expected {expected_seq}",
-                        location=f"incident log '{self.name}'",
+                        location=location,
                         invariant="incident-sequence",
                     )
                 expected_seq += 1
-                yield Incident(
-                    seq=data["seq"],
-                    kind=data["kind"],
-                    location=data["location"],
-                    invariant=data["invariant"],
-                    description=data["description"],
-                    quarantined_doc_ids=tuple(data["quarantined"]),
-                )
+                yield incident
 
     def is_quarantined(self, doc_id: int) -> bool:
         """Whether ``doc_id`` was quarantined by any recorded incident."""
@@ -169,3 +169,27 @@ class IncidentLog:
             f"IncidentLog('{self.name}', incidents={self._next_seq}, "
             f"quarantined={len(self._quarantined)})"
         )
+
+
+def _decode(payload: bytes, offset: int) -> Tuple[Incident, int]:
+    """The incident record at ``offset`` of a log block, and the offset
+    past it; raises ``struct.error``, ``ValueError``, ``KeyError`` or
+    ``TypeError`` on a record :meth:`IncidentLog.record` did not write."""
+    (length,) = _LEN.unpack_from(payload, offset)
+    end = offset + _LEN.size + length
+    if end > len(payload):
+        raise ValueError(f"{length}-byte record runs past its block")
+    data = json.loads(payload[offset + _LEN.size : end].decode("utf-8"))
+    incident = Incident(
+        seq=data["seq"],
+        kind=data["kind"],
+        location=data["location"],
+        invariant=data["invariant"],
+        description=data["description"],
+        quarantined_doc_ids=tuple(data["quarantined"]),
+    )
+    texts = (incident.kind, incident.location, incident.invariant, incident.description)
+    numbers = (incident.seq, *incident.quarantined_doc_ids)
+    if not all(isinstance(t, str) for t in texts) or not all(type(n) is int for n in numbers):
+        raise TypeError("a field holds a value of the wrong type")
+    return incident, end

@@ -98,10 +98,6 @@ class TermAssignment:
         """All term IDs assigned to physical list ``list_id``."""
         return np.nonzero(self.list_ids == list_id)[0]
 
-    def terms_per_list(self) -> np.ndarray:
-        """Histogram: number of terms assigned to each physical list."""
-        return np.bincount(self.list_ids, minlength=self.num_lists)
-
     def aggregate(self, per_term: np.ndarray) -> np.ndarray:
         """Sum a per-term vector (e.g. ``ti``) into per-list totals.
 

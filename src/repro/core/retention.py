@@ -164,9 +164,18 @@ class RetentionManager:
         return self._dispositions.get(doc_id)
 
     def dispositions(self) -> Iterator[Disposition]:
-        """Replay the WORM log, verifying its internal consistency."""
+        """Replay the WORM log, verifying its internal consistency: each
+        block holds whole records (anyone can append bytes to a WORM
+        file), and no record claims a disposal before its horizon."""
         for block_no in range(self._file.num_blocks):
             payload = self.store.peek_block(self.log_name, block_no)
+            if len(payload) % _RECORD.size:
+                raise TamperDetectedError(
+                    f"disposition log block {block_no} holds {len(payload)} "
+                    f"bytes, not whole {_RECORD.size}-byte records",
+                    location=f"disposition log '{self.log_name}', block {block_no}",
+                    invariant="disposition-record-size",
+                )
             for doc_id, retention_until, disposed_at in _RECORD.iter_unpack(payload):
                 if disposed_at < retention_until:
                     raise TamperDetectedError(

@@ -64,13 +64,6 @@ class HuffmanCode:
             return 0
         return math.ceil(math.log2(self.num_terms))
 
-    def savings_fraction(self) -> float:
-        """Fraction of the fixed-width budget the Huffman code saves."""
-        fixed = self.fixed_width_bits()
-        if fixed == 0:
-            return 0.0
-        return max(0.0, 1.0 - self.expected_bits() / fixed)
-
 
 def build_huffman_code(posting_counts: Mapping[int, int]) -> HuffmanCode:
     """Build the optimal prefix code for one merged list's term mix.

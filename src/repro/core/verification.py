@@ -10,21 +10,23 @@ Auditors come in two flavours:
 * raising — the query-path checks inside the index structures raise
   :class:`~repro.errors.TamperDetectedError` the moment a violation is
   observed (the paper's ``assert`` lines);
-* reporting — the offline :func:`audit_posting_list` /
-  :func:`audit_search_result` passes collect *all* violations into an
+* reporting — the offline :func:`audit_posting_list` pass and the
+  result check :func:`verify_results` collect *all* violations into an
   :class:`AuditReport`, the artifact an investigator would file.
 
 The **result check** of Section 5 and the incident handling on top of it
 (:func:`verify_results`, :func:`require_verified`,
 :func:`search_with_incident_handling`) are written here once, for every
-engine.  They ask an archive three questions about a result's ID — does
-it name a committed document (``engine.documents.exists``), does a
-disposition record explain its absence (``engine.is_disposed``), what
-text does it hold (``engine.documents.get``) — which the document store
-and retention log answer for one engine, and the global document view
-and the router for K shards.  A global ID no shard committed, or a
-synthetic negative one, exists nowhere and was disposed by no one:
-fabricated in both.
+engine.  :func:`verify_results` works out each result's verdict in one
+pass over the archive: ``engine.documents.exists`` once per ID,
+``engine.is_disposed`` for an absent document, and for a present one a
+single ``engine.documents.get`` and ``analyzer.term_counts``.  An ANY
+query's hit must hold one of its terms, an ALL query's hit every one.
+The report, the raise and the quarantine all read that one
+:class:`ResultVerdict`.  The document store and retention log answer
+for one engine, and the global document view and the router for K
+shards.  A global ID no shard committed, or a synthetic negative one,
+exists nowhere and was disposed by no one: fabricated in both.
 """
 
 from __future__ import annotations
@@ -133,90 +135,66 @@ def _audit_jump_pointers(
                 report.add(f"block {block_no} slot {slot}: {fault[1]}")
 
 
-def audit_search_result(
-    result_doc_ids: Sequence[int],
-    query_terms: Sequence[str],
-    *,
-    document_exists,
-    document_contains,
-) -> AuditReport:
-    """Detect posting-list stuffing in a query result (Section 5).
+@dataclass
+class ResultVerdict(AuditReport):
+    """The result check's report, with the IDs it condemned.
 
-    Mala may append postings whose document IDs do not exist or whose
-    documents do not contain the query keywords, hoping to bury the
-    incriminating record in noise.  The certified engine cross-checks
-    every returned ID against the (WORM-resident, hence trustworthy)
-    documents themselves:
-
-    Parameters
-    ----------
-    result_doc_ids:
-        The IDs the index produced.
-    query_terms:
-        The keywords the user asked for.
-    document_exists:
-        ``f(doc_id) -> bool`` — the document is actually on WORM.
-    document_contains:
-        ``f(doc_id, term) -> bool`` — the stored document contains the
-        term.  Checked for at least one query term per document (the
-        disjunctive matching contract).
+    ``fabricated`` IDs name no committed document, and no disposition
+    record explains their absence; ``mismatched`` ones name a document
+    that lacks what the query asked for.  Each also has its line in
+    ``violations``, in result order.
     """
-    report = AuditReport(subject=f"result for query {list(query_terms)!r}")
-    for doc_id in result_doc_ids:
-        report.entries_checked += 1
-        if not document_exists(doc_id):
-            report.add(
-                f"doc {doc_id}: posting refers to a nonexistent document "
-                "(stuffed posting)"
-            )
+
+    fabricated: List[int] = field(default_factory=list)
+    mismatched: List[int] = field(default_factory=list)
+
+
+def verify_results(engine, doc_ids: Sequence[int], query) -> ResultVerdict:
+    """Hold each result ID to ``engine``'s WORM-resident documents
+    (Section 5), reading and analysing each document at most once.
+
+    ``query`` is a string or a :class:`~repro.search.query.Query`.  An ID
+    passes when it names a committed document that holds one of an ANY
+    query's terms, or every term of an ALL query, or when a disposition
+    record explains its absence: disposal deletes a document, not its
+    postings.
+    """
+    from repro.search.query import QueryMode, parse_query  # search imports core
+
+    if isinstance(query, str):
+        query = parse_query(query, analyzer=engine.analyzer)
+    terms, need_all = query.terms, query.mode is QueryMode.ALL
+    documents, term_counts = engine.documents, engine.analyzer.term_counts
+    verdict = ResultVerdict(f"result for query {list(terms)!r}", entries_checked=len(doc_ids))
+    for doc_id in doc_ids:
+        if documents.exists(doc_id):
+            counts = term_counts(documents.get(doc_id).text)
+            missing = [term for term in terms if term not in counts]
+            if len(missing) == len(terms):
+                problem = "document contains none of the query terms"
+            elif need_all and missing:
+                problem = f"document lacks the query terms {missing!r}"
+            else:
+                continue
+            verdict.mismatched.append(doc_id)
+        elif engine.is_disposed(doc_id):
             continue
-        if not any(document_contains(doc_id, term) for term in query_terms):
-            report.add(
-                f"doc {doc_id}: document contains none of the query terms "
-                "(stuffed posting)"
-            )
-    return report
+        else:
+            problem = "posting refers to a nonexistent document"
+            verdict.fabricated.append(doc_id)
+        verdict.add(f"doc {doc_id}: {problem} (stuffed posting)")
+    return verdict
 
 
-def _document_checks(engine):
-    """``(exists, contains)``: the two questions
-    :func:`audit_search_result` asks, put to ``engine``'s archive."""
-    documents = engine.documents
-    term_counts = engine.analyzer.term_counts
-
-    def exists(doc_id: int) -> bool:
-        # A legitimately disposed document is not stuffing: its absence
-        # is explained by an auditable WORM record.
-        return documents.exists(doc_id) or engine.is_disposed(doc_id)
-
-    def contains(doc_id: int, term: str) -> bool:
-        if not documents.exists(doc_id):
-            # Disposed: content gone, disposition record vouches.
-            return True
-        return term in term_counts(documents.get(doc_id).text)
-
-    return exists, contains
-
-
-def verify_results(
-    engine, doc_ids: Sequence[int], terms: Sequence[str]
-) -> AuditReport:
-    """Cross-check result IDs against ``engine``'s WORM-resident documents."""
-    exists, contains = _document_checks(engine)
-    return audit_search_result(
-        doc_ids, list(terms), document_exists=exists, document_contains=contains
-    )
-
-
-def _verify_traced(engine, results: Sequence, query, trace) -> AuditReport:
+def _verify_traced(engine, results: Sequence, query, trace) -> ResultVerdict:
     """``engine.verify_results`` over ``results``, under a ``verify`` span
     of ``trace`` (when there is one) that notes the verdict."""
     span = None if trace is None else trace.begin("verify", results=len(results))
-    report = engine.verify_results([r.doc_id for r in results], query.terms)
+    verdict = engine.verify_results([r.doc_id for r in results], query)
     if span is not None:
-        span.note(ok=report.ok)
+        span.note(ok=verdict.ok)
         trace.finish(span)
-    return report
+    return verdict
 
 
 def require_verified(engine, results: Sequence, query, trace=None) -> None:
@@ -225,10 +203,10 @@ def require_verified(engine, results: Sequence, query, trace=None) -> None:
     Surfaces the attempt; the caller (Bob) decides what to do with the
     evidence.
     """
-    report = _verify_traced(engine, results, query, trace)
-    if not report.ok:
+    verdict = _verify_traced(engine, results, query, trace)
+    if not verdict.ok:
         raise TamperDetectedError(
-            f"result verification failed: {report.violations}",
+            f"result verification failed: {verdict.violations}",
             location=f"query {query.terms!r}",
             invariant=RESULT_INVARIANT,
         )
@@ -237,50 +215,35 @@ def require_verified(engine, results: Sequence, query, trace=None) -> None:
 def search_with_incident_handling(engine, query, *, top_k: int = 10, trace=None):
     """Search, verify, and *handle* any detected stuffing.
 
-    Returns ``(results, report)``: results are verified against the
+    Returns ``(results, verdict)``: results are verified against the
     WORM documents with known-bad (quarantined) IDs excluded — the
     search over-fetches by the quarantine's size, so ``top_k`` is
-    refilled past them — and the report lists what verification found
-    this time.  Newly exposed fabricated IDs are quarantined in the
-    archive's own incident log: they cannot be removed from WORM, so
-    the engine appends durable knowledge that they are malicious
+    refilled past them — and the verdict reports what verification
+    found this time.  Newly exposed fabricated IDs are quarantined in
+    the archive's own incident log: they cannot be removed from WORM,
+    so the engine appends durable knowledge that they are malicious
     instead (the paper's Section 6 future-work question, answered the
-    WORM way).  Keyword-mismatch plants are real documents stuffed into
+    WORM way).  Mismatched documents are real documents stuffed into
     the wrong list, so they are excluded from *this* result only — they
-    remain legitimate answers to other queries.
+    remain legitimate answers to queries they match.
     """
     if isinstance(query, str):
         from repro.search.query import parse_query  # search imports core
 
         query = parse_query(query, analyzer=engine.analyzer)
     incidents = engine.incidents
-    results = [
-        r
-        for r in engine.search(
-            query, top_k=top_k + len(incidents.quarantined_doc_ids), trace=trace
-        )
-        if not incidents.is_quarantined(r.doc_id)
-    ]
-    report = _verify_traced(engine, results, query, trace)
-    if not report.ok:
-        exists, contains = _document_checks(engine)
-        fabricated = [r.doc_id for r in results if not exists(r.doc_id)]
-        planted = {
-            r.doc_id
-            for r in results
-            if exists(r.doc_id)
-            and not any(contains(r.doc_id, term) for term in query.terms)
-        }
+    quarantined = incidents.quarantined_doc_ids
+    hits = engine.search(query, top_k=top_k + len(quarantined), trace=trace)
+    results = [r for r in hits if r.doc_id not in quarantined]
+    verdict = _verify_traced(engine, results, query, trace)
+    if not verdict.ok:
         incidents.record(
             "posting-stuffing",
             location=f"query {query.terms!r}",
             invariant=RESULT_INVARIANT,
-            description="; ".join(report.violations),
-            quarantine_doc_ids=fabricated,
+            description="; ".join(verdict.violations),
+            quarantine_doc_ids=verdict.fabricated,
         )
-        results = [
-            r
-            for r in results
-            if r.doc_id not in planted and not incidents.is_quarantined(r.doc_id)
-        ]
-    return results[:top_k], report
+        condemned = {*verdict.fabricated, *verdict.mismatched}
+        results = [r for r in results if r.doc_id not in condemned]
+    return results[:top_k], verdict

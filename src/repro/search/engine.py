@@ -55,7 +55,7 @@ from repro.core.tail import MutableTailIndex, TailSnapshot
 from repro.core.time_index import CommitTimeIndex
 from repro.core.vecdecode import TermColumn, ascending
 from repro.core import verification
-from repro.core.verification import AuditReport
+from repro.core.verification import ResultVerdict
 from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
@@ -453,6 +453,7 @@ class TrustworthySearchEngine:
         )
         self._clock = 0
         self._incidents = None
+        self._incidents_lock = threading.Lock()
         self._retention = None
         # Write–read decoupling (tail mode): the mutable tail, the
         # sealed-segment manifest, and the attached live segments;
@@ -1444,11 +1445,13 @@ class TrustworthySearchEngine:
     # ------------------------------------------------------------------
     @property
     def incidents(self):
-        """The engine's WORM-resident incident log (created on first use)."""
-        if self._incidents is None:
-            from repro.core.incidents import IncidentLog
+        """The engine's WORM-resident incident log (created on first use,
+        once, however many verified searches ask for it together)."""
+        with self._incidents_lock:
+            if self._incidents is None:
+                from repro.core.incidents import IncidentLog
 
-            self._incidents = IncidentLog(self.store, "engine/incidents")
+                self._incidents = IncidentLog(self.store, "engine/incidents")
         return self._incidents
 
     @property
@@ -1504,11 +1507,11 @@ class TrustworthySearchEngine:
     # ------------------------------------------------------------------
     # verification (Section 5)
     # ------------------------------------------------------------------
-    def verify_results(
-        self, doc_ids: Sequence[int], terms: Sequence[str]
-    ) -> AuditReport:
-        """Cross-check results against WORM-resident documents."""
-        return verification.verify_results(self, doc_ids, terms)
+    def verify_results(self, doc_ids: Sequence[int], query) -> ResultVerdict:
+        """Cross-check results of ``query`` (a string or a
+        :class:`~repro.search.query.Query`) against WORM-resident
+        documents; see :func:`repro.core.verification.verify_results`."""
+        return verification.verify_results(self, doc_ids, query)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,10 +23,11 @@ corpus — is property-tested in ``tests/sharding``.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import verification
-from repro.core.verification import AuditReport
+from repro.core.verification import ResultVerdict
 from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
@@ -165,6 +166,7 @@ class ShardedSearchEngine:
             + 1
         )
         self._incidents = None
+        self._incidents_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -266,17 +268,17 @@ class ShardedSearchEngine:
     # ------------------------------------------------------------------
     # verification (Section 5, on global IDs)
     # ------------------------------------------------------------------
-    def verify_results(
-        self, doc_ids: Sequence[int], terms: Sequence[str]
-    ) -> AuditReport:
-        """Cross-check global results against the shard WORM documents.
+    def verify_results(self, doc_ids: Sequence[int], query) -> ResultVerdict:
+        """Cross-check global results of ``query`` (a string or a
+        :class:`~repro.search.query.Query`) against the shard WORM
+        documents.
 
         A global ID no shard has committed (including the negative
         synthetic IDs the router emits for stuffed shard-local postings)
         has no committed document anywhere, so it fails the existence
         check exactly like single-engine stuffing does.
         """
-        return verification.verify_results(self, doc_ids, terms)
+        return verification.verify_results(self, doc_ids, query)
 
     def is_disposed(self, global_id: int) -> bool:
         """Whether a disposition record, on its shard, explains the
@@ -288,11 +290,13 @@ class ShardedSearchEngine:
 
     @property
     def incidents(self):
-        """Global incident log on the coordinator WORM (lazily created)."""
-        if self._incidents is None:
-            from repro.core.incidents import IncidentLog
+        """Global incident log on the coordinator WORM (created on first
+        use, once, however many verified searches ask for it together)."""
+        with self._incidents_lock:
+            if self._incidents is None:
+                from repro.core.incidents import IncidentLog
 
-            self._incidents = IncidentLog(self.coordinator, INCIDENT_FILE)
+                self._incidents = IncidentLog(self.coordinator, INCIDENT_FILE)
         return self._incidents
 
     def search_with_incident_handling(self, query, *, top_k: int = 10, trace=None):

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.workloads.queries import SyntheticQuery
-from repro.workloads.stats import WorkloadStats
 from repro.workloads.zipf import ZipfSampler, zipf_weights
 
 
@@ -159,7 +158,3 @@ class DriftingWorkload:
         top_a = set(np.argsort(pa)[::-1][:top_k].tolist())
         top_b = set(np.argsort(pb)[::-1][:top_k].tolist())
         return len(top_a & top_b) / top_k
-
-    def stats_for_epoch(self, epoch_workload: EpochWorkload, ti: np.ndarray) -> WorkloadStats:
-        """Combine an epoch's observed qi with document statistics."""
-        return WorkloadStats(ti=ti, qi=epoch_workload.qi)

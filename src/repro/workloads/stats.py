@@ -16,7 +16,7 @@ heuristics (3(d)-3(g)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,17 +43,6 @@ class WorkloadStats:
             )
         if np.any(self.ti < 0) or np.any(self.qi < 0):
             raise WorkloadError("frequencies must be non-negative")
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_workload(cls, corpus, query_log) -> "WorkloadStats":
-        """Compute stats by one pass over a corpus and query-log generator."""
-        return cls(
-            ti=corpus.term_document_frequencies(),
-            qi=query_log.term_query_frequencies(),
-        )
 
     @property
     def num_terms(self) -> int:
@@ -154,11 +143,6 @@ class WorkloadStats:
         if denom == 0:
             return 0.0
         return float((rt * rq).sum() / denom)
-
-    def restrict_to(self, term_ids: Iterable[int]) -> "WorkloadStats":
-        """Stats over a subset of terms (used by epoch-prefix learning)."""
-        idx = np.asarray(list(term_ids), dtype=np.int64)
-        return WorkloadStats(ti=self.ti[idx], qi=self.qi[idx])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

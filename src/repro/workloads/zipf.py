@@ -103,12 +103,6 @@ class ZipfSampler:
         """Draw a single rank."""
         return int(self.sample(1)[0])
 
-    def expected_counts(self, total: int) -> np.ndarray:
-        """Expected occurrence counts of each rank over ``total`` draws."""
-        if total < 0:
-            raise WorkloadError(f"total must be non-negative, got {total}")
-        return self.probabilities * float(total)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfSampler(n={self.n}, s={self.s})"
 

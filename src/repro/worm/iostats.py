@@ -44,14 +44,6 @@ class IoStats:
         """Total random I/Os so far."""
         return self.block_reads + self.block_writes
 
-    def count_read(self, n: int = 1) -> None:
-        """Record ``n`` random block reads."""
-        self.block_reads += n
-
-    def count_write(self, n: int = 1) -> None:
-        """Record ``n`` random block writes."""
-        self.block_writes += n
-
     def reset(self) -> None:
         """Zero all counters."""
         self.block_reads = 0

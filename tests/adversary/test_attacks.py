@@ -24,7 +24,9 @@ from repro.core.jump_index import JumpIndex
 from repro.core.posting_list import PostingList
 from repro.core.verification import audit_posting_list
 from repro.errors import TamperDetectedError
+from repro.search.engine import EngineConfig
 from repro.worm.storage import CachedWormStore
+from tests.helpers import build_engine
 
 
 def make_paper_tree():
@@ -147,22 +149,16 @@ class TestJumpIndexAttacks:
 
 
 class TestStuffingAttack:
-    def test_stuffed_ids_pass_order_audit_but_fail_doc_check(self, store):
-        pl = PostingList(store, "pl")
-        for i in range(10):
-            pl.append(i, term_code=7)
-        fake_ids = posting_stuffing_attack(pl, 7, count=5)
+    def test_stuffed_ids_pass_order_audit_but_fail_doc_check(self):
+        engine = build_engine(
+            [f"term7 doc{i}" for i in range(10)], config=EngineConfig(num_lists=8)
+        )
+        pl = engine.posting_list_for("term7")[0]
+        fake_ids = posting_stuffing_attack(pl, engine.term_id("term7"), count=5)
         assert fake_ids == list(range(10, 15))
         assert audit_posting_list(pl).ok  # monotonic: the order audit passes
         # ...but the documents do not exist, which result verification sees.
-        from repro.core.verification import audit_search_result
-
-        report = audit_search_result(
-            fake_ids,
-            ["term7"],
-            document_exists=lambda d: d < 10,
-            document_contains=lambda d, t: True,
-        )
+        report = engine.verify_results(fake_ids, "term7")
         assert len(report.violations) == 5
 
     def test_zero_count_rejected(self, store):

@@ -69,6 +69,6 @@ class TestTamperedEngine:
                 for doc_id, code in zip(docs, codes)
                 if code == tid
             ],
-            ["imclone"],
+            "imclone",
         )
         assert not report.ok

@@ -1,9 +1,22 @@
 """Unit tests for the incident log (the paper's future work, implemented)."""
 
+import struct
+
 import pytest
 
 from repro.core.incidents import IncidentLog
 from repro.errors import TamperDetectedError
+
+
+#: A well-formed second record, for the cases to spoil one field of.
+_FIELDS = (
+    b'{"seq":1,"kind":"","location":"","invariant":"","description":"","quarantined":[]}'
+)
+
+
+def _record(payload: bytes) -> bytes:
+    """``payload`` framed as the log frames a record."""
+    return struct.pack("<H", len(payload)) + payload
 
 
 @pytest.fixture()
@@ -32,14 +45,6 @@ class TestRecording:
         assert incident.kind == "stuffing"
         assert incident.location == "posting list 'x'"
         assert incident.quarantined_doc_ids == (7, 9)
-
-    def test_record_exception(self, log):
-        exc = TamperDetectedError(
-            "bad pointer", location="block 3", invariant="jump-monotonicity"
-        )
-        incident = log.record_exception(exc)
-        assert incident.invariant == "jump-monotonicity"
-        assert incident.location == "block 3"
 
     def test_long_description_truncated_to_fit_block(self, log):
         log.record("tamper", description="x" * 10_000)
@@ -81,6 +86,44 @@ class TestDurability:
         IncidentLog(store, "i").record("tamper")
         with pytest.raises(FileExistsOnWormError):
             store.create_file("i")  # cannot be replaced
+
+
+class TestHostileBytes:
+    """Anyone can append to the WORM log; what the log did not write
+    reads as tampering, typed, never as a parser's own error."""
+
+    @pytest.mark.parametrize(
+        "appended",
+        [
+            struct.pack("<I", 2) + b"{[",  # a length prefix over NULs
+            struct.pack("<H", 40) + b"{}",  # a record past its block
+            b"\x07",  # half a length prefix
+            _record(b"[1, 2]"),
+            _record(b'{"seq": 1}'),
+            _record(_FIELDS.replace(b'"kind":""', b'"kind":3')),
+            _record(_FIELDS.replace(b"[]", b'["x"]')),
+            _record(_FIELDS.replace(b'"seq":1', b'"seq":true')),
+            _record(b"\xff\xfe"),
+        ],
+    )
+    def test_malformed_record_raises_tamper(self, store, appended):
+        IncidentLog(store, "i").record("stuffing", quarantine_doc_ids=[5])
+        store.append_record("i", appended)
+        with pytest.raises(TamperDetectedError) as excinfo:
+            IncidentLog(store, "i")
+        assert excinfo.value.invariant == "incident-record"
+        assert "incident log 'i'" in excinfo.value.location
+
+    def test_engine_incident_handling_raises_tamper(self):
+        from repro.search.engine import EngineConfig, TrustworthySearchEngine
+
+        engine = TrustworthySearchEngine(EngineConfig(num_lists=16))
+        engine.index_document("imclone memo")
+        engine.incidents.record("stuffing")
+        engine.store.append_record("engine/incidents", struct.pack("<I", 2) + b"{[")
+        reopened = TrustworthySearchEngine(engine.config, store=engine.store)
+        with pytest.raises(TamperDetectedError):
+            reopened.search_with_incident_handling("imclone")
 
 
 class TestEngineIntegration:

@@ -75,14 +75,14 @@ class TestQueryBehaviour:
         engine = make_engine(retention_period=10)
         engine.index_document("imclone old memo", commit_time=0)
         engine.dispose_expired(now=50)
-        report = engine.verify_results([0], ["imclone"])
+        report = engine.verify_results([0], "imclone")
         assert report.ok
 
     def test_fabricated_ids_still_flagged(self):
         engine = make_engine(retention_period=10)
         engine.index_document("imclone memo", commit_time=0)
         engine.dispose_expired(now=50)
-        report = engine.verify_results([0, 999], ["imclone"])
+        report = engine.verify_results([0, 999], "imclone")
         assert not report.ok  # 999 has no disposition record
         assert engine.retention.classify_dangling(0) == "disposed"
         assert engine.retention.classify_dangling(999) == "fabricated"
@@ -132,6 +132,19 @@ class TestLogIntegrity:
         with pytest.raises(TamperDetectedError) as excinfo:
             list(manager.dispositions())
         assert excinfo.value.invariant == "retention-horizon"
+
+    def test_bytes_appended_to_the_log_are_tampering(self):
+        """Anyone can append to the WORM log: a partial record makes every
+        search on the reopened engine raise, typed."""
+        engine = make_engine(retention_period=5)
+        engine.index_batch(["imclone old memo", "imclone older memo"], commit_times=[0, 1])
+        assert engine.dispose_expired(now=20) == [0, 1]
+        engine.store.append_record("engine/dispositions", b"\x01\x02\x03")
+        reopened = TrustworthySearchEngine(engine.config, store=engine.store)
+        with pytest.raises(TamperDetectedError) as excinfo:
+            reopened.search("imclone")
+        assert excinfo.value.invariant == "disposition-record-size"
+        assert "engine/dispositions" in excinfo.value.location
 
 
 class TestSweepEfficiency:

@@ -23,7 +23,6 @@ class TestHuffman:
         code = build_huffman_code({1: 50, 2: 50})
         assert code.lengths == {1: 1, 2: 1}
         assert code.expected_bits() == 1.0
-        assert code.savings_fraction() == 0.0
 
     def test_skew_beats_fixed_width(self):
         """The paper's point: Zipfian mixes compress below log2(q)."""
@@ -31,7 +30,6 @@ class TestHuffman:
         code = build_huffman_code(counts)
         assert code.fixed_width_bits() == 4
         assert code.expected_bits() < 4.0
-        assert code.savings_fraction() > 0.1
 
     def test_textbook_example(self):
         # Frequencies 5, 9, 12, 13, 16, 45 — the classic CLRS example:

@@ -4,12 +4,9 @@
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.posting import encode_posting
 from repro.core.posting_list import PostingList
-from repro.core.verification import (
-    AuditReport,
-    audit_posting_list,
-    audit_search_result,
-)
+from repro.core.verification import AuditReport, audit_posting_list
 from repro.worm.storage import CachedWormStore
+from tests.helpers import build_engine
 
 
 class TestAuditReport:
@@ -89,45 +86,38 @@ class TestPostingListAudit:
 
 
 class TestSearchResultAudit:
+    """The result check against a two-document archive: document 0
+    holds "imclone", document 1 "finance"; no document 99 exists."""
+
     def _world(self):
-        docs = {
-            1: "imclone memo for stewart",
-            2: "quarterly finance report",
-        }
-        return (
-            lambda doc_id: doc_id in docs,
-            lambda doc_id, term: term in docs.get(doc_id, "").split(),
+        return build_engine(
+            ["imclone memo for stewart", "quarterly finance report"]
         )
 
     def test_clean_results(self):
-        exists, contains = self._world()
-        report = audit_search_result(
-            [1], ["imclone"], document_exists=exists, document_contains=contains
-        )
+        report = self._world().verify_results([0], "imclone")
         assert report.ok
 
     def test_nonexistent_document_flagged(self):
-        exists, contains = self._world()
-        report = audit_search_result(
-            [1, 99], ["imclone"], document_exists=exists, document_contains=contains
-        )
+        report = self._world().verify_results([0, 99], "imclone")
         assert not report.ok
         assert "nonexistent" in report.violations[0]
 
     def test_keyword_mismatch_flagged(self):
-        exists, contains = self._world()
-        report = audit_search_result(
-            [2], ["imclone"], document_exists=exists, document_contains=contains
-        )
+        report = self._world().verify_results([1], "imclone")
         assert not report.ok
         assert "none of the query terms" in report.violations[0]
 
     def test_disjunctive_contract_any_term_suffices(self):
-        exists, contains = self._world()
-        report = audit_search_result(
-            [2],
-            ["imclone", "finance"],
-            document_exists=exists,
-            document_contains=contains,
-        )
+        report = self._world().verify_results([1], "imclone finance")
         assert report.ok
+
+    def test_conjunctive_contract_needs_every_term(self):
+        engine = self._world()
+        assert engine.verify_results([0], "+imclone +stewart").ok
+        report = engine.verify_results([0], "+imclone +finance")
+        assert not report.ok
+        assert report.mismatched == [0]
+        assert report.violations == [
+            "doc 0: document lacks the query terms ['finance'] (stuffed posting)"
+        ]

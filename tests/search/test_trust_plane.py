@@ -188,7 +188,7 @@ class TestDisposedDocuments:
         # Still indexed — disposal deletes the document, not its
         # postings — and vouched for by the disposition log.
         report = engine.verify_results(
-            sorted(self.disposed | fabricated), ["evidence"]
+            sorted(self.disposed | fabricated), "evidence"
         )
         assert len(report.violations) == FAKES
         for doc_id in self.disposed:

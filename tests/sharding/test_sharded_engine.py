@@ -275,7 +275,7 @@ class TestRetention:
             assert sharded.dispose_expired(now=100) == list(range(7))
             assert sharded.search("purge", top_k=20) == []
             # Disposition records vouch for the vanished documents.
-            assert sharded.verify_results([0, 3], ["purge"]).ok
+            assert sharded.verify_results([0, 3], "purge").ok
 
 
 class TestTailMode:

@@ -83,12 +83,6 @@ class TestEpochGeneration:
             for query in epoch.queries:
                 assert len(set(query.term_ids)) == len(query.term_ids)
 
-    def test_stats_helper(self, drift):
-        epoch = next(iter(drift.epochs()))
-        ti = np.ones(2_000, dtype=np.int64)
-        stats = drift.stats_for_epoch(epoch, ti)
-        assert (stats.qi == epoch.qi).all()
-
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -78,12 +78,6 @@ class TestDiagnostics:
         s = WorkloadStats(ti=np.array([5, 5, 5]), qi=np.array([1, 2, 3]))
         assert s.rank_correlation() == 0.0
 
-    def test_restrict_to(self, stats):
-        sub = stats.restrict_to([0, 2])
-        assert list(sub.ti) == [100, 10]
-        assert list(sub.qi) == [80, 40]
-
-
 class TestValidation:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(WorkloadError):
@@ -92,18 +86,3 @@ class TestValidation:
     def test_negative_frequencies_rejected(self):
         with pytest.raises(WorkloadError):
             WorkloadStats(ti=np.array([-1]), qi=np.array([0]))
-
-    def test_from_workload(self):
-        from repro.workloads.corpus import CorpusConfig, CorpusGenerator
-        from repro.workloads.queries import QueryLogConfig, QueryLogGenerator
-
-        corpus = CorpusGenerator(
-            CorpusConfig(num_docs=50, vocabulary_size=200, mean_terms_per_doc=20)
-        )
-        log = QueryLogGenerator(
-            QueryLogConfig(num_queries=100, vocabulary_size=200)
-        )
-        stats = WorkloadStats.from_workload(corpus, log)
-        assert stats.num_terms == 200
-        assert stats.ti.sum() > 0
-        assert stats.qi.sum() > 0

@@ -70,11 +70,6 @@ class TestZipfSampler:
         value = sampler.sample_one()
         assert 0 <= value < 10
 
-    def test_expected_counts(self):
-        sampler = ZipfSampler(10, 1.0)
-        expected = sampler.expected_counts(1000)
-        assert expected.sum() == pytest.approx(1000)
-
     def test_custom_weights(self):
         weights = np.array([0.0, 1.0, 0.0])
         sampler = ZipfSampler(3, weights=weights, seed=0)

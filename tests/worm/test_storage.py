@@ -104,9 +104,9 @@ class TestCountedReadsAndSlots:
 class TestIoStats:
     def test_snapshot_and_since(self):
         io = IoStats()
-        io.count_read(3)
+        io.block_reads += 3
         snap = io.snapshot()
-        io.count_write(2)
+        io.block_writes += 2
         diff = io.since(snap)
         assert (diff.block_reads, diff.block_writes) == (0, 2)
         assert diff.total == 2
@@ -114,6 +114,6 @@ class TestIoStats:
 
     def test_reset(self):
         io = IoStats()
-        io.count_read()
+        io.block_reads += 1
         io.reset()
         assert io.total == 0
