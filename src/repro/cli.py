@@ -102,7 +102,13 @@ def _read_config(store: CachedWormStore):
     payload = b"".join(
         store.peek_block(_CONFIG_FILE, b) for b in range(worm_file.num_blocks)
     )
-    data = json.loads(payload.decode("utf-8"))
+    try:
+        data = json.loads(payload.decode("utf-8"))
+    except ValueError as error:  # not UTF-8, or not one JSON object
+        raise TamperDetectedError(
+            f"the config record init wrote does not decode: {error}",
+            location=f"config file '{_CONFIG_FILE}'", invariant="config-record",
+        ) from None
     # An absent newer key reads as one shard, or as the field's default:
     # the archive was built legacy-synchronous (tail disabled).
     fields = {
@@ -148,19 +154,28 @@ def open_archive(
     read-path cache (per shard on a sharded archive) — none of these is
     persisted, because none shapes committed state.
     """
+    if create is not None:
+        strays = [_shard_path(path, i) for i in range(shards if shards > 1 else 0)]
+        stray = next(filter(os.path.exists, strays), None)
+        if stray is not None:
+            raise ReproError(f"shard journal '{stray}' already exists: a new archive adopts none")
     device = JournaledWormDevice(path, fsync=fsync, group_commit=group_commit)
     store = CachedWormStore(None, device=device)
-    if create is not None:
-        if device.exists(_CONFIG_FILE):
-            raise ReproError(f"archive '{path}' is already initialized")
-        _write_config(store, create, shards)
-        config = create
-    else:
-        if not device.exists(_CONFIG_FILE):
-            raise ReproError(
-                f"'{path}' is not an initialized archive (run 'init' first)"
-            )
-        config, shards = _read_config(store)
+    try:
+        if create is not None:
+            if device.exists(_CONFIG_FILE):
+                raise ReproError(f"archive '{path}' is already initialized")
+            _write_config(store, create, shards)
+            config = create
+        else:
+            if not device.exists(_CONFIG_FILE):
+                raise ReproError(
+                    f"'{path}' is not an initialized archive (run 'init' first)"
+                )
+            config, shards = _read_config(store)
+    except Exception:
+        device.close()
+        raise
     if read_cache:
         config = replace(config, read_cache=True, read_cache_mb=cache_mb)
     if shards <= 1:

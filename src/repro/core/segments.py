@@ -574,9 +574,9 @@ class MergedListFamily:
         self.shared: Optional[SharedFile] = None
         self.shared_name: Optional[str] = None
         self._extents: Optional[Dict[int, Optional[Extent]]] = None
-        #: The short lists whose document IDs descend, by ID, with where
-        #: they first do (see :meth:`_short_list_descents`).
-        self._descending: Optional[Dict[int, Tuple[int, int, int]]] = None
+        #: The shared file's data blocks, and the short lists whose
+        #: document IDs descend (see :meth:`_short_lists`).
+        self._short: Optional[Tuple[tuple, Dict[int, Tuple[int, int, int]]]] = None
         #: The sealed segment's number (``None``: the appendable family).
         self.seg_no = info.seg_no if info is not None else None
         if info is not None:
@@ -748,11 +748,15 @@ class MergedListFamily:
         directory does not name it."""
         return None if self.shared is None else self._directory().get(list_id, _UNNAMED)
 
-    def _shared_blocks(self) -> Iterator[Tuple[np.ndarray, Dict[int, Tuple[int, int, int]]]]:
-        """The shared file's data blocks, decoded in order, each with the
-        order check of its short lists: ``{list id: (posting, doc ID,
-        largest ID before it)}`` at the first descent of each list that
-        has one — none in an honest segment.
+    def _shared_blocks(
+        self,
+    ) -> Iterator[Tuple[object, np.ndarray, Dict[int, Tuple[int, int, int]]]]:
+        """The shared file's data blocks, once :meth:`_directory` has
+        held the file to the manifest: in order, each as the store's
+        file hands it out (a WORM block, which guards itself), decoded,
+        and with the order check of its short lists: ``{list id:
+        (posting, doc ID, largest ID before it)}`` at the first descent
+        of each list that has one — none in an honest segment.
 
         The check is :func:`~repro.core.vecdecode.descents` with list
         starts from the directory, run a block at a time: no list
@@ -762,8 +766,10 @@ class MergedListFamily:
         for list_id, extent in self._directory().items():
             if extent is not None:
                 lists_in.setdefault(extent[1], []).append((list_id, extent[2] // POSTING_SIZE))
+        worm_file = self.store.open_file(self.shared_name)
         for block_no in range(self.shared.blocks):
-            postings = decode_blocks([self.store.peek_block(self.shared_name, block_no)])
+            block = worm_file.block(block_no)
+            postings = decode_blocks([block.read()])
             lists = lists_in[block_no]
             starts = [start for _, start in lists]
             at, top = descents(postings[:, 0], starts)
@@ -771,19 +777,26 @@ class MergedListFamily:
             for where, largest in zip(at.tolist(), top.tolist()):
                 list_id, start = lists[bisect_right(starts, where) - 1]
                 found.setdefault(list_id, (where - start, int(postings[where, 0]), largest))
-            yield postings, found
+            yield block, postings, found
 
-    def _short_list_descents(self) -> Dict[int, Tuple[int, int, int]]:
-        """:meth:`_shared_blocks`' verdicts on every short list, found
-        once, when a scan first reads one.  Concurrent first readers may
-        each run the pass; the verdict is published by one assignment
+    def _short_lists(self) -> Tuple[tuple, Dict[int, Tuple[int, int, int]]]:
+        """:meth:`_shared_blocks`' data blocks, and its verdicts on
+        every short list, by ID: found once, when a scan first reads
+        one.  A short list is then read by its address,
+        ``blocks[block].read(offset, length)``: the directory fixes its
+        extent inside the committed bytes the manifest counts, and a
+        WORM block never changes bytes it holds, so the read needs
+        neither the store nor the file again.  Concurrent first readers
+        may each run the pass; the pair is published by one assignment
         and is the same whoever lands last."""
-        if self._descending is None:
+        if self._short is None:
+            blocks = []
             descending: Dict[int, Tuple[int, int, int]] = {}
-            for _, found in self._shared_blocks():
+            for block, _, found in self._shared_blocks():
+                blocks.append(block)
                 descending.update(found)
-            self._descending = descending
-        return self._descending
+            self._short = (tuple(blocks), descending)
+        return self._short
 
     def _out_of_order(self, list_id: int, where: str, doc_id, largest) -> TamperDetectedError:
         return TamperDetectedError(
@@ -797,20 +810,21 @@ class MergedListFamily:
         as a scan reads them; ``None`` while the list has never been
         written.
 
-        A short list of a shared file is its extent, held to
-        :meth:`_short_list_descents` and not attached: the same bytes
-        attaching it would read, refused with the same alarm.  Any other
-        list is attached (and checked) on first use, then read a whole
-        block at a time.
+        A short list of a shared file is its extent, read from its block
+        (:meth:`_short_lists`), held to that segment's order check and
+        not attached: the same bytes attaching it would read, refused
+        with the same alarm.  Any other list is attached (and checked)
+        on first use, then read a whole block at a time.
         """
         extent = self._extent(list_id)
         if extent == _UNNAMED:
             return None
         if extent is not None:
-            descent = self._short_list_descents().get(list_id)
-            if descent is not None:
-                raise self._out_of_order(list_id, "block 0", *descent[1:])
-            return [self.store.peek_block(*extent)]
+            blocks, descending = self._short_lists()
+            if list_id in descending:
+                raise self._out_of_order(list_id, "block 0", *descending[list_id][1:])
+            _, block_no, offset, length = extent
+            return [blocks[block_no].read(offset, length)]
         attached = self._attach(list_id)
         if attached is None:
             return None
@@ -1004,8 +1018,8 @@ class MergedListFamily:
         Each list is read as bytes across the group (:meth:`_list_payloads`:
         a sealed short list is a slice of its shared file, checked once per
         segment, not attached), every piece held to whole postings, and
-        decoded once.  Costs and decode
-        counters are charged per block, a short list being one block;
+        decoded once.  Costs are charged once per list for the group,
+        and decode counters per block, a short list being one block;
         peers share this family's decode counters.  With or without the
         engine's read cache the body is this one: the cache holds what
         it returns, never a block.
@@ -1017,13 +1031,12 @@ class MergedListFamily:
             terms_of.setdefault(self.list_for(term_id), []).append(term_id)
         columns: List[TermColumn] = []
         for list_id in sorted(terms_of):
-            payloads: List[bytes] = []
-            for family in (self, *peers):
-                pieces = family._list_payloads(list_id)
-                if pieces is not None:
-                    costs.lists += 1
-                    costs.charge(list_id, len(pieces))
-                    payloads += pieces
+            found = [family._list_payloads(list_id) for family in (self, *peers)]
+            found = [pieces for pieces in found if pieces is not None]
+            payloads = [piece for pieces in found for piece in pieces]
+            if found:
+                costs.lists += len(found)
+                costs.charge(list_id, len(payloads))
             if not payloads:
                 continue
             doc_ids, term_codes = decode_joined(payloads)
@@ -1085,7 +1098,7 @@ class MergedListFamily:
         """
         parts: List[np.ndarray] = []
         if self.shared is not None:
-            for postings, found in self._shared_blocks():
+            for _, postings, found in self._shared_blocks():
                 for list_id, (index, doc_id, largest) in found.items():
                     raise self._out_of_order(list_id, f"posting {index}", doc_id, largest)
                 parts.append(postings)

@@ -1110,8 +1110,8 @@ class TrustworthySearchEngine:
         conjunctive joining, the commit-time constraint, and the filter
         of disposed and burned IDs.  Scoring and top-k selection are
         left to the caller — :meth:`search` ranks locally, while a
-        sharded executor re-ranks the union of per-shard matches under
-        aggregated collection statistics.
+        sharded executor scores each shard's matches under aggregated
+        collection statistics and cuts them all at once.
 
         Returns :class:`Candidates`: the matches as columns, which also
         read as a mapping ``doc_id -> {term_id: tf}``.  Term IDs are

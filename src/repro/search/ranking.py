@@ -17,8 +17,9 @@ set as columns (see :class:`~repro.search.engine.Candidates`), one
 array operation per query term.  It applies ``score``'s operations in
 ``score``'s order to every document at once, so the two can be — and in
 ``tests/search/test_ranking.py`` are — compared with ``==``.
-:func:`rank` picks between them by the size of the candidate set and
-cuts to the top ``k``.
+:func:`score` picks between them by the size of the candidate set, and
+:func:`cut` keeps the top ``k``; :func:`rank` is the two in turn, and a
+sharded executor cuts once over every shard's scores.
 """
 
 from __future__ import annotations
@@ -212,33 +213,54 @@ class CosineScorer:
         return total / np.sqrt(np.maximum(1, self.stats.lengths_of(doc_ids)))
 
 
-def rank(scorer, candidates, top_k: int) -> List[Tuple[int, float]]:
-    """The ``top_k`` best of ``candidates`` as ``(doc_id, score)`` pairs
-    of Python numbers, best first, equal scores by ascending ID.
+def score(scorer, candidates) -> Tuple[object, object]:
+    """Every one of ``candidates`` scored: ascending document IDs beside
+    their scores.
 
     ``candidates`` is a :class:`~repro.search.engine.Candidates`, whose
-    term IDs key ``scorer``'s statistics.
+    term IDs key ``scorer``'s statistics.  A set of at most
+    :data:`SCALAR_UP_TO` postings is scored by ``score`` into two lists
+    of Python numbers, a larger one by ``score_columns`` into two
+    arrays; :func:`cut` takes either.
+    """
+    if candidates.postings <= SCALAR_UP_TO:
+        rows = candidates.rows()
+        return list(rows), [scorer.score(doc_id, freqs) for doc_id, freqs in rows.items()]
+    doc_ids = candidates.doc_ids
+    return doc_ids, scorer.score_columns(doc_ids, candidates.scoring_columns())
+
+
+def contenders(scores: np.ndarray, top_k: int) -> np.ndarray:
+    """Positions of every score at least the ``top_k``-th largest, ties
+    included, ascending: the only ones a top-``k`` cut can keep."""
+    count = len(scores)
+    if count <= top_k:
+        return np.arange(count)
+    kth_best = np.partition(scores, count - top_k)[count - top_k]
+    return np.flatnonzero(scores >= kth_best)
+
+
+def cut(doc_ids, scores, top_k: int) -> List[Tuple[int, float]]:
+    """The ``top_k`` best of :func:`score`'s ``(doc_ids, scores)`` as
+    ``(doc_id, score)`` pairs of Python numbers, best first, equal
+    scores by ascending ID.
 
     Exactly ``sorted(..., key=(-score, doc_id))[:top_k]`` over every
-    candidate, without sorting them all: every score at least the
-    ``top_k``-th largest is selected (ties included) and only those are
-    sorted, stably, so ties stay in ID order.
+    candidate, without sorting them all: only the :func:`contenders`
+    are sorted, stably, so ties stay in ID order.
     """
-    if top_k <= 0 or not len(candidates):
+    if top_k <= 0 or not len(doc_ids):
         return []
-    if candidates.postings <= SCALAR_UP_TO:
-        ranked = sorted(
-            (-scorer.score(doc_id, freqs), doc_id)
-            for doc_id, freqs in candidates.rows().items()
-        )
+    if isinstance(scores, list):
+        ranked = sorted(zip([-s for s in scores], doc_ids))
         return [(doc_id, -negated) for negated, doc_id in ranked[:top_k]]
-    doc_ids = candidates.doc_ids
-    count = len(doc_ids)
-    columns = candidates.scoring_columns()
-    total = scorer.score_columns(doc_ids, columns)
-    if count > top_k:
-        kth_best = np.partition(total, count - top_k)[count - top_k]
-        best = np.flatnonzero(total >= kth_best)
-        doc_ids, total = doc_ids[best], total[best]
-    order = np.argsort(-total, kind="stable")[:top_k]
-    return list(zip(doc_ids[order].tolist(), total[order].tolist()))
+    best = contenders(scores, top_k)
+    doc_ids, scores = doc_ids[best], scores[best]
+    order = np.argsort(-scores, kind="stable")[:top_k]
+    return list(zip(doc_ids[order].tolist(), scores[order].tolist()))
+
+
+def rank(scorer, candidates, top_k: int) -> List[Tuple[int, float]]:
+    """The ``top_k`` best of ``candidates``: :func:`cut` of their
+    :func:`score`."""
+    return cut(*score(scorer, candidates), top_k)

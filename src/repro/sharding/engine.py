@@ -8,17 +8,18 @@ instances and recovers the single-engine API on top:
   (:mod:`repro.sharding.router`) and indexes each shard's group in one
   batched pass (:mod:`repro.sharding.batch`); the global↔local mapping
   is derived from the shards' commit-time logs, never stored;
-* **search** visits every shard in the caller's thread, re-ranks under
-  aggregated collection statistics, and heap-merges the per-shard runs
-  (:mod:`repro.sharding.executor`);
+* **search** visits every shard in the caller's thread, scores every
+  candidate under aggregated collection statistics, and cuts all the
+  shards' scores once at the top ``k`` (:mod:`repro.sharding.executor`);
 * **trust** is preserved compositionally: every shard enforces the
   paper's invariants over its own monotonic local IDs, each document
   has one commit point (its shard's commit-time record), and result
   verification / incident handling work on global IDs end-to-end.
 
 The equivalence that makes sharding safe to adopt — a K-shard engine
-returns the same results and scores as a 1-shard engine over the same
-corpus — is property-tested in ``tests/sharding``.
+returns the same results as a 1-shard engine over the same corpus, with
+scores equal up to floating-point reassociation — is property-tested in
+``tests/sharding``.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ class ShardedSearchEngine:
         :class:`~repro.errors.TamperDetectedError`, as the unsharded
         engine's does.  Pass a
         :class:`~repro.observability.trace.QueryTrace` as ``trace`` to
-        record the fan-out: one span per shard, the heap merge, and
-        verification.
+        record the fan-out: one span per shard, the one cut across shards
+        (``merge``), and verification.
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)

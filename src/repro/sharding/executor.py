@@ -1,24 +1,24 @@
 """Query fan-out over shards with globally consistent ranking.
 
-A query against a sharded archive runs in three stages:
+A query against a sharded archive runs in two stages:
 
 1. **fan-out** — every shard matches the query independently (its own
    merged lists, jump indexes, commit-time index, and disposition log),
-   one shard after another in the caller's thread, producing per-shard
-   candidate sets;
-2. **global re-rank** — candidates are scored with the engine's
-   configured scorer (BM25 or cosine) under *aggregated* collection
-   statistics (global document count, global document frequencies,
-   global average length), so a document's score does not depend on
-   which shard it landed on;
-3. **k-way merge** — per-shard ranked runs, already sorted by
-   ``(-score, global_id)``, are merged with a heap
-   (:func:`heapq.merge`) and cut at ``top_k``.
+   one shard after another in the caller's thread, and scores every
+   candidate it matched with the engine's configured scorer (BM25 or
+   cosine) under *aggregated* collection statistics (global document
+   count, global document frequencies, global average length), so a
+   document's score does not depend on which shard it landed on;
+2. **one cut** — the shards' scores are taken together and cut once at
+   the ``top_k``-th best.  Only the documents that can still make the
+   answer are mapped to global IDs and sorted by ``(-score, global_id)``.
 
-Because the aggregated statistics equal what a single unsharded engine
-would compute over the same corpus, a K-shard archive returns the same
-result set — and the same scores — as a 1-shard archive (property-tested
-in ``tests/sharding``).
+The aggregated statistics equal what a single unsharded engine would
+compute over the same corpus, so a K-shard archive returns the same
+result IDs as a 1-shard archive (property-tested in
+``tests/sharding``).  Scores agree up to reassociation: a shard sums a
+document's terms in ascending *shard-local* term ID (ROADMAP item 24(a)),
+so a sharded score may differ from the unsharded one in the last bit.
 
 The fan-out is a loop, not a pool: a shard run is interpreter work over
 state already in memory, so threads only pass the GIL around, and worker
@@ -28,19 +28,25 @@ is a loop*, has the measurements).
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.engine import EngineConfig, SearchResult
 from repro.search.query import Query, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
+from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, contenders, cut, score
 from repro.sharding.router import ShardRouter
+
+#: A shard's scored candidates: its local IDs, ascending, beside their
+#: scores (lists or arrays, as :func:`~repro.search.ranking.score` gives).
+ShardRun = Tuple[object, object]
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class AggregatedTermStats:
 
     Document frequencies are keyed by the query's terms, a shard-neutral
     vocabulary, since each shard grows its own term-ID space; a shard
-    scores under its own term IDs (:func:`_score_shard`).
+    scores under its own term IDs (:meth:`ParallelQueryExecutor._shard_run`).
     """
 
     df: Dict[str, int]
@@ -85,58 +91,8 @@ class _ShardScopedStats:
         self.lengths_of = local.lengths_of
 
 
-def _merge_key(result: SearchResult) -> Tuple[float, int]:
-    return (-result.score, result.doc_id)
-
-
-def _merge_runs(
-    runs: Sequence[List[SearchResult]], top_k: int, trace
-) -> List[SearchResult]:
-    """K-way heap merge of per-shard runs sorted by ``_merge_key``."""
-    merge_start = perf_counter()
-    results = list(islice(heapq.merge(*runs, key=_merge_key), top_k))
-    if trace is not None:
-        trace.record(
-            "merge",
-            start=merge_start,
-            end=perf_counter(),
-            runs=len(runs),
-            results=len(results),
-        )
-    return results
-
-
-def _score_shard(
-    engine, query: Query, aggregate: AggregatedTermStats, ranking: str, top_k: int
-) -> List[Tuple[int, float]]:
-    """Match + globally score one shard; its best ``top_k`` as a
-    shard-local ``(id, score)`` run.
-
-    Candidates from the shard's own index, ranked by
-    :func:`repro.search.ranking.rank` under its own term IDs, as an
-    unsharded engine ranks, with aggregated df/num_docs/avg length and
-    shard-local document lengths.
-    Ordering by ``(-score, local_id)`` matches the global sort because
-    a shard's ``k``-th committed local ID maps to the ``k``-th global ID
-    routed to it, so local and global IDs rise together within a shard
-    and no document past a shard's ``top_k`` can reach the global
-    ``top_k``.
-    """
-    candidates = engine.match(query)
-    if not candidates:
-        return []
-    df: Dict[int, int] = {}
-    for term, count in aggregate.df.items():
-        term_id = engine.term_id(term)
-        if term_id is not None:
-            df[term_id] = count
-    stats = _ShardScopedStats(aggregate, engine.stats, df)
-    scorer = BM25Scorer(stats) if ranking == "bm25" else CosineScorer(stats)
-    return rank(scorer, candidates, top_k)
-
-
 class ParallelQueryExecutor:
-    """Runs a query on every shard in turn and merges the ranked runs.
+    """Runs a query on every shard in turn and cuts their scores once.
 
     Parallel in name only (``bench/layers.py`` binds the name): the
     shards are visited by a loop in the calling thread, which starts no
@@ -202,14 +158,13 @@ class ParallelQueryExecutor:
         """Run ``query`` across all shards; returns global ranked results.
 
         With a :class:`~repro.observability.trace.QueryTrace` attached,
-        each shard contributes a ``shard`` span and the final heap merge
-        a ``merge`` span.  A shard's exception propagates with its type
-        kept and ``shard_index`` attached; later shards are not visited.
+        each shard contributes a ``shard`` span and the one cut across
+        shards a ``merge`` span.  A shard's exception propagates with its
+        type kept and ``shard_index`` attached; later shards are not
+        visited.
         """
         if self.closed:
-            raise WorkloadError(
-                "query executor is closed; open a new engine to run queries"
-            )
+            raise WorkloadError("query executor is closed; open a new engine to run queries")
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
         self._c_fanout.inc()
@@ -217,7 +172,16 @@ class ParallelQueryExecutor:
         runs = []
         try:
             for shard_index in range(len(self.shards)):
-                runs.append(self._timed_shard_run(shard_index, query, aggregate, top_k, trace))
+                start = perf_counter()
+                run = self._shard_run(shard_index, query, aggregate)
+                end = perf_counter()
+                if self._metrics_on:
+                    self._run_series[shard_index].observe(end - start)
+                if trace is not None:
+                    trace.record(
+                        "shard", start=start, end=end, shard=shard_index, results=len(run[0])
+                    )
+                runs.append(run)
         except Exception as exc:
             # Type-preserving, so TamperDetectedError handling upstream
             # keeps working.
@@ -228,11 +192,9 @@ class ParallelQueryExecutor:
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note(f"raised by shard {shard_index} during query fan-out")
             raise
-        return _merge_runs(runs, top_k, trace)
+        return self._cut(runs, top_k, trace)
 
-    def aggregate_term_stats(
-        self, terms: Sequence[str]
-    ) -> AggregatedTermStats:
+    def aggregate_term_stats(self, terms: Sequence[str]) -> AggregatedTermStats:
         """Cross-shard collection statistics for one query's terms.
 
         Sums per-shard document frequencies, document counts, and total
@@ -253,45 +215,51 @@ class ParallelQueryExecutor:
             sum(shard.stats.total_length for shard in self.shards),
         )
 
-    def _timed_shard_run(
-        self,
-        shard_index: int,
-        query: Query,
-        aggregate: AggregatedTermStats,
-        top_k: int,
-        trace,
-    ) -> List[SearchResult]:
-        """Run one shard sub-query under the run-time series and a span."""
-        run_start = perf_counter()
-        result = self._shard_run(shard_index, query, aggregate, top_k)
-        run_end = perf_counter()
-        if self._metrics_on:
-            self._run_series[shard_index].observe(run_end - run_start)
-        if trace is not None:
-            trace.record(
-                "shard",
-                start=run_start,
-                end=run_end,
-                shard=shard_index,
-                results=len(result),
-            )
-        return result
-
     def _shard_run(
-        self,
-        shard_index: int,
-        query: Query,
-        aggregate: AggregatedTermStats,
-        top_k: int,
-    ) -> List[SearchResult]:
-        """Match + globally score one shard; returns a sorted run."""
-        to_global = self.router.to_global
-        return [
-            SearchResult(doc_id=to_global(shard_index, local_id), score=score)
-            for local_id, score in _score_shard(
-                self.shards[shard_index], query, aggregate, self.config.ranking, top_k
-            )
-        ]
+        self, shard_index: int, query: Query, aggregate: AggregatedTermStats
+    ) -> ShardRun:
+        """Match one shard and score every candidate, uncut: the shard's
+        own index, scored as an unsharded engine scores under its own
+        term IDs, with aggregated df/num_docs/avg length and shard-local
+        document lengths."""
+        engine = self.shards[shard_index]
+        candidates = engine.match(query)
+        if not len(candidates):
+            return (), ()
+        df: Dict[int, int] = {}
+        for term, count in aggregate.df.items():
+            term_id = engine.term_id(term)
+            if term_id is not None:
+                df[term_id] = count
+        stats = _ShardScopedStats(aggregate, engine.stats, df)
+        scorer = BM25Scorer(stats) if self.config.ranking == "bm25" else CosineScorer(stats)
+        return score(scorer, candidates)
+
+    def _cut(self, runs: Sequence[ShardRun], top_k: int, trace) -> List[SearchResult]:
+        """The ``top_k`` best of every shard's scored candidates, in
+        global IDs, by :func:`~repro.search.ranking.cut`: exactly sorting
+        every candidate by ``(-score, global_id)`` and cutting.
+
+        One threshold, the ``top_k``-th best score of them all, picks
+        the contenders, ties at it included, whichever shards they are
+        on; only those are mapped to global IDs and sorted.
+        """
+        start = perf_counter()
+        shards = [at for at, run in enumerate(runs) if len(run[0])] if top_k > 0 else []
+        results: List[SearchResult] = []
+        if shards:
+            every_score = np.concatenate([runs[at][1] for at in shards])
+            best = contenders(every_score, top_k)
+            ends = list(accumulate(len(runs[at][0]) for at in shards))
+            owners = [shards[bisect_right(ends, at)] for at in best.tolist()]
+            local_ids = np.concatenate([runs[at][0] for at in shards])[best].tolist()
+            global_ids = list(map(self.router.to_global, owners, local_ids))
+            scores = every_score[best].tolist()
+            results = [SearchResult(doc_id=d, score=s) for d, s in cut(global_ids, scores, top_k)]
+        if trace is not None:
+            end = perf_counter()
+            trace.record("merge", start=start, end=end, runs=len(runs), results=len(results))
+        return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelQueryExecutor(shards={len(self.shards)})"
