@@ -18,158 +18,184 @@ Concurrency contract
 --------------------
 The tail is written by exactly one writer at a time — the same
 single-writer discipline the WORM append path already requires, and the
-one the service layer (writer-preferring lock) enforces.  Readers take
-:meth:`MutableTailIndex.snapshot`, which is a constant-time capture of
-the current dict references:
-
-* :meth:`clear` (sealing) replaces the dicts wholesale, so a snapshot
-  taken before a seal stays valid forever (copy-on-seal);
-* :meth:`add` mutates in place, so snapshots are only isolated from
-  concurrent *adds* when readers exclude the writer — which the
-  reader-writer lock guarantees wherever the engine is driven
-  concurrently.
+one the service layer (writer-preferring lock) enforces.  Its postings
+are columns sorted by (term, document), and :meth:`MutableTailIndex.add`
+and :meth:`~MutableTailIndex.clear` replace them with new arrays: nothing
+ever writes into columns once built.  :meth:`~MutableTailIndex.snapshot`
+hands out the current ones, so a snapshot is isolated from every later
+add and seal, whether or not readers exclude the writer.  What the
+reader-writer lock still orders is a view of the whole engine: a seal
+publishes its segment before it clears the tail, and a reader must not
+see the segments from before and the tail from after.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.vecdecode import TermColumn, posting_array
+from repro.core.vecdecode import TermColumn
 from repro.errors import WorkloadError
+
+#: A posting of the tail as one sortable key: ``term << 40 | doc << 8 |
+#: tf``.  Sorting the keys sorts the postings by (term, document).
+_TERM_SHIFT = 40
+_DOC_SHIFT = 8
+_TF_MASK = 0xFF
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 class TailSnapshot:
-    """An immutable read view of the tail at one instant.
+    """An immutable read view of the tail at one instant: its postings'
+    keys, sorted, and beside them the term, document and tf columns
+    decoded from them once, when the tail was added to.  A read is a
+    binary search of the term column for each wanted term's run — in
+    Python, over a memoryview, which for the few terms of a query costs
+    less than one array call — and a slice of each column."""
 
-    Holds references to the tail's internal dicts (cheap — no copying);
-    see the module docstring for when those references are stable.
-    """
+    __slots__ = ("_keys", "_terms", "_docs", "_tfs")
 
-    __slots__ = ("_postings", "_docs")
+    def __init__(self, keys: np.ndarray):
+        self._keys = _frozen(keys)
+        self._terms = memoryview(_frozen((keys >> np.uint64(_TERM_SHIFT)).astype(np.uint32)))
+        self._docs = _frozen((keys >> np.uint64(_DOC_SHIFT)).astype(np.uint32))
+        self._tfs = _frozen((keys & np.uint64(_TF_MASK)).astype(np.uint32))
 
-    def __init__(
-        self,
-        postings: Dict[int, List[Tuple[int, int]]],
-        docs: Dict[int, Dict[int, int]],
-    ):
-        self._postings = postings
-        self._docs = docs
+    def _runs(self, term_ids: Iterable[int]) -> List[Tuple[int, int, int]]:
+        """``(term_id, start, stop)`` of every distinct one of
+        ``term_ids`` the tail holds postings of, ascending."""
+        terms = self._terms
+        runs = []
+        for term_id in sorted(set(term_ids)):
+            start = bisect_left(terms, term_id)
+            if start < len(terms) and terms[start] == term_id:
+                runs.append((term_id, start, bisect_right(terms, term_id, start)))
+        return runs
 
     def collect_candidates(self, wanted: Iterable[int]) -> List[TermColumn]:
         """The wanted terms' tail postings as ``(term_id, doc_ids, tfs)``
         columns (the disjunctive path), in term order.  The tail is
         unmerged, so the postings returned are the entries scanned."""
-        columns: List[TermColumn] = []
-        for term_id in sorted(set(wanted)):
-            entries = self._postings.get(term_id)
-            if entries:
-                doc_ids, codes = zip(*entries)
-                tfs = np.array(codes, dtype=np.uint32) >> 24
-                columns.append(
-                    (term_id, np.array(doc_ids, dtype=np.uint32), np.maximum(tfs, 1))
-                )
-        return columns
+        docs, tfs = self._docs, self._tfs
+        return [
+            (term_id, docs[start:stop], tfs[start:stop])
+            for term_id, start, stop in self._runs(wanted)
+        ]
 
     def docs_with_all(self, term_ids: Sequence[int]) -> List[int]:
         """Tail documents containing *all* of ``term_ids`` (doc order)."""
-        if not term_ids:
+        runs = self._runs(term_ids)
+        if not runs or len(runs) < len(set(term_ids)):
             return []
-        # Iterate the rarest term's postings; membership-check the rest.
-        rarest = min(term_ids, key=lambda t: len(self._postings.get(t, ())))
-        others = [t for t in term_ids if t != rarest]
-        return [
-            doc_id
-            for doc_id, _ in self._postings.get(rarest, ())
-            if all(t in self._docs[doc_id] for t in others)
-        ]
+        # Each of the rarest term's documents is searched for in the
+        # other terms' runs; they ascend, so a search starts where the
+        # one before it stopped.
+        runs.sort(key=lambda run: run[2] - run[1])
+        docs = memoryview(self._docs)
+        found = docs[runs[0][1] : runs[0][2]].tolist()
+        for _, start, stop in runs[1:]:
+            kept = []
+            for doc_id in found:
+                start = bisect_left(docs, doc_id, start, stop)
+                if start < stop and docs[start] == doc_id:
+                    kept.append(doc_id)
+            found = kept
+        return found
 
 
 class MutableTailIndex:
-    """Per-term postings of documents not yet sealed into a segment.
+    """The postings of documents not yet sealed into a segment.
 
-    Postings store the same packed ``term_code`` bytes the merged WORM
-    lists do (:func:`repro.core.posting.pack_term_tf`), so tf clamping
-    and unpacking behave byte-for-byte like the legacy synchronous path.
+    A posting keeps what a merged WORM list's does: the document, the
+    term and the tf clamped to a byte
+    (:func:`repro.core.posting.pack_term_tf`), so tf clamping and
+    unpacking behave byte-for-byte like the legacy synchronous path.
     """
 
     def __init__(self) -> None:
-        self._postings: Dict[int, List[Tuple[int, int]]] = {}
-        self._docs: Dict[int, Dict[int, int]] = {}
-        self._num_postings = 0
+        self.clear()
 
     # ------------------------------------------------------------------
     # write path (single writer)
     # ------------------------------------------------------------------
-    def add(self, doc_id: int, codes: Mapping[int, int]) -> None:
-        """Register ``doc_id`` with its ``term_id -> packed_code`` map.
+    def add(
+        self,
+        doc_ids: Sequence[int],
+        docs: Sequence[int],
+        terms: Sequence[int],
+        tfs: Sequence[int],
+    ) -> None:
+        """Register a batch of documents, ``doc_ids``, with their
+        postings as three columns of one row per posting: document,
+        term ID and tf (1..255).  A document without postings counts
+        all the same.
 
         Document IDs must arrive in strictly increasing order — the
         monotonicity invariant every trustworthy index here relies on.
         """
-        last = self.last_doc
-        if last is not None and doc_id <= last:
-            raise WorkloadError(
-                f"tail doc ids must be strictly increasing; got {doc_id} "
-                f"after {last}"
-            )
-        self._docs[doc_id] = dict(codes)
-        for term_id in sorted(codes):
-            self._postings.setdefault(term_id, []).append(
-                (doc_id, codes[term_id])
-            )
-        self._num_postings += len(codes)
+        for doc_id in doc_ids:
+            if self.last_doc is not None and doc_id <= self.last_doc:
+                raise WorkloadError(
+                    f"tail doc ids must be strictly increasing; got {doc_id} "
+                    f"after {self.last_doc}"
+                )
+            if self.first_doc is None:
+                self.first_doc = doc_id
+            self.last_doc = doc_id
+            self.doc_count += 1
+        if not len(docs):
+            return
+        added = (
+            np.asarray(terms, dtype=np.uint64) << np.uint64(_TERM_SHIFT)
+            | np.asarray(docs, dtype=np.uint64) << np.uint64(_DOC_SHIFT)
+            | np.asarray(tfs, dtype=np.uint64)
+        )
+        self._snapshot = TailSnapshot(
+            np.sort(np.concatenate((self._snapshot._keys, added)), kind="stable")
+        )
 
     def clear(self) -> None:
         """Drop everything (after sealing).
 
-        Replaces the dicts instead of clearing them so outstanding
-        snapshots keep their pre-seal view (copy-on-seal).
+        Replaces the columns, like every add, so outstanding snapshots
+        keep their pre-seal view (copy-on-seal).
         """
-        self._postings = {}
-        self._docs = {}
-        self._num_postings = 0
+        self._snapshot = TailSnapshot(np.empty(0, dtype=np.uint64))
+        #: The documents added since the last seal, postings or none.
+        self.first_doc: Optional[int] = None
+        self.last_doc: Optional[int] = None
+        self.doc_count = 0
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
     def snapshot(self) -> TailSnapshot:
         """A constant-time immutable view (see the module docstring)."""
-        return TailSnapshot(self._postings, self._docs)
-
-    @property
-    def doc_count(self) -> int:
-        return len(self._docs)
+        return self._snapshot
 
     @property
     def posting_count(self) -> int:
-        return self._num_postings
-
-    @property
-    def first_doc(self) -> Optional[int]:
-        return next(iter(self._docs), None)
-
-    @property
-    def last_doc(self) -> Optional[int]:
-        return next(reversed(self._docs), None)
+        return len(self._snapshot._keys)
 
     def term_counts(self) -> Dict[int, int]:
         """``term_id -> posting count`` (popularity input for sealing)."""
-        return {t: len(entries) for t, entries in self._postings.items()}
+        terms, counts = np.unique(self._snapshot._terms, return_counts=True)
+        return dict(zip(terms.tolist(), counts.tolist()))
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All postings flattened into fresh ``(doc_ids, term_codes)``
-        ``uint32`` columns, term after term — the sealer's input."""
-        postings = posting_array(chain.from_iterable(self._postings.values()))
-        return postings[:, 0], postings[:, 1]
-
-    def __len__(self) -> int:
-        return len(self._docs)
+        """All postings as fresh ``(doc_ids, term_codes)`` ``uint32``
+        columns, term after term — the sealer's input."""
+        snapshot = self._snapshot
+        return snapshot._docs.copy(), np.asarray(snapshot._terms) | snapshot._tfs << np.uint32(24)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MutableTailIndex(docs={len(self._docs)}, "
-            f"postings={self._num_postings})"
+            f"MutableTailIndex(docs={self.doc_count}, "
+            f"postings={self.posting_count})"
         )

@@ -27,15 +27,17 @@ Example
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import MergeStrategy, UniformHashMerge
-from repro.core.posting import MAX_TERM_ID_WITH_TF, pack_term_tf
+from repro.core.posting import MAX_PACKED_TF, MAX_TERM_ID_WITH_TF
 from repro.core.posting_list import PostingList
 from repro.core.segments import (
     STRATEGY_POPULAR,
@@ -56,7 +58,7 @@ from repro.core.time_index import CommitTimeIndex
 from repro.core.vecdecode import TermColumn, ascending
 from repro.core import verification
 from repro.core.verification import ResultVerdict
-from repro.errors import WorkloadError
+from repro.errors import TamperDetectedError, WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.documents import DocumentStore
@@ -70,6 +72,18 @@ from repro.worm.storage import CachedWormStore
 
 #: Longest term (in UTF-8 bytes) the WORM lexicon log retains.
 MAX_LEXICON_TERM_BYTES = 128
+
+#: Terms of at most this many characters are canonical as they stand:
+#: a character is at most four UTF-8 bytes.
+_SHORT_TERM = MAX_LEXICON_TERM_BYTES // 4
+
+#: The WORM log of the lexicon: each term, new in the order of first
+#: appearance, on a line of its own.
+LEXICON_FILE = "engine/lexicon"
+
+#: Documents re-analysed and folded in at a time on restart, which
+#: bounds the columns a restart holds at once.
+_RESTORE_CHUNK = 64
 
 
 def lexicon_key(term: str) -> str:
@@ -91,6 +105,12 @@ def lexicon_key(term: str) -> str:
     while cut > 0 and (raw[cut] & 0xC0) == 0x80:
         cut -= 1
     return raw[:cut].decode("utf-8")
+
+
+def _canonical(term: str) -> str:
+    """:func:`lexicon_key`, without encoding a term short enough to be
+    canonical already."""
+    return term if len(term) <= _SHORT_TERM else lexicon_key(term)
 
 
 @dataclass(frozen=True)
@@ -384,6 +404,24 @@ def _concatenated(pieces: Iterable[Sequence[TermColumn]]) -> List[TermColumn]:
     return columns
 
 
+class _Columns(NamedTuple):
+    """Analysed documents as columns: term ``ids`` (the lexicon's own
+    ints, which the statistics keep) and ``tfs`` (as postings carry it,
+    clamped to a byte) hold one row per posting, document after
+    document, ``sizes[i]`` rows for the ``i``-th; ``lengths`` are the
+    documents' token counts.
+    ``new_terms`` are the canonical terms new to the lexicon in ID
+    order, the ``i``-th document introducing
+    ``new_terms[marks[i]:marks[i + 1]]``."""
+
+    sizes: List[int]
+    ids: List[int]
+    tfs: np.ndarray
+    lengths: List[int]
+    new_terms: List[str]
+    marks: List[int]
+
+
 class TrustworthySearchEngine:
     """Keyword search over records retained on WORM storage.
 
@@ -445,7 +483,8 @@ class TrustworthySearchEngine:
         # appearance).  Rebuildable from the WORM lexicon log.
         self._term_ids: Dict[str, int] = {}
         self._terms: List[str] = []
-        self._lexicon_file = self.store.ensure_file("engine/lexicon")
+        self._lexicon_file = self.store.ensure_file(LEXICON_FILE)
+        self._lexicon_extent = self._lexicon_now()
         # The directly-appended merged lists (``engine/pl/``); physical
         # lists are created lazily as terms first hash into them.
         self._family = self._open_family(
@@ -489,15 +528,14 @@ class TrustworthySearchEngine:
         Everything rebuilt here is *derived* data: the lexicon log, the
         commit-time log, the posting lists, and the documents themselves
         all live on WORM (the posting lists and commit log verified their
-        own invariants when reattached).  Ranking statistics and posting
-        counts are recomputed from the stored documents, re-analysed as
-        they were at ingest — the one way a document gets its terms.
+        own invariants when reattached).  Ranking statistics and the tail
+        are refolded from the stored documents, re-analysed as they were
+        at ingest, through the fold ingest uses, a chunk of documents at
+        a time: every document above the sealed horizon re-enters the
+        tail.  A disposed document does not re-enter — its absence is
+        explained by the disposition log.
         """
-        payload = b"".join(
-            self.store.peek_block("engine/lexicon", b)
-            for b in range(self._lexicon_file.num_blocks)
-        )
-        self._remember(raw.decode("utf-8") for raw in payload.split(b"\n") if raw)
+        self._restore_lexicon()
         commit_times = {}
         for commit_time, doc_id in self.time_index.iter_records():
             commit_times[doc_id] = commit_time
@@ -505,34 +543,42 @@ class TrustworthySearchEngine:
         # with a gap where a crash burned one.
         self.documents.restore(next(reversed(commit_times), -1) + 1, commit_times)
         self._clock = self.time_index.last_commit_time + 1
-        # The tail itself is derived data: every document above the
-        # sealed horizon re-enters it from the journaled document +
-        # commit-time logs.  A disposed never-sealed document simply
-        # does not re-enter — its absence is explained by the
-        # disposition log.
         sealed_through = (
             self._manifest.sealed_through if self._manifest is not None else -1
         )
-        for doc_id in commit_times:
-            if not self.documents.exists(doc_id):
-                continue
-            text = self.documents.get(doc_id).text
-            term_counts = self.analyzer.term_counts(text)
-            id_counts = {}
-            for t, c in term_counts.items():
-                tid = self.term_id(t)
-                if tid is not None:
-                    id_counts[tid] = c
-            if id_counts:
-                self.stats.add_document(doc_id, id_counts)
-            if self._tail is not None and doc_id > sealed_through:
-                self._tail.add(
-                    doc_id,
-                    {
-                        tid: pack_term_tf(tid, count)
-                        for tid, count in id_counts.items()
-                    },
-                )
+        alive = [doc_id for doc_id in commit_times if self.documents.exists(doc_id)]
+        for at in range(0, len(alive), _RESTORE_CHUNK):
+            doc_ids = alive[at : at + _RESTORE_CHUNK]
+            batch = self._columns(
+                [self.analyzer.term_counts(self.documents.get(d).text) for d in doc_ids],
+                allocate=False,
+            )
+            self._fold(doc_ids, batch, sealed_through)
+
+    def _restore_lexicon(self) -> None:
+        """Read the lexicon log back, checking every line: a record ends
+        in a newline and never spans a block, so each block ends in one;
+        each line is UTF-8, a canonical term (:func:`lexicon_key`), and
+        new.  A line that re-binds a known term, or glues onto a record
+        that lost its newline, would give committed documents' terms the
+        wrong IDs, so it refuses the archive instead."""
+        seen = self._term_ids
+        for block_no in range(self._lexicon_file.num_blocks):
+            *lines, unended = self.store.peek_block(LEXICON_FILE, block_no).split(b"\n")
+            for line in lines + [unended] if unended else lines:
+                try:
+                    term = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    term = ""
+                if line is unended or not term or _canonical(term) != term or term in seen:
+                    raise TamperDetectedError(
+                        f"lexicon line {line[:40]!r} is not a new canonical "
+                        f"term ending in a newline",
+                        location=f"'{LEXICON_FILE}', block {block_no}",
+                        invariant="lexicon-record",
+                    )
+                self._remember((term,))
+        self._lexicon_extent = self._lexicon_now()
 
     # ------------------------------------------------------------------
     # observability
@@ -665,7 +711,7 @@ class TrustworthySearchEngine:
         allocation, so the in-memory lexicon, the WORM lexicon log, and
         query-time lookups always agree on one byte sequence per term.
         """
-        return self._term_ids.get(lexicon_key(term))
+        return self._term_ids.get(_canonical(term))
 
     def _remember(self, terms: Iterable[str]) -> None:
         """Give each of ``terms`` the next term ID, in memory."""
@@ -673,15 +719,29 @@ class TrustworthySearchEngine:
             self._term_ids[term] = len(self._terms)
             self._terms.append(term)
 
+    def _lexicon_now(self) -> Tuple[int, int]:
+        """The lexicon log's blocks and its tail block's bytes: all of
+        its WORM state an append can change."""
+        blocks = self._lexicon_file.num_blocks
+        return blocks, self._lexicon_file.block(blocks - 1).fill if blocks else 0
+
     def _add_terms(self, terms: Sequence[str]) -> None:
-        """Allocate IDs, in order, for canonical ``terms`` new to the
-        lexicon: logged first — one WORM record for all of them, more
-        only when they outgrow a block (a record never spans one) — then
-        added in memory.  The log's bytes are those of a record per
-        term, so restart reads it as ever.  The analyzer's terms hold
-        no newline, the log's delimiter."""
-        if len(self._terms) + len(terms) > MAX_TERM_ID_WITH_TF + 1:
-            raise WorkloadError("lexicon exceeded the 24-bit term-id space")
+        """Log canonical ``terms`` new to the lexicon, then give each the
+        next ID in memory: one WORM record for all of them, more only
+        when they outgrow a block (a record never spans one).  The log's
+        bytes are those of a record per term, so restart reads it as
+        ever.  The analyzer's terms hold no newline, the log's delimiter.
+
+        The writer appends only after its own bytes: a line someone else
+        appended would take the ID the writer's next term has in memory,
+        so the log must be what the writer last left, or nothing is
+        appended."""
+        if self._lexicon_now() != self._lexicon_extent:
+            raise TamperDetectedError(
+                "the lexicon log holds bytes this writer did not append",
+                location=f"'{LEXICON_FILE}'",
+                invariant="lexicon-record",
+            )
         record = b""
         for line in (term.encode("utf-8") + b"\n" for term in terms):
             if record and len(record) + len(line) > self.store.block_size:
@@ -690,6 +750,7 @@ class TrustworthySearchEngine:
             record += line
         if record:
             self._lexicon_file.append_record(record)
+        self._lexicon_extent = self._lexicon_now()
         self._remember(terms)
 
     @property
@@ -753,10 +814,11 @@ class TrustworthySearchEngine:
         directly-appended family — plus the tail snapshot in tail mode
         (``None`` otherwise).  Constant-time: a tuple reference plus a
         :class:`~repro.core.tail.TailSnapshot`.  The view keeps serving
-        the pre-event state across later seals and merges (segments are
-        immutable and the tail copies-on-seal); isolation from
-        concurrent *adds* relies on the single-writer lock discipline —
-        see :mod:`repro.core.tail`.
+        the pre-event state across later seals, merges and adds
+        (segments are immutable, and every add and seal replaces the
+        tail's columns); that the families and the tail are of one
+        instant relies on the single-writer lock discipline — see
+        :mod:`repro.core.tail`.
         """
         if self._tail is None:
             return (self._family,), None
@@ -974,29 +1036,52 @@ class TrustworthySearchEngine:
         2.3 forbids (the call does not return until every document in
         the batch is queryable).
 
-        Tail mode registers each document's postings in the tail and
-        writes its commit-time record right after it.  Otherwise the
-        postings go to the merged WORM lists one pass per list, in
-        ascending document order, and the batch's commit-time records
-        follow: a crash among the appends leaves IDs that no record
-        commits — burned — not committed documents missing postings.
-        Each posting is still appended on its own, through Section 3's
-        cache model, so with an unbounded storage cache the
-        :class:`~repro.worm.iostats.IoStats` counts are those of
-        ingesting the documents one at a time (Figure 2/8(b)).
+        The batch is analysed into columns first, each distinct term
+        resolved once (:meth:`_columns`).  Then, document by document,
+        its file, the lexicon record of the terms it introduces, and in
+        tail mode its commit-time record.  Otherwise the postings go to
+        the merged WORM lists ordered by (list, document, term), one
+        posting at a time through Section 3's cache model, so with an
+        unbounded storage cache the :class:`~repro.worm.iostats.IoStats`
+        counts are those of ingesting the documents one at a time
+        (Figure 2/8(b)); the batch's commit-time records follow, and a
+        crash among the appends leaves IDs that no record commits —
+        burned — not committed documents missing postings.  Whatever
+        raises, the documents whose commit-time records landed are
+        folded into the statistics and the tail (:meth:`_fold`).
         """
         texts = list(texts)
         commit_times = check_commit_times(self._clock, len(texts), commit_times)
         start = perf_counter() if self._metrics_on else 0.0
-        postings_by_list: Dict[int, List[Tuple[int, int]]] = {}
-        doc_ids = [
-            self._commit_document(text, commit_time, postings_by_list)
-            for text, commit_time in zip(texts, commit_times)
-        ]
-        if self._tail is None:
-            self._family.append_many(sorted(postings_by_list.items()))
-            for doc_id, commit_time in zip(doc_ids, commit_times):
-                self.time_index.record_commit(doc_id, commit_time)
+        batch = self._columns(
+            [self.analyzer.term_counts(text) for text in texts], allocate=True
+        )
+        retention = self.config.retention_period
+        doc_ids: List[int] = []
+        committed = 0
+        try:
+            for at, (text, commit_time) in enumerate(zip(texts, commit_times)):
+                self._clock = commit_time + 1
+                until = None if retention is None else commit_time + retention
+                doc_ids.append(
+                    self.documents.commit(text, commit_time=commit_time, retention_until=until)
+                )
+                new_terms = batch.new_terms[batch.marks[at] : batch.marks[at + 1]]
+                if new_terms:
+                    self._add_terms(new_terms)
+                if self._tail is not None:
+                    self.time_index.record_commit(doc_ids[-1], commit_time)
+                    committed += 1
+            if self._tail is None:
+                self._append_postings(doc_ids, batch)
+                for doc_id, commit_time in zip(doc_ids, commit_times):
+                    self.time_index.record_commit(doc_id, commit_time)
+                    committed += 1
+        finally:
+            self._fold(doc_ids[:committed], batch)
+            if self._metrics_on:
+                self._c_docs.inc(committed)
+                self._c_postings.inc(sum(batch.sizes[:committed]))
         if self._metrics_on:
             self._m_ingest.observe(perf_counter() - start)
         if self._tail is not None:
@@ -1006,53 +1091,92 @@ class TrustworthySearchEngine:
                 self.seal_tail()
         return doc_ids
 
-    def _commit_document(
-        self,
-        text: str,
-        commit_time: int,
-        postings_by_list: Dict[int, List[Tuple[int, int]]],
-    ) -> int:
-        """Commit one document of :meth:`index_batch` and register its
-        postings; returns its ID.
+    def _columns(self, analysed: List[Dict[str, int]], *, allocate: bool) -> _Columns:
+        """Documents' ``term -> count`` maps as :class:`_Columns`, each
+        distinct term resolved once.
 
-        The terms the document introduces go to the lexicon log as one
-        record.  Tail mode adds the postings to the tail (the document,
-        commit-time and lexicon logs journal everything it is rebuilt
-        from) and writes the commit-time record, which makes the
-        document one.  Otherwise the postings are grouped per merged
-        list into ``postings_by_list``, for the batch to append.
+        With ``allocate``, a term new to the lexicon gets the next ID
+        in the order of first appearance, which is the order ingest logs
+        them in; nothing is logged or remembered yet, and a batch that
+        would overflow the 24-bit term space is refused before anything
+        is written.  Without it (a restart), a term the lexicon lacks
+        is dropped.  Two terms of a document that share a canonical key
+        are one posting, and the later count stands, as in a dict.
         """
-        term_counts = self.analyzer.term_counts(text)
-        self._clock = commit_time + 1
-        retention_until = (
-            commit_time + self.config.retention_period
-            if self.config.retention_period is not None
-            else None
-        )
-        doc_id = self.documents.commit(
-            text, commit_time=commit_time, retention_until=retention_until
-        )
-        keys = {term: lexicon_key(term) for term in term_counts}
-        lookup = self._term_ids.get
-        self._add_terms(
-            list(dict.fromkeys(k for k in keys.values() if lookup(k) is None))
-        )
-        id_counts = {lookup(keys[term]): count for term, count in term_counts.items()}
+        known = self._term_ids
+        term_of: Dict[str, Optional[int]] = {}
+        fresh: Dict[str, int] = {}
+        base = len(self._terms)
+        rare = False
+        for term in dict.fromkeys(chain.from_iterable(analysed)):
+            key = _canonical(term)
+            term_id = known.get(key)
+            if term_id is None and allocate:
+                term_id = fresh.setdefault(key, base + len(fresh))
+            term_of[term] = term_id
+            if term_id is None or key is not term:
+                rare = True
+        if base + len(fresh) > MAX_TERM_ID_WITH_TF + 1:
+            raise WorkloadError("lexicon exceeded the 24-bit term-id space")
+        lookup = term_of.__getitem__
+        if rare:
+            analysed = [
+                {term_of[t]: c for t, c in counts.items() if term_of[t] is not None}
+                for counts in analysed
+            ]
+            lookup = int  # the keys are term IDs now
+        ids = list(map(lookup, chain.from_iterable(analysed)))
+        sizes = list(map(len, analysed))
+        # New IDs go in order of first appearance, so a document
+        # introduces those from the last one before it through its own
+        # highest.
+        marks, at = [0], 0
+        for size in sizes:
+            marks.append(max(marks[-1], max(ids[at : at + size], default=-1) + 1 - base))
+            at += size
+        tfs = np.fromiter(chain.from_iterable(map(dict.values, analysed)), np.int64, len(ids))
+        lengths = [sum(counts.values()) for counts in analysed]
+        return _Columns(sizes, ids, np.minimum(tfs, MAX_PACKED_TF), lengths, list(fresh), marks)
+
+    def _fold(self, doc_ids: List[int], batch: _Columns, sealed_through: int = -1) -> None:
+        """Fold the first ``len(doc_ids)`` documents of ``batch``,
+        committed as ``doc_ids``, into the statistics, and (tail mode)
+        those above ``sealed_through`` into the tail: the one way a
+        document's terms reach memory, at ingest and on restart alike.
+        A document without terms counts as one."""
+        count = len(doc_ids)
+        if not count:
+            return
+        sizes = batch.sizes[:count]
+        rows = sum(sizes)
+        self.stats.add(doc_ids, batch.lengths[:count], batch.ids[:rows], sizes)
+        if self._tail is not None:
+            first = bisect_right(doc_ids, sealed_through)
+            skip = sum(sizes[:first])
+            docs = np.repeat(np.array(doc_ids[first:], dtype=np.int64), sizes[first:])
+            self._tail.add(doc_ids[first:], docs, batch.ids[skip:rows], batch.tfs[skip:rows])
+
+    def _append_postings(self, doc_ids: List[int], batch: _Columns) -> None:
+        """Append the batch's postings to the directly-appended lists,
+        in the order one sort gives: (list, document, term ID)."""
+        if not batch.ids:
+            return
+        terms = np.array(batch.ids, dtype=np.int64)
+        lists = self._family.assignment_through(int(terms.max())).list_ids[terms]
+        docs = np.repeat(np.array(doc_ids, dtype=np.int64), batch.sizes)
+        order = np.lexsort((terms, docs, lists))
+        lists = lists[order]
         # Postings carry the paper's "keyword frequency" metadata,
         # packed into the code field's spare byte.
-        codes = {t: pack_term_tf(t, id_counts[t]) for t in sorted(id_counts)}
-        if self._tail is not None:
-            self._tail.add(doc_id, codes)
-            self.time_index.record_commit(doc_id, commit_time)
-        else:
-            list_for = self._family.list_for
-            for t, code in codes.items():
-                postings_by_list.setdefault(list_for(t), []).append((doc_id, code))
-        self.stats.add_document(doc_id, id_counts)
-        if self._metrics_on:
-            self._c_docs.inc()
-            self._c_postings.inc(len(id_counts))
-        return doc_id
+        codes = terms | batch.tfs << 24
+        postings = list(zip(docs[order].tolist(), codes[order].tolist()))
+        starts = np.flatnonzero(np.r_[True, lists[1:] != lists[:-1]]).tolist()
+        self._family.append_many(
+            (list_id, postings[begin:end])
+            for list_id, begin, end in zip(
+                lists[starts].tolist(), starts, starts[1:] + [len(postings)]
+            )
+        )
 
     # ------------------------------------------------------------------
     # query path

@@ -25,7 +25,7 @@ sharded executor cuts once over every shard's scores.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +58,7 @@ class CollectionStats:
 
     def __init__(self) -> None:
         #: Documents containing each term (document frequency).
-        self.df: Dict[int, int] = defaultdict(int)
+        self.df: Dict[int, int] = Counter()
         #: Length (total retained tokens) of each document.
         self.doc_lengths: Dict[int, int] = {}
         self.total_length = 0
@@ -84,38 +84,50 @@ class CollectionStats:
         return max(1.0, self.total_length / len(self.doc_lengths))
 
     def add_document(self, doc_id: int, term_counts: Mapping[int, int]) -> None:
-        """Fold one document's term counts into the statistics.
+        """Fold one document's ``term_id -> count`` map in (:meth:`add`)."""
+        self.add([doc_id], [sum(term_counts.values())], list(term_counts), [len(term_counts)])
 
-        Idempotent per ``doc_id``: re-adding a document that was already
-        folded in (a restore path replaying overlap, a re-index) first
-        subtracts its previous length and document-frequency
-        contributions, so ``num_docs``, ``total_length``, and ``df``
-        reflect each document exactly once.
+    def add(
+        self,
+        doc_ids: Sequence[int],
+        lengths: Sequence[int],
+        terms: Sequence[int],
+        sizes: Sequence[int],
+    ) -> None:
+        """Fold documents into the statistics: ``doc_ids`` with their
+        ``lengths``, and ``terms``, each document's distinct term IDs
+        (``sizes[i]`` of them for ``doc_ids[i]``) one after another.
+
+        Idempotent per document ID: re-adding a document that was
+        already folded in first subtracts its previous length and
+        document-frequency contributions, so ``num_docs``,
+        ``total_length``, and ``df`` reflect each document exactly once.
         """
-        previous = self._doc_terms.get(doc_id)
-        if previous is not None:
-            self.total_length -= self.doc_lengths[doc_id]
-            for term in previous:
-                remaining = self.df[term] - 1
-                if remaining:
-                    self.df[term] = remaining
-                else:
-                    del self.df[term]
-        length = sum(term_counts.values())
-        self.doc_lengths[doc_id] = length
-        if doc_id >= len(self._lengths):
-            grown = np.zeros(
-                max(2 * len(self._lengths), doc_id + 1), dtype=np.int64
-            )
+        df = self.df
+        at = 0
+        for doc_id, length, size in zip(doc_ids, lengths, sizes):
+            previous = self._doc_terms.get(doc_id)
+            if previous is not None:
+                self.total_length -= self.doc_lengths[doc_id]
+                for term in previous:
+                    remaining = df[term] - 1
+                    if remaining:
+                        df[term] = remaining
+                    else:
+                        del df[term]
+            self.doc_lengths[doc_id] = length
+            self._doc_terms[doc_id] = tuple(terms[at : at + size])
+            at += size
+        top = max(doc_ids, default=-1)
+        if top >= len(self._lengths):
+            grown = np.zeros(max(2 * len(self._lengths), top + 1), dtype=np.int64)
             grown[: len(self._lengths)] = self._lengths
             # Replaced, never resized: a reader that gathered from the
             # old column keeps a consistent one.
             self._lengths = grown
-        self._lengths[doc_id] = length
-        self.total_length += length
-        self._doc_terms[doc_id] = tuple(term_counts)
-        for term in term_counts:
-            self.df[term] += 1
+        self._lengths[list(doc_ids)] = lengths
+        self.total_length += sum(lengths)
+        df.update(terms)
 
     def doc_length(self, doc_id: int) -> int:
         """Length of ``doc_id`` (0 for unknown IDs, e.g. stuffed postings)."""

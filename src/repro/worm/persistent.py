@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import BinaryIO, Dict, Iterator, Optional, Tuple
@@ -349,12 +350,15 @@ class _JournaledWormFile(WormFile):
 
     def __init__(self, name, *, journal: "JournaledWormDevice", **kwargs):
         super().__init__(name, **kwargs)
-        self._journal = journal
+        # Weak: the device holds its files, and a file holding its device
+        # back would keep a dropped archive's blocks alive until the
+        # cyclic collector happened to run.
+        self._journal = weakref.ref(journal)
         #: The name as every record about this file carries it, encoded once.
         self._name_field = journal._name_bytes(name)
 
     def append_record(self, payload: bytes, *, force_new_block: bool = False):
-        journal = self._journal
+        journal = self._journal()
         # Validate -> log -> apply: a payload the device would refuse is
         # never journaled, and a journaled payload is always applied.
         self.validate_append(payload)
@@ -365,7 +369,7 @@ class _JournaledWormFile(WormFile):
         return result
 
     def set_slot(self, block_no: int, slot_no: int, value: int) -> None:
-        journal = self._journal
+        journal = self._journal()
         self.validate_set_slot(block_no, slot_no)
         journal.log_set_slot(self.name, block_no, slot_no, value)
         journal._fault_point("set_slot:between-log-and-apply")

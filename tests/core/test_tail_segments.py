@@ -70,8 +70,8 @@ def seal_info(seg_no, first, last, count, **kwargs) -> SegmentInfo:
 class TestMutableTailIndex:
     def test_add_and_snapshot(self):
         tail = MutableTailIndex()
-        tail.add(0, {3: pack_term_tf(3, 2), 7: pack_term_tf(7, 1)})
-        tail.add(2, {3: pack_term_tf(3, 1)})
+        tail.add([0], [0, 0], [3, 7], [2, 1])
+        tail.add([2], [2], [3], [1])
         snap = tail.snapshot()
         assert tail.doc_count == 2
         assert tail.posting_count == 3
@@ -83,7 +83,7 @@ class TestMutableTailIndex:
 
     def test_collect_candidates_max_merges_tf(self):
         tail = MutableTailIndex()
-        tail.add(5, {1: pack_term_tf(1, 4)})
+        tail.add([5], [5], [1], [4])
         snap = tail.snapshot()
         # Doc 5 as an earlier family scanned it, then the tail's column.
         earlier = (1, np.array([5], dtype=np.uint32), np.array([2], dtype=np.uint32))
@@ -95,15 +95,15 @@ class TestMutableTailIndex:
 
     def test_doc_ids_must_increase(self):
         tail = MutableTailIndex()
-        tail.add(4, {0: pack_term_tf(0, 1)})
+        tail.add([4], [4], [0], [1])
         with pytest.raises(WorkloadError):
-            tail.add(4, {0: pack_term_tf(0, 1)})
+            tail.add([4], [4], [0], [1])
         with pytest.raises(WorkloadError):
-            tail.add(3, {0: pack_term_tf(0, 1)})
+            tail.add([3], [3], [0], [1])
 
     def test_clear_is_copy_on_seal(self):
         tail = MutableTailIndex()
-        tail.add(0, {1: pack_term_tf(1, 1)})
+        tail.add([0], [0], [1], [1])
         snap = tail.snapshot()
         tail.clear()
         # Pre-seal snapshot keeps its view; the tail itself is empty.
@@ -113,7 +113,7 @@ class TestMutableTailIndex:
 
     def test_postings_by_term_is_defensive(self):
         tail = MutableTailIndex()
-        tail.add(0, {1: pack_term_tf(1, 1)})
+        tail.add([0], [0], [1], [1])
         doc_ids, term_codes = tail.columns()
         doc_ids[:] = 9
         term_codes[:] = 0

@@ -1,0 +1,106 @@
+"""Bytes someone else appends to the lexicon log cannot re-bind a term.
+
+A term's ID is its line's position in ``engine/lexicon``.  A line that
+repeats a known term, a record glued on without its newline, or a new
+term appended while the engine is open would each give committed
+documents' terms the wrong IDs, and a verified search would then omit
+them with nothing to verify.  The reader refuses the first two at open;
+the writer refuses to append after bytes it did not write.  On legacy
+and tail engines, and on two shards, each with a lexicon of its own.
+"""
+
+import pytest
+
+from repro.cli import open_archive
+from repro.errors import TamperDetectedError
+from repro.search.engine import EngineConfig
+from repro.worm.persistent import JournaledWormDevice
+
+LEXICON_FILE = "engine/lexicon"
+
+DOCUMENTS = [
+    "imclone stewart trade",
+    "memo about lunch",
+    "imclone shares sold",
+    "quarterly report",
+    "imclone insider memo",
+    "board minutes",
+]
+
+LAYOUTS = {
+    "legacy": (EngineConfig(num_lists=8, block_size=512), 1),
+    "tail": (EngineConfig(num_lists=8, block_size=512, tail_max_docs=4), 1),
+    "two-shards": (EngineConfig(num_lists=8, block_size=512, tail_max_docs=4), 2),
+}
+
+
+@pytest.fixture(params=sorted(LAYOUTS))
+def archive(request, tmp_path):
+    config, shards = LAYOUTS[request.param]
+    path = str(tmp_path / "rec.worm")
+    engine, handle = open_archive(path, create=config, shards=shards)
+    engine.index_batch(DOCUMENTS)
+    handle.close()
+    return path, shards
+
+
+def engines(engine, shards):
+    return engine.shards if shards > 1 else [engine]
+
+
+def append_to_lexicons(path, shards, payload):
+    journals = [path] if shards == 1 else [f"{path}.shard{i:02d}" for i in range(shards)]
+    for journal in journals:
+        device = JournaledWormDevice(journal)
+        device.open_file(LEXICON_FILE).append_record(payload)
+        device.close()
+
+
+def found(engine, term):
+    return sorted(r.doc_id for r in engine.search(term, top_k=20, verify=True))
+
+
+def refused_open(path):
+    with pytest.raises(TamperDetectedError) as raised:
+        open_archive(path)
+    assert raised.value.invariant == "lexicon-record"
+    assert LEXICON_FILE in raised.value.location
+    return raised.value
+
+
+def test_a_repeated_term_refuses_the_archive(archive):
+    path, shards = archive
+    append_to_lexicons(path, shards, b"imclone\n")
+    assert "imclone" in str(refused_open(path))
+
+
+def test_a_record_without_its_newline_refuses_the_archive(archive):
+    path, shards = archive
+    append_to_lexicons(path, shards, b"zz")
+    refused_open(path)
+
+
+def test_a_line_appended_while_open_stops_the_writer(archive):
+    path, shards = archive
+    engine, handle = open_archive(path)
+    for shard in engines(engine, shards):
+        shard.store.append_record(LEXICON_FILE, b"mala\n")
+    with pytest.raises(TamperDetectedError) as raised:
+        engine.index_batch(["gamma memo", "gamma again"])
+    assert raised.value.invariant == "lexicon-record"
+    handle.close()
+    # Nothing was appended after the foreign line: every committed
+    # document answers for its terms, and no other does.
+    engine, handle = open_archive(path)
+    assert found(engine, "imclone") == [0, 2, 4]
+    assert found(engine, "memo") == [1, 4]
+    assert found(engine, "gamma") == []
+    handle.close()
+
+
+@pytest.mark.parametrize("hostile", [b"\xff\xfe\n", b"\n", b"x" * 200 + b"\n"])
+def test_a_line_no_writer_logs_refuses_the_archive(archive, hostile):
+    """Not UTF-8, empty, or longer than the lexicon's cut."""
+    path, shards = archive
+    append_to_lexicons(path, shards, hostile)
+    refused_open(path)
