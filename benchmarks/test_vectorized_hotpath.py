@@ -144,7 +144,8 @@ def _scoring_fixture():
         )
         for term in range(SCORE_TERMS)
     )
-    return BM25Scorer(stats), candidates, rows
+    record = stats.query_stats({term: term for term in range(SCORE_TERMS)})
+    return BM25Scorer(record, stats), candidates, rows
 
 
 def test_vectorized_scoring(benchmark, emit):

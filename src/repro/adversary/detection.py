@@ -1,10 +1,10 @@
 """Full-audit pass for an engine, unsharded or sharded.
 
 What an investigator (or a scheduled compliance job) runs: audit every
-posting list, every jump-pointer set, and the commit-time log — per
-shard, when the archive has shards.  Unlike the query-path checks —
-which raise the moment they cross a violation — the audit *collects*
-everything into reports, the artifact Bob files.
+posting list, every jump-pointer set, the lexicon log and the
+commit-time log — per shard, when the archive has shards.  Unlike the
+query-path checks — which raise the moment they cross a violation — the
+audit *collects* everything into reports, the artifact Bob files.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ def full_engine_audit(engine) -> List[AuditReport]:
     * every live sealed segment's names: bytes appended to its shared
       file after the seal and files its directory does not name are
       read by no query, and are reported, a finding per file;
+    * the lexicon log: every line checked as a reopen checks it, and
+      the whole log exactly the terms the engine numbered, in order;
     * the commit-time log (monotonicity of times and document IDs).
 
     A sharded engine gets all of it for each shard (report subjects
     prefixed with the shard number); its global IDs are derived from
     the shards' commit-time logs, so there is nothing else to audit.
 
-    The returned list always includes at least a log's report; check
+    The returned list always includes the logs' reports; check
     ``all(r.ok for r in reports)`` for a clean bill of health.
     """
     shards = getattr(engine, "shards", None)
@@ -57,14 +59,18 @@ def full_engine_audit(engine) -> List[AuditReport]:
                 "commit (written after the seal; no query reads them)"
             )
             reports.append(report)
-    # The commit-time log verifies itself: it returns the records it
-    # checked, or raises on the first bad one.
-    log_report = AuditReport(subject="commit-time log")
-    try:
-        log_report.entries_checked = engine.time_index.verify()
-    except TamperDetectedError as exc:
-        log_report.add(str(exc))
-    reports.append(log_report)
+    # Each log verifies itself: it returns the records it checked, or
+    # raises on the first bad one.
+    for subject, verify in (
+        ("lexicon log", engine.verify_lexicon),
+        ("commit-time log", engine.time_index.verify),
+    ):
+        log_report = AuditReport(subject=subject)
+        try:
+            log_report.entries_checked = verify()
+        except TamperDetectedError as exc:
+            log_report.add(str(exc))
+        reports.append(log_report)
     return reports
 
 

@@ -14,9 +14,9 @@ file, keyed by document ID, so that:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -183,6 +183,14 @@ class DocumentStore:
         self._commit_times[doc_id] = commit_time
         self._next_doc_id += 1
         return doc_id
+
+    def burn(self, doc_ids: Iterable[int]) -> None:
+        """Burn committed files whose commit-time records did not land:
+        they are no documents, in this session as after a reopen, where
+        :meth:`restore` finds them without a record."""
+        for doc_id in doc_ids:
+            del self._commit_times[doc_id]
+            insort(self._burned, doc_id)
 
     # ------------------------------------------------------------------
     # read path

@@ -30,6 +30,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -65,7 +66,7 @@ from repro.search.documents import DocumentStore
 from repro.search.join import conjunctive_join  # noqa: F401 - bound by bench/layers.py
 from repro.search.profiling import QueryProfile, profile_query
 from repro.search.query import QueryMode, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
+from repro.search.ranking import SCORERS, CollectionStats, rank
 from repro.search.readcache import ReadCache, TierStats
 from repro.worm.storage import CachedWormStore
 
@@ -252,24 +253,33 @@ class Candidates:
     the term's frequency in each.  ``everywhere`` names the terms
     *every* document holds, scored on presence (``tf`` 1): a
     conjunctive join's answer is its document list and the query's
-    terms, and builds nothing per term.  Ranking
+    terms, and builds nothing per term.  ``terms`` is what the query's
+    terms resolved to: each distinct canonical text, in query order,
+    beside its term ID (``None`` if never indexed), what
+    :meth:`CollectionStats.query_stats` reads.  Ranking
     (:func:`repro.search.ranking.rank`) reads the columns whole; they
     may be arrays the read cache shares, so nothing writes to them.
-    Scoring meets a document's terms in ascending term ID, whichever
-    path found them, so every layout sums a score in one order.
-    :meth:`rows` is the ``doc_id -> {term_id: tf}`` form, built afresh.
+
+    Scoring keys a term by its canonical text and meets a document's
+    terms in ascending text, whichever path found them and whichever
+    shard holds them, so every layout and every shard count sums a
+    score in one order.  Candidates built without ``terms`` key a term
+    by its ID.  :meth:`rows` is the ``doc_id -> {key: tf}`` form, built
+    afresh.
     """
 
-    __slots__ = ("doc_ids", "everywhere", "columns", "postings")
+    __slots__ = ("doc_ids", "everywhere", "columns", "terms", "postings")
 
     def __init__(
         self,
         columns: Iterable[TermColumn] = (),
         doc_ids: Optional[np.ndarray] = None,
         everywhere: Sequence[int] = (),
+        terms: Optional[Mapping[str, Optional[int]]] = None,
     ):
         self.columns: Tuple[TermColumn, ...] = tuple(columns)
         self.everywhere: Tuple[int, ...] = tuple(everywhere)
+        self.terms = terms
         if doc_ids is None:
             doc_ids = self._union([docs for _, docs, _ in self.columns])
         self.doc_ids = doc_ids
@@ -281,7 +291,7 @@ class Candidates:
     @staticmethod
     def _union(doc_columns: List[np.ndarray]) -> np.ndarray:
         if not doc_columns:
-            return np.empty(0, dtype=np.uint32)
+            return _NO_DOCS
         if len(doc_columns) == 1:
             return doc_columns[0]
         merged = np.sort(np.concatenate(doc_columns))
@@ -301,31 +311,35 @@ class Candidates:
                 kept = mask[np.searchsorted(doc_ids, docs)]
             if kept.any():
                 columns.append((term_id, docs[kept], tfs[kept]))
-        return Candidates(columns, doc_ids[mask], self.everywhere)
+        return Candidates(columns, doc_ids[mask], self.everywhere, self.terms)
 
-    def _by_term_id(self):
-        """``(term_id, docs, tfs)`` per column and per term held
-        everywhere (``docs`` ``None``, ``tfs`` 1), by ascending term ID."""
+    def _by_term_text(self):
+        """``(key, docs, tfs)`` per column and per term held everywhere
+        (``docs`` ``None``, ``tfs`` 1), by ascending key: the term's
+        canonical text, or its ID without ``terms``."""
         columns = [(term_id, None, 1) for term_id in self.everywhere]
         columns.extend(self.columns)
-        columns.sort(key=lambda column: column[0])
+        if self.terms:
+            text = {term_id: term for term, term_id in self.terms.items()}
+            columns = [(text[term_id], docs, tfs) for term_id, docs, tfs in columns]
+        columns.sort(key=itemgetter(0))
         return columns
 
-    def rows(self) -> Dict[int, Dict[int, int]]:
-        """``doc_id -> {term_id: tf}`` built afresh, terms by ascending ID."""
+    def rows(self) -> Dict[int, Dict[object, int]]:
+        """``doc_id -> {key: tf}`` built afresh, terms by ascending key."""
         all_ids = self.doc_ids.tolist()
-        rows: Dict[int, Dict[int, int]] = {doc_id: {} for doc_id in all_ids}
-        for term_id, docs, tfs in self._by_term_id():
+        rows: Dict[int, Dict[object, int]] = {doc_id: {} for doc_id in all_ids}
+        for key, docs, tfs in self._by_term_text():
             if docs is None:
                 for doc_id in all_ids:
-                    rows[doc_id][term_id] = 1
+                    rows[doc_id][key] = 1
             else:
                 for doc_id, tf in zip(docs.tolist(), tfs.tolist()):
-                    rows[doc_id][term_id] = tf
+                    rows[doc_id][key] = tf
         return rows
 
-    def scoring_columns(self) -> List[Tuple[int, object, object]]:
-        """``(term_id, rows, tfs)`` per term by ascending term ID, for
+    def scoring_columns(self) -> List[Tuple[object, object, object]]:
+        """``(key, rows, tfs)`` per term by ascending key, for
         :meth:`~repro.search.ranking.BM25Scorer.score_columns`: ``rows``
         index ``doc_ids`` (``slice(None)`` for all of them, in order);
         ``tfs`` is a column, or the number 1 for a term held everywhere."""
@@ -333,13 +347,13 @@ class Candidates:
         everyone = slice(None)
         return [
             (
-                term_id,
+                key,
                 everyone
                 if docs is None or len(docs) == len(doc_ids)
                 else np.searchsorted(doc_ids, docs),
                 tfs,
             )
-            for term_id, docs, tfs in self._by_term_id()
+            for key, docs, tfs in self._by_term_text()
         ]
 
     def __len__(self) -> int:
@@ -349,8 +363,8 @@ class Candidates:
         return f"Candidates({len(self)} docs, {self.postings} postings)"
 
 
-#: What a query that matched nothing gets (immutable, so shared).
-_NO_CANDIDATES = Candidates()
+#: A document-ID column that holds nothing (never written, so shared).
+_NO_DOCS = np.empty(0, dtype=np.uint32)
 
 
 class _Stage:
@@ -473,11 +487,6 @@ class TrustworthySearchEngine:
         self.analyzer = Analyzer()
         self.documents = DocumentStore(self.store)
         self.stats = CollectionStats()
-        self._scorer = (
-            BM25Scorer(self.stats)
-            if self.config.ranking == "bm25"
-            else CosineScorer(self.stats)
-        )
         self.time_index = CommitTimeIndex(self.store, "engine/commit-times")
         # Lexicon: term string <-> engine-local term ID (order of first
         # appearance).  Rebuildable from the WORM lexicon log.
@@ -556,13 +565,19 @@ class TrustworthySearchEngine:
             self._fold(doc_ids, batch, sealed_through)
 
     def _restore_lexicon(self) -> None:
-        """Read the lexicon log back, checking every line: a record ends
-        in a newline and never spans a block, so each block ends in one;
-        each line is UTF-8, a canonical term (:func:`lexicon_key`), and
-        new.  A line that re-binds a known term, or glues onto a record
-        that lost its newline, would give committed documents' terms the
-        wrong IDs, so it refuses the archive instead."""
-        seen = self._term_ids
+        """Number the lexicon log's terms in memory, as they were logged."""
+        self._remember(self._read_lexicon())
+        self._lexicon_extent = self._lexicon_now()
+
+    def _read_lexicon(self) -> List[str]:
+        """The lexicon log's terms in order, checking every line: a
+        record ends in a newline and never spans a block, so each block
+        ends in one; each line is UTF-8, a canonical term
+        (:func:`lexicon_key`), and new.  A line that re-binds a known
+        term, or glues onto a record that lost its newline, would give
+        committed documents' terms the wrong IDs, so it raises
+        :class:`~repro.errors.TamperDetectedError` instead."""
+        seen: Dict[str, None] = {}
         for block_no in range(self._lexicon_file.num_blocks):
             *lines, unended = self.store.peek_block(LEXICON_FILE, block_no).split(b"\n")
             for line in lines + [unended] if unended else lines:
@@ -577,8 +592,16 @@ class TrustworthySearchEngine:
                         location=f"'{LEXICON_FILE}', block {block_no}",
                         invariant="lexicon-record",
                     )
-                self._remember((term,))
-        self._lexicon_extent = self._lexicon_now()
+                seen[term] = None
+        return list(seen)
+
+    def verify_lexicon(self) -> int:
+        """Check the lexicon log as a reopen reads it, and as the writer
+        does before it appends; returns the terms checked, or raises
+        :class:`~repro.errors.TamperDetectedError`."""
+        terms = self._read_lexicon()
+        self._check_lexicon_extent()
+        return len(terms)
 
     # ------------------------------------------------------------------
     # observability
@@ -725,23 +748,26 @@ class TrustworthySearchEngine:
         blocks = self._lexicon_file.num_blocks
         return blocks, self._lexicon_file.block(blocks - 1).fill if blocks else 0
 
-    def _add_terms(self, terms: Sequence[str]) -> None:
-        """Log canonical ``terms`` new to the lexicon, then give each the
-        next ID in memory: one WORM record for all of them, more only
-        when they outgrow a block (a record never spans one).  The log's
-        bytes are those of a record per term, so restart reads it as
-        ever.  The analyzer's terms hold no newline, the log's delimiter.
-
-        The writer appends only after its own bytes: a line someone else
-        appended would take the ID the writer's next term has in memory,
-        so the log must be what the writer last left, or nothing is
-        appended."""
+    def _check_lexicon_extent(self) -> None:
+        """Raise unless the lexicon log is what this engine last read or
+        wrote: a line someone else appended would take the ID the
+        writer's next term has in memory."""
         if self._lexicon_now() != self._lexicon_extent:
             raise TamperDetectedError(
                 "the lexicon log holds bytes this writer did not append",
                 location=f"'{LEXICON_FILE}'",
                 invariant="lexicon-record",
             )
+
+    def _add_terms(self, terms: Sequence[str]) -> None:
+        """Log canonical ``terms`` new to the lexicon, then give each the
+        next ID in memory: one WORM record for all of them, more only
+        when they outgrow a block (a record never spans one).  The log's
+        bytes are those of a record per term, so restart reads it as
+        ever.  The analyzer's terms hold no newline, the log's delimiter.
+        The writer appends only after its own bytes
+        (:meth:`_check_lexicon_extent`)."""
+        self._check_lexicon_extent()
         record = b""
         for line in (term.encode("utf-8") + b"\n" for term in terms):
             if record and len(record) + len(line) > self.store.block_size:
@@ -1048,7 +1074,9 @@ class TrustworthySearchEngine:
         crash among the appends leaves IDs that no record commits —
         burned — not committed documents missing postings.  Whatever
         raises, the documents whose commit-time records landed are
-        folded into the statistics and the tail (:meth:`_fold`).
+        folded into the statistics and the tail (:meth:`_fold`), and
+        those whose files were written without a record are burned now,
+        as a reopen would find them (:meth:`DocumentStore.burn`).
         """
         texts = list(texts)
         commit_times = check_commit_times(self._clock, len(texts), commit_times)
@@ -1078,6 +1106,7 @@ class TrustworthySearchEngine:
                     self.time_index.record_commit(doc_id, commit_time)
                     committed += 1
         finally:
+            self.documents.burn(doc_ids[committed:])
             self._fold(doc_ids[:committed], batch)
             if self._metrics_on:
                 self._c_docs.inc(committed)
@@ -1211,9 +1240,11 @@ class TrustworthySearchEngine:
                 )
         candidates = self.match(query, trace=trace)
         with self._stage("rank", trace, candidates=len(candidates)) as span:
+            stats = self.stats.query_stats(candidates.terms)
+            scorer = SCORERS[self.config.ranking](stats, self.stats)
             results = [
                 SearchResult(doc_id=doc_id, score=score)
-                for doc_id, score in rank(self._scorer, candidates, top_k)
+                for doc_id, score in rank(scorer, candidates, top_k)
             ]
             if span is not None:
                 span.note(scored=len(candidates))
@@ -1233,13 +1264,14 @@ class TrustworthySearchEngine:
         Runs the query's retrieval phase only: posting-list scanning or
         conjunctive joining, the commit-time constraint, and the filter
         of disposed and burned IDs.  Scoring and top-k selection are
-        left to the caller — :meth:`search` ranks locally, while a
-        sharded executor scores each shard's matches under aggregated
-        collection statistics and cuts them all at once.
+        left to the caller — :meth:`search` ranks under its own
+        statistics, while a sharded executor adds up every shard's
+        statistics for the query's terms, scores each shard's matches
+        under the sum and cuts them all at once.
 
         Returns :class:`Candidates`: the matches as columns, which also
-        read as a mapping ``doc_id -> {term_id: tf}``.  Term IDs are
-        engine-local (translate via :meth:`term_text`).  Pass a
+        read as a mapping ``doc_id -> {term: tf}``, and what each query
+        term resolved to here, once.  Pass a
         :class:`~repro.core.segments.ReadCosts` as ``costs`` to receive
         the retrieval's micro-costs (what
         :func:`~repro.search.profiling.profile_query` reports).
@@ -1269,7 +1301,7 @@ class TrustworthySearchEngine:
         """
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
-        term_ids = self._resolve(query.terms, trace)
+        terms = self._resolve(query.terms, trace)
         view = self.index_view()
         if costs is None:
             costs = ReadCosts()
@@ -1295,16 +1327,15 @@ class TrustworthySearchEngine:
             costs.families_skipped = len(families) - len(live)
             view = (live, tail)
         if query.time_range is not None and window is None:
-            candidates = _NO_CANDIDATES  # nothing committed in the range
+            candidates = Candidates(terms=terms)  # nothing committed in the range
         elif query.mode is QueryMode.ALL:
             # The join's doc list and the query's terms, each present
             # in every document: nothing is built per document or term.
+            term_ids = list(terms.values())
             joined = self._join(term_ids, view, trace, costs, window)
-            candidates = (
-                Candidates((), joined, term_ids) if len(joined) else _NO_CANDIDATES
-            )
+            candidates = Candidates((), joined, term_ids if len(joined) else (), terms)
         else:
-            candidates = self._scan(term_ids, view, trace, costs)
+            candidates = self._scan(terms, view, trace, costs)
         # What makes an indexed ID no answer, as ascending ID columns.  A
         # disposed document's postings stay on WORM, and so do any a
         # commit appended before a crash burned its ID.
@@ -1336,21 +1367,21 @@ class TrustworthySearchEngine:
                     span.note(kept=len(candidates))
         return candidates
 
-    def _resolve(self, terms: Sequence[str], trace) -> List[Optional[int]]:
-        """Term IDs of the distinct query terms, in query order
-        (``None`` for a term that was never indexed)."""
-        distinct = dict.fromkeys(terms)
+    def _resolve(self, terms: Sequence[str], trace) -> Dict[str, Optional[int]]:
+        """The distinct canonical query terms, in query order, each
+        beside its term ID (``None`` for a term never indexed)."""
+        distinct = dict.fromkeys(map(_canonical, terms))
         with self._stage("resolve", trace, terms=len(distinct)) as span:
-            term_ids = [self.term_id(term) for term in distinct]
+            resolved = {term: self.term_id(term) for term in distinct}
             if span is not None:
-                span.note(present=len(term_ids) - term_ids.count(None))
+                span.note(present=len(resolved) - list(resolved.values()).count(None))
         if self.config.seal_strategy == "epoch":
             with self._epoch_lock:
                 seen = self._epoch_queries
-                for term_id in term_ids:
+                for term_id in resolved.values():
                     if term_id is not None:
                         seen[term_id] = seen.get(term_id, 0) + 1
-        return term_ids
+        return resolved
 
     def read_cache_stats(self) -> Optional[Dict[str, object]]:
         """Read-cache counters (``None`` when caching is off)."""
@@ -1383,7 +1414,7 @@ class TrustworthySearchEngine:
         return pieces
 
     def _scan(
-        self, term_ids: Sequence[Optional[int]], view, trace, costs: ReadCosts
+        self, terms: Mapping[str, Optional[int]], view, trace, costs: ReadCosts
     ) -> Candidates:
         """Disjunctive retrieval: every family's columns of the query
         terms, then the tail's, concatenated per term.
@@ -1397,7 +1428,7 @@ class TrustworthySearchEngine:
         answer is read on its own.
         """
         families, tail = view
-        present = tuple(sorted({t for t in term_ids if t is not None}))
+        present = tuple(sorted({t for t in terms.values() if t is not None}))
         with self._stage(
             "scan",
             trace,
@@ -1426,7 +1457,7 @@ class TrustworthySearchEngine:
                 costs.entries += sum(len(docs) for _, docs, _ in tail_columns)
                 pieces.append(tail_columns)
             columns = _concatenated(pieces)
-            candidates = Candidates(columns) if columns else _NO_CANDIDATES
+            candidates = Candidates(columns, terms=terms)
             if self._metrics_on:
                 self._c_scan_entries.inc(costs.entries)
             if span is not None:
@@ -1455,7 +1486,7 @@ class TrustworthySearchEngine:
         trace is attached, the ``join`` span's attributes.
         """
         if not term_ids or None in term_ids:
-            return _NO_CANDIDATES.doc_ids
+            return _NO_DOCS
         families, tail = view
 
         def read(family, window=None):
@@ -1476,7 +1507,7 @@ class TrustworthySearchEngine:
             tail_docs = tail.docs_with_all(term_ids) if tail is not None else ()
             if tail_docs:
                 parts.append(np.array(tail_docs, dtype=np.uint32))
-            parts = [part for part in parts if len(part)] or [_NO_CANDIDATES.doc_ids]
+            parts = [part for part in parts if len(part)] or [_NO_DOCS]
             doc_ids = np.concatenate(parts) if len(parts) > 1 else parts[0]
             if len(doc_ids) > 1 and not (doc_ids[1:] > doc_ids[:-1]).all():
                 doc_ids = np.unique(doc_ids)
@@ -1507,7 +1538,8 @@ class TrustworthySearchEngine:
         answers reads no block.
         """
         costs = ReadCosts()
-        doc_ids = self._join(self._resolve(terms, trace), self.index_view(), trace, costs)
+        term_ids = list(self._resolve(terms, trace).values())
+        doc_ids = self._join(term_ids, self.index_view(), trace, costs)
         return doc_ids.tolist(), costs.blocks
 
     def profile(self, query) -> QueryProfile:

@@ -10,13 +10,22 @@ from WORM at any time, so they carry no trust weight — Section 5's
 ranking-attack analysis is precisely about an adversary distorting them,
 and the countermeasure is result verification, not protected statistics.
 
+A scorer reads one record per query, :class:`QueryStats`: each distinct
+query term's document frequency, keyed by the term's canonical text, the
+document count and the total length.  An engine takes it from its own
+:class:`CollectionStats`; a sharded executor adds up its shards' records,
+which makes the unsharded engine's.  Document lengths come from the
+engine that holds the document.
+
 Each scorer has two forms that produce the same floats, bit for bit.
 ``score`` is the definition: one document, its term frequencies, a
 Python loop.  ``score_columns`` is what queries run: the whole candidate
 set as columns (see :class:`~repro.search.engine.Candidates`), one
 array operation per query term.  It applies ``score``'s operations in
 ``score``'s order to every document at once, so the two can be — and in
-``tests/search/test_ranking.py`` are — compared with ``==``.
+``tests/search/test_ranking.py`` are — compared with ``==``.  Both meet
+a document's terms in ascending canonical text, an order every shard
+agrees on, so K shards score bit for bit as one engine does.
 :func:`score` picks between them by the size of the candidate set, and
 :func:`cut` keeps the top ``k``; :func:`rank` is the two in turn, and a
 sharded executor cuts once over every shard's scores.
@@ -26,7 +35,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +55,40 @@ SCALAR_UP_TO = 16
 #: ``numpy.log`` is not guaranteed to round the same way.
 _LOG_TF = np.array([0.0] + [1.0 + math.log(tf) for tf in range(1, 256)])
 
-#: One query term's postings, as the scorers take them: the term's ID,
-#: its key in the collection statistics, the rows of the candidate set its
+#: One query term's postings, as the scorers take them: the term's key
+#: in the :class:`QueryStats`, the rows of the candidate set its
 #: documents are (an index array, or ``slice(None)`` for all of them,
 #: in order), and the term's frequency in each (a column, or one number
 #: where every document holds the term as often).
-ScoringColumn = Tuple[int, object, object]
+ScoringColumn = Tuple[object, object, object]
+
+
+@dataclass(frozen=True)
+class QueryStats:
+    """What scoring one query reads of the collection: ``df``, each
+    distinct query term's document frequency under the key its
+    candidates give it (its canonical text), the document count and
+    the total length.
+
+    Records add up: the sum of K shards' records for a query is the
+    record one engine over their documents would give.
+    """
+
+    df: Mapping[object, int]
+    num_docs: int
+    total_length: int
+
+    @property
+    def avg_doc_length(self) -> float:
+        """Mean document length (1.0 floor avoids division by zero)."""
+        return max(1.0, self.total_length / self.num_docs) if self.num_docs else 1.0
+
+    def __add__(self, other: "QueryStats") -> "QueryStats":
+        df = Counter(self.df)
+        df.update(other.df)
+        return QueryStats(
+            df, self.num_docs + other.num_docs, self.total_length + other.total_length
+        )
 
 
 class CollectionStats:
@@ -76,12 +114,11 @@ class CollectionStats:
         """Number of indexed documents."""
         return len(self.doc_lengths)
 
-    @property
-    def avg_doc_length(self) -> float:
-        """Mean document length (1.0 floor avoids division by zero)."""
-        if not self.doc_lengths:
-            return 1.0
-        return max(1.0, self.total_length / len(self.doc_lengths))
+    def query_stats(self, terms: Mapping[object, Optional[int]]) -> QueryStats:
+        """The :class:`QueryStats` of a query whose ``terms`` map each
+        key to its term ID here (``None``: never indexed, df 0)."""
+        df = {key: self.df.get(term_id, 0) for key, term_id in terms.items()}
+        return QueryStats(df, len(self.doc_lengths), self.total_length)
 
     def add_document(self, doc_id: int, term_counts: Mapping[int, int]) -> None:
         """Fold one document's ``term_id -> count`` map in (:meth:`add`)."""
@@ -147,14 +184,17 @@ class CollectionStats:
 
 
 class BM25Scorer:
-    """Okapi BM25 with the standard k1/b parameterization."""
+    """Okapi BM25 with the standard k1/b parameterization: one query's
+    ``stats``, over the document lengths of ``lengths`` (the
+    :class:`CollectionStats` of the engine holding the documents)."""
 
-    def __init__(self, stats: CollectionStats, *, k1: float = 1.2, b: float = 0.75):
+    def __init__(self, stats: QueryStats, lengths, *, k1: float = 1.2, b: float = 0.75):
         self.stats = stats
+        self.lengths = lengths
         self.k1 = k1
         self.b = b
 
-    def idf(self, term: int) -> float:
+    def idf(self, term) -> float:
         """Robertson-Sparck-Jones idf, floored at 0 for very common terms."""
         n = self.stats.num_docs
         df = self.stats.df.get(term, 0)
@@ -166,7 +206,7 @@ class BM25Scorer:
         ``term_freqs`` maps query term -> within-document frequency (0 or
         absent terms contribute nothing).
         """
-        dl = self.stats.doc_length(doc_id)
+        dl = self.lengths.doc_length(doc_id)
         norm = self.k1 * (1 - self.b + self.b * dl / self.stats.avg_doc_length)
         total = 0.0
         for term, tf in term_freqs.items():
@@ -180,7 +220,7 @@ class BM25Scorer:
     ) -> np.ndarray:
         """:meth:`score` of every document of ascending ``doc_ids`` at
         once; ``columns`` in the order ``score`` would meet the terms."""
-        lengths = self.stats.lengths_of(doc_ids)
+        lengths = self.lengths.lengths_of(doc_ids)
         norm = self.k1 * (
             1 - self.b + self.b * lengths / self.stats.avg_doc_length
         )
@@ -192,12 +232,15 @@ class BM25Scorer:
 
 
 class CosineScorer:
-    """Cosine similarity with log-tf / idf weights (lnc.ltc style)."""
+    """Cosine similarity with log-tf / idf weights (lnc.ltc style): one
+    query's ``stats``, over the document lengths of ``lengths`` (as
+    :class:`BM25Scorer`'s)."""
 
-    def __init__(self, stats: CollectionStats):
+    def __init__(self, stats: QueryStats, lengths):
         self.stats = stats
+        self.lengths = lengths
 
-    def idf(self, term: int) -> float:
+    def idf(self, term) -> float:
         """Classic ``log(N / df)`` idf."""
         df = self.stats.df.get(term, 0)
         if df == 0:
@@ -206,7 +249,7 @@ class CosineScorer:
 
     def score(self, doc_id: int, term_freqs: Mapping[int, int]) -> float:
         """Cosine score, document-normalized by length as a proxy norm."""
-        dl = max(1, self.stats.doc_length(doc_id))
+        dl = max(1, self.lengths.doc_length(doc_id))
         total = 0.0
         for term, tf in term_freqs.items():
             if tf <= 0:
@@ -222,7 +265,11 @@ class CosineScorer:
         total = np.zeros(len(doc_ids))
         for term, rows, tfs in columns:
             total[rows] += _LOG_TF[tfs] * self.idf(term)
-        return total / np.sqrt(np.maximum(1, self.stats.lengths_of(doc_ids)))
+        return total / np.sqrt(np.maximum(1, self.lengths.lengths_of(doc_ids)))
+
+
+#: The scorer of each ``EngineConfig.ranking``, by name.
+SCORERS = {"bm25": BM25Scorer, "cosine": CosineScorer}
 
 
 def score(scorer, candidates) -> Tuple[object, object]:
@@ -230,7 +277,7 @@ def score(scorer, candidates) -> Tuple[object, object]:
     their scores.
 
     ``candidates`` is a :class:`~repro.search.engine.Candidates`, whose
-    term IDs key ``scorer``'s statistics.  A set of at most
+    term keys key ``scorer``'s statistics.  A set of at most
     :data:`SCALAR_UP_TO` postings is scored by ``score`` into two lists
     of Python numbers, a larger one by ``score_columns`` into two
     arrays; :func:`cut` takes either.

@@ -9,11 +9,10 @@ posting list.
 
 from repro.sharding.batch import BatchIngestor
 from repro.sharding.engine import ShardedSearchEngine
-from repro.sharding.executor import AggregatedTermStats, ParallelQueryExecutor
+from repro.sharding.executor import ParallelQueryExecutor
 from repro.sharding.router import ShardAssignment, ShardRouter, stable_shard
 
 __all__ = [
-    "AggregatedTermStats",
     "BatchIngestor",
     "ParallelQueryExecutor",
     "ShardAssignment",

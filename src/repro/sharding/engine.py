@@ -9,8 +9,9 @@ instances and recovers the single-engine API on top:
   batched pass (:mod:`repro.sharding.batch`); the global↔local mapping
   is derived from the shards' commit-time logs, never stored;
 * **search** visits every shard in the caller's thread, scores every
-  candidate under aggregated collection statistics, and cuts all the
-  shards' scores once at the top ``k`` (:mod:`repro.sharding.executor`);
+  candidate under the shards' statistics for the query summed into one
+  record, and cuts all the shards' scores once at the top ``k``
+  (:mod:`repro.sharding.executor`);
 * **trust** is preserved compositionally: every shard enforces the
   paper's invariants over its own monotonic local IDs, each document
   has one commit point (its shard's commit-time record), and result
@@ -18,8 +19,7 @@ instances and recovers the single-engine API on top:
 
 The equivalence that makes sharding safe to adopt — a K-shard engine
 returns the same results as a 1-shard engine over the same corpus, with
-scores equal up to floating-point reassociation — is property-tested in
-``tests/sharding``.
+``float.hex()``-equal scores — is property-tested in ``tests/sharding``.
 """
 
 from __future__ import annotations

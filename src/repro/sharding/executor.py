@@ -4,21 +4,22 @@ A query against a sharded archive runs in two stages:
 
 1. **fan-out** — every shard matches the query independently (its own
    merged lists, jump indexes, commit-time index, and disposition log),
-   one shard after another in the caller's thread, and scores every
-   candidate it matched with the engine's configured scorer (BM25 or
-   cosine) under *aggregated* collection statistics (global document
-   count, global document frequencies, global average length), so a
-   document's score does not depend on which shard it landed on;
-2. **one cut** — the shards' scores are taken together and cut once at
-   the ``top_k``-th best.  Only the documents that can still make the
-   answer are mapped to global IDs and sorted by ``(-score, global_id)``.
+   one shard after another in the caller's thread, resolving each query
+   term once;
+2. **one ranking** — the shards' statistics for the query's terms add up
+   to one :class:`~repro.search.ranking.QueryStats` (document
+   frequencies, document count, total length), exactly the record an
+   unsharded engine over the same corpus would score with.  Each shard
+   scores every candidate it matched under that record with the
+   engine's configured scorer (BM25 or cosine), and the shards' scores
+   are cut once at the ``top_k``-th best.  Only the documents that can
+   still make the answer are mapped to global IDs and sorted by
+   ``(-score, global_id)``.
 
-The aggregated statistics equal what a single unsharded engine would
-compute over the same corpus, so a K-shard archive returns the same
-result IDs as a 1-shard archive (property-tested in
-``tests/sharding``).  Scores agree up to reassociation: a shard sums a
-document's terms in ascending *shard-local* term ID (ROADMAP item 24(a)),
-so a sharded score may differ from the unsharded one in the last bit.
+Every engine sums a document's score over its terms in ascending
+canonical term text, which no shard assignment changes, so a K-shard
+archive returns the same results with the same scores, bit for bit, as
+a 1-shard archive (``tests/sharding``, ``tests/search/test_ranked_answers.py``).
 
 The fan-out is a loop, not a pool: a shard run is interpreter work over
 state already in memory, so threads only pass the GIL around, and worker
@@ -29,19 +30,18 @@ is a loop*, has the measurements).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
-from repro.search.engine import EngineConfig, SearchResult
-from repro.search.query import Query, parse_query
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, contenders, cut, score
+from repro.search.engine import Candidates, EngineConfig, SearchResult
+from repro.search.query import parse_query
+from repro.search.ranking import SCORERS, QueryStats, contenders, cut, score
 from repro.sharding.router import ShardRouter
 
 #: A shard's scored candidates: its local IDs, ascending, beside their
@@ -49,50 +49,9 @@ from repro.sharding.router import ShardRouter
 ShardRun = Tuple[object, object]
 
 
-@dataclass(frozen=True)
-class AggregatedTermStats:
-    """Collection-level statistics aggregated across every shard.
-
-    Document frequencies are keyed by the query's terms, a shard-neutral
-    vocabulary, since each shard grows its own term-ID space; a shard
-    scores under its own term IDs (:meth:`ParallelQueryExecutor._shard_run`).
-    """
-
-    df: Dict[str, int]
-    num_docs: int
-    avg_doc_length: float
-
-    @classmethod
-    def of(
-        cls, df: Dict[str, int], num_docs: int, total_length: int
-    ) -> "AggregatedTermStats":
-        """From cross-shard sums — exactly the statistics a single
-        unsharded engine would hold for the same corpus."""
-        avg = max(1.0, total_length / num_docs) if num_docs else 1.0
-        return cls(df=df, num_docs=num_docs, avg_doc_length=avg)
-
-
-class _ShardScopedStats:
-    """A :class:`CollectionStats`-compatible view for scoring one shard.
-
-    Global quantities (document count, average length) come from the
-    cross-shard aggregate, and ``df`` holds its document frequencies
-    under the shard's own term IDs; per-document lengths are answered by
-    the owning shard's own statistics, keyed by local ID.
-    """
-
-    __slots__ = ("df", "num_docs", "avg_doc_length", "doc_length", "lengths_of")
-
-    def __init__(self, aggregate: AggregatedTermStats, local: CollectionStats, df: Dict[int, int]):
-        self.df = df
-        self.num_docs = aggregate.num_docs
-        self.avg_doc_length = aggregate.avg_doc_length
-        self.doc_length = local.doc_length
-        self.lengths_of = local.lengths_of
-
-
 class ParallelQueryExecutor:
-    """Runs a query on every shard in turn and cuts their scores once.
+    """Matches a query on every shard in turn, scores each shard's
+    candidates under the shards' summed statistics, and cuts once.
 
     Parallel in name only (``bench/layers.py`` binds the name): the
     shards are visited by a loop in the calling thread, which starts no
@@ -139,7 +98,7 @@ class ParallelQueryExecutor:
         )
         run_family = self.metrics.histogram(
             "repro_shard_run_seconds",
-            "Time a shard sub-query spent matching and scoring",
+            "Time a shard sub-query spent matching",
             labels=("shard",),
         )
         self._run_series = [run_family.labels(shard=i) for i in range(len(self.shards))]
@@ -158,30 +117,29 @@ class ParallelQueryExecutor:
         """Run ``query`` across all shards; returns global ranked results.
 
         With a :class:`~repro.observability.trace.QueryTrace` attached,
-        each shard contributes a ``shard`` span and the one cut across
-        shards a ``merge`` span.  A shard's exception propagates with its
-        type kept and ``shard_index`` attached; later shards are not
-        visited.
+        each shard's match contributes a ``shard`` span, and scoring
+        with the one cut across shards a ``merge`` span.  A shard's
+        exception propagates with its type kept and ``shard_index``
+        attached; later shards are not visited.
         """
         if self.closed:
             raise WorkloadError("query executor is closed; open a new engine to run queries")
         if isinstance(query, str):
             query = parse_query(query, analyzer=self.analyzer)
         self._c_fanout.inc()
-        aggregate = self.aggregate_term_stats(query.terms)
-        runs = []
+        matched: List[Candidates] = []
         try:
-            for shard_index in range(len(self.shards)):
+            for shard_index, shard in enumerate(self.shards):
                 start = perf_counter()
-                run = self._shard_run(shard_index, query, aggregate)
+                candidates = shard.match(query)
                 end = perf_counter()
                 if self._metrics_on:
                     self._run_series[shard_index].observe(end - start)
                 if trace is not None:
                     trace.record(
-                        "shard", start=start, end=end, shard=shard_index, results=len(run[0])
+                        "shard", start=start, end=end, shard=shard_index, results=len(candidates)
                     )
-                runs.append(run)
+                matched.append(candidates)
         except Exception as exc:
             # Type-preserving, so TamperDetectedError handling upstream
             # keeps working.
@@ -192,50 +150,27 @@ class ParallelQueryExecutor:
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note(f"raised by shard {shard_index} during query fan-out")
             raise
-        return self._cut(runs, top_k, trace)
+        start = perf_counter()
+        # Each shard's statistics under the term IDs its match resolved,
+        # summed: the record a single unsharded engine would give.
+        records = [shard.stats.query_stats(c.terms) for shard, c in zip(self.shards, matched)]
+        stats = sum(records[1:], records[0])
+        runs = [self._shard_run(at, candidates, stats) for at, candidates in enumerate(matched)]
+        results = self._cut(runs, top_k)
+        if trace is not None:
+            end = perf_counter()
+            trace.record("merge", start=start, end=end, runs=len(runs), results=len(results))
+        return results
 
-    def aggregate_term_stats(self, terms: Sequence[str]) -> AggregatedTermStats:
-        """Cross-shard collection statistics for one query's terms.
-
-        Sums per-shard document frequencies, document counts, and total
-        lengths — exactly the statistics a single unsharded engine would
-        hold for the same corpus.
-        """
-        df: Dict[str, int] = {}
-        for term in terms:
-            total = 0
-            for shard in self.shards:
-                term_id = shard.term_id(term)
-                if term_id is not None:
-                    total += shard.stats.df.get(term_id, 0)
-            df[term] = total
-        return AggregatedTermStats.of(
-            df,
-            sum(shard.stats.num_docs for shard in self.shards),
-            sum(shard.stats.total_length for shard in self.shards),
-        )
-
-    def _shard_run(
-        self, shard_index: int, query: Query, aggregate: AggregatedTermStats
-    ) -> ShardRun:
-        """Match one shard and score every candidate, uncut: the shard's
-        own index, scored as an unsharded engine scores under its own
-        term IDs, with aggregated df/num_docs/avg length and shard-local
-        document lengths."""
-        engine = self.shards[shard_index]
-        candidates = engine.match(query)
+    def _shard_run(self, shard_index: int, candidates: Candidates, stats: QueryStats) -> ShardRun:
+        """Score every candidate one shard matched, uncut, under the
+        summed ``stats`` and the shard's own document lengths."""
         if not len(candidates):
             return (), ()
-        df: Dict[int, int] = {}
-        for term, count in aggregate.df.items():
-            term_id = engine.term_id(term)
-            if term_id is not None:
-                df[term_id] = count
-        stats = _ShardScopedStats(aggregate, engine.stats, df)
-        scorer = BM25Scorer(stats) if self.config.ranking == "bm25" else CosineScorer(stats)
-        return score(scorer, candidates)
+        lengths = self.shards[shard_index].stats
+        return score(SCORERS[self.config.ranking](stats, lengths), candidates)
 
-    def _cut(self, runs: Sequence[ShardRun], top_k: int, trace) -> List[SearchResult]:
+    def _cut(self, runs: Sequence[ShardRun], top_k: int) -> List[SearchResult]:
         """The ``top_k`` best of every shard's scored candidates, in
         global IDs, by :func:`~repro.search.ranking.cut`: exactly sorting
         every candidate by ``(-score, global_id)`` and cutting.
@@ -244,22 +179,17 @@ class ParallelQueryExecutor:
         the contenders, ties at it included, whichever shards they are
         on; only those are mapped to global IDs and sorted.
         """
-        start = perf_counter()
         shards = [at for at, run in enumerate(runs) if len(run[0])] if top_k > 0 else []
-        results: List[SearchResult] = []
-        if shards:
-            every_score = np.concatenate([runs[at][1] for at in shards])
-            best = contenders(every_score, top_k)
-            ends = list(accumulate(len(runs[at][0]) for at in shards))
-            owners = [shards[bisect_right(ends, at)] for at in best.tolist()]
-            local_ids = np.concatenate([runs[at][0] for at in shards])[best].tolist()
-            global_ids = list(map(self.router.to_global, owners, local_ids))
-            scores = every_score[best].tolist()
-            results = [SearchResult(doc_id=d, score=s) for d, s in cut(global_ids, scores, top_k)]
-        if trace is not None:
-            end = perf_counter()
-            trace.record("merge", start=start, end=end, runs=len(runs), results=len(results))
-        return results
+        if not shards:
+            return []
+        every_score = np.concatenate([runs[at][1] for at in shards])
+        best = contenders(every_score, top_k)
+        ends = list(accumulate(len(runs[at][0]) for at in shards))
+        owners = [shards[bisect_right(ends, at)] for at in best.tolist()]
+        local_ids = np.concatenate([runs[at][0] for at in shards])[best].tolist()
+        global_ids = list(map(self.router.to_global, owners, local_ids))
+        scores = every_score[best].tolist()
+        return [SearchResult(doc_id=d, score=s) for d, s in cut(global_ids, scores, top_k)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelQueryExecutor(shards={len(self.shards)})"

@@ -29,7 +29,9 @@ class TestCleanEngine:
 
     def test_covers_every_list_and_the_commit_log(self, engine):
         reports = full_engine_audit(engine)
-        assert len(reports) == len(list(engine.iter_posting_lists())) + 1
+        assert len(reports) == len(list(engine.iter_posting_lists())) + 2
+        assert reports[-2].subject == "lexicon log"
+        assert reports[-2].entries_checked == engine.vocabulary_size
         assert reports[-1].subject == "commit-time log"
         assert reports[-1].entries_checked == 3
 

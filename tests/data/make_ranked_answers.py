@@ -4,8 +4,8 @@ The file is the fixture of ``tests/search/test_ranked_answers.py``: a
 seeded corpus, the variants it is indexed under (legacy merged lists and
 tail mode under each seal strategy, one and two shards, BM25 and
 cosine), and the ranked answers — document IDs and ``float.hex()``
-scores — given to a fixed query list once every path summed a score's
-terms in ascending term-ID order:
+scores — given to a fixed query list once every engine and every shard
+summed a score's terms in ascending canonical term text:
 
     PYTHONPATH=src python tests/data/make_ranked_answers.py
 
@@ -15,7 +15,9 @@ is a result-cache hit), and, with one shard, through the plain engine —
 and the script refuses to write unless all agree, so one recorded
 answer per variant and query is the whole truth.  A float's last bit
 depends on the order its terms were added in, which is what the test
-holds later commits to — do not regenerate the committed file.
+holds later commits to — regenerate the committed file only with a
+change that means to move that order, as the move from ascending term
+ID to ascending term text did.
 
 ``ranked_answers_pr16.json`` is the same script's output at commit
 d18acd0, the last to carry candidates as a dict of dicts, when each

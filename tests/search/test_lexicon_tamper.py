@@ -5,12 +5,15 @@ repeats a known term, a record glued on without its newline, or a new
 term appended while the engine is open would each give committed
 documents' terms the wrong IDs, and a verified search would then omit
 them with nothing to verify.  The reader refuses the first two at open;
-the writer refuses to append after bytes it did not write.  On legacy
-and tail engines, and on two shards, each with a lexicon of its own.
+the writer refuses to append after bytes it did not write, and
+``full_engine_audit`` reports each of the three on an open engine.  On
+legacy and tail engines, and on two shards, each with a lexicon of its
+own.
 """
 
 import pytest
 
+from repro.adversary.detection import full_engine_audit
 from repro.cli import open_archive
 from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig
@@ -104,3 +107,36 @@ def test_a_line_no_writer_logs_refuses_the_archive(archive, hostile):
     path, shards = archive
     append_to_lexicons(path, shards, hostile)
     refused_open(path)
+
+
+def lexicon_findings(engine, shards):
+    reports = [r for r in full_engine_audit(engine) if r.subject.endswith("lexicon log")]
+    assert len(reports) == shards  # one per shard
+    return [r for r in reports if not r.ok]
+
+
+def test_an_honest_lexicon_audits_clean(archive):
+    path, shards = archive
+    engine, handle = open_archive(path)
+    assert lexicon_findings(engine, shards) == []
+    engine.index_batch(["gamma memo", "gamma again"])
+    assert lexicon_findings(engine, shards) == []
+    handle.close()
+
+
+@pytest.mark.parametrize("payload", [b"imclone\n", b"zz", b"mala\n"])
+def test_the_audit_reports_each_foreign_lexicon_record(archive, payload):
+    """The three appends above, made while the engine is open: the
+    audit reads the log as a reopen would, and holds it to the terms
+    the engine numbered, so each is a finding on every shard."""
+    path, shards = archive
+    engine, handle = open_archive(path)
+    for shard in engines(engine, shards):
+        shard.store.append_record(LEXICON_FILE, payload)
+    findings = lexicon_findings(engine, shards)
+    assert len(findings) == shards
+    if shards > 1:
+        assert sorted(r.subject for r in findings) == [
+            f"shard {i}: lexicon log" for i in range(shards)
+        ]
+    handle.close()

@@ -4,11 +4,15 @@
 answered to a fixed query list over a seeded corpus, under every index
 layout, one and two shards, both scorers: document IDs and
 ``float.hex()`` scores, every score summed over its terms in ascending
-term-ID order.  A score's last bit depends on the order its terms were
-added in, so equality here is the proof that a later change moved
+canonical term text.  A score's last bit depends on the order its terms
+were added in, so equality here is the proof that a later change moved
 neither a ranking nor the summation order.
 ``tests/data/make_ranked_answers.py`` wrote the file and is what asks
-the questions again.
+the questions again.  It was re-recorded when the order moved from
+ascending term ID, which each shard numbers its own way, to ascending
+text, which every shard agrees on: every ranking stayed as it was, and
+no score moved by more than one unit in the last place.  Since then
+one, two and three shards answer bit for bit alike.
 
 ``tests/data/ranked_answers_pr16.json`` is the same questions answered
 by commit d18acd0, the last to carry a query's candidates as a dict of
@@ -58,6 +62,24 @@ def test_plain_engine_answers_as_recorded(name):
     config = EngineConfig(**RECORDED["variants"][name]["config"])
     engine = build(TrustworthySearchEngine(config), RECORDED["documents"])
     assert answers(engine) == RECORDED["answers"][name]
+
+
+LAYOUTS = sorted({name.split("/")[0] for name in RECORDED["variants"]})
+
+
+@pytest.mark.parametrize("read_cache", [False, True], ids=["cache-off", "cache-on"])
+@pytest.mark.parametrize("ranking", ["bm25", "cosine"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_one_two_and_three_shards_answer_bit_for_bit_alike(layout, ranking, read_cache):
+    variant = RECORDED["variants"][f"{layout}/1-shard/bm25"]
+    config = EngineConfig(read_cache=read_cache, **dict(variant["config"], ranking=ranking))
+    by_shards = {}
+    for shards in (1, 2, 3):
+        with ShardedSearchEngine(config, num_shards=shards) as engine:
+            build(engine, RECORDED["documents"])
+            by_shards[shards] = answers(engine, repeat=read_cache)
+    assert by_shards[2] == by_shards[1]
+    assert by_shards[3] == by_shards[1]
 
 
 def test_scan_order_answers_differ_by_at_most_one_ulp():

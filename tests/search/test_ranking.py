@@ -12,8 +12,7 @@ from repro.core.posting import pack_term_tf
 from repro.core.vecdecode import COLUMN_TYPECODE, term_columns
 from repro.search import ranking as ranking_module
 from repro.search.engine import Candidates
-from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, rank
-from repro.sharding.executor import AggregatedTermStats, _ShardScopedStats
+from repro.search.ranking import BM25Scorer, CollectionStats, CosineScorer, QueryStats, rank
 
 
 @pytest.fixture()
@@ -25,6 +24,12 @@ def stats():
     return stats
 
 
+def over(make, stats):
+    """``make``'s scorer over every term of ``stats``, each keyed by its
+    ID, as candidates built without texts key them."""
+    return make(stats.query_stats({term: term for term in stats.df}), stats)
+
+
 class TestCollectionStats:
     def test_document_frequencies(self, stats):
         assert stats.df[1] == 2
@@ -34,14 +39,14 @@ class TestCollectionStats:
     def test_lengths(self, stats):
         assert stats.doc_length(0) == 4
         assert stats.doc_length(1) == 6
-        assert stats.avg_doc_length == pytest.approx((4 + 6 + 4) / 3)
+        assert stats.query_stats({}).avg_doc_length == pytest.approx((4 + 6 + 4) / 3)
 
     def test_unknown_doc_length_zero(self, stats):
         assert stats.doc_length(99) == 0
 
     def test_empty_stats(self):
         empty = CollectionStats()
-        assert empty.avg_doc_length == 1.0
+        assert empty.query_stats({}).avg_doc_length == 1.0
         assert empty.num_docs == 0
 
     def test_readd_same_document_is_idempotent(self, stats):
@@ -49,7 +54,7 @@ class TestCollectionStats:
         before = (stats.num_docs, stats.total_length, dict(stats.df))
         stats.add_document(1, {1: 1, 3: 5})
         assert (stats.num_docs, stats.total_length, dict(stats.df)) == before
-        assert stats.avg_doc_length == pytest.approx((4 + 6 + 4) / 3)
+        assert stats.query_stats({}).avg_doc_length == pytest.approx((4 + 6 + 4) / 3)
 
     def test_readd_replaces_previous_contributions(self, stats):
         """A changed re-index replaces, not accumulates, the old counts."""
@@ -74,53 +79,93 @@ class TestCollectionStats:
 
 class TestBM25:
     def test_rarer_terms_score_higher(self, stats):
-        scorer = BM25Scorer(stats)
+        scorer = over(BM25Scorer, stats)
         assert scorer.idf(4) > scorer.idf(1)  # df 1 vs df 2
 
     def test_more_occurrences_score_higher(self, stats):
-        scorer = BM25Scorer(stats)
+        scorer = over(BM25Scorer, stats)
         low = scorer.score(0, {1: 1})
         high = scorer.score(0, {1: 3})
         assert high > low
 
     def test_absent_terms_contribute_nothing(self, stats):
-        scorer = BM25Scorer(stats)
+        scorer = over(BM25Scorer, stats)
         assert scorer.score(0, {99: 0}) == 0.0
         assert scorer.score(0, {}) == 0.0
 
     def test_tf_saturation(self, stats):
         """BM25's hallmark: tf gains diminish."""
-        scorer = BM25Scorer(stats)
+        scorer = over(BM25Scorer, stats)
         gain_early = scorer.score(0, {1: 2}) - scorer.score(0, {1: 1})
         gain_late = scorer.score(0, {1: 10}) - scorer.score(0, {1: 9})
         assert gain_early > gain_late
 
     def test_length_normalization(self, stats):
         """Same tf scores higher in a shorter document."""
-        scorer = BM25Scorer(stats)
+        scorer = over(BM25Scorer, stats)
         assert scorer.score(0, {1: 1}) > scorer.score(1, {1: 1})
 
     def test_idf_floor(self):
         stats = CollectionStats()
         for doc_id in range(5):
             stats.add_document(doc_id, {7: 1})
-        assert BM25Scorer(stats).idf(7) >= 0.0
+        assert over(BM25Scorer, stats).idf(7) >= 0.0
 
 
 class TestCosine:
     def test_log_tf_weighting(self, stats):
-        scorer = CosineScorer(stats)
+        scorer = over(CosineScorer, stats)
         assert scorer.score(0, {1: 3}) > scorer.score(0, {1: 1})
 
     def test_unseen_term_idf_zero(self, stats):
-        assert CosineScorer(stats).idf(99) == 0.0
+        assert over(CosineScorer, stats).idf(99) == 0.0
 
     def test_length_normalization(self, stats):
-        scorer = CosineScorer(stats)
+        scorer = over(CosineScorer, stats)
         assert scorer.score(0, {1: 1}) > scorer.score(1, {1: 1})
 
     def test_empty_query_scores_zero(self, stats):
-        assert CosineScorer(stats).score(0, {}) == 0.0
+        assert over(CosineScorer, stats).score(0, {}) == 0.0
+
+
+class TestQueryStats:
+    """One record per query, keyed by canonical text: what K shards
+    report adds up to what one engine over their documents reports."""
+
+    def test_shard_records_add_up_to_the_engines(self):
+        texts = [{"memo": 2, "audit": 1}, {"audit": 3}, {"ledger": 1, "memo": 1}, {}]
+        whole, shards = CollectionStats(), [CollectionStats(), CollectionStats()]
+        whole_ids, shard_ids = {}, [{}, {}]
+        for doc_id, counts in enumerate(texts):
+            whole.add_document(
+                doc_id, {whole_ids.setdefault(t, len(whole_ids)): c for t, c in counts.items()}
+            )
+            lexicon = shard_ids[doc_id % 2]  # each shard numbers terms its own way
+            shards[doc_id % 2].add_document(
+                doc_id // 2, {lexicon.setdefault(t, len(lexicon)): c for t, c in counts.items()}
+            )
+        query = ["memo", "audit", "never"]
+
+        def record(stats, ids):
+            return stats.query_stats({term: ids.get(term) for term in query})
+
+        summed = record(shards[0], shard_ids[0]) + record(shards[1], shard_ids[1])
+        assert summed == record(whole, whole_ids)
+        assert summed.df == {"memo": 2, "audit": 2, "never": 0}
+        assert summed.avg_doc_length == whole.query_stats({}).avg_doc_length
+
+    def test_candidates_meet_terms_in_ascending_text(self):
+        """Whatever IDs a shard gave the terms, a score adds them in
+        the order of their text."""
+        docs = np.array([0, 1], dtype=np.uint32)
+        columns = [(0, docs, np.array([1, 2])), (1, docs[:1], np.array([3]))]
+        for ids in ((0, 1), (1, 0)):
+            candidates = Candidates(
+                [(ids[t], d, f) for t, d, f in columns], terms={"zeta": ids[0], "alpha": ids[1]}
+            )
+            assert [key for key, _, _ in candidates.scoring_columns()] == ["alpha", "zeta"]
+            assert candidates.rows() == {0: {"alpha": 3, "zeta": 1}, 1: {"zeta": 2}}
+            assert list(candidates.rows()[0]) == ["alpha", "zeta"]
 
 
 # ----------------------------------------------------------------------
@@ -186,19 +231,13 @@ def as_columns(lists, wanted):
 
 
 def scorers_for(stats, wanted, ranking, aggregated):
-    """The engine's own scorer, or a shard executor's: statistics
-    aggregated over other shards too, keyed by this shard's term IDs,
-    over this shard's document lengths."""
+    """The engine's own scorer, or a shard executor's: this shard's
+    record plus the other shards', over this shard's document lengths."""
     make = BM25Scorer if ranking == "bm25" else CosineScorer
-    if not aggregated:
-        return make(stats)
-    df = {term: stats.df.get(term, 0) + position for position, term in enumerate(wanted)}
-    aggregate = AggregatedTermStats.of(
-        {f"term{term}": count for term, count in df.items()},
-        stats.num_docs + 7,
-        stats.total_length + 40,
-    )
-    return make(_ShardScopedStats(aggregate, stats, df))
+    record = stats.query_stats({term: term for term in wanted})
+    if aggregated:
+        record += QueryStats({term: at for at, term in enumerate(wanted)}, 7, 40)
+    return make(record, stats)
 
 
 class TestColumnScorerIsTheScalarScorer:
@@ -213,8 +252,8 @@ class TestColumnScorerIsTheScalarScorer:
         stats, wanted, lists = case
         scorer = scorers_for(stats, wanted, ranking, aggregated)
         rows = as_the_dict_pipeline_did(lists, wanted)
-        # A score sums its terms by ascending term ID, whatever list or
-        # column holds them.
+        # A score sums its terms by ascending key (here the term ID),
+        # whatever list or column holds them.
         reference = {
             doc_id: scorer.score(doc_id, dict(sorted(freqs.items())))
             for doc_id, freqs in rows.items()
@@ -249,7 +288,7 @@ class TestColumnScorerIsTheScalarScorer:
     )
     def test_a_joins_answer_scores_on_presence(self, case, joined, ranking, aggregated):
         """An ALL query's candidates: the join's documents, every query
-        term held by each, ``tf`` 1, added by ascending term ID."""
+        term held by each, ``tf`` 1, added by ascending key."""
         stats, wanted, _ = case
         scorer = scorers_for(stats, wanted, ranking, aggregated)
         doc_ids = np.array(sorted(joined), dtype=np.uint32)
@@ -279,7 +318,7 @@ class TestColumnScorerIsTheScalarScorer:
             for scalar_up_to in (0, 10**9):
                 with patch.object(ranking_module, "SCALAR_UP_TO", scalar_up_to):
                     for top_k in (1, 3, 5, 8):
-                        best = rank(make(stats), tied, top_k)
+                        best = rank(over(make, stats), tied, top_k)
                         assert [d for d, _ in best] == [3, 9, 17, 21, 38][:top_k]
                         assert len({s for _, s in best}) == 1
 

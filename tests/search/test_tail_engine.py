@@ -139,7 +139,7 @@ class TestEquivalence:
     def test_a_three_term_score_sums_in_one_order(self, strategy):
         """Legacy lists once met a document's terms by ``(list id, term
         id)`` and the tail by term ID, so these scores differed in the
-        last bit; every path now sums by ascending term ID."""
+        last bit; every path now sums by ascending term text."""
         texts = [
             "finance quarter audit quarter audit",
             "audit trade finance memo",
@@ -216,13 +216,13 @@ class TestEquivalence:
         assert (first.layout == second.layout) == (seal_strategy == "uniform")
         honest = engine.match("alpha gamma").rows()
         alpha = engine.term_id("alpha")
-        assert honest[2][alpha] == honest[4][alpha] == 1
+        assert honest[2]["alpha"] == honest[4]["alpha"] == 1  # rows key terms by text
 
         stuffed_list, _ = first.posting_list_for(alpha)
         assert stuffed_list.num_blocks > 1  # a file of its own: appendable
         stuffed_list.append(2, pack_term_tf(alpha, 9))  # sealed in `second`
         stuffed_list.append(4, pack_term_tf(alpha, 7))  # in the tail
-        honest[2][alpha], honest[4][alpha] = 9, 7
+        honest[2]["alpha"], honest[4]["alpha"] = 9, 7
         matched = engine.match("alpha gamma")
         assert matched.rows() == honest
         assert len(matched) == len(honest) == 4
@@ -389,7 +389,7 @@ class TestRestartRecovery:
         assert reopened.iter_segments()[-1].info.popular_terms == (
             reopened.term_id("zebra"),
         )
-        # Every layout sums a score's terms in ascending term-ID order,
+        # Every layout sums a score's terms in ascending term text,
         # so the answers equal the legacy engine's to the last bit.
         assert_equivalent(reopened, legacy_engine, QUERIES + ["zebra"])
         assert all(r.ok for r in full_engine_audit(reopened))

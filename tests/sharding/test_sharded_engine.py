@@ -52,16 +52,13 @@ class TestEquivalence:
     def test_same_results_and_scores(self, docs, query, num_shards):
         single, sharded = build_engines(docs, num_shards)
         try:
+            # Every engine sums a score's terms in ascending canonical
+            # text, which no shard assignment changes: the same floats.
             expected = single.search(query, top_k=len(docs) + 1)
             got = sharded.search(query, top_k=len(docs) + 1)
-            assert {r.doc_id for r in got} == {r.doc_id for r in expected}
-            by_id = {r.doc_id: r.score for r in got}
-            for r in expected:
-                # Scores agree to float-sum reassociation error only:
-                # every engine sums a score's terms by ascending term ID,
-                # but each shard grows its own term-ID space, so a shard
-                # can meet the same terms in another order.
-                assert by_id[r.doc_id] == pytest.approx(r.score, abs=1e-9)
+            assert [(r.doc_id, r.score.hex()) for r in got] == [
+                (r.doc_id, r.score.hex()) for r in expected
+            ]
         finally:
             sharded.close()
 
@@ -110,6 +107,32 @@ class TestEquivalence:
         with sharded:
             expected = [r.doc_id for r in single.search("alpha beta")]
             assert [r.doc_id for r in sharded.search("alpha beta")] == expected
+
+    def test_each_shard_resolves_each_query_term_once(self, monkeypatch):
+        """A shard's match resolves the query's terms, and the summed
+        statistics and the scoring order read what it resolved."""
+        lookups = []
+        resolve = TrustworthySearchEngine.term_id
+
+        def spy(engine, term):
+            lookups.append((id(engine), term))
+            return resolve(engine, term)
+
+        with ShardedSearchEngine(CONFIG, num_shards=3) as sharded:
+            sharded.index_batch([f"alpha beta doc{i}" for i in range(9)])
+            monkeypatch.setattr(TrustworthySearchEngine, "term_id", spy)
+            for query, terms in [
+                ("alpha beta alpha", {"alpha", "beta"}),
+                ("+alpha +beta", {"alpha", "beta"}),
+                ("alpha never", {"alpha", "never"}),
+                ("doc3", {"doc3"}),
+                ("beta @2..4", {"beta"}),
+            ]:
+                lookups.clear()
+                assert sharded.search(query)
+                assert sorted(lookups) == sorted(
+                    (id(shard), term) for shard in sharded.shards for term in terms
+                ), query
 
     def test_time_range_filter_respected(self):
         sharded = ShardedSearchEngine(CONFIG, num_shards=3)

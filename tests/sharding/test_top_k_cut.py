@@ -1,20 +1,20 @@
 """The sharded top-k is one cut over every shard's scores.
 
-Each shard scores every candidate it matched under the aggregate
+Each shard scores every candidate it matched under the shards' summed
 statistics; the executor takes the ``top_k``-th best score of them all
 as its threshold and sorts only what reaches it.  That must answer
-exactly as scoring every shard's candidates, sorting all of them by
-``(-score, global ID)`` and cutting — the reference below — for every
-``top_k``, with equal scores at the cut on different shards.
+exactly as one unsharded engine over the same documents scoring every
+candidate, sorting all of them by ``(-score, ID)`` and cutting — the
+reference below — for every ``top_k``, with equal scores at the cut on
+different shards.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.search.query import parse_query
-from repro.search.ranking import BM25Scorer, rank
+from repro.search.engine import TrustworthySearchEngine
+from repro.search.ranking import SCORERS, score
 from repro.sharding import ShardedSearchEngine
-from repro.sharding.executor import _ShardScopedStats
 from tests.helpers import SHARD_CONFIG, budget
 
 VOCAB = ["memo", "audit", "ledger", "quarter", "trade"]
@@ -40,21 +40,16 @@ queries = st.one_of(
 )
 
 
-def everything_sorted_then_cut(sharded, text, top_k):
-    """Every shard's candidates, each scored as a shard scores it,
-    sorted together by ``(-score, global ID)``, then cut at ``top_k``."""
-    executor = sharded.executor
-    query = parse_query(text, analyzer=executor.analyzer)
-    aggregate = executor.aggregate_term_stats(query.terms)
-    scored = []
-    for shard_index, shard in enumerate(sharded.shards):
-        candidates = shard.match(query)
-        ids = {term: shard.term_id(term) for term in aggregate.df}
-        df = {ids[term]: count for term, count in aggregate.df.items() if ids[term] is not None}
-        stats = _ShardScopedStats(aggregate, shard.stats, df)
-        for local_id, score in rank(BM25Scorer(stats), candidates, len(candidates)):
-            scored.append((-score, sharded.router.to_global(shard_index, local_id)))
-    return [(doc_id, (-negated).hex()) for negated, doc_id in sorted(scored)[:top_k]]
+def everything_sorted_then_cut(docs, text, top_k):
+    """An unsharded engine's every candidate for ``text``, scored,
+    sorted whole by ``(-score, ID)``, then cut at ``top_k``."""
+    engine = TrustworthySearchEngine(SHARD_CONFIG)
+    engine.index_batch(docs)
+    candidates = engine.match(text)
+    stats = engine.stats.query_stats(candidates.terms)
+    doc_ids, scores = score(SCORERS[SHARD_CONFIG.ranking](stats, engine.stats), candidates)
+    ranked = sorted(zip((-float(s) for s in scores), map(int, doc_ids)))
+    return [(doc_id, (-negated).hex()) for negated, doc_id in ranked[:top_k]]
 
 
 def answer(sharded, text, top_k):
@@ -70,8 +65,8 @@ def answer(sharded, text, top_k):
 @budget(80)
 def test_the_cut_is_everything_sorted_then_cut(docs, text, num_shards, top_k):
     with ShardedSearchEngine(SHARD_CONFIG, num_shards=num_shards) as sharded:
-        sharded.index_batch(docs)
-        assert answer(sharded, text, top_k) == everything_sorted_then_cut(sharded, text, top_k)
+        assert sharded.index_batch(docs) == list(range(len(docs)))
+        assert answer(sharded, text, top_k) == everything_sorted_then_cut(docs, text, top_k)
 
 
 def test_equal_scores_on_two_shards_are_cut_by_global_id():
@@ -87,5 +82,5 @@ def test_equal_scores_on_two_shards_are_cut_by_global_id():
             got = sharded.search("memo", top_k=top_k)
             assert [r.doc_id for r in got] == list(range(min(top_k, 6)))
             assert answer(sharded, "memo", top_k) == everything_sorted_then_cut(
-                sharded, "memo", top_k
+                ["memo audit"] * 6, "memo", top_k
             )

@@ -91,7 +91,7 @@ class TestTamperedInvestigation:
         case = Investigation(engine)
         healthy = case.run_full_audit()
         audits = case.case_file()["audits"]
-        assert len(audits) == len(list(engine.iter_posting_lists())) + 1
+        assert len(audits) == len(list(engine.iter_posting_lists())) + 2  # and the two logs
         # Whether this particular list had last ID > 0 decides if the
         # violation fires; either way the audit ran and was recorded.
         assert isinstance(healthy, bool)
