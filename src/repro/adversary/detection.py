@@ -22,8 +22,13 @@ def full_engine_audit(engine) -> List[AuditReport]:
 
     * every physical posting list (order + jump-pointer invariants);
     * every live sealed segment's names: bytes appended to its shared
-      file after the seal and files its directory does not name are
-      read by no query, and are reported, a finding per file;
+      file after the seal, postings appended to a long list past the
+      count its directory entry records, and files its directory does
+      not name are committed by no manifest record, and are reported, a
+      finding per file;
+    * the ranking statistics, recounted from the stored documents
+      (:meth:`~repro.search.engine.TrustworthySearchEngine.verify_statistics`):
+      a report, under ``statistics``, only when they differ;
     * the lexicon log: every line checked as a reopen checks it, and
       the whole log exactly the terms the engine numbered, in order;
     * the commit-time log (monotonicity of times and document IDs).
@@ -56,9 +61,15 @@ def full_engine_audit(engine) -> List[AuditReport]:
             report = AuditReport(subject=f"segment {segment.info.seg_no}")
             report.add(
                 f"file '{name}': {size} bytes its manifest record does not "
-                "commit (written after the seal; no query reads them)"
+                "commit (written after the seal; no merge or reopen takes them)"
             )
             reports.append(report)
+    try:
+        engine.verify_statistics()
+    except TamperDetectedError as exc:
+        report = AuditReport(subject="statistics")
+        report.add(str(exc))
+        reports.append(report)
     # Each log verifies itself: it returns the records it checked, or
     # raises on the first bad one.
     for subject, verify in (

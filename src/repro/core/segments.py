@@ -31,7 +31,11 @@ to that file after the seal is read by anyone, and a list the directory
 does not name is empty whatever files appear later.  A crash anywhere
 before the manifest append leaves only orphan files, which recovery
 ignores (the manifest is the sole source of truth — orphans only occupy
-their segment number, see :func:`next_seg_no`).  Replay validates the
+their segment number, see :func:`next_seg_no`).  A segment sealed or
+merged by this code also ends its shared file in a document-length
+column, a ``u32`` per document ID of its range, fixed by the same
+record: what a reopen counts the ranking statistics from instead of
+re-analysing the documents.  Replay validates the
 doc-range bookkeeping of every record; an inconsistent manifest is
 indistinguishable from tampering and is reported as such.
 
@@ -90,6 +94,10 @@ _OP_SEAL = 1
 _OP_MERGE = 2
 #: Added to either: the segment's short lists share one file.
 _OP_SHARED = 2
+#: Added to a shared-file opcode: the shared file ends in the segment's
+#: document-length column (:meth:`MergedListFamily.doc_lengths`).  Code
+#: before it reads opcode 5 or 6 and refuses the record.
+_OP_LENGTHS = 4
 
 #: A directory entry of a shared file: ``(list id, block, count)`` —
 #: the data block holding the list and its postings, or ``_LONG`` for a
@@ -100,6 +108,9 @@ _OP_SHARED = 2
 _ENTRY_DTYPE = np.dtype("<u4")
 _ENTRY_SIZE = 3 * _ENTRY_DTYPE.itemsize
 _LONG = 0xFFFFFFFF
+
+#: A document's length in the column a shared file ends in.
+_LENGTH = np.dtype("<u4")
 
 
 def segment_list_name(seg_no: int, list_id: int) -> str:
@@ -120,6 +131,12 @@ class SharedFile(NamedTuple):
     short_lists: int
 
 
+def _column_start(shared: SharedFile, block_size: int) -> int:
+    """The first block of a shared file's length column: after the data
+    blocks and the directory's, each in blocks of its own."""
+    return shared.blocks + -(-shared.lists // (block_size // _ENTRY_SIZE))
+
+
 @dataclass(frozen=True)
 class SegmentInfo:
     """One sealed segment's manifest record.
@@ -129,7 +146,9 @@ class SegmentInfo:
     session.  ``inputs`` is empty for a seal and names the retired
     segments for a merge.  ``shared`` is ``None`` for a segment sealed
     before short lists shared a file: each of its lists is a file, found
-    by listing the device.
+    by listing the device.  ``lengths`` says the shared file ends in the
+    segment's document-length column (:meth:`MergedListFamily.doc_lengths`);
+    a segment written before the column has none.
     """
 
     seg_no: int
@@ -141,6 +160,7 @@ class SegmentInfo:
     popular_terms: Tuple[int, ...] = ()
     inputs: Tuple[int, ...] = ()
     shared: Optional[SharedFile] = None
+    lengths: bool = False
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly form (CLI ``segments`` subcommand)."""
@@ -166,6 +186,8 @@ def _pack_record(info: SegmentInfo) -> bytes:
     opcode = _OP_MERGE if info.inputs else _OP_SEAL
     if info.shared is not None:
         opcode += _OP_SHARED
+    if info.lengths:
+        opcode += _OP_LENGTHS
     head = _HEADER.pack(
         opcode,
         info.seg_no,
@@ -207,14 +229,19 @@ def _unpack_records(payload: bytes, *, location: str) -> Iterator[SegmentInfo]:
             n_inputs,
         ) = _HEADER.unpack_from(payload, offset)
         offset += _HEADER.size
+        lengths = opcode > _OP_SHARED + _OP_MERGE
+        if lengths:
+            opcode -= _OP_LENGTHS
         shared = None
         if opcode > _OP_SHARED and offset + _SHARED.size <= len(payload):
             shared = SharedFile(*_SHARED.unpack_from(payload, offset))
             offset += _SHARED.size
             opcode -= _OP_SHARED
         extra = n_popular + n_inputs
-        if opcode not in (_OP_SEAL, _OP_MERGE) or (
-            offset + extra * _U32.size > len(payload)
+        if (
+            opcode not in (_OP_SEAL, _OP_MERGE)
+            or (lengths and shared is None)
+            or offset + extra * _U32.size > len(payload)
         ):
             raise TamperDetectedError(
                 f"malformed manifest record at byte {start}",
@@ -244,6 +271,7 @@ def _unpack_records(payload: bytes, *, location: str) -> Iterator[SegmentInfo]:
             popular_terms=tuple(values[:n_popular]),
             inputs=inputs,
             shared=shared,
+            lengths=lengths,
         )
 
 
@@ -322,7 +350,7 @@ class SegmentManifest:
                 invariant="segment-manifest",
             )
         shared = info.shared
-        if shared is not None and not (
+        if (shared is None and info.lengths) or shared is not None and not (
             bool(shared.blocks) == bool(shared.short_lists)
             and shared.blocks <= shared.short_lists <= shared.lists <= info.num_lists
         ):
@@ -474,9 +502,11 @@ def write_segment_lists(
     strategy: int,
     popular_terms: Sequence[int],
     branching: Optional[int],
+    lengths: Optional[np.ndarray] = None,
 ) -> Tuple[int, SharedFile]:
     """Write segment ``seg_no``'s merged posting lists from its
-    postings' ``columns``; returns the posting count and what the
+    postings' ``columns``, and its document-length column from
+    ``lengths`` when given; returns the posting count and what the
     manifest record must say of the shared file.  Pure data write — the
     caller commits that record afterwards (the atomic step).
 
@@ -489,7 +519,7 @@ def write_segment_lists(
     through the bulk load of a file of its own.
     """
     doc_ids, term_codes = columns
-    if not len(doc_ids):
+    if not len(doc_ids) and lengths is None:
         return 0, SharedFile(0, 0, 0)
     family = MergedListFamily(
         store,
@@ -504,25 +534,29 @@ def write_segment_lists(
         ),
         branching=branching,
     )
-    term_ids = term_codes & MAX_TERM_ID_WITH_TF
-    list_ids = family.assignment_through(int(term_ids.max())).list_ids[term_ids]
-    order = np.lexsort((term_ids, doc_ids, list_ids))
-    postings = np.stack((doc_ids[order], term_codes[order]), axis=1)
-    list_ids = list_ids[order]
-    starts = np.flatnonzero(np.r_[True, list_ids[1:] != list_ids[:-1]])
-    counts = np.diff(np.r_[starts, len(postings)])
-    list_ids = list_ids[starts]
-    short = counts <= family.short_limit
-    shared = family.write_shared_file(
-        list_ids, counts, short, postings[np.repeat(short, counts)]
-    )
-    family.append_many(
-        (list_id, postings[start : start + count])
-        for list_id, start, count in zip(
-            list_ids[~short].tolist(), starts[~short].tolist(), counts[~short].tolist()
+    shared = SharedFile(0, 0, 0)
+    if len(doc_ids):
+        term_ids = term_codes & MAX_TERM_ID_WITH_TF
+        list_ids = family.assignment_through(int(term_ids.max())).list_ids[term_ids]
+        order = np.lexsort((term_ids, doc_ids, list_ids))
+        postings = np.stack((doc_ids[order], term_codes[order]), axis=1)
+        list_ids = list_ids[order]
+        starts = np.flatnonzero(np.r_[True, list_ids[1:] != list_ids[:-1]])
+        counts = np.diff(np.r_[starts, len(postings)])
+        list_ids = list_ids[starts]
+        short = counts <= family.short_limit
+        shared = family.write_shared_file(
+            list_ids, counts, short, postings[np.repeat(short, counts)]
         )
-    )
-    return len(postings), shared
+        family.append_many(
+            (list_id, postings[start : start + count])
+            for list_id, start, count in zip(
+                list_ids[~short].tolist(), starts[~short].tolist(), counts[~short].tolist()
+            )
+        )
+    if lengths is not None:
+        family.write_length_column(lengths, shared)
+    return len(doc_ids), shared
 
 
 class MergedListFamily:
@@ -574,6 +608,8 @@ class MergedListFamily:
         self.shared: Optional[SharedFile] = None
         self.shared_name: Optional[str] = None
         self._extents: Optional[Dict[int, Optional[Extent]]] = None
+        #: The postings the directory counts in each list of its own.
+        self._counts: Dict[int, int] = {}
         #: The shared file's data blocks, and the short lists whose
         #: document IDs descend (see :meth:`_short_lists`).
         self._short: Optional[Tuple[tuple, Dict[int, Tuple[int, int, int]]]] = None
@@ -727,11 +763,33 @@ class MergedListFamily:
             ((starts - bases[block]) * POSTING_SIZE).tolist(),
             (count * POSTING_SIZE).tolist(),
         )
+        self._counts = dict(zip(ids[~short].tolist(), entries[~short, 2].tolist()))
         self._extents = {
             list_id: next(extents) if is_short else None
             for list_id, is_short in zip(ids.tolist(), short.tolist())
         }
         return self._extents
+
+    def doc_lengths(self) -> Optional[np.ndarray]:
+        """The segment's document-length column: a length per document
+        ID of ``[first_doc, last_doc]`` — ``None`` for a segment written
+        before the column.  Only the bytes the manifest record fixes are
+        read: the range's length of the blocks after the directory."""
+        info = self.info
+        if info is None or not info.lengths:
+            return None
+        size = (info.last_doc - info.first_doc + 1) * _LENGTH.itemsize
+        per_block = self.store.block_size // _LENGTH.itemsize * _LENGTH.itemsize
+        first = _column_start(self.shared, self.store.block_size)
+        try:
+            worm_file = self.store.open_file(self.shared_name)
+            column = b"".join(
+                worm_file.read(first + at // per_block, 0, min(per_block, size - at))
+                for at in range(0, size, per_block)
+            )
+        except WormError as error:
+            raise self._mismatch(f"is shorter than its length column: {error}") from None
+        return np.frombuffer(column, dtype=_LENGTH)
 
     def _mismatch(self, what: str) -> TamperDetectedError:
         return TamperDetectedError(
@@ -937,6 +995,18 @@ class MergedListFamily:
             )
         return SharedFile(len(opens), len(entries), len(ends))
 
+    def write_length_column(self, lengths: np.ndarray, shared: SharedFile) -> None:
+        """Append a new segment's document-length column to its shared
+        file, after ``shared``'s directory: ``lengths``, one per document
+        ID of its range, in blocks of their own, each held to the
+        position it must land at."""
+        self.store.ensure_file(self.shared_name)
+        first = _column_start(shared, self.store.block_size)
+        per_block = self.store.block_size // _LENGTH.itemsize
+        column = np.asarray(lengths, dtype=_LENGTH)
+        for at in range(0, len(column), per_block):
+            self._append_block(column[at : at + per_block].tobytes(), first + at // per_block)
+
     def _append_block(self, payload: bytes, block_no: int) -> None:
         position = self.store.append_record(
             self.shared_name, payload, force_new_block=True
@@ -1083,18 +1153,22 @@ class MergedListFamily:
         for list_id in self.list_ids():
             yield self._attach(list_id)
 
-    def read_columns(self) -> PostingColumns:
-        """All postings of this family as ``(doc_ids, term_codes)``
-        columns, list after list — a merge's input.
+    def read_columns(self, checked: bool = True) -> PostingColumns:
+        """This family's postings as ``(doc_ids, term_codes)`` columns,
+        list after list — a merge's input.  A sealed segment's are those
+        its manifest record fixes: the shared file's data blocks, and of
+        each list of its own the postings its directory entry counts.
+        What was appended to such a list after the seal is not taken.
 
-        Every committed block is read straight from the store, once — a
-        shared file's data blocks (:meth:`_shared_blocks`), then each
-        list file's — and nothing is attached: uncounted, as maintenance
-        is.  What attaching a list would have refused is refused here: a
-        block that is not whole postings, and a list whose document IDs
-        descend (the order check of :func:`~repro.core.vecdecode.descents`,
-        a shared block at a time, then once over the list files' column;
-        a list may start below the end of the one before it).
+        Every block read is read straight from the store, once, and
+        nothing is attached: uncounted, as maintenance is.  ``checked``
+        reads each list of its own whole and refuses what attaching it
+        would have refused, appended bytes included: a block that is not
+        whole postings, and a list whose document IDs descend (the order
+        check of :func:`~repro.core.vecdecode.descents`, a shared block
+        at a time, then once over the list files' column; a list may
+        start below the end of the one before it).  Without it only the
+        blocks holding the counted postings are read.
         """
         parts: List[np.ndarray] = []
         if self.shared is not None:
@@ -1102,50 +1176,78 @@ class MergedListFamily:
                 for list_id, (index, doc_id, largest) in found.items():
                     raise self._out_of_order(list_id, f"posting {index}", doc_id, largest)
                 parts.append(postings)
+        list_ids = self.list_ids(own_files=True)
+        counted = self._counts if self.shared is not None else {}
         payloads: List[bytes] = []
-        list_ids: List[int] = []
         list_starts: List[int] = []
         count = 0
-        for list_id in self.list_ids(own_files=True):
+        for list_id in list_ids:
             name = self.list_name(list_id)
-            list_ids.append(list_id)
             list_starts.append(count)
             for block_no in range(self.store.open_file(name).num_blocks):
-                payloads.append(self.store.peek_block(name, block_no))
-                count += len(payloads[-1]) // POSTING_SIZE
+                payload = self.store.peek_block(name, block_no)
+                if not checked and counted:
+                    # The counted postings, and not a byte after them.
+                    left = (counted[list_id] - count + list_starts[-1]) * POSTING_SIZE
+                    if left <= 0:
+                        break
+                    payload = payload[:left]
+                payloads.append(payload)
+                count += len(payload) // POSTING_SIZE
         own = decode_blocks(payloads)
-        at, top = descents(own[:, 0], list_starts)
-        if len(at):
-            at = int(at[0])
-            which = bisect_right(list_starts, at) - 1
-            raise self._out_of_order(
-                list_ids[which], f"posting {at - list_starts[which]}", own[at, 0], top[0]
-            )
-        postings = np.concatenate([*parts, own]) if parts else own
+        if checked:
+            at, top = descents(own[:, 0], list_starts)
+            if len(at):
+                at = int(at[0])
+                which = bisect_right(list_starts, at) - 1
+                raise self._out_of_order(
+                    list_ids[which], f"posting {at - list_starts[which]}", own[at, 0], top[0]
+                )
         if self.decode_metrics is not None:
             self.decode_metrics[0].inc(len(parts) + len(payloads))
-            self.decode_metrics[1].inc(len(postings))
+            self.decode_metrics[1].inc(sum(map(len, parts)) + len(own))
+        if counted:
+            ends = [*list_starts[1:], len(own)]
+            for list_id, start, end in zip(list_ids, list_starts, ends):
+                if end - start < counted[list_id]:
+                    raise self._mismatch(
+                        f"holds {end - start} postings in '{self.list_name(list_id)}', "
+                        f"whose directory entry counts {counted[list_id]}"
+                    )
+            parts.extend(
+                own[start : start + counted[list_id]]
+                for list_id, start in zip(list_ids, list_starts)
+            )
+        else:
+            parts.append(own)
+        postings = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return postings[:, 0], postings[:, 1]
 
     def unreachable_files(self) -> List[Tuple[str, int]]:
         """An audit's findings under a shared-file segment's names:
-        ``(file, bytes)`` for what no query reads — the shared file's
-        bytes past the end its manifest record fixes, and every file
-        that is neither it nor a long list of its directory."""
+        ``(file, bytes)`` for what its manifest record does not commit —
+        the shared file's bytes past the end the record fixes, a long
+        list's past the postings its directory entry counts, and every
+        file that is neither the shared file nor a long list of its
+        directory.  No merge or reopen takes them; a search still scans
+        a long list whole."""
         if self.shared is None:
             return []
-        own = set(self.list_names(own_files=True))
-        committed = self.shared.lists * _ENTRY_SIZE + sum(
+        shared_bytes = self.shared.lists * _ENTRY_SIZE + sum(
             extent[3] for extent in self._directory().values() if extent is not None
         )
+        if self.info.lengths:
+            shared_bytes += (self.info.last_doc - self.info.first_doc + 1) * _LENGTH.itemsize
+        committed = {self.list_name(i): n * POSTING_SIZE for i, n in self._counts.items()}
+        committed[self.shared_name] = shared_bytes
         found = []
         for name in self.store.device.list_files():
-            if name.startswith(self.root) and name not in own:
+            if name.startswith(self.root):
                 size = self.store.open_file(name).total_bytes()
-                if name != self.shared_name:
+                if name not in committed:
                     found.append((name, size))
-                elif size != committed:
-                    found.append((name, size - committed))
+                elif size != committed[name]:
+                    found.append((name, size - committed[name]))
         return found
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -201,6 +201,11 @@ class DocumentStore:
             self.file_name(doc_id)
         )
 
+    def alive_ids(self) -> List[int]:
+        """Every :meth:`exists` ID, ascending."""
+        exists = self.store.device.exists
+        return [d for d in self._commit_times if exists(self.file_name(d))]
+
     def get(self, doc_id: int) -> Document:
         """Fetch a committed document.
 

@@ -418,6 +418,11 @@ def _concatenated(pieces: Iterable[Sequence[TermColumn]]) -> List[TermColumn]:
     return columns
 
 
+def _differ(held: Mapping[int, int], recounted: Mapping[int, int]) -> List[int]:
+    """The keys whose counts differ, a missing key counting 0."""
+    return [k for k in held.keys() | recounted.keys() if held.get(k, 0) != recounted.get(k, 0)]
+
+
 class _Columns(NamedTuple):
     """Analysed documents as columns: term ``ids`` (the lexicon's own
     ints, which the statistics keep) and ``tfs`` (as postings carry it,
@@ -537,12 +542,15 @@ class TrustworthySearchEngine:
         Everything rebuilt here is *derived* data: the lexicon log, the
         commit-time log, the posting lists, and the documents themselves
         all live on WORM (the posting lists and commit log verified their
-        own invariants when reattached).  Ranking statistics and the tail
-        are refolded from the stored documents, re-analysed as they were
-        at ingest, through the fold ingest uses, a chunk of documents at
-        a time: every document above the sealed horizon re-enters the
-        tail.  A disposed document does not re-enter — its absence is
-        explained by the disposition log.
+        own invariants when reattached).  Only committed documents that
+        are not disposed count — a disposed one's absence is explained by
+        the disposition log.  A live segment with a length column is
+        folded into the ranking statistics whole (:meth:`_fold_segment`).
+        Every other such document — above the sealed horizon, or in a
+        segment written before the column — is re-analysed as it was at
+        ingest and refolded through the fold ingest uses, a chunk of
+        documents at a time, and those above the horizon re-enter the
+        tail.
         """
         self._restore_lexicon()
         commit_times = {}
@@ -555,14 +563,46 @@ class TrustworthySearchEngine:
         sealed_through = (
             self._manifest.sealed_through if self._manifest is not None else -1
         )
-        alive = [doc_id for doc_id in commit_times if self.documents.exists(doc_id)]
-        for at in range(0, len(alive), _RESTORE_CHUNK):
-            doc_ids = alive[at : at + _RESTORE_CHUNK]
-            batch = self._columns(
-                [self.analyzer.term_counts(self.documents.get(d).text) for d in doc_ids],
-                allocate=False,
-            )
+        alive = np.array(self.documents.alive_ids(), dtype=np.int64)
+        for segment in self._segments:
+            alive = self._fold_segment(segment, alive)
+        for doc_ids, batch in self._analysed(alive.tolist()):
             self._fold(doc_ids, batch, sealed_through)
+
+    def _analysed(self, doc_ids: List[int]) -> Iterator[Tuple[List[int], _Columns]]:
+        """Stored documents ``doc_ids`` re-analysed as at ingest, a chunk
+        at a time: each chunk and its :class:`_Columns`."""
+        for at in range(0, len(doc_ids), _RESTORE_CHUNK):
+            chunk = doc_ids[at : at + _RESTORE_CHUNK]
+            texts = [self.documents.get(doc_id).text for doc_id in chunk]
+            yield chunk, self._columns(list(map(self.analyzer.term_counts, texts)), allocate=False)
+
+    def _fold_segment(self, segment: SealedSegment, alive: np.ndarray) -> np.ndarray:
+        """Fold the ``alive`` documents of ``segment`` into the ranking
+        statistics from its length column and its postings, if it has a
+        column; returns the ``alive`` documents not folded.
+
+        Both are what its manifest record fixes: a sealed ``(document,
+        term)`` pair is one posting there, so a term's document count is
+        its postings' among the documents that count.
+        """
+        lengths = segment.doc_lengths()
+        if lengths is None:
+            return alive
+        first = segment.info.first_doc
+        low, high = np.searchsorted(alive, [first, segment.info.last_doc + 1])
+        inside = alive[low:high]
+        counted = np.zeros(len(lengths), dtype=bool)
+        counted[inside - first] = True
+        doc_ids, term_codes = segment.read_columns(checked=False)
+        rows = doc_ids.astype(np.int64) - first
+        # Outside the range only if a merge carried it in from a segment
+        # sealed before the shared file, whose lists it read whole.
+        held = (rows >= 0) & (rows < len(counted))
+        held[held] = counted[rows[held]]
+        df = np.bincount(term_codes[held] & MAX_TERM_ID_WITH_TF)
+        self.stats.add_counted(inside, lengths[inside - first], df)
+        return np.concatenate((alive[:low], alive[high:]))
 
     def _restore_lexicon(self) -> None:
         """Number the lexicon log's terms in memory, as they were logged."""
@@ -602,6 +642,46 @@ class TrustworthySearchEngine:
         terms = self._read_lexicon()
         self._check_lexicon_extent()
         return len(terms)
+
+    def verify_statistics(self) -> int:
+        """Recount the ranking statistics from the stored documents, as a
+        reopen before the length column did, and hold the engine's to
+        them: each term's document frequency, each document's length,
+        the document count and the total length.  Returns the documents
+        recounted, or raises :class:`~repro.errors.TamperDetectedError`
+        naming what differs.  Statistics carry no trust weight — a
+        verified search re-reads its results — but a wrong length
+        column, or a sealed posting a merge should not have carried,
+        shows here.  Documents disposed of in this session still count
+        in its statistics until a reopen; while the engine holds such a
+        document, nothing is compared."""
+        alive = self.documents.alive_ids()
+        held = self.stats
+        if not held.doc_lengths.keys() <= set(alive):
+            return 0
+        recounted = CollectionStats()
+        for doc_ids, batch in self._analysed(alive):
+            recounted.add(doc_ids, batch.lengths, batch.ids, batch.sizes)
+        wrong = [
+            f"{what} {sorted(keys)[:5]}"
+            for what, keys in (
+                ("the df of term IDs", _differ(held.df, recounted.df)),
+                ("the lengths of documents", _differ(held.doc_lengths, recounted.doc_lengths)),
+            )
+            if keys
+        ]
+        if (held.num_docs, held.total_length) != (recounted.num_docs, recounted.total_length):
+            wrong.append(
+                f"{held.num_docs} documents of total length {held.total_length}, "
+                f"recounted {recounted.num_docs} of {recounted.total_length}"
+            )
+        if wrong:
+            raise TamperDetectedError(
+                "statistics differ from a recount of the stored documents: " + "; ".join(wrong),
+                location="ranking statistics",
+                invariant="statistics",
+            )
+        return len(alive)
 
     # ------------------------------------------------------------------
     # observability
@@ -905,19 +985,23 @@ class TrustworthySearchEngine:
     def _write_segment(
         self,
         columns: PostingColumns,
+        lengths: Optional[np.ndarray],
         *,
         first_doc: int,
         last_doc: int,
         doc_count: int,
         inputs: Tuple[int, ...] = (),
     ) -> SealedSegment:
-        """Lay the postings in ``columns`` out as a new segment and
-        commit it.
+        """Lay the postings in ``columns`` out as a new segment, with
+        ``lengths``, one per document ID of ``[first_doc, last_doc]``, as
+        its length column (``None``: none, as code before the column
+        wrote), and commit it.
 
-        Writes the segment's merged posting lists first and appends the
-        manifest record last — the atomic step, which also fixes where
-        the short lists' shared file ends; a crash before it leaves only
-        orphan files that recovery ignores and never overwrites.
+        Writes the segment's merged posting lists and column first and
+        appends the manifest record last — the atomic step, which also
+        fixes where the short lists' shared file ends; a crash before it
+        leaves only orphan files that recovery ignores and never
+        overwrites.
         The segment number is spent before the first list file exists,
         so a write that raises part-way burns it in this session too.
         """
@@ -932,6 +1016,7 @@ class TrustworthySearchEngine:
             strategy=strategy,
             popular_terms=popular,
             branching=self.config.branching,
+            lengths=lengths,
         )
         info = SegmentInfo(
             seg_no=seg_no,
@@ -943,6 +1028,7 @@ class TrustworthySearchEngine:
             popular_terms=popular,
             inputs=inputs,
             shared=shared,
+            lengths=lengths is not None,
         )
         self._manifest.append(info)
         return self._open_family(info)
@@ -961,6 +1047,8 @@ class TrustworthySearchEngine:
             return None
         segment = self._write_segment(
             tail.columns(),
+            # What ingest counted; a burned ID's is 0.
+            self.stats.lengths_of(np.arange(tail.first_doc, tail.last_doc + 1)),
             first_doc=tail.first_doc,
             last_doc=tail.last_doc,
             doc_count=tail.doc_count,
@@ -986,11 +1074,14 @@ class TrustworthySearchEngine:
     def merge_segments(self) -> Optional[int]:
         """Merge every live segment into one, online (Section 3.3).
 
-        Concatenates the live segments' posting columns (segment doc
-        ranges are disjoint and ascending, and the new segment's sort
-        keeps doc order whatever they hold), re-chooses the term→list
+        Concatenates the live segments' posting columns — what their
+        manifest records fix (segment doc ranges are disjoint and
+        ascending, and the new segment's sort keeps doc order whatever
+        they hold) — and their length columns, re-chooses the term→list
         assignment from the combined popularity, writes the merged
         segment, and retires the inputs with a single manifest append.
+        A segment written before the column contributes the lengths the
+        statistics hold.
         Readers holding an older :meth:`index_view` keep their segments;
         the retired segments' read-cache entries are dropped, and no
         other.  Returns the merged segment number (``None`` with fewer
@@ -1001,9 +1092,18 @@ class TrustworthySearchEngine:
         if len(retired) < 2:
             return None
         columns = [segment.read_columns() for segment in retired]
+        first = retired[0].info.first_doc
+        lengths = np.zeros(retired[-1].info.last_doc - first + 1, dtype=np.int64)
+        for input_segment in retired:
+            start, stop = input_segment.info.first_doc, input_segment.info.last_doc + 1
+            column = input_segment.doc_lengths()
+            if column is None:
+                column = self.stats.lengths_of(np.arange(start, stop))
+            lengths[start - first : stop - first] = column
         segment = self._write_segment(
             tuple(np.concatenate(column) for column in zip(*columns)),
-            first_doc=retired[0].info.first_doc,
+            lengths,
+            first_doc=first,
             last_doc=retired[-1].info.last_doc,
             doc_count=sum(s.info.doc_count for s in retired),
             inputs=tuple(s.info.seg_no for s in retired),

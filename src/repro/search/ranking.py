@@ -9,6 +9,9 @@ data: the engine keeps them in application memory and could rebuild them
 from WORM at any time, so they carry no trust weight — Section 5's
 ranking-attack analysis is precisely about an adversary distorting them,
 and the countermeasure is result verification, not protected statistics.
+A reopen counts a sealed segment's from its length column and postings
+(:meth:`CollectionStats.add_counted`); the audit recounts them all from
+the stored documents.
 
 A scorer reads one record per query, :class:`QueryStats`: each distinct
 query term's document frequency, keyed by the term's canonical text, the
@@ -155,6 +158,24 @@ class CollectionStats:
             self.doc_lengths[doc_id] = length
             self._doc_terms[doc_id] = tuple(terms[at : at + size])
             at += size
+        self._set_lengths(list(doc_ids), lengths)
+        self.total_length += sum(lengths)
+        df.update(terms)
+
+    def add_counted(self, doc_ids: np.ndarray, lengths: np.ndarray, df: np.ndarray) -> None:
+        """Fold in documents not folded in before, their terms counted
+        already: ``doc_ids`` with their ``lengths``, and ``df[t]`` more
+        documents holding term ``t``.  What a reopen folds a sealed
+        segment in by; without per-document terms to subtract, such a
+        document is not re-added."""
+        self.doc_lengths.update(zip(doc_ids.tolist(), lengths.tolist()))
+        self._set_lengths(doc_ids, lengths)
+        self.total_length += int(lengths.sum())
+        terms = np.flatnonzero(df)
+        self.df.update(dict(zip(terms.tolist(), df[terms].tolist())))
+
+    def _set_lengths(self, doc_ids, lengths) -> None:
+        """Write ``lengths`` into the dense column at ``doc_ids``."""
         top = max(doc_ids, default=-1)
         if top >= len(self._lengths):
             grown = np.zeros(max(2 * len(self._lengths), top + 1), dtype=np.int64)
@@ -162,9 +183,7 @@ class CollectionStats:
             # Replaced, never resized: a reader that gathered from the
             # old column keeps a consistent one.
             self._lengths = grown
-        self._lengths[list(doc_ids)] = lengths
-        self.total_length += sum(lengths)
-        df.update(terms)
+        self._lengths[doc_ids] = lengths
 
     def doc_length(self, doc_id: int) -> int:
         """Length of ``doc_id`` (0 for unknown IDs, e.g. stuffed postings)."""

@@ -11,7 +11,11 @@ was run once, against a checkout of its commit, under its stem:
   segment posting by posting.  Every list of every segment is a file.
 * ``pr21`` — PR 21, the first whose segments file their short lists in
   one shared file with a directory, under manifest opcodes 3 and 4.
-  Code before it refuses this archive (``segment-manifest``).
+  Code before it refuses this archive (``segment-manifest``).  Every
+  later commit up to the next stem writes this archive byte for byte.
+* ``lengths`` — the first commit whose segments end their shared file
+  in a document-length column, under manifest opcodes 7 and 8.  Code
+  before it refuses this archive (``segment-manifest``).
 
 Run against a later commit the script writes the same answers and,
 where that commit changed it, another journal, which is what the tests

@@ -18,7 +18,12 @@ equivalence, in the directions a commit can test:
   the segments — file names, block bytes, pointer slots — and inside
   them to the same postings, list by list, in stored order;
 * an archive **written by PR 21** (the same script and queries) is
-  pinned beside it, for the next change of segment bytes to start from.
+  pinned beside it, for the next change of segment bytes to start from;
+* an archive whose segments end their shared file in a
+  **document-length column** is pinned beside those two: the same
+  answers, the same device as PR 21's but for the column's blocks, and
+  a reopen of it, of PR 21's and of PR 15's — each then sealed and
+  merged by this code — counts the statistics a full re-analysis does.
 
 A legacy batch's journal changed order, not content, when its
 commit-time records moved after its postings: the same records, pinned
@@ -27,6 +32,7 @@ as a sorted multiset, replaying to the same pinned device.
 
 import hashlib
 import json
+from dataclasses import replace
 import os
 import shutil
 import struct
@@ -34,6 +40,7 @@ import struct
 import pytest
 
 from repro.adversary.detection import full_engine_audit
+from repro.core.segments import MergedListFamily
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.persistent import JournaledWormDevice, _records, _sniff_format, scan_journal
 from repro.worm.storage import CachedWormStore
@@ -43,10 +50,13 @@ from tests.helpers import device_state, postings_of
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 FIXTURE = os.path.join(DATA, "tail_archive_pr15.worm")
 FIXTURE_PR21 = os.path.join(DATA, "tail_archive_pr21.worm")
+FIXTURE_LENGTHS = os.path.join(DATA, "tail_archive_lengths.worm")
 with open(os.path.join(DATA, "tail_archive_pr15.json")) as _handle:
     RECORDED = json.load(_handle)
 with open(os.path.join(DATA, "tail_archive_pr21.json")) as _handle:
     RECORDED_PR21 = json.load(_handle)
+with open(os.path.join(DATA, "tail_archive_lengths.json")) as _handle:
+    RECORDED_LENGTHS = json.load(_handle)
 CONFIG = EngineConfig(**RECORDED["config"])
 #: The script's documents through legacy ``index_batch``, four a batch:
 #: the journal's record count, the sha256 of its records as a sorted
@@ -216,6 +226,99 @@ def test_pr21_archive_opens_and_answers_as_recorded(tmp_path):
     engine.store.device.close()
 
 
+def statistics(engine):
+    stats = engine.stats
+    return (
+        {term: n for term, n in stats.df.items() if n},
+        dict(stats.doc_lengths),
+        stats.num_docs,
+        stats.total_length,
+    )
+
+
+def reanalysed_statistics(path, monkeypatch):
+    """The statistics a reopen that ignores every length column — and
+    so re-analyses every stored document — rebuilds."""
+    with monkeypatch.context() as patch:
+        patch.setattr(MergedListFamily, "doc_lengths", lambda self: None)
+        engine = open_engine(path)
+    engine.store.device.close()
+    return statistics(engine)
+
+
+def test_length_column_archive_opens_and_answers_as_recorded(tmp_path, monkeypatch):
+    """The same script and queries as PR 21's archive, the same answers
+    and segment table; the device differs from PR 21's only by the
+    column blocks at the end of each shared file, and the manifest's
+    opcodes."""
+    assert RECORDED_LENGTHS["script"] == RECORDED_PR21["script"]
+    assert RECORDED_LENGTHS["answers"] == RECORDED_PR21["answers"]
+    assert RECORDED_LENGTHS["segment_table"] == RECORDED_PR21["segment_table"]
+    path = str(tmp_path / "lengths.worm")
+    shutil.copy(FIXTURE_LENGTHS, path)
+    engine = open_engine(path)
+    assert all(s.info.lengths for s in engine.iter_segments())
+    assert answers(engine) == RECORDED_LENGTHS["answers"]
+    assert all(r.ok for r in full_engine_audit(engine))
+    engine.store.device.close()
+    assert statistics(engine) == reanalysed_statistics(path, monkeypatch)
+
+    pr21 = str(tmp_path / "pr21.worm")
+    shutil.copy(FIXTURE_PR21, pr21)
+    records = []
+    for journal in (pr21, path):
+        engine = open_engine(journal)
+        records.append(engine._manifest._records)
+        engine.store.device.close()
+    assert [replace(info, lengths=True) for info in records[0]] == records[1]
+    with JournaledWormDevice(pr21) as before, JournaledWormDevice(path) as after:
+        old, new = device_state(before), device_state(after)
+    assert set(old) == set(new)
+    for name in old:
+        if name.endswith("/short"):
+            # Every segment of the script holds at most 12 documents: a
+            # column of one block.
+            assert new[name]["blocks"][:-1] == old[name]["blocks"], name
+        elif name != "engine/segments":
+            assert new[name] == old[name], name
+
+
+def test_length_column_archive_replays_to_its_pinned_state(tmp_path):
+    """As ``tests/worm/test_persistent.py::TestReplayedState`` pins the
+    older archives: the digest of every file's name, retention, slot
+    count, block bytes and slots, and the record count."""
+    path = str(tmp_path / "lengths.worm")
+    shutil.copy(FIXTURE_LENGTHS, path)
+    with JournaledWormDevice(path) as device:
+        digest = hashlib.sha256(repr(device_state(device)).encode()).hexdigest()
+        assert (device.records, digest) == (
+            RECORDED_LENGTHS["journal_records"],
+            "4f788ce1f5490c22bc107c4674aad23042c9c0998a640cfd9f0bb672987f58a9",
+        )
+
+
+@pytest.mark.parametrize("fixture", [FIXTURE, FIXTURE_PR21], ids=["pr15", "pr21"])
+def test_archives_without_a_column_reopen_to_a_full_reanalysis(tmp_path, monkeypatch, fixture):
+    """No segment of either has a column, so a reopen re-analyses every
+    document; after this code seals and merges on top, the merged
+    segment has one, and a reopen counts from it what a full
+    re-analysis counts."""
+    path = str(tmp_path / "old.worm")
+    shutil.copy(fixture, path)
+    engine = open_engine(path)
+    assert not any(s.info.lengths for s in engine.iter_segments())
+    assert statistics(engine) == reanalysed_statistics(path, monkeypatch)
+    run(engine, [["index", "audit trade filing record18"], ["seal"], ["merge"]])
+    (merged,) = engine.iter_segments()
+    assert merged.info.lengths
+    held = statistics(engine)
+    engine.store.device.close()
+    reopened = open_engine(path)
+    assert statistics(reopened) == held == reanalysed_statistics(path, monkeypatch)
+    assert all(r.ok for r in full_engine_audit(reopened))
+    reopened.store.device.close()
+
+
 def test_same_ingest_by_block_replays_to_the_same_device(tmp_path, old_archive):
     path = str(tmp_path / "by-block.worm")
     engine = open_engine(path)
@@ -254,11 +357,14 @@ def test_same_ingest_by_block_replays_to_the_same_device(tmp_path, old_archive):
         old_files
     ) < 0
     # Every posting is stored once, as before; the shared files add a
-    # 12-byte directory entry per list, the manifest 12 bytes per record.
+    # 12-byte directory entry per list and a 4-byte length per document
+    # of each segment, the manifest 12 bytes per record.
     postings = sum(f.total_bytes() for f in old_files.values())
     lists = len(old_files)
-    assert sum(f.total_bytes() for f in new_files.values()) == postings + 12 * lists
-    assert new.payload_bytes - old.payload_bytes == 12 * lists + 12 * len(shared)
+    columns = 4 * sum(r.last_doc - r.first_doc + 1 for r in by_block._manifest._records)
+    assert columns == 4 * (4 + 4 + 4 + 12 + 4)  # three seals, their merge, a seal
+    assert sum(f.total_bytes() for f in new_files.values()) == postings + 12 * lists + columns
+    assert new.payload_bytes - old.payload_bytes == 12 * lists + 12 * len(shared) + columns
     blocks = sum(f.num_blocks for f in new_files.values())
     assert postings // 8 > 3 * blocks
     # Outside the segments one log is filed in other records, to the same

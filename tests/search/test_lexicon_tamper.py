@@ -8,16 +8,24 @@ them with nothing to verify.  The reader refuses the first two at open;
 the writer refuses to append after bytes it did not write, and
 ``full_engine_audit`` reports each of the three on an open engine.  On
 legacy and tail engines, and on two shards, each with a lexicon of its
-own.
+own.  A property then appends arbitrary bytes between ingests and
+restarts: a reopen refuses them, or every committed document still
+answers for each of its terms.
 """
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.adversary.detection import full_engine_audit
 from repro.cli import open_archive
 from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig
 from repro.worm.persistent import JournaledWormDevice
+from tests.helpers import budget
 
 LEXICON_FILE = "engine/lexicon"
 
@@ -140,3 +148,48 @@ def test_the_audit_reports_each_foreign_lexicon_record(archive, payload):
             f"shard {i}: lexicon log" for i in range(shards)
         ]
     handle.close()
+
+
+#: What Mala appends: raw bytes, or lines that look like the writer's —
+#: a known term, a new one, an empty one — with or without the newline.
+appended = st.one_of(
+    st.binary(min_size=1, max_size=12),
+    st.builds(
+        lambda term, newline: term.encode("utf-8") + newline,
+        st.sampled_from(["imclone", "memo", "gamma", "mala", "", "x" * 140]),
+        st.sampled_from([b"\n", b""]),
+    ).filter(bool),
+)
+
+
+@given(
+    tail_max_docs=st.sampled_from([None, 2]),
+    appends=st.lists(st.tuples(st.integers(0, 3), appended), min_size=1, max_size=3),
+)
+@budget(25)
+def test_appended_lexicon_bytes_are_refused_or_hide_no_document(tail_max_docs, appends):
+    """Bytes appended to the lexicon log before, between or after three
+    honest ingests, each followed by a restart: the open raises
+    :class:`TamperDetectedError`, or a search for each term of each
+    committed document finds that document."""
+    batches = [DOCUMENTS[:3], DOCUMENTS[3:], ["gamma memo", "gamma again"]]
+    config = EngineConfig(num_lists=8, block_size=512, tail_max_docs=tail_max_docs)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rec.worm")
+        _, handle = open_archive(path, create=config)
+        handle.close()
+        for at in range(len(batches) + 1):
+            for payload in (payload for where, payload in appends if where == at):
+                append_to_lexicons(path, 1, payload)
+            try:
+                engine, handle = open_archive(path)
+            except TamperDetectedError:
+                return
+            if at == len(batches):
+                break
+            engine.index_batch(batches[at])
+            handle.close()
+        for doc_id in engine.documents.alive_ids():
+            for term in engine.analyzer.term_counts(engine.documents.get(doc_id).text):
+                assert doc_id in [r.doc_id for r in engine.search(term, top_k=20)], term
+        handle.close()
