@@ -20,7 +20,8 @@ Layout of the subpackage:
 * :mod:`repro.core.epochs` — learning term popularity from a workload
   prefix (Section 3.3, Figures 3(f)/3(g)).
 * :mod:`repro.core.time_index` — the trustworthy commit-time index of
-  Section 5.
+  Section 5: its WORM log read once into two checked columns, where
+  the paper keeps a jump index.
 * :mod:`repro.core.verification` — auditors that surface tampering as
   :class:`~repro.errors.TamperDetectedError` reports.
 """

@@ -6,6 +6,10 @@ carries one value and an array of *write-once* jump pointers: the ``i``-th
 pointer of a node holding ``l`` points to the node with the smallest value
 ``l'`` such that ``l + 2**i <= l' < l + 2**(i+1)``.
 
+Here it is Section 4.1's reference structure, off the engine's path: the
+posting lists use the block jump index of Section 4.4, and commit times a
+checked column (:mod:`repro.core.time_index`).
+
 Trust properties (all proved in the paper, all tested here):
 
 * **Proposition 1**: a lookup follows pointers with strictly decreasing
@@ -48,13 +52,10 @@ class JumpNode:
     the paper's storage model for jump pointers (Section 4.3).
     """
 
-    __slots__ = ("value", "payload", "_ptrs")
+    __slots__ = ("value", "_ptrs")
 
-    def __init__(self, value: int, num_pointers: int, payload: Optional[int] = None):
+    def __init__(self, value: int, num_pointers: int):
         self.value = value
-        #: Optional write-once application payload committed with the node
-        #: (e.g. a log offset for commit-time indexes).
-        self.payload = payload
         self._ptrs: List[Optional[int]] = [None] * num_pointers
 
     def pointer(self, i: int) -> Optional[int]:
@@ -103,8 +104,8 @@ class JumpIndex:
     # ------------------------------------------------------------------
     # low-level WORM-legal surface (honest code and Mala alike)
     # ------------------------------------------------------------------
-    def append_node(self, value: int, payload: Optional[int] = None) -> int:
-        """Append a node holding ``value`` (and optional payload); returns its ID.
+    def append_node(self, value: int) -> int:
+        """Append a node holding ``value``; returns its ID.
 
         The device permits any append — semantic validity is checked at
         read time, not write time.
@@ -113,7 +114,7 @@ class JumpIndex:
             raise IndexError_(
                 f"value {value} does not fit in {self.max_value_bits} bits"
             )
-        self._nodes.append(JumpNode(value, self._num_pointers, payload))
+        self._nodes.append(JumpNode(value, self._num_pointers))
         return len(self._nodes) - 1
 
     def set_pointer(self, node_id: int, i: int, target: int) -> None:
@@ -150,8 +151,8 @@ class JumpIndex:
     # ------------------------------------------------------------------
     # honest write path — Insert(k) of Figure 7
     # ------------------------------------------------------------------
-    def insert(self, k: int, payload: Optional[int] = None) -> int:
-        """Insert ``k`` (with optional payload); returns the new node's ID.
+    def insert(self, k: int) -> int:
+        """Insert ``k``; returns the new node's ID.
 
         Follows Figure 7's ``Insert(k)`` exactly: walk from the head
         choosing the exponent ``i`` with ``s + 2**i <= k < s + 2**(i+1)``;
@@ -159,7 +160,7 @@ class JumpIndex:
         an append plus a write-once slot assignment, both WORM-legal.
         """
         if not self._nodes:
-            return self.append_node(k, payload)
+            return self.append_node(k)
         node_id = 0
         s = self._nodes[0].value
         if s >= k:
@@ -171,7 +172,7 @@ class JumpIndex:
             i = self._exponent(s, k)
             target = self._nodes[node_id].pointer(i)
             if target is None:
-                new_id = self.append_node(k, payload)
+                new_id = self.append_node(k)
                 self._nodes[node_id].set_pointer(i, new_id)
                 return new_id
             self.pointer_follows += 1
@@ -224,19 +225,11 @@ class JumpIndex:
         Proposition 3: if some stored ``v >= k`` exists, the result is
         never greater than ``v`` — committed IDs cannot be skipped.
         """
-        node_id = self.find_geq_node(k)
-        return None if node_id is NOT_FOUND else self._nodes[node_id].value
-
-    def find_geq_node(self, k: int) -> Optional[int]:
-        """Node-ID variant of :meth:`find_geq` (exposes the payload)."""
         if not self._nodes:
             return NOT_FOUND
         self.last_path = []
-        return self._find_geq_rec(k, 0)
-
-    def node_payload(self, node_id: int) -> Optional[int]:
-        """Payload committed with ``node_id``."""
-        return self._node(node_id).payload
+        node_id = self._find_geq_rec(k, 0)
+        return None if node_id is NOT_FOUND else self._nodes[node_id].value
 
     def _find_geq_rec(self, k: int, node_id: int) -> Optional[int]:
         """``FindGeqRec(k, s)`` of Figure 7, with tamper asserts.

@@ -5,41 +5,47 @@ them trustworthily requires an index on document commit times such that
 Mala can neither retroactively insert records "committed" in an earlier
 period nor eliminate any entry from a time-range query result.
 
-:class:`CommitTimeIndex` delivers both guarantees with the paper's own
-machinery: an append-only WORM log of ``(commit_time, doc_id)`` records —
-both components monotonic, so any retro-dated append is a monotonicity
-violation detectable at read time — plus a binary jump index over the
-distinct commit times whose node payloads are log offsets, giving
-``O(log N)`` trustworthy range queries (the jump index's Proposition 3
-guarantees no committed entry can be skipped).
+:class:`CommitTimeIndex` keeps an append-only WORM log of
+``(commit_time, doc_id)`` records — both components monotonic, so any
+retro-dated append is a monotonicity violation detectable at read time —
+and reads it once, at restore, into two columns: commit times and
+document IDs.  The paper puts a binary jump index over the times on WORM
+so that a reader need not walk the log; here the restore walks it anyway,
+with every check, so the columns *are* the checked log and a range query
+is two ``searchsorted`` calls on the time column.  Mala cannot write
+process memory, so an in-memory jump index would add no trust.
 
-Cost: a range query is two FindGeq on the jump index, one for each end
-of the range, and one counted read of the record each lands on, checked
-against the time the jump node claims.  The answer is a document-ID
-interval, not a list: every ID between two logged ones is either logged
-(and then committed inside the range, both fields being monotonic) or
-burned by a crash, which the engine filters.  The log's order was checked
-up to a high-water mark — every record at restore, then every honest
+Cost: a range query is the two binary searches plus one counted read of
+the record each end lands on.  The answer is a document-ID interval, not
+a list: every ID between two logged ones is either logged (and then
+committed inside the range, both fields being monotonic) or burned by a
+crash, which the engine filters.  The columns hold the log up to a
+checked high-water mark — every record at restore, then every honest
 append made while the mark covered the whole log — so only records
-appended around the writer are walked, by the queries that reach them.
+appended around the writer are read again, by the queries that reach
+them.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.jump_index import JumpIndex
+import numpy as np
+
 from repro.errors import DocumentIdOrderError, TamperDetectedError
 from repro.worm.storage import CachedWormStore
 
 _RECORD = struct.Struct("<QI")
 #: Bytes per (commit_time, doc_id) log record: 8-byte time + 4-byte doc ID.
 RECORD_SIZE = _RECORD.size
+#: The same record as a packed numpy row, for reading a block at once.
+_ROW = np.dtype([("time", "<u8"), ("doc", "<u4")])
 
 
 class CommitTimeIndex:
-    """Jump-indexed append-only log of document commit times.
+    """Append-only log of document commit times, held in memory as two
+    checked columns.
 
     Parameters
     ----------
@@ -47,59 +53,40 @@ class CommitTimeIndex:
         WORM store holding the log file.
     name:
         Log file name on the device.
-    max_time_bits:
-        Sizing of the commit-time space for the jump index (64-bit epoch
-        timestamps by default).
     """
 
-    def __init__(
-        self,
-        store: CachedWormStore,
-        name: str = "commit-times",
-        *,
-        max_time_bits: int = 48,
-    ):
+    def __init__(self, store: CachedWormStore, name: str = "commit-times"):
         self.store = store
         self.name = name
         self._file = store.ensure_file(name)
-        self._jump = JumpIndex(max_value_bits=max_time_bits)
-        #: Number of committed records.
-        self.count = 0
-        self._last_time = -1
-        self._last_doc_id = -1
         #: Log blocks read by range queries (diagnostics).
         self.blocks_scanned = 0
         self._records_per_block = store.block_size // RECORD_SIZE
-        self._restore_from_worm()
-        self._mark()
-
-    def _restore_from_worm(self) -> None:
-        """Rebuild the jump index and counters from the committed log.
-
-        Restart recovery: one uncounted pass that re-applies the same
-        monotonicity checks as ingest, so a log tampered with between
-        sessions fails loudly here rather than distorting later queries.
-        """
-        for offset, commit_time, doc_id in self._walk():
-            if commit_time > self._last_time:
-                self._jump.insert(commit_time, payload=offset)
-            self._last_time, self._last_doc_id, self.count = commit_time, doc_id, offset + 1
-
-    def _mark(self) -> None:
-        """Move the checked high-water mark over the whole log, which
-        the writer's memory then describes: records ``[0, _checked)``
-        are known monotonic, ``_checked_last`` is the last of them, and
-        ``_seen`` is the log's extent now.  Below the mark the log is
-        committed WORM bytes that cannot change, so no query checks
-        those records again."""
-        self._checked, self._checked_last = self.count, (self._last_time, self._last_doc_id)
+        # Restart recovery: one uncounted pass with the same checks as
+        # ingest, so a log tampered with between sessions fails loudly
+        # here rather than distorting later queries.
+        self._times, self._ids = self._scan()
+        #: Number of committed records.
+        self.count = self._checked = len(self._times)
+        self._last_time, self._last_doc_id = self._checked_last()
         self._seen = self._extent()
+
+    def _checked_last(self) -> Tuple[int, int]:
+        """The last record below the checked mark, or ``(-1, -1)``."""
+        at = self._checked - 1
+        return (int(self._times[at]), int(self._ids[at])) if at >= 0 else (-1, -1)
 
     def _extent(self) -> Tuple[int, int]:
         """The log's blocks and its tail block's bytes: all of its WORM
         state that an append can change (only the tail takes appends)."""
         blocks = self._file.num_blocks
         return blocks, self._file.block(blocks - 1).fill if blocks else 0
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The commit times (``uint64``) and document IDs (``uint32``) of
+        the records below the checked mark, both ascending: after a
+        restore, the whole log."""
+        return self._times[: self._checked], self._ids[: self._checked]
 
     # ------------------------------------------------------------------
     # write path
@@ -111,9 +98,11 @@ class CommitTimeIndex:
         increasing — the physical truth an honest ingest pipeline
         produces.  Violations are caller bugs
         (:class:`~repro.errors.DocumentIdOrderError`); *stored* violations
-        found later are tampering.  The record moves the checked mark
-        when the mark covered the whole log before it: then it follows
-        the last checked record, which is the writer's last one.
+        found later are tampering.  The record moves the checked mark,
+        and joins the columns, when the mark covered the whole log
+        before it: then it follows the last checked record, which is
+        the writer's last one.  Any byte appended around the writer
+        freezes the mark for the session.
         """
         if commit_time < self._last_time:
             raise DocumentIdOrderError(
@@ -125,14 +114,20 @@ class CommitTimeIndex:
                 f"doc_id {doc_id} must exceed last committed {self._last_doc_id}"
             )
         covered = self._extent() == self._seen
-        offset = self.count
         self.store.append_record(self.name, _RECORD.pack(commit_time, doc_id))
-        if commit_time > self._last_time:
-            # First record at this time: index it with its log offset.
-            self._jump.insert(commit_time, payload=offset)
-        self._last_time, self._last_doc_id, self.count = commit_time, doc_id, offset + 1
+        self._last_time, self._last_doc_id = commit_time, doc_id
+        self.count += 1
         if covered:
-            self._mark()
+            at = self._checked
+            if at == len(self._times):
+                # Grown by doubling, so ingest stays linear; replaced,
+                # never resized, like the ranking's length column.
+                grow = max(at, 64)
+                self._times = np.concatenate((self._times, np.empty(grow, np.uint64)))
+                self._ids = np.concatenate((self._ids, np.empty(grow, np.uint32)))
+            self._times[at], self._ids[at] = commit_time, doc_id
+            self._checked = at + 1
+            self._seen = self._extent()
 
     # ------------------------------------------------------------------
     # read path
@@ -155,109 +150,104 @@ class CommitTimeIndex:
             )
         return payload
 
-    def _walk(
-        self, start_offset: int = 0, *, after=(-1, -1), from_block=None, counted=False
-    ) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(offset, commit_time, doc_id)`` from record
-        ``start_offset`` to the end of the committed log, checked.
+    def _scan(
+        self, start: int = 0, *, after=(-1, -1), from_block=None, t_end=None, counted=False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The times and document IDs of the records from ``start`` to
+        the end of the committed log — or through the first record past
+        ``t_end`` — checked.
 
-        The one reader of the log's records.  The extent comes from WORM
-        state, not writer memory: a certified reader must scan everything
+        The one reader of the log.  The extent comes from WORM state,
+        not writer memory: a certified reader must scan everything
         actually committed — including records Mala appended around the
         honest writer, whose in-memory count would not include them.
         Each block is read once (a counted read with ``counted``), from
-        ``from_block`` (by default the one holding ``start_offset``), and
+        ``from_block`` (by default the one holding ``start``), and
         checked by :meth:`_read`; both fields of every record must be
         monotonic after the record before it, the first after ``after``.
+        A violation is raised at the first offending record up to and
+        including the first one past ``t_end``, where a record-at-a-time
+        walk stops, and at none after it.
         """
         per_block = self._records_per_block
         prev_time, prev_doc = after
         if from_block is None:
-            from_block = start_offset // per_block
+            from_block = start // per_block
+        times, ids = [np.empty(0, np.uint64)], [np.empty(0, np.uint32)]
         for block_no in range(from_block, self._file.num_blocks):
-            payload = self._read(block_no, counted=counted)
-            offset = max(start_offset, block_no * per_block)
-            for commit_time, doc_id in _RECORD.iter_unpack(
-                memoryview(payload)[(offset - block_no * per_block) * RECORD_SIZE :]
-            ):
-                if commit_time < prev_time or doc_id <= prev_doc:
-                    raise TamperDetectedError(
-                        f"commit log record {offset} ({commit_time}, "
-                        f"{doc_id}) violates monotonicity after "
-                        f"({prev_time}, {prev_doc})",
-                        location=f"commit log '{self.name}', record {offset}",
-                        invariant="commit-time-monotonicity",
-                    )
-                yield offset, commit_time, doc_id
-                prev_time, prev_doc = commit_time, doc_id
-                offset += 1
+            skip = max(0, start - block_no * per_block)
+            rows = np.frombuffer(self._read(block_no, counted=counted), _ROW)[skip:]
+            if not len(rows):
+                continue
+            time, doc = rows["time"], rows["doc"]
+            bad = np.empty(len(rows), dtype=bool)
+            bad[0] = int(time[0]) < prev_time or int(doc[0]) <= prev_doc
+            bad[1:] = (time[1:] < time[:-1]) | (doc[1:] <= doc[:-1])
+            past = np.flatnonzero(time > t_end) if t_end is not None else ()
+            end = past[0] + 1 if len(past) else len(rows)
+            violations = np.flatnonzero(bad[:end])
+            if len(violations):
+                at = violations[0]
+                if at:
+                    prev_time, prev_doc = int(time[at - 1]), int(doc[at - 1])
+                offset = block_no * per_block + skip + at
+                raise TamperDetectedError(
+                    f"commit log record {offset} ({time[at]}, "
+                    f"{doc[at]}) violates monotonicity after "
+                    f"({prev_time}, {prev_doc})",
+                    location=f"commit log '{self.name}', record {offset}",
+                    invariant="commit-time-monotonicity",
+                )
+            times.append(time[:end])
+            ids.append(doc[:end])
+            if len(past):
+                break
+            prev_time, prev_doc = int(time[-1]), int(doc[-1])
+        return np.concatenate(times), np.concatenate(ids)
 
-    def _boundary(self, node_id: int) -> Tuple[int, int]:
-        """The ``(commit_time, doc_id)`` record jump node ``node_id``
-        points at, by one counted read, held to the node's time."""
-        offset = self._jump.node_payload(node_id)
+    def _doc_at(self, offset: int) -> int:
+        """The document ID of record ``offset``, by one counted read."""
         block_no, at = divmod(offset, self._records_per_block)
-        record = _RECORD.unpack_from(self._read(block_no, counted=True), at * RECORD_SIZE)
-        node_time = self._jump.node_value(node_id)
-        if record[0] != node_time:
-            raise TamperDetectedError(
-                f"jump node for time {node_time} points at record "
-                f"{offset} holding time {record[0]}",
-                location=f"commit log '{self.name}', record {offset}",
-                invariant="commit-time-jump-payload",
-            )
-        return record
+        return _RECORD.unpack_from(self._read(block_no, counted=True), at * RECORD_SIZE)[1]
 
     def docs_in_range(self, t_start: int, t_end: int) -> Optional[Tuple[int, int]]:
         """The document-ID interval ``(first, last)`` committed with
         ``t_start <= time <= t_end``, or ``None`` when nothing was.
 
-        The IDs in between that the log does not hold were burned by a
-        crash; the caller filters those.  Trust guarantees: each end
-        comes from the jump index (no entry can be skipped, Proposition
-        3), and the record it lands on must hold the node's time.  The
-        log below the checked mark was checked when it was restored or
-        appended; past the mark — records appended around the writer —
-        every record up to the first one past ``t_end`` is checked for
-        monotonicity of both fields, so a retro-dated append surfaces as
+        ``first`` and ``last`` are logged IDs; the IDs in between that
+        the log does not hold were burned by a crash, and the caller
+        filters those.  The columns are the checked log, so each end is
+        a binary search on the time column, and the record it lands on
+        is read back from WORM.  Past the checked mark — records
+        appended around the writer — every record up to the first one
+        past ``t_end`` is checked for monotonicity of both fields, so a
+        retro-dated append surfaces as
         :class:`~repro.errors.TamperDetectedError` instead of silently
         distorting the answer.
         """
+        # Bounds come from query text: clamp them to what a record's
+        # time can hold, so the column searches compare within uint64.
+        t_start, t_end = max(t_start, 0), min(t_end, 2**64 - 1)
         if t_end < t_start:
             return None
-        node_id = self._jump.find_geq_node(t_start)
-        if node_id is None or self._jump.node_value(node_id) > t_end:
-            return None
-        start = self._jump.node_payload(node_id)
-        first = after = self._boundary(node_id)
-        # A record the writer indexed past the mark is walked on from.
-        from_block = None
-        if start < self._checked:
-            if self._checked_last[0] > t_end:
-                # The range ends inside the checked log, where the first
-                # record past it is the one the next jump node points at.
-                return first[1], self._boundary(self._jump.find_geq_node(t_end + 1))[1] - 1
-            if self._extent() == self._seen:
-                return first[1], self._checked_last[1]
-            # Records appended around the writer: walk them from the
-            # block that was the tail when the mark last covered the log.
-            start, after, from_block = self._checked - 1, self._checked_last, self._seen[0] - 1
-        last = after[1]
-        for _, commit_time, doc_id in self._walk(
-            start + 1, after=after, from_block=from_block, counted=True
-        ):
-            if commit_time > t_end:  # checked, and past the range
-                break
-            last = doc_id
-        return first[1], last
-
-    def iter_records(self) -> Iterator[Tuple[int, int]]:
-        """Yield every committed ``(commit_time, doc_id)`` pair in order.
-
-        Uncounted; used by restart recovery and offline audits.
-        """
-        for _, commit_time, doc_id in self._walk():
-            yield commit_time, doc_id
+        times = self._times[: self._checked]
+        low, high = times.searchsorted(t_start), times.searchsorted(t_end, "right")
+        if high < self._checked or self._extent() == self._seen:
+            return None if low == high else (self._doc_at(low), self._doc_at(high - 1))
+        # The range reaches past the mark, and records were appended
+        # around the writer: read them from the block that was the tail
+        # when the mark last covered the log.
+        times, ids = self._scan(
+            self._checked,
+            after=self._checked_last(),
+            from_block=max(self._seen[0] - 1, 0),
+            t_end=t_end,
+            counted=True,
+        )
+        ids = ids[times.searchsorted(t_start) : times.searchsorted(t_end, "right")]
+        if low < high:
+            return self._doc_at(low), int(ids[-1] if len(ids) else self._ids[high - 1])
+        return (int(ids[0]), int(ids[-1])) if len(ids) else None
 
     @property
     def last_commit_time(self) -> int:
@@ -270,8 +260,7 @@ class CommitTimeIndex:
 
         Offline pass for auditors; uses uncounted reads.
         """
-        for _ in self._walk():
-            pass
+        self._scan()
         return self.count
 
     def __len__(self) -> int:

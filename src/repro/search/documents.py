@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,23 +64,28 @@ class DocumentStore:
         """
         return f"{self.prefix}/{doc_id:010d}"
 
-    def restore(self, next_doc_id: int, commit_times: Dict[int, int]) -> None:
+    def restore(self, doc_ids: Sequence[int], commit_times: Sequence[int]) -> None:
         """Reattach to documents committed in a previous session.
 
-        ``next_doc_id`` and ``commit_times`` come from the trustworthy
-        commit-time log (the store's own counters are session-local).
-        A file above the last committed ID is an orphan a crash left
-        between a commit's create and its commit-time record: its ID is
-        burned now, not at the next commit — postings that commit
-        appended must not answer a query before then.  One ``exists``
-        probe per orphan, and one that finds none.
+        ``doc_ids`` (strictly ascending) and their ``commit_times`` are
+        the columns of the trustworthy commit-time log (the store's own
+        counters are session-local).  An ID below the last committed
+        one that the log does not hold was burned by a crash.  A file
+        above it is an orphan a crash left between a commit's create
+        and its commit-time record: its ID is burned now, not at the
+        next commit — postings that commit appended must not answer a
+        query before then.  One ``exists`` probe per orphan, and one
+        that finds none.
         """
+        doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        next_doc_id = int(doc_ids[-1]) + 1 if len(doc_ids) else 0
         while self.store.device.exists(self.file_name(next_doc_id)):
             next_doc_id += 1
         self._next_doc_id = next_doc_id
-        self._commit_times.update(commit_times)
-        if len(self._commit_times) < next_doc_id:
-            self._burned = [i for i in range(next_doc_id) if i not in self._commit_times]
+        times = np.asarray(commit_times).tolist()
+        self._commit_times.update(zip(doc_ids.tolist(), times))
+        if len(doc_ids) < next_doc_id:
+            self._burned = np.setdiff1d(np.arange(next_doc_id), doc_ids, assume_unique=True).tolist()
 
     @property
     def next_doc_id(self) -> int:

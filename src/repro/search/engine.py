@@ -553,12 +553,9 @@ class TrustworthySearchEngine:
         tail.
         """
         self._restore_lexicon()
-        commit_times = {}
-        for commit_time, doc_id in self.time_index.iter_records():
-            commit_times[doc_id] = commit_time
-        # The log's document IDs rise strictly (checked as it is read),
-        # with a gap where a crash burned one.
-        self.documents.restore(next(reversed(commit_times), -1) + 1, commit_times)
+        # The log's columns, checked as the time index read them.
+        commit_times, doc_ids = self.time_index.columns()
+        self.documents.restore(doc_ids, commit_times)
         self._clock = self.time_index.last_commit_time + 1
         sealed_through = (
             self._manifest.sealed_through if self._manifest is not None else -1

@@ -9,7 +9,8 @@ The paper's workloads contain two matching modes:
 
 Either may carry a commit-time constraint (Section 5: "Bob will also be
 able to supply a target time range for illegal activity"), served by the
-trustworthy :class:`~repro.core.time_index.CommitTimeIndex`.
+trustworthy :class:`~repro.core.time_index.CommitTimeIndex`: two binary
+searches on the checked column of commit times.
 """
 
 from __future__ import annotations

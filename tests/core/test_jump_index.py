@@ -72,14 +72,6 @@ class TestBasics:
         with pytest.raises(IndexError_):
             JumpIndex(max_value_bits=0)
 
-    def test_payloads(self):
-        ji = JumpIndex()
-        ji.insert(4, payload=400)
-        ji.insert(9, payload=900)
-        node = ji.find_geq_node(5)
-        assert ji.node_value(node) == 9
-        assert ji.node_payload(node) == 900
-
     def test_values_in_insertion_order(self):
         ji = build([3, 8, 9])
         assert ji.values() == [3, 8, 9]

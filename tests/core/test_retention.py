@@ -267,7 +267,7 @@ class TestFractionalHorizons:
             docs.file_name(0), retention_until=100.7
         )
         legacy.append_record(b"legacy record")
-        docs.restore(1, {0: 0})
+        docs.restore([0], [0])
         manager = RetentionManager(store)
         # Every sweep at or before the true horizon refuses to dispose:
         # truncation would have opened a one-unit window here.

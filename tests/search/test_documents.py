@@ -90,7 +90,7 @@ class TestRank:
             committed.append(docs.commit("text", commit_time=len(committed)))
         if data.draw(st.booleans()):  # the same IDs, restored from the log
             restored = DocumentStore(store)
-            restored.restore(docs.next_doc_id, {i: 0 for i in committed})
+            restored.restore(committed, [0] * len(committed))
             docs = restored
         assert docs.has_burned == any(burns)
         for rank, doc_id in enumerate(committed):
@@ -121,5 +121,5 @@ class TestBurnedColumn:
             assert [i in column for i in ids] == [docs.is_burned(i) for i in ids]
         if restore:
             restored = DocumentStore(store)
-            restored.restore(docs.next_doc_id, {i: 0 for i in committed})
+            restored.restore(committed, [0] * len(committed))
             assert restored.burned_ids().tolist() == docs.burned_ids().tolist()

@@ -140,6 +140,32 @@ class TestRecovery:
         assert len(reopened.documents) == 5
         assert {r.doc_id for r in reopened.search("memo", verify=True)} == {0, 4}
 
+    @pytest.mark.parametrize("tail_max_docs", [None, 8])
+    def test_reopen_reads_each_commit_log_block_once(self, tail_max_docs, monkeypatch):
+        """The time index's one checked pass yields the columns the
+        documents are rebuilt from: no second walk of the log."""
+        log = "engine/commit-times"
+        config = replace(CONFIG, tail_max_docs=tail_max_docs)
+        engine = TrustworthySearchEngine(config)
+        engine.index_batch([f"memo {i} for imclone" for i in range(100)])
+        store = engine.store
+        blocks = store.device.open_file(log).num_blocks
+        assert blocks >= 3  # 42 records per 512-byte block
+        reads = []
+        peek = store.peek_block
+
+        def counting_peek(name, block_no, *args, **kwargs):
+            if name == log:
+                reads.append(block_no)
+            return peek(name, block_no, *args, **kwargs)
+
+        monkeypatch.setattr(store, "peek_block", counting_peek)
+        reopened = TrustworthySearchEngine(config, store=store)
+        assert sorted(reads) == list(range(blocks))
+        assert len(reopened.documents) == 100
+        window = reopened.search("memo @50..59", top_k=20, verify=True)
+        assert {r.doc_id for r in window} == set(range(50, 60))
+
 
 class TestCommitCrashRecovery:
     """Power loss at any WAL stage of one document's commit leaves an
