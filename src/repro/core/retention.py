@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -79,13 +79,17 @@ class RetentionManager:
     # ------------------------------------------------------------------
     # disposition
     # ------------------------------------------------------------------
-    def dispose_expired(self, documents, *, now: int) -> List[int]:
+    def dispose_expired(
+        self, documents, *, now: int, before_delete: Callable[[int], None] = lambda doc_id: None
+    ) -> List[int]:
         """Dispose of every committed document whose retention expired.
 
         ``documents`` is the engine's
         :class:`~repro.search.documents.DocumentStore`.  Returns the IDs
         disposed in this pass.  Documents without a retention horizon
         (``retention_until is None``) are permanent and never disposed.
+        ``before_delete`` is called with each document's ID just before
+        its file is deleted, while it can still be read.
         """
         missing = object()
         disposed: List[int] = []
@@ -101,40 +105,38 @@ class RetentionManager:
                 # completes" contract.  Finish the deletion here (the
                 # logged horizon is >= the true one, so a `now` past the
                 # logged horizon satisfies the WORM deletion check).
-                if now >= prior.retention_until and documents.exists(doc_id):
-                    self.store.device.delete_file(
-                        documents.file_name(doc_id), now=now
-                    )
-                    self._horizons.pop(doc_id, None)
-                    disposed.append(doc_id)
-                continue
-            horizon = self._horizons.get(doc_id, missing)
-            if horizon is missing:
-                # First time this sweep path sees the document: read its
-                # horizon once and remember it (horizons are committed
-                # with the record and never change).
-                if not documents.exists(doc_id):
+                if now < prior.retention_until or not documents.exists(doc_id):
                     continue
-                name = documents.file_name(doc_id)
-                horizon = self.store.open_file(name).retention_until
-                self._horizons[doc_id] = horizon
-            if horizon is None or now < horizon:
-                # Permanent, or not yet expired; later sweeps skip the
-                # WORM open entirely via the horizon cache.
-                continue
-            # Log first, then delete: a crash between the two leaves a
-            # disposition record for a still-present document, which a
-            # re-run simply completes (see the recovery branch above);
-            # the reverse order would leave an unexplained dangling ID.
-            # Legacy archives may hold fractional horizons; the log packs
-            # integers, and rounding *up* keeps the logged horizon at or
-            # past the true one — truncation would understate retention
-            # and let a record claim disposal before its horizon without
-            # tripping the replay tamper check.
-            self._log(doc_id, math.ceil(horizon), now)
+            else:
+                horizon = self._horizons.get(doc_id, missing)
+                if horizon is missing:
+                    # First time this sweep path sees the document: read
+                    # its horizon once and remember it (horizons are
+                    # committed with the record and never change).
+                    if not documents.exists(doc_id):
+                        continue
+                    name = documents.file_name(doc_id)
+                    horizon = self.store.open_file(name).retention_until
+                    self._horizons[doc_id] = horizon
+                if horizon is None or now < horizon:
+                    # Permanent, or not yet expired; later sweeps skip
+                    # the WORM open entirely via the horizon cache.
+                    continue
+                # Log first, then delete: a crash between the two leaves
+                # a disposition record for a still-present document,
+                # which a re-run simply completes (see the recovery
+                # branch above); the reverse order would leave an
+                # unexplained dangling ID.  Legacy archives may hold
+                # fractional horizons; the log packs integers, and
+                # rounding *up* keeps the logged horizon at or past the
+                # true one — truncation would understate retention and
+                # let a record claim disposal before its horizon without
+                # tripping the replay tamper check.
+                self._log(doc_id, math.ceil(horizon), now)
+            before_delete(doc_id)
             self.store.device.delete_file(documents.file_name(doc_id), now=now)
+            self._horizons.pop(doc_id, None)
             disposed.append(doc_id)
-            del self._horizons[doc_id]
         return disposed
 
     def _log(self, doc_id: int, retention_until: int, disposed_at: int) -> None:

@@ -15,8 +15,8 @@ with every check, so the columns *are* the checked log and a range query
 is two ``searchsorted`` calls on the time column.  Mala cannot write
 process memory, so an in-memory jump index would add no trust.
 
-Cost: a range query is the two binary searches plus one counted read of
-the record each end lands on.  The answer is a document-ID interval, not
+Cost: a range query is the two binary searches; it reads the log only
+past the checked mark.  The answer is a document-ID interval, not
 a list: every ID between two logged ones is either logged (and then
 committed inside the range, both fields being monotonic) or burned by a
 crash, which the engine filters.  The columns hold the log up to a
@@ -59,7 +59,7 @@ class CommitTimeIndex:
         self.store = store
         self.name = name
         self._file = store.ensure_file(name)
-        #: Log blocks read by range queries (diagnostics).
+        #: Log blocks range queries read past the checked mark (diagnostics).
         self.blocks_scanned = 0
         self._records_per_block = store.block_size // RECORD_SIZE
         # Restart recovery: one uncounted pass with the same checks as
@@ -205,11 +205,6 @@ class CommitTimeIndex:
             prev_time, prev_doc = int(time[-1]), int(doc[-1])
         return np.concatenate(times), np.concatenate(ids)
 
-    def _doc_at(self, offset: int) -> int:
-        """The document ID of record ``offset``, by one counted read."""
-        block_no, at = divmod(offset, self._records_per_block)
-        return _RECORD.unpack_from(self._read(block_no, counted=True), at * RECORD_SIZE)[1]
-
     def docs_in_range(self, t_start: int, t_end: int) -> Optional[Tuple[int, int]]:
         """The document-ID interval ``(first, last)`` committed with
         ``t_start <= time <= t_end``, or ``None`` when nothing was.
@@ -217,11 +212,11 @@ class CommitTimeIndex:
         ``first`` and ``last`` are logged IDs; the IDs in between that
         the log does not hold were burned by a crash, and the caller
         filters those.  The columns are the checked log, so each end is
-        a binary search on the time column, and the record it lands on
-        is read back from WORM.  Past the checked mark — records
+        a binary search on the time column, and its ID is the ID column's
+        there: nothing is read.  Past the checked mark — records
         appended around the writer — every record up to the first one
-        past ``t_end`` is checked for monotonicity of both fields, so a
-        retro-dated append surfaces as
+        past ``t_end`` is read and checked for monotonicity of both
+        fields, so a retro-dated append surfaces as
         :class:`~repro.errors.TamperDetectedError` instead of silently
         distorting the answer.
         """
@@ -233,7 +228,7 @@ class CommitTimeIndex:
         times = self._times[: self._checked]
         low, high = times.searchsorted(t_start), times.searchsorted(t_end, "right")
         if high < self._checked or self._extent() == self._seen:
-            return None if low == high else (self._doc_at(low), self._doc_at(high - 1))
+            return None if low == high else (int(self._ids[low]), int(self._ids[high - 1]))
         # The range reaches past the mark, and records were appended
         # around the writer: read them from the block that was the tail
         # when the mark last covered the log.
@@ -246,7 +241,7 @@ class CommitTimeIndex:
         )
         ids = ids[times.searchsorted(t_start) : times.searchsorted(t_end, "right")]
         if low < high:
-            return self._doc_at(low), int(ids[-1] if len(ids) else self._ids[high - 1])
+            return int(self._ids[low]), int(ids[-1] if len(ids) else self._ids[high - 1])
         return (int(ids[0]), int(ids[-1])) if len(ids) else None
 
     @property

@@ -571,8 +571,12 @@ class TrustworthySearchEngine:
         at a time: each chunk and its :class:`_Columns`."""
         for at in range(0, len(doc_ids), _RESTORE_CHUNK):
             chunk = doc_ids[at : at + _RESTORE_CHUNK]
-            texts = [self.documents.get(doc_id).text for doc_id in chunk]
-            yield chunk, self._columns(list(map(self.analyzer.term_counts, texts)), allocate=False)
+            yield chunk, self._reanalysed([self.documents.get(doc_id).text for doc_id in chunk])
+
+    def _reanalysed(self, texts: List[str]) -> _Columns:
+        """Committed ``texts`` analysed as at ingest, under the IDs the
+        lexicon gave their terms then."""
+        return self._columns(list(map(self.analyzer.term_counts, texts)), allocate=False)
 
     def _fold_segment(self, segment: SealedSegment, alive: np.ndarray) -> np.ndarray:
         """Fold the ``alive`` documents of ``segment`` into the ranking
@@ -649,21 +653,20 @@ class TrustworthySearchEngine:
         naming what differs.  Statistics carry no trust weight — a
         verified search re-reads its results — but a wrong length
         column, or a sealed posting a merge should not have carried,
-        shows here.  Documents disposed of in this session still count
-        in its statistics until a reopen; while the engine holds such a
-        document, nothing is compared."""
+        shows here.  Only the documents that exist count: a disposal
+        counts its documents out (:meth:`dispose_expired`)."""
         alive = self.documents.alive_ids()
         held = self.stats
-        if not held.doc_lengths.keys() <= set(alive):
-            return 0
         recounted = CollectionStats()
         for doc_ids, batch in self._analysed(alive):
-            recounted.add(doc_ids, batch.lengths, batch.ids, batch.sizes)
+            recounted.add(doc_ids, batch.lengths, batch.ids)
+        ids = np.array(alive, dtype=np.int64)
+        lengths_differ = held.lengths_of(ids) != recounted.lengths_of(ids)
         wrong = [
             f"{what} {sorted(keys)[:5]}"
             for what, keys in (
                 ("the df of term IDs", _differ(held.df, recounted.df)),
-                ("the lengths of documents", _differ(held.doc_lengths, recounted.doc_lengths)),
+                ("the lengths of documents", ids[lengths_differ].tolist()),
             )
             if keys
         ]
@@ -1275,7 +1278,7 @@ class TrustworthySearchEngine:
             return
         sizes = batch.sizes[:count]
         rows = sum(sizes)
-        self.stats.add(doc_ids, batch.lengths[:count], batch.ids[:rows], sizes)
+        self.stats.add(doc_ids, batch.lengths[:count], batch.ids[:rows])
         if self._tail is not None:
             first = bisect_right(doc_ids, sealed_through)
             skip = sum(sizes[:first])
@@ -1742,10 +1745,27 @@ class TrustworthySearchEngine:
         disposition in the append-only log, so that dangling index
         entries remain explainable to auditors.  Returns the disposed
         document IDs.
+
+        The sweep hands over each document just before its file goes;
+        once it is gone, even if the sweep raises later, the document is
+        counted out of the ranking statistics as it was counted in, so
+        the session ranks as its reopen would.  Its postings and its length stay: a disposed ID
+        is filtered out before scoring, and a later seal writes the
+        length ingest computed.
         """
-        return self.retention.dispose_expired(
-            self.documents, now=self._clock if now is None else now
-        )
+        texts: Dict[int, str] = {}
+
+        def read(doc_id: int) -> None:
+            texts[doc_id] = self.documents.get(doc_id).text
+
+        try:
+            return self.retention.dispose_expired(
+                self.documents, now=self._clock if now is None else now, before_delete=read
+            )
+        finally:
+            gone = [text for doc_id, text in texts.items() if not self.documents.exists(doc_id)]
+            batch = self._reanalysed(gone)
+            self.stats.subtract(batch.lengths, batch.ids)
 
     def search_with_incident_handling(
         self, query, *, top_k: int = 10, trace=None

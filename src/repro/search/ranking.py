@@ -9,9 +9,11 @@ data: the engine keeps them in application memory and could rebuild them
 from WORM at any time, so they carry no trust weight — Section 5's
 ranking-attack analysis is precisely about an adversary distorting them,
 and the countermeasure is result verification, not protected statistics.
-A reopen counts a sealed segment's from its length column and postings
-(:meth:`CollectionStats.add_counted`); the audit recounts them all from
-the stored documents.
+Each document is counted in once, at ingest or at a reopen — a sealed
+segment's from its length column and postings
+(:meth:`CollectionStats.add_counted`) — and counted out when it is
+disposed of (:meth:`CollectionStats.subtract`); the audit recounts them
+all from the stored documents.
 
 A scorer reads one record per query, :class:`QueryStats`: each distinct
 query term's document frequency, keyed by the term's canonical text, the
@@ -95,87 +97,51 @@ class QueryStats:
 
 
 class CollectionStats:
-    """Incrementally maintained collection statistics for scoring."""
+    """Incrementally maintained collection statistics for scoring: the
+    document frequencies, the document count and total length, and each
+    document's length in one dense column."""
 
     def __init__(self) -> None:
         #: Documents containing each term (document frequency).
         self.df: Dict[int, int] = Counter()
-        #: Length (total retained tokens) of each document.
-        self.doc_lengths: Dict[int, int] = {}
+        #: Documents counted in, and their total length.
+        self.num_docs = 0
         self.total_length = 0
-        #: Term IDs previously folded in per document, so re-adding a
-        #: known document replaces its contributions instead of double
-        #: counting them.
-        self._doc_terms: Dict[int, Tuple[int, ...]] = {}
-        #: ``doc_lengths`` again as a dense column indexed by document
-        #: ID, zero-filled (unknown IDs have length 0) and grown by
-        #: doubling; what :meth:`lengths_of` gathers from.
+        #: Each document's length (total retained tokens), indexed by
+        #: document ID, zero-filled (unknown IDs have length 0) and grown
+        #: by doubling; what :meth:`lengths_of` gathers from.  A disposed
+        #: document keeps its length here: a later seal writes it.
         self._lengths = np.zeros(1024, dtype=np.int64)
-
-    @property
-    def num_docs(self) -> int:
-        """Number of indexed documents."""
-        return len(self.doc_lengths)
 
     def query_stats(self, terms: Mapping[object, Optional[int]]) -> QueryStats:
         """The :class:`QueryStats` of a query whose ``terms`` map each
         key to its term ID here (``None``: never indexed, df 0)."""
         df = {key: self.df.get(term_id, 0) for key, term_id in terms.items()}
-        return QueryStats(df, len(self.doc_lengths), self.total_length)
+        return QueryStats(df, self.num_docs, self.total_length)
 
     def add_document(self, doc_id: int, term_counts: Mapping[int, int]) -> None:
         """Fold one document's ``term_id -> count`` map in (:meth:`add`)."""
-        self.add([doc_id], [sum(term_counts.values())], list(term_counts), [len(term_counts)])
+        self.add([doc_id], [sum(term_counts.values())], list(term_counts))
 
-    def add(
-        self,
-        doc_ids: Sequence[int],
-        lengths: Sequence[int],
-        terms: Sequence[int],
-        sizes: Sequence[int],
-    ) -> None:
-        """Fold documents into the statistics: ``doc_ids`` with their
-        ``lengths``, and ``terms``, each document's distinct term IDs
-        (``sizes[i]`` of them for ``doc_ids[i]``) one after another.
-
-        Idempotent per document ID: re-adding a document that was
-        already folded in first subtracts its previous length and
-        document-frequency contributions, so ``num_docs``,
-        ``total_length``, and ``df`` reflect each document exactly once.
-        """
-        df = self.df
-        at = 0
-        for doc_id, length, size in zip(doc_ids, lengths, sizes):
-            previous = self._doc_terms.get(doc_id)
-            if previous is not None:
-                self.total_length -= self.doc_lengths[doc_id]
-                for term in previous:
-                    remaining = df[term] - 1
-                    if remaining:
-                        df[term] = remaining
-                    else:
-                        del df[term]
-            self.doc_lengths[doc_id] = length
-            self._doc_terms[doc_id] = tuple(terms[at : at + size])
-            at += size
-        self._set_lengths(list(doc_ids), lengths)
-        self.total_length += sum(lengths)
-        df.update(terms)
+    def add(self, doc_ids: Sequence[int], lengths: Sequence[int], terms: Sequence[int]) -> None:
+        """Fold in documents not folded in before: ``doc_ids`` with their
+        ``lengths``, and ``terms``, each document's distinct term IDs one
+        document after another."""
+        self._count_in(list(doc_ids), lengths)
+        self.df.update(terms)
 
     def add_counted(self, doc_ids: np.ndarray, lengths: np.ndarray, df: np.ndarray) -> None:
         """Fold in documents not folded in before, their terms counted
         already: ``doc_ids`` with their ``lengths``, and ``df[t]`` more
         documents holding term ``t``.  What a reopen folds a sealed
-        segment in by; without per-document terms to subtract, such a
-        document is not re-added."""
-        self.doc_lengths.update(zip(doc_ids.tolist(), lengths.tolist()))
-        self._set_lengths(doc_ids, lengths)
-        self.total_length += int(lengths.sum())
+        segment in by."""
+        self._count_in(doc_ids, lengths)
         terms = np.flatnonzero(df)
         self.df.update(dict(zip(terms.tolist(), df[terms].tolist())))
 
-    def _set_lengths(self, doc_ids, lengths) -> None:
-        """Write ``lengths`` into the dense column at ``doc_ids``."""
+    def _count_in(self, doc_ids, lengths) -> None:
+        """Count documents in, and write their ``lengths`` into the
+        column at ``doc_ids``."""
         top = max(doc_ids, default=-1)
         if top >= len(self._lengths):
             grown = np.zeros(max(2 * len(self._lengths), top + 1), dtype=np.int64)
@@ -184,10 +150,26 @@ class CollectionStats:
             # old column keeps a consistent one.
             self._lengths = grown
         self._lengths[doc_ids] = lengths
+        self.num_docs += len(doc_ids)
+        self.total_length += int(np.sum(lengths))
+
+    def subtract(self, lengths: Sequence[int], terms: Sequence[int]) -> None:
+        """Count disposed documents out: documents of ``lengths``, and
+        ``terms``, each document's distinct term IDs one document after
+        another.  Their lengths stay in the column."""
+        self.num_docs -= len(lengths)
+        self.total_length -= sum(lengths)
+        df = self.df
+        for term in terms:
+            remaining = df[term] - 1
+            if remaining:
+                df[term] = remaining
+            else:
+                del df[term]
 
     def doc_length(self, doc_id: int) -> int:
         """Length of ``doc_id`` (0 for unknown IDs, e.g. stuffed postings)."""
-        return self.doc_lengths.get(doc_id, 0)
+        return int(self._lengths[doc_id]) if doc_id < len(self._lengths) else 0
 
     def lengths_of(self, doc_ids: np.ndarray) -> np.ndarray:
         """:meth:`doc_length` of every ID in ascending ``doc_ids``, as a

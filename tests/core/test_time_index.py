@@ -121,9 +121,8 @@ def reference_docs_in_range(cti, t_start, t_end):
     0, one block read and one ``unpack_from`` per record, extent from
     the device's committed bytes, through the first record past
     ``t_end``.  Returns the documents and the ``(first, last)`` record
-    offsets it read — ``None`` for an empty window it answered inside
-    the log's checked records — or raises exactly what the scan must
-    raise."""
+    offsets it read — ``None`` for a window it answered inside the log's
+    checked records — or raises exactly what the scan must raise."""
     if t_end < t_start:
         return [], None
     worm_file = cti.store.device.open_file(cti.name)
@@ -148,16 +147,17 @@ def reference_docs_in_range(cti, t_start, t_end):
         if commit_time >= t_start:
             docs.append(doc_id)
         prev_time, prev_doc = commit_time, doc_id
-    if not docs and (offset is None or offset < cti._checked):
-        return docs, None  # empty, and the checked columns answer it
+    if offset is None or offset < cti._checked:
+        return docs, None  # the checked columns answer it
     return docs, (0, offset)
 
 
 class TestBlockwiseScan:
     """``docs_in_range`` reads the log by the block; every answer and
-    alarm must equal the record-at-a-time reference above, and it reads
-    at most the two blocks its ends land in plus the blocks appended
-    since the log was last checked."""
+    alarm must equal the record-at-a-time reference above.  It reads no
+    block for a window inside the checked log, and past a frozen mark at
+    most the block that was the tail then plus the blocks appended
+    since."""
 
     BLOCK_SIZE = 64
     PER_BLOCK = BLOCK_SIZE // RECORD.size  # 5 records
@@ -187,11 +187,11 @@ class TestBlockwiseScan:
         assert cti.docs_in_range(t_start, t_end) == (
             (docs[0], docs[-1]) if docs else None
         )
-        # The window's two boundary blocks, plus those appended since
-        # the checked mark last covered the log; one fewer for an empty
-        # window past a frozen mark, none for one inside the checked log.
+        # None for a window inside the checked log; past a frozen mark,
+        # the block that was the tail when the mark last covered the
+        # log, and those appended since.
         appended = store.device.open_file("t").num_blocks - cti._seen[0]
-        blocks = 0 if span is None else (2 if docs else 1) + appended
+        blocks = 0 if span is None else 1 + appended
         assert counted_reads() - reads_before <= blocks
         assert cti.blocks_scanned - scanned_before <= blocks
 

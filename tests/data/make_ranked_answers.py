@@ -17,7 +17,8 @@ answer per variant and query is the whole truth.  A float's last bit
 depends on the order its terms were added in, which is what the test
 holds later commits to — regenerate the committed file only with a
 change that means to move that order, as the move from ascending term
-ID to ascending term text did.
+ID to ascending term text did, or the statistics a score reads, as
+counting disposed documents out of them did.
 
 ``ranked_answers_pr16.json`` is the same script's output at commit
 d18acd0, the last to carry candidates as a dict of dicts, when each

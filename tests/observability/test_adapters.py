@@ -257,7 +257,7 @@ class TestTraceOnQueryPath:
         filtered = next(s for s in trace.spans if s.name == "filter")
         assert filtered.attrs["candidates"] == 150
         assert filtered.attrs["window_docs"] == 100
-        assert filtered.attrs["window_blocks"] == 2  # records 100..200
+        assert filtered.attrs["window_blocks"] == 0  # the checked columns answer it
         assert filtered.attrs["kept"] == len(hits) == 50
 
     def test_verify_stage_traced(self):

@@ -37,6 +37,7 @@ import os
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from repro.adversary.detection import full_engine_audit
@@ -230,7 +231,7 @@ def statistics(engine):
     stats = engine.stats
     return (
         {term: n for term, n in stats.df.items() if n},
-        dict(stats.doc_lengths),
+        stats.lengths_of(np.arange(engine.documents.next_doc_id)).tolist(),
         stats.num_docs,
         stats.total_length,
     )

@@ -83,7 +83,7 @@ def memory_state(engine):
     state = {
         "terms": [engine.term_text(i) for i in range(engine.vocabulary_size)],
         "df": {t: n for t, n in stats.df.items() if n},
-        "lengths": dict(stats.doc_lengths),
+        "lengths": stats.lengths_of(np.arange(engine.documents.next_doc_id)).tolist(),
         "num_docs": stats.num_docs,
         "total_length": stats.total_length,
     }

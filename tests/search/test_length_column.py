@@ -16,12 +16,17 @@ shards, with disposed documents, burned IDs, documents without terms
 and long terms cut alike; on archives whose segments have no column;
 and ranked answers stay ``float.hex()``-identical across a reopen.
 
+A disposal sweep counts its documents out of a session's statistics, so
+a session ranks after it as its reopen does, and the audit compares it.
+
 A merge takes of a sealed long list only the postings its directory
 entry counts, so a posting appended to it after the seal is not carried
 into the merged segment, and the audit reports the list.
 """
 
+import glob
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -37,6 +42,9 @@ from repro.core.segments import STRATEGY_UNIFORM, MergedListFamily, SegmentInfo,
 from repro.errors import IndexError_, TamperDetectedError
 from repro.search.analyzer import Analyzer
 from repro.search.engine import MAX_LEXICON_TERM_BYTES, EngineConfig, TrustworthySearchEngine
+from repro.search.ranking import CollectionStats
+from repro.worm.faults import FaultInjectingWormDevice, FaultPlan, InjectedFaultError
+from repro.worm.persistent import JournaledWormDevice
 from repro.worm.storage import CachedWormStore
 from tests.data.make_ranked_answers import DISPOSE_AT, QUERIES, VARIANTS, corpus
 from tests.helpers import budget
@@ -58,11 +66,13 @@ def shards_of(engine):
 
 
 def statistics(engine):
-    """Every shard's statistics, as ``==`` compares them."""
+    """Every shard's statistics, as ``==`` compares them: the lengths
+    of the documents that exist, since a disposed one keeps its length
+    in the session's column."""
     return [
         (
             {term: n for term, n in shard.stats.df.items() if n},
-            dict(shard.stats.doc_lengths),
+            shard.stats.lengths_of(np.array(shard.documents.alive_ids(), dtype=np.int64)).tolist(),
             shard.stats.num_docs,
             shard.stats.total_length,
         )
@@ -83,6 +93,15 @@ def reanalysed(path, monkeypatch, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(MergedListFamily, "doc_lengths", lambda self: None)
         return open_archive(path, **kwargs)
+
+
+def reopened_copy(path, directory):
+    """The archive at ``path`` as a reopen finds it, opened from a copy
+    of its journals in ``directory``, so the session writing it goes on."""
+    os.makedirs(directory)
+    for name in glob.glob(path + "*"):
+        shutil.copy(name, directory)
+    return open_archive(os.path.join(directory, os.path.basename(path)))
 
 
 def burn_next_id(engine):
@@ -147,8 +166,9 @@ def test_statistics_after_any_history_equal_a_full_reanalysis(
 ):
     """Batches of random documents, each followed by one event — a
     seal, a merge, a burned ID, a disposal sweep or a restart — then a
-    restart: the statistics are ``==`` those of a reopen that
-    re-analyses every document."""
+    restart: after every step the session's statistics are ``==`` those
+    of a reopen, and at the end those of a reopen that re-analyses
+    every document."""
     config = EngineConfig(
         num_lists=8,
         block_size=256,
@@ -173,6 +193,9 @@ def test_statistics_after_any_history_equal_a_full_reanalysis(
             elif event and tail:
                 for shard in shards_of(engine):
                     getattr(shard, "seal_tail" if event == "seal" else "merge_segments")()
+            reopened, reopened_handle = reopened_copy(path, os.path.join(directory, str(at)))
+            assert statistics(engine) == statistics(reopened), event
+            reopened_handle.close()
         handle.close()
         engine, handle = open_archive(path)
         held = statistics(engine)
@@ -295,17 +318,82 @@ def test_a_wrong_length_column_is_an_audit_finding(tmp_path, monkeypatch):
     handle.close()
 
 
-def test_the_audit_compares_nothing_while_disposed_documents_still_count(tmp_path):
-    """Disposal leaves a session's statistics as they were until a
-    reopen, so the audit has nothing to hold them to."""
+def test_the_audit_compares_the_statistics_after_a_disposal(tmp_path, monkeypatch):
+    """A sweep counts its documents out of the session's statistics, so
+    the audit recounts them after it and finds an honest archive ok; a
+    sweep that left them counted in, as before, is a finding."""
     path = str(tmp_path / "rec.worm")
     build(path, SHAPES["tail-uniform"], 1)
     engine, handle = open_archive(path)
-    assert engine.verify_statistics() == len(engine.documents.alive_ids())
     engine.index_batch(corpus()[:8])
-    assert engine.dispose_expired(now=10**6)
-    assert engine.verify_statistics() == 0
+    assert engine.dispose_expired(now=DISPOSE_AT + 30)
+    alive = len(engine.documents.alive_ids())
+    assert 0 < alive < len(engine.documents)
+    assert engine.verify_statistics() == alive
     assert all(r.ok for r in full_engine_audit(engine))
+    monkeypatch.setattr(CollectionStats, "subtract", lambda self, lengths, terms: None)
+    assert engine.dispose_expired(now=DISPOSE_AT + 60)
+    findings = [r for r in full_engine_audit(engine) if not r.ok]
+    assert [r.subject for r in findings] == ["statistics"]
+    handle.close()
+
+
+def test_a_sweep_that_fails_midway_counts_out_what_it_deleted(tmp_path):
+    """A survivable write failure on the second document's deletion:
+    the first document is gone and counted out, the second is still
+    there and still counted, as a reopen counts them."""
+    path = str(tmp_path / "rec.worm")
+    config = EngineConfig(retention_period=5)
+    plan = FaultPlan()
+    device = FaultInjectingWormDevice(path, plan=plan)
+    engine = TrustworthySearchEngine(config, store=CachedWormStore(None, device=device))
+    engine.index_batch(corpus()[:12])
+    assert not len(engine.retention)  # its log exists before the count
+    # The first document's log record and deletion, the second's record.
+    plan.fail("write", on_call=plan.count("write") + 4)
+    with pytest.raises(InjectedFaultError):
+        engine.dispose_expired(now=10)
+    assert not engine.documents.exists(0) and engine.documents.exists(1)
+    held = statistics(engine)
+    assert all(r.ok for r in full_engine_audit(engine))
+    device.close()
+    device = JournaledWormDevice(path)
+    reopened = TrustworthySearchEngine(config, store=CachedWormStore(None, device=device))
+    assert statistics(reopened) == held
+    device.close()
+
+
+#: Legacy merged lists, a tail that holds every document, and sealed
+#: segments: where a disposed document's terms are when it goes.
+DISPOSAL_SHAPES = {
+    "legacy": dict(num_lists=6, retention_period=40),
+    "tail-resident": dict(num_lists=6, tail_max_docs=1000, retention_period=40),
+    "sealed": dict(num_lists=6, tail_max_docs=16, merge_at_segments=4, retention_period=40),
+}
+
+
+@pytest.mark.parametrize("read_cache", [False, True], ids=["cache-off", "cache-on"])
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shape", sorted(DISPOSAL_SHAPES))
+def test_after_a_disposal_a_session_ranks_as_its_reopen(tmp_path, shape, shards, read_cache):
+    """Sixty-four documents with horizons 40 after their commit, asked
+    every query, then swept at 50: the session's statistics and ranked
+    answers are those of a reopen, which counts only the documents that
+    exist."""
+    path = str(tmp_path / "rec.worm")
+    config = EngineConfig(read_cache=read_cache, **DISPOSAL_SHAPES[shape])
+    engine, handle = open_archive(path, create=config, shards=shards)
+    texts = corpus()[:64]
+    for at in range(0, len(texts), 8):
+        engine.index_batch(texts[at : at + 8])
+    ranked(engine)
+    assert len(engine.dispose_expired(now=50)) == 11
+    session, held = ranked(engine), statistics(engine)
+    assert all(r.ok for r in full_engine_audit(engine))
+    handle.close()
+    engine, handle = open_archive(path, read_cache=read_cache)
+    assert statistics(engine) == held
+    assert ranked(engine) == session
     handle.close()
 
 

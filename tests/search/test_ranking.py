@@ -49,32 +49,15 @@ class TestCollectionStats:
         assert empty.query_stats({}).avg_doc_length == 1.0
         assert empty.num_docs == 0
 
-    def test_readd_same_document_is_idempotent(self, stats):
-        """Regression: re-adding a known doc_id must not double count."""
-        before = (stats.num_docs, stats.total_length, dict(stats.df))
-        stats.add_document(1, {1: 1, 3: 5})
-        assert (stats.num_docs, stats.total_length, dict(stats.df)) == before
-        assert stats.query_stats({}).avg_doc_length == pytest.approx((4 + 6 + 4) / 3)
+    def test_subtract_counts_a_document_out_and_keeps_its_length(self, stats):
+        """Counting documents 1 and 2 out leaves what document 0 alone
+        counts, df without zero entries; their lengths stay in the column."""
+        stats.subtract([6, 4], [1, 3, 2, 3, 4])
+        alone = CollectionStats()
+        alone.add_document(0, {1: 3, 2: 1})
+        assert (stats.num_docs, stats.total_length, stats.df) == (1, 4, alone.df)
+        assert stats.lengths_of(np.arange(3)).tolist() == [4, 6, 4]
 
-    def test_readd_replaces_previous_contributions(self, stats):
-        """A changed re-index replaces, not accumulates, the old counts."""
-        stats.add_document(1, {2: 2})
-        assert stats.num_docs == 3
-        assert stats.doc_length(1) == 2
-        assert stats.total_length == 4 + 2 + 4
-        # Terms 1 and 3 lost doc 1's contribution; term 2 gained it.
-        assert stats.df[1] == 1
-        assert stats.df[2] == 3
-        assert stats.df.get(3, 0) == 1
-
-    def test_readd_drops_df_to_zero_cleanly(self):
-        stats = CollectionStats()
-        stats.add_document(0, {7: 2})
-        stats.add_document(0, {8: 1})
-        assert 7 not in stats.df
-        assert stats.df[8] == 1
-        assert stats.num_docs == 1
-        assert stats.total_length == 1
 
 
 class TestBM25:
@@ -340,5 +323,3 @@ class TestColumnScorerIsTheScalarScorer:
             stats.add_document(doc_id, {1: doc_id + 1})
         ids = np.array([0, 7, 1023, 1024, 5000], dtype=np.uint32)
         assert stats.lengths_of(ids).tolist() == [1, 0, 1024, 1025, 5001]
-        stats.add_document(1024, {1: 2})  # a re-index replaces
-        assert stats.lengths_of(ids).tolist() == [1, 0, 1024, 2, 5001]
