@@ -203,6 +203,12 @@ def posting_stuffing_attack(
     (:func:`repro.core.verification.verify_results`) exposes every
     fake because the documents are absent from WORM.
 
+    This is an attack on an appendable list — the directly-appended
+    family's, the paper's model.  A list of a sealed segment with a
+    shared file is an extent, which refuses the append; bytes written
+    past it through the device reach no reader, and the audit reports
+    them (:meth:`~repro.core.segments.MergedListFamily.unreachable_files`).
+
     Returns the fabricated IDs.
     """
     if count <= 0:

@@ -20,7 +20,9 @@ def full_engine_audit(engine) -> List[AuditReport]:
 
     Covers:
 
-    * every physical posting list (order + jump-pointer invariants);
+    * every physical posting list (order + jump-pointer invariants) —
+      one whose document IDs descend, which every reader refuses, too:
+      its report names each descent;
     * every live sealed segment's names: bytes appended to its shared
       file after the seal, postings appended to a long list past the
       count its directory entry records, and files its directory does
@@ -54,14 +56,14 @@ def full_engine_audit(engine) -> List[AuditReport]:
     # attaches the rest).
     reports = [
         audit_posting_list(posting_list, jump)
-        for posting_list, jump in engine.iter_posting_lists()
+        for posting_list, jump in engine.iter_posting_lists(audit=True)
     ]
     for segment in engine.iter_segments():
         for name, size in segment.unreachable_files():
             report = AuditReport(subject=f"segment {segment.info.seg_no}")
             report.add(
                 f"file '{name}': {size} bytes its manifest record does not "
-                "commit (written after the seal; no merge or reopen takes them)"
+                "commit (written after the seal; no reader takes them)"
             )
             reports.append(report)
     try:

@@ -60,11 +60,18 @@ class PostingList:
         Write-once pointer slots reserved per block (0 when no jump index
         is attached).
     extent:
-        ``(file, block_no, offset, length)``: the list is not a file of
-        its own but these bytes of another file's block, whole postings
-        written before the list was ever read — a sealed segment's short
-        list (:mod:`repro.core.segments`).  It is one block, read-only,
-        and ``name`` is the name it would have as a file.
+        ``(file, first block, offset, length)``: the list is these bytes,
+        whole postings, as a sealed segment's manifest record fixes them
+        (:mod:`repro.core.segments`) — a short list's, in one block of
+        the segment's shared file (``name`` is then the name it would
+        have as a file), or a long list's counted postings at the head
+        of its own file.  The list is read-only, and no read goes past
+        the extent: bytes appended after it are never input.
+    restore:
+        ``False`` skips the writer state and the order check that builds
+        it, which refuses a list whose document IDs descend: an audit's
+        read of such a list, to report every descent.  Nothing else may
+        read it, and nothing may append to it.
     """
 
     def __init__(
@@ -75,6 +82,7 @@ class PostingList:
         entries_per_block: Optional[int] = None,
         slot_count: int = 0,
         extent: Optional[Tuple[str, int, int, int]] = None,
+        restore: bool = True,
     ):
         max_entries = store.block_size // POSTING_SIZE
         if entries_per_block is None:
@@ -106,7 +114,7 @@ class PostingList:
         # the *indexing code's* own memory; certified readers never trust
         # it and always re-derive largest IDs from block contents.
         self._block_max: List[int] = []
-        if self.num_blocks:
+        if restore and self.num_blocks:
             self._restore_from_worm()
 
     def _restore_from_worm(self) -> None:
@@ -171,8 +179,10 @@ class PostingList:
     # ------------------------------------------------------------------
     @property
     def num_blocks(self) -> int:
-        """Number of allocated blocks."""
-        return 1 if self._file is None else self._file.num_blocks
+        """Number of allocated blocks — of an extent, those it covers."""
+        if self._extent is None:
+            return self._file.num_blocks
+        return -(-self._extent[3] // (self.entries_per_block * POSTING_SIZE))
 
     def _refuse_sealed(self) -> None:
         if self._extent is not None:
@@ -310,6 +320,19 @@ class PostingList:
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
+    def block_bytes(self, block_no: int, *, counted: bool = False) -> bytes:
+        """Block ``block_no``'s postings as stored — of an extent, only
+        the bytes it covers there.  ``counted=True`` routes the access
+        through the storage cache so it contributes to I/O statistics."""
+        read = self.store.read_block if counted else self.store.peek_block
+        if self._extent is None:
+            return read(self.name, block_no)
+        # Block b of an extent: its b-th block's worth of postings.
+        file, first, offset, length = self._extent
+        size = self.entries_per_block * POSTING_SIZE
+        left = length - block_no * size
+        return read(file, first + block_no, 0 if block_no else offset, min(size, left))
+
     def read_block_postings(self, block_no: int, *, counted: bool = True) -> DecodedBlock:
         """Decode all postings of block ``block_no``.
 
@@ -319,11 +342,7 @@ class PostingList:
         ``counted=True`` routes the access through the storage cache so it
         contributes to I/O statistics; auditors pass ``counted=False``.
         """
-        read = self.store.read_block if counted else self.store.peek_block
-        # An extent is block 0; any other is asked of the device under
-        # the list's own name, which has no such block.
-        address = self._extent if self._extent and not block_no else (self.name, block_no)
-        entries = DecodedBlock.from_payload(read(*address))
+        entries = DecodedBlock.from_payload(self.block_bytes(block_no, counted=counted))
         metrics = self.decode_metrics
         if metrics is not None:
             metrics[0].inc()

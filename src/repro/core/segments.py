@@ -26,9 +26,17 @@ The **manifest** (``engine/segments``) is the atomic commit point.
 Sealing writes the segment's posting lists first and appends one
 manifest record last; merging does the same with a record that names
 its input segments.  The record also fixes where the shared file ends
-— its data blocks and directory entries, counted — so nothing appended
-to that file after the seal is read by anyone, and a list the directory
-does not name is empty whatever files appear later.  A crash anywhere
+— its data blocks and directory entries, counted — and through the
+directory every list: a short list's bytes in the data blocks, a long
+list's posting count.  Each list of such a segment is an *extent*, the
+bytes its record fixes: the scan, the join, a merge, a reopen and the
+audit's attach all read exactly those, and what is appended after them
+is evidence for the audit (:meth:`MergedListFamily.unreachable_files`),
+never input to a reader.  A list the directory does not name is empty,
+whatever files appear later.  The rule rests on the write path: a seal
+writes every posting, and sets every jump pointer its inserts set,
+before it appends the record, so no honest pointer leads past a count,
+and a reader that follows one raises.  A crash anywhere
 before the manifest append leaves only orphan files, which recovery
 ignores (the manifest is the sole source of truth — orphans only occupy
 their segment number, see :func:`next_seg_no`).  A segment sealed or
@@ -58,7 +66,7 @@ from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.merge import PopularUnmergedMerge, TermAssignment, UniformHashMerge
 from repro.core.posting import MAX_TERM_ID_WITH_TF, POSTING_SIZE
 from repro.core.posting_list import PostingList
-from repro.core.space import postings_per_block
+from repro.core.space import jump_pointers_per_block, postings_per_block
 from repro.core.vecdecode import (
     TermColumn,
     decode_blocks,
@@ -485,7 +493,8 @@ class ReadCosts:
 #: ``(doc_ids, term_codes)``.
 PostingColumns = Tuple[np.ndarray, np.ndarray]
 
-#: Where a short list lies: ``(file, block, offset, length)``, in bytes.
+#: What a sealed list is: ``(file, first block, offset, length)``, in
+#: bytes (see :class:`~repro.core.posting_list.PostingList`).
 Extent = Tuple[str, int, int, int]
 
 #: What :meth:`MergedListFamily._extent` gives for a list a shared
@@ -607,9 +616,7 @@ class MergedListFamily:
         #: its directory once read (see :meth:`_directory`).
         self.shared: Optional[SharedFile] = None
         self.shared_name: Optional[str] = None
-        self._extents: Optional[Dict[int, Optional[Extent]]] = None
-        #: The postings the directory counts in each list of its own.
-        self._counts: Dict[int, int] = {}
+        self._extents: Optional[Dict[int, Extent]] = None
         #: The shared file's data blocks, and the short lists whose
         #: document IDs descend (see :meth:`_short_lists`).
         self._short: Optional[Tuple[tuple, Dict[int, Tuple[int, int, int]]]] = None
@@ -671,13 +678,16 @@ class MergedListFamily:
         return f"{self.prefix}{list_id:08d}"
 
     def _attach(
-        self, list_id: int, *, create: bool = False
+        self, list_id: int, *, create: bool = False, restore: bool = True
     ) -> Optional[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """The physical ``(list, jump index)``, attached on first use;
         ``None`` while the list has never been written (unless
-        ``create``).  A short list of a shared file attaches as a
-        read-only one-block list over its extent, under the name it
-        would have as a file.
+        ``create``).  A list of a shared-file segment attaches read-only
+        over its extent: a short list's in the shared file, under the
+        name it would have as a file, or a long list's counted postings.
+        ``restore=False`` is an audit's attach of a list the order check
+        refuses (see :class:`~repro.core.posting_list.PostingList`), and
+        is not kept.
 
         Searches run in parallel and may first-touch one list at the
         same moment.  Each then builds a pair of its own; the pair is
@@ -694,28 +704,28 @@ class MergedListFamily:
                 self.shared is None and not create and not self.store.device.exists(name)
             ):
                 return None
-            jump = None
-            if extent is not None:
-                posting_list = PostingList(
-                    self.store, name, entries_per_block=self.short_limit, extent=extent
-                )
-            elif self.branching is not None:
-                jump = BlockJumpIndex.create(
-                    self.store, name, branching=self.branching
-                )
-                posting_list = jump.posting_list
-            else:
-                posting_list = PostingList(self.store, name)
+            # A short list is block 0 of what would be a file of its own,
+            # where no jump pointer is ever set.
+            short = extent is not None and extent[0] == self.shared_name
+            jumps = self.branching is not None and not short
+            slots = jump_pointers_per_block(self.branching) if jumps else 0
+            posting_list = PostingList(
+                self.store, name, entries_per_block=self.short_limit, slot_count=slots,
+                extent=extent, restore=restore,
+            )
+            jump = BlockJumpIndex(posting_list, branching=self.branching) if jumps else None
             if self.decode_metrics is not None:
                 posting_list.decode_metrics = self.decode_metrics
-            attached = self._lists[list_id] = (posting_list, jump)
+            attached = (posting_list, jump)
+            if restore:
+                self._lists[list_id] = attached
         return attached
 
-    def _directory(self) -> Dict[int, Optional[Extent]]:
+    def _directory(self) -> Dict[int, Extent]:
         """The shared file's directory, read on first use: for every
-        non-empty list of the segment, by ID, ascending, a short list's
-        extent in the data blocks, or ``None`` for a list in a file of
-        its own.
+        non-empty list of the segment, by ID, ascending, its extent — a
+        short list's in the data blocks, or a long list's counted
+        postings at the head of its own file.
 
         It is held to the manifest record: exactly the committed
         entries, ascending list IDs, the short lists filling exactly the
@@ -751,6 +761,7 @@ class MergedListFamily:
         bases = starts[opens]
         if not (
             len(block) == shared.short_lists
+            and (count <= self.short_limit).all()
             and (np.diff(ids) > 0).all()
             and (ids < self.info.num_lists).all()
             and np.array_equal(block[opens], np.arange(shared.blocks))
@@ -763,10 +774,10 @@ class MergedListFamily:
             ((starts - bases[block]) * POSTING_SIZE).tolist(),
             (count * POSTING_SIZE).tolist(),
         )
-        self._counts = dict(zip(ids[~short].tolist(), entries[~short, 2].tolist()))
         self._extents = {
-            list_id: next(extents) if is_short else None
-            for list_id, is_short in zip(ids.tolist(), short.tolist())
+            list_id: next(extents) if is_short
+            else (self.list_name(list_id), 0, 0, n * POSTING_SIZE)
+            for list_id, is_short, n in zip(ids.tolist(), short.tolist(), entries[:, 2].tolist())
         }
         return self._extents
 
@@ -800,10 +811,11 @@ class MergedListFamily:
         )
 
     def _extent(self, list_id: int):
-        """Where list ``list_id`` lies in the shared file: its extent if
-        it is a short list, ``None`` if it is a file of its own (every
-        list of a family without a shared file), :data:`_UNNAMED` if the
-        directory does not name it."""
+        """What list ``list_id`` is, as the shared file's directory says:
+        its extent (a short list's in the shared file, a long list's in a
+        file of its own), :data:`_UNNAMED` if the directory does not name
+        it, or ``None`` for every list of a family without a shared file:
+        the whole of a file of its own."""
         return None if self.shared is None else self._directory().get(list_id, _UNNAMED)
 
     def _shared_blocks(
@@ -822,7 +834,7 @@ class MergedListFamily:
         """
         lists_in: Dict[int, List[Tuple[int, int]]] = {}
         for list_id, extent in self._directory().items():
-            if extent is not None:
+            if extent[0] == self.shared_name:
                 lists_in.setdefault(extent[1], []).append((list_id, extent[2] // POSTING_SIZE))
         worm_file = self.store.open_file(self.shared_name)
         for block_no in range(self.shared.blocks):
@@ -872,12 +884,13 @@ class MergedListFamily:
         (:meth:`_short_lists`), held to that segment's order check and
         not attached: the same bytes attaching it would read, refused
         with the same alarm.  Any other list is attached (and checked)
-        on first use, then read a whole block at a time.
+        on first use, then read a block at a time — a sealed long list's
+        only as far as its extent.
         """
         extent = self._extent(list_id)
         if extent == _UNNAMED:
             return None
-        if extent is not None:
+        if extent is not None and extent[0] == self.shared_name:
             blocks, descending = self._short_lists()
             if list_id in descending:
                 raise self._out_of_order(list_id, "block 0", *descending[list_id][1:])
@@ -887,9 +900,7 @@ class MergedListFamily:
         if attached is None:
             return None
         posting_list = attached[0]
-        return [
-            self.store.peek_block(posting_list.name, b) for b in range(posting_list.num_blocks)
-        ]
+        return [posting_list.block_bytes(b) for b in range(posting_list.num_blocks)]
 
     def posting_list_for(
         self, term_id: int
@@ -903,19 +914,16 @@ class MergedListFamily:
         (``-1`` while never written), by list ID: what a retrieval of
         those terms from this family depends on that an append changes.
 
-        A sealed segment's short lists, and the lists its directory does
-        not name, are fixed by its manifest record, so its marks are its
-        long lists' lengths — usually none.
+        A shared-file segment has none: each of its lists is an extent
+        its manifest record fixes, and a list its directory does not
+        name is empty, whatever is appended later.  A segment sealed
+        before the shared file has a mark for each list, as the
+        directly-appended family has.
         """
-        if self.shared is not None and self.shared.lists == self.shared.short_lists:
+        if self.shared is not None:
             return ()
-        marks = []
-        for list_id in sorted({self.list_for(term_id) for term_id in term_ids}):
-            if self._extent(list_id) is not None:
-                continue
-            attached = self._attach(list_id)
-            marks.append(-1 if attached is None else len(attached[0]))
-        return tuple(marks)
+        lists = sorted({self.list_for(term_id) for term_id in term_ids})
+        return tuple(-1 if pair is None else len(pair[0]) for pair in map(self._attach, lists))
 
     # ------------------------------------------------------------------
     # write path
@@ -1134,7 +1142,7 @@ class MergedListFamily:
         return [
             list_id
             for list_id, extent in self._directory().items()
-            if extent is None or not own_files
+            if extent[0] != self.shared_name or not own_files
         ]
 
     def list_names(self, own_files: bool = False) -> List[str]:
@@ -1147,28 +1155,35 @@ class MergedListFamily:
         return [posting_list.name for posting_list, _ in self._lists.values()]
 
     def attached_lists(
-        self,
+        self, audit: bool = False
     ) -> Iterator[Tuple[PostingList, Optional[BlockJumpIndex]]]:
-        """Attach and yield every committed ``(list, jump)`` pair."""
+        """Attach and yield every committed ``(list, jump)`` pair.  For
+        an ``audit``, a list whose attach raises
+        :class:`~repro.errors.TamperDetectedError` is yielded unrestored
+        instead, so that its report can name every descent."""
         for list_id in self.list_ids():
-            yield self._attach(list_id)
+            try:
+                yield self._attach(list_id)
+            except TamperDetectedError:
+                if not audit:
+                    raise
+                yield self._attach(list_id, restore=False)
 
-    def read_columns(self, checked: bool = True) -> PostingColumns:
+    def read_columns(self) -> PostingColumns:
         """This family's postings as ``(doc_ids, term_codes)`` columns,
-        list after list — a merge's input.  A sealed segment's are those
-        its manifest record fixes: the shared file's data blocks, and of
-        each list of its own the postings its directory entry counts.
-        What was appended to such a list after the seal is not taken.
+        list after list — a merge's input, and what a reopen counts a
+        segment's df from.  A sealed segment's are those its manifest
+        record fixes: the shared file's data blocks, and each list of
+        its own's extent, the postings its directory entry counts.
+        Without a shared file, each list's file is read whole.
 
         Every block read is read straight from the store, once, and
-        nothing is attached: uncounted, as maintenance is.  ``checked``
-        reads each list of its own whole and refuses what attaching it
-        would have refused, appended bytes included: a block that is not
+        nothing is attached: uncounted, as maintenance is.  What is read
+        is refused where attaching it would be: a block that is not
         whole postings, and a list whose document IDs descend (the order
         check of :func:`~repro.core.vecdecode.descents`, a shared block
         at a time, then once over the list files' column; a list may
-        start below the end of the one before it).  Without it only the
-        blocks holding the counted postings are read.
+        start below the end of the one before it).
         """
         parts: List[np.ndarray] = []
         if self.shared is not None:
@@ -1177,49 +1192,32 @@ class MergedListFamily:
                     raise self._out_of_order(list_id, f"posting {index}", doc_id, largest)
                 parts.append(postings)
         list_ids = self.list_ids(own_files=True)
-        counted = self._counts if self.shared is not None else {}
+        size = self.short_limit * POSTING_SIZE
         payloads: List[bytes] = []
         list_starts: List[int] = []
         count = 0
         for list_id in list_ids:
-            name = self.list_name(list_id)
             list_starts.append(count)
-            for block_no in range(self.store.open_file(name).num_blocks):
-                payload = self.store.peek_block(name, block_no)
-                if not checked and counted:
-                    # The counted postings, and not a byte after them.
-                    left = (counted[list_id] - count + list_starts[-1]) * POSTING_SIZE
-                    if left <= 0:
-                        break
-                    payload = payload[:left]
-                payloads.append(payload)
-                count += len(payload) // POSTING_SIZE
+            name, _, _, length = self._extent(list_id) or (self.list_name(list_id), 0, 0, None)
+            if length is None:
+                blocks = [(b,) for b in range(self.store.open_file(name).num_blocks)]
+            else:
+                blocks = [(at // size, 0, min(size, length - at)) for at in range(0, length, size)]
+            for block in blocks:
+                payloads.append(self.store.peek_block(name, *block))
+                count += len(payloads[-1]) // POSTING_SIZE
         own = decode_blocks(payloads)
-        if checked:
-            at, top = descents(own[:, 0], list_starts)
-            if len(at):
-                at = int(at[0])
-                which = bisect_right(list_starts, at) - 1
-                raise self._out_of_order(
-                    list_ids[which], f"posting {at - list_starts[which]}", own[at, 0], top[0]
-                )
+        at, top = descents(own[:, 0], list_starts)
+        if len(at):
+            at = int(at[0])
+            which = bisect_right(list_starts, at) - 1
+            raise self._out_of_order(
+                list_ids[which], f"posting {at - list_starts[which]}", own[at, 0], top[0]
+            )
         if self.decode_metrics is not None:
             self.decode_metrics[0].inc(len(parts) + len(payloads))
             self.decode_metrics[1].inc(sum(map(len, parts)) + len(own))
-        if counted:
-            ends = [*list_starts[1:], len(own)]
-            for list_id, start, end in zip(list_ids, list_starts, ends):
-                if end - start < counted[list_id]:
-                    raise self._mismatch(
-                        f"holds {end - start} postings in '{self.list_name(list_id)}', "
-                        f"whose directory entry counts {counted[list_id]}"
-                    )
-            parts.extend(
-                own[start : start + counted[list_id]]
-                for list_id, start in zip(list_ids, list_starts)
-            )
-        else:
-            parts.append(own)
+        parts.append(own)
         postings = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return postings[:, 0], postings[:, 1]
 
@@ -1229,17 +1227,13 @@ class MergedListFamily:
         the shared file's bytes past the end the record fixes, a long
         list's past the postings its directory entry counts, and every
         file that is neither the shared file nor a long list of its
-        directory.  No merge or reopen takes them; a search still scans
-        a long list whole."""
+        directory.  No reader takes them."""
         if self.shared is None:
             return []
-        shared_bytes = self.shared.lists * _ENTRY_SIZE + sum(
-            extent[3] for extent in self._directory().values() if extent is not None
-        )
-        if self.info.lengths:
-            shared_bytes += (self.info.last_doc - self.info.first_doc + 1) * _LENGTH.itemsize
-        committed = {self.list_name(i): n * POSTING_SIZE for i, n in self._counts.items()}
-        committed[self.shared_name] = shared_bytes
+        column = (self.info.last_doc - self.info.first_doc + 1) * _LENGTH.itemsize
+        committed = {self.shared_name: self.shared.lists * _ENTRY_SIZE + column * self.info.lengths}
+        for name, _, _, length in self._directory().values():
+            committed[name] = committed.get(name, 0) + length
         found = []
         for name in self.store.device.list_files():
             if name.startswith(self.root):

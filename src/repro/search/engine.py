@@ -595,7 +595,7 @@ class TrustworthySearchEngine:
         inside = alive[low:high]
         counted = np.zeros(len(lengths), dtype=bool)
         counted[inside - first] = True
-        doc_ids, term_codes = segment.read_columns(checked=False)
+        doc_ids, term_codes = segment.read_columns()
         rows = doc_ids.astype(np.int64) - first
         # Outside the range only if a merge carried it in from a segment
         # sealed before the shared file, whose lists it read whole.
@@ -945,13 +945,14 @@ class TrustworthySearchEngine:
         return None
 
     def iter_posting_lists(
-        self,
+        self, audit: bool = False
     ) -> Iterator[Tuple[PostingList, Optional[BlockJumpIndex]]]:
         """Every committed ``(list, jump index)`` pair on the device —
         directly-appended family and sealed segments alike — attaching
-        lists this session has not touched yet."""
+        lists this session has not touched yet; for an ``audit``, see
+        :meth:`~repro.core.segments.MergedListFamily.attached_lists`."""
         for family in (self._family, *self._segments):
-            yield from family.attached_lists()
+            yield from family.attached_lists(audit)
 
     def _choose_assignment(
         self, term_codes: np.ndarray
@@ -999,9 +1000,14 @@ class TrustworthySearchEngine:
 
         Writes the segment's merged posting lists and column first and
         appends the manifest record last — the atomic step, which also
-        fixes where the short lists' shared file ends; a crash before it
-        leaves only orphan files that recovery ignores and never
-        overwrites.
+        fixes where the short lists' shared file ends, and each long
+        list's posting count; a crash before it leaves only orphan files
+        that recovery ignores and never overwrites.  Every posting, and
+        every jump pointer the bulk load sets (each block's, before the
+        next block exists), is on WORM before the record, so no honest
+        pointer leads past a count the record fixes: what lets every
+        reader of the segment take exactly its extents
+        (:mod:`repro.core.segments`).
         The segment number is spent before the first list file exists,
         so a write that raises part-way burns it in this session too.
         """
@@ -1037,6 +1043,11 @@ class TrustworthySearchEngine:
         """Freeze the tail into an immutable WORM segment.
 
         Returns the new segment number (``None`` on an empty tail).
+        The segment is the one a reopen's tail would give: of the tail's
+        documents, those disposed of since ingest are left out — their
+        postings, their lengths, and the range's ends when they lie
+        there — and with none alive the tail is cleared and nothing is
+        sealed.
         Under the ``"epoch"`` strategy this is the epoch boundary: the
         segment is laid out from the previous epoch's evidence, and this
         epoch's becomes the next one's.  Auto-merges afterwards when
@@ -1045,13 +1056,24 @@ class TrustworthySearchEngine:
         tail = self._require_tail()
         if tail.doc_count == 0:
             return None
+        # The tail a reopen would rebuild: the documents not disposed of.
+        ids = np.arange(tail.first_doc, tail.last_doc + 1)
+        alive = np.fromiter(map(self.documents.exists, ids.tolist()), bool, len(ids))
+        if not alive.any():
+            tail.clear()
+            if self._metrics_on:
+                self._g_tail_docs.set(0)
+            return None
+        doc_ids, term_codes = tail.columns()
+        kept = alive[doc_ids - tail.first_doc]
+        first, last = np.flatnonzero(alive)[[0, -1]].tolist()
         segment = self._write_segment(
-            tail.columns(),
-            # What ingest counted; a burned ID's is 0.
-            self.stats.lengths_of(np.arange(tail.first_doc, tail.last_doc + 1)),
-            first_doc=tail.first_doc,
-            last_doc=tail.last_doc,
-            doc_count=tail.doc_count,
+            (doc_ids[kept], term_codes[kept]),
+            # What ingest counted; a burned or disposed ID's is 0.
+            np.where(alive, self.stats.lengths_of(ids), 0)[first : last + 1],
+            first_doc=tail.first_doc + first,
+            last_doc=tail.first_doc + last,
+            doc_count=int(alive.sum()),
         )
         self._segments += (segment,)
         # The epoch just closed becomes the next one's evidence: its
@@ -1749,9 +1771,10 @@ class TrustworthySearchEngine:
         The sweep hands over each document just before its file goes;
         once it is gone, even if the sweep raises later, the document is
         counted out of the ranking statistics as it was counted in, so
-        the session ranks as its reopen would.  Its postings and its length stay: a disposed ID
-        is filtered out before scoring, and a later seal writes the
-        length ingest computed.
+        the session ranks as its reopen would.  Its postings and its
+        length stay in memory, where a disposed ID is filtered out
+        before scoring; a later seal leaves both out, as it would after
+        a reopen (:meth:`seal_tail`).
         """
         texts: Dict[int, str] = {}
 

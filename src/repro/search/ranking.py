@@ -110,7 +110,8 @@ class CollectionStats:
         #: Each document's length (total retained tokens), indexed by
         #: document ID, zero-filled (unknown IDs have length 0) and grown
         #: by doubling; what :meth:`lengths_of` gathers from.  A disposed
-        #: document keeps its length here: a later seal writes it.
+        #: document keeps its length here; no score reads it, and a seal
+        #: writes 0 for it, as after a reopen.
         self._lengths = np.zeros(1024, dtype=np.int64)
 
     def query_stats(self, terms: Mapping[object, Optional[int]]) -> QueryStats:

@@ -13,11 +13,12 @@ directly-appended family.  A scan's entry holds the family's
 ``(term_id, doc_ids, tfs)`` columns of the query terms, a join's the
 family's joined document IDs.  The entry carries the lengths of the
 lists it read that can still grow
-(:meth:`~repro.core.segments.MergedListFamily.growth_marks`): a sealed
-segment's short lists are fixed by its manifest record, so it carries
-only its long lists' lengths, usually none; the directly-appended family
-carries every list's.  Lists only grow, so equal lengths prove the same
-retrieval would be recomputed.  The tail is never cached, so an ingest
+(:meth:`~repro.core.segments.MergedListFamily.growth_marks`): every list
+of a segment with a shared file is an extent its manifest record fixes,
+and no reader takes what is appended after it, so such a segment's entry
+carries none; the directly-appended family, and a segment sealed before
+the shared file, carry every list's.  Lists only grow, so equal lengths
+prove the same retrieval would be recomputed.  The tail is never cached, so an ingest
 touches no sealed segment's entry; a merge retires exactly the
 merged-away segments' entries (:meth:`ReadCache.retire`).  The time
 window, dispositions and burned IDs are filtered per query after the

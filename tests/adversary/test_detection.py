@@ -6,7 +6,10 @@ import pytest
 
 from repro.adversary.attacks import posting_stuffing_attack
 from repro.adversary.detection import full_engine_audit
+from repro.core.posting import encode_posting, pack_term_tf
+from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
+from tests.core.test_trust_checks import brute_force_descents
 
 
 @pytest.fixture()
@@ -47,6 +50,35 @@ class TestTamperedEngine:
         # Doc IDs already reached 2, so appending 0 violates order —
         # unless the list's last ID was 0, in which case it is legal.
         assert len(bad) <= 1
+
+    def test_a_list_no_reader_attaches_is_reported_with_every_descent(self):
+        """Mala appends two descending postings to a legacy list: a
+        reopened engine refuses to attach it, and the audit reports it,
+        naming each descent a brute-force pass over the stored bytes
+        finds, and audits every other subject as well."""
+        config = EngineConfig(num_lists=16, block_size=4096)
+        engine = TrustworthySearchEngine(config)
+        engine.index_batch([f"alpha {'beta' if i % 2 else 'gamma'} doc{i}" for i in range(200)])
+        name = engine.posting_list_for("alpha")[0].name
+        worm_file = engine.store.device.open_file(name)
+        alpha = engine.term_id("alpha")
+        worm_file.append_record(encode_posting(3, pack_term_tf(alpha, 1)))
+        worm_file.append_record(encode_posting(5, pack_term_tf(alpha, 1)))
+        reopened = TrustworthySearchEngine(config, store=engine.store)
+        with pytest.raises(TamperDetectedError):
+            reopened.search("alpha")
+        reports = full_engine_audit(reopened)
+        (bad,) = [r for r in reports if not r.ok]
+        expected, total = brute_force_descents(worm_file)
+        assert len(expected) == 2 and bad.subject == f"posting list '{name}'"
+        assert bad.violations == [
+            f"block {block_no}: doc ID {doc_id} after {last} (append-order violation)"
+            for block_no, _, doc_id, last in expected
+        ]
+        assert bad.entries_checked == total
+        assert [r.subject for r in reports[-2:]] == ["lexicon log", "commit-time log"]
+        lists = [n for n in engine.store.device.list_files() if n.startswith("engine/pl/")]
+        assert len(reports) == len(lists) + 2
 
     def test_retro_dated_commit_caught(self, engine):
         engine.store.device.open_file("engine/commit-times").append_record(

@@ -104,7 +104,7 @@ def assert_scans_alike(segments, wanted):
     assert plain(got) == plain(expected)
     assert costs == expected_costs
     assert [m.value for m in metrics] == [m.value for m in ref_metrics]
-    return first
+    return first, got
 
 
 # ----------------------------------------------------------------------
@@ -174,25 +174,30 @@ class TestPeerScan:
     ):
         store = CachedWormStore(None, block_size=BLOCK_SIZE)
         segments = write_group(store, group, branching)
-        assert_scans_alike(segments, wanted)
-        # Mala stuffs one list that is a file of its own, after its seal:
-        # repeats of its last posting and IDs past the segment's range.
+        _, honest = assert_scans_alike(segments, wanted)
+        # Mala stuffs one list that is a file of its own through the
+        # device, after its seal: repeats of its last posting and IDs
+        # past the segment's range.  A list of a segment sealed before
+        # the shared file is read with them; one its directory counts is
+        # not.
         mala = [SealedSegment(store, info, branching=branching) for _, info, _ in segments]
         victims = [(family, list_id) for family in mala for list_id in family.list_ids(True)]
         if victims and stuffing:
             family, list_id = data.draw(st.sampled_from(victims))
-            posting_list = family._attach(list_id)[0]
-            doc = posting_list.last_doc_id
+            worm_file = store.device.open_file(family.list_name(list_id))
+            doc = family._attach(list_id)[0].last_doc_id
             for step, term_id in stuffing:
                 doc += step
-                posting_list.append(doc, pack_term_tf(term_id, 1))
-            assert_scans_alike(segments, wanted)
+                worm_file.append_record(encode_posting(doc, pack_term_tf(term_id, 1)))
+            _, stuffed = assert_scans_alike(segments, wanted)
+            if family.shared is not None:
+                assert plain(stuffed) == plain(honest)
 
     def test_short_lists_are_read_without_attaching(self):
         store = CachedWormStore(None, block_size=BLOCK_SIZE)
         postings = {t: [(d, pack_term_tf(t, 1)) for d in range(3)] for t in range(8)}
         segments = write_group(store, [(0, 2, postings, False)], None)
-        segment = assert_scans_alike(segments, range(8))
+        segment, _ = assert_scans_alike(segments, range(8))
         assert segment.attached_names() == []
 
 
@@ -300,9 +305,11 @@ class TestTamper:
         assert "doc ID 0 after 1" in str(exc.value)
 
     def test_a_torn_long_list_block_is_refused_even_when_the_join_is_whole(self):
+        """On a list every reader reads whole: a long list of a segment
+        sealed before the shared file."""
         store = CachedWormStore(None, block_size=BLOCK_SIZE)
         postings = {0: [(d, _code(0)) for d in range(38)]}  # 32 + 6: a long list
-        (segment_args,) = write_group(store, [(0, 37, postings, False)], None)
+        (segment_args,) = write_group(store, [(0, 37, postings, True)], None)
         segment = SealedSegment(*segment_args[:2], branching=None)
         assert len(segment.collect_candidates([0])[0][1]) == 38  # attached
         name = segment.list_name(segment.list_for(0))

@@ -139,3 +139,27 @@ class TestWhatWasRefusedIsRefused:
             segment.collect_candidates([1])
         assert exc.value.invariant == "segment-manifest"
         assert "does not match it" in str(exc.value)
+
+    def test_a_short_list_longer_than_a_jump_indexed_block_fails_the_directory_check(self):
+        """A list of more postings than a block of a file of its own
+        holds is long, and a directory that names one short is refused:
+        its extent would run over more than one block's worth."""
+        per_block = BLOCK_SIZE // 8
+        code1 = pack_term_tf(1, 1)
+        rows = [(d, code1) for d in range(per_block)]
+        store = CachedWormStore(None, block_size=BLOCK_SIZE)
+        store.ensure_file(self.SHARED)
+        for block in (rows, [(1, 0, per_block)]):
+            store.append_record(
+                self.SHARED, np.array(block, dtype="<u4").tobytes(), force_new_block=True
+            )
+        info = SegmentInfo(
+            seg_no=0, first_doc=0, last_doc=per_block - 1, doc_count=per_block, num_lists=8,
+            strategy=STRATEGY_UNIFORM, shared=SharedFile(1, 1, 1),
+        )
+        assert len(SealedSegment(store, info, branching=None).posting_list_for(1)[0]) == per_block
+        segment = SealedSegment(store, info, branching=4)  # a jump-indexed block holds fewer
+        with pytest.raises(TamperDetectedError) as exc:
+            segment.collect_candidates([1])
+        assert exc.value.invariant == "segment-manifest"
+        assert "does not match it" in str(exc.value)

@@ -35,10 +35,10 @@ from repro.core.segments import (
 )
 from repro.core.tail import MutableTailIndex
 from repro.errors import (
+    BlockBoundsError,
     DocumentIdOrderError,
     IndexError_,
     TamperDetectedError,
-    UnknownFileError,
     WorkloadError,
     WormViolationError,
 )
@@ -839,7 +839,7 @@ class TestSharedFileDirectory:
         block = posting_list.read_block_postings(0)
         assert list(zip(block.doc_ids, block.term_codes)) == self.THREE
         assert store.io.block_reads == reads + 1  # counted: the shared block
-        with pytest.raises(UnknownFileError):
+        with pytest.raises(BlockBoundsError):  # no bytes past the extent
             posting_list.read_block_postings(1, counted=False)
         before = device_state(store.device)
         for write in (

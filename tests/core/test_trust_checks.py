@@ -1,20 +1,25 @@
 """One check per stored-posting invariant, and every reader runs it.
 
 Mala plants postings and pointers below the honest writer, straight on
-the device.  Whatever she plants, the offline audit reports exactly what
-a brute-force pass over the stored bytes finds, and each reader that
-crosses a planted violation raises on it:
+the device.  Whatever she plants where a reader takes it — here a long
+list of a segment sealed before short lists shared a file, which no
+record counts and every reader reads whole — the offline audit reports
+exactly what a brute-force pass over the stored bytes finds, and each
+reader that crosses a planted violation raises on it:
 
 * **posting order** — attaching the list names the block of the first
-  descent, a merge's ``read_columns`` names the posting (and, where
-  there is none, takes only the postings the segment's directory
-  counts), and ``audit_posting_list`` lists every one, as the brute
-  force does;
+  descent, a merge's ``read_columns`` names the posting, and
+  ``audit_posting_list`` lists every one, as the brute force does;
 * **jump pointers** — a pointer the audit flags makes the reader raise,
   naming that pointer, whenever it follows it; one it passes never does.
+
+Planted on a long list of a segment with a shared file, the same bytes
+lie past the extent its manifest record fixes: no reader takes them,
+and the audit counts them.
 """
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,19 +54,13 @@ plants = st.lists(
 )
 
 
-def sealed_long_list(gaps):
-    """A segment of one list, longer than a block: a file of its own."""
+def sealed_long_list(gaps, shared):
+    """A segment of one list, longer than a block: a file of its own —
+    counted by the segment's shared file, or, as code before the shared
+    file sealed, by nothing."""
     store = CachedWormStore(None, block_size=BLOCK_SIZE)
     doc_ids = np.cumsum(gaps).astype(np.uint32)
-    count, shared = write_segment_lists(
-        store,
-        0,
-        (doc_ids, np.zeros(len(doc_ids), dtype=np.uint32)),
-        num_lists=1,
-        strategy=STRATEGY_UNIFORM,
-        popular_terms=(),
-        branching=None,
-    )
+    columns = (doc_ids, np.zeros(len(doc_ids), dtype=np.uint32))
     info = SegmentInfo(
         seg_no=0,
         first_doc=0,
@@ -69,9 +68,23 @@ def sealed_long_list(gaps):
         doc_count=len(doc_ids),
         num_lists=1,
         strategy=STRATEGY_UNIFORM,
-        shared=shared,
     )
-    return store, info
+    if not shared:
+        MergedListFamily(store, info, branching=None).append_many([(0, np.stack(columns, axis=1))])
+        return store, info
+    _, layout = write_segment_lists(
+        store, 0, columns, num_lists=1, strategy=STRATEGY_UNIFORM, popular_terms=(), branching=None
+    )
+    return store, replace(info, shared=layout)
+
+
+def plant(store, name, planted):
+    """Mala's records, appended to file ``name`` on the device."""
+    worm_file = store.device.open_file(name)
+    for doc_ids, new_block in planted:
+        payload = b"".join(encode_posting(doc_id, 0) for doc_id in doc_ids)
+        worm_file.append_record(payload, force_new_block=new_block)
+    return worm_file
 
 
 def brute_force_descents(worm_file):
@@ -90,14 +103,11 @@ def brute_force_descents(worm_file):
 @given(gaps=honest_gaps, planted=plants)
 @settings(max_examples=80, deadline=None)
 def test_every_reader_names_the_descent_the_brute_force_finds(gaps, planted):
-    store, info = sealed_long_list(gaps)
+    store, info = sealed_long_list(gaps, shared=False)
     family = MergedListFamily(store, info, branching=None)
     posting_list, _ = family._attach(0)  # before Mala: an honest attach
     name = posting_list.name
-    worm_file = store.device.open_file(name)
-    for doc_ids, new_block in planted:
-        payload = b"".join(encode_posting(doc_id, 0) for doc_id in doc_ids)
-        worm_file.append_record(payload, force_new_block=new_block)
+    worm_file = plant(store, name, planted)
     expected, total = brute_force_descents(worm_file)
 
     report = audit_posting_list(posting_list)
@@ -110,8 +120,7 @@ def test_every_reader_names_the_descent_the_brute_force_finds(gaps, planted):
     reader = MergedListFamily(store, info, branching=None)
     if not expected:
         assert reader._attach(0)[0].count == total
-        # A merge takes the postings the directory counts, not Mala's.
-        assert len(reader.read_columns()[0]) == info.doc_count
+        assert len(reader.read_columns()[0]) == total  # no record counts it
         return
     first_block, first_index, _, _ = expected[0]
     with pytest.raises(TamperDetectedError) as attach:
@@ -122,6 +131,29 @@ def test_every_reader_names_the_descent_the_brute_force_finds(gaps, planted):
         reader.read_columns()
     assert merge.value.invariant == "posting-monotonicity"
     assert merge.value.location == f"posting list '{name}', posting {first_index}"
+
+
+@given(gaps=honest_gaps, planted=plants)
+@settings(max_examples=80, deadline=None)
+def test_no_reader_of_a_sealed_extent_takes_a_plant(gaps, planted):
+    """The same plants on a long list its segment's directory counts:
+    every reader takes the sealed postings, and only the audit sees
+    Mala's bytes — counted to the byte, not read as postings."""
+    store, info = sealed_long_list(gaps, shared=True)
+    sealed = np.cumsum(gaps).tolist()
+    family = MergedListFamily(store, info, branching=None)
+    posting_list, _ = family._attach(0)
+    worm_file = plant(store, posting_list.name, planted)
+    for reader in (family, MergedListFamily(store, info, branching=None)):
+        attached, _ = reader._attach(0)
+        assert attached.doc_ids() == sealed and attached.count == len(sealed)
+        report = audit_posting_list(attached)
+        assert report.ok and report.entries_checked == len(sealed)
+        assert reader.read_columns()[0].tolist() == sealed
+        (column,) = reader.collect_candidates([0])
+        assert column[1].tolist() == sorted(set(sealed))
+    appended = worm_file.total_bytes() - 8 * len(sealed)
+    assert family.unreachable_files() == [(posting_list.name, appended)]
 
 
 @given(

@@ -19,9 +19,10 @@ and ranked answers stay ``float.hex()``-identical across a reopen.
 A disposal sweep counts its documents out of a session's statistics, so
 a session ranks after it as its reopen does, and the audit compares it.
 
-A merge takes of a sealed long list only the postings its directory
-entry counts, so a posting appended to it after the seal is not carried
-into the merged segment, and the audit reports the list.
+Every reader takes of a sealed long list only the postings its
+directory entry counts, so a posting appended to it after the seal is
+neither answered nor carried into the merged segment, and the audit
+reports the list.
 """
 
 import glob
@@ -38,8 +39,15 @@ from bench.gen import documents
 from repro.adversary.detection import full_engine_audit
 from repro.cli import open_archive
 from repro.core.posting import MAX_TERM_ID_WITH_TF, encode_posting, pack_term_tf
-from repro.core.segments import STRATEGY_UNIFORM, MergedListFamily, SegmentInfo, write_segment_lists
-from repro.errors import IndexError_, TamperDetectedError
+from repro.core.segments import (
+    MANIFEST_FILE,
+    SEGMENT_PREFIX,
+    STRATEGY_UNIFORM,
+    MergedListFamily,
+    SegmentInfo,
+    write_segment_lists,
+)
+from repro.errors import TamperDetectedError
 from repro.search.analyzer import Analyzer
 from repro.search.engine import MAX_LEXICON_TERM_BYTES, EngineConfig, TrustworthySearchEngine
 from repro.search.ranking import CollectionStats
@@ -397,6 +405,48 @@ def test_after_a_disposal_a_session_ranks_as_its_reopen(tmp_path, shape, shards,
     handle.close()
 
 
+def segment_files(engine):
+    """Per shard, every block of the manifest and of each segment file:
+    its bytes and pointer slots."""
+    return [
+        {
+            name: [(block.read(), block.slots()) for block in device.open_file(name).blocks()]
+            for name in device.list_files()
+            if name.startswith(SEGMENT_PREFIX) or name == MANIFEST_FILE
+        }
+        for device in (shard.store.device for shard in shards_of(engine))
+    ]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("disposed", [4, 12], ids=["some", "all"])
+def test_a_seal_after_a_disposal_writes_what_it_writes_after_a_reopen(
+    tmp_path, shards, disposed
+):
+    """Twelve documents in the tail, committed at times 0–11 and kept
+    for 5, swept at ``disposed + 4``: a seal in the same session writes
+    the segment a seal after a reopen writes — the tail's live documents
+    only, their range starting at the first of them — byte for byte;
+    with none alive, neither seals anything."""
+    config = EngineConfig(num_lists=6, tail_max_docs=1000, retention_period=5)
+    written = []
+    for reopen in (False, True):
+        path = str(tmp_path / f"reopen-{reopen}.worm")
+        engine, handle = open_archive(path, create=config, shards=shards)
+        engine.index_batch(corpus()[:12])
+        assert len(engine.dispose_expired(now=disposed + 4)) == disposed
+        if reopen:
+            handle.close()
+            engine, handle = open_archive(path)
+        engine.seal_tail()
+        written.append(segment_files(engine))
+        live = [(shard, s.info) for shard in shards_of(engine) for s in shard.iter_segments()]
+        assert sum(info.doc_count for _, info in live) == 12 - disposed
+        assert all(shard.documents.exists(info.first_doc) for shard, info in live)
+        handle.close()
+    assert written[0] == written[1]
+
+
 # ----------------------------------------------------------------------
 # a posting appended to a sealed long list stays out of the merge
 # ----------------------------------------------------------------------
@@ -434,12 +484,15 @@ def test_a_posting_appended_to_a_sealed_long_list_is_not_merged(tmp_path, shards
     # A document of the next ingest, which lacks the token: 1500 on
     # one shard, where the merged segment holds 0-1023.
     target = segment.info.last_doc + 477
-    _, jump = segment._attach(list_id)
-    jump.insert(target, pack_term_tf(term_id, 9))
+    name = segment.list_name(list_id)
+    shard.store.device.open_file(name).append_record(
+        encode_posting(target, pack_term_tf(term_id, 9))
+    )
     findings = [r for r in full_engine_audit(engine) if not r.ok]
     assert len(findings) == 1 and f"segment {segment.info.seg_no}" in findings[0].subject
     (violation,) = findings[0].violations
-    assert f"'{segment.list_name(list_id)}'" in violation and "8 bytes" in violation
+    assert f"'{name}'" in violation and "8 bytes" in violation
+    assert len(engine.search(token, top_k=20)) == 1
 
     ingest(engine, 1100, 1000, shards)
     assert token not in shard.documents.get(target).text.split()
@@ -454,17 +507,19 @@ def test_a_posting_appended_to_a_sealed_long_list_is_not_merged(tmp_path, shards
     handle.close()
 
 
-def test_a_merge_reads_a_long_list_whole_but_takes_its_count(tmp_path):
-    """``checked`` reads the appended bytes (and so refuses what an
-    attach refuses); either way the counted postings are what it takes."""
+def test_a_merge_reads_a_long_lists_count_and_not_a_byte_more(tmp_path):
+    """What is appended after the count — in order or not, whole or
+    torn — is not read, so nothing of it is taken or refused."""
     engine = TrustworthySearchEngine(TAIL)
     ingest(engine, 0, 1100, 1)
     (segment, *_) = engine.iter_segments()
     list_id, term_id = id_token_in_a_long_list(engine, segment)
     before = [column.copy() for column in segment.read_columns()]
-    segment._attach(list_id)[1].insert(1500, pack_term_tf(term_id, 9))
-    for checked in (True, False):
-        after = segment.read_columns(checked=checked)
+    worm_file = engine.store.device.open_file(segment.list_name(list_id))
+    stuffed = encode_posting(1500, pack_term_tf(term_id, 9))
+    for payload in (stuffed, encode_posting(3, 0), b"\0" * 4):
+        worm_file.append_record(payload)
+        after = segment.read_columns()
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
@@ -484,8 +539,7 @@ def test_a_sealed_long_list_gives_a_merge_and_a_reopen_its_count(gaps, planted, 
     """Whatever is appended to a sealed long list after the seal — in
     order, in its tail block or new ones, torn or not — a merge and a
     reopen take exactly the postings its directory entry counts, and
-    the audit counts the rest, to the byte.  What a whole read refuses
-    (a torn posting) a merge refuses; a reopen reads only the count."""
+    the audit counts the rest, to the byte."""
     store = CachedWormStore(None, block_size=BLOCK_SIZE)
     doc_ids = np.cumsum(gaps).astype(np.uint32)
     codes = np.full(len(doc_ids), pack_term_tf(0, 2), dtype=np.uint32)
@@ -505,11 +559,6 @@ def test_a_sealed_long_list_gives_a_merge_and_a_reopen_its_count(gaps, planted, 
         last, appended = last + count, appended + len(payload)
     sealed = (doc_ids.tolist(), codes.tolist())
     reader = MergedListFamily(store, info, branching=None)
-    assert [column.tolist() for column in reader.read_columns(checked=False)] == list(sealed)
+    assert [column.tolist() for column in reader.read_columns()] == list(sealed)
     assert reader.doc_lengths().tolist() == [1] * (int(doc_ids[-1]) + 1)
-    if torn:
-        with pytest.raises(IndexError_):
-            reader.read_columns()
-    else:
-        assert [column.tolist() for column in reader.read_columns()] == list(sealed)
     assert reader.unreachable_files() == ([(name, appended)] if appended else [])

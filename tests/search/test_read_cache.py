@@ -380,31 +380,36 @@ class TestFamilyEntries:
 
     @pytest.mark.parametrize("cached_first", [True, False])
     def test_stuffing_a_long_list_answers_as_without_the_cache(self, cached_first):
-        """Mala stuffs the first segment's long "alpha" list with
-        postings under IDs of the second segment's documents, at a
+        """Mala stuffs the directly-appended "alpha" list — the paper's
+        appendable list — with postings under fabricated IDs, at a
         frequency of 9: the cached engine's answers change exactly as
-        the uncached engine's do — whether the stuffed segment's entry
-        was cached before (it is invalidated) or no entry exists yet.  A
-        family is read and cached on its own, so its entry holds the
-        stuffed postings it stores, whoever's IDs they carry."""
-        on, off = tail_engine(), tail_engine(read_cache=False)
+        the uncached engine's do — whether the family's entry was cached
+        before (it is invalidated: the list grew) or no entry exists
+        yet.  The entry holds the stuffed postings the list stores.  (A
+        sealed segment's long list is an extent, which no reader reads
+        past: test_sealed_extents.py.)"""
+        legacy = replace(TAIL_CONFIG, tail_max_docs=None)
+        on, off = (
+            TrustworthySearchEngine(replace(legacy, read_cache=read_cache))
+            for read_cache in (True, False)
+        )
+        for engine in (on, off):
+            engine.index_batch(TAIL_TEXTS)
         before = answers(off)
         if cached_first:
             assert answers(on) == before
         for engine in (on, off):
             alpha = engine.term_id("alpha")
-            segment = engine.iter_segments()[0]
-            posting_list, _ = segment.posting_list_for(alpha)
-            assert len(posting_list) > segment.short_limit
+            posting_list, _ = engine.posting_list_for("alpha")
             posting_stuffing_attack(
-                posting_list, pack_term_tf(alpha, 9), count=3, first_fake_doc_id=60
+                posting_list, pack_term_tf(alpha, 9), count=3, first_fake_doc_id=160
             )
         stuffed = answers(off)
-        assert [doc_id for doc_id, _ in stuffed["alpha"][:3]] == [60, 61, 62]
+        assert [doc_id for doc_id, _ in stuffed["alpha"][:3]] == [160, 161, 162]
         assert answers(on) == stuffed
-        alpha = on.term_id("alpha")
+        assert bool(on.read_cache.stats.invalidations) == cached_first
         scans = [key for key in keys(on.read_cache) if key[1] == "any"]
-        assert any(key[0] == 0 and alpha in key[2] for key in scans)
+        assert any(key[0] is None and alpha in key[2] for key in scans)
         assert answers(on) == stuffed  # and again, from what was cached
 
 

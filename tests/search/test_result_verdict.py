@@ -11,6 +11,7 @@ query's hit needs one of its terms; an ALL query's hit needs every one
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.posting import pack_term_tf
@@ -21,10 +22,10 @@ from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.sharding import ShardedSearchEngine
 
 LEGACY = EngineConfig(num_lists=8)
-#: Sealed at ingest, one posting per block: a list of two or more
-#: postings is a file of its own, which Mala can append to.
+#: Every document in the tail until Mala seals it, one posting per
+#: block: a list of two or more postings is a file of its own.
 SEALED = EngineConfig(
-    num_lists=1, block_size=200, branching=4, tail_max_docs=1, merge_at_segments=None
+    num_lists=1, block_size=200, branching=4, tail_max_docs=100, merge_at_segments=None
 )
 
 
@@ -48,14 +49,23 @@ def closing():
 
 
 def plant(engine, doc_id, term):
-    """Mala's raw append of ``doc_id`` to ``term``'s list, in the index
-    (the engine, or the document's shard) that holds the document."""
+    """Mala's posting of ``doc_id`` under ``term``, in the index (the
+    engine, or the document's shard) that holds the document, where
+    every reader takes it: appended raw to a legacy list, or, in tail
+    mode, sealed by Mala with the tail, among the postings the segment's
+    manifest record counts."""
     index, local_id = engine, doc_id
     if isinstance(engine, ShardedSearchEngine):
         shard_id, local_id = engine.router.to_local(doc_id)
         index = engine.shards[shard_id]
     term_id = index.term_id(term)
     assert term_id is not None  # the document's index knows the term
+    if index.tail_enabled:
+        doc_ids, codes = index._tail.columns()
+        planted = (np.append(doc_ids, local_id), np.append(codes, pack_term_tf(term_id, 1)))
+        index._tail.columns = lambda: tuple(column.astype(np.uint32) for column in planted)
+        assert index.seal_tail() is not None
+        return
     posting_list, _ = index.posting_list_for(term)
     assert index.store.device.exists(posting_list.name)  # a file of its own
     posting_list.append(local_id, pack_term_tf(term_id, 1))

@@ -17,7 +17,13 @@ import pytest
 from repro.adversary.detection import full_engine_audit
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.posting import encode_posting, pack_term_tf
-from repro.core.segments import segment_list_name
+from repro.core.segments import (
+    STRATEGY_UNIFORM,
+    SealedSegment,
+    SegmentInfo,
+    SegmentManifest,
+    segment_list_name,
+)
 from repro.errors import IndexError_, TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.worm.faults import (
@@ -32,8 +38,7 @@ from tests.helpers import DEFAULT_CORPUS, rows_of
 LEGACY = EngineConfig(num_lists=32, branching=4, retention_period=100)
 #: A block that holds one posting beside the pointer slots of ``LEGACY``'s
 #: jump index: a sealed list of two postings spans blocks, so it is a
-#: file of its own — the kind the device still appends to.  (What Mala
-#: can do to a list short enough to share a file: test_sealed_extents.py.)
+#: file of its own.
 ONE_POSTING_BLOCKS = 200
 QUERIES = [
     "imclone finance",
@@ -72,6 +77,38 @@ def wal_crash_cases(ops):
         for call in range(1, total + 1)
         for stage in ("between-log-and-apply", "after-apply")
     ]
+
+
+def sealed_before_the_shared_file(config, texts):
+    """An engine over ``texts`` whose first ``config.tail_max_docs``
+    documents are in a segment Mala sealed herself, as code before short
+    lists shared a file sealed: every list a file of its own that no
+    manifest record counts, so every reader reads it whole — and reads
+    what she appends to it later.  (What she can do to a segment with a
+    shared file, whose lists are extents: test_sealed_extents.py.)  The
+    rest are ingested honestly."""
+    store = CachedWormStore(None, block_size=config.block_size)
+    first = config.tail_max_docs
+    writer = TrustworthySearchEngine(replace(config, tail_max_docs=len(texts)), store=store)
+    writer.index_batch(texts[:first])
+    info = SegmentInfo(
+        seg_no=0, first_doc=0, last_doc=first - 1, doc_count=first,
+        num_lists=config.num_lists, strategy=STRATEGY_UNIFORM,
+    )
+    segment = SealedSegment(store, info, branching=config.branching)
+    lists = {}
+    for doc_id, text in enumerate(texts[:first]):
+        terms = writer.analyzer.term_counts(text)
+        counts = {writer.term_id(term): tf for term, tf in terms.items()}
+        for term_id in sorted(counts):
+            posting = (doc_id, pack_term_tf(term_id, counts[term_id]))
+            lists.setdefault(segment.list_for(term_id), []).append(posting)
+    segment.append_many(sorted(lists.items()))
+    SegmentManifest(store).append(info)
+    engine = TrustworthySearchEngine(config, store=store)
+    for text in texts[first:]:
+        engine.index_document(text)
+    return engine
 
 
 def build_pair(tail_cfg, texts=DEFAULT_CORPUS):
@@ -197,21 +234,20 @@ class TestEquivalence:
         self, seal_strategy
     ):
         """Families and the tail cover disjoint documents — until Mala
-        appends to a sealed list a posting naming a document sealed
-        later (same layout under "uniform", another under "popular")
-        and one still in the tail.  Each is then one candidate, once,
-        the term at the larger frequency, as one dict per document
-        max-merged them."""
-        engine = TrustworthySearchEngine(
+        appends to a list of a segment sealed before the shared file a
+        posting naming a document sealed later (same layout under
+        "uniform", another under "popular") and one still in the tail.
+        Each is then one candidate, once, the term at the larger
+        frequency, as one dict per document max-merged them."""
+        engine = sealed_before_the_shared_file(
             tail_config(
                 tail_max_docs=2,
                 seal_strategy=seal_strategy,
                 seal_popular_terms=1,
                 block_size=ONE_POSTING_BLOCKS,
-            )
+            ),
+            ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"],
         )
-        for text in ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"]:
-            engine.index_document(text)
         first, second = engine.iter_segments()
         assert (first.layout == second.layout) == (seal_strategy == "uniform")
         honest = engine.match("alpha gamma").rows()
@@ -219,7 +255,7 @@ class TestEquivalence:
         assert honest[2]["alpha"] == honest[4]["alpha"] == 1  # rows key terms by text
 
         stuffed_list, _ = first.posting_list_for(alpha)
-        assert stuffed_list.num_blocks > 1  # a file of its own: appendable
+        assert first.shared is None  # no record counts it: appendable
         stuffed_list.append(2, pack_term_tf(alpha, 9))  # sealed in `second`
         stuffed_list.append(4, pack_term_tf(alpha, 7))  # in the tail
         honest[2]["alpha"], honest[4]["alpha"] = 9, 7
@@ -232,11 +268,10 @@ class TestEquivalence:
         """The conjunctive counterpart: a document stuffed into an older
         segment's lists under every query term joins there *and* where
         it really lives — and is still one hit, not two."""
-        engine = TrustworthySearchEngine(
-            tail_config(tail_max_docs=2, block_size=ONE_POSTING_BLOCKS)
+        engine = sealed_before_the_shared_file(
+            tail_config(tail_max_docs=2, block_size=ONE_POSTING_BLOCKS),
+            ["alpha beta", "beta alpha", "alpha beta gamma", "beta", "alpha beta"],
         )
-        for text in ["alpha beta", "beta alpha", "alpha beta gamma", "beta", "alpha beta"]:
-            engine.index_document(text)
         honest = results(engine, "+alpha +beta")
         assert sorted(doc_id for doc_id, _ in honest) == [0, 1, 2, 4]
         first = engine.iter_segments()[0]
@@ -255,13 +290,13 @@ class TestEquivalence:
         which still reach past the family's own range: a document stuffed
         into an older segment joins there and where it lives, and is one
         hit."""
-        engine = TrustworthySearchEngine(
+        engine = sealed_before_the_shared_file(
             tail_config(
                 tail_max_docs=2, block_size=ONE_POSTING_BLOCKS, read_cache=read_cache
-            )
+            ),
+            # Document i commits at time i.
+            ["alpha beta", "beta alpha", "alpha beta gamma", "beta", "alpha beta"],
         )
-        for text in ["alpha beta", "beta alpha", "alpha beta gamma", "beta", "alpha beta"]:
-            engine.index_document(text)  # document i commits at time i
         honest = results(engine, "+alpha +beta @1..4")
         assert sorted(doc_id for doc_id, _ in honest) == [1, 2, 4]
         first = engine.iter_segments()[0]
@@ -655,20 +690,25 @@ class TestSegmentNumbering:
 class TestMergeReadsWhatAnAttachRead:
     """A merge reads its inputs' blocks straight from the store, without
     attaching their lists — and still refuses what an attach refused.
-    Mala writes to the one kind of sealed list the device still appends
-    to: a file of its own, here two blocks of a posting each."""
+    Mala writes to a sealed list that is a file of its own, here two
+    blocks of a posting each: past the count of one its segment's
+    directory counts, where neither reads, or to one of a segment
+    sealed before the shared file, which both read whole."""
 
     TEXTS = ["alpha beta", "alpha", "alpha beta gamma", "beta", "alpha gamma"]
 
     QUERIES = ("alpha gamma", "+alpha +beta", "gamma")
 
-    def sealed(self, **kwargs):
-        engine = TrustworthySearchEngine(
-            tail_config(tail_max_docs=2, block_size=ONE_POSTING_BLOCKS, **kwargs)
-        )
-        for text in self.TEXTS:
-            engine.index_document(text)
+    def sealed(self, counted=True):
+        config = tail_config(tail_max_docs=2, block_size=ONE_POSTING_BLOCKS)
+        if counted:
+            engine = TrustworthySearchEngine(config)
+            for text in self.TEXTS:
+                engine.index_document(text)
+        else:
+            engine = sealed_before_the_shared_file(config, self.TEXTS)
         first, second = engine.iter_segments()
+        assert (first.shared is not None) == counted
         alpha = engine.term_id("alpha")
         name = segment_list_name(first.info.seg_no, first.list_for(alpha))
         assert engine.store.open_file(name).num_blocks == 2
@@ -706,7 +746,7 @@ class TestMergeReadsWhatAnAttachRead:
     def test_a_descending_doc_id_is_tampering(self, attached):
         """Refused whether or not a search attached (and so checked) the
         list before Mala wrote to it."""
-        engine, alpha, name = self.sealed()
+        engine, alpha, name = self.sealed(counted=False)
         if attached:
             self.answers(engine)
         self.raw_append(engine, name, encode_posting(0, pack_term_tf(alpha, 3)))
@@ -715,7 +755,7 @@ class TestMergeReadsWhatAnAttachRead:
         assert f"'{name}'" in error.location
 
     def test_a_torn_posting_raises_what_the_decoder_raises(self):
-        engine, _alpha, name = self.sealed()
+        engine, _alpha, name = self.sealed(counted=False)
         self.raw_append(engine, name, b"\x00" * 4)
         error = self.refused(engine, IndexError_)
         assert "not a multiple of 8" in str(error)
