@@ -33,12 +33,8 @@ def test_ablation_block_size(benchmark, workload, emit):
         for block_size in BLOCK_SIZES:
             engine = ingest(
                 docs,
-                EngineConfig(
-                    num_lists=NUM_LISTS,
-                    block_size=block_size,
-                    cache_blocks=max(64, NUM_LISTS * 2),
-                    branching=BRANCHING,
-                ),
+                EngineConfig(num_lists=NUM_LISTS, block_size=block_size, branching=BRANCHING),
+                cache_blocks=max(64, NUM_LISTS * 2),
             )
             rows.append(
                 (

@@ -12,9 +12,9 @@ reports node/block reads per join for equal-sized and skewed pairs.
 
 from conftest import once
 
-from repro.baselines.bplus_tree import BPlusTree
+from repro.baselines.bplus_tree import BPlusTree, TreeCursor
 from repro.baselines.ght import GeneralizedHashTree, ght_join
-from repro.search.join import TreeCursor, zigzag
+from repro.search.join import zigzag
 from repro.simulate.report import format_table
 
 

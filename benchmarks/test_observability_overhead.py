@@ -20,9 +20,9 @@ from time import perf_counter
 
 from conftest import once
 
-from repro.observability import NullMetricsRegistry
+from repro.observability.metrics import NullMetricsRegistry
 from repro.search.engine import EngineConfig
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.simulate.report import format_table
 
 MAX_DOCS = 600

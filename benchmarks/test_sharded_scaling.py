@@ -24,17 +24,21 @@ from conftest import once
 
 from repro.search.engine import EngineConfig
 from repro.search.profiling import profile_sharded_query
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.simulate.report import format_table
+from repro.worm.storage import CachedWormStore
 
 SHARD_COUNTS = (1, 2, 4)
 MAX_DOCS = 2_000
 NUM_QUERIES = 24
 TOP_K = 10
 CONFIG = EngineConfig(num_lists=64, block_size=4096, branching=None)
-BOUNDED_CACHE = EngineConfig(
-    num_lists=64, block_size=4096, branching=None, cache_blocks=8
-)
+#: Storage-cache capacity of each shard in the batched-ingest comparison.
+BOUNDED_CACHE = 8
+
+
+def _bounded_store(_shard_id: int) -> CachedWormStore:
+    return CachedWormStore(BOUNDED_CACHE, block_size=CONFIG.block_size)
 
 
 def _texts(workload):
@@ -118,7 +122,7 @@ def test_batched_ingest_io(benchmark, workload, emit):
     texts = _texts(workload)
 
     def run():
-        unbatched = ShardedSearchEngine(BOUNDED_CACHE, num_shards=4)
+        unbatched = ShardedSearchEngine(CONFIG, num_shards=4, store_factory=_bounded_store)
         with unbatched:
             for text in texts:
                 unbatched.index_document(text)
@@ -130,7 +134,7 @@ def test_batched_ingest_io(benchmark, workload, emit):
                     s.store.io.block_reads for s in unbatched.shards
                 ),
             }
-        batched = ShardedSearchEngine(BOUNDED_CACHE, num_shards=4)
+        batched = ShardedSearchEngine(CONFIG, num_shards=4, store_factory=_bounded_store)
         with batched:
             for start in range(0, len(texts), 128):
                 batched.index_batch(texts[start:start + 128])
@@ -157,7 +161,7 @@ def test_batched_ingest_io(benchmark, workload, emit):
             ],
             title=(
                 f"Batched vs unbatched ingest I/O ({len(texts)} docs, "
-                f"4 shards, {BOUNDED_CACHE.cache_blocks}-block cache)"
+                f"4 shards, {BOUNDED_CACHE}-block cache)"
             ),
         ),
     )

@@ -19,7 +19,8 @@ Run:  python examples/compliance_investigation.py
 """
 
 from repro import EngineConfig, TrustworthySearchEngine
-from repro.adversary import buffer_wipe_attack, full_engine_audit, posting_stuffing_attack
+from repro.adversary.attacks import buffer_wipe_attack, posting_stuffing_attack
+from repro.adversary.detection import full_engine_audit
 from repro.baselines.buffered import BufferedInvertedIndex
 from repro.errors import TamperDetectedError
 from repro.worm.storage import CachedWormStore

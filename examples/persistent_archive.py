@@ -2,7 +2,7 @@
 """A durable compliance archive: one journal file, many sessions.
 
 Everything the engine needs lives in a single append-only journal on the
-host filesystem (:class:`repro.worm.JournaledWormDevice`).  This demo
+host filesystem (:class:`repro.worm.persistent.JournaledWormDevice`).  This demo
 runs three "sessions" against the same archive file —
 
 1. ingest a first batch of records and close;

@@ -13,8 +13,9 @@ Run:  python examples/sharded_search.py
 """
 
 from repro import EngineConfig, ShardedSearchEngine
-from repro.adversary import full_sharded_audit, posting_stuffing_attack
-from repro.search import profile_sharded_query
+from repro.adversary.attacks import posting_stuffing_attack
+from repro.adversary.detection import full_sharded_audit
+from repro.search.profiling import profile_sharded_query
 
 RECORDS = [
     "quarterly revenue report for the finance committee",

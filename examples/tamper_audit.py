@@ -10,15 +10,17 @@ attack that stays structurally clean, falls to document verification.
 Run:  python examples/tamper_audit.py
 """
 
-from repro.adversary import (
+from repro.adversary.attacks import (
     binary_search_tail_attack,
     block_jump_pointer_attack,
     bplus_shadow_attack,
     jump_pointer_attack,
     posting_stuffing_attack,
 )
-from repro.baselines import BPlusTree, SortedAppendLog
-from repro.core import BlockJumpIndex, JumpIndex
+from repro.baselines.binary_search import SortedAppendLog
+from repro.baselines.bplus_tree import BPlusTree
+from repro.core.block_jump_index import BlockJumpIndex
+from repro.core.jump_index import JumpIndex
 from repro.core.verification import audit_posting_list
 from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine

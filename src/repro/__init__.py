@@ -27,38 +27,25 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 per-figure reproduction record.
 """
 
-from repro.core import (
-    BlockJumpIndex,
-    CommitTimeIndex,
-    JumpIndex,
-    Posting,
-    PostingCursor,
-    PostingList,
-    TermAssignment,
-    UniformHashMerge,
-)
-from repro.errors import (
-    ReproError,
-    TamperDetectedError,
-    WormViolationError,
-)
-from repro.search import (
-    Analyzer,
-    EngineConfig,
-    Query,
-    QueryMode,
-    SearchResult,
-    TrustworthySearchEngine,
-    parse_query,
-)
+from repro.core.block_jump_index import BlockJumpIndex
+from repro.core.jump_index import JumpIndex
+from repro.core.merge import TermAssignment, UniformHashMerge
+from repro.core.posting import Posting
+from repro.core.posting_list import PostingCursor, PostingList
+from repro.core.time_index import CommitTimeIndex
+from repro.errors import ReproError, TamperDetectedError, WormViolationError
 from repro.investigate import Investigation
-from repro.sharding import (
-    BatchIngestor,
-    ParallelQueryExecutor,
-    ShardRouter,
-    ShardedSearchEngine,
-)
-from repro.worm import CachedWormStore, JournaledWormDevice, LRUBlockCache, WormDevice
+from repro.search.analyzer import Analyzer
+from repro.search.engine import EngineConfig, SearchResult, TrustworthySearchEngine
+from repro.search.query import Query, QueryMode, parse_query
+from repro.sharding.batch import BatchIngestor
+from repro.sharding.engine import ShardedSearchEngine
+from repro.sharding.executor import ParallelQueryExecutor
+from repro.sharding.router import ShardRouter
+from repro.worm.cache import LRUBlockCache
+from repro.worm.device import WormDevice
+from repro.worm.persistent import JournaledWormDevice
+from repro.worm.storage import CachedWormStore
 
 __version__ = "1.0.0"
 

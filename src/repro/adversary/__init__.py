@@ -12,24 +12,3 @@ data (the device refuses) and cannot alter Bob's certified search engine.
 * :mod:`repro.adversary.detection` — the full-audit pass a certified
   engine or investigator runs.
 """
-
-from repro.adversary.attacks import (
-    binary_search_tail_attack,
-    block_jump_pointer_attack,
-    bplus_shadow_attack,
-    buffer_wipe_attack,
-    jump_pointer_attack,
-    posting_stuffing_attack,
-)
-from repro.adversary.detection import full_engine_audit, full_sharded_audit
-
-__all__ = [
-    "binary_search_tail_attack",
-    "block_jump_pointer_attack",
-    "bplus_shadow_attack",
-    "buffer_wipe_attack",
-    "full_engine_audit",
-    "full_sharded_audit",
-    "jump_pointer_attack",
-    "posting_stuffing_attack",
-]

@@ -13,15 +13,3 @@
   with its own B+ tree: the paper's "ideal" (fast but untrustworthy)
   comparator in Figure 8(c) and the Section 6 conclusion numbers.
 """
-
-from repro.baselines.binary_search import SortedAppendLog
-from repro.baselines.bplus_tree import BPlusTree
-from repro.baselines.ght import GeneralizedHashTree
-from repro.baselines.unmerged import UnmergedBaselineIndex
-
-__all__ = [
-    "BPlusTree",
-    "GeneralizedHashTree",
-    "SortedAppendLog",
-    "UnmergedBaselineIndex",
-]

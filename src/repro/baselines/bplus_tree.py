@@ -264,3 +264,38 @@ class BPlusTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BPlusTree(count={self.count}, height={self.height}, fanout={self.fanout})"
+
+
+class TreeCursor:
+    """Seekable cursor over a B+-tree-indexed (unmerged) posting list.
+
+    The adapter :func:`repro.search.join.zigzag` joins through, as it joins
+    jump-indexed lists through :class:`~repro.search.join.MergedListCursor`.
+    """
+
+    def __init__(self, tree: BPlusTree):
+        self.tree = tree
+        self._visited: set = set()
+        self._current: Optional[int] = tree.find_geq(0, visited=self._visited)
+        #: Seek operations performed (the paper's FindGeq count).
+        self.seeks = 0
+
+    def doc(self) -> Optional[int]:
+        """Current document ID (``None`` when exhausted)."""
+        return self._current
+
+    def seek_geq(self, k: int) -> Optional[int]:
+        """Advance to the first key >= ``k``."""
+        if self._current is not None and self._current >= k:
+            return self._current
+        self.seeks += 1
+        self._current = self.tree.find_geq(k, visited=self._visited)
+        return self._current
+
+    def estimated_length(self) -> int:
+        """Join-ordering hint."""
+        return len(self.tree)
+
+    def blocks_read(self) -> int:
+        """Distinct tree nodes visited."""
+        return len(self._visited)

@@ -94,10 +94,16 @@ def _write_config(
         for key in _CONFIG_KEYS
     }
     payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-    store.create_file(_CONFIG_FILE).append_record(payload)
+    worm_file = store.create_file(_CONFIG_FILE)
+    for start in range(0, len(payload), store.block_size):
+        worm_file.append_record(payload[start : start + store.block_size])
 
 
 def _read_config(store: CachedWormStore):
+    """The recorded config, at the block size of the config file itself:
+    the size the archive's files are made at, which the record of an
+    archive initialised before it was applied (always 8 KiB files) can
+    contradict."""
     worm_file = store.open_file(_CONFIG_FILE)
     payload = b"".join(
         store.peek_block(_CONFIG_FILE, b) for b in range(worm_file.num_blocks)
@@ -117,6 +123,7 @@ def _read_config(store: CachedWormStore):
         if key in data or key in _ORIGINAL_CONFIG_KEYS
     }
     shards = fields.pop("shards", 1)
+    fields["block_size"] = worm_file.block_size
     return EngineConfig(**fields), shards
 
 
@@ -165,6 +172,7 @@ def open_archive(
         if create is not None:
             if device.exists(_CONFIG_FILE):
                 raise ReproError(f"archive '{path}' is already initialized")
+            device.block_size = create.block_size
             _write_config(store, create, shards)
             config = create
         else:
@@ -173,6 +181,7 @@ def open_archive(
                     f"'{path}' is not an initialized archive (run 'init' first)"
                 )
             config, shards = _read_config(store)
+            device.block_size = config.block_size
     except Exception:
         device.close()
         raise
@@ -186,6 +195,7 @@ def open_archive(
     def shard_store(shard_id: int) -> CachedWormStore:
         shard_device = JournaledWormDevice(
             _shard_path(path, shard_id),
+            block_size=config.block_size,
             fsync=fsync,
             group_commit=group_commit,
         )
@@ -217,7 +227,7 @@ def _session_options(args) -> dict:
 
 def _write_metrics_json(engine, path: str, traces=()) -> None:
     """Write one stable ``repro-metrics/v1`` JSON snapshot to ``path``."""
-    from repro.observability import metrics_document
+    from repro.observability.adapters import metrics_document
 
     doc = metrics_document(engine, traces=traces)
     with open(path, "w", encoding="utf-8") as handle:
@@ -307,7 +317,7 @@ def _cmd_search(args) -> int:
             # what the printed (last-run) trace demonstrates.
             for _ in range(args.repeat):
                 if want_trace:
-                    from repro.observability import QueryTrace
+                    from repro.observability.trace import QueryTrace
 
                     trace = QueryTrace(args.query)
                 if args.verify:
@@ -348,7 +358,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_metrics(args) -> int:
     """Render the archive's metrics (Prometheus text, optionally JSON)."""
-    from repro.observability import engine_metrics
+    from repro.observability.adapters import engine_metrics
 
     engine, archive = open_archive(args.archive)
     try:
@@ -545,7 +555,8 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.service import AdmissionConfig, ServiceConfig, serve_archive
+    from repro.service.admission import AdmissionConfig
+    from repro.service.server import ServiceConfig, serve_archive
 
     _require(
         0 <= args.port <= 65535, f"--port must be in [0, 65535] (got {args.port})"

@@ -25,55 +25,3 @@ Layout of the subpackage:
 * :mod:`repro.core.verification` — auditors that surface tampering as
   :class:`~repro.errors.TamperDetectedError` reports.
 """
-
-from repro.core.block_jump_index import BlockJumpIndex
-from repro.core.cost_model import (
-    cost_ratio,
-    merged_workload_cost,
-    per_query_costs,
-    unmerged_workload_cost,
-)
-from repro.core.jump_index import JumpIndex
-from repro.core.merge import (
-    GreedyCostMerge,
-    LearnedPopularMerge,
-    PopularUnmergedMerge,
-    TermAssignment,
-    UniformHashMerge,
-)
-from repro.core.posting import Posting, decode_posting, encode_posting
-from repro.core.posting_list import PostingCursor, PostingList
-from repro.core.space import jump_pointers_per_block, space_overhead
-from repro.core.time_index import CommitTimeIndex
-from repro.core.incidents import Incident, IncidentLog
-from repro.core.retention import Disposition, RetentionManager
-from repro.core.term_coding import HuffmanCode, build_huffman_code, entropy_bits
-
-__all__ = [
-    "BlockJumpIndex",
-    "CommitTimeIndex",
-    "Disposition",
-    "GreedyCostMerge",
-    "HuffmanCode",
-    "Incident",
-    "IncidentLog",
-    "RetentionManager",
-    "JumpIndex",
-    "LearnedPopularMerge",
-    "Posting",
-    "PostingCursor",
-    "PostingList",
-    "PopularUnmergedMerge",
-    "TermAssignment",
-    "UniformHashMerge",
-    "build_huffman_code",
-    "cost_ratio",
-    "decode_posting",
-    "entropy_bits",
-    "encode_posting",
-    "jump_pointers_per_block",
-    "merged_workload_cost",
-    "per_query_costs",
-    "space_overhead",
-    "unmerged_workload_cost",
-]

@@ -18,50 +18,3 @@ subpackage is our equivalent substrate:
   and, with ``seal_strategy="epoch"``, the Section 3.3 epochs: each
   sealed segment is one, laid out from the epoch before it.
 """
-
-from repro.search.analyzer import Analyzer
-from repro.search.documents import Document, DocumentStore
-from repro.search.engine import EngineConfig, SearchResult, TrustworthySearchEngine
-from repro.search.profiling import (
-    QueryProfile,
-    ShardedQueryProfile,
-    profile_query,
-    profile_sharded_query,
-    recommend_configuration,
-)
-from repro.search.join import (
-    MemoryCursor,
-    MergedListCursor,
-    TreeCursor,
-    conjunctive_join,
-    zigzag,
-)
-from repro.search.query import Query, QueryMode, parse_query
-from repro.search.ranking import BM25Scorer, CosineScorer, CollectionStats
-from repro.search.readcache import ReadCache
-
-__all__ = [
-    "Analyzer",
-    "BM25Scorer",
-    "CollectionStats",
-    "CosineScorer",
-    "Document",
-    "DocumentStore",
-    "EngineConfig",
-    "MemoryCursor",
-    "MergedListCursor",
-    "Query",
-    "QueryMode",
-    "QueryProfile",
-    "ReadCache",
-    "SearchResult",
-    "ShardedQueryProfile",
-    "TreeCursor",
-    "TrustworthySearchEngine",
-    "conjunctive_join",
-    "parse_query",
-    "profile_query",
-    "profile_sharded_query",
-    "recommend_configuration",
-    "zigzag",
-]

@@ -54,12 +54,13 @@ from repro.core.segments import (
     validate_seal_strategy,
     write_segment_lists,
 )
+from repro.core.space import postings_per_block
 from repro.core.tail import MutableTailIndex, TailSnapshot
 from repro.core.time_index import CommitTimeIndex
 from repro.core.vecdecode import TermColumn, ascending
 from repro.core import verification
 from repro.core.verification import ResultVerdict
-from repro.errors import TamperDetectedError, WorkloadError
+from repro.errors import IndexError_, TamperDetectedError, WorkloadError
 from repro.observability.metrics import MetricsRegistry
 from repro.search.analyzer import Analyzer
 from repro.search.documents import DocumentStore
@@ -122,13 +123,14 @@ class EngineConfig:
     ----------
     num_lists:
         Number of merged posting lists ``M``; size this to the storage
-        cache (``cache_bytes / block_size``, Section 3.4).  The paper's
+        cache (``cache_bytes / block_size``, Section 3.4), whose capacity
+        is the ``cache_blocks`` of the engine's
+        :class:`~repro.worm.storage.CachedWormStore`.  The paper's
         validated configuration uses 32,768 lists for a 128 MB cache.
     block_size:
-        WORM block size in bytes (paper: 8 KB).
-    cache_blocks:
-        Storage-cache capacity in blocks (``None`` = unbounded; use a
-        finite value to reproduce insert-I/O behaviour).
+        WORM block size in bytes (paper: 8 KB).  It must hold one
+        lexicon line and, with a jump index, one posting beside the
+        block's jump pointers.
     branching:
         Jump-index branching factor ``B`` (paper's sweet spot: 32);
         ``None`` disables jump indexes (the merged-lists-only scheme).
@@ -170,7 +172,6 @@ class EngineConfig:
 
     num_lists: int = 1024
     block_size: int = 8192
-    cache_blocks: Optional[int] = None
     branching: Optional[int] = 32
     ranking: str = "bm25"
     #: Term-immutability horizon in commit-time units (None = forever).
@@ -185,6 +186,16 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.num_lists <= 0:
             raise WorkloadError(f"num_lists must be positive, got {self.num_lists}")
+        if self.block_size <= MAX_LEXICON_TERM_BYTES:
+            raise WorkloadError(
+                f"block_size must hold a {MAX_LEXICON_TERM_BYTES + 1}-byte "
+                f"lexicon line, got {self.block_size}"
+            )
+        if self.branching is not None:
+            try:
+                postings_per_block(self.block_size, self.branching)
+            except IndexError_ as error:
+                raise WorkloadError(str(error)) from None
         if self.ranking not in ("bm25", "cosine"):
             raise WorkloadError(f"unknown ranking '{self.ranking}'")
         if self.read_cache_mb <= 0:
@@ -478,9 +489,7 @@ class TrustworthySearchEngine:
         metrics_labels: Optional[Mapping[str, object]] = None,
     ):
         self.config = config or EngineConfig()
-        self.store = store or CachedWormStore(
-            self.config.cache_blocks, block_size=self.config.block_size
-        )
+        self.store = store or CachedWormStore(block_size=self.config.block_size)
         #: Session-scoped read-path cache (None when disabled).  Never
         #: persisted: a restarted engine starts cold and re-verifies.
         self.read_cache = (

@@ -4,11 +4,12 @@ Conjunctive queries intersect posting lists.  The zigzag join exploits
 that posting lists are sorted by document ID: each side repeatedly seeks
 (``FindGeq``) to the other side's current ID, skipping runs that cannot
 participate in the result.  With an auxiliary index (jump index here;
-B+ tree in the untrusted baseline) the seeks are logarithmic; without
-one they degrade to scans — both are represented as cursor adapters so
-the join code and the blocks-read accounting are shared.  This is the
-one conjunctive join: the engine answers queries with it, and Figure
-8(c) measures it.
+B+ tree in the untrusted baseline, whose cursor
+:class:`~repro.baselines.bplus_tree.TreeCursor` lives beside the tree)
+the seeks are logarithmic; without one they degrade to scans — both are
+represented as cursor adapters so the join code and the blocks-read
+accounting are shared.  This is the one conjunctive join: the engine
+answers queries with it, and Figure 8(c) measures it.
 
 A merged-list cursor steps over its own term's postings only, so each
 seek targets the other term's next document rather than the list's.
@@ -27,7 +28,6 @@ import math
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-from repro.baselines.bplus_tree import BPlusTree
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.core.posting_list import PostingList
 from repro.errors import QueryError
@@ -81,37 +81,6 @@ class MergedListCursor:
     def blocks_read(self) -> int:
         """Distinct posting-list blocks this cursor loaded."""
         return len(self._cursor.blocks_read)
-
-
-class TreeCursor:
-    """Seekable cursor over a B+-tree-indexed (unmerged) posting list."""
-
-    def __init__(self, tree: BPlusTree):
-        self.tree = tree
-        self._visited: set = set()
-        self._current: Optional[int] = tree.find_geq(0, visited=self._visited)
-        #: Seek operations performed (the paper's FindGeq count).
-        self.seeks = 0
-
-    def doc(self) -> Optional[int]:
-        """Current document ID (``None`` when exhausted)."""
-        return self._current
-
-    def seek_geq(self, k: int) -> Optional[int]:
-        """Advance to the first key >= ``k``."""
-        if self._current is not None and self._current >= k:
-            return self._current
-        self.seeks += 1
-        self._current = self.tree.find_geq(k, visited=self._visited)
-        return self._current
-
-    def estimated_length(self) -> int:
-        """Join-ordering hint."""
-        return len(self.tree)
-
-    def blocks_read(self) -> int:
-        """Distinct tree nodes visited."""
-        return len(self._visited)
 
 
 class MemoryCursor:

@@ -20,56 +20,9 @@ See ``docs/SERVICE.md`` for endpoint schemas, admission semantics, and
 the drain contract.
 """
 
-from repro.service.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionError,
-    AdmissionGate,
-    Decision,
-    TenantRateLimiter,
-    TokenBucket,
-)
-from repro.service.locks import ReadWriteLock
-from repro.service.protocol import (
-    DEFAULT_TENANT,
-    PROTOCOL_SCHEMA,
-    TENANT_HEADER,
-    IngestRequest,
-    SchemaError,
-    SearchRequest,
-    error_payload,
-    ok_payload,
-    parse_ingest_request,
-    parse_search_request,
-)
-from repro.service.server import (
-    ArchiveServer,
-    ArchiveService,
-    ServiceConfig,
-    serve_archive,
-)
+# The names ``bench/workloads.py`` imports from the package; everything
+# else is imported from the module that defines it (DESIGN.md §3).
+from repro.service.admission import AdmissionConfig
+from repro.service.server import ServiceConfig, serve_archive
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "AdmissionError",
-    "AdmissionGate",
-    "ArchiveServer",
-    "ArchiveService",
-    "DEFAULT_TENANT",
-    "Decision",
-    "IngestRequest",
-    "PROTOCOL_SCHEMA",
-    "ReadWriteLock",
-    "SchemaError",
-    "SearchRequest",
-    "ServiceConfig",
-    "TENANT_HEADER",
-    "TenantRateLimiter",
-    "TokenBucket",
-    "error_payload",
-    "ok_payload",
-    "parse_ingest_request",
-    "parse_search_request",
-    "serve_archive",
-]
+__all__ = ["AdmissionConfig", "ServiceConfig", "serve_archive"]

@@ -41,7 +41,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError, TamperDetectedError
-from repro.observability import engine_metrics, export_service
+from repro.observability.adapters import engine_metrics, export_service
 from repro.observability.metrics import MetricsRegistry
 from repro.service import wire
 from repro.service.admission import AdmissionConfig, AdmissionController
@@ -55,9 +55,6 @@ from repro.service.protocol import (
     parse_ingest_request,
     parse_search_request,
 )
-
-#: Endpoints served without admission control (operational plane).
-OPS_ENDPOINTS = frozenset({"/healthz", "/metrics"})
 
 #: Endpoints that exist at all (label cardinality bound for metrics).
 KNOWN_ENDPOINTS = frozenset(
@@ -156,7 +153,7 @@ class ArchiveService:
             self.closer.close()
 
     def stats(self) -> Dict[str, object]:
-        """Admission-control state for :func:`~repro.observability.export_service`."""
+        """Admission-control state for :func:`~repro.observability.adapters.export_service`."""
         limiter = self.admission.limiter
         return {
             "draining": self.draining,

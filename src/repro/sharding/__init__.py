@@ -6,17 +6,3 @@ logs, not stored), runs each query on every shard with globally
 consistent ranking, and ingests document batches one pass per merged
 posting list.
 """
-
-from repro.sharding.batch import BatchIngestor
-from repro.sharding.engine import ShardedSearchEngine
-from repro.sharding.executor import ParallelQueryExecutor
-from repro.sharding.router import ShardAssignment, ShardRouter, stable_shard
-
-__all__ = [
-    "BatchIngestor",
-    "ParallelQueryExecutor",
-    "ShardAssignment",
-    "ShardRouter",
-    "ShardedSearchEngine",
-    "stable_shard",
-]

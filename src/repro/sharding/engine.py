@@ -101,8 +101,8 @@ class ShardedSearchEngine:
         Number of shards ``K``.
     store_factory:
         ``shard_id -> CachedWormStore`` for bring-your-own shard storage
-        (e.g. one journal file per shard).  Defaults to fresh in-memory
-        stores per the config.
+        (e.g. one journal file per shard).  Without one, each shard
+        builds its own in-memory store, as an unsharded engine does.
     coordinator_store:
         WORM store for cross-shard state (the global incident log).
         Defaults to a fresh in-memory store.
@@ -128,24 +128,16 @@ class ShardedSearchEngine:
             raise WorkloadError(f"num_shards must be positive, got {num_shards}")
         self.config = config or EngineConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if store_factory is None:
-            def store_factory(_shard_id: int) -> CachedWormStore:
-                return CachedWormStore(
-                    self.config.cache_blocks,
-                    block_size=self.config.block_size,
-                )
         self.shards: List[TrustworthySearchEngine] = [
             TrustworthySearchEngine(
                 self.config,
-                store=store_factory(i),
+                store=store_factory(i) if store_factory else None,
                 metrics=self.metrics,
                 metrics_labels={"shard": i},
             )
             for i in range(num_shards)
         ]
-        self.coordinator = coordinator_store or CachedWormStore(
-            None, block_size=self.config.block_size
-        )
+        self.coordinator = coordinator_store or CachedWormStore(block_size=self.config.block_size)
         if not self.coordinator.device.exists(LEGACY_MAP_FILE):
             self.coordinator.create_file(LEGACY_MAP_FILE).append_record(_NO_MAP_RECORD)
         self.router = ShardRouter([shard.documents for shard in self.shards])

@@ -28,7 +28,3 @@ every entry point takes explicit size parameters for full-scale runs.
 The figures are ratio/shape-valued, which down-scaling preserves (see
 EXPERIMENTS.md for the paper-vs-measured record).
 """
-
-from repro.simulate.report import format_table
-
-__all__ = ["format_table"]

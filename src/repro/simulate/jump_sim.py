@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.baselines.unmerged import UnmergedBaselineIndex
 from repro.core.posting import POSTING_SIZE
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
+from repro.worm.storage import CachedWormStore
 
 
 def document_text(doc) -> str:
@@ -38,10 +39,14 @@ def query_text(query, *, conjunctive: bool) -> str:
     return " ".join(f"{prefix}t{term}" for term in query.term_ids)
 
 
-def ingest(documents: Sequence, config: EngineConfig) -> TrustworthySearchEngine:
+def ingest(
+    documents: Sequence, config: EngineConfig, cache_blocks: Optional[int] = None
+) -> TrustworthySearchEngine:
     """A legacy engine under ``config`` holding ``documents``, each
-    committed by an ``index_batch`` of its own."""
-    engine = TrustworthySearchEngine(config)
+    committed by an ``index_batch`` of its own, on a store whose cache
+    holds ``cache_blocks`` blocks (``None``: unbounded)."""
+    store = CachedWormStore(cache_blocks, block_size=config.block_size)
+    engine = TrustworthySearchEngine(config, store=store)
     for doc in documents:
         engine.index_batch([document_text(doc)])
     return engine
@@ -68,13 +73,8 @@ def insert_ios_sweep(
     """
 
     def ios(branching: Optional[int], cache_blocks: int) -> float:
-        config = EngineConfig(
-            num_lists=num_lists,
-            block_size=block_size,
-            cache_blocks=cache_blocks,
-            branching=branching,
-        )
-        return ios_per_doc(ingest(documents, config))
+        config = EngineConfig(num_lists=num_lists, block_size=block_size, branching=branching)
+        return ios_per_doc(ingest(documents, config, cache_blocks))
 
     return {
         branching: [(cache, ios(branching, cache)) for cache in cache_block_counts]

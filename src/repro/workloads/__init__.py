@@ -17,26 +17,3 @@ data that the paper's results actually depend on*:
 All generators are deterministic under a seed and expose their parameters,
 so every figure harness records exactly what workload it ran.
 """
-
-from repro.workloads.corpus import CorpusConfig, CorpusGenerator, SyntheticDocument
-from repro.workloads.drift import DriftConfig, DriftingWorkload, EpochWorkload
-from repro.workloads.queries import QueryLogConfig, QueryLogGenerator, SyntheticQuery
-from repro.workloads.stats import WorkloadStats
-from repro.workloads.vocabulary import Vocabulary
-from repro.workloads.zipf import ZipfSampler, zipf_weights
-
-__all__ = [
-    "CorpusConfig",
-    "CorpusGenerator",
-    "DriftConfig",
-    "DriftingWorkload",
-    "EpochWorkload",
-    "QueryLogConfig",
-    "QueryLogGenerator",
-    "SyntheticDocument",
-    "SyntheticQuery",
-    "Vocabulary",
-    "WorkloadStats",
-    "ZipfSampler",
-    "zipf_weights",
-]

@@ -22,27 +22,3 @@ This subpackage provides that device in simulation:
 * :class:`~repro.worm.storage.CachedWormStore` — device + cache + accounting
   glued together behind one interface.
 """
-
-from repro.worm.block import Block
-from repro.worm.cache import CacheStats, LRUBlockCache
-from repro.worm.device import WormDevice, WormFile
-from repro.worm.iostats import IoStats
-from repro.worm.persistent import (
-    JournalScanReport,
-    JournaledWormDevice,
-    scan_journal,
-)
-from repro.worm.storage import CachedWormStore
-
-__all__ = [
-    "Block",
-    "CacheStats",
-    "CachedWormStore",
-    "IoStats",
-    "JournalScanReport",
-    "JournaledWormDevice",
-    "LRUBlockCache",
-    "WormDevice",
-    "WormFile",
-    "scan_journal",
-]

@@ -10,7 +10,7 @@ from repro.core.epochs import (
     prefix_term_frequencies,
 )
 from repro.errors import WorkloadError
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 from repro.workloads.queries import QueryLogConfig, QueryLogGenerator
 from repro.workloads.stats import WorkloadStats

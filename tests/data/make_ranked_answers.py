@@ -30,7 +30,7 @@ import os
 import random
 
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 TOP_K = 12

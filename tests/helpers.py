@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from repro.core.posting import MAX_TERM_ID_WITH_TF
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.worm.storage import CachedWormStore
 
 #: The canonical small corpus (compliance-flavoured, six documents).

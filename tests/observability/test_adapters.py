@@ -4,16 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.observability import (
-    NullMetricsRegistry,
-    QueryTrace,
+from repro.observability.adapters import (
     engine_metrics,
     export_faults,
     export_journal,
     export_store,
     metrics_document,
 )
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.observability.trace import QueryTrace
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.sharding.engine import ShardedSearchEngine
 from repro.worm.faults import FaultInjectingWormDevice

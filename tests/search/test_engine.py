@@ -8,6 +8,7 @@ from repro.core.merge import PopularUnmergedMerge
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, SearchResult, TrustworthySearchEngine
 from repro.search.query import Query, QueryMode
+from repro.worm.storage import CachedWormStore
 from tests.helpers import SMALL_CONFIG, build_engine, device_state
 
 
@@ -196,9 +197,27 @@ class TestConfigurations:
         with pytest.raises(WorkloadError):
             EngineConfig(ranking="pagerank")
 
+    def test_a_block_no_list_can_use_is_refused(self):
+        """217 pointer slots of B=32 take 868 B: no posting fits in 512."""
+        with pytest.raises(WorkloadError, match="cannot fit any posting"):
+            EngineConfig(block_size=512)
+        assert EngineConfig(block_size=512, branching=4).block_size == 512
+
+    def test_a_block_shorter_than_a_lexicon_line_is_refused(self):
+        with pytest.raises(WorkloadError, match="129-byte lexicon line"):
+            EngineConfig(num_lists=8, block_size=128, branching=None)
+        engine = TrustworthySearchEngine(EngineConfig(num_lists=8, block_size=129, branching=None))
+        engine.index_batch(["short words", "x" * 128 + " tail"])
+        assert [r.doc_id for r in engine.search("tail")] == [1]
+
+    def test_the_cache_size_is_the_store_s(self):
+        with pytest.raises(TypeError):
+            EngineConfig(cache_blocks=64)
+
     def test_small_cache_engine_still_correct(self):
         engine = TrustworthySearchEngine(
-            EngineConfig(num_lists=8, branching=2, cache_blocks=4, block_size=512)
+            EngineConfig(num_lists=8, branching=2, block_size=512),
+            store=CachedWormStore(4, block_size=512),
         )
         for i in range(20):
             engine.index_document(f"common term{i} filler words here")

@@ -18,7 +18,7 @@ from repro.adversary.detection import full_engine_audit
 from repro.cli import open_archive
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.sharding.router import stable_shard
 from repro.worm.faults import FaultInjectingWormDevice, FaultPlan, SimulatedCrashError
 from repro.worm.persistent import JournaledWormDevice

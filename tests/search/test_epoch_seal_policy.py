@@ -25,7 +25,7 @@ from repro.core.segments import ReadCosts
 from repro.observability.trace import QueryTrace
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.query import Query, QueryMode
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from tests.helpers import epoch_config, epoch_layouts
 
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.baselines.bplus_tree import BPlusTree
+from repro.baselines.bplus_tree import BPlusTree, TreeCursor
 from repro.core.block_jump_index import BlockJumpIndex
 from repro.errors import QueryError
 from repro.search.join import (
     MemoryCursor,
     MergedListCursor,
-    TreeCursor,
     conjunctive_join,
     zigzag,
 )

@@ -180,6 +180,7 @@ def test_statistics_after_any_history_equal_a_full_reanalysis(
     config = EngineConfig(
         num_lists=8,
         block_size=256,
+        branching=4,
         tail_max_docs=tail_max_docs,
         merge_at_segments=3,
         retention_period=6,

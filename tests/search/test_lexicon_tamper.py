@@ -39,9 +39,9 @@ DOCUMENTS = [
 ]
 
 LAYOUTS = {
-    "legacy": (EngineConfig(num_lists=8, block_size=512), 1),
-    "tail": (EngineConfig(num_lists=8, block_size=512, tail_max_docs=4), 1),
-    "two-shards": (EngineConfig(num_lists=8, block_size=512, tail_max_docs=4), 2),
+    "legacy": (EngineConfig(num_lists=8, block_size=512, branching=4), 1),
+    "tail": (EngineConfig(num_lists=8, block_size=512, branching=4, tail_max_docs=4), 1),
+    "two-shards": (EngineConfig(num_lists=8, block_size=512, branching=4, tail_max_docs=4), 2),
 }
 
 
@@ -173,7 +173,7 @@ def test_appended_lexicon_bytes_are_refused_or_hide_no_document(tail_max_docs, a
     :class:`TamperDetectedError`, or a search for each term of each
     committed document finds that document."""
     batches = [DOCUMENTS[:3], DOCUMENTS[3:], ["gamma memo", "gamma again"]]
-    config = EngineConfig(num_lists=8, block_size=512, tail_max_docs=tail_max_docs)
+    config = EngineConfig(num_lists=8, block_size=512, branching=4, tail_max_docs=tail_max_docs)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "rec.worm")
         _, handle = open_archive(path, create=config)

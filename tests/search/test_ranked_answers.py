@@ -35,7 +35,7 @@ import os
 import pytest
 
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from tests.data.make_ranked_answers import answers, build
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")

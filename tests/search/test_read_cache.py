@@ -10,7 +10,8 @@ from repro.adversary.attacks import posting_stuffing_attack
 from repro.core.posting import pack_term_tf
 from repro.core.segments import ReadCosts
 from repro.errors import WorkloadError
-from repro.observability import QueryTrace, export_read_cache
+from repro.observability.adapters import export_read_cache
+from repro.observability.trace import QueryTrace
 from repro.observability.metrics import MetricsRegistry
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.readcache import ReadCache

@@ -19,7 +19,7 @@ from repro.errors import TamperDetectedError
 from repro.search.analyzer import Analyzer
 from repro.search.documents import DocumentStore
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 
 LEGACY = EngineConfig(num_lists=8)
 #: Every document in the tail until Mala seals it, one posting per

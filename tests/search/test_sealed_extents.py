@@ -14,7 +14,8 @@ again after a merge, cache off and on, in the session and after a
 reopen: on the short lists' shared file (one shard, journaled), and on a
 long list — a file of its own — in order, out of order, torn, in a new
 block, or with a jump pointer set after the seal from a counted block
-into the appended region (one and two shards).  ANY, ALL and
+into the appended region (one and two shards, in memory and on an
+archive's journals at the 256-byte block its record names).  ANY, ALL and
 time-ranged answers keep their documents and their ``float.hex()``
 scores; ``search(verify=True)`` has nothing to object to, because
 nothing was returned; a merge of the segment does not carry the bytes;
@@ -36,11 +37,12 @@ from dataclasses import replace
 import pytest
 
 from repro.adversary.detection import full_engine_audit
+from repro.cli import open_archive
 from repro.core.posting import MAX_TERM_ID_WITH_TF, encode_posting, pack_term_tf
 from repro.core.segments import MANIFEST_FILE, SEGMENT_PREFIX
 from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.sharding.router import stable_shard
 from repro.worm.persistent import JournaledWormDevice
 from repro.worm.storage import CachedWormStore
@@ -292,15 +294,27 @@ def shards_of(engine):
     return getattr(engine, "shards", None) or [engine]
 
 
-@pytest.fixture()
-def engines():
-    """Opens engines — in memory, on ``block_size`` blocks — and closes
-    the sharded ones' executors afterwards."""
+@pytest.fixture(params=["in-memory", "journaled"])
+def engines(request, tmp_path):
+    """Opens engines on ``block_size`` blocks — in memory, or as journaled
+    archives through :func:`~repro.cli.open_archive` — and closes them
+    afterwards."""
     opened = []
+    archives = {}  # id(engine) -> (path, handle)
 
     def open_engine(config, shards, reopen=None):
-        """A new engine of ``shards``, or a reopen of ``reopen``'s stores:
+        """A new engine of ``shards``, or a reopen of ``reopen``'s storage:
         nothing attached, nothing cached."""
+        if request.param == "journaled":
+            if reopen is None:
+                path = str(tmp_path / f"archive{len(archives)}.worm")
+                engine, handle = open_archive(path, create=config, shards=shards)
+            else:
+                path, handle = archives.pop(id(reopen))
+                handle.close()
+                engine, handle = open_archive(path, read_cache=config.read_cache)
+            archives[id(engine)] = path, handle
+            return engine
         if shards == 1:
             return TrustworthySearchEngine(config, store=reopen and reopen.store)
         engine = ShardedSearchEngine(
@@ -315,6 +329,8 @@ def engines():
     yield open_engine
     for engine in opened:
         engine.close()
+    for _, handle in archives.values():
+        handle.close()
 
 
 def build_long(open_engine, config, shards, merged):

@@ -72,10 +72,7 @@ def _build(layout, shards, cache):
     """The archive, and each document's ``(text, commit time)`` by ID."""
     config, merge = LAYOUTS[layout] if layout in LAYOUTS else (LEGACY, False)
     config = replace(config, read_cache=cache, retention_period=RETENTION)
-    stores = [
-        CachedWormStore(config.cache_blocks, block_size=config.block_size)
-        for _ in range(shards + 1)
-    ]
+    stores = [CachedWormStore(block_size=config.block_size) for _ in range(shards + 1)]
     engine = _open(config, shards, stores)
     texts, times = _corpus()
     docs = {}

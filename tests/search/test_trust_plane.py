@@ -18,9 +18,9 @@ import pytest
 from repro.adversary.attacks import posting_stuffing_attack
 from repro.core.posting import pack_term_tf
 from repro.errors import TamperDetectedError
-from repro.observability import QueryTrace
+from repro.observability.trace import QueryTrace
 from repro.search.engine import TrustworthySearchEngine
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from tests.helpers import SHARD_CONFIG
 
 #: Documents 0..8 hold "evidence"; 9..11 do not.

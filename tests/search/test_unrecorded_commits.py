@@ -14,10 +14,10 @@ import pytest
 
 from repro.cli import open_archive
 from repro.search.engine import EngineConfig
-from repro.sharding import stable_shard
+from repro.sharding.router import stable_shard
 
-LEGACY = EngineConfig(num_lists=8, block_size=512)
-TAIL = EngineConfig(num_lists=8, block_size=512, tail_max_docs=4)
+LEGACY = EngineConfig(num_lists=8, block_size=512, branching=4)
+TAIL = EngineConfig(num_lists=8, block_size=512, branching=4, tail_max_docs=4)
 LAYOUTS = {
     "legacy": (LEGACY, 1),
     "tail": (TAIL, 1),

@@ -16,8 +16,8 @@ import pytest
 from repro.adversary.attacks import posting_stuffing_attack
 from repro.cli import _shard_path, open_archive
 from repro.search.engine import EngineConfig
-from repro.service import ArchiveService
-from repro.sharding import ShardedSearchEngine
+from repro.service.server import ArchiveService
+from repro.sharding.engine import ShardedSearchEngine
 from repro.worm.persistent import scan_journal
 from repro.worm.storage import CachedWormStore
 

@@ -8,12 +8,9 @@ exercised here against an in-memory engine.
 import pytest
 
 from repro.errors import TamperDetectedError
-from repro.service import (
-    PROTOCOL_SCHEMA,
-    AdmissionConfig,
-    ArchiveService,
-    ServiceConfig,
-)
+from repro.service.admission import AdmissionConfig
+from repro.service.protocol import PROTOCOL_SCHEMA
+from repro.service.server import ArchiveService, ServiceConfig
 from tests.helpers import (
     DEFAULT_CORPUS,
     POINTER_CONFIG,

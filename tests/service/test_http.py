@@ -19,7 +19,8 @@ from email.utils import parsedate_to_datetime
 import pytest
 
 from repro.loadtest.transport import HTTPTransport
-from repro.service import ArchiveServer, ArchiveService, ServiceConfig, wire
+from repro.service import wire
+from repro.service.server import ArchiveServer, ArchiveService, ServiceConfig
 from tests.helpers import DEFAULT_CORPUS, build_engine
 
 REQUEST_TIMEOUT = 5.0

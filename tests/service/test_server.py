@@ -26,12 +26,8 @@ from repro.loadtest.transport import (
     ServiceOverloadedError,
 )
 from repro.search.engine import EngineConfig
-from repro.service import (
-    AdmissionConfig,
-    ArchiveServer,
-    ArchiveService,
-    ServiceConfig,
-)
+from repro.service.admission import AdmissionConfig
+from repro.service.server import ArchiveServer, ArchiveService, ServiceConfig
 from tests.helpers import DEFAULT_CORPUS, SMALL_CONFIG, build_engine
 
 #: Keep pathological-connection waits short in tests.

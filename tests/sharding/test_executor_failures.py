@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import TamperDetectedError
 from repro.search.engine import EngineConfig
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 
 CONFIG = EngineConfig(num_lists=16, block_size=4096, branching=None)
 

@@ -16,7 +16,7 @@ from repro.cli import open_archive
 from repro.errors import TamperDetectedError, WorkloadError
 from repro.search.engine import EngineConfig, TrustworthySearchEngine
 from repro.search.profiling import profile_sharded_query
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from repro.worm.storage import CachedWormStore
 from tests.data.make_sharded_archive import answers, placement
 from tests.helpers import SHARD_CONFIG, build_engine_pair

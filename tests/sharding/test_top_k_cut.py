@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.search.engine import TrustworthySearchEngine
 from repro.search.ranking import SCORERS, score
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 from tests.helpers import SHARD_CONFIG, budget
 
 VOCAB = ["memo", "audit", "ledger", "quarter", "trade"]

@@ -1,8 +1,14 @@
 """Integration tests for the archive CLI."""
 
+import os
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import pytest
 
+from repro import cli
 from repro.cli import main, open_archive
+from repro.search.engine import EngineConfig
 
 
 @pytest.fixture()
@@ -46,7 +52,6 @@ class TestConfigRecord:
 
     def test_record_bytes(self, archive):
         from repro.cli import _CONFIG_FILE
-        from repro.search.engine import EngineConfig
 
         config = EngineConfig(num_lists=64, branching=None, tail_max_docs=9)
         engine, handle = open_archive(archive, create=config, shards=2)
@@ -73,6 +78,84 @@ class TestConfigRecord:
         assert (config.num_lists, config.ranking) == (16, "cosine")
         assert config.tail_max_docs is None  # tail mode off
         assert config.merge_at_segments == 8  # the field's default
+
+
+def _stores(engine):
+    """Every store of an open archive: the coordinator's, then each shard's."""
+    shards = getattr(engine, "shards", None)
+    if shards is None:
+        return [engine.store]
+    return [engine.coordinator] + [shard.store for shard in shards]
+
+
+def _file_block_sizes(engine):
+    return {
+        store.device.open_file(name).block_size
+        for store in _stores(engine)
+        for name in store.device.list_files()
+    }
+
+
+class TestRecordedBlockSize:
+    """An archive runs under the block size its config record holds."""
+
+    TEXTS = [f"memo {i} about imclone trading and stewart" for i in range(12)]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_file_is_made_at_the_recorded_size(self, archive, shards):
+        config = EngineConfig(block_size=256, branching=4, tail_max_docs=4)
+        engine, handle = open_archive(archive, create=config, shards=shards)
+        engine.index_batch(self.TEXTS)
+        assert {store.block_size for store in _stores(engine)} == {256}
+        assert _file_block_sizes(engine) == {256}
+        handle.close()
+        engine, handle = open_archive(archive)
+        engine.index_batch(self.TEXTS)
+        assert engine.config.block_size == 256
+        assert {store.block_size for store in _stores(engine)} == {256}
+        assert _file_block_sizes(engine) == {256}
+        handle.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_an_archive_of_8_kib_files_keeps_them(self, archive, shards, monkeypatch):
+        """``init --block-size 512`` once recorded 512 beside the default
+        branching of 32, a block no list could use, and made 8 KiB files:
+        such an archive reopens at 8 KiB and answers as it did."""
+        write_config = cli._write_config
+
+        def record_512(store, config, count):
+            write_config(store, SimpleNamespace(**{**asdict(config), "block_size": 512}), count)
+
+        monkeypatch.setattr(cli, "_write_config", record_512)
+        engine, handle = open_archive(archive, create=EngineConfig(), shards=shards)
+        monkeypatch.undo()
+        engine.index_batch(self.TEXTS)
+        before = [(hit.doc_id, hit.score) for hit in engine.search("imclone stewart")]
+        handle.close()
+        engine, handle = open_archive(archive)
+        record = b"".join(
+            _stores(engine)[0].peek_block(cli._CONFIG_FILE, b)
+            for b in range(_stores(engine)[0].open_file(cli._CONFIG_FILE).num_blocks)
+        )
+        assert b'"block_size":512,"branching":32' in record
+        assert engine.config.block_size == 8192
+        assert _file_block_sizes(engine) == {8192}
+        assert [(hit.doc_id, hit.score) for hit in engine.search("imclone stewart")] == before
+        handle.close()
+
+    def test_a_record_longer_than_a_block_spans_blocks(self, archive):
+        config = EngineConfig(block_size=160, branching=None, tail_max_docs=9)
+        engine, handle = open_archive(archive, create=config)
+        assert engine.store.open_file(cli._CONFIG_FILE).num_blocks > 1
+        handle.close()
+        engine, handle = open_archive(archive)
+        assert (engine.config.block_size, engine.config.tail_max_docs) == (160, 9)
+        handle.close()
+
+    def test_init_refuses_a_block_its_lists_cannot_use(self, archive, capsys):
+        assert run("init", "--archive", archive, "--block-size", "512") == 2
+        assert "cannot fit any posting" in capsys.readouterr().err
+        assert not os.path.exists(archive)
 
 
 class TestIndexAndSearch:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.cli import main, open_archive
-from repro.sharding import ShardedSearchEngine
+from repro.sharding.engine import ShardedSearchEngine
 
 
 @pytest.fixture()
